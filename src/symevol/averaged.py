@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .model import CartesianState, ModelParams
-from .transforms import PolarState, slow_rhs, _gauss_nodes
+from .transforms import PolarState, mode_actions, slow_rhs, _gauss_nodes
 
 __all__ = [
     "ZeroAmplitudeError",
@@ -32,13 +33,15 @@ __all__ = [
     "polar_to_slow_cart",
     "slow_cart_amplitudes",
     "invariant",
+    "cartesian_invariant",
     "average_slow_field",
     "second_order_average_11",
     "fit_I3_11",
     "I3FitResult",
 ]
 
-INVARIANT_NAMES = ("E0_12", "I3_12", "E0_11", "I3_11")
+_INVARIANT_OMEGA = {"E0_12": 2.0, "I3_12": 2.0, "E0_11": 1.0, "I3_11": 1.0}
+INVARIANT_NAMES = tuple(_INVARIANT_OMEGA)
 
 
 class ZeroAmplitudeError(ValueError):
@@ -127,15 +130,26 @@ def avg12_second_rhs(t, y, p: ModelParams) -> np.ndarray:
     return np.array([dr1, dpsi1, dr2, dpsi2, p.delta])
 
 
+def _is_exact(x) -> bool:
+    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
+def _chi2_coeffs(a1, a2):
+    """(c_u, c_w) of the chi2 drift eps^2*(c_u*r1^2 + c_w*r2^2); exact for
+    integer or Fraction coefficients."""
+    exact = _is_exact(a1) and _is_exact(a2)
+    a1, a2 = (Fraction(a1), Fraction(a2)) if exact else (float(a1), float(a2))
+    return (-a1 * a1 / 6 + a1 * a2 / 2 + a2 * a2 / 15,
+            -2 * a1 * a2 + 29 * a2 * a2 / 60)
+
+
 def chi2_rhs(r1, r2, p: ModelParams) -> float:
     """Drift of chi2 = 4*psi1 - 2*psi2 in the late (symmetric) 1:2 regime.
 
     Equals 4*psi1' - 2*psi2' of the second-order field at tau = inf; a zero
     at positive amplitudes marks a second-order resonance manifold.
     """
-    a1, a2 = p.a1, p.a2
-    c_u = -a1 * a1 / 6.0 + 0.5 * a1 * a2 + a2 * a2 / 15.0
-    c_w = -2.0 * a1 * a2 + 29.0 * a2 * a2 / 60.0
+    c_u, c_w = _chi2_coeffs(p.a1, p.a2)
     return p.epsilon**2 * (c_u * r1 * r1 + c_w * r2 * r2)
 
 
@@ -154,6 +168,15 @@ def avg13_rhs(t, y, p: ModelParams) -> np.ndarray:
     return np.array([0.0, dpsi1, 0.0, dpsi2, p.delta])
 
 
+def _chi3_coeffs(a1, a2, literal_47_140=False):
+    """(c_u, c_w) of the chi3 drift -eps^2*(c_u*r1^2 - c_w*r2^2); exact for
+    integer or Fraction coefficients unless the literal 47/140 is asked for."""
+    exact = _is_exact(a1) and _is_exact(a2) and not literal_47_140
+    a1, a2 = (Fraction(a1), Fraction(a2)) if exact else (float(a1), float(a2))
+    return (5 * a1 * a1 / 2 - a1 * a2 / 6 - a2 * a2 / 105,
+            3 * a1 * a2 + Fraction(47, 140) * (1 if literal_47_140 else a2 * a2))
+
+
 def chi3_rhs(r1, r2, p: ModelParams, literal_47_140: bool = False) -> float:
     """Drift of chi3 = 6*psi1 - 2*psi2 at the 1:3 resonance.
 
@@ -161,9 +184,7 @@ def chi3_rhs(r1, r2, p: ModelParams, literal_47_140: bool = False) -> float:
     with its sibling terms; ``literal_47_140=True`` keeps it as a bare
     constant for comparison.
     """
-    a1, a2 = p.a1, p.a2
-    c_u = 2.5 * a1 * a1 - a1 * a2 / 6.0 - a2 * a2 / 105.0
-    c_w = 3.0 * a1 * a2 + (47.0 / 140.0) * (1.0 if literal_47_140 else a2 * a2)
+    c_u, c_w = _chi3_coeffs(p.a1, p.a2, literal_47_140)
     return -p.epsilon**2 * (c_u * r1 * r1 - c_w * r2 * r2)
 
 
@@ -261,55 +282,54 @@ def slow_cart_amplitudes(states: np.ndarray):
             np.hypot(states[..., 2], states[..., 3]))
 
 
-def _polar_components(state):
-    if isinstance(state, PolarState):
-        return state.r1, state.psi1, state.r2, state.psi2
-    arr = np.asarray(state, dtype=float)
-    return float(arr[0]), float(arr[1]), float(arr[2]), float(arr[3])
+def _check_invariant(name: str, p: ModelParams, i3_coeffs):
+    if name not in INVARIANT_NAMES:
+        raise ValueError(f"unknown invariant {name!r}; know {INVARIANT_NAMES}")
+    _require_omega(p, _INVARIANT_OMEGA[name], name)
+    if name == "I3_11" and i3_coeffs is None:
+        raise ValueError("I3_11 needs the fitted (alpha, beta) coefficients")
+
+
+def cartesian_invariant(name: str, states, p: ModelParams, i3_coeffs=None):
+    """Conserved quantity of the averaged flows in the original variables,
+    vectorized over (..., 4) states ordered [q1, v1, q2, v2].
+
+    E0 is the sum of the mode actions; ``I3_11`` additionally needs the
+    fitted coefficients (alpha, beta) from :func:`fit_I3_11`.
+    """
+    _check_invariant(name, p, i3_coeffs)
+    if name in ("E0_12", "E0_11"):
+        e1, e2 = mode_actions(states, p.omega)
+        return e1 + e2
+    q1, v1, q2, v2 = np.moveaxis(np.asarray(states, dtype=float), -1, 0)
+    if name == "I3_12":
+        return p.a4 * ((q1 * q1 - v1 * v1) * q2 + q1 * v1 * v2)
+    ca, cb = (float(c) for c in i3_coeffs)
+    u = q1 * q1 + v1 * v1
+    return ((q1 * q2 + v1 * v2) ** 2 - (q1 * v2 - v1 * q2) ** 2
+            + ca * u * u + cb * u)
 
 
 def invariant(name: str, state, p: ModelParams, i3_coeffs=None) -> float:
     """Evaluate a conserved quantity of the averaged flows.
 
     Polar states (PolarState or [r1, psi1, r2, psi2, ...]) use the
-    amplitude/phase forms; CartesianState uses the equivalent expressions in
-    the original variables. ``I3_11`` additionally needs the fitted
-    coefficients (alpha, beta) from :func:`fit_I3_11`.
+    amplitude/phase forms; CartesianState uses :func:`cartesian_invariant`.
+    ``I3_11`` additionally needs the fitted coefficients (alpha, beta) from
+    :func:`fit_I3_11`.
     """
-    if name not in INVARIANT_NAMES:
-        raise ValueError(f"unknown invariant {name!r}; know {INVARIANT_NAMES}")
-    cartesian = isinstance(state, CartesianState)
+    if isinstance(state, CartesianState):
+        return float(cartesian_invariant(name, state.as_array(), p, i3_coeffs))
+    _check_invariant(name, p, i3_coeffs)
+    y = state.as_array() if isinstance(state, PolarState) else np.asarray(state, dtype=float)
+    r1, psi1, r2, psi2 = (float(v) for v in y[:4])
     if name == "E0_12":
-        _require_omega(p, 2.0, "E0_12")
-        if cartesian:
-            return (0.5 * (state.v1**2 + state.q1**2)
-                    + 0.5 * (state.v2**2 + 4.0 * state.q2**2))
-        r1, _, r2, _ = _polar_components(state)
         return 0.5 * r1 * r1 + 2.0 * r2 * r2
     if name == "I3_12":
-        _require_omega(p, 2.0, "I3_12")
-        if cartesian:
-            q1, v1, q2, v2 = state.q1, state.v1, state.q2, state.v2
-            return p.a4 * ((q1 * q1 - v1 * v1) * q2 + q1 * v1 * v2)
-        r1, psi1, r2, psi2 = _polar_components(state)
         return p.a4 * r1 * r1 * r2 * math.cos(2.0 * psi1 - psi2)
     if name == "E0_11":
-        _require_omega(p, 1.0, "E0_11")
-        if cartesian:
-            return 0.5 * (state.q1**2 + state.v1**2 + state.q2**2 + state.v2**2)
-        r1, _, r2, _ = _polar_components(state)
         return 0.5 * (r1 * r1 + r2 * r2)
-    # I3_11
-    _require_omega(p, 1.0, "I3_11")
-    if i3_coeffs is None:
-        raise ValueError("I3_11 needs the fitted (alpha, beta) coefficients")
     ca, cb = (float(c) for c in i3_coeffs)
-    if cartesian:
-        q1, v1, q2, v2 = state.q1, state.v1, state.q2, state.v2
-        u = q1 * q1 + v1 * v1
-        return ((q1 * q2 + v1 * v2) ** 2 - (q1 * v2 - v1 * q2) ** 2
-                + ca * u * u + cb * u)
-    r1, psi1, r2, psi2 = _polar_components(state)
     u = r1 * r1
     w = r2 * r2
     return u * w * math.cos(2.0 * (psi1 - psi2)) + ca * u * u + cb * u
@@ -329,26 +349,6 @@ def average_slow_field(y, p: ModelParams, nodes: int = 64) -> np.ndarray:
     return (vals @ wts) * 0.5
 
 
-def _slow_unit_field_11(t, x, p: ModelParams, al: float):
-    """Polar field for omega = 1 with eps scaled out and alpha frozen at al.
-
-    Complex-safe in x so the oracle can differentiate it by complex step.
-    """
-    r1, psi1, r2, psi2 = x[0], x[1], x[2], x[3]
-    th1 = t + psi1
-    th2 = t + psi2
-    c1, s1 = np.cos(th1), np.sin(th1)
-    c2, s2 = np.cos(th2), np.sin(th2)
-    g1 = p.a1 * r1 * r1 * c1 * c1 + p.a2 * r2 * r2 * c2 * c2 + al * 2.0 * p.a4 * r1 * c1 * r2 * c2
-    g2 = 2.0 * p.a2 * r1 * c1 * r2 * c2 + al * (p.a3 * r2 * r2 * c2 * c2 + p.a4 * r1 * r1 * c1 * c1)
-    return np.stack([
-        -s1 * g1,
-        -c1 * g1 / r1,
-        -s2 * g2,
-        -c2 * g2 / r2,
-    ])
-
-
 def second_order_average_11(y, p: ModelParams, al: float = 0.0,
                             nodes: int = 48, inner_nodes: int = 10) -> np.ndarray:
     """Numerical second-order average of the 1:1 polar system at frozen alpha.
@@ -364,9 +364,13 @@ def second_order_average_11(y, p: ModelParams, al: float = 0.0,
     y4 = np.asarray(y, dtype=float)[:4]
     xg, wg = _gauss_nodes(nodes)
     tq = math.pi * (xg + 1.0)
+    # eps scaled out, alpha frozen at al through the slow time tau
+    unit = p.replace(epsilon=1.0, alpha_kind="exponential")
+    tau = -math.log(al) if al > 0.0 else math.inf
 
     def f(t, x):
-        return _slow_unit_field_11(t, x, p, al)
+        # complex-safe in x, so the Jacobian can be taken by complex step
+        return slow_rhs(t, (x[0], x[1], x[2], x[3], tau), unit)[:4]
 
     # u at the outer nodes, built up segment by segment.
     xs, ws = _gauss_nodes(inner_nodes)

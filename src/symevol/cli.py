@@ -27,7 +27,8 @@ from .experiments import (compare_full_vs_averaged, fig_params, reproduce_figure
                           run_ensemble, run_scenario, stabilization_time)
 from .integrate import IntegrationError, order_check
 from .model import full_rhs
-from .resonance import classify_11, locate_12_first, locate_12_second, locate_13
+from .resonance import SYSTEM_OMEGA, resonance_for
+from .transforms import mode_actions
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -76,14 +77,10 @@ def _cmd_simulate(args) -> int:
     start = time.perf_counter()
     result = run_scenario(scenario)
     traj = result.trajectory
-    obs = result.observables
-    p = scenario.params
-    q1, v1, q2, v2 = (traj.states[:, i] for i in range(4))
-    e1 = obs.get("E1", 0.5 * (v1**2 + q1**2))
-    e2 = obs.get("E2", 0.5 * (v2**2 + p.omega**2 * q2**2))
+    e1, e2 = mode_actions(traj.states, scenario.params.omega)
     csv_path = outdir / "trajectory.csv"
     _write_csv(csv_path, ["t", "q1", "v1", "q2", "v2", "E1", "E2"],
-               [traj.times, q1, v1, q2, v2, e1, e2])
+               [traj.times, *traj.states.T, e1, e2])
     _write_manifest(outdir, "simulate", digest, [csv_path.name],
                     wall_time=time.perf_counter() - start,
                     extra={"label": scenario.label, "samples": len(traj.times),
@@ -94,22 +91,23 @@ def _cmd_simulate(args) -> int:
 def _cmd_compare(args) -> int:
     cfg = load_config(resolve_config_path(args.config))
     scenario = build_scenario(cfg, _integrator_overrides(args))
-    if scenario.params.omega not in (1.0, 2.0, 3.0):
-        raise ConfigError(f"no averaged system for omega = {scenario.params.omega:g}")
     eps_list = [float(s) for s in args.eps_list.split(",") if s.strip()]
     if not eps_list or any(e <= 0 or e > 1 for e in eps_list):
         raise ConfigError(f"bad --eps-list {args.eps_list!r}")
     digest = config_digest(cfg)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     rows = []
     for eps in eps_list:
         params = scenario.params.replace(epsilon=eps, delta=None)
-        res = compare_full_vs_averaged(params, scenario.initial, L=args.window,
-                                       resonance=args.resonance,
-                                       rtol=scenario.rtol, atol=scenario.atol)
+        try:
+            res = compare_full_vs_averaged(params, scenario.initial, L=args.window,
+                                           resonance=args.resonance,
+                                           rtol=scenario.rtol, atol=scenario.atol)
+        except ValueError as exc:  # omega, --resonance or initial data rejected
+            raise ConfigError(str(exc)) from exc
         rows.append((eps, res.sup_r1, res.sup_r2, res.sup_E1, res.sup_E2))
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / "compare.csv"
     _write_csv(csv_path, ["epsilon", "sup_r1", "sup_r2", "sup_E1", "sup_E2"],
                list(zip(*rows)))
@@ -128,61 +126,15 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _ratio_json(manifold):
-    if not manifold.exists:
-        return "none"
-    ratio = manifold.amplitude_ratio
-    out = {"value": float(ratio)}
-    if isinstance(ratio, Fraction):
-        out["exact"] = f"{ratio.numerator}/{ratio.denominator}"
-    return out
-
-
 def _cmd_resonance(args) -> int:
     try:
+        omega = float(args.omega)
         a1, a2 = Fraction(args.a1), Fraction(args.a2)
-    except ValueError as exc:
-        raise ConfigError(f"bad coefficient: {exc}") from exc
-    omega = float(args.omega)
-    report: dict = {"omega": omega, "a1": str(a1), "a2": str(a2)}
-    if omega == 2.0:
-        first = locate_12_first(Fraction(args.e0) if args.e0 else Fraction(1, 4))
-        second = locate_12_second(a1, a2)
-        report["first_order"] = {
-            "ratio": _ratio_json(first),
-            "angles": list(first.angles),
-            "r1_sq": float(first.r1_sq),
-            "r2_sq": float(first.r2_sq),
-            "size_order": first.size_order,
-            "timescale_order": first.timescale_order,
-        }
-        report["second_order"] = {
-            "ratio": _ratio_json(second),
-            "angles": list(second.angles),
-            "angle_stability": {f"{k:g}": v for k, v in (second.angle_stability or {}).items()},
-            "size_order": second.size_order,
-            "timescale_order": second.timescale_order,
-        }
-    elif omega == 3.0:
-        m = locate_13(a1, a2)
-        report["resonance_13"] = {
-            "ratio": _ratio_json(m),
-            "angles": list(m.angles),
-            "size_order": m.size_order,
-            "timescale_order": m.timescale_order,
-        }
-    elif omega == 1.0:
-        if a2 == 0:
-            raise ConfigError("classification undefined for a2 = 0")
-        reports = classify_11(a1, a2)
-        report["classification"] = [
-            {"mode": r.mode, "exists": r.exists,
-             "stable": r.stable if isinstance(r.stable, (bool, str, type(None))) else str(r.stable),
-             "parameter": r.parameter}
-            for r in reports
-        ]
-    else:
-        raise ConfigError(f"no resonance analysis for omega = {omega:g}")
+        e0 = Fraction(args.e0) if args.e0 else Fraction(1, 4)
+        body = resonance_for(omega).report(a1, a2, e0)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(str(exc)) from exc
+    report = {"omega": omega, "a1": str(a1), "a2": str(a2), **body}
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -279,25 +231,27 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("compare", help="full vs averaged error table over an "
-                                       "epsilon ladder; writes compare.csv + summary")
+    p = sub.add_parser("compare", help="full vs averaged error table over an epsilon "
+                                       "ladder from initial data off the normal modes; "
+                                       "writes compare.csv + summary")
     p.add_argument("config")
     p.add_argument("--out", required=True)
-    p.add_argument("--resonance", choices=("12-first", "12-second", "13", "11"),
-                   default=None)
+    systems = ", ".join(f"{name} at omega {w:g}" for name, w in SYSTEM_OMEGA.items())
+    p.add_argument("--resonance", choices=tuple(SYSTEM_OMEGA), default=None,
+                   help=f"averaged system of the config's omega ({systems}); "
+                        "default: the first one listed for that omega")
     p.add_argument("--eps-list", dest="eps_list", default="0.1")
     p.add_argument("--window", type=float, default=1.0,
                    help="compare over [0, window/epsilon]")
     add_common(p)
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("resonance", help="print manifold ratios/angles/exponents "
-                                         "and the 1:1 classification as JSON")
+    p = sub.add_parser("resonance", help="print the 1:2/1:3 manifold ratios, angles and "
+                                         "exponents or the 1:1 classification (omega 2, "
+                                         "3 or 1) as JSON, from a1, a2 and e0 only")
     p.add_argument("--omega", required=True)
     p.add_argument("--a1", default="1")
     p.add_argument("--a2", default="1")
-    p.add_argument("--a3", default="0")
-    p.add_argument("--a4", default="1")
     p.add_argument("--e0", default=None, help="energy level for the first-order "
                                               "1:2 manifold (default 1/4)")
     p.set_defaults(func=_cmd_resonance)

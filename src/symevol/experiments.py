@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .averaged import (avg11_rhs, avg12_first_cart, avg12_second_cart, avg13_rhs,
-                       polar_to_slow_cart, slow_cart_amplitudes)
+from .averaged import cartesian_invariant, polar_to_slow_cart, slow_cart_amplitudes
 from .integrate import IntegrationError, IntegratorConfig, Trajectory, integrate
 from .model import CartesianState, ModelParams, full_rhs
+from .resonance import RESONANCES, SYSTEM_OMEGA, resonance_for
 from .transforms import (COMBINATION_COEFFS, PhaseUndefinedError, cart_to_polar,
-                         unwrap_phase_series)
+                         mode_actions, unwrap_phase_series)
 
 __all__ = [
     "ScenarioConfig",
@@ -45,19 +45,6 @@ __all__ = [
 ]
 
 OBSERVABLE_NAMES = ("actions", "invariants", "angles", "velocities")
-
-# Averaged system per resonance label: (required omega, field, chart).
-# The 1:2 fields run in the regular slow-Cartesian chart so trajectories can
-# cross normal modes; the 1:3/1:1 fields stay polar (their amplitudes cannot
-# reach zero from non-degenerate data).
-AVERAGED_SYSTEMS = {
-    "12-first": (2.0, avg12_first_cart, "cart"),
-    "12-second": (2.0, avg12_second_cart, "cart"),
-    "13": (3.0, avg13_rhs, "polar"),
-    "11": (1.0, avg11_rhs, "polar"),
-}
-
-_DEFAULT_RESONANCE = {1.0: "11", 2.0: "12-first", 3.0: "13"}
 
 
 @dataclass(frozen=True)
@@ -128,41 +115,32 @@ def phase_series(traj: Trajectory, omega: float, min_amplitude: float = 1e-8):
     return theta1 - traj.times, theta2 - omega * traj.times
 
 
-def _chi_kind(omega: float) -> str:
-    return {1.0: "chi11", 2.0: "chi12", 3.0: "chi3"}.get(omega, "chi12")
-
-
 def invariant_series(traj: Trajectory, name: str, params: ModelParams) -> np.ndarray:
-    """Vectorized Cartesian invariant evaluation along a trajectory."""
-    q1, v1, q2, v2 = (traj.states[:, i] for i in range(4))
-    if name == "E0_12":
-        return 0.5 * (v1**2 + q1**2) + 0.5 * (v2**2 + 4.0 * q2**2)
-    if name == "I3_12":
-        return params.a4 * ((q1 * q1 - v1 * v1) * q2 + q1 * v1 * v2)
-    if name == "E0_11":
-        return 0.5 * (q1**2 + v1**2 + q2**2 + v2**2)
-    raise ValueError(f"unknown invariant {name!r} for trajectory evaluation")
+    """Vectorized Cartesian invariant evaluation along a trajectory; ValueError
+    for a name that the averaged flow at params.omega does not conserve."""
+    return cartesian_invariant(name, traj.states, params)
 
 
 def run_scenario(sc: ScenarioConfig) -> ScenarioResult:
-    """Integrate the full system and attach the requested derived series."""
+    """Integrate the full system and attach the requested derived series;
+    an observable that cannot be formed is replaced by a reason string
+    ``<name>_disabled``."""
     p = sc.params
     traj = integrate(lambda t, y: full_rhs(t, y, p), sc.initial.as_array(),
                      _integrator_config(sc), t0=sc.initial.t, params=p)
     obs: dict = {"t": traj.times}
-    q1, v1, q2, v2 = (traj.states[:, i] for i in range(4))
+    entry = RESONANCES.get(p.omega)
     if "actions" in sc.observables:
-        obs["E1"] = 0.5 * (v1**2 + q1**2)
-        obs["E2"] = 0.5 * (v2**2 + p.omega**2 * q2**2)
+        obs["E1"], obs["E2"] = mode_actions(traj.states, p.omega)
     if "velocities" in sc.observables:
-        obs["v1"] = v1
-        obs["v2"] = v2
+        obs["v1"] = traj.states[:, 1]
+        obs["v2"] = traj.states[:, 3]
     if "invariants" in sc.observables:
-        if p.omega == 2.0:
-            obs["E0_12"] = invariant_series(traj, "E0_12", p)
-            obs["I3_12"] = invariant_series(traj, "I3_12", p)
-        elif p.omega == 1.0:
-            obs["E0_11"] = invariant_series(traj, "E0_11", p)
+        names = entry.invariants if entry else ()
+        for name in names:
+            obs[name] = invariant_series(traj, name, p)
+        if not names:
+            obs["invariants_disabled"] = f"no invariants tabulated for omega = {p.omega:g}"
     if "angles" in sc.observables:
         # near a normal mode the phases are meaningless; fall back to the
         # Cartesian observables and say so instead of failing the run
@@ -171,10 +149,13 @@ def run_scenario(sc: ScenarioConfig) -> ScenarioResult:
         except ValueError as exc:
             obs["angles_disabled"] = str(exc)
         else:
-            m1, m2 = COMBINATION_COEFFS[_chi_kind(p.omega)]
             obs["psi1"] = psi1
             obs["psi2"] = psi2
-            obs["chi"] = m1 * psi1 + m2 * psi2  # continuous lift; wrap at reporting
+            if entry is None:
+                obs["chi_disabled"] = f"no combination angle tabulated for omega = {p.omega:g}"
+            else:
+                m1, m2 = COMBINATION_COEFFS[entry.angle]
+                obs["chi"] = m1 * psi1 + m2 * psi2  # continuous lift; wrap at reporting
     return ScenarioResult(trajectory=traj, observables=obs)
 
 
@@ -194,10 +175,10 @@ def invariant_drift(traj: Trajectory, names, params: ModelParams) -> list[Invari
     """Drift statistics of the named invariants along a full-system trajectory.
 
     The drift is normalized by the trajectory's energy scale (its initial
-    E0 value) so reports are comparable across invariants.
+    E1 + E2) so reports are comparable across invariants.
     """
-    e0_name = "E0_12" if params.omega == 2.0 else "E0_11"
-    scale = abs(float(invariant_series(traj, e0_name, params)[0]))
+    e1, e2 = mode_actions(traj.states[0], params.omega)
+    scale = abs(float(e1 + e2))
     reports = []
     for name in names:
         series = invariant_series(traj, name, params)
@@ -241,13 +222,11 @@ def compare_full_vs_averaged(params: ModelParams, initial: CartesianState,
     comparison is undefined there). With epsilon = 0 a fixed default window
     is used and both systems coincide.
     """
-    if resonance is None:
-        resonance = _DEFAULT_RESONANCE.get(params.omega)
-        if resonance is None:
-            raise ValueError(f"no averaged system for omega = {params.omega:g}")
-    omega_needed, avg_rhs, chart = AVERAGED_SYSTEMS[resonance]
-    if params.omega != omega_needed:
-        raise ValueError(f"resonance {resonance!r} needs omega = {omega_needed:g}")
+    entry = resonance_for(params.omega)
+    resonance = resonance or entry.default_system
+    if resonance not in entry.systems:
+        raise ValueError(f"resonance {resonance!r} needs omega = {SYSTEM_OMEGA[resonance]:g}")
+    avg_rhs, chart = entry.systems[resonance]
     if horizon is None:
         horizon = L / params.epsilon if params.epsilon > 0 else 50.0
     try:
@@ -413,9 +392,7 @@ def run_ensemble(spec: EnsembleSpec) -> DistributionReport:
 
     v1 = good[:, :, 1]
     v2 = good[:, :, 3]
-    q1 = good[:, :, 0]
-    q2 = good[:, :, 2]
-    w2 = sc.params.omega**2
+    e1, e2 = mode_actions(good, sc.params.omega)
     edges_v1 = _velocity_edges(v1[:, 0], spec.samplers.get("v1", ("fixed", 0.0)))
     edges_v2 = _velocity_edges(v2[:, 0], spec.samplers.get("v2", ("fixed", 0.0)))
     return DistributionReport(
@@ -425,8 +402,8 @@ def run_ensemble(spec: EnsembleSpec) -> DistributionReport:
         # shifted variance: exact zero for identical particles, neutral otherwise
         disp_v1=(v1 - v1[:1]).std(axis=0),
         disp_v2=(v2 - v2[:1]).std(axis=0),
-        mean_E1=(0.5 * (v1**2 + q1**2)).mean(axis=0),
-        mean_E2=(0.5 * (v2**2 + w2 * q2**2)).mean(axis=0),
+        mean_E1=e1.mean(axis=0),
+        mean_E2=e2.mean(axis=0),
         hist_edges_v1=edges_v1,
         hist_edges_v2=edges_v2,
         hist_v1=_histogram_series(v1, edges_v1),

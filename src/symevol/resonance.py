@@ -1,4 +1,8 @@
-"""Resonance-manifold location and normal-mode/periodic-orbit stability.
+"""Per-resonance knowledge, resonance-manifold location and
+normal-mode/periodic-orbit stability.
+
+:data:`RESONANCES` holds one record per tabulated omega (1:1, 1:2, 1:3);
+every omega-dependent choice in the package reads it.
 
 Amplitude-ratio conditions are linear in (r1^2, r2^2), so manifolds have
 closed-form ratios; integer or Fraction coefficients are propagated exactly.
@@ -9,17 +13,23 @@ verifier integrates the averaged 1:1 flow to cross-check each verdict.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .averaged import avg11_rhs
+from .averaged import (_chi2_coeffs, _chi3_coeffs, _is_exact, avg11_rhs,
+                       avg12_first_cart, avg12_second_cart, avg13_rhs)
 from .integrate import IntegratorConfig, integrate
 from .model import ModelParams
 from .transforms import wrap_angle
 
 __all__ = [
+    "Resonance",
+    "RESONANCES",
+    "SYSTEM_OMEGA",
+    "resonance_for",
     "ResonanceManifold",
     "StabilityReport",
     "locate_12_first",
@@ -68,10 +78,6 @@ class StabilityReport:
     a2: float
 
 
-def _is_exact(x) -> bool:
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
-
-
 def locate_12_first(E0) -> ResonanceManifold:
     """First-order 1:2 manifold: chi in {0, pi} with r1^2 = 8*r2^2.
 
@@ -88,17 +94,6 @@ def locate_12_first(E0) -> ResonanceManifold:
     r2_sq = E0 / 6
     return ResonanceManifold("1:2 first order", True, ratio, (0.0, math.pi), 0, 1,
                              r1_sq=8 * r2_sq, r2_sq=r2_sq)
-
-
-def _chi2_coeffs(a1, a2):
-    if _is_exact(a1) and _is_exact(a2):
-        a1, a2 = Fraction(a1), Fraction(a2)
-        c_u = -Fraction(1, 6) * a1 * a1 + Fraction(1, 2) * a1 * a2 + Fraction(1, 15) * a2 * a2
-        c_w = -2 * a1 * a2 + Fraction(29, 60) * a2 * a2
-    else:
-        c_u = -a1 * a1 / 6.0 + 0.5 * a1 * a2 + a2 * a2 / 15.0
-        c_w = -2.0 * a1 * a2 + 29.0 * a2 * a2 / 60.0
-    return c_u, c_w
 
 
 def locate_12_second(a1, a2) -> ResonanceManifold:
@@ -119,17 +114,6 @@ def locate_12_second(a1, a2) -> ResonanceManifold:
                                  angle_stability=stability)
     return ResonanceManifold("1:2 second order", False, None, (0.0, math.pi), 1, 3,
                              angle_stability=stability)
-
-
-def _chi3_coeffs(a1, a2, literal_47_140=False):
-    if _is_exact(a1) and _is_exact(a2) and not literal_47_140:
-        a1, a2 = Fraction(a1), Fraction(a2)
-        c_u = Fraction(5, 2) * a1 * a1 - Fraction(1, 6) * a1 * a2 - Fraction(1, 105) * a2 * a2
-        c_w = 3 * a1 * a2 + Fraction(47, 140) * a2 * a2
-    else:
-        c_u = 2.5 * a1 * a1 - a1 * a2 / 6.0 - a2 * a2 / 105.0
-        c_w = 3.0 * a1 * a2 + (47.0 / 140.0) * (1.0 if literal_47_140 else a2 * a2)
-    return c_u, c_w
 
 
 def locate_13(a1, a2, literal_47_140=False) -> ResonanceManifold:
@@ -319,3 +303,75 @@ def verify_stability_numerically(report: StabilityReport, E0: float, epsilon: fl
     dev = np.hypot(dr, dchi)
     growth = float(np.max(dev) / max(dev[0], 1e-300))
     return _growth_verdict(growth, report.stable)
+
+
+# --------------------------------------------------------------------------
+# Resonance table
+# --------------------------------------------------------------------------
+
+def _manifold_json(m: ResonanceManifold, **extra) -> dict:
+    ratio = "none"
+    if m.exists:
+        ratio = {"value": float(m.amplitude_ratio)}
+        if isinstance(m.amplitude_ratio, Fraction):
+            ratio["exact"] = f"{m.amplitude_ratio.numerator}/{m.amplitude_ratio.denominator}"
+    return {"ratio": ratio, "angles": list(m.angles), "size_order": m.size_order,
+            "timescale_order": m.timescale_order, **extra}
+
+
+def _report_11(a1, a2, e0) -> dict:
+    return {"classification": [{"mode": r.mode, "exists": r.exists, "stable": r.stable,
+                                "parameter": r.parameter} for r in classify_11(a1, a2)]}
+
+
+def _report_12(a1, a2, e0) -> dict:
+    first = locate_12_first(e0)
+    second = locate_12_second(a1, a2)
+    stability = {f"{k:g}": v for k, v in (second.angle_stability or {}).items()}
+    return {"first_order": _manifold_json(first, r1_sq=float(first.r1_sq),
+                                          r2_sq=float(first.r2_sq)),
+            "second_order": _manifold_json(second, angle_stability=stability)}
+
+
+def _report_13(a1, a2, e0) -> dict:
+    return {"resonance_13": _manifold_json(locate_13(a1, a2))}
+
+
+@dataclass(frozen=True)
+class Resonance:
+    """What the package knows about one resonance omega:1.
+
+    ``angle`` is a :data:`~symevol.transforms.COMBINATION_COEFFS` kind;
+    ``systems`` maps each averaged-system name to (field, chart "cart" or
+    "polar"); ``invariants`` are evaluable along a Cartesian trajectory;
+    ``report(a1, a2, e0)`` builds the ``resonance`` command's JSON body.
+    """
+
+    angle: str
+    systems: dict
+    default_system: str
+    invariants: tuple
+    report: Callable[..., dict]
+
+
+# The 1:2 fields run in the regular slow-Cartesian chart so trajectories can
+# cross normal modes; the 1:3/1:1 fields stay polar (their amplitudes cannot
+# reach zero from non-degenerate data).
+RESONANCES = {
+    1.0: Resonance("chi11", {"11": (avg11_rhs, "polar")}, "11", ("E0_11",), _report_11),
+    2.0: Resonance("chi12", {"12-first": (avg12_first_cart, "cart"),
+                             "12-second": (avg12_second_cart, "cart")},
+                   "12-first", ("E0_12", "I3_12"), _report_12),
+    3.0: Resonance("chi3", {"13": (avg13_rhs, "polar")}, "13", (), _report_13),
+}
+
+SYSTEM_OMEGA = {name: omega for omega, entry in RESONANCES.items() for name in entry.systems}
+
+
+def resonance_for(omega: float) -> Resonance:
+    """The table entry for omega; ValueError when omega has none."""
+    try:
+        return RESONANCES[omega]
+    except KeyError:
+        raise ValueError(f"no averaged system or resonance analysis for omega = {omega:g} "
+                         f"(tabulated: {', '.join(f'{w:g}' for w in RESONANCES)})") from None

@@ -29,6 +29,7 @@ __all__ = [
     "wrap_angle",
     "cart_to_polar",
     "polar_to_cart",
+    "mode_actions",
     "actions",
     "actions_from_polar",
     "combination_angle",
@@ -124,11 +125,17 @@ def polar_to_cart(polar: PolarState, omega: float, t: float) -> CartesianState:
     )
 
 
+def mode_actions(states, omega: float):
+    """Actions (E1, E2) of the two modes, vectorized over (..., 4) states
+    ordered [q1, v1, q2, v2]."""
+    q1, v1, q2, v2 = np.moveaxis(np.asarray(states, dtype=float), -1, 0)
+    return 0.5 * (v1**2 + q1**2), 0.5 * (v2**2 + omega**2 * q2**2)
+
+
 def actions(state: CartesianState, omega: float) -> ActionPair:
     """Actions of the two modes from Cartesian data."""
-    e1 = 0.5 * (state.v1**2 + state.q1**2)
-    e2 = 0.5 * (state.v2**2 + omega**2 * state.q2**2)
-    return ActionPair(e1, e2)
+    e1, e2 = mode_actions(state.as_array(), omega)
+    return ActionPair(float(e1), float(e2))
 
 
 def actions_from_polar(polar: PolarState, omega: float) -> ActionPair:

@@ -133,12 +133,22 @@ def test_compare_single_epsilon_has_no_exponent(small_config, tmp_path):
     assert summary["scaling_exponent"] == "n/a"
 
 
-def test_compare_rejects_unsupported_omega(small_config, tmp_path):
-    text = small_config.read_text().replace("omega = 2", "omega = 1.5")
-    bad = small_config.parent / "bad_omega.ini"
-    bad.write_text(text)
-    assert main(["compare", str(bad), "--out", str(tmp_path / "x"),
-                 "--eps-list", "0.1"]) == 2
+def test_compare_rejects_unsupported_omega(small_config, tmp_path, capsys):
+    text = small_config.read_text()
+    cases = [  # (config edit, extra arguments)
+        (("omega = 2", "omega = 1.5"), []),
+        (("omega = 2", "omega = 2"), ["--resonance", "13"]),
+        (("v2 = 0.5", "v2 = 0"), []),  # normal-mode initial data
+    ]
+    for k, ((old, new), extra) in enumerate(cases):
+        bad = small_config.parent / f"bad_{k}.ini"
+        bad.write_text(text.replace(old, new))
+        capsys.readouterr()
+        assert main(["compare", str(bad), "--out", str(tmp_path / f"x{k}"),
+                     "--eps-list", "0.1", *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not (tmp_path / f"x{k}").exists()
 
 
 def test_resonance_json_omega2(capsys):
@@ -169,6 +179,7 @@ def test_resonance_none_and_classification(capsys):
 def test_resonance_invalid_inputs(capsys):
     assert main(["resonance", "--omega", "1", "--a2", "0"]) == 2
     assert main(["resonance", "--omega", "5"]) == 2
+    assert main(["resonance", "--omega", "two"]) == 2
 
 
 def _ensemble_config(tmp_path, extra=""):

@@ -7,6 +7,7 @@ from symevol.experiments import (EnsembleSpec, ScenarioConfig,
                                  compare_full_vs_averaged, fig_initial_state,
                                  fig_params, invariant_drift, reproduce_figure,
                                  run_ensemble, run_scenario, stabilization_time)
+from symevol.averaged import INVARIANT_NAMES
 from symevol.model import CartesianState, ModelParams
 
 
@@ -50,6 +51,19 @@ def test_run_scenario_disables_angles_near_normal_mode():
     assert "angles_disabled" in res.observables
     assert "chi" not in res.observables
     assert "E1" in res.observables
+
+
+def test_run_scenario_untabulated_omega_omits_chi_and_invariants():
+    # omega = 1.5 has no resonance table entry: no combination angle and no
+    # invariant may be formed, and each omission carries its reason
+    p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=1.5, epsilon=0.1, n=2)
+    sc = ScenarioConfig(params=p, initial=fig_initial_state(), horizon=5.0,
+                        observables=("angles", "invariants"), sample_dt=0.5)
+    obs = run_scenario(sc).observables
+    assert "psi1" in obs and "psi2" in obs
+    assert "chi" not in obs and "omega = 1.5" in obs["chi_disabled"]
+    assert not set(INVARIANT_NAMES) & set(obs)
+    assert "omega = 1.5" in obs["invariants_disabled"]
 
 
 def test_averaged_systems_reject_polynomial_decay():
@@ -148,6 +162,8 @@ def test_invariant_drift_scales_with_epsilon():
     assert 1.5 <= drifts[0][1] / drifts[1][1] <= 2.8
     with pytest.raises(ValueError):
         invariant_drift(traj, ("bogus",), p)
+    with pytest.raises(ValueError):
+        invariant_drift(traj, ("E0_11",), p)  # an invariant of the 1:1 flow
 
 
 def _small_ensemble(count=16, horizon=10.0, samplers=None, seed=7, workers=1,
