@@ -165,7 +165,9 @@ def _cmd_ensemble(args) -> int:
     _write_manifest(outdir, "ensemble", digest,
                     [moments_path.name, hist_path.name], seed=spec.seed,
                     wall_time=time.perf_counter() - start,
-                    extra={"count": spec.count, "failures": len(report.failures)})
+                    extra={"count": spec.count, "failures": len(report.failures),
+                           "failed_particles": [[i, message] for i, message in report.failures],
+                           "integrator_stats": report.stats})
     print(f"ensemble done: {report.count}/{spec.count} particles, "
           f"{len(report.failures)} failures")
     return EXIT_OK
@@ -213,8 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Simulation laboratory for a two degrees-of-freedom cubic "
                     "oscillator whose symmetry-breaking terms decay slowly.",
         epilog="CSV columns are fixed per command (see each subcommand's help); "
-               "numbers carry 17 significant digits. SYMEVOL_THREADS caps "
-               "ensemble workers.")
+               "numbers carry 17 significant digits.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -2,21 +2,20 @@
 reproduction and ensemble statistics.
 
 All drivers are deterministic: ensembles draw initial conditions from a
-counter-based generator keyed by (seed, particle index), so reports do not
-depend on execution order or worker count.
+counter-based generator keyed by (seed, particle index) and integrate them
+in one batched run whose rows do not interact, so reports do not depend on
+batch size.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .averaged import cartesian_invariant, polar_to_slow_cart, slow_cart_amplitudes
-from .integrate import IntegrationError, IntegratorConfig, Trajectory, integrate
+from .integrate import IntegratorConfig, Trajectory, integrate
 from .model import CartesianState, ModelParams, full_rhs
 from .resonance import RESONANCES, SYSTEM_OMEGA, resonance_for
 from .transforms import (COMBINATION_COEFFS, PhaseUndefinedError, cart_to_polar,
@@ -276,6 +275,8 @@ class EnsembleSpec:
     tuple: ("fixed", value), ("uniform", lo, hi) or ("normal", mean, sigma).
     Sampling uses a counter-based generator keyed by (seed, particle index),
     so the draw for particle i never depends on the other particles.
+    ``workers`` is accepted so that older configs still load, and ignored:
+    the whole ensemble runs as one batch in the calling process.
     """
 
     scenario: ScenarioConfig
@@ -310,6 +311,7 @@ class DistributionReport:
     hist_v2: np.ndarray
     count: int
     failures: list = field(default_factory=list)
+    stats: dict = field(default_factory=dict)
 
 
 def _draw_initial(samplers: dict, seed: int, index: int) -> np.ndarray:
@@ -337,58 +339,34 @@ def _sampler_sigma(spec) -> float:
     return abs(spec[2])
 
 
-def _particle_worker(args):
-    spec, index = args
-    sc = spec.scenario
-    y0 = _draw_initial(spec.samplers, spec.seed, index)
-    cfg = _integrator_config(sc)
-    try:
-        traj = integrate(lambda t, y: full_rhs(t, y, sc.params), y0,
-                         cfg, t0=sc.initial.t)
-        return index, traj.states, None
-    except IntegrationError as exc:
-        return index, None, str(exc)
-
-
-def _resolve_workers(requested: int) -> int:
-    cap = os.environ.get("SYMEVOL_THREADS")
-    if cap:
-        return max(1, min(requested, int(cap)))
-    return max(1, requested)
-
-
 def run_ensemble(spec: EnsembleSpec) -> DistributionReport:
-    """Integrate every particle independently and reduce to per-time stats.
+    """Integrate every particle in one batched run and reduce to per-time
+    stats.
 
     Histogram bins are fixed: 64 uniform bins spanning three times the
     ensemble's initial rms velocity (per component, about zero, falling back
     to the sampler's offset scale); out-of-range values accumulate in the
     edge bins so the histogram mass always equals the particle count.
-    Failed particles are recorded and excluded from the statistics.
+    Failed particles are recorded with their integrator message and
+    excluded from the statistics. ``stats`` totals the integrator's step
+    counts over all particles and gives the fewest and most accepted steps
+    of a particle that completed.
     """
     sc = spec.scenario
-    times = _sample_grid_times(sc)
-    workers = _resolve_workers(spec.workers)
-    jobs = [(spec, i) for i in range(spec.count)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_particle_worker, jobs, chunksize=16))
-    else:
-        results = [_particle_worker(job) for job in jobs]
-
-    states = np.empty((spec.count, len(times), 4))
-    ok = np.zeros(spec.count, dtype=bool)
-    failures = []
-    for index, data, err in results:
-        if err is None:
-            states[index] = data
-            ok[index] = True
-        else:
-            failures.append((index, err))
-    failures.sort()
-    good = states[ok]
+    p = sc.params
+    y0 = np.array([_draw_initial(spec.samplers, spec.seed, i) for i in range(spec.count)])
+    traj = integrate(lambda t, y: full_rhs(t, y, p), y0, _integrator_config(sc),
+                     t0=sc.initial.t)
+    failures = traj.stats["failures"]
+    ok = np.ones(spec.count, dtype=bool)
+    ok[[i for i, _ in failures]] = False
+    good = traj.states[ok]
     if good.shape[0] == 0:
         raise RuntimeError("every particle integration failed")
+    accepted = traj.stats["row_accepted"][ok]
+    stats = {key: traj.stats[key] for key in ("accepted", "rejected", "rhs_evals")}
+    stats["min_accepted"] = int(accepted.min())
+    stats["max_accepted"] = int(accepted.max())
 
     v1 = good[:, :, 1]
     v2 = good[:, :, 3]
@@ -396,7 +374,7 @@ def run_ensemble(spec: EnsembleSpec) -> DistributionReport:
     edges_v1 = _velocity_edges(v1[:, 0], spec.samplers.get("v1", ("fixed", 0.0)))
     edges_v2 = _velocity_edges(v2[:, 0], spec.samplers.get("v2", ("fixed", 0.0)))
     return DistributionReport(
-        times=times,
+        times=traj.times,
         mean_v1=v1.mean(axis=0),
         mean_v2=v2.mean(axis=0),
         # shifted variance: exact zero for identical particles, neutral otherwise
@@ -410,14 +388,8 @@ def run_ensemble(spec: EnsembleSpec) -> DistributionReport:
         hist_v2=_histogram_series(v2, edges_v2),
         count=int(good.shape[0]),
         failures=failures,
+        stats=stats,
     )
-
-
-def _sample_grid_times(sc: ScenarioConfig) -> np.ndarray:
-    cfg = _integrator_config(sc)
-    from .integrate import _sample_grid
-
-    return _sample_grid(sc.initial.t, cfg.t_end, cfg.sample_dt)
 
 
 def _velocity_edges(v0: np.ndarray, sampler, bins: int = 64) -> np.ndarray:
@@ -428,13 +400,16 @@ def _velocity_edges(v0: np.ndarray, sampler, bins: int = 64) -> np.ndarray:
 
 
 def _histogram_series(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Counts per (sample, bin) of ``values`` of shape (particles, samples),
+    as ``np.histogram`` per sample would give them after clipping into the
+    edge bins."""
+    bins = len(edges) - 1
+    samples = values.shape[1]
     lo = edges[0] + 1e-12 * (edges[1] - edges[0])
     hi = edges[-1] - 1e-12 * (edges[1] - edges[0])
-    clipped = np.clip(values, lo, hi)
-    out = np.empty((values.shape[1], len(edges) - 1), dtype=np.int64)
-    for k in range(values.shape[1]):
-        out[k], _ = np.histogram(clipped[:, k], bins=edges)
-    return out
+    which = np.searchsorted(edges, np.clip(values, lo, hi), "right") - 1
+    flat = np.arange(samples) * bins + which
+    return np.bincount(flat.ravel(), minlength=samples * bins).reshape(samples, bins)
 
 
 # --------------------------------------------------------------------------

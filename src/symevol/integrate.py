@@ -4,6 +4,9 @@ Both methods deliver dense output by cubic Hermite interpolation on the
 accepted steps, so the returned sample times are exactly the requested grid
 and never constrain the step-size control. Integrations are deterministic:
 identical inputs produce bit-identical trajectories on one platform.
+
+Dormand-Prince also integrates a batch of independent initial states at
+once (``y0`` of shape (N, d)); every row keeps its own time and step size.
 """
 
 from __future__ import annotations
@@ -41,10 +44,14 @@ class IntegrationError(RuntimeError):
     """Integration aborted; carries the last successfully reached state."""
 
     def __init__(self, message: str, t_last: float, y_last: np.ndarray, reason: str):
-        super().__init__(f"{message} (last good time t = {t_last:.6g})")
+        super().__init__(_failure_text(message, t_last))
         self.t_last = t_last
         self.y_last = y_last
         self.reason = reason
+
+
+def _failure_text(message: str, t_last: float) -> str:
+    return f"{message} (last good time t = {t_last:.6g})"
 
 
 @dataclass(frozen=True)
@@ -82,7 +89,8 @@ class IntegratorConfig:
 
 @dataclass
 class Trajectory:
-    """Sampled solution: strictly increasing times, states row per sample."""
+    """Sampled solution: strictly increasing times, states row per sample
+    (for a batch, ``states[i]`` is the solution of row i)."""
 
     times: np.ndarray
     states: np.ndarray
@@ -133,17 +141,37 @@ def integrate(rhs, y0, config: IntegratorConfig, t0: float = 0.0, params=None) -
 
     Raises :class:`IntegrationError` on step-size underflow or persistent
     non-finite values; the exception carries the last good (t, y).
+
+    A 2-D ``y0`` of shape (N, d) integrates N independent rows in one
+    Dormand-Prince run (rk45 only; rk4 raises ValueError). ``rhs`` is then
+    called with a time array of shape (n,) and states of shape (n, d) for
+    the n rows still running, and must treat rows independently. Each row
+    keeps its own time and step size, and its result does not depend on the
+    other rows of the batch. ``states`` has shape (N, samples, d). A failing
+    row does not raise: it is listed in ``stats["failures"]`` as
+    ``(row, message)``, with the message the single-row run would raise,
+    and its samples past the failure are NaN. ``stats`` holds the totals
+    ``accepted``/``rejected``/``rhs_evals`` and the per-row counts
+    ``row_accepted``/``row_rejected``/``row_rhs_evals``. A batch evaluates
+    all six stages of every attempted step, where a single-row run stops at
+    the first non-finite stage, so ``row_rhs_evals`` of a row that met
+    non-finite values exceeds the single-row count.
     """
     y0 = np.asarray(y0, dtype=float)
     if config.t_end <= t0:
         raise ValueError("t_end must exceed the initial time")
     ts = _sample_grid(t0, config.t_end, config.sample_dt)
-    out = np.empty((len(ts), len(y0)))
-    out[0] = y0
-    if config.method == "rk4":
-        stats = _run_rk4(rhs, y0, t0, config, ts, out)
+    if y0.ndim == 2:
+        if config.method != "rk45":
+            raise ValueError(f"method {config.method!r} cannot integrate a batch of states")
+        out = np.full((y0.shape[0], len(ts), y0.shape[1]), np.nan)
+        out[:, 0] = y0
+        run = _run_rk45_rows
     else:
-        stats = _run_rk45(rhs, y0, t0, config, ts, out)
+        out = np.empty((len(ts), len(y0)))
+        out[0] = y0
+        run = _run_rk4 if config.method == "rk4" else _run_rk45
+    stats = run(rhs, y0, t0, config, ts, out)
     return Trajectory(times=ts, states=out, params=params, stats=stats)
 
 
@@ -202,6 +230,118 @@ def _run_rk45(rhs, y0, t0, config, ts, out):
         if h < 1e-14 * max(1.0, abs(t)):
             raise IntegrationError("step size underflow", t, y, "underflow")
     return {"accepted": accepted, "rejected": rejected, "rhs_evals": evals}
+
+
+# The batched loop below repeats _run_rk45 row by row: same tableau,
+# controller, initial step, non-finite streak limit and underflow test. Its
+# stage and error sums and its norms are fixed-order elementwise sums, not
+# dot products or reductions, so a row's arithmetic never depends on how
+# many rows share the batch.
+
+def _weighted_sum(weights, k):
+    acc = weights[0] * k[0]
+    for w, kj in zip(weights[1:], k[1:]):
+        acc = acc + w * kj
+    return acc
+
+
+def _row_rms(x):
+    """Root mean square over the last axis of an (n, d) array."""
+    sq = x * x
+    acc = sq[:, 0]
+    for j in range(1, x.shape[1]):
+        acc = acc + sq[:, j]
+    return np.sqrt(acc / x.shape[1])
+
+
+def _hermite_fill_rows(out, rows, ts, idx, t0, h, y0, y1, f0, f1, t1, mask):
+    """Vectorized :func:`_hermite_fill` over the rows selected by ``mask``:
+    batch row i writes ``out[rows[i]]`` at its samples on (t0[i], t1[i]].
+    Returns the next sample index of every row."""
+    stop = np.searchsorted(ts, t1 + 1e-14 * np.maximum(1.0, np.abs(t1)), side="right")
+    counts = np.where(mask, stop - idx, 0)
+    total = int(counts.sum())
+    if total:
+        pair = np.repeat(np.arange(len(idx)), counts)
+        first = np.cumsum(counts) - counts
+        sample = idx[pair] + np.arange(total) - first[pair]
+        hp = h[pair]
+        th = (ts[sample] - t0[pair]) / hp
+        th2 = th * th
+        th3 = th2 * th
+        out[rows[pair], sample] = (
+            (2 * th3 - 3 * th2 + 1)[:, None] * y0[pair]
+            + ((th3 - 2 * th2 + th) * hp)[:, None] * f0[pair]
+            + (-2 * th3 + 3 * th2)[:, None] * y1[pair]
+            + ((th3 - th2) * hp)[:, None] * f1[pair])
+    return np.where(mask, stop, idx)
+
+
+def _run_rk45_rows(rhs, y0, t0, config, ts, out):
+    t_end = config.t_end
+    rtol, atol = config.rtol, config.atol
+    hmax = config.max_step if config.max_step is not None else t_end - t0
+    n_rows = len(y0)
+    accepted = np.zeros(n_rows, dtype=np.int64)
+    rejected = np.zeros(n_rows, dtype=np.int64)
+    evals = np.ones(n_rows, dtype=np.int64)
+    failures = []
+    # live rows only, compressed whenever rows finish or fail
+    rows = np.arange(n_rows)
+    t = np.full(n_rows, float(t0))
+    y = y0.copy()
+    idx = np.ones(n_rows, dtype=np.intp)
+    streak = np.zeros(n_rows, dtype=np.int64)
+    with np.errstate(all="ignore"):
+        f = np.asarray(rhs(t, y), dtype=float)
+        scale = atol + rtol * np.abs(y)
+        d0 = _row_rms(y / scale)
+        d1 = _row_rms(f / scale)
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6 * (t_end - t0), 0.01 * d0 / d1)
+        h = np.minimum(np.minimum(h0, t_end - t0), hmax)
+        while rows.size:
+            clamped = h >= t_end - t
+            h = np.where(clamped, t_end - t, h)
+            hc = h[:, None]
+            k = [f]
+            finite = np.ones(rows.size, dtype=bool)
+            for s in range(1, 7):
+                ys = y + hc * _weighted_sum(_DP_A[s], k)
+                finite &= np.isfinite(ys).all(axis=1)
+                k.append(np.asarray(rhs(t + _DP_C[s] * h, ys), dtype=float))
+            finite &= np.isfinite(k[6]).all(axis=1)
+            evals[rows] += 6
+            y_new = ys  # stage 7 input equals the fifth-order solution (FSAL)
+            err = hc * _weighted_sum(_DP_E, k)
+            err_norm = _row_rms(err / (atol + rtol * np.maximum(np.abs(y), np.abs(y_new))))
+            ok = finite & (err_norm <= 1.0)
+            factor = _SAFETY * err_norm**-0.2
+            grow = np.where(err_norm == 0.0, _MAX_FACTOR,
+                            np.minimum(_MAX_FACTOR, np.maximum(_MIN_FACTOR, factor)))
+            t_new = np.where(clamped, t_end, t + h)
+            idx = _hermite_fill_rows(out, rows, ts, idx, t, h, y, y_new, f, k[6], t_new, ok)
+            accepted[rows] += ok
+            rejected[rows] += ~ok
+            h = np.where(ok, np.minimum(h * grow, hmax),
+                         np.where(finite, h * np.maximum(_MIN_FACTOR, factor), h * 0.25))
+            t = np.where(ok, t_new, t)
+            y = np.where(ok[:, None], y_new, y)
+            f = np.where(ok[:, None], k[6], f)
+            streak = np.where(finite, 0, streak + 1)
+            tiny = h < 1e-14 * np.maximum(1.0, np.abs(t))
+            failed = np.where(finite, tiny, (streak > 40) | tiny)
+            for i in np.flatnonzero(failed).tolist():
+                why = ("step size underflow" if finite[i]
+                       else "non-finite values in right-hand side")
+                failures.append((int(rows[i]), _failure_text(why, float(t[i]))))
+            live = (t < t_end) & ~failed
+            if not live.all():
+                rows, t, y, f, h, idx, streak = (
+                    a[live] for a in (rows, t, y, f, h, idx, streak))
+    return {"accepted": int(accepted.sum()), "rejected": int(rejected.sum()),
+            "rhs_evals": int(evals.sum()), "row_accepted": accepted,
+            "row_rejected": rejected, "row_rhs_evals": evals,
+            "failures": sorted(failures)}
 
 
 def _run_rk4(rhs, y0, t0, config, ts, out):

@@ -145,13 +145,38 @@ def eval_hamiltonian(t, y, p: ModelParams) -> float:
     return h2 - p.epsilon * (h3 + al * h3t)
 
 
+def _alpha_rows(t, p: ModelParams) -> np.ndarray:
+    """:func:`_alpha_at` at an array of times, bit for bit."""
+    d = p.delta * np.asarray(t, dtype=float)
+    if np.any(d < 0.0):
+        raise ValueError("alpha undefined for negative slow time")
+    if p.alpha_kind == "exponential":
+        # element by element: numpy's exp differs from math.exp in the last bit
+        return np.fromiter(map(math.exp, (-d).ravel().tolist()), float, d.size).reshape(d.shape)
+    return 1.0 / (1.0 + d)
+
+
 def full_rhs(t, y, p: ModelParams) -> np.ndarray:
-    """Right-hand side of the full equations of motion."""
-    q1, v1, q2, v2 = (float(y[0]), float(y[1]), float(y[2]), float(y[3]))
-    al = _alpha_at(t, p)
+    """Right-hand side of the full equations of motion.
+
+    ``y`` is one state of shape (4,) or a stack of shape (..., 4); ``t`` is
+    then a scalar or an array of shape ``y.shape[:-1]`` (one time per row).
+    Each row of a stack equals the single-state call bit for bit.
+    """
+    stacked = getattr(y, "ndim", 1) > 1
+    if stacked:
+        y = np.asarray(y, dtype=float)
+        q1, v1, q2, v2 = y[..., 0], y[..., 1], y[..., 2], y[..., 3]
+        al = _alpha_rows(t, p)
+    else:
+        # plain floats: a numpy-scalar version costs ~15x per call
+        q1, v1, q2, v2 = (float(y[0]), float(y[1]), float(y[2]), float(y[3]))
+        al = _alpha_at(t, p)
     e = p.epsilon
     dv1 = -q1 + e * (p.a1 * q1 * q1 + p.a2 * q2 * q2) + e * al * 2.0 * p.a4 * q1 * q2
     dv2 = -p.omega**2 * q2 + e * 2.0 * p.a2 * q1 * q2 + e * al * (p.a3 * q2 * q2 + p.a4 * q1 * q1)
+    if stacked:
+        return np.stack((v1, dv1, v2, dv2), axis=-1)
     return np.array([v1, dv1, v2, dv2])
 
 

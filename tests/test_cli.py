@@ -207,8 +207,30 @@ def test_ensemble_outputs_and_determinism(tmp_path):
     manifest = json.loads((out1 / "manifest.json").read_text())
     assert manifest["seed"] == 42
     assert manifest["failures"] == 0
+    assert manifest["failed_particles"] == []
+    stats = manifest["integrator_stats"]
+    assert set(stats) == {"accepted", "rejected", "rhs_evals", "min_accepted", "max_accepted"}
+    assert 6 * stats["min_accepted"] <= stats["accepted"] <= 6 * stats["max_accepted"]
     rows = (out1 / "moments.csv").read_text().splitlines()
     assert rows[0] == "t,mean_v1,disp_v1,mean_v2,disp_v2,mean_E1,mean_E2"
+
+
+def test_ensemble_manifest_lists_failed_particles(tmp_path):
+    cfg = _ensemble_config(tmp_path)
+    text = cfg.read_text()
+    # a wide q1 range at epsilon = 0.9 pushes part of the ensemble to escape
+    for old, new in (("epsilon = 0.1", "epsilon = 0.9"), ("count = 6", "count = 12"),
+                     ("q1 = fixed 0", "q1 = uniform 0 3.2"), ("v1 = normal 0.5 0.05", "v1 = fixed 0.1"),
+                     ("q2 = fixed 0", "q2 = fixed 0.1"), ("v2 = fixed 0.5", "v2 = fixed 0.1")):
+        text = text.replace(old, new)
+    cfg.write_text(text)
+    out = tmp_path / "fail"
+    assert main(["ensemble", str(cfg), "--out", str(out), "--horizon", "30"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    failed = manifest["failed_particles"]
+    assert manifest["failures"] == len(failed) > 0
+    assert [i for i, _ in failed] == sorted({i for i, _ in failed})
+    assert all(0 <= i < 12 and "(last good time t = " in message for i, message in failed)
 
 
 def test_ensemble_degenerate_sampler_zero_dispersion_column(tmp_path):
@@ -222,11 +244,16 @@ def test_ensemble_degenerate_sampler_zero_dispersion_column(tmp_path):
     assert all(v == 0.0 for v in disp)
 
 
-def test_ensemble_respects_thread_cap(tmp_path, monkeypatch):
-    cfg = _ensemble_config(tmp_path, extra="workers = 4\n")
-    monkeypatch.setenv("SYMEVOL_THREADS", "1")
-    out = tmp_path / "capped"
-    assert main(["ensemble", str(cfg), "--out", str(out)]) == 0
+def test_ensemble_workers_byte_identical(tmp_path):
+    serial = _ensemble_config(tmp_path, extra="workers = 1\n")
+    four = tmp_path / "four.ini"
+    four.write_text(serial.read_text().replace("workers = 1", "workers = 4"))
+    assert main(["ensemble", str(serial), "--out", str(tmp_path / "w1")]) == 0
+    assert main(["ensemble", str(four), "--out", str(tmp_path / "w4")]) == 0
+    for name in ("moments.csv", "histograms.json"):
+        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w4" / name).read_bytes()
+    manifests = [json.loads((tmp_path / d / "manifest.json").read_text()) for d in ("w1", "w4")]
+    assert manifests[0]["integrator_stats"] == manifests[1]["integrator_stats"]
 
 
 def test_reproduce_figure_cli(tmp_path):

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from symevol.experiments import (EnsembleSpec, ScenarioConfig,
-                                 compare_full_vs_averaged, fig_initial_state,
-                                 fig_params, invariant_drift, reproduce_figure,
-                                 run_ensemble, run_scenario, stabilization_time)
+from symevol.experiments import (EnsembleSpec, ScenarioConfig, _draw_initial,
+                                 _histogram_series, compare_full_vs_averaged,
+                                 fig_initial_state, fig_params, invariant_drift,
+                                 reproduce_figure, run_ensemble, run_scenario,
+                                 stabilization_time)
 from symevol.averaged import INVARIANT_NAMES
-from symevol.model import CartesianState, ModelParams
+from symevol.integrate import IntegrationError, IntegratorConfig, integrate
+from symevol.model import CartesianState, ModelParams, full_rhs
 
 
 def test_run_scenario_fig1_initial_actions():
@@ -185,14 +187,23 @@ def test_ensemble_degenerate_sampler_zero_dispersion():
     assert np.all(rep.disp_v2 == 0.0)
 
 
+def _assert_same_report(a, b):
+    for name, value in vars(a).items():
+        other = getattr(b, name)
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(value, other), name
+        else:
+            assert value == other, name
+
+
 def test_ensemble_determinism_and_worker_invariance():
     rep1 = run_ensemble(_small_ensemble(count=8))
-    rep2 = run_ensemble(_small_ensemble(count=8))
-    assert np.array_equal(rep1.mean_v1, rep2.mean_v1)
-    assert np.array_equal(rep1.hist_v2, rep2.hist_v2)
-    rep3 = run_ensemble(_small_ensemble(count=8, workers=2))
-    assert np.array_equal(rep1.mean_v1, rep3.mean_v1)
-    assert np.array_equal(rep1.hist_v1, rep3.hist_v1)
+    _assert_same_report(rep1, run_ensemble(_small_ensemble(count=8)))
+    # workers is ignored (one batch), so older configs, 0 included, still load
+    for workers in (0, 2):
+        _assert_same_report(rep1, run_ensemble(_small_ensemble(count=8, workers=workers)))
+    assert rep1.stats["accepted"] >= 8 * rep1.stats["min_accepted"]
+    assert rep1.stats["min_accepted"] <= rep1.stats["max_accepted"]
 
 
 def test_ensemble_histogram_mass_equals_count():
@@ -212,6 +223,35 @@ def test_ensemble_records_failures_without_aborting():
     assert len(rep.failures) > 0
     assert rep.count + len(rep.failures) == 12
     assert np.all(rep.hist_v1.sum(axis=1) == rep.count)
+    # the same particles fail with the same messages as one integrate call
+    # per particle
+    cfg = IntegratorConfig(t_end=30.0, sample_dt=0.5, rtol=1e-8, atol=1e-10)
+    scalar = []
+    for i in range(12):
+        try:
+            integrate(lambda t, y: full_rhs(t, y, p), _draw_initial(samplers, 5, i), cfg)
+        except IntegrationError as exc:
+            scalar.append((i, str(exc)))
+    assert rep.failures == scalar
+
+
+@pytest.mark.parametrize("values", [
+    # exactly on interior edges (edges are -3, -2.90625, ..., 3)
+    np.array([[-3.0 + 0.09375 * k for k in range(5, 60, 6)]] * 3).T,
+    # at and beyond the clip bounds
+    np.array([[-3.0, 3.0, -7.0], [7.0, -3.0, 3.0], [-3.0 + 1e-13, 3.0 - 1e-13, 0.0]]),
+    # identical particles
+    np.full((6, 4), 0.123),
+], ids=["interior_edges", "clip_bounds", "identical"])
+def test_histogram_series_matches_numpy_histogram(values):
+    edges = np.linspace(-3.0, 3.0, 65)
+    counts = _histogram_series(values, edges)
+    lo = edges[0] + 1e-12 * (edges[1] - edges[0])
+    hi = edges[-1] - 1e-12 * (edges[1] - edges[0])
+    expected = [np.histogram(np.clip(values[:, k], lo, hi), bins=edges)[0]
+                for k in range(values.shape[1])]
+    assert np.array_equal(counts, np.array(expected))
+    assert np.all(counts.sum(axis=1) == values.shape[0])
 
 
 def test_ensemble_symmetric_sampler_keeps_v2_symmetric():

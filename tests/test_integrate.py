@@ -139,3 +139,78 @@ def test_trajectory_container():
     traj = Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((2, 3)))
     assert len(traj) == 2
     assert traj.column(1).shape == (2,)
+
+
+def _escaping_batch():
+    """Six states of the fig1 model at epsilon = 0.9; the large-amplitude
+    ones blow up before t = 30."""
+    p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.9, n=1)
+    y0 = np.array([[q1, 0.1, 0.1, 0.1] for q1 in (0.2, 3.0, 0.5, 2.9, 1.0, 3.1)])
+    cfg = IntegratorConfig(t_end=30.0, sample_dt=0.5, rtol=1e-8, atol=1e-10)
+    return (lambda t, y: full_rhs(t, y, p)), y0, cfg
+
+
+def test_batched_rows_match_scalar_integrate():
+    p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.1, n=2)
+    rng = np.random.default_rng(3)
+    y0 = np.column_stack([np.zeros(7), rng.normal(0.5, 0.05, 7),
+                          rng.normal(0.0, 0.05, 7), rng.uniform(0.4, 0.6, 7)])
+    cfg = IntegratorConfig(t_end=20.0, sample_dt=0.05, rtol=1e-10, atol=1e-12)
+    rhs = lambda t, y: full_rhs(t, y, p)  # noqa: E731
+    batch = integrate(rhs, y0, cfg)
+    assert batch.states.shape == (7, len(batch.times), 4)
+    assert batch.stats["failures"] == []
+    for i in range(7):
+        single = integrate(rhs, y0[i], cfg)
+        assert np.array_equal(single.times, batch.times)
+        assert np.max(np.abs(single.states - batch.states[i])) <= 1e-12
+        assert single.stats["accepted"] == batch.stats["row_accepted"][i]
+        assert single.stats["rejected"] == batch.stats["row_rejected"][i]
+        assert single.stats["rhs_evals"] == batch.stats["row_rhs_evals"][i]
+    assert batch.stats["accepted"] == batch.stats["row_accepted"].sum()
+    assert batch.stats["rejected"] == batch.stats["row_rejected"].sum()
+
+
+def test_batched_failures_match_scalar_integrate():
+    rhs, y0, cfg = _escaping_batch()
+    expected = []
+    for i, row in enumerate(y0):
+        try:
+            integrate(rhs, row, cfg)
+        except IntegrationError as exc:
+            expected.append((i, str(exc)))
+    batch = integrate(rhs, y0, cfg)
+    assert len(expected) >= 2
+    assert batch.stats["failures"] == expected
+    failed = [i for i, _ in expected]
+    assert np.all(np.isfinite(np.delete(batch.states, failed, axis=0)))
+    assert np.all(np.isnan(batch.states[failed, -1]))
+
+
+def _harmonic_batch():
+    """Harmonic oscillators of mixed amplitudes, the origin among them."""
+    y0 = np.array([[1.0, 0.0], [0.0, 2.0], [0.3, -0.4], [5.0, 1.0], [0.0, 0.0],
+                   [1e-3, 0.0], [2.0, 2.0]])
+    cfg = IntegratorConfig(t_end=7.0, sample_dt=0.1, rtol=1e-9, atol=1e-11)
+    return (lambda t, y: np.stack([y[:, 1], -y[:, 0]], axis=-1)), y0, cfg
+
+
+@pytest.mark.parametrize("make", [_harmonic_batch, _escaping_batch])
+def test_batched_rows_independent_of_chunking(make):
+    rhs, y0, cfg = make()
+    whole = integrate(rhs, y0, cfg)
+    for size in (1, 5):
+        parts = [integrate(rhs, y0[i:i + size], cfg) for i in range(0, len(y0), size)]
+        assert np.array_equal(np.concatenate([part.states for part in parts]),
+                              whole.states, equal_nan=True)
+        for key in ("row_accepted", "row_rejected", "row_rhs_evals"):
+            assert np.array_equal(np.concatenate([part.stats[key] for part in parts]),
+                                  whole.stats[key])
+        assert [(start + i, message) for start, part in zip(range(0, len(y0), size), parts)
+                for i, message in part.stats["failures"]] == whole.stats["failures"]
+
+
+def test_batched_integration_needs_rk45():
+    cfg = IntegratorConfig(t_end=1.0, sample_dt=0.5, method="rk4", step=0.1)
+    with pytest.raises(ValueError):
+        integrate(lambda t, y: -y, np.ones((3, 2)), cfg)

@@ -92,6 +92,23 @@ def test_full_rhs_matches_frozen_time_gradient(params12, rng):
         assert d[2] == y[3]
 
 
+@pytest.mark.parametrize("kind", ["exponential", "polynomial"])
+def test_full_rhs_batched_rows_equal_single_calls(rng, kind):
+    p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.1, n=2, alpha_kind=kind)
+    ts = rng.uniform(0.0, 300.0, size=40)
+    ys = rng.uniform(-1.5, 1.5, size=(40, 4))
+    rows = full_rhs(ts, ys, p)
+    assert rows.shape == (40, 4)
+    for t, y, row in zip(ts, ys, rows):
+        assert np.array_equal(row, full_rhs(float(t), y, p))
+    # one time for a whole stack of any leading shape
+    stack = full_rhs(2.5, ys.reshape(5, 8, 4), p)
+    assert np.array_equal(stack.reshape(40, 4),
+                          np.array([full_rhs(2.5, y, p) for y in ys]))
+    with pytest.raises(ValueError):
+        full_rhs(np.array([1.0, -1.0]), ys[:2], p)
+
+
 def test_intermediate_plane_invariance(params12, rng):
     for _ in range(10):
         y = np.array([0.0, 0.0, rng.uniform(-1, 1), rng.uniform(-1, 1)])
