@@ -23,8 +23,8 @@ import numpy as np
 from . import __version__
 from .config import (ConfigError, build_ensemble, build_scenario, config_digest,
                      load_config, resolve_config_path)
-from .experiments import (compare_full_vs_averaged, fig_params, reproduce_figure,
-                          run_ensemble, run_scenario, stabilization_time)
+from .experiments import (EnsembleFailure, compare_full_vs_averaged, fig_params,
+                          reproduce_figure, run_ensemble, run_scenario, stabilization_time)
 from .integrate import IntegrationError, order_check
 from .model import full_rhs
 from .resonance import SYSTEM_OMEGA, resonance_for
@@ -64,13 +64,9 @@ def _write_manifest(outdir: Path, command: str, digest: str, outputs, seed=None,
     return path
 
 
-def _integrator_overrides(args) -> dict:
-    return {k: getattr(args, k, None) for k in ("rtol", "atol", "sample_dt", "horizon")}
-
-
 def _cmd_simulate(args) -> int:
     cfg = load_config(resolve_config_path(args.config))
-    scenario = build_scenario(cfg, _integrator_overrides(args))
+    scenario = build_scenario(cfg, vars(args))
     digest = config_digest(cfg)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -90,7 +86,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_compare(args) -> int:
     cfg = load_config(resolve_config_path(args.config))
-    scenario = build_scenario(cfg, _integrator_overrides(args))
+    scenario = build_scenario(cfg, vars(args))
     eps_list = [float(s) for s in args.eps_list.split(",") if s.strip()]
     if not eps_list or any(e <= 0 or e > 1 for e in eps_list):
         raise ConfigError(f"bad --eps-list {args.eps_list!r}")
@@ -141,9 +137,7 @@ def _cmd_resonance(args) -> int:
 
 def _cmd_ensemble(args) -> int:
     cfg = load_config(resolve_config_path(args.config))
-    overrides = _integrator_overrides(args)
-    overrides["seed"] = args.seed
-    spec = build_ensemble(cfg, overrides)
+    spec = build_ensemble(cfg, vars(args))
     digest = config_digest(cfg)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -174,12 +168,15 @@ def _cmd_ensemble(args) -> int:
 
 
 def _cmd_reproduce_figure(args) -> int:
+    settings = {k: getattr(args, k) for k in ("rtol", "sample_dt", "horizon")
+                if getattr(args, k) is not None}
+    start = time.perf_counter()
+    try:
+        bundle = reproduce_figure(args.which, **settings)
+    except ValueError as exc:  # a setting rejected
+        raise ConfigError(str(exc)) from exc
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    start = time.perf_counter()
-    bundle = reproduce_figure(args.which, horizon=args.horizon,
-                              sample_dt=args.sample_dt or 0.25,
-                              rtol=args.rtol or 1e-10)
     csv_path = outdir / f"{args.which}.csv"
     _write_csv(csv_path, ["t", "v1", "v2", "E1", "E2"],
                [bundle.times, bundle.v1, bundle.v2, bundle.E1, bundle.E2])
@@ -188,7 +185,7 @@ def _cmd_reproduce_figure(args) -> int:
                "stabilization_time": stab if math.isfinite(stab) else "never"}
     digest = config_digest({"figure": {"which": args.which,
                                        "horizon": str(bundle.times[-1]),
-                                       "sample_dt": str(args.sample_dt or 0.25)}})
+                                       "sample_dt": str(bundle.sample_dt)}})
     _write_manifest(outdir, "reproduce-figure", digest, [csv_path.name],
                     wall_time=time.perf_counter() - start, extra=summary)
     print(json.dumps(summary, sort_keys=True))
@@ -196,21 +193,27 @@ def _cmd_reproduce_figure(args) -> int:
 
 
 def _cmd_order_check(args) -> int:
-    steps = [float(s) for s in args.steps.split(",") if s.strip()]
-    if len(steps) < 3:
-        raise ConfigError("--steps needs at least three step sizes")
     params = fig_params(n=2)
     y0 = np.array([0.0, 0.5, 0.0, 0.5])
-    est = order_check(lambda t, y: full_rhs(t, y, params), y0, 0.0,
-                      args.horizon, steps)
+    try:
+        steps = [float(s) for s in args.steps.split(",") if s.strip()]
+        est = order_check(lambda t, y: full_rhs(t, y, params), y0, 0.0,
+                          args.horizon, steps)
+    except ValueError as exc:  # --steps or --horizon rejected
+        raise ConfigError(str(exc)) from exc
     out = {"order": est.order, "saturated": est.saturated,
            "steps": list(est.step_sizes), "errors": list(est.errors)}
     print(json.dumps(out, sort_keys=True))
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one stderr line, without the usage text
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="symevol",
         description="Simulation laboratory for a two degrees-of-freedom cubic "
                     "oscillator whose symmetry-breaking terms decay slowly.",
@@ -219,17 +222,15 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--rtol", type=float, default=None)
-        p.add_argument("--atol", type=float, default=None)
-        p.add_argument("--sample-dt", dest="sample_dt", type=float, default=None)
-        p.add_argument("--horizon", type=float, default=None)
+    def add_settings(p, *names):  # each flag given replaces the config's value
+        for name in names:
+            p.add_argument("--" + name.replace("_", "-"), dest=name, type=float, default=None)
 
     p = sub.add_parser("simulate", help="integrate a scenario config; writes "
                                         "trajectory.csv (t,q1,v1,q2,v2,E1,E2) + manifest")
     p.add_argument("config", help="config file or preset name (fig1, fig2)")
     p.add_argument("--out", required=True)
-    add_common(p)
+    add_settings(p, "rtol", "atol", "sample_dt", "horizon")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("compare", help="full vs averaged error table over an epsilon "
@@ -244,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-list", dest="eps_list", default="0.1")
     p.add_argument("--window", type=float, default=1.0,
                    help="compare over [0, window/epsilon]")
-    add_common(p)
+    add_settings(p, "rtol", "atol")
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("resonance", help="print the 1:2/1:3 manifold ratios, angles and "
@@ -262,14 +263,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
-    add_common(p)
+    add_settings(p, "rtol", "atol", "sample_dt", "horizon")
     p.set_defaults(func=_cmd_ensemble)
 
     p = sub.add_parser("reproduce-figure", help="emit the captioned scenario "
                                                 "series (t,v1,v2,E1,E2)")
     p.add_argument("--which", choices=("fig1", "fig2"), required=True)
     p.add_argument("--out", required=True)
-    add_common(p)
+    add_settings(p, "rtol", "sample_dt", "horizon")
     p.set_defaults(func=_cmd_reproduce_figure)
 
     p = sub.add_parser("order-check", help="measure the fixed-step RK4 order "
@@ -284,11 +285,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):  # integrators report non-finite values once
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except IntegrationError as exc:
+    except (IntegrationError, EnsembleFailure) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -64,9 +64,9 @@ def config_digest(cfg: dict) -> str:
     return hashlib.sha256(canonical_text(cfg).encode("utf-8")).hexdigest()
 
 
-def _get(cfg: dict, section: str, key: str, cast, default=None):
+def _get(cfg: dict, section: str, key: str, cast, default=None, override=None):
     try:
-        raw = cfg[section][key]
+        raw = cfg[section][key] if override is None else override
     except KeyError:
         if default is not None:
             return default
@@ -107,20 +107,22 @@ def build_initial(cfg: dict) -> CartesianState:
 
 
 def build_scenario(cfg: dict, overrides: dict | None = None) -> ScenarioConfig:
+    """The run a config describes; an override that is not None wins."""
     overrides = overrides or {}
+    if _get(cfg, "integrator", "method", str, default="rk45") != "rk45":
+        raise ConfigError("[integrator] method must be rk45, the only method that runs")
     obs_raw = _get(cfg, "scenario", "observables", str, default="actions")
     observables = tuple(s.strip() for s in obs_raw.split(",") if s.strip())
     try:
         return ScenarioConfig(
             params=build_params(cfg),
             initial=build_initial(cfg),
-            horizon=overrides.get("horizon") or _get(cfg, "scenario", "horizon", float),
+            horizon=_get(cfg, "scenario", "horizon", float, override=overrides.get("horizon")),
             observables=observables,
             label=_get(cfg, "scenario", "label", str, default=""),
-            rtol=overrides.get("rtol") or _get(cfg, "integrator", "rtol", float, default=1e-10),
-            atol=overrides.get("atol") or _get(cfg, "integrator", "atol", float, default=1e-12),
-            sample_dt=overrides.get("sample_dt")
-            or _get(cfg, "integrator", "sample_dt", float, default=0.25),
+            rtol=_get(cfg, "integrator", "rtol", float, 1e-10, overrides.get("rtol")),
+            atol=_get(cfg, "integrator", "atol", float, 1e-12, overrides.get("atol")),
+            sample_dt=_get(cfg, "integrator", "sample_dt", float, 0.25, overrides.get("sample_dt")),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -159,9 +161,7 @@ def build_ensemble(cfg: dict, overrides: dict | None = None) -> EnsembleSpec:
             scenario=build_scenario(cfg, overrides),
             samplers=samplers,
             count=_get(cfg, "ensemble", "count", int),
-            seed=int(overrides.get("seed") if overrides.get("seed") is not None
-                     else _get(cfg, "ensemble", "seed", int, default=0)),
-            workers=_get(cfg, "ensemble", "workers", int, default=1),
+            seed=_get(cfg, "ensemble", "seed", int, 0, overrides.get("seed")),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .averaged import cartesian_invariant, polar_to_slow_cart, slow_cart_amplitudes
-from .integrate import IntegratorConfig, Trajectory, integrate
+from .integrate import MAX_GRID_POINTS, IntegratorConfig, Trajectory, integrate
 from .model import CartesianState, ModelParams, full_rhs
 from .resonance import RESONANCES, SYSTEM_OMEGA, resonance_for
 from .transforms import (COMBINATION_COEFFS, PhaseUndefinedError, cart_to_polar,
@@ -26,6 +26,7 @@ __all__ = [
     "ScenarioResult",
     "EnsembleSpec",
     "DistributionReport",
+    "EnsembleFailure",
     "InvariantReport",
     "ComparisonResult",
     "FigureBundle",
@@ -58,15 +59,21 @@ class ScenarioConfig:
     rtol: float = 1e-10
     atol: float = 1e-12
     sample_dt: float = 0.25
+    integrator: IntegratorConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.horizon <= 0.0:
-            raise ValueError("horizon must be positive")
+        if not self.initial.t < self.initial.t + self.horizon < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
         if not self.observables:
             raise ValueError("at least one observable must be requested")
         for name in self.observables:
             if name not in OBSERVABLE_NAMES:
                 raise ValueError(f"unknown observable {name!r}")
+        object.__setattr__(self, "integrator", IntegratorConfig(
+            t_end=self.initial.t + self.horizon, sample_dt=self.sample_dt,
+            rtol=self.rtol, atol=self.atol))
+        if self.horizon / self.sample_dt > MAX_GRID_POINTS:
+            raise ValueError(f"sample_dt {self.sample_dt!r} gives over {MAX_GRID_POINTS} samples")
 
 
 @dataclass
@@ -85,11 +92,6 @@ def fig_params(n: int, epsilon: float = 0.1) -> ModelParams:
 def fig_initial_state() -> CartesianState:
     """Canonical initial data: at the origin with velocities (0.5, 0.5)."""
     return CartesianState(t=0.0, q1=0.0, v1=0.5, q2=0.0, v2=0.5)
-
-
-def _integrator_config(sc: ScenarioConfig) -> IntegratorConfig:
-    return IntegratorConfig(t_end=sc.initial.t + sc.horizon, sample_dt=sc.sample_dt,
-                            method="rk45", rtol=sc.rtol, atol=sc.atol)
 
 
 def polar_amplitude_series(traj: Trajectory, omega: float):
@@ -126,7 +128,7 @@ def run_scenario(sc: ScenarioConfig) -> ScenarioResult:
     ``<name>_disabled``."""
     p = sc.params
     traj = integrate(lambda t, y: full_rhs(t, y, p), sc.initial.as_array(),
-                     _integrator_config(sc), t0=sc.initial.t, params=p)
+                     sc.integrator, t0=sc.initial.t)
     obs: dict = {"t": traj.times}
     entry = RESONANCES.get(p.omega)
     if "actions" in sc.observables:
@@ -211,11 +213,9 @@ class ComparisonResult:
 
 def compare_full_vs_averaged(params: ModelParams, initial: CartesianState,
                              L: float = 1.0, resonance: str | None = None,
-                             horizon: float | None = None,
-                             rtol: float = 1e-10, atol: float = 1e-12,
-                             sample_dt: float = 0.1) -> ComparisonResult:
+                             rtol: float = 1e-10, atol: float = 1e-12) -> ComparisonResult:
     """Integrate full and averaged systems from the same polar data and
-    compare amplitudes and actions over [0, L/epsilon].
+    compare amplitudes and actions over [0, L/epsilon], sampled every 0.1.
 
     Initial data too close to a normal mode is rejected (the polar
     comparison is undefined there). With epsilon = 0 a fixed default window
@@ -226,8 +226,7 @@ def compare_full_vs_averaged(params: ModelParams, initial: CartesianState,
     if resonance not in entry.systems:
         raise ValueError(f"resonance {resonance!r} needs omega = {SYSTEM_OMEGA[resonance]:g}")
     avg_rhs, chart = entry.systems[resonance]
-    if horizon is None:
-        horizon = L / params.epsilon if params.epsilon > 0 else 50.0
+    horizon = L / params.epsilon if params.epsilon > 0 else 50.0
     try:
         polar = cart_to_polar(initial, params.omega, delta=params.delta)
     except PhaseUndefinedError:
@@ -235,8 +234,7 @@ def compare_full_vs_averaged(params: ModelParams, initial: CartesianState,
     if polar is None or polar.r1 < 1e-8 or polar.r2 < 1e-8:
         raise ValueError("normal-mode initial data: polar comparison undefined")
 
-    cfg = IntegratorConfig(t_end=initial.t + horizon, sample_dt=sample_dt,
-                           method="rk45", rtol=rtol, atol=atol)
+    cfg = IntegratorConfig(t_end=initial.t + horizon, sample_dt=0.1, rtol=rtol, atol=atol)
     full = integrate(lambda t, y: full_rhs(t, y, params), initial.as_array(),
                      cfg, t0=initial.t)
     r1_full, r2_full = polar_amplitude_series(full, params.omega)
@@ -275,15 +273,12 @@ class EnsembleSpec:
     tuple: ("fixed", value), ("uniform", lo, hi) or ("normal", mean, sigma).
     Sampling uses a counter-based generator keyed by (seed, particle index),
     so the draw for particle i never depends on the other particles.
-    ``workers`` is accepted so that older configs still load, and ignored:
-    the whole ensemble runs as one batch in the calling process.
     """
 
     scenario: ScenarioConfig
     samplers: dict
     count: int
     seed: int
-    workers: int = 1
 
     def __post_init__(self):
         if self.count < 1:
@@ -292,6 +287,10 @@ class EnsembleSpec:
             kind = self.samplers.get(coord, ("fixed", 0.0))[0]
             if kind not in _SAMPLER_KINDS:
                 raise ValueError(f"unknown sampler kind {kind!r} for {coord}")
+
+
+class EnsembleFailure(RuntimeError):
+    """Every particle of an ensemble failed to integrate."""
 
 
 @dataclass
@@ -355,14 +354,14 @@ def run_ensemble(spec: EnsembleSpec) -> DistributionReport:
     sc = spec.scenario
     p = sc.params
     y0 = np.array([_draw_initial(spec.samplers, spec.seed, i) for i in range(spec.count)])
-    traj = integrate(lambda t, y: full_rhs(t, y, p), y0, _integrator_config(sc),
-                     t0=sc.initial.t)
+    traj = integrate(lambda t, y: full_rhs(t, y, p), y0, sc.integrator, t0=sc.initial.t)
     failures = traj.stats["failures"]
     ok = np.ones(spec.count, dtype=bool)
     ok[[i for i, _ in failures]] = False
     good = traj.states[ok]
     if good.shape[0] == 0:
-        raise RuntimeError("every particle integration failed")
+        row, message = failures[0]
+        raise EnsembleFailure(f"every particle integration failed; particle {row}: {message}")
     accepted = traj.stats["row_accepted"][ok]
     stats = {key: traj.stats[key] for key in ("accepted", "rejected", "rhs_evals")}
     stats["min_accepted"] = int(accepted.min())
@@ -425,6 +424,7 @@ class FigureBundle:
 
     label: str
     params: ModelParams
+    sample_dt: float
     times: np.ndarray
     v1: np.ndarray
     v2: np.ndarray
@@ -453,7 +453,7 @@ def reproduce_figure(which: str, horizon: float | None = None,
                         rtol=rtol, sample_dt=sample_dt)
     res = run_scenario(sc)
     o = res.observables
-    return FigureBundle(label=which, params=params, times=o["t"],
+    return FigureBundle(label=which, params=params, sample_dt=sample_dt, times=o["t"],
                         v1=o["v1"], v2=o["v2"], E1=o["E1"], E2=o["E2"])
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = ["IntegratorConfig", "Trajectory", "IntegrationError", "integrate",
-           "order_check", "OrderEstimate"]
+           "order_check", "OrderEstimate", "MAX_GRID_POINTS"]
 
 # Dormand-Prince 5(4) tableau. The fifth-order solution is propagated; the
 # difference to the embedded fourth-order one estimates the local error.
@@ -38,6 +38,9 @@ _DP_E = np.array([35 / 384 - 5179 / 57600, 0.0, 500 / 1113 - 7571 / 16695,
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _SAFETY = 0.9
+
+# Most points a uniform time grid (output samples or fixed steps) may have: 320 MB of 4-vectors.
+MAX_GRID_POINTS = 10_000_000
 
 
 class IntegrationError(RuntimeError):
@@ -70,19 +73,16 @@ class IntegratorConfig:
     rtol: float = 1e-10
     atol: float = 1e-12
     step: float | None = None
-    max_step: float | None = None
 
     def __post_init__(self):
         if self.method not in ("rk45", "rk4"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.sample_dt <= 0.0:
-            raise ValueError("sample_dt must be positive")
-        if self.rtol <= 0.0 or self.atol <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.step is not None and self.step <= 0.0:
-            raise ValueError("step must be positive")
-        if self.max_step is not None and self.max_step <= 0.0:
-            raise ValueError("max_step must be positive")
+        for name, low in (("t_end", -math.inf), ("sample_dt", 0.0), ("rtol", 0.0),
+                          ("atol", 0.0), ("step", 0.0)):
+            value = getattr(self, name)
+            if value is not None and not low < value < math.inf:
+                kind = "finite" if low == -math.inf else "positive and finite"
+                raise ValueError(f"{name} must be {kind}, got {value!r}")
         if self.method == "rk4" and self.step is None:
             raise ValueError("fixed-step method needs a step size")
 
@@ -94,14 +94,13 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    params: object | None = None
     stats: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.times)
 
     def column(self, index: int) -> np.ndarray:
-        return self.states[:, index]
+        return self.states[..., index]
 
 
 def _sample_grid(t0: float, t_end: float, dt: float) -> np.ndarray:
@@ -136,7 +135,7 @@ def _initial_step(rhs, t0, y0, f0, rtol, atol, span):
     return min(h0, span)
 
 
-def integrate(rhs, y0, config: IntegratorConfig, t0: float = 0.0, params=None) -> Trajectory:
+def integrate(rhs, y0, config: IntegratorConfig, t0: float = 0.0) -> Trajectory:
     """Integrate y' = rhs(t, y) from t0 to config.t_end with dense sampling.
 
     Raises :class:`IntegrationError` on step-size underflow or persistent
@@ -172,20 +171,20 @@ def integrate(rhs, y0, config: IntegratorConfig, t0: float = 0.0, params=None) -
         out[0] = y0
         run = _run_rk4 if config.method == "rk4" else _run_rk45
     stats = run(rhs, y0, t0, config, ts, out)
-    return Trajectory(times=ts, states=out, params=params, stats=stats)
+    return Trajectory(times=ts, states=out, stats=stats)
 
 
 def _run_rk45(rhs, y0, t0, config, ts, out):
     t_end = config.t_end
     rtol, atol = config.rtol, config.atol
-    hmax = config.max_step if config.max_step is not None else t_end - t0
+    hmax = t_end - t0
     t = t0
     y = y0.copy()
     f = np.asarray(rhs(t, y), dtype=float)
     evals = 1
     accepted = rejected = 0
     idx = 1
-    h = min(_initial_step(rhs, t0, y0, f, rtol, atol, t_end - t0), hmax)
+    h = _initial_step(rhs, t0, y0, f, rtol, atol, hmax)
     k = np.empty((7, len(y0)))
     nonfinite_streak = 0
 
@@ -280,7 +279,7 @@ def _hermite_fill_rows(out, rows, ts, idx, t0, h, y0, y1, f0, f1, t1, mask):
 def _run_rk45_rows(rhs, y0, t0, config, ts, out):
     t_end = config.t_end
     rtol, atol = config.rtol, config.atol
-    hmax = config.max_step if config.max_step is not None else t_end - t0
+    hmax = t_end - t0
     n_rows = len(y0)
     accepted = np.zeros(n_rows, dtype=np.int64)
     rejected = np.zeros(n_rows, dtype=np.int64)
@@ -298,7 +297,7 @@ def _run_rk45_rows(rhs, y0, t0, config, ts, out):
         d0 = _row_rms(y / scale)
         d1 = _row_rms(f / scale)
         h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6 * (t_end - t0), 0.01 * d0 / d1)
-        h = np.minimum(np.minimum(h0, t_end - t0), hmax)
+        h = np.minimum(h0, hmax)
         while rows.size:
             clamped = h >= t_end - t
             h = np.where(clamped, t_end - t, h)
@@ -383,28 +382,26 @@ class OrderEstimate:
     errors: tuple
 
 
-def order_check(rhs, y0, t0: float, t_end: float, steps, reference=None,
-                ref_rtol: float = 1e-13, ref_atol: float = 1e-15) -> OrderEstimate:
-    """Measure the fixed-step RK4 convergence order on [t0, t_end].
+def order_check(rhs, y0, t0: float, t_end: float, steps) -> OrderEstimate:
+    """Measure the fixed-step RK4 convergence order on [t0, t_end] against
+    an adaptive reference solution at tight tolerance.
 
-    ``steps`` must contain at least three step sizes (geometric progressions
-    work best). The reference is an adaptive solution at tight tolerance
-    unless an exact endpoint solution ``reference`` is supplied.
+    ``steps`` must contain at least three distinct step sizes (geometric
+    progressions work best), checked before anything is integrated.
     """
     steps = [float(h) for h in steps]
-    if len(steps) < 3:
-        raise ValueError("need at least three step sizes")
+    if len(set(steps)) < 3:
+        raise ValueError("need at least three distinct step sizes")
     span = t_end - t0
-    if reference is not None:
-        y_ref = np.asarray(reference, dtype=float)
-    else:
-        cfg = IntegratorConfig(t_end=t_end, sample_dt=span, method="rk45",
-                               rtol=ref_rtol, atol=ref_atol)
-        y_ref = integrate(rhs, y0, cfg, t0=t0).states[-1]
+    if not 0.0 < span < math.inf:
+        raise ValueError(f"t_end {t_end!r} must exceed t0 {t0!r} by a finite span")
+    configs = [IntegratorConfig(t_end=t_end, sample_dt=span, method="rk4", step=h) for h in steps]
+    if span / min(steps) > MAX_GRID_POINTS:
+        raise ValueError(f"step {min(steps)!r} needs more than {MAX_GRID_POINTS} steps")
+    cfg = IntegratorConfig(t_end=t_end, sample_dt=span, rtol=1e-13, atol=1e-15)
+    y_ref = integrate(rhs, y0, cfg, t0=t0).states[-1]
     errors = []
-    for h in steps:
-        cfg = IntegratorConfig(t_end=t_end, sample_dt=span, method="rk4",
-                               rtol=1e-12, atol=1e-12, step=h)
+    for cfg in configs:
         y_h = integrate(rhs, y0, cfg, t0=t0).states[-1]
         errors.append(float(np.max(np.abs(y_h - y_ref))))
     floor = 5e-13 * (1.0 + float(np.max(np.abs(y_ref))))

@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from symevol.cli import main
 from symevol.config import (ConfigError, canonical_text, config_digest,
@@ -102,6 +109,84 @@ def test_simulate_malformed_config(tmp_path):
     assert main(["simulate", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert main(["simulate", str(tmp_path / "missing.ini"),
                  "--out", str(tmp_path / "o")]) == 2
+    rk4 = tmp_path / "rk4.ini"  # only rk45 runs; rk4 must not silently run rk45
+    rk4.write_text(SMALL_CONFIG.replace("[integrator]", "[integrator]\nmethod = rk4"))
+    assert main(["simulate", str(rk4), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+def _run_cli(argv):
+    """(exit code, stderr lines) of one in-process CLI call; a warning
+    counts as a stderr line, as the installed command prints it."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+    return code, lines
+
+
+BAD_SETTINGS = [["--rtol", "0"], ["--rtol", "-1"], ["--rtol", "nan"], ["--atol", "0"],
+                ["--sample-dt", "-0.1"], ["--sample-dt", "1e-300"],
+                ["--horizon", "-1"], ["--horizon", "inf"], ["--horizon", "nan"]]
+
+
+def test_bad_run_settings_exit_2_before_any_output(small_config, tmp_path):
+    runs = [["simulate", str(small_config)], ["ensemble", str(_ensemble_config(tmp_path))],
+            ["reproduce-figure", "--which", "fig1"]]
+    for k, argv in enumerate(run + flag for run in runs for flag in BAD_SETTINGS):
+        out = tmp_path / f"o{k}"
+        code, lines = _run_cli([*argv, "--out", str(out)])
+        assert code == 2 and len(lines) == 1 and "Traceback" not in lines[0], argv
+        assert not out.exists(), argv
+    # options that used to be accepted and ignored are usage errors now
+    for argv in (["compare", str(small_config), "--horizon", "3"],
+                 ["compare", str(small_config), "--sample-dt", "7"],
+                 ["reproduce-figure", "--which", "fig1", "--atol", "1e-9"]):
+        code, lines = _run_cli([*argv, "--out", str(tmp_path / "removed")])
+        assert code == 2 and len(lines) == 1 and "unrecognized arguments" in lines[0], argv
+        assert not (tmp_path / "removed").exists()
+    for argv in (["--horizon", "-1"], ["--steps", "0,0,0"], ["--steps", "0.2,0.1,1e-300"]):
+        code, lines = _run_cli(["order-check", *argv])
+        assert code == 2 and len(lines) == 1 and lines[0].startswith("config error: "), argv
+
+
+SETTING_FLAGS = {
+    "simulate": ("--rtol", "--atol", "--sample-dt", "--horizon"),
+    "ensemble": ("--rtol", "--atol", "--sample-dt", "--horizon"),
+    "reproduce-figure": ("--rtol", "--sample-dt", "--horizon"),
+    "order-check": ("--horizon", "--steps"),
+}
+# one valid value per flag (horizons short: a valid long run is slow, not a defect)
+VALID_SETTING = {"--rtol": "1e-6", "--atol": "1e-9", "--sample-dt": "0.5",
+                 "--horizon": "1.5", "--steps": "0.05"}
+EDGE_VALUES = ("0", "-1", "nan", "inf", "1e-300", "1e300")
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_cli_contract_for_any_run_setting(data):
+    command = data.draw(st.sampled_from(sorted(SETTING_FLAGS)), label="command")
+    values = {flag: data.draw(st.sampled_from((VALID_SETTING[flag], *EDGE_VALUES)), label=flag)
+              for flag in SETTING_FLAGS[command]}
+    assume(not (values.get("--horizon") == values.get("--sample-dt") == "1e300"))
+    if "--steps" in values:
+        values["--steps"] = "0.2,0.1," + values["--steps"]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        argv = {"simulate": ["simulate", "fig1", "--out", str(out)],
+                "ensemble": ["ensemble", str(_ensemble_config(Path(tmp), count=4)),
+                             "--out", str(out)],
+                "reproduce-figure": ["reproduce-figure", "--which", "fig1", "--out", str(out)],
+                "order-check": ["order-check"]}[command]
+        code, lines = _run_cli(argv + [x for item in values.items() for x in item])
+        assert code in (0, 2, 3), (argv, values, code)
+        assert len(lines) <= 1 and not any("Traceback" in line for line in lines), lines
+        assert code != 2 or not out.exists()
 
 
 def test_simulate_blow_up_exit_code(tmp_path, capsys):
@@ -182,11 +267,11 @@ def test_resonance_invalid_inputs(capsys):
     assert main(["resonance", "--omega", "two"]) == 2
 
 
-def _ensemble_config(tmp_path, extra=""):
+def _ensemble_config(tmp_path, extra="", count=6):
     path = tmp_path / "ens.ini"
     path.write_text(SMALL_CONFIG + f"""
 [ensemble]
-count = 6
+count = {count}
 seed = 42
 q1 = fixed 0
 v1 = normal 0.5 0.05
@@ -231,6 +316,11 @@ def test_ensemble_manifest_lists_failed_particles(tmp_path):
     assert manifest["failures"] == len(failed) > 0
     assert [i for i, _ in failed] == sorted({i for i, _ in failed})
     assert all(0 <= i < 12 and "(last good time t = " in message for i, message in failed)
+    # when every particle fails, no statistics exist: a numerical failure
+    code, lines = _run_cli(["ensemble", str(cfg), "--out", str(tmp_path / "none"),
+                               "--horizon", "30", "--rtol", "1e-300", "--atol", "1e-300"])
+    assert code == 3 and len(lines) == 1
+    assert lines[0].startswith("numerical failure: every particle integration failed")
 
 
 def test_ensemble_degenerate_sampler_zero_dispersion_column(tmp_path):

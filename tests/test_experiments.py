@@ -9,7 +9,7 @@ from symevol.experiments import (EnsembleSpec, ScenarioConfig, _draw_initial,
                                  reproduce_figure, run_ensemble, run_scenario,
                                  stabilization_time)
 from symevol.averaged import INVARIANT_NAMES
-from symevol.integrate import IntegrationError, IntegratorConfig, integrate
+from symevol.integrate import MAX_GRID_POINTS, IntegrationError, IntegratorConfig, integrate
 from symevol.model import CartesianState, ModelParams, full_rhs
 
 
@@ -80,15 +80,17 @@ def test_averaged_systems_reject_polynomial_decay():
 
 
 def test_scenario_config_validation():
-    with pytest.raises(ValueError):
-        ScenarioConfig(params=fig_params(2), initial=fig_initial_state(),
-                       horizon=-1.0)
-    with pytest.raises(ValueError):
-        ScenarioConfig(params=fig_params(2), initial=fig_initial_state(),
-                       horizon=1.0, observables=())
-    with pytest.raises(ValueError):
-        ScenarioConfig(params=fig_params(2), initial=fig_initial_state(),
-                       horizon=1.0, observables=("momenta",))
+    bad = [{"horizon": -1.0}, {"horizon": math.nan}, {"horizon": math.inf},
+           {"observables": ()}, {"observables": ("momenta",)}, {"rtol": 0.0},
+           {"atol": math.nan}, {"sample_dt": -0.1},
+           {"sample_dt": 1.0 / MAX_GRID_POINTS, "horizon": 2.0}]
+    for settings in bad:
+        with pytest.raises(ValueError):
+            ScenarioConfig(**{"params": fig_params(2), "initial": fig_initial_state(),
+                              "horizon": 1.0, **settings})
+    sc = ScenarioConfig(params=fig_params(2), initial=CartesianState(2.0, 0.0, 0.5, 0.0, 0.5),
+                        horizon=3.0, rtol=1e-7, atol=1e-9, sample_dt=0.5)
+    assert sc.integrator == IntegratorConfig(t_end=5.0, sample_dt=0.5, rtol=1e-7, atol=1e-9)
 
 
 def test_decay_rates_for_figure_scenarios():
@@ -168,15 +170,14 @@ def test_invariant_drift_scales_with_epsilon():
         invariant_drift(traj, ("E0_11",), p)  # an invariant of the 1:1 flow
 
 
-def _small_ensemble(count=16, horizon=10.0, samplers=None, seed=7, workers=1,
-                    params=None):
+def _small_ensemble(count=16, horizon=10.0, samplers=None, seed=7, params=None):
     sc = ScenarioConfig(params=params or fig_params(2), initial=fig_initial_state(),
                         horizon=horizon, observables=("actions",),
                         rtol=1e-8, atol=1e-10, sample_dt=0.5)
     return EnsembleSpec(scenario=sc, samplers=samplers or {
         "q1": ("fixed", 0.0), "v1": ("normal", 0.5, 0.05),
         "q2": ("fixed", 0.0), "v2": ("uniform", 0.4, 0.6)}, count=count,
-        seed=seed, workers=workers)
+        seed=seed)
 
 
 def test_ensemble_degenerate_sampler_zero_dispersion():
@@ -199,9 +200,6 @@ def _assert_same_report(a, b):
 def test_ensemble_determinism_and_worker_invariance():
     rep1 = run_ensemble(_small_ensemble(count=8))
     _assert_same_report(rep1, run_ensemble(_small_ensemble(count=8)))
-    # workers is ignored (one batch), so older configs, 0 included, still load
-    for workers in (0, 2):
-        _assert_same_report(rep1, run_ensemble(_small_ensemble(count=8, workers=workers)))
     assert rep1.stats["accepted"] >= 8 * rep1.stats["min_accepted"]
     assert rep1.stats["min_accepted"] <= rep1.stats["max_accepted"]
 

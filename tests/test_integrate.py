@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from symevol.integrate import (IntegrationError, IntegratorConfig, Trajectory,
-                               integrate, order_check)
+from symevol.integrate import (MAX_GRID_POINTS, IntegrationError, IntegratorConfig,
+                               Trajectory, integrate, order_check)
 from symevol.model import ModelParams, full_rhs
 
 
@@ -13,14 +13,13 @@ def harmonic(t, y):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        IntegratorConfig(t_end=10.0, sample_dt=-1.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(t_end=10.0, sample_dt=0.1, rtol=0.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(t_end=10.0, sample_dt=0.1, method="rk4")
-    with pytest.raises(ValueError):
-        IntegratorConfig(t_end=10.0, sample_dt=0.1, method="euler")
+    bad = [{"sample_dt": -1.0}, {"rtol": 0.0}, {"method": "rk4"}, {"method": "euler"},
+           {"t_end": math.nan}, {"t_end": -math.inf}, {"sample_dt": math.inf},
+           {"rtol": math.nan}, {"atol": math.inf}, {"method": "rk4", "step": math.nan}]
+    for settings in bad:
+        with pytest.raises(ValueError):
+            IntegratorConfig(**{"t_end": 10.0, "sample_dt": 0.1, **settings})
+    assert IntegratorConfig(t_end=-5.0, sample_dt=0.1).t_end == -5.0
 
 
 def test_harmonic_oscillator_accuracy():
@@ -118,8 +117,15 @@ def test_order_check_saturates_on_exact_match():
 
 
 def test_order_check_needs_three_steps():
-    with pytest.raises(ValueError):
-        order_check(harmonic, np.array([1.0, 0.0]), 0.0, 1.0, [0.1, 0.05])
+    def never(t, y):
+        raise AssertionError("inputs must be checked before integrating")
+
+    bad = [(1.0, [0.1, 0.05]), (1.0, [0.1, 0.1, 0.1]), (-1.0, [0.2, 0.1, 0.05]),
+           (math.inf, [0.2, 0.1, 0.05]), (1.0, [0.2, 0.1, 0.0]), (1.0, [0.2, 0.1, math.nan]),
+           (1.0, [0.2, 0.1, 0.5 / MAX_GRID_POINTS])]
+    for t_end, steps in bad:
+        with pytest.raises(ValueError):
+            order_check(never, np.array([1.0, 0.0]), 0.0, t_end, steps)
 
 
 def test_against_scipy_reference():
@@ -139,6 +145,12 @@ def test_trajectory_container():
     traj = Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((2, 3)))
     assert len(traj) == 2
     assert traj.column(1).shape == (2,)
+    # a batch of three 2-component rows sampled three times
+    cfg = IntegratorConfig(t_end=1.0, sample_dt=0.5)
+    batch = integrate(lambda t, y: np.stack((y[:, 1], -y[:, 0]), axis=-1),
+                      np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]]), cfg)
+    assert batch.column(1).shape == (3, 3)
+    np.testing.assert_array_equal(batch.column(0), batch.states[:, :, 0])
 
 
 def _escaping_batch():
