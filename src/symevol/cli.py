@@ -10,7 +10,6 @@ Exit codes: 0 ok, 2 usage/config error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -21,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .averaged import ZeroAmplitudeError
 from .config import (ConfigError, build_ensemble, build_scenario, config_digest,
                      load_config, resolve_config_path)
 from .experiments import (EnsembleFailure, compare_full_vs_averaged, fig_params,
@@ -35,16 +35,19 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
+_CSV_CHUNK = 1024  # rows per write: memory for the text stays fixed as the series grows
 
 
 def _write_csv(path: Path, header, columns):
+    """Write equal-length columns as CSV: a header line, then one row per
+    sample with every value as ``%.17g``, comma separated, CRLF line ends,
+    nothing quoted (the bytes ``csv.writer`` gives for these rows)."""
+    row = ",".join(["%.17g"] * len(columns)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(columns[0]), _CSV_CHUNK):
+            chunk = np.column_stack([c[start:start + _CSV_CHUNK] for c in columns])
+            fh.write("".join([row % tuple(r) for r in chunk.tolist()]))
 
 
 def _write_manifest(outdir: Path, command: str, digest: str, outputs, seed=None,
@@ -87,8 +90,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_compare(args) -> int:
     cfg = load_config(resolve_config_path(args.config))
     scenario = build_scenario(cfg, vars(args))
-    eps_list = [float(s) for s in args.eps_list.split(",") if s.strip()]
-    if not eps_list or any(e <= 0 or e > 1 for e in eps_list):
+    try:
+        eps_list = [float(s) for s in args.eps_list.split(",") if s.strip()]
+    except ValueError:
+        eps_list = []
+    if not eps_list or not all(0 < e <= 1 for e in eps_list):
         raise ConfigError(f"bad --eps-list {args.eps_list!r}")
     digest = config_digest(cfg)
     start = time.perf_counter()
@@ -99,6 +105,8 @@ def _cmd_compare(args) -> int:
             res = compare_full_vs_averaged(params, scenario.initial, L=args.window,
                                            resonance=args.resonance,
                                            rtol=scenario.rtol, atol=scenario.atol)
+        except ZeroAmplitudeError:  # the averaged run reached a normal mode: numerical
+            raise
         except ValueError as exc:  # omega, --resonance or initial data rejected
             raise ConfigError(str(exc)) from exc
         rows.append((eps, res.sup_r1, res.sup_r2, res.sup_E1, res.sup_E2))
@@ -185,7 +193,8 @@ def _cmd_reproduce_figure(args) -> int:
                "stabilization_time": stab if math.isfinite(stab) else "never"}
     digest = config_digest({"figure": {"which": args.which,
                                        "horizon": str(bundle.times[-1]),
-                                       "sample_dt": str(bundle.sample_dt)}})
+                                       "sample_dt": str(bundle.sample_dt),
+                                       "rtol": str(bundle.rtol)}})
     _write_manifest(outdir, "reproduce-figure", digest, [csv_path.name],
                     wall_time=time.perf_counter() - start, extra=summary)
     print(json.dumps(summary, sort_keys=True))
@@ -290,7 +299,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (IntegrationError, EnsembleFailure) as exc:
+    except (IntegrationError, EnsembleFailure, ZeroAmplitudeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -425,6 +425,7 @@ class FigureBundle:
     label: str
     params: ModelParams
     sample_dt: float
+    rtol: float
     times: np.ndarray
     v1: np.ndarray
     v2: np.ndarray
@@ -453,8 +454,8 @@ def reproduce_figure(which: str, horizon: float | None = None,
                         rtol=rtol, sample_dt=sample_dt)
     res = run_scenario(sc)
     o = res.observables
-    return FigureBundle(label=which, params=params, sample_dt=sample_dt, times=o["t"],
-                        v1=o["v1"], v2=o["v2"], E1=o["E1"], E2=o["E2"])
+    return FigureBundle(label=which, params=params, sample_dt=sample_dt, rtol=rtol,
+                        times=o["t"], v1=o["v1"], v2=o["v2"], E1=o["E1"], E2=o["E2"])
 
 
 def stabilization_time(bundle: FigureBundle, fraction: float = 0.10) -> float:

@@ -115,16 +115,28 @@ def _sample_grid(t0: float, t_end: float, dt: float) -> np.ndarray:
     return ts
 
 
+def _hermite(th, h, y0, y1, f0, f1):
+    """Cubic Hermite interpolant of one step (or one step per row) at the
+    step fractions ``th`` (shape (m,)); one output row per fraction.
+
+    ``h`` is a scalar or has shape (m,); the end values and slopes have shape
+    (d,) or (m, d). The arithmetic is elementwise, so every sample gets the
+    bits of a one-sample evaluation."""
+    th2 = th * th
+    th3 = th2 * th
+    return ((2 * th3 - 3 * th2 + 1)[:, None] * y0 + ((th3 - 2 * th2 + th) * h)[:, None] * f0
+            + (-2 * th3 + 3 * th2)[:, None] * y1 + ((th3 - th2) * h)[:, None] * f1)
+
+
 def _hermite_fill(out, ts, idx, t0, h, y0, y1, f0, f1, t1):
-    """Fill samples with the cubic Hermite interpolant on (t0, t1]."""
-    while idx < len(ts) and ts[idx] <= t1 + 1e-14 * max(1.0, abs(t1)):
-        th = (ts[idx] - t0) / h
-        th2 = th * th
-        th3 = th2 * th
-        out[idx] = ((2 * th3 - 3 * th2 + 1) * y0 + (th3 - 2 * th2 + th) * h * f0
-                    + (-2 * th3 + 3 * th2) * y1 + (th3 - th2) * h * f1)
-        idx += 1
-    return idx
+    """Fill samples with the cubic Hermite interpolant on (t0, t1]; returns
+    the next sample index."""
+    tol = t1 + 1e-14 * max(1.0, abs(t1))
+    if idx >= len(ts) or ts[idx] > tol:  # most steps hold no sample
+        return idx
+    stop = int(np.searchsorted(ts, tol, side="right"))
+    out[idx:stop] = _hermite((ts[idx:stop] - t0) / h, h, y0, y1, f0, f1)
+    return stop
 
 
 def _initial_step(rhs, t0, y0, f0, rtol, atol, span):
@@ -226,7 +238,7 @@ def _run_rk45(rhs, y0, t0, config, ts, out):
         else:
             rejected += 1
             h *= max(_MIN_FACTOR, _SAFETY * err_norm**-0.2)
-        if h < 1e-14 * max(1.0, abs(t)):
+        if t < t_end and h < 1e-14 * max(1.0, abs(t)):
             raise IntegrationError("step size underflow", t, y, "underflow")
     return {"accepted": accepted, "rejected": rejected, "rhs_evals": evals}
 
@@ -265,14 +277,8 @@ def _hermite_fill_rows(out, rows, ts, idx, t0, h, y0, y1, f0, f1, t1, mask):
         first = np.cumsum(counts) - counts
         sample = idx[pair] + np.arange(total) - first[pair]
         hp = h[pair]
-        th = (ts[sample] - t0[pair]) / hp
-        th2 = th * th
-        th3 = th2 * th
-        out[rows[pair], sample] = (
-            (2 * th3 - 3 * th2 + 1)[:, None] * y0[pair]
-            + ((th3 - 2 * th2 + th) * hp)[:, None] * f0[pair]
-            + (-2 * th3 + 3 * th2)[:, None] * y1[pair]
-            + ((th3 - th2) * hp)[:, None] * f1[pair])
+        out[rows[pair], sample] = _hermite((ts[sample] - t0[pair]) / hp, hp,
+                                           y0[pair], y1[pair], f0[pair], f1[pair])
     return np.where(mask, stop, idx)
 
 
@@ -327,7 +333,7 @@ def _run_rk45_rows(rhs, y0, t0, config, ts, out):
             y = np.where(ok[:, None], y_new, y)
             f = np.where(ok[:, None], k[6], f)
             streak = np.where(finite, 0, streak + 1)
-            tiny = h < 1e-14 * np.maximum(1.0, np.abs(t))
+            tiny = (t < t_end) & (h < 1e-14 * np.maximum(1.0, np.abs(t)))
             failed = np.where(finite, tiny, (streak > 40) | tiny)
             for i in np.flatnonzero(failed).tolist():
                 why = ("step size underflow" if finite[i]

@@ -1,6 +1,8 @@
 import contextlib
+import csv
 import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from symevol.cli import main
+from symevol.cli import _write_csv, main
 from symevol.config import (ConfigError, canonical_text, config_digest,
                             load_config, resolve_config_path)
 
@@ -153,6 +155,12 @@ def test_bad_run_settings_exit_2_before_any_output(small_config, tmp_path):
     for argv in (["--horizon", "-1"], ["--steps", "0,0,0"], ["--steps", "0.2,0.1,1e-300"]):
         code, lines = _run_cli(["order-check", *argv])
         assert code == 2 and len(lines) == 1 and lines[0].startswith("config error: "), argv
+    for eps_list in ("abc", "0.1,x", "nan", "0", "1.5", ","):
+        out = tmp_path / "eps"
+        code, lines = _run_cli(["compare", str(small_config), "--eps-list", eps_list,
+                                "--out", str(out)])
+        assert code == 2 and len(lines) == 1 and lines[0].startswith("config error: "), eps_list
+        assert not out.exists(), eps_list
 
 
 SETTING_FLAGS = {
@@ -234,6 +242,25 @@ def test_compare_rejects_unsupported_omega(small_config, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert not (tmp_path / f"x{k}").exists()
+
+
+def test_compare_mid_run_zero_amplitude_exits_3(tmp_path):
+    # at omega 1 the averaged system runs in polar coordinates; with loose
+    # tolerances the run takes the small amplitude r2 to zero or below part-way
+    text = (SMALL_CONFIG.replace("omega = 2", "omega = 1").replace("a2 = 1", "a2 = 20")
+            .replace("q2 = 0", "q2 = 1e-6").replace("v2 = 0.5", "v2 = 1e-6"))
+    cfg = tmp_path / "near_mode.ini"
+    cfg.write_text(text)
+    argv = ["compare", str(cfg), "--eps-list", "1", "--window", "2",
+            "--rtol", "1e-3", "--atol", "1e-3"]
+    code, lines = _run_cli([*argv, "--out", str(tmp_path / "mid")])
+    assert code == 3 and len(lines) == 1, lines
+    assert lines[0] == "numerical failure: averaged polar fields need r1 > 0 and r2 > 0"
+    # the same system from initial data on the normal mode is rejected up front
+    cfg.write_text(text.replace("q2 = 1e-6", "q2 = 0").replace("v2 = 1e-6", "v2 = 0"))
+    code, lines = _run_cli([*argv, "--out", str(tmp_path / "mode")])
+    assert code == 2 and len(lines) == 1 and lines[0].startswith("config error: normal-mode")
+    assert not (tmp_path / "mode").exists()
 
 
 def test_resonance_json_omega2(capsys):
@@ -353,6 +380,88 @@ def test_reproduce_figure_cli(tmp_path):
     rows = (out / "fig1.csv").read_text().splitlines()
     assert rows[0] == "t,v1,v2,E1,E2"
     assert float(rows[1].split(",")[3]) == 0.125
+
+
+def test_reproduce_figure_digest_covers_rtol(tmp_path):
+    digests = []
+    for k, rtol in enumerate(([], ["--rtol", "1e-10"], ["--rtol", "1e-4"])):
+        out = tmp_path / f"f{k}"
+        assert main(["reproduce-figure", "--which", "fig1", "--horizon", "5",
+                     "--out", str(out), *rtol]) == 0
+        digests.append(json.loads((out / "manifest.json").read_text())["config_digest"])
+    assert digests[0] == digests[1] != digests[2]  # 1e-10 is the default
+
+
+def test_simulate_span_below_step_floor(tmp_path):
+    # the whole span is below the step-size floor 1e-14: one step reaches t_end
+    for k, extra in enumerate(([], ["--sample-dt", "1e-300"])):
+        out = tmp_path / f"tiny{k}"
+        code, lines = _run_cli(["simulate", "fig1", "--horizon", "1e-300", *extra,
+                                "--out", str(out)])
+        assert code == 0 and lines == []
+        rows = (out / "trajectory.csv").read_text().splitlines()
+        assert rows[0] == "t,q1,v1,q2,v2,E1,E2" and rows[1].startswith("0,")
+    assert len(rows) == 3 and rows[2].startswith("1e-300,")
+    out = tmp_path / "tiny_ensemble"
+    assert main(["ensemble", str(_ensemble_config(tmp_path)), "--horizon", "1e-300",
+                 "--sample-dt", "1e-300", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failures"] == 0 and manifest["failed_particles"] == []
+
+
+def _csv_writer_reference(path, header, columns):
+    """The CSV bytes as the standard library's csv module writes them."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([f"{float(v):.17g}" for v in row])
+
+
+SPECIAL_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e300,
+                  -1e300, 1.0, 3, -7, 2**60, 0.1, 1 / 3, 123456789.123456789]
+
+
+@pytest.mark.parametrize("n_rows", [1, 1023, 1024, 2500])
+def test_write_csv_matches_csv_writer(tmp_path, n_rows):
+    rng = np.random.default_rng(n_rows)
+    special = np.resize(np.array(SPECIAL_VALUES), n_rows)
+    columns = [np.arange(n_rows) * 0.001, special, rng.normal(size=n_rows) * 10.0 ** rng.integers(
+        -300, 300, n_rows), rng.permutation(special), np.arange(n_rows)]
+    header = ["t", "a", "b", "c", "k"]
+    _write_csv(tmp_path / "fast.csv", header, columns)
+    _csv_writer_reference(tmp_path / "ref.csv", header, columns)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_write_csv_tuple_and_integer_columns(tmp_path):
+    # compare passes one tuple per column; a table of integers stays integer-valued
+    rows = [(0.1, 2.5e-3, 1e-17, 3, math.nan), (0.05, -0.0, 5e-324, 1e300, math.inf)]
+    cases = [(["epsilon", "a", "b", "c", "d"], list(zip(*rows))),
+             (["i", "j"], [np.arange(5), np.arange(5) * -(2**40)]),
+             (["t"], [np.array([])])]
+    for k, (header, columns) in enumerate(cases):
+        _write_csv(tmp_path / f"fast{k}.csv", header, columns)
+        _csv_writer_reference(tmp_path / f"ref{k}.csv", header, columns)
+        assert (tmp_path / f"fast{k}.csv").read_bytes() == (tmp_path / f"ref{k}.csv").read_bytes()
+
+
+def test_ensemble_outputs_match_reference_writers(tmp_path):
+    from symevol.config import build_ensemble
+    from symevol.experiments import run_ensemble
+
+    cfg = _ensemble_config(tmp_path)
+    out = tmp_path / "ens"
+    assert main(["ensemble", str(cfg), "--out", str(out)]) == 0
+    report = run_ensemble(build_ensemble(load_config(cfg)))
+    _csv_writer_reference(tmp_path / "moments_ref.csv",
+                          ["t", "mean_v1", "disp_v1", "mean_v2", "disp_v2", "mean_E1", "mean_E2"],
+                          [report.times, report.mean_v1, report.disp_v1, report.mean_v2,
+                           report.disp_v2, report.mean_E1, report.mean_E2])
+    assert (out / "moments.csv").read_bytes() == (tmp_path / "moments_ref.csv").read_bytes()
+    hist = json.loads((out / "histograms.json").read_text())
+    assert hist["v1_counts"] == report.hist_v1.tolist()
+    assert hist["v2_counts"] == report.hist_v2.tolist()
 
 
 def test_order_check_cli(capsys):

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -6,6 +7,10 @@ import pytest
 from symevol.integrate import (MAX_GRID_POINTS, IntegrationError, IntegratorConfig,
                                Trajectory, integrate, order_check)
 from symevol.model import ModelParams, full_rhs
+
+
+# the package re-exports the function ``integrate`` under the module's name
+integrate_module = importlib.import_module("symevol.integrate")
 
 
 def harmonic(t, y):
@@ -226,3 +231,73 @@ def test_batched_integration_needs_rk45():
     cfg = IntegratorConfig(t_end=1.0, sample_dt=0.5, method="rk4", step=0.1)
     with pytest.raises(ValueError):
         integrate(lambda t, y: -y, np.ones((3, 2)), cfg)
+
+
+def _per_sample_hermite_fill(out, ts, idx, t0, h, y0, y1, f0, f1, t1):
+    """Reference: the Hermite fill written as one Python step per sample."""
+    while idx < len(ts) and ts[idx] <= t1 + 1e-14 * max(1.0, abs(t1)):
+        th = (ts[idx] - t0) / h
+        th2 = th * th
+        th3 = th2 * th
+        out[idx] = ((2 * th3 - 3 * th2 + 1) * y0 + (th3 - 2 * th2 + th) * h * f0
+                    + (-2 * th3 + 3 * th2) * y1 + (th3 - th2) * h * f1)
+        idx += 1
+    return idx
+
+
+@pytest.mark.parametrize("method", ["rk45", "rk4"])
+def test_hermite_fill_matches_per_sample_formula_bitwise(method, monkeypatch):
+    p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.1, n=2)
+    rhs = lambda t, y: full_rhs(t, y, p)  # noqa: E731
+    y0 = np.array([0.0, 0.5, 0.0, 0.5])
+    fill = integrate_module._hermite_fill
+    counts = []
+
+    def counting_fill(out, ts, idx, *rest):
+        stop = fill(out, ts, idx, *rest)
+        assert type(stop) is int
+        counts.append(stop - idx)
+        return stop
+
+    # steps holding many samples, about one, and none; t_end off the grid;
+    # last, RK4 steps that end 1 ulp before a sample time (t = 7 * (0.7 / 7)),
+    # which the fill's tolerance assigns to the step that ends there
+    step = 0.3 if method == "rk4" else None
+    cases = [(10.05, dt, step) for dt in (0.001, 0.3, 2.5)] + [(0.7, 0.1, 0.1)]
+    for t_end, sample_dt, step in cases:
+        cfg = IntegratorConfig(t_end=t_end, sample_dt=sample_dt, method=method, step=step)
+        monkeypatch.setattr(integrate_module, "_hermite_fill", counting_fill)
+        fast = integrate(rhs, y0, cfg)
+        monkeypatch.setattr(integrate_module, "_hermite_fill", _per_sample_hermite_fill)
+        slow = integrate(rhs, y0, cfg)
+        assert fast.times[-1] == t_end
+        assert np.array_equal(fast.states, slow.states)
+    assert {0, 1} <= set(counts) and max(counts) > 10
+
+
+def test_hermite_kernel_rows_match_per_sample_formula_bitwise():
+    # one step per row, as the batched fill evaluates it
+    rng = np.random.default_rng(5)
+    m, d = 200, 4
+    h = rng.uniform(1e-3, 2.0, m)
+    t = rng.uniform(0.0, 1.0, m) * h
+    y0, y1, f0, f1 = (rng.normal(size=(m, d)) for _ in range(4))
+    rows = integrate_module._hermite(t / h, h, y0, y1, f0, f1)
+    for i in range(m):
+        ref = np.empty((2, d))
+        _per_sample_hermite_fill(ref, np.array([0.0, t[i]]), 1, 0.0, h[i],
+                                 y0[i], y1[i], f0[i], f1[i], h[i])
+        assert np.array_equal(rows[i], ref[1])
+
+
+def test_span_below_step_floor_reaches_t_end():
+    # the step-size floor 1e-14*max(1, |t|) exceeds the whole span: the run
+    # reaches t_end in one step and must not report an underflow after it
+    cfg = IntegratorConfig(t_end=1e-300, sample_dt=1e-300)
+    traj = integrate(harmonic, np.array([1.0, 0.0]), cfg)
+    assert np.array_equal(traj.times, [0.0, 1e-300])
+    assert traj.stats["accepted"] == 1
+    batch = integrate(lambda t, y: np.stack([y[:, 1], -y[:, 0]], axis=-1),
+                      np.array([[1.0, 0.0], [0.0, 2.0]]), cfg)
+    assert batch.stats["failures"] == []
+    assert np.all(np.isfinite(batch.states))
