@@ -1,10 +1,18 @@
 """Averaged (normal form) vector fields for the 1:2, 1:3 and 1:1 resonances.
 
-All fields act on the polar state y = [r1, psi1, r2, psi2, tau] used by
-:func:`symevol.transforms.slow_rhs`; the slow time obeys tau' = delta and
-the decay factor enters as exp(-tau). A Gauss-Legendre quadrature oracle
-(:func:`average_slow_field`, :func:`second_order_average_11`) recomputes
-the averages numerically so the closed forms can be validated.
+Every system comes in two charts. The ``*_cart`` fields act on the regular
+slow-Cartesian state [x1, y1, x2, y2, tau] with A_k = x_k + i*y_k =
+r_k*exp(i*psi_k); averaged resonant normal forms are polynomial in A_k, so
+these fields pass smoothly through the normal modes (A_k = 0), and every
+averaged run integrates them. The ``*_rhs`` fields act on the polar state
+[r1, psi1, r2, psi2, tau] used by :func:`symevol.transforms.slow_rhs`; they
+are singular on the normal modes and serve as the reference forms of the
+invariants and the oracles. The slow time obeys tau' = delta and the decay
+factor enters as exp(-tau). The epsilon^2 phase drifts of each system are
+written once, in a helper that both of its charts call. A Gauss-Legendre
+quadrature oracle (:func:`average_slow_field`,
+:func:`second_order_average_11`) recomputes the averages numerically so the
+closed forms can be validated.
 """
 
 from __future__ import annotations
@@ -30,6 +38,8 @@ __all__ = [
     "avg11_rhs",
     "avg12_first_cart",
     "avg12_second_cart",
+    "avg13_cart",
+    "avg11_cart",
     "polar_to_slow_cart",
     "slow_cart_amplitudes",
     "invariant",
@@ -109,25 +119,24 @@ def avg12_second_rhs(t, y, p: ModelParams) -> np.ndarray:
     _require_omega(p, 2.0, "the second-order averaged 1:2 system")
     _require_exponential(p)
     r1, psi1, r2, psi2, tau = (float(v) for v in y[:5])
-    _check_amplitudes(r1, r2)
+    base = avg12_first_rhs(t, y, p)
+    phi1, phi2 = _phase_drifts_12(r1 * r1, r2 * r2, tau, p)
+    base[1] += phi1
+    base[3] += phi2
+    return base
+
+
+def _phase_drifts_12(u, w, tau, p: ModelParams):
+    """epsilon^2 phase drifts (phi1, phi2) of the second-order 1:2 system at
+    r1^2 = u, r2^2 = w; the decayed contributions carry exp(-2*tau)."""
     a1, a2, a3, a4 = p.a1, p.a2, p.a3, p.a4
-    e = p.epsilon
-    e2 = e * e
-    em = math.exp(-tau)
-    em2 = em * em
-    chi = 2.0 * psi1 - psi2
-    s, c = math.sin(chi), math.cos(chi)
-    u = r1 * r1
-    w = r2 * r2
-    dr1 = -0.5 * e * em * a4 * r1 * r2 * s
-    dr2 = 0.125 * e * em * a4 * u * s
-    dpsi1 = (-0.5 * e * em * a4 * r2 * c
-             - e2 * (a1 * a1 * u / 24.0 + 0.5 * a1 * a2 * w
-                     + em2 * (a3 * a4 * w / 8.0 + a4 * a4 * (9.0 * u + 4.0 * w) / 64.0)))
-    dpsi2 = (-0.125 * e * em * a4 * (u / r2) * c
-             - e2 * (0.25 * a1 * a2 * u + a2 * a2 * u / 30.0 + 29.0 * a2 * a2 * w / 120.0
-                     + em2 * (a3 * a4 * u / 16.0 + a4 * a4 * u / 32.0 + 5.0 * a3 * a3 * w / 96.0)))
-    return np.array([dr1, dpsi1, dr2, dpsi2, p.delta])
+    e2 = p.epsilon**2
+    em2 = math.exp(-2.0 * tau)
+    phi1 = -e2 * (a1 * a1 * u / 24.0 + 0.5 * a1 * a2 * w
+                  + em2 * (a3 * a4 * w / 8.0 + a4 * a4 * (9.0 * u + 4.0 * w) / 64.0))
+    phi2 = -e2 * (0.25 * a1 * a2 * u + a2 * a2 * u / 30.0 + 29.0 * a2 * a2 * w / 120.0
+                  + em2 * (a3 * a4 * u / 16.0 + a4 * a4 * u / 32.0 + 5.0 * a3 * a3 * w / 96.0))
+    return phi1, phi2
 
 
 def _is_exact(x) -> bool:
@@ -159,13 +168,17 @@ def avg13_rhs(t, y, p: ModelParams) -> np.ndarray:
     _require_omega(p, 3.0, "the averaged 1:3 system")
     _require_exponential(p)
     r1, psi1, r2, psi2, tau = (float(v) for v in y[:5])
+    phi1, phi2 = _phase_drifts_13(r1 * r1, r2 * r2, p)
+    return np.array([0.0, phi1, 0.0, phi2, p.delta])
+
+
+def _phase_drifts_13(u, w, p: ModelParams):
+    """epsilon^2 phase drifts (phi1, phi2) of the averaged 1:3 system at
+    r1^2 = u, r2^2 = w."""
     a1, a2 = p.a1, p.a2
     e2 = p.epsilon**2
-    u = r1 * r1
-    w = r2 * r2
-    dpsi1 = -e2 * (5.0 * a1 * a1 * u / 12.0 + (0.5 * a1 * a2 - a2 * a2 / 35.0) * w)
-    dpsi2 = -e2 * ((a1 * a2 / 6.0 + a2 * a2 / 105.0) * u + 23.0 * a2 * a2 * w / 140.0)
-    return np.array([0.0, dpsi1, 0.0, dpsi2, p.delta])
+    return (-e2 * (5.0 * a1 * a1 * u / 12.0 + (0.5 * a1 * a2 - a2 * a2 / 35.0) * w),
+            -e2 * ((a1 * a2 / 6.0 + a2 * a2 / 105.0) * u + 23.0 * a2 * a2 * w / 140.0))
 
 
 def _chi3_coeffs(a1, a2, literal_47_140=False):
@@ -199,28 +212,32 @@ def avg11_rhs(t, y, p: ModelParams) -> np.ndarray:
     _require_exponential(p)
     r1, psi1, r2, psi2, tau = (float(v) for v in y[:5])
     _check_amplitudes(r1, r2)
-    a1, a2, a3, a4 = p.a1, p.a2, p.a3, p.a4
-    e2 = p.epsilon**2
-    al = math.exp(-tau)
-    chi = psi1 - psi2
-    s2c = math.sin(2.0 * chi)
-    c2c = math.cos(2.0 * chi)
     u = r1 * r1
     w = r2 * r2
-    k_sym = a1 * a2 / 12.0 - 0.5 * a2 * a2
-    k_asym = a3 * a4 / 12.0 - 0.5 * a4 * a4
-    k_tot = k_sym + al * k_asym
-    dr1 = e2 * k_tot * r1 * w * s2c
-    dr2 = -e2 * k_tot * u * r2 * s2c
-    dpsi1 = (-e2 * (5.0 * a1 * a1 * u / 12.0 + (0.5 * a1 * a2 + a2 * a2 / 3.0) * w
-                    - k_sym * w * c2c)
-             - e2 * al * ((0.5 * a3 * a4 + a4 * a4 / 3.0) * w + 5.0 * a4 * a4 * u / 12.0
-                          - k_asym * w * c2c))
-    dpsi2 = (-e2 * ((0.5 * a1 * a2 + a2 * a2 / 3.0) * u + 5.0 * a2 * a2 * w / 12.0
-                    - k_sym * u * c2c)
-             - e2 * al * (5.0 * a3 * a3 * w / 12.0 + (0.5 * a3 * a4 + a4 * a4 / 3.0) * u
-                          - k_asym * u * c2c))
-    return np.array([dr1, dpsi1, dr2, dpsi2, p.delta])
+    phi1, phi2, k = _phase_drifts_11(u, w, tau, p)
+    two_chi = 2.0 * (psi1 - psi2)
+    s2c, c2c = math.sin(two_chi), math.cos(two_chi)
+    return np.array([k * r1 * w * s2c, phi1 + k * w * c2c,
+                     -k * u * r2 * s2c, phi2 + k * u * c2c, p.delta])
+
+
+def _phase_drifts_11(u, w, tau, p: ModelParams):
+    """epsilon^2 phase drifts (phi1, phi2) and coupling k of the averaged 1:1
+    system at r1^2 = u, r2^2 = w.
+
+    The symmetry-breaking terms are quadratic in (a3, a4), so they carry
+    alpha^2 = exp(-2*tau). The terms linear in alpha (products such as
+    a1*a4) are not part of this field.
+    """
+    a1, a2, a3, a4 = p.a1, p.a2, p.a3, p.a4
+    e2 = p.epsilon**2
+    al2 = math.exp(-2.0 * tau)
+    phi1 = -e2 * (5.0 * a1 * a1 * u / 12.0 + (0.5 * a1 * a2 + a2 * a2 / 3.0) * w
+                  + al2 * ((0.5 * a3 * a4 + a4 * a4 / 3.0) * w + 5.0 * a4 * a4 * u / 12.0))
+    phi2 = -e2 * ((0.5 * a1 * a2 + a2 * a2 / 3.0) * u + 5.0 * a2 * a2 * w / 12.0
+                  + al2 * (5.0 * a3 * a3 * w / 12.0 + (0.5 * a3 * a4 + a4 * a4 / 3.0) * u))
+    k = e2 * (a1 * a2 / 12.0 - 0.5 * a2 * a2 + al2 * (a3 * a4 / 12.0 - 0.5 * a4 * a4))
+    return phi1, phi2, k
 
 
 def avg12_first_cart(t, y, p: ModelParams) -> np.ndarray:
@@ -251,21 +268,39 @@ def avg12_second_cart(t, y, p: ModelParams) -> np.ndarray:
     _require_omega(p, 2.0, "the second-order averaged 1:2 system")
     _require_exponential(p)
     x1, y1, x2, y2, tau = (float(v) for v in y[:5])
-    a1, a2, a3, a4 = p.a1, p.a2, p.a3, p.a4
-    e2 = p.epsilon**2
-    em2 = math.exp(-2.0 * tau)
-    u = x1 * x1 + y1 * y1
-    w = x2 * x2 + y2 * y2
     base = avg12_first_cart(t, y, p)
-    phi1 = -e2 * (a1 * a1 * u / 24.0 + 0.5 * a1 * a2 * w
-                  + em2 * (a3 * a4 * w / 8.0 + a4 * a4 * (9.0 * u + 4.0 * w) / 64.0))
-    phi2 = -e2 * (0.25 * a1 * a2 * u + a2 * a2 * u / 30.0 + 29.0 * a2 * a2 * w / 120.0
-                  + em2 * (a3 * a4 * u / 16.0 + a4 * a4 * u / 32.0 + 5.0 * a3 * a3 * w / 96.0))
+    phi1, phi2 = _phase_drifts_12(x1 * x1 + y1 * y1, x2 * x2 + y2 * y2, tau, p)
     base[0] += -phi1 * y1
     base[1] += phi1 * x1
     base[2] += -phi2 * y2
     base[3] += phi2 * x2
     return base
+
+
+def avg13_cart(t, y, p: ModelParams) -> np.ndarray:
+    """Averaged 1:3 field in regular slow-Cartesian coordinates: the pure
+    rotations A_k' = i*phi_k*A_k."""
+    _require_omega(p, 3.0, "the averaged 1:3 system")
+    _require_exponential(p)
+    x1, y1, x2, y2, tau = (float(v) for v in y[:5])
+    phi1, phi2 = _phase_drifts_13(x1 * x1 + y1 * y1, x2 * x2 + y2 * y2, p)
+    return np.array([-phi1 * y1, phi1 * x1, -phi2 * y2, phi2 * x2, p.delta])
+
+
+def avg11_cart(t, y, p: ModelParams) -> np.ndarray:
+    """Averaged 1:1 field in regular slow-Cartesian coordinates.
+
+    A1' = i*phi1*A1 + i*k*conj(A1)*A2^2 and A2' = i*phi2*A2 + i*k*A1^2*conj(A2),
+    the polynomial form of :func:`avg11_rhs`.
+    """
+    _require_omega(p, 1.0, "the averaged 1:1 system")
+    _require_exponential(p)
+    x1, y1, x2, y2, tau = (float(v) for v in y[:5])
+    A1, A2 = complex(x1, y1), complex(x2, y2)
+    phi1, phi2, k = _phase_drifts_11(x1 * x1 + y1 * y1, x2 * x2 + y2 * y2, tau, p)
+    d1 = 1j * (phi1 * A1 + k * A1.conjugate() * A2 * A2)
+    d2 = 1j * (phi2 * A2 + k * A1 * A1 * A2.conjugate())
+    return np.array([d1.real, d1.imag, d2.real, d2.imag, p.delta])
 
 
 def polar_to_slow_cart(y) -> np.ndarray:

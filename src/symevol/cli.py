@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .averaged import ZeroAmplitudeError
 from .config import (ConfigError, build_ensemble, build_scenario, config_digest,
                      load_config, resolve_config_path)
 from .experiments import (EnsembleFailure, compare_full_vs_averaged, fig_params,
@@ -105,9 +104,7 @@ def _cmd_compare(args) -> int:
             res = compare_full_vs_averaged(params, scenario.initial, L=args.window,
                                            resonance=args.resonance,
                                            rtol=scenario.rtol, atol=scenario.atol)
-        except ZeroAmplitudeError:  # the averaged run reached a normal mode: numerical
-            raise
-        except ValueError as exc:  # omega, --resonance or initial data rejected
+        except ValueError as exc:  # omega, --resonance, initial data or window rejected
             raise ConfigError(str(exc)) from exc
         rows.append((eps, res.sup_r1, res.sup_r2, res.sup_E1, res.sup_E2))
     outdir = Path(args.out)
@@ -299,7 +296,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (IntegrationError, EnsembleFailure, ZeroAmplitudeError) as exc:
+    except (IntegrationError, EnsembleFailure) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

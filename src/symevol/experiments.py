@@ -217,15 +217,17 @@ def compare_full_vs_averaged(params: ModelParams, initial: CartesianState,
     """Integrate full and averaged systems from the same polar data and
     compare amplitudes and actions over [0, L/epsilon], sampled every 0.1.
 
-    Initial data too close to a normal mode is rejected (the polar
-    comparison is undefined there). With epsilon = 0 a fixed default window
-    is used and both systems coincide.
+    The averaged system runs in the regular slow-Cartesian chart, so it may
+    pass through a normal mode. Initial data too close to a normal mode is
+    rejected (its polar phases are undefined), and so is a window of more
+    than ``MAX_GRID_POINTS`` samples. With epsilon = 0 a fixed default
+    window is used and both systems coincide.
     """
     entry = resonance_for(params.omega)
     resonance = resonance or entry.default_system
     if resonance not in entry.systems:
         raise ValueError(f"resonance {resonance!r} needs omega = {SYSTEM_OMEGA[resonance]:g}")
-    avg_rhs, chart = entry.systems[resonance]
+    avg_rhs = entry.systems[resonance]
     horizon = L / params.epsilon if params.epsilon > 0 else 50.0
     try:
         polar = cart_to_polar(initial, params.omega, delta=params.delta)
@@ -235,17 +237,16 @@ def compare_full_vs_averaged(params: ModelParams, initial: CartesianState,
         raise ValueError("normal-mode initial data: polar comparison undefined")
 
     cfg = IntegratorConfig(t_end=initial.t + horizon, sample_dt=0.1, rtol=rtol, atol=atol)
+    if horizon / cfg.sample_dt > MAX_GRID_POINTS:
+        raise ValueError(f"window {L!r} at epsilon {params.epsilon!r} gives over "
+                         f"{MAX_GRID_POINTS} samples")
     full = integrate(lambda t, y: full_rhs(t, y, params), initial.as_array(),
                      cfg, t0=initial.t)
     r1_full, r2_full = polar_amplitude_series(full, params.omega)
 
-    y0_avg = polar_to_slow_cart(polar.as_array()) if chart == "cart" else polar.as_array()
-    avg = integrate(lambda t, y: avg_rhs(t, y, params), y0_avg, cfg, t0=initial.t)
-    if chart == "cart":
-        r1_avg, r2_avg = slow_cart_amplitudes(avg.states)
-    else:
-        r1_avg = avg.states[:, 0]
-        r2_avg = avg.states[:, 2]
+    avg = integrate(lambda t, y: avg_rhs(t, y, params), polar_to_slow_cart(polar.as_array()),
+                    cfg, t0=initial.t)
+    r1_avg, r2_avg = slow_cart_amplitudes(avg.states)
 
     w2 = params.omega**2
     return ComparisonResult(
@@ -272,7 +273,9 @@ class EnsembleSpec:
     ``samplers`` maps each coordinate (q1, v1, q2, v2) to a distribution
     tuple: ("fixed", value), ("uniform", lo, hi) or ("normal", mean, sigma).
     Sampling uses a counter-based generator keyed by (seed, particle index),
-    so the draw for particle i never depends on the other particles.
+    so the draw for particle i never depends on the other particles. All
+    particles' samples together, ``count * horizon / sample_dt``, may not
+    exceed ``MAX_GRID_POINTS``.
     """
 
     scenario: ScenarioConfig
@@ -283,6 +286,10 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("count must be >= 1")
+        sc = self.scenario
+        if self.count * (sc.horizon / sc.sample_dt) > MAX_GRID_POINTS:
+            raise ValueError(f"{self.count} particles of {sc.horizon / sc.sample_dt:.6g} "
+                             f"samples give over {MAX_GRID_POINTS} samples")
         for coord in ("q1", "v1", "q2", "v2"):
             kind = self.samplers.get(coord, ("fixed", 0.0))[0]
             if kind not in _SAMPLER_KINDS:

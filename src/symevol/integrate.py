@@ -108,7 +108,9 @@ def _sample_grid(t0: float, t_end: float, dt: float) -> np.ndarray:
     n = int(math.floor(span / dt + 1e-9))
     ts = t0 + dt * np.arange(n + 1)
     ts[0] = t0
-    if ts[-1] < t_end - 1e-12 * max(1.0, abs(t_end)):
+    # the last grid point stands for t_end only when it lies within rounding
+    # of it: a tolerance relative to the span, and at least a few ulps
+    if ts[-1] < t_end - max(1e-12 * span, 4.0 * math.ulp(t_end)):
         ts = np.append(ts, t_end)
     else:
         ts[-1] = min(ts[-1], t_end)

@@ -19,8 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .averaged import (_chi2_coeffs, _chi3_coeffs, _is_exact, avg11_rhs,
-                       avg12_first_cart, avg12_second_cart, avg13_rhs)
+from .averaged import (_chi2_coeffs, _chi3_coeffs, _is_exact, _phase_drifts_11, avg11_cart,
+                       avg12_first_cart, avg12_second_cart, avg13_cart, polar_to_slow_cart,
+                       slow_cart_amplitudes)
 from .integrate import IntegratorConfig, integrate
 from .model import ModelParams
 from .transforms import wrap_angle
@@ -206,29 +207,25 @@ def classify_11(a1, a2) -> list[StabilityReport]:
     return reports
 
 
-def _sym_coeffs(a1, a2):
-    """Phase-drift building blocks of the symmetric averaged 1:1 system."""
-    A = 5.0 * a1 * a1 / 12.0
-    B = 0.5 * a1 * a2 + a2 * a2 / 3.0
-    C = 5.0 * a2 * a2 / 12.0
-    K = a1 * a2 / 12.0 - 0.5 * a2 * a2
-    return A, B, C, K
+def _orbit_ratio(params, cos2chi):
+    """r1^2/r2^2 of the constant-amplitude symmetric 1:1 solutions at
+    cos(2*chi) = +-1: the zero of the chi drift, which is linear in
+    (r1^2, r2^2)."""
+    def chi_drift(u, w):
+        phi1, phi2, k = _phase_drifts_11(u, w, math.inf, params)
+        return phi1 - phi2 + k * (w - u) * cos2chi
 
-
-def _orbit_ratio(a1, a2, cos2chi):
-    """r1^2/r2^2 of the constant-amplitude 1:1 solutions at cos(2*chi) = +-1."""
-    A, B, C, K = _sym_coeffs(a1, a2)
-    den = A - B + cos2chi * K
-    num = C - B + cos2chi * K
+    den = chi_drift(1.0, 0.0)
     if den == 0.0:
         return None
-    return num / den
+    return -chi_drift(0.0, 1.0) / den
 
 
-def _integrate_avg11(y0, params, horizon):
+def _integrate_avg11(y0_polar, params, horizon):
+    """The averaged 1:1 flow from polar data, run in the regular chart."""
     cfg = IntegratorConfig(t_end=horizon, sample_dt=horizon / 2000.0,
                            method="rk45", rtol=1e-8, atol=1e-10)
-    return integrate(lambda t, y: avg11_rhs(t, y, params), y0, cfg)
+    return integrate(lambda t, y: avg11_cart(t, y, params), polar_to_slow_cart(y0_polar), cfg)
 
 
 _GROWN = 30.0
@@ -276,17 +273,16 @@ def verify_stability_numerically(report: StabilityReport, E0: float, epsilon: fl
         big = math.sqrt(2.0 * E0 - seed * seed)
         if report.mode == "q1-normal-mode":
             y0 = np.array([big, chi0, seed, 0.0, 0.0])
-            small_col = 2
         else:
             y0 = np.array([seed, chi0, big, 0.0, 0.0])
-            small_col = 0
-        traj = _integrate_avg11(y0, params, horizon)
-        growth = float(np.max(traj.states[:, small_col])) / seed
+        r1, r2 = slow_cart_amplitudes(_integrate_avg11(y0, params, horizon).states)
+        small = r2 if report.mode == "q1-normal-mode" else r1
+        growth = float(np.max(small)) / seed
         return _growth_verdict(growth, report.stable)
 
     cos2chi = 1.0 if report.mode == "in-phase" else -1.0
     chi_star = 0.0 if report.mode == "in-phase" else 0.5 * math.pi
-    ratio = _orbit_ratio(report.a1, report.a2, cos2chi)
+    ratio = _orbit_ratio(params, cos2chi)
     found = ratio is not None and ratio > 0.0
     if not report.exists:
         return "consistent" if not found else "inconsistent"
@@ -297,9 +293,10 @@ def verify_stability_numerically(report: StabilityReport, E0: float, epsilon: fl
     r1 = r1_star * (1.0 + perturbation)
     r2 = math.sqrt(max(2.0 * E0 - r1 * r1, 1e-12 * E0))
     y0 = np.array([r1, chi_star + perturbation, r2, 0.0, 0.0])
-    traj = _integrate_avg11(y0, params, horizon)
-    dr = (traj.states[:, 0] - r1_star) / radius
-    dchi = wrap_angle((traj.states[:, 1] - traj.states[:, 3]) - chi_star)
+    x1, y1, x2, y2 = _integrate_avg11(y0, params, horizon).states[:, :4].T
+    dr = (np.hypot(x1, y1) - r1_star) / radius
+    # chi = psi1 - psi2 is the angle of A1*conj(A2)
+    dchi = wrap_angle(np.arctan2(y1 * x2 - x1 * y2, x1 * x2 + y1 * y2) - chi_star)
     dev = np.hypot(dr, dchi)
     growth = float(np.max(dev) / max(dev[0], 1e-300))
     return _growth_verdict(growth, report.stable)
@@ -342,8 +339,9 @@ class Resonance:
     """What the package knows about one resonance omega:1.
 
     ``angle`` is a :data:`~symevol.transforms.COMBINATION_COEFFS` kind;
-    ``systems`` maps each averaged-system name to (field, chart "cart" or
-    "polar"); ``invariants`` are evaluable along a Cartesian trajectory;
+    ``systems`` maps each averaged-system name to its field in the regular
+    slow-Cartesian chart; ``invariants`` are evaluable along a Cartesian
+    trajectory;
     ``report(a1, a2, e0)`` builds the ``resonance`` command's JSON body.
     """
 
@@ -354,15 +352,11 @@ class Resonance:
     report: Callable[..., dict]
 
 
-# The 1:2 fields run in the regular slow-Cartesian chart so trajectories can
-# cross normal modes; the 1:3/1:1 fields stay polar (their amplitudes cannot
-# reach zero from non-degenerate data).
 RESONANCES = {
-    1.0: Resonance("chi11", {"11": (avg11_rhs, "polar")}, "11", ("E0_11",), _report_11),
-    2.0: Resonance("chi12", {"12-first": (avg12_first_cart, "cart"),
-                             "12-second": (avg12_second_cart, "cart")},
+    1.0: Resonance("chi11", {"11": avg11_cart}, "11", ("E0_11",), _report_11),
+    2.0: Resonance("chi12", {"12-first": avg12_first_cart, "12-second": avg12_second_cart},
                    "12-first", ("E0_12", "I3_12"), _report_12),
-    3.0: Resonance("chi3", {"13": (avg13_rhs, "polar")}, "13", (), _report_13),
+    3.0: Resonance("chi3", {"13": avg13_cart}, "13", (), _report_13),
 }
 
 SYSTEM_OMEGA = {name: omega for omega, entry in RESONANCES.items() for name in entry.systems}

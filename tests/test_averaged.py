@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import random_polar
-from symevol.averaged import (ZeroAmplitudeError, average_slow_field, avg11_rhs,
+from symevol.averaged import (ZeroAmplitudeError, average_slow_field, avg11_cart, avg11_rhs,
                               avg12_first_cart, avg12_first_rhs, avg12_second_cart,
-                              avg12_second_rhs, avg13_rhs, chi2_rhs, chi3_rhs,
+                              avg12_second_rhs, avg13_cart, avg13_rhs, chi2_rhs, chi3_rhs,
                               chi12_rhs, fit_I3_11, invariant, polar_to_slow_cart,
                               second_order_average_11, slow_cart_amplitudes)
 from symevol.integrate import IntegratorConfig, integrate
@@ -232,6 +232,19 @@ def test_avg11_symmetric_limit_matches_oracle(p11, rng):
         assert np.max(np.abs(oracle - field)) < 1e-8
 
 
+def test_avg11_decayed_terms_match_oracle(rng):
+    # alpha frozen at al: the terms quadratic in (a3, a4) carry al^2 = exp(-2*tau);
+    # with a1 = a2 = 0 (or a3 = a4 = 0) no term linear in alpha is left out
+    for a in ((0.0, 0.0, 0.75, 1.5), (1.0, 1.0, 0.0, 0.0)):
+        p = ModelParams(*a, omega=1.0, epsilon=0.1, n=2)
+        for al in (0.3, 1.0):
+            for _ in range(5):
+                y = random_polar(rng)[:4]
+                oracle = second_order_average_11(y, p, al=al)
+                field = avg11_rhs(0.0, np.append(y, -math.log(al)), p)[:4]
+                assert np.max(np.abs(oracle - field)) < 1e-8
+
+
 def test_avg11_validation(p11, params12):
     with pytest.raises(ValueError):
         avg11_rhs(0.0, np.array([0.5, 0, 0.5, 0, 0]), params12)
@@ -327,15 +340,20 @@ def test_fit_i3_11_rejects_degenerate_data():
 # ------------------------------------------------------------ regular chart
 
 
-def test_slow_cart_chart_consistent_with_polar(params12, rng):
+def test_slow_cart_chart_consistent_with_polar(params12, p11, p13, rng):
     # push the polar field through the chart and compare
-    for rhs_polar, rhs_cart in ((avg12_first_rhs, avg12_first_cart),
-                                (avg12_second_rhs, avg12_second_cart)):
+    for rhs_polar, rhs_cart, p, tau in ((avg12_first_rhs, avg12_first_cart, params12, None),
+                                        (avg12_second_rhs, avg12_second_cart, params12, None),
+                                        (avg11_rhs, avg11_cart, p11, None),
+                                        (avg11_rhs, avg11_cart, p11, np.inf),
+                                        (avg13_rhs, avg13_cart, p13, None)):
         for _ in range(40):
             y = random_polar(rng)
-            d_pol = rhs_polar(0.0, y, params12)
+            if tau is not None:
+                y[4] = tau
+            d_pol = rhs_polar(0.0, y, p)
             u = polar_to_slow_cart(y)
-            d_cart = rhs_cart(0.0, u, params12)
+            d_cart = rhs_cart(0.0, u, p)
             r1, psi1, r2, psi2 = y[:4]
             expected = np.array([
                 d_pol[0] * math.cos(psi1) - r1 * math.sin(psi1) * d_pol[1],
@@ -344,15 +362,23 @@ def test_slow_cart_chart_consistent_with_polar(params12, rng):
                 d_pol[2] * math.sin(psi2) + r2 * math.cos(psi2) * d_pol[3],
             ])
             np.testing.assert_allclose(d_cart[:4], expected, rtol=1e-12, atol=1e-14)
+            assert np.max(np.abs(d_cart[:4] - expected)) <= 1e-13 * np.max(np.abs(expected))
+            assert d_cart[4] == d_pol[4]
 
 
 def test_slow_cart_chart_crosses_normal_mode(params12):
-    # Fig-style data with chi = -pi/2 drains mode 2 through zero; the
-    # regular chart passes through while conserving the quadratic integral.
-    y0 = polar_to_slow_cart(np.array([0.5, -math.pi / 2, 0.25, -math.pi / 2, 0.0]))
-    cfg = IntegratorConfig(t_end=60.0, sample_dt=0.1, rtol=1e-11, atol=1e-13)
-    traj = integrate(lambda t, y: avg12_first_cart(t, y, params12), y0, cfg)
-    r1, r2 = slow_cart_amplitudes(traj.states)
-    e0 = 0.5 * r1**2 + 2.0 * r2**2
-    assert np.min(r2) < 0.02  # passes near the mode
-    assert np.max(np.abs(e0 - e0[0])) < 1e-8  # conserved to integrator error
+    # 1:2: fig-style data with chi = -pi/2 drains mode 2 through zero.
+    # 1:1: the normal modes are invariant, and data next to the separatrix of
+    # the unstable q2 mode (a1 = 0) brings r2 close to zero.
+    # The regular chart passes while conserving the quadratic integral.
+    p11 = ModelParams(0.0, 1.0, 0.0, 0.0, omega=1.0, epsilon=0.1, n=2)
+    cases = ((avg12_first_cart, params12, [0.5, -math.pi / 2, 0.25, -math.pi / 2, 0.0],
+              60.0, (0.5, 2.0)),
+             (avg11_cart, p11, [0.9, 1.18, 0.3, 0.0, 0.0], 2500.0, (0.5, 0.5)))
+    for rhs, p, y0, horizon, (c1, c2) in cases:
+        cfg = IntegratorConfig(t_end=horizon, sample_dt=0.1, rtol=1e-11, atol=1e-13)
+        traj = integrate(lambda t, y: rhs(t, y, p), polar_to_slow_cart(np.array(y0)), cfg)
+        r1, r2 = slow_cart_amplitudes(traj.states)
+        e0 = c1 * r1**2 + c2 * r2**2
+        assert r2[0] >= 0.25 and np.min(r2) < 0.02  # passes near the mode
+        assert np.max(np.abs(e0 - e0[0])) < 1e-8  # conserved to integrator error

@@ -161,6 +161,15 @@ def test_bad_run_settings_exit_2_before_any_output(small_config, tmp_path):
                                 "--out", str(out)])
         assert code == 2 and len(lines) == 1 and lines[0].startswith("config error: "), eps_list
         assert not out.exists(), eps_list
+    # grids over the sample ceiling: a compare window of 10^10 samples, and
+    # 6 particles of 2*10^6 samples each
+    for argv in (["compare", str(small_config), "--window", "1e9", "--eps-list", "1"],
+                 ["ensemble", str(_ensemble_config(tmp_path)), "--horizon", "20000",
+                  "--sample-dt", "0.01"]):
+        out = tmp_path / "huge"
+        code, lines = _run_cli([*argv, "--out", str(out)])
+        assert code == 2 and len(lines) == 1 and "over 10000000 samples" in lines[0], argv
+        assert not out.exists(), argv
 
 
 SETTING_FLAGS = {
@@ -244,9 +253,10 @@ def test_compare_rejects_unsupported_omega(small_config, tmp_path, capsys):
         assert not (tmp_path / f"x{k}").exists()
 
 
-def test_compare_mid_run_zero_amplitude_exits_3(tmp_path):
-    # at omega 1 the averaged system runs in polar coordinates; with loose
-    # tolerances the run takes the small amplitude r2 to zero or below part-way
+def test_compare_runs_through_normal_mode(tmp_path):
+    # at omega 1, 1e-6 from the q1 normal mode and with loose tolerances, where
+    # the polar chart is singular: the regular chart runs the averaged system
+    # to the end
     text = (SMALL_CONFIG.replace("omega = 2", "omega = 1").replace("a2 = 1", "a2 = 20")
             .replace("q2 = 0", "q2 = 1e-6").replace("v2 = 0.5", "v2 = 1e-6"))
     cfg = tmp_path / "near_mode.ini"
@@ -254,8 +264,9 @@ def test_compare_mid_run_zero_amplitude_exits_3(tmp_path):
     argv = ["compare", str(cfg), "--eps-list", "1", "--window", "2",
             "--rtol", "1e-3", "--atol", "1e-3"]
     code, lines = _run_cli([*argv, "--out", str(tmp_path / "mid")])
-    assert code == 3 and len(lines) == 1, lines
-    assert lines[0] == "numerical failure: averaged polar fields need r1 > 0 and r2 > 0"
+    assert code == 0 and lines == []
+    rows = (tmp_path / "mid" / "compare.csv").read_text().splitlines()
+    assert len(rows) == 2 and all(math.isfinite(float(v)) for v in rows[1].split(","))
     # the same system from initial data on the normal mode is rejected up front
     cfg.write_text(text.replace("q2 = 1e-6", "q2 = 0").replace("v2 = 1e-6", "v2 = 0"))
     code, lines = _run_cli([*argv, "--out", str(tmp_path / "mode")])
@@ -394,6 +405,7 @@ def test_reproduce_figure_digest_covers_rtol(tmp_path):
 
 def test_simulate_span_below_step_floor(tmp_path):
     # the whole span is below the step-size floor 1e-14: one step reaches t_end
+    # the end time is a sample of its own, also when sample_dt exceeds the span
     for k, extra in enumerate(([], ["--sample-dt", "1e-300"])):
         out = tmp_path / f"tiny{k}"
         code, lines = _run_cli(["simulate", "fig1", "--horizon", "1e-300", *extra,
@@ -401,7 +413,7 @@ def test_simulate_span_below_step_floor(tmp_path):
         assert code == 0 and lines == []
         rows = (out / "trajectory.csv").read_text().splitlines()
         assert rows[0] == "t,q1,v1,q2,v2,E1,E2" and rows[1].startswith("0,")
-    assert len(rows) == 3 and rows[2].startswith("1e-300,")
+        assert len(rows) == 3 and rows[2].startswith("1e-300,"), extra
     out = tmp_path / "tiny_ensemble"
     assert main(["ensemble", str(_ensemble_config(tmp_path)), "--horizon", "1e-300",
                  "--sample-dt", "1e-300", "--out", str(out)]) == 0

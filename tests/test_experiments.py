@@ -137,6 +137,8 @@ def test_compare_rejects_bad_inputs():
         compare_full_vs_averaged(p, fig_initial_state())
     with pytest.raises(ValueError, match="needs omega"):
         compare_full_vs_averaged(fig_params(2), fig_initial_state(), resonance="13")
+    with pytest.raises(ValueError, match="samples"):  # 10^10 samples, before any run
+        compare_full_vs_averaged(fig_params(2), fig_initial_state(), L=1e8)
 
 
 def test_invariant_drift_conservative_case():
@@ -178,6 +180,15 @@ def _small_ensemble(count=16, horizon=10.0, samplers=None, seed=7, params=None):
         "q1": ("fixed", 0.0), "v1": ("normal", 0.5, 0.05),
         "q2": ("fixed", 0.0), "v2": ("uniform", 0.4, 0.6)}, count=count,
         seed=seed)
+
+
+def test_ensemble_spec_sample_ceiling():
+    # 20 samples per particle: the ceiling is checked on construction, so
+    # nothing of the size of the rejected run is allocated
+    assert _small_ensemble(count=MAX_GRID_POINTS // 20).count == MAX_GRID_POINTS // 20
+    for count in (0, MAX_GRID_POINTS // 20 + 1, 10**15):
+        with pytest.raises(ValueError):
+            _small_ensemble(count=count)
 
 
 def test_ensemble_degenerate_sampler_zero_dispersion():
