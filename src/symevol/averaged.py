@@ -11,7 +11,7 @@ invariants and the oracles. The slow time obeys tau' = delta and the decay
 factor enters as exp(-tau). The epsilon^2 phase drifts of each system are
 written once, in a helper that both of its charts call. A Gauss-Legendre
 quadrature oracle (:func:`average_slow_field`,
-:func:`second_order_average_11`) recomputes the averages numerically so the
+:func:`second_order_average`) recomputes the averages numerically so the
 closed forms can be validated.
 """
 
@@ -45,7 +45,7 @@ __all__ = [
     "invariant",
     "cartesian_invariant",
     "average_slow_field",
-    "second_order_average_11",
+    "second_order_average",
     "fit_I3_11",
     "I3FitResult",
 ]
@@ -174,10 +174,14 @@ def avg13_rhs(t, y, p: ModelParams) -> np.ndarray:
 
 def _phase_drifts_13(u, w, p: ModelParams):
     """epsilon^2 phase drifts (phi1, phi2) of the averaged 1:3 system at
-    r1^2 = u, r2^2 = w."""
+    r1^2 = u, r2^2 = w.
+
+    These are the second-order average of the symmetric system (alpha = 0);
+    the terms in the decaying coefficients a3, a4 are not part of this field.
+    """
     a1, a2 = p.a1, p.a2
     e2 = p.epsilon**2
-    return (-e2 * (5.0 * a1 * a1 * u / 12.0 + (0.5 * a1 * a2 - a2 * a2 / 35.0) * w),
+    return (-e2 * (5.0 * a1 * a1 * u / 12.0 + (0.5 * a1 * a2 + a2 * a2 / 35.0) * w),
             -e2 * ((a1 * a2 / 6.0 + a2 * a2 / 105.0) * u + 23.0 * a2 * a2 * w / 140.0))
 
 
@@ -384,18 +388,21 @@ def average_slow_field(y, p: ModelParams, nodes: int = 64) -> np.ndarray:
     return (vals @ wts) * 0.5
 
 
-def second_order_average_11(y, p: ModelParams, al: float = 0.0,
-                            nodes: int = 48, inner_nodes: int = 10) -> np.ndarray:
-    """Numerical second-order average of the 1:1 polar system at frozen alpha.
+def second_order_average(y, p: ModelParams, al: float = 0.0,
+                         nodes: int = 48, inner_nodes: int = 10) -> np.ndarray:
+    """Numerical second-order average of the 1:1 or 1:3 polar system at
+    frozen alpha.
 
-    The first-order average vanishes identically at omega = 1, so the
+    The first-order average vanishes identically at omega = 1 and 3, so the
     epsilon^2 field is the t-average of Df(t,y).u(t,y) with
     u(t,y) = int_0^t f(s,y) ds, independent of the antiderivative's
     integration constant. Jacobians are computed by complex step; returns
     the epsilon^2-scaled 4-component field for direct comparison with
-    :func:`avg11_rhs`.
+    :func:`avg11_rhs` and :func:`avg13_rhs`.
     """
-    _require_omega(p, 1.0, "the averaged 1:1 oracle")
+    if p.omega not in (1.0, 3.0):
+        raise ValueError(f"the second-order oracle applies to omega = 1 or 3, "
+                         f"params have omega = {p.omega:g}")
     y4 = np.asarray(y, dtype=float)[:4]
     xg, wg = _gauss_nodes(nodes)
     tq = math.pi * (xg + 1.0)

@@ -69,12 +69,11 @@ def _write_manifest(outdir: Path, command: str, digest: str, outputs, seed=None,
 def _cmd_simulate(args) -> int:
     cfg = load_config(resolve_config_path(args.config))
     scenario = build_scenario(cfg, vars(args))
-    digest = config_digest(cfg)
+    digest = config_digest(cfg, vars(args))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    result = run_scenario(scenario)
-    traj = result.trajectory
+    traj = run_scenario(scenario)
     e1, e2 = mode_actions(traj.states, scenario.params.omega)
     csv_path = outdir / "trajectory.csv"
     _write_csv(csv_path, ["t", "q1", "v1", "q2", "v2", "E1", "E2"],
@@ -89,21 +88,24 @@ def _cmd_simulate(args) -> int:
 def _cmd_compare(args) -> int:
     cfg = load_config(resolve_config_path(args.config))
     scenario = build_scenario(cfg, vars(args))
+    eps_text = "0.1" if args.eps_list is None else args.eps_list
+    window = 1.0 if args.window is None else args.window
     try:
-        eps_list = [float(s) for s in args.eps_list.split(",") if s.strip()]
+        eps_list = [float(s) for s in eps_text.split(",") if s.strip()]
     except ValueError:
         eps_list = []
     if not eps_list or not all(0 < e <= 1 for e in eps_list):
-        raise ConfigError(f"bad --eps-list {args.eps_list!r}")
-    digest = config_digest(cfg)
+        raise ConfigError(f"bad --eps-list {eps_text!r}")
+    digest = config_digest(cfg, vars(args))
     start = time.perf_counter()
     rows = []
     for eps in eps_list:
         params = scenario.params.replace(epsilon=eps, delta=None)
         try:
-            res = compare_full_vs_averaged(params, scenario.initial, L=args.window,
+            res = compare_full_vs_averaged(params, scenario.initial, L=window,
                                            resonance=args.resonance,
-                                           rtol=scenario.rtol, atol=scenario.atol)
+                                           rtol=scenario.integrator.rtol,
+                                           atol=scenario.integrator.atol)
         except ValueError as exc:  # omega, --resonance, initial data or window rejected
             raise ConfigError(str(exc)) from exc
         rows.append((eps, res.sup_r1, res.sup_r2, res.sup_E1, res.sup_E2))
@@ -118,7 +120,7 @@ def _cmd_compare(args) -> int:
     else:
         exponent = None
     summary = {"scaling_exponent": exponent if exponent is not None else "n/a",
-               "resonance": args.resonance or "auto", "window_L": args.window}
+               "resonance": args.resonance or "auto", "window_L": window}
     summary_path = outdir / "compare_summary.json"
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     _write_manifest(outdir, "compare", digest, [csv_path.name, summary_path.name],
@@ -143,7 +145,7 @@ def _cmd_resonance(args) -> int:
 def _cmd_ensemble(args) -> int:
     cfg = load_config(resolve_config_path(args.config))
     spec = build_ensemble(cfg, vars(args))
-    digest = config_digest(cfg)
+    digest = config_digest(cfg, vars(args))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
@@ -248,9 +250,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resonance", choices=tuple(SYSTEM_OMEGA), default=None,
                    help=f"averaged system of the config's omega ({systems}); "
                         "default: the first one listed for that omega")
-    p.add_argument("--eps-list", dest="eps_list", default="0.1")
-    p.add_argument("--window", type=float, default=1.0,
-                   help="compare over [0, window/epsilon]")
+    p.add_argument("--eps-list", dest="eps_list", default=None,
+                   help="comma-separated epsilons in (0, 1] (default 0.1)")
+    p.add_argument("--window", type=float, default=None,
+                   help="compare over [0, window/epsilon] (default 1)")
     add_settings(p, "rtol", "atol")
     p.set_defaults(func=_cmd_compare)
 

@@ -14,6 +14,7 @@ from importlib import resources
 from pathlib import Path
 
 from .experiments import EnsembleSpec, ScenarioConfig
+from .integrate import IntegratorConfig
 from .model import CartesianState, ModelParams
 
 __all__ = ["ConfigError", "load_config", "resolve_config_path", "canonical_text",
@@ -60,8 +61,21 @@ def canonical_text(cfg: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def config_digest(cfg: dict) -> str:
-    return hashlib.sha256(canonical_text(cfg).encode("utf-8")).hexdigest()
+# section of each setting a command-line option replaces or adds, by option name
+_OVERRIDE_SECTIONS = {"horizon": "scenario", "rtol": "integrator", "atol": "integrator",
+                      "sample_dt": "integrator", "seed": "ensemble", "eps_list": "compare",
+                      "window": "compare", "resonance": "compare"}
+
+
+def config_digest(cfg: dict, overrides: dict | None = None) -> str:
+    """SHA-256 of the canonical text of ``cfg`` with every override that is
+    not None written over its key, so that the digest names the run made;
+    without overrides it is the digest of the config as read."""
+    merged = {section: dict(keys) for section, keys in cfg.items()}
+    for name, value in (overrides or {}).items():
+        if value is not None and name in _OVERRIDE_SECTIONS:
+            merged.setdefault(_OVERRIDE_SECTIONS[name], {})[name] = value
+    return hashlib.sha256(canonical_text(merged).encode("utf-8")).hexdigest()
 
 
 def _get(cfg: dict, section: str, key: str, cast, default=None, override=None):
@@ -111,19 +125,19 @@ def build_scenario(cfg: dict, overrides: dict | None = None) -> ScenarioConfig:
     overrides = overrides or {}
     if _get(cfg, "integrator", "method", str, default="rk45") != "rk45":
         raise ConfigError("[integrator] method must be rk45, the only method that runs")
-    obs_raw = _get(cfg, "scenario", "observables", str, default="actions")
-    observables = tuple(s.strip() for s in obs_raw.split(",") if s.strip())
+    params = build_params(cfg)
+    initial = build_initial(cfg)
+    horizon = _get(cfg, "scenario", "horizon", float, override=overrides.get("horizon"))
     try:
-        return ScenarioConfig(
-            params=build_params(cfg),
-            initial=build_initial(cfg),
-            horizon=_get(cfg, "scenario", "horizon", float, override=overrides.get("horizon")),
-            observables=observables,
-            label=_get(cfg, "scenario", "label", str, default=""),
+        grid = IntegratorConfig(
+            t0=initial.t,
+            t_end=initial.t + horizon,
             rtol=_get(cfg, "integrator", "rtol", float, 1e-10, overrides.get("rtol")),
             atol=_get(cfg, "integrator", "atol", float, 1e-12, overrides.get("atol")),
             sample_dt=_get(cfg, "integrator", "sample_dt", float, 0.25, overrides.get("sample_dt")),
         )
+        return ScenarioConfig(params, initial, grid,
+                              label=_get(cfg, "scenario", "label", str, default=""))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -17,20 +17,17 @@ import numpy as np
 from .averaged import cartesian_invariant, polar_to_slow_cart, slow_cart_amplitudes
 from .integrate import MAX_GRID_POINTS, IntegratorConfig, Trajectory, integrate
 from .model import CartesianState, ModelParams, full_rhs
-from .resonance import RESONANCES, SYSTEM_OMEGA, resonance_for
-from .transforms import (COMBINATION_COEFFS, PhaseUndefinedError, cart_to_polar,
-                         mode_actions, unwrap_phase_series)
+from .resonance import SYSTEM_OMEGA, resonance_for
+from .transforms import PhaseUndefinedError, cart_to_polar, mode_actions, unwrap_phase_series
 
 __all__ = [
     "ScenarioConfig",
-    "ScenarioResult",
     "EnsembleSpec",
     "DistributionReport",
     "EnsembleFailure",
     "InvariantReport",
     "ComparisonResult",
     "FigureBundle",
-    "OBSERVABLE_NAMES",
     "fig_params",
     "fig_initial_state",
     "run_scenario",
@@ -44,42 +41,20 @@ __all__ = [
     "stabilization_time",
 ]
 
-OBSERVABLE_NAMES = ("actions", "invariants", "angles", "velocities")
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A single run: model, initial state, horizon and requested observables."""
+    """A single run: model, initial state, and the time grid with its
+    tolerances, which starts at the initial state's time."""
 
     params: ModelParams
     initial: CartesianState
-    horizon: float
-    observables: tuple = ("actions",)
+    integrator: IntegratorConfig
     label: str = ""
-    rtol: float = 1e-10
-    atol: float = 1e-12
-    sample_dt: float = 0.25
-    integrator: IntegratorConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.initial.t < self.initial.t + self.horizon < math.inf:
-            raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
-        if not self.observables:
-            raise ValueError("at least one observable must be requested")
-        for name in self.observables:
-            if name not in OBSERVABLE_NAMES:
-                raise ValueError(f"unknown observable {name!r}")
-        object.__setattr__(self, "integrator", IntegratorConfig(
-            t_end=self.initial.t + self.horizon, sample_dt=self.sample_dt,
-            rtol=self.rtol, atol=self.atol))
-        if self.horizon / self.sample_dt > MAX_GRID_POINTS:
-            raise ValueError(f"sample_dt {self.sample_dt!r} gives over {MAX_GRID_POINTS} samples")
-
-
-@dataclass
-class ScenarioResult:
-    trajectory: Trajectory
-    observables: dict
+        if self.integrator.t0 != self.initial.t:
+            raise ValueError(f"the grid starts at t0 = {self.integrator.t0!r}, "
+                             f"the initial state at t = {self.initial.t!r}")
 
 
 def fig_params(n: int, epsilon: float = 0.1) -> ModelParams:
@@ -122,42 +97,10 @@ def invariant_series(traj: Trajectory, name: str, params: ModelParams) -> np.nda
     return cartesian_invariant(name, traj.states, params)
 
 
-def run_scenario(sc: ScenarioConfig) -> ScenarioResult:
-    """Integrate the full system and attach the requested derived series;
-    an observable that cannot be formed is replaced by a reason string
-    ``<name>_disabled``."""
+def run_scenario(sc: ScenarioConfig) -> Trajectory:
+    """Integrate the full system over the scenario's grid."""
     p = sc.params
-    traj = integrate(lambda t, y: full_rhs(t, y, p), sc.initial.as_array(),
-                     sc.integrator, t0=sc.initial.t)
-    obs: dict = {"t": traj.times}
-    entry = RESONANCES.get(p.omega)
-    if "actions" in sc.observables:
-        obs["E1"], obs["E2"] = mode_actions(traj.states, p.omega)
-    if "velocities" in sc.observables:
-        obs["v1"] = traj.states[:, 1]
-        obs["v2"] = traj.states[:, 3]
-    if "invariants" in sc.observables:
-        names = entry.invariants if entry else ()
-        for name in names:
-            obs[name] = invariant_series(traj, name, p)
-        if not names:
-            obs["invariants_disabled"] = f"no invariants tabulated for omega = {p.omega:g}"
-    if "angles" in sc.observables:
-        # near a normal mode the phases are meaningless; fall back to the
-        # Cartesian observables and say so instead of failing the run
-        try:
-            psi1, psi2 = phase_series(traj, p.omega)
-        except ValueError as exc:
-            obs["angles_disabled"] = str(exc)
-        else:
-            obs["psi1"] = psi1
-            obs["psi2"] = psi2
-            if entry is None:
-                obs["chi_disabled"] = f"no combination angle tabulated for omega = {p.omega:g}"
-            else:
-                m1, m2 = COMBINATION_COEFFS[entry.angle]
-                obs["chi"] = m1 * psi1 + m2 * psi2  # continuous lift; wrap at reporting
-    return ScenarioResult(trajectory=traj, observables=obs)
+    return integrate(lambda t, y: full_rhs(t, y, p), sc.initial.as_array(), sc.integrator)
 
 
 @dataclass(frozen=True)
@@ -219,8 +162,8 @@ def compare_full_vs_averaged(params: ModelParams, initial: CartesianState,
 
     The averaged system runs in the regular slow-Cartesian chart, so it may
     pass through a normal mode. Initial data too close to a normal mode is
-    rejected (its polar phases are undefined), and so is a window of more
-    than ``MAX_GRID_POINTS`` samples. With epsilon = 0 a fixed default
+    rejected (its polar phases are undefined), and so is a window that
+    :class:`IntegratorConfig` rejects. With epsilon = 0 a fixed default
     window is used and both systems coincide.
     """
     entry = resonance_for(params.omega)
@@ -236,16 +179,12 @@ def compare_full_vs_averaged(params: ModelParams, initial: CartesianState,
     if polar is None or polar.r1 < 1e-8 or polar.r2 < 1e-8:
         raise ValueError("normal-mode initial data: polar comparison undefined")
 
-    cfg = IntegratorConfig(t_end=initial.t + horizon, sample_dt=0.1, rtol=rtol, atol=atol)
-    if horizon / cfg.sample_dt > MAX_GRID_POINTS:
-        raise ValueError(f"window {L!r} at epsilon {params.epsilon!r} gives over "
-                         f"{MAX_GRID_POINTS} samples")
-    full = integrate(lambda t, y: full_rhs(t, y, params), initial.as_array(),
-                     cfg, t0=initial.t)
+    cfg = IntegratorConfig(t0=initial.t, t_end=initial.t + horizon, sample_dt=0.1,
+                           rtol=rtol, atol=atol)
+    full = integrate(lambda t, y: full_rhs(t, y, params), initial.as_array(), cfg)
     r1_full, r2_full = polar_amplitude_series(full, params.omega)
 
-    avg = integrate(lambda t, y: avg_rhs(t, y, params), polar_to_slow_cart(polar.as_array()),
-                    cfg, t0=initial.t)
+    avg = integrate(lambda t, y: avg_rhs(t, y, params), polar_to_slow_cart(polar.as_array()), cfg)
     r1_avg, r2_avg = slow_cart_amplitudes(avg.states)
 
     w2 = params.omega**2
@@ -274,8 +213,8 @@ class EnsembleSpec:
     tuple: ("fixed", value), ("uniform", lo, hi) or ("normal", mean, sigma).
     Sampling uses a counter-based generator keyed by (seed, particle index),
     so the draw for particle i never depends on the other particles. All
-    particles' samples together, ``count * horizon / sample_dt``, may not
-    exceed ``MAX_GRID_POINTS``.
+    particles' samples together, ``count * (t_end - t0) / sample_dt``, may
+    not exceed ``MAX_GRID_POINTS``.
     """
 
     scenario: ScenarioConfig
@@ -286,9 +225,10 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("count must be >= 1")
-        sc = self.scenario
-        if self.count * (sc.horizon / sc.sample_dt) > MAX_GRID_POINTS:
-            raise ValueError(f"{self.count} particles of {sc.horizon / sc.sample_dt:.6g} "
+        grid = self.scenario.integrator
+        samples = (grid.t_end - grid.t0) / grid.sample_dt
+        if self.count * samples > MAX_GRID_POINTS:
+            raise ValueError(f"{self.count} particles of {samples:.6g} "
                              f"samples give over {MAX_GRID_POINTS} samples")
         for coord in ("q1", "v1", "q2", "v2"):
             kind = self.samplers.get(coord, ("fixed", 0.0))[0]
@@ -361,7 +301,7 @@ def run_ensemble(spec: EnsembleSpec) -> DistributionReport:
     sc = spec.scenario
     p = sc.params
     y0 = np.array([_draw_initial(spec.samplers, spec.seed, i) for i in range(spec.count)])
-    traj = integrate(lambda t, y: full_rhs(t, y, p), y0, sc.integrator, t0=sc.initial.t)
+    traj = integrate(lambda t, y: full_rhs(t, y, p), y0, sc.integrator)
     failures = traj.stats["failures"]
     ok = np.ones(spec.count, dtype=bool)
     ok[[i for i, _ in failures]] = False
@@ -455,14 +395,13 @@ def reproduce_figure(which: str, horizon: float | None = None,
         raise ValueError(f"unknown figure {which!r}; know {tuple(FIGURE_HORIZONS)}")
     n = 2 if which == "fig1" else 3
     params = fig_params(n)
-    sc = ScenarioConfig(params=params, initial=fig_initial_state(),
-                        horizon=horizon if horizon is not None else FIGURE_HORIZONS[which],
-                        observables=("actions", "velocities"), label=which,
-                        rtol=rtol, sample_dt=sample_dt)
-    res = run_scenario(sc)
-    o = res.observables
+    grid = IntegratorConfig(t_end=FIGURE_HORIZONS[which] if horizon is None else horizon,
+                            sample_dt=sample_dt, rtol=rtol)
+    traj = run_scenario(ScenarioConfig(params, fig_initial_state(), grid, label=which))
+    e1, e2 = mode_actions(traj.states, params.omega)
     return FigureBundle(label=which, params=params, sample_dt=sample_dt, rtol=rtol,
-                        times=o["t"], v1=o["v1"], v2=o["v2"], E1=o["E1"], E2=o["E2"])
+                        times=traj.times, v1=traj.states[:, 1], v2=traj.states[:, 3],
+                        E1=e1, E2=e2)
 
 
 def stabilization_time(bundle: FigureBundle, fraction: float = 0.10) -> float:

@@ -59,12 +59,12 @@ def _failure_text(message: str, t_last: float) -> str:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Stepper selection, tolerances and output grid.
+    """Stepper selection, tolerances and time grid of one run.
 
-    ``t_end`` is the absolute end time; samples are produced every
-    ``sample_dt`` starting from the initial time (the end time is always
-    included). ``step`` applies to the fixed-step method, ``rtol``/``atol``
-    to the adaptive one.
+    The run covers [t0, t_end]; samples are produced every ``sample_dt``
+    starting from t0 (the end time is always included). ``step`` applies to
+    the fixed-step method, ``rtol``/``atol`` to the adaptive one. Neither
+    the samples nor the fixed steps may number more than ``MAX_GRID_POINTS``.
     """
 
     t_end: float
@@ -73,18 +73,27 @@ class IntegratorConfig:
     rtol: float = 1e-10
     atol: float = 1e-12
     step: float | None = None
+    t0: float = 0.0
 
     def __post_init__(self):
         if self.method not in ("rk45", "rk4"):
             raise ValueError(f"unknown method {self.method!r}")
-        for name, low in (("t_end", -math.inf), ("sample_dt", 0.0), ("rtol", 0.0),
-                          ("atol", 0.0), ("step", 0.0)):
+        if not -math.inf < self.t0 < self.t_end < math.inf:
+            raise ValueError(f"need finite t0 < t_end, got t0 = {self.t0!r}, "
+                             f"t_end = {self.t_end!r}")
+        for name in ("sample_dt", "rtol", "atol", "step"):
             value = getattr(self, name)
-            if value is not None and not low < value < math.inf:
-                kind = "finite" if low == -math.inf else "positive and finite"
-                raise ValueError(f"{name} must be {kind}, got {value!r}")
+            if value is not None and not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.method == "rk4" and self.step is None:
             raise ValueError("fixed-step method needs a step size")
+        span = self.t_end - self.t0
+        if span / self.sample_dt > MAX_GRID_POINTS:
+            raise ValueError(f"[{self.t0:g}, {self.t_end:g}] at sample_dt {self.sample_dt!r} "
+                             f"gives over {MAX_GRID_POINTS} samples")
+        if self.method == "rk4" and span / self.step > MAX_GRID_POINTS:
+            raise ValueError(f"[{self.t0:g}, {self.t_end:g}] at step {self.step!r} "
+                             f"needs over {MAX_GRID_POINTS} steps")
 
 
 @dataclass
@@ -149,8 +158,9 @@ def _initial_step(rhs, t0, y0, f0, rtol, atol, span):
     return min(h0, span)
 
 
-def integrate(rhs, y0, config: IntegratorConfig, t0: float = 0.0) -> Trajectory:
-    """Integrate y' = rhs(t, y) from t0 to config.t_end with dense sampling.
+def integrate(rhs, y0, config: IntegratorConfig) -> Trajectory:
+    """Integrate y' = rhs(t, y) over [config.t0, config.t_end] with dense
+    sampling.
 
     Raises :class:`IntegrationError` on step-size underflow or persistent
     non-finite values; the exception carries the last good (t, y).
@@ -171,9 +181,7 @@ def integrate(rhs, y0, config: IntegratorConfig, t0: float = 0.0) -> Trajectory:
     non-finite values exceeds the single-row count.
     """
     y0 = np.asarray(y0, dtype=float)
-    if config.t_end <= t0:
-        raise ValueError("t_end must exceed the initial time")
-    ts = _sample_grid(t0, config.t_end, config.sample_dt)
+    ts = _sample_grid(config.t0, config.t_end, config.sample_dt)
     if y0.ndim == 2:
         if config.method != "rk45":
             raise ValueError(f"method {config.method!r} cannot integrate a batch of states")
@@ -184,12 +192,12 @@ def integrate(rhs, y0, config: IntegratorConfig, t0: float = 0.0) -> Trajectory:
         out = np.empty((len(ts), len(y0)))
         out[0] = y0
         run = _run_rk4 if config.method == "rk4" else _run_rk45
-    stats = run(rhs, y0, t0, config, ts, out)
+    stats = run(rhs, y0, config, ts, out)
     return Trajectory(times=ts, states=out, stats=stats)
 
 
-def _run_rk45(rhs, y0, t0, config, ts, out):
-    t_end = config.t_end
+def _run_rk45(rhs, y0, config, ts, out):
+    t0, t_end = config.t0, config.t_end
     rtol, atol = config.rtol, config.atol
     hmax = t_end - t0
     t = t0
@@ -284,8 +292,8 @@ def _hermite_fill_rows(out, rows, ts, idx, t0, h, y0, y1, f0, f1, t1, mask):
     return np.where(mask, stop, idx)
 
 
-def _run_rk45_rows(rhs, y0, t0, config, ts, out):
-    t_end = config.t_end
+def _run_rk45_rows(rhs, y0, config, ts, out):
+    t0, t_end = config.t0, config.t_end
     rtol, atol = config.rtol, config.atol
     hmax = t_end - t0
     n_rows = len(y0)
@@ -351,8 +359,8 @@ def _run_rk45_rows(rhs, y0, t0, config, ts, out):
             "failures": sorted(failures)}
 
 
-def _run_rk4(rhs, y0, t0, config, ts, out):
-    t_end = config.t_end
+def _run_rk4(rhs, y0, config, ts, out):
+    t0, t_end = config.t0, config.t_end
     span = t_end - t0
     n_steps = max(1, round(span / config.step))
     h = span / n_steps
@@ -401,16 +409,13 @@ def order_check(rhs, y0, t0: float, t_end: float, steps) -> OrderEstimate:
     if len(set(steps)) < 3:
         raise ValueError("need at least three distinct step sizes")
     span = t_end - t0
-    if not 0.0 < span < math.inf:
-        raise ValueError(f"t_end {t_end!r} must exceed t0 {t0!r} by a finite span")
-    configs = [IntegratorConfig(t_end=t_end, sample_dt=span, method="rk4", step=h) for h in steps]
-    if span / min(steps) > MAX_GRID_POINTS:
-        raise ValueError(f"step {min(steps)!r} needs more than {MAX_GRID_POINTS} steps")
-    cfg = IntegratorConfig(t_end=t_end, sample_dt=span, rtol=1e-13, atol=1e-15)
-    y_ref = integrate(rhs, y0, cfg, t0=t0).states[-1]
+    configs = [IntegratorConfig(t0=t0, t_end=t_end, sample_dt=span, method="rk4", step=h)
+               for h in steps]
+    cfg = IntegratorConfig(t0=t0, t_end=t_end, sample_dt=span, rtol=1e-13, atol=1e-15)
+    y_ref = integrate(rhs, y0, cfg).states[-1]
     errors = []
     for cfg in configs:
-        y_h = integrate(rhs, y0, cfg, t0=t0).states[-1]
+        y_h = integrate(rhs, y0, cfg).states[-1]
         errors.append(float(np.max(np.abs(y_h - y_ref))))
     floor = 5e-13 * (1.0 + float(np.max(np.abs(y_ref))))
     if min(errors) < floor:

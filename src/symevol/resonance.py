@@ -223,8 +223,7 @@ def _orbit_ratio(params, cos2chi):
 
 def _integrate_avg11(y0_polar, params, horizon):
     """The averaged 1:1 flow from polar data, run in the regular chart."""
-    cfg = IntegratorConfig(t_end=horizon, sample_dt=horizon / 2000.0,
-                           method="rk45", rtol=1e-8, atol=1e-10)
+    cfg = IntegratorConfig(t_end=horizon, sample_dt=horizon / 2000.0, rtol=1e-8, atol=1e-10)
     return integrate(lambda t, y: avg11_cart(t, y, params), polar_to_slow_cart(y0_polar), cfg)
 
 

@@ -8,7 +8,7 @@ from symevol.averaged import (ZeroAmplitudeError, average_slow_field, avg11_cart
                               avg12_first_cart, avg12_first_rhs, avg12_second_cart,
                               avg12_second_rhs, avg13_cart, avg13_rhs, chi2_rhs, chi3_rhs,
                               chi12_rhs, fit_I3_11, invariant, polar_to_slow_cart,
-                              second_order_average_11, slow_cart_amplitudes)
+                              second_order_average, slow_cart_amplitudes)
 from symevol.integrate import IntegratorConfig, integrate
 from symevol.model import CartesianState, ModelParams
 from symevol.transforms import PolarState, polar_to_cart
@@ -180,6 +180,21 @@ def test_avg13_amplitudes_exactly_frozen(p13, rng):
         assert d[0] == 0.0 and d[2] == 0.0
 
 
+def test_avg13_decayed_limit_matches_oracle(p13, rng):
+    # at alpha = 0 the 1:3 field is the second-order average: at a1 = 0 and
+    # r1 = 0, psi1' = -eps^2*a2^2*r2^2/35
+    for _ in range(10):
+        y = random_polar(rng)[:4]
+        oracle = second_order_average(y, p13, al=0.0)
+        field = avg13_rhs(0.0, np.append(y, np.inf), p13)[:4]
+        assert np.max(np.abs(oracle - field)) < 1e-8 * np.max(np.abs(oracle))
+    pw = ModelParams(0.0, 1.0, 0.0, 0.0, omega=3.0, epsilon=0.1, n=2)
+    d = avg13_rhs(0.0, np.array([0.0, 0.0, 1.0, 0.0, 0.0]), pw)
+    assert d[1] / pw.epsilon**2 == pytest.approx(-1.0 / 35.0, rel=1e-14)
+    with pytest.raises(ValueError, match="omega = 1 or 3"):
+        second_order_average(y, ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.1))
+
+
 def test_avg13_phase_values(p13):
     d = avg13_rhs(0.0, np.array([1.0, 0.0, 0.0, 0.0, 0.0]), p13)
     assert d[1] / p13.epsilon**2 == pytest.approx(-5.0 / 12.0, abs=1e-14)
@@ -227,7 +242,7 @@ def test_avg11_frozen_when_sin2chi_vanishes(p11):
 def test_avg11_symmetric_limit_matches_oracle(p11, rng):
     for _ in range(10):
         y = random_polar(rng)[:4]
-        oracle = second_order_average_11(y, p11, al=0.0)
+        oracle = second_order_average(y, p11, al=0.0)
         field = avg11_rhs(0.0, np.append(y, np.inf), p11)[:4]
         assert np.max(np.abs(oracle - field)) < 1e-8
 
@@ -240,7 +255,7 @@ def test_avg11_decayed_terms_match_oracle(rng):
         for al in (0.3, 1.0):
             for _ in range(5):
                 y = random_polar(rng)[:4]
-                oracle = second_order_average_11(y, p, al=al)
+                oracle = second_order_average(y, p, al=al)
                 field = avg11_rhs(0.0, np.append(y, -math.log(al)), p)[:4]
                 assert np.max(np.abs(oracle - field)) < 1e-8
 

@@ -100,9 +100,45 @@ def test_simulate_numbers_round_trip(small_config, tmp_path):
     main(["simulate", str(small_config), "--out", str(out)])
     rows = (out / "trajectory.csv").read_text().splitlines()[1:]
     parsed = np.array([[float(v) for v in row.split(",")] for row in rows])
-    res = run_scenario(build_scenario(load_config(small_config)))
-    np.testing.assert_array_equal(parsed[:, 0], res.trajectory.times)
-    np.testing.assert_array_equal(parsed[:, 1:5], res.trajectory.states)
+    traj = run_scenario(build_scenario(load_config(small_config)))
+    np.testing.assert_array_equal(parsed[:, 0], traj.times)
+    np.testing.assert_array_equal(parsed[:, 1:5], traj.states)
+
+
+def test_observables_key_is_ignored(small_config, tmp_path):
+    # no command reads [scenario] observables: any value loads and runs the
+    # same trajectory as a config without the key
+    assert main(["simulate", str(small_config), "--out", str(tmp_path / "none")]) == 0
+    reference = (tmp_path / "none" / "trajectory.csv").read_bytes()
+    for k, value in enumerate(("actions,invariants", "momenta")):
+        cfg = tmp_path / f"obs{k}.ini"
+        cfg.write_text(SMALL_CONFIG.replace("[scenario]", f"[scenario]\nobservables = {value}"))
+        out = tmp_path / f"obs{k}"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 0
+        assert (out / "trajectory.csv").read_bytes() == reference, value
+
+
+def _digest_of(argv, out):
+    assert main([*argv, "--out", str(out)]) == 0
+    return json.loads((out / "manifest.json").read_text())["config_digest"]
+
+
+def test_manifest_digest_covers_overrides(small_config, tmp_path):
+    # equal digests must mean equal data: every override enters the digest,
+    # and a run without overrides keeps the digest of its config file
+    plain = config_digest(load_config(small_config))
+    sim = [_digest_of(["simulate", str(small_config), *extra], tmp_path / f"s{k}")
+           for k, extra in enumerate(([], ["--horizon", "3"], ["--horizon", "4"],
+                                      ["--sample-dt", "0.25"], ["--rtol", "1e-8"]))]
+    assert sim[0] == plain and len(set(sim)) == len(sim)
+    cmp = [_digest_of(["compare", str(small_config), *extra], tmp_path / f"c{k}")
+           for k, extra in enumerate(([], ["--eps-list", "0.1"], ["--eps-list", "0.05"],
+                                      ["--window", "0.5"]))]
+    assert cmp[0] == plain and len(set(cmp)) == len(cmp)
+    ens = _ensemble_config(tmp_path, count=2)
+    seeds = [_digest_of(["ensemble", str(ens), *extra], tmp_path / f"e{k}")
+             for k, extra in enumerate(([], ["--seed", "1"], ["--seed", "2"]))]
+    assert seeds[0] == config_digest(load_config(ens)) and len(set(seeds)) == 3
 
 
 def test_simulate_malformed_config(tmp_path):

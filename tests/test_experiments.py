@@ -6,66 +6,67 @@ import pytest
 from symevol.experiments import (EnsembleSpec, ScenarioConfig, _draw_initial,
                                  _histogram_series, compare_full_vs_averaged,
                                  fig_initial_state, fig_params, invariant_drift,
-                                 reproduce_figure, run_ensemble, run_scenario,
-                                 stabilization_time)
+                                 invariant_series, phase_series, reproduce_figure,
+                                 run_ensemble, run_scenario, stabilization_time)
 from symevol.averaged import INVARIANT_NAMES
+from symevol.config import build_scenario
 from symevol.integrate import MAX_GRID_POINTS, IntegrationError, IntegratorConfig, integrate
 from symevol.model import CartesianState, ModelParams, full_rhs
+from symevol.resonance import RESONANCES
+from symevol.transforms import COMBINATION_COEFFS, mode_actions
+
+
+def _scenario(params, initial, horizon, sample_dt=0.25, **settings):
+    grid = IntegratorConfig(t0=initial.t, t_end=initial.t + horizon, sample_dt=sample_dt,
+                            **settings)
+    return ScenarioConfig(params, initial, grid)
 
 
 def test_run_scenario_fig1_initial_actions():
-    sc = ScenarioConfig(params=fig_params(2), initial=fig_initial_state(),
-                        horizon=10.0, observables=("actions", "velocities"),
-                        sample_dt=0.5)
-    res = run_scenario(sc)
-    assert res.observables["E1"][0] == 0.125
-    assert res.observables["E2"][0] == 0.125
-    assert res.observables["v1"][0] == 0.5
+    traj = run_scenario(_scenario(fig_params(2), fig_initial_state(), 10.0, sample_dt=0.5))
+    e1, e2 = mode_actions(traj.states, 2.0)
+    assert e1[0] == 0.125
+    assert e2[0] == 0.125
+    assert traj.states[0, 1] == 0.5
+    assert traj.times[-1] == 10.0 and len(traj) == 21
 
 
 def test_run_scenario_zero_initial_state():
-    sc = ScenarioConfig(params=fig_params(2),
-                        initial=CartesianState(0.0, 0.0, 0.0, 0.0, 0.0),
-                        horizon=5.0, observables=("actions", "velocities"))
-    res = run_scenario(sc)
-    for name in ("E1", "E2", "v1", "v2"):
-        assert np.all(res.observables[name] == 0.0)
+    traj = run_scenario(_scenario(fig_params(2), CartesianState(0.0, 0.0, 0.0, 0.0, 0.0), 5.0))
+    assert np.all(traj.states == 0.0)
 
 
 def test_run_scenario_invariants_and_angles():
-    sc = ScenarioConfig(params=fig_params(2), initial=fig_initial_state(),
-                        horizon=20.0,
-                        observables=("actions", "invariants", "angles"),
-                        sample_dt=0.2)
-    res = run_scenario(sc)
-    assert res.observables["E0_12"][0] == pytest.approx(0.25)
-    assert res.observables["I3_12"][0] == pytest.approx(0.0, abs=1e-15)
-    chi = res.observables["chi"]
+    p = fig_params(2)
+    traj = run_scenario(_scenario(p, fig_initial_state(), 20.0, sample_dt=0.2))
+    assert invariant_series(traj, "E0_12", p)[0] == pytest.approx(0.25)
+    assert invariant_series(traj, "I3_12", p)[0] == pytest.approx(0.0, abs=1e-15)
+    psi1, psi2 = phase_series(traj, p.omega)
+    m1, m2 = COMBINATION_COEFFS[RESONANCES[p.omega].angle]
+    chi = m1 * psi1 + m2 * psi2
     # continuous lift: no 2*pi jumps between samples
     assert np.max(np.abs(np.diff(chi))) < 1.0
 
 
 def test_run_scenario_disables_angles_near_normal_mode():
-    sc = ScenarioConfig(params=fig_params(2),
-                        initial=CartesianState(0.0, 0.5, 0.0, 0.0, 0.0),
-                        horizon=5.0, observables=("actions", "angles"))
-    res = run_scenario(sc)
-    assert "angles_disabled" in res.observables
-    assert "chi" not in res.observables
-    assert "E1" in res.observables
+    # the run itself is fine on a normal mode; only the phases are undefined
+    traj = run_scenario(_scenario(fig_params(2), CartesianState(0.0, 0.5, 0.0, 0.0, 0.0), 5.0))
+    assert np.all(np.isfinite(traj.states))
+    with pytest.raises(ValueError, match="normal mode"):
+        phase_series(traj, 2.0)
 
 
 def test_run_scenario_untabulated_omega_omits_chi_and_invariants():
-    # omega = 1.5 has no resonance table entry: no combination angle and no
-    # invariant may be formed, and each omission carries its reason
+    # omega = 1.5 has no resonance table entry: the phases exist, but no
+    # combination angle and no invariant may be formed
     p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=1.5, epsilon=0.1, n=2)
-    sc = ScenarioConfig(params=p, initial=fig_initial_state(), horizon=5.0,
-                        observables=("angles", "invariants"), sample_dt=0.5)
-    obs = run_scenario(sc).observables
-    assert "psi1" in obs and "psi2" in obs
-    assert "chi" not in obs and "omega = 1.5" in obs["chi_disabled"]
-    assert not set(INVARIANT_NAMES) & set(obs)
-    assert "omega = 1.5" in obs["invariants_disabled"]
+    traj = run_scenario(_scenario(p, fig_initial_state(), 5.0, sample_dt=0.5))
+    psi1, psi2 = phase_series(traj, p.omega)
+    assert psi1.shape == psi2.shape == traj.times.shape
+    assert p.omega not in RESONANCES
+    for name in INVARIANT_NAMES:
+        with pytest.raises(ValueError, match="omega = 1.5"):
+            invariant_series(traj, name, p)
 
 
 def test_averaged_systems_reject_polynomial_decay():
@@ -80,17 +81,25 @@ def test_averaged_systems_reject_polynomial_decay():
 
 
 def test_scenario_config_validation():
-    bad = [{"horizon": -1.0}, {"horizon": math.nan}, {"horizon": math.inf},
-           {"observables": ()}, {"observables": ("momenta",)}, {"rtol": 0.0},
+    # the grid is checked once, by IntegratorConfig
+    bad = [{"t_end": -1.0}, {"t_end": math.nan}, {"t_end": math.inf}, {"rtol": 0.0},
            {"atol": math.nan}, {"sample_dt": -0.1},
-           {"sample_dt": 1.0 / MAX_GRID_POINTS, "horizon": 2.0}]
+           {"sample_dt": 1.0 / MAX_GRID_POINTS, "t_end": 2.0}]
     for settings in bad:
         with pytest.raises(ValueError):
-            ScenarioConfig(**{"params": fig_params(2), "initial": fig_initial_state(),
-                              "horizon": 1.0, **settings})
-    sc = ScenarioConfig(params=fig_params(2), initial=CartesianState(2.0, 0.0, 0.5, 0.0, 0.5),
-                        horizon=3.0, rtol=1e-7, atol=1e-9, sample_dt=0.5)
-    assert sc.integrator == IntegratorConfig(t_end=5.0, sample_dt=0.5, rtol=1e-7, atol=1e-9)
+            IntegratorConfig(**{"t_end": 1.0, "sample_dt": 0.25, **settings})
+    # a config's grid starts at its initial time and runs for the horizon
+    cfg = {"model": {"a1": "1", "a2": "1", "a3": "0.75", "a4": "1.5", "omega": "2",
+                     "epsilon": "0.1"},
+           "initial": {"t0": "2", "q1": "0", "v1": "0.5", "q2": "0", "v2": "0.5"},
+           "scenario": {"horizon": "3"},
+           "integrator": {"rtol": "1e-7", "atol": "1e-9", "sample_dt": "0.5"}}
+    sc = build_scenario(cfg)
+    assert sc.integrator == IntegratorConfig(t0=2.0, t_end=5.0, sample_dt=0.5, rtol=1e-7,
+                                             atol=1e-9)
+    # the grid must start where the initial state is given
+    with pytest.raises(ValueError, match="t0"):
+        ScenarioConfig(sc.params, sc.initial, IntegratorConfig(t_end=5.0, sample_dt=0.5))
 
 
 def test_decay_rates_for_figure_scenarios():
@@ -143,10 +152,8 @@ def test_compare_rejects_bad_inputs():
 
 def test_invariant_drift_conservative_case():
     p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.0, n=2, delta=0.0)
-    sc = ScenarioConfig(params=p, initial=fig_initial_state(), horizon=20.0,
-                        observables=("actions",), sample_dt=0.1)
-    res = run_scenario(sc)
-    reports = invariant_drift(res.trajectory, ("E0_12",), p)
+    traj = run_scenario(_scenario(p, fig_initial_state(), 20.0, sample_dt=0.1))
+    reports = invariant_drift(traj, ("E0_12",), p)
     assert reports[0].max_drift < 1e-8  # integrator + dense-output floor
     assert reports[0].initial == pytest.approx(0.25)
 
@@ -173,9 +180,8 @@ def test_invariant_drift_scales_with_epsilon():
 
 
 def _small_ensemble(count=16, horizon=10.0, samplers=None, seed=7, params=None):
-    sc = ScenarioConfig(params=params or fig_params(2), initial=fig_initial_state(),
-                        horizon=horizon, observables=("actions",),
-                        rtol=1e-8, atol=1e-10, sample_dt=0.5)
+    sc = _scenario(params or fig_params(2), fig_initial_state(), horizon, sample_dt=0.5,
+                   rtol=1e-8, atol=1e-10)
     return EnsembleSpec(scenario=sc, samplers=samplers or {
         "q1": ("fixed", 0.0), "v1": ("normal", 0.5, 0.05),
         "q2": ("fixed", 0.0), "v2": ("uniform", 0.4, 0.6)}, count=count,
@@ -268,9 +274,7 @@ def test_ensemble_symmetric_sampler_keeps_v2_symmetric():
     # symmetric initial distribution keeps v2 symmetric; the sample skewness
     # stays within 3 standard errors, sqrt(6/N)
     p = ModelParams(1.0, 1.0, 0.0, 0.0, omega=2.0, epsilon=0.1, n=2)
-    sc = ScenarioConfig(params=p, initial=fig_initial_state(), horizon=30.0,
-                        observables=("actions",), rtol=1e-8, atol=1e-10,
-                        sample_dt=2.0)
+    sc = _scenario(p, fig_initial_state(), 30.0, sample_dt=2.0, rtol=1e-8, atol=1e-10)
     spec = EnsembleSpec(scenario=sc, samplers={
         "q1": ("normal", 0.0, 0.1), "v1": ("normal", 0.5, 0.1),
         "q2": ("uniform", -0.3, 0.3), "v2": ("uniform", -0.3, 0.3)},
@@ -289,9 +293,7 @@ def test_ensemble_statistics_change_after_decay():
     # early-time vs late-time velocity statistics differ well beyond the
     # Monte Carlo noise once the asymmetric coupling has died away
     p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.1, n=1)
-    sc = ScenarioConfig(params=p, initial=fig_initial_state(), horizon=120.0,
-                        observables=("actions",), rtol=1e-8, atol=1e-10,
-                        sample_dt=1.0)
+    sc = _scenario(p, fig_initial_state(), 120.0, sample_dt=1.0, rtol=1e-8, atol=1e-10)
     spec = EnsembleSpec(scenario=sc, samplers={
         "q1": ("normal", 0.0, 0.05), "v1": ("normal", 0.5, 0.05),
         "q2": ("normal", 0.0, 0.05), "v2": ("normal", 0.5, 0.05)},
@@ -307,9 +309,8 @@ def test_ensemble_statistics_change_after_decay():
 
 def test_ensemble_thousand_particle_smoke():
     # full-size smoke: canonical coefficients, short horizon, no failures
-    sc = ScenarioConfig(params=fig_params(2), initial=fig_initial_state(),
-                        horizon=5.0, observables=("actions",), rtol=1e-7,
-                        atol=1e-9, sample_dt=1.0)
+    sc = _scenario(fig_params(2), fig_initial_state(), 5.0, sample_dt=1.0, rtol=1e-7,
+                   atol=1e-9)
     spec = EnsembleSpec(scenario=sc, samplers={
         "q1": ("normal", 0.0, 0.05), "v1": ("normal", 0.5, 0.05),
         "q2": ("normal", 0.0, 0.05), "v2": ("normal", 0.5, 0.05)},

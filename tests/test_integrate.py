@@ -20,11 +20,17 @@ def harmonic(t, y):
 def test_config_validation():
     bad = [{"sample_dt": -1.0}, {"rtol": 0.0}, {"method": "rk4"}, {"method": "euler"},
            {"t_end": math.nan}, {"t_end": -math.inf}, {"sample_dt": math.inf},
-           {"rtol": math.nan}, {"atol": math.inf}, {"method": "rk4", "step": math.nan}]
+           {"rtol": math.nan}, {"atol": math.inf}, {"method": "rk4", "step": math.nan},
+           {"t0": math.nan}, {"t0": -math.inf}, {"t0": 10.0}, {"t0": 11.0}, {"t_end": -5.0},
+           # over MAX_GRID_POINTS samples, or rk4 steps, counted on construction
+           {"t_end": 1e8, "sample_dt": 1e-3},
+           {"t_end": 1.0, "method": "rk4", "step": 0.5 / MAX_GRID_POINTS}]
     for settings in bad:
         with pytest.raises(ValueError):
             IntegratorConfig(**{"t_end": 10.0, "sample_dt": 0.1, **settings})
-    assert IntegratorConfig(t_end=-5.0, sample_dt=0.1).t_end == -5.0
+    assert IntegratorConfig(t0=-8.0, t_end=-5.0, sample_dt=0.1).t_end == -5.0
+    assert IntegratorConfig(t0=5.0, t_end=5.0 + MAX_GRID_POINTS * 0.5, sample_dt=0.5,
+                            method="rk4", step=0.5).step == 0.5
 
 
 def test_harmonic_oscillator_accuracy():
@@ -51,6 +57,11 @@ def test_sample_grid_exactness():
     cfg2 = IntegratorConfig(t_end=1.1, sample_dt=0.25, rtol=1e-8, atol=1e-10)
     traj2 = integrate(harmonic, y0, cfg2)
     assert traj2.times[-1] == 1.1
+    # the grid starts at the config's t0, and the right-hand side sees those times
+    cfg3 = IntegratorConfig(t0=2.0, t_end=3.0, sample_dt=0.25, rtol=1e-12, atol=1e-14)
+    traj3 = integrate(lambda t, y: np.array([2.0 * t]), np.array([4.0]), cfg3)
+    assert np.array_equal(traj3.times, [2.0, 2.25, 2.5, 2.75, 3.0])
+    np.testing.assert_allclose(traj3.states[:, 0], traj3.times**2, rtol=1e-12)
 
 
 def test_determinism_bit_identical():
