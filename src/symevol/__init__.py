@@ -13,7 +13,7 @@ from .averaged import (avg11_rhs, avg12_first_rhs, avg12_second_rhs, avg13_rhs,
 from .resonance import (classify_11, locate_12_first, locate_12_second, locate_13,
                         verify_stability_numerically)
 from .experiments import (EnsembleSpec, ScenarioConfig, compare_full_vs_averaged,
-                          invariant_drift, reproduce_figure, run_ensemble, run_scenario)
+                          invariant_drift, run_ensemble, run_scenario)
 
 __all__ = [
     "__version__",
@@ -27,5 +27,5 @@ __all__ = [
     "locate_12_first", "locate_12_second", "locate_13", "classify_11",
     "verify_stability_numerically",
     "ScenarioConfig", "EnsembleSpec", "run_scenario", "run_ensemble",
-    "compare_full_vs_averaged", "invariant_drift", "reproduce_figure",
+    "compare_full_vs_averaged", "invariant_drift",
 ]

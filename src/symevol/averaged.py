@@ -185,23 +185,22 @@ def _phase_drifts_13(u, w, p: ModelParams):
             -e2 * ((a1 * a2 / 6.0 + a2 * a2 / 105.0) * u + 23.0 * a2 * a2 * w / 140.0))
 
 
-def _chi3_coeffs(a1, a2, literal_47_140=False):
+def _chi3_coeffs(a1, a2):
     """(c_u, c_w) of the chi3 drift -eps^2*(c_u*r1^2 - c_w*r2^2); exact for
-    integer or Fraction coefficients unless the literal 47/140 is asked for."""
-    exact = _is_exact(a1) and _is_exact(a2) and not literal_47_140
+    integer or Fraction coefficients."""
+    exact = _is_exact(a1) and _is_exact(a2)
     a1, a2 = (Fraction(a1), Fraction(a2)) if exact else (float(a1), float(a2))
     return (5 * a1 * a1 / 2 - a1 * a2 / 6 - a2 * a2 / 105,
-            3 * a1 * a2 + Fraction(47, 140) * (1 if literal_47_140 else a2 * a2))
+            3 * a1 * a2 + Fraction(47, 140) * (a2 * a2))
 
 
-def chi3_rhs(r1, r2, p: ModelParams, literal_47_140: bool = False) -> float:
+def chi3_rhs(r1, r2, p: ModelParams) -> float:
     """Drift of chi3 = 6*psi1 - 2*psi2 at the 1:3 resonance.
 
     The 47/140 coefficient is paired with a2^2 for dimensional consistency
-    with its sibling terms; ``literal_47_140=True`` keeps it as a bare
-    constant for comparison.
+    with its sibling terms.
     """
-    c_u, c_w = _chi3_coeffs(p.a1, p.a2, literal_47_140)
+    c_u, c_w = _chi3_coeffs(p.a1, p.a2)
     return -p.epsilon**2 * (c_u * r1 * r1 - c_w * r2 * r2)
 
 

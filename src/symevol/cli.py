@@ -20,10 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (ConfigError, build_ensemble, build_scenario, config_digest,
-                     load_config, resolve_config_path)
-from .experiments import (EnsembleFailure, compare_full_vs_averaged, fig_params,
-                          reproduce_figure, run_ensemble, run_scenario, stabilization_time)
+from .config import (PRESETS, ConfigError, build_compare, build_ensemble, build_initial,
+                     build_params, build_scenario, config_digest, load_config,
+                     preset_path, resolve_config_path)
+from .experiments import (EnsembleFailure, compare_full_vs_averaged, run_ensemble,
+                          run_scenario, stabilization_time)
 from .integrate import IntegrationError, order_check
 from .model import full_rhs
 from .resonance import SYSTEM_OMEGA, resonance_for
@@ -67,7 +68,11 @@ def _write_manifest(outdir: Path, command: str, digest: str, outputs, seed=None,
 
 
 def _cmd_simulate(args) -> int:
-    cfg = load_config(resolve_config_path(args.config))
+    """``simulate CONFIG``, and ``reproduce-figure --which FIG``: the
+    simulate run of the bundled preset FIG, written as the figure's
+    columns and summary."""
+    figure = args.which
+    cfg = load_config(preset_path(figure) if figure else resolve_config_path(args.config))
     scenario = build_scenario(cfg, vars(args))
     digest = config_digest(cfg, vars(args))
     outdir = Path(args.out)
@@ -75,27 +80,30 @@ def _cmd_simulate(args) -> int:
     start = time.perf_counter()
     traj = run_scenario(scenario)
     e1, e2 = mode_actions(traj.states, scenario.params.omega)
-    csv_path = outdir / "trajectory.csv"
-    _write_csv(csv_path, ["t", "q1", "v1", "q2", "v2", "E1", "E2"],
-               [traj.times, *traj.states.T, e1, e2])
-    _write_manifest(outdir, "simulate", digest, [csv_path.name],
-                    wall_time=time.perf_counter() - start,
-                    extra={"label": scenario.label, "samples": len(traj.times),
-                           "integrator_stats": traj.stats})
+    if figure is None:
+        csv_path = outdir / "trajectory.csv"
+        _write_csv(csv_path, ["t", "q1", "v1", "q2", "v2", "E1", "E2"],
+                   [traj.times, *traj.states.T, e1, e2])
+        _write_manifest(outdir, "simulate", digest, [csv_path.name],
+                        wall_time=time.perf_counter() - start,
+                        extra={"label": scenario.label, "samples": len(traj.times),
+                               "integrator_stats": traj.stats})
+        return EXIT_OK
+    csv_path = outdir / f"{figure}.csv"
+    _write_csv(csv_path, ["t", "v1", "v2", "E1", "E2"],
+               [traj.times, traj.states[:, 1], traj.states[:, 3], e1, e2])
+    stab = stabilization_time(traj.times, e1, e2)
+    summary = {"figure": figure, "E0": float(e1[0] + e2[0]),
+               "stabilization_time": stab if math.isfinite(stab) else "never"}
+    _write_manifest(outdir, "reproduce-figure", digest, [csv_path.name],
+                    wall_time=time.perf_counter() - start, extra=summary)
+    print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
 
 
 def _cmd_compare(args) -> int:
     cfg = load_config(resolve_config_path(args.config))
-    scenario = build_scenario(cfg, vars(args))
-    eps_text = "0.1" if args.eps_list is None else args.eps_list
-    window = 1.0 if args.window is None else args.window
-    try:
-        eps_list = [float(s) for s in eps_text.split(",") if s.strip()]
-    except ValueError:
-        eps_list = []
-    if not eps_list or not all(0 < e <= 1 for e in eps_list):
-        raise ConfigError(f"bad --eps-list {eps_text!r}")
+    scenario, eps_list, window, resonance = build_compare(cfg, vars(args))
     digest = config_digest(cfg, vars(args))
     start = time.perf_counter()
     rows = []
@@ -103,10 +111,10 @@ def _cmd_compare(args) -> int:
         params = scenario.params.replace(epsilon=eps, delta=None)
         try:
             res = compare_full_vs_averaged(params, scenario.initial, L=window,
-                                           resonance=args.resonance,
+                                           resonance=resonance,
                                            rtol=scenario.integrator.rtol,
                                            atol=scenario.integrator.atol)
-        except ValueError as exc:  # omega, --resonance, initial data or window rejected
+        except ValueError as exc:  # omega, resonance, initial data or window rejected
             raise ConfigError(str(exc)) from exc
         rows.append((eps, res.sup_r1, res.sup_r2, res.sup_E1, res.sup_E2))
     outdir = Path(args.out)
@@ -120,7 +128,7 @@ def _cmd_compare(args) -> int:
     else:
         exponent = None
     summary = {"scaling_exponent": exponent if exponent is not None else "n/a",
-               "resonance": args.resonance or "auto", "window_L": window}
+               "resonance": resonance or "auto", "window_L": window}
     summary_path = outdir / "compare_summary.json"
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     _write_manifest(outdir, "compare", digest, [csv_path.name, summary_path.name],
@@ -174,39 +182,13 @@ def _cmd_ensemble(args) -> int:
     return EXIT_OK
 
 
-def _cmd_reproduce_figure(args) -> int:
-    settings = {k: getattr(args, k) for k in ("rtol", "sample_dt", "horizon")
-                if getattr(args, k) is not None}
-    start = time.perf_counter()
-    try:
-        bundle = reproduce_figure(args.which, **settings)
-    except ValueError as exc:  # a setting rejected
-        raise ConfigError(str(exc)) from exc
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    csv_path = outdir / f"{args.which}.csv"
-    _write_csv(csv_path, ["t", "v1", "v2", "E1", "E2"],
-               [bundle.times, bundle.v1, bundle.v2, bundle.E1, bundle.E2])
-    stab = stabilization_time(bundle)
-    summary = {"figure": args.which, "E0": bundle.E0,
-               "stabilization_time": stab if math.isfinite(stab) else "never"}
-    digest = config_digest({"figure": {"which": args.which,
-                                       "horizon": str(bundle.times[-1]),
-                                       "sample_dt": str(bundle.sample_dt),
-                                       "rtol": str(bundle.rtol)}})
-    _write_manifest(outdir, "reproduce-figure", digest, [csv_path.name],
-                    wall_time=time.perf_counter() - start, extra=summary)
-    print(json.dumps(summary, sort_keys=True))
-    return EXIT_OK
-
-
 def _cmd_order_check(args) -> int:
-    params = fig_params(n=2)
-    y0 = np.array([0.0, 0.5, 0.0, 0.5])
+    cfg = load_config(preset_path("fig1"))
+    params, initial = build_params(cfg), build_initial(cfg)
     try:
         steps = [float(s) for s in args.steps.split(",") if s.strip()]
-        est = order_check(lambda t, y: full_rhs(t, y, params), y0, 0.0,
-                          args.horizon, steps)
+        est = order_check(lambda t, y: full_rhs(t, y, params), initial.as_array(),
+                          initial.t, args.horizon, steps)
     except ValueError as exc:  # --steps or --horizon rejected
         raise ConfigError(str(exc)) from exc
     out = {"order": est.order, "saturated": est.saturated,
@@ -236,10 +218,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="integrate a scenario config; writes "
                                         "trajectory.csv (t,q1,v1,q2,v2,E1,E2) + manifest")
-    p.add_argument("config", help="config file or preset name (fig1, fig2)")
+    p.add_argument("config", help=f"config file or preset name ({', '.join(PRESETS)})")
     p.add_argument("--out", required=True)
     add_settings(p, "rtol", "atol", "sample_dt", "horizon")
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate, which=None)
 
     p = sub.add_parser("compare", help="full vs averaged error table over an epsilon "
                                        "ladder from initial data off the normal modes; "
@@ -248,12 +230,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     systems = ", ".join(f"{name} at omega {w:g}" for name, w in SYSTEM_OMEGA.items())
     p.add_argument("--resonance", choices=tuple(SYSTEM_OMEGA), default=None,
-                   help=f"averaged system of the config's omega ({systems}); "
-                        "default: the first one listed for that omega")
+                   help=f"averaged system of the config's omega ({systems}); replaces "
+                        "[compare] resonance; default: the first one listed for that omega")
     p.add_argument("--eps-list", dest="eps_list", default=None,
-                   help="comma-separated epsilons in (0, 1] (default 0.1)")
+                   help="comma-separated epsilons in (0, 1]; replaces [compare] "
+                        "eps_list (default 0.1)")
     p.add_argument("--window", type=float, default=None,
-                   help="compare over [0, window/epsilon] (default 1)")
+                   help="compare over [0, window/epsilon]; replaces [compare] "
+                        "window (default 1)")
     add_settings(p, "rtol", "atol")
     p.set_defaults(func=_cmd_compare)
 
@@ -275,15 +259,15 @@ def _build_parser() -> argparse.ArgumentParser:
     add_settings(p, "rtol", "atol", "sample_dt", "horizon")
     p.set_defaults(func=_cmd_ensemble)
 
-    p = sub.add_parser("reproduce-figure", help="emit the captioned scenario "
-                                                "series (t,v1,v2,E1,E2)")
-    p.add_argument("--which", choices=("fig1", "fig2"), required=True)
+    p = sub.add_parser("reproduce-figure", help="simulate a bundled preset and write "
+                                                "its figure series (t,v1,v2,E1,E2)")
+    p.add_argument("--which", choices=PRESETS, required=True)
     p.add_argument("--out", required=True)
     add_settings(p, "rtol", "sample_dt", "horizon")
-    p.set_defaults(func=_cmd_reproduce_figure)
+    p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("order-check", help="measure the fixed-step RK4 order "
-                                           "on the canonical scenario")
+                                           "on the fig1 preset's model and initial state")
     p.add_argument("--steps", default="0.2,0.1,0.05,0.025")
     p.add_argument("--horizon", type=float, default=10.0)
     p.set_defaults(func=_cmd_order_check)

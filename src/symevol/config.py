@@ -1,7 +1,7 @@
 """Flat INI-style run configuration: parsing, validation and digesting.
 
 A config has one section per concern ([model], [initial], [integrator],
-[scenario], [ensemble]); values are plain typed scalars. The manifest
+[scenario], [ensemble], [compare]); values are plain typed scalars. The manifest
 digest is the SHA-256 of the canonicalized text (sections and keys sorted,
 whitespace normalized), so semantically identical configs hash identically.
 """
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -17,15 +18,22 @@ from .experiments import EnsembleSpec, ScenarioConfig
 from .integrate import IntegratorConfig
 from .model import CartesianState, ModelParams
 
-__all__ = ["ConfigError", "load_config", "resolve_config_path", "canonical_text",
-           "config_digest", "build_params", "build_initial", "build_scenario",
-           "build_ensemble"]
+__all__ = ["ConfigError", "PRESETS", "preset_path", "load_config", "resolve_config_path",
+           "canonical_text", "config_digest", "build_params", "build_initial",
+           "build_scenario", "build_ensemble", "build_compare"]
 
 PRESETS = ("fig1", "fig2")
 
 
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
+
+
+def preset_path(name: str) -> Path:
+    """Path of the bundled preset ``name`` (fig1, fig2)."""
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; known: {', '.join(PRESETS)}")
+    return Path(str(resources.files("symevol").joinpath(f"presets/{name}.ini")))
 
 
 def resolve_config_path(name_or_path: str) -> Path:
@@ -35,7 +43,7 @@ def resolve_config_path(name_or_path: str) -> Path:
     if p.is_file():
         return p
     if name_or_path in PRESETS:
-        return Path(str(resources.files("symevol").joinpath(f"presets/{name_or_path}.ini")))
+        return preset_path(name_or_path)
     raise ConfigError(f"config file not found: {name_or_path}")
 
 
@@ -78,11 +86,14 @@ def config_digest(cfg: dict, overrides: dict | None = None) -> str:
     return hashlib.sha256(canonical_text(merged).encode("utf-8")).hexdigest()
 
 
-def _get(cfg: dict, section: str, key: str, cast, default=None, override=None):
+_REQUIRED = object()
+
+
+def _get(cfg: dict, section: str, key: str, cast, default=_REQUIRED, override=None):
     try:
         raw = cfg[section][key] if override is None else override
     except KeyError:
-        if default is not None:
+        if default is not _REQUIRED:
             return default
         raise ConfigError(f"missing required key [{section}] {key}") from None
     try:
@@ -144,18 +155,35 @@ def build_scenario(cfg: dict, overrides: dict | None = None) -> ScenarioConfig:
 
 def _parse_sampler(raw: str):
     parts = raw.split()
-    kind = parts[0].lower()
+    kind = parts[0].lower() if parts else ""
+    arity = {"fixed": 1, "uniform": 2, "normal": 2}.get(kind)
     try:
-        if kind == "fixed" and len(parts) == 2:
-            return ("fixed", float(parts[1]))
-        if kind == "uniform" and len(parts) == 3:
-            return ("uniform", float(parts[1]), float(parts[2]))
-        if kind == "normal" and len(parts) == 3:
-            return ("normal", float(parts[1]), float(parts[2]))
+        values = [float(x) for x in parts[1:]]
     except ValueError:
-        pass
-    raise ConfigError(f"bad sampler spec {raw!r} (want 'fixed V' | 'uniform LO HI' "
-                      "| 'normal MEAN SIGMA')")
+        values = []
+    if (len(values) != arity or not all(map(math.isfinite, values))
+            or (kind == "normal" and values[1] < 0.0)):
+        raise ConfigError(f"bad sampler spec {raw!r} (want 'fixed V' | 'uniform LO HI' "
+                          "| 'normal MEAN SIGMA' with finite numbers and SIGMA >= 0)")
+    return (kind, *values)
+
+
+def _eps_list(text: str) -> list[float]:
+    eps = [float(s) for s in text.split(",") if s.strip()]
+    if not eps or not all(0 < e <= 1 for e in eps):
+        raise ValueError(text)
+    return eps
+
+
+def build_compare(cfg: dict, overrides: dict | None = None):
+    """The run of ``compare``: its scenario, the epsilon ladder (default
+    0.1), the window L of [0, L/epsilon] (default 1) and the averaged system
+    (default None: the first one of the scenario's omega)."""
+    overrides = overrides or {}
+    return (build_scenario(cfg, overrides),
+            _get(cfg, "compare", "eps_list", _eps_list, [0.1], overrides.get("eps_list")),
+            _get(cfg, "compare", "window", float, 1.0, overrides.get("window")),
+            _get(cfg, "compare", "resonance", str, None, overrides.get("resonance")))
 
 
 def build_ensemble(cfg: dict, overrides: dict | None = None) -> EnsembleSpec:

@@ -1,5 +1,5 @@
-"""Scenario drivers: full-vs-averaged comparison, invariant drift, figure
-reproduction and ensemble statistics.
+"""Scenario drivers: full-vs-averaged comparison, invariant drift, ensemble
+statistics and the stabilization time of a figure run.
 
 All drivers are deterministic: ensembles draw initial conditions from a
 counter-based generator keyed by (seed, particle index) and integrate them
@@ -27,9 +27,6 @@ __all__ = [
     "EnsembleFailure",
     "InvariantReport",
     "ComparisonResult",
-    "FigureBundle",
-    "fig_params",
-    "fig_initial_state",
     "run_scenario",
     "polar_amplitude_series",
     "phase_series",
@@ -37,7 +34,6 @@ __all__ = [
     "invariant_drift",
     "compare_full_vs_averaged",
     "run_ensemble",
-    "reproduce_figure",
     "stabilization_time",
 ]
 
@@ -55,18 +51,6 @@ class ScenarioConfig:
         if self.integrator.t0 != self.initial.t:
             raise ValueError(f"the grid starts at t0 = {self.integrator.t0!r}, "
                              f"the initial state at t = {self.initial.t!r}")
-
-
-def fig_params(n: int, epsilon: float = 0.1) -> ModelParams:
-    """Canonical 1:2 scenario coefficients (a = 1, 1, 0.75, 1.5) at decay
-    exponent n."""
-    return ModelParams(a1=1.0, a2=1.0, a3=0.75, a4=1.5, omega=2.0,
-                       epsilon=epsilon, n=n)
-
-
-def fig_initial_state() -> CartesianState:
-    """Canonical initial data: at the origin with velocities (0.5, 0.5)."""
-    return CartesianState(t=0.0, q1=0.0, v1=0.5, q2=0.0, v2=0.5)
 
 
 def polar_amplitude_series(traj: Trajectory, omega: float):
@@ -168,6 +152,9 @@ def compare_full_vs_averaged(params: ModelParams, initial: CartesianState,
     """
     entry = resonance_for(params.omega)
     resonance = resonance or entry.default_system
+    if resonance not in SYSTEM_OMEGA:
+        raise ValueError(f"unknown averaged system {resonance!r}; "
+                         f"known: {', '.join(SYSTEM_OMEGA)}")
     if resonance not in entry.systems:
         raise ValueError(f"resonance {resonance!r} needs omega = {SYSTEM_OMEGA[resonance]:g}")
     avg_rhs = entry.systems[resonance]
@@ -359,59 +346,18 @@ def _histogram_series(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Figure scenarios
+# Figure runs
 # --------------------------------------------------------------------------
 
-FIGURE_HORIZONS = {"fig1": 1000.0, "fig2": 8000.0}
-
-
-@dataclass
-class FigureBundle:
-    """Plot-ready time series for one captioned scenario."""
-
-    label: str
-    params: ModelParams
-    sample_dt: float
-    rtol: float
-    times: np.ndarray
-    v1: np.ndarray
-    v2: np.ndarray
-    E1: np.ndarray
-    E2: np.ndarray
-
-    @property
-    def E0(self) -> float:
-        return float(self.E1[0] + self.E2[0])
-
-
-def reproduce_figure(which: str, horizon: float | None = None,
-                     sample_dt: float = 0.25, rtol: float = 1e-10) -> FigureBundle:
-    """Recompute the captioned scenario time series on a uniform grid.
-
-    fig1 uses decay exponent n = 2, fig2 uses n = 3 (slower decay, longer
-    stabilization); both start from the canonical initial state.
-    """
-    if which not in FIGURE_HORIZONS:
-        raise ValueError(f"unknown figure {which!r}; know {tuple(FIGURE_HORIZONS)}")
-    n = 2 if which == "fig1" else 3
-    params = fig_params(n)
-    grid = IntegratorConfig(t_end=FIGURE_HORIZONS[which] if horizon is None else horizon,
-                            sample_dt=sample_dt, rtol=rtol)
-    traj = run_scenario(ScenarioConfig(params, fig_initial_state(), grid, label=which))
-    e1, e2 = mode_actions(traj.states, params.omega)
-    return FigureBundle(label=which, params=params, sample_dt=sample_dt, rtol=rtol,
-                        times=traj.times, v1=traj.states[:, 1], v2=traj.states[:, 3],
-                        E1=e1, E2=e2)
-
-
-def stabilization_time(bundle: FigureBundle, fraction: float = 0.10) -> float:
+def stabilization_time(times: np.ndarray, E1: np.ndarray, E2: np.ndarray,
+                       fraction: float = 0.10) -> float:
     """First time after which both actions stay within fraction*E0 of their
-    remaining range; inf if the run never settles."""
+    remaining range, E0 = E1[0] + E2[0]; inf if the run never settles."""
     spreads = []
-    for series in (bundle.E1, bundle.E2):
+    for series in (E1, E2):
         suffix_max = np.maximum.accumulate(series[::-1])[::-1]
         suffix_min = np.minimum.accumulate(series[::-1])[::-1]
         spreads.append(suffix_max - suffix_min)
     both = np.maximum(spreads[0], spreads[1])
-    idx = np.nonzero(both < fraction * bundle.E0)[0]
-    return float(bundle.times[idx[0]]) if len(idx) else math.inf
+    idx = np.nonzero(both < fraction * float(E1[0] + E2[0]))[0]
+    return float(times[idx[0]]) if len(idx) else math.inf

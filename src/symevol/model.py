@@ -80,6 +80,9 @@ class ModelParams:
     delta: float | None = None
 
     def __post_init__(self):
+        for name in ("a1", "a2", "a3", "a4", "omega"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
         if self.omega <= 0.0:
@@ -90,8 +93,8 @@ class ModelParams:
             raise ValueError(f"unknown alpha kind {self.alpha_kind!r}")
         if self.delta is None:
             object.__setattr__(self, "delta", float(self.epsilon) ** int(self.n))
-        elif self.delta < 0.0:
-            raise ValueError(f"delta must be >= 0, got {self.delta}")
+        elif not 0.0 <= self.delta < math.inf:
+            raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
 
     def alpha(self, tau):
         """Evaluate the decay factor of these parameters at slow time tau."""

@@ -117,14 +117,14 @@ def locate_12_second(a1, a2) -> ResonanceManifold:
                              angle_stability=stability)
 
 
-def locate_13(a1, a2, literal_47_140=False) -> ResonanceManifold:
+def locate_13(a1, a2) -> ResonanceManifold:
     """1:3 manifold from the zero of the chi3 drift, chi3 in {0, pi}.
 
     The drift is -(c_u*r1^2 - c_w*r2^2); a positive ratio needs both
     coefficients non-zero with equal sign. Width O(eps^2), interaction
     time 1/eps^4.
     """
-    c_u, c_w = _chi3_coeffs(a1, a2, literal_47_140)
+    c_u, c_w = _chi3_coeffs(a1, a2)
     if c_u == 0 and c_w == 0:
         return ResonanceManifold("1:3", False, None, (0.0, math.pi), 2, 4, degenerate=True)
     if c_u != 0 and c_w != 0 and (c_u > 0) == (c_w > 0):

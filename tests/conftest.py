@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from symevol.model import ModelParams
+from symevol.model import CartesianState, ModelParams
 
 
 @pytest.fixture
@@ -24,3 +24,15 @@ def random_polar(rng, tau_max=2.0):
         rng.uniform(-3.0, 3.0),
         rng.uniform(0.0, tau_max),
     ])
+
+
+def fig_params(n: int, epsilon: float = 0.1) -> ModelParams:
+    """The presets' canonical 1:2 coefficients (a = 1, 1, 0.75, 1.5) at
+    decay exponent n."""
+    return ModelParams(a1=1.0, a2=1.0, a3=0.75, a4=1.5, omega=2.0,
+                       epsilon=epsilon, n=n)
+
+
+def fig_initial_state() -> CartesianState:
+    """The presets' initial data: at the origin with velocities (0.5, 0.5)."""
+    return CartesianState(t=0.0, q1=0.0, v1=0.5, q2=0.0, v2=0.5)

@@ -11,11 +11,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import fig_initial_state, fig_params
 from symevol.averaged import average_slow_field, avg11_rhs, avg12_first_rhs
 from symevol.cli import main as cli_main
-from symevol.experiments import (fig_initial_state, fig_params,
-                                 invariant_series, polar_amplitude_series,
-                                 reproduce_figure, stabilization_time)
+from symevol.config import build_scenario, load_config, preset_path
+from symevol.experiments import (invariant_series, polar_amplitude_series, run_scenario,
+                                 stabilization_time)
 from symevol.integrate import IntegratorConfig, integrate, order_check
 from symevol.model import (CartesianState, ModelParams,
                            cartesian_to_dissipative, dissipative_rhs,
@@ -23,6 +24,7 @@ from symevol.model import (CartesianState, ModelParams,
                            intermediate_rhs)
 from symevol.resonance import (classify_11, locate_12_second, locate_13,
                                verify_stability_numerically)
+from symevol.transforms import mode_actions
 
 EPS_LADDER = (0.1, 0.05, 0.025)
 
@@ -188,19 +190,27 @@ def test_criterion_08_classification_consistency():
             f"{checked} verdicts, contradictions: {contradictions or 'none'}")
 
 
+def _figure_run(name):
+    """(times, E1, E2) of the bundled preset's run, as reproduce-figure makes it."""
+    sc = build_scenario(load_config(preset_path(name)))
+    traj = run_scenario(sc)
+    return (traj.times, *mode_actions(traj.states, sc.params.omega))
+
+
 def test_criterion_09_figure_reproduction():
-    fig1 = reproduce_figure("fig1")
-    fig2 = reproduce_figure("fig2")
-    e0 = fig1.E0
-    ok = fig1.E1[0] == 0.125 and fig1.E2[0] == 0.125
-    n = len(fig1.times)
+    fig1 = _figure_run("fig1")
+    fig2 = _figure_run("fig2")
+    times, E1, E2 = fig1
+    e0 = float(E1[0] + E2[0])
+    ok = E1[0] == 0.125 and E2[0] == 0.125
+    n = len(times)
     w = slice(3 * n // 4, None)
-    var1 = float(fig1.E1[w].max() - fig1.E1[w].min())
-    var2 = float(fig1.E2[w].max() - fig1.E2[w].min())
-    sep = float(np.mean(np.abs(fig1.E1[w] - fig1.E2[w])))
+    var1 = float(E1[w].max() - E1[w].min())
+    var2 = float(E2[w].max() - E2[w].min())
+    sep = float(np.mean(np.abs(E1[w] - E2[w])))
     ok = ok and var1 < 0.10 * e0 and var2 < 0.10 * e0 and sep > 0.05 * e0
-    t1 = stabilization_time(fig1)
-    t2 = stabilization_time(fig2)
+    t1 = stabilization_time(*fig1)
+    t2 = stabilization_time(*fig2)
     ok = ok and t2 > t1
     _report(9, ok,
             f"fig1 E(0)=(0.125, 0.125); final-window action spreads "

@@ -206,12 +206,6 @@ def test_avg13_phase_values(p13):
 def test_chi3_root_and_readings():
     p = ModelParams(1.0, 1.0, 0.0, 0.0, omega=3.0, epsilon=0.1, n=2)
     assert abs(chi3_rhs(math.sqrt(1401.0), math.sqrt(976.0), p)) < 1e-11
-    p2 = ModelParams(1.0, 2.0, 0.0, 0.0, omega=3.0, epsilon=0.1, n=2)
-    delta = (chi3_rhs(1.0, 1.0, p2, literal_47_140=True)
-             - chi3_rhs(1.0, 1.0, p2))
-    # literal reading keeps a bare 47/140 where the consistent one has
-    # (47/140)*a2^2; at a2 = 2, r1 = r2 = 1 they differ by -3*(47/140)*eps^2
-    assert delta == pytest.approx(-3.0 * (47.0 / 140.0) * p2.epsilon**2, rel=1e-12)
     pz = ModelParams(0.0, 0.0, 0.0, 0.0, omega=3.0, epsilon=0.1, n=2)
     assert chi3_rhs(0.5, 0.5, pz) == 0.0
     # a1 = 0: the r1^2 coefficient has fixed sign, no positive-amplitude zero

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from symevol.cli import _write_csv, main
 from symevol.config import (ConfigError, canonical_text, config_digest,
-                            load_config, resolve_config_path)
+                            load_config, preset_path, resolve_config_path)
 
 SMALL_CONFIG = """\
 [model]
@@ -289,6 +289,40 @@ def test_compare_rejects_unsupported_omega(small_config, tmp_path, capsys):
         assert not (tmp_path / f"x{k}").exists()
 
 
+def test_compare_reads_settings_from_config(small_config, tmp_path):
+    # [compare] eps_list, window and resonance are run settings like any other:
+    # a key in the config and the same value as a flag make one run, one digest
+    keyed = tmp_path / "keyed.ini"
+    keyed.write_text(SMALL_CONFIG + "\n[compare]\neps_list = 0.05\nwindow = 0.5\n"
+                                    "resonance = 12-second\n")
+    runs = {
+        "keyed": ["compare", str(keyed)],
+        "flags": ["compare", str(small_config), "--eps-list", "0.05", "--window", "0.5",
+                  "--resonance", "12-second"],
+        "flag_wins": ["compare", str(keyed), "--eps-list", "0.1", "--window", "1",
+                      "--resonance", "12-first"],
+        "defaults": ["compare", str(small_config)],
+    }
+    digests = {name: _digest_of(argv, tmp_path / name) for name, argv in runs.items()}
+    data = {name: (tmp_path / name / "compare.csv").read_bytes() for name in runs}
+    assert data["keyed"] == data["flags"] and digests["keyed"] == digests["flags"]
+    assert data["flag_wins"] == data["defaults"] != data["keyed"]
+    assert data["keyed"].splitlines()[1].startswith(b"0.050000000000000003,")
+    summary = json.loads((tmp_path / "keyed" / "compare_summary.json").read_text())
+    assert summary["resonance"] == "12-second" and summary["window_L"] == 0.5
+
+
+@pytest.mark.parametrize("key", ["eps_list = abc", "eps_list = 0", "window = wide",
+                                 "resonance = bogus", "resonance = 13"])
+def test_compare_bad_config_setting_exit_2(tmp_path, key):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(SMALL_CONFIG + f"\n[compare]\n{key}\n")
+    out = tmp_path / "out"
+    code, lines = _run_cli(["compare", str(cfg), "--out", str(out)])
+    assert code == 2 and len(lines) == 1 and lines[0].startswith("config error: "), lines
+    assert not out.exists()
+
+
 def test_compare_runs_through_normal_mode(tmp_path):
     # at omega 1, 1e-6 from the q1 normal mode and with loose tolerances, where
     # the polar chart is singular: the regular chart runs the averaged system
@@ -420,6 +454,28 @@ def test_ensemble_workers_byte_identical(tmp_path):
     assert manifests[0]["integrator_stats"] == manifests[1]["integrator_stats"]
 
 
+@pytest.mark.parametrize("sampler", ["normal 0.5 -1", "uniform 0.4 inf", "fixed nan",
+                                     "normal 0.5 nan", "uniform -inf 0.6", "fixed", ""])
+def test_ensemble_bad_sampler_exit_2(tmp_path, sampler):
+    cfg = _ensemble_config(tmp_path)
+    cfg.write_text(cfg.read_text().replace("v1 = normal 0.5 0.05", f"v1 = {sampler}"))
+    out = tmp_path / "out"
+    code, lines = _run_cli(["ensemble", str(cfg), "--out", str(out)])
+    assert code == 2 and len(lines) == 1 and lines[0].startswith("config error: bad sampler")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit", [("a1 = 1", "a1 = nan"), ("a4 = 1.5", "a4 = inf"),
+                                  ("omega = 2", "omega = nan"), ("omega = 2", "omega = inf")])
+def test_non_finite_model_coefficient_exit_2(tmp_path, edit):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(SMALL_CONFIG.replace(*edit))
+    out = tmp_path / "out"
+    code, lines = _run_cli(["simulate", str(cfg), "--out", str(out)])
+    assert code == 2 and len(lines) == 1 and "must be finite" in lines[0], lines
+    assert not out.exists()
+
+
 def test_reproduce_figure_cli(tmp_path):
     out = tmp_path / "fig"
     assert main(["reproduce-figure", "--which", "fig1", "--out", str(out),
@@ -437,6 +493,38 @@ def test_reproduce_figure_digest_covers_rtol(tmp_path):
                      "--out", str(out), *rtol]) == 0
         digests.append(json.loads((out / "manifest.json").read_text())["config_digest"])
     assert digests[0] == digests[1] != digests[2]  # 1e-10 is the default
+
+
+@pytest.mark.parametrize("which, flags", [
+    ("fig1", ["--horizon", "20"]),
+    ("fig2", ["--horizon", "30", "--sample-dt", "0.1", "--rtol", "1e-9"]),
+])
+def test_reproduce_figure_is_simulate_of_preset(tmp_path, which, flags):
+    # reproduce-figure is the simulate run of the bundled preset: its CSV is
+    # the t,v1,v2,E1,E2 columns of simulate's, byte for byte, under one digest
+    fig, sim = tmp_path / "fig", tmp_path / "sim"
+    fig_digest = _digest_of(["reproduce-figure", "--which", which, *flags], fig)
+    sim_digest = _digest_of(["simulate", which, *flags], sim)
+    columns = (0, 2, 4, 5, 6)
+    lines = (sim / "trajectory.csv").read_bytes().split(b"\r\n")
+    cut = b"\r\n".join(b",".join(line.split(b",")[k] for k in columns) if line else line
+                        for line in lines)
+    assert (fig / f"{which}.csv").read_bytes() == cut
+    assert fig_digest == sim_digest
+
+
+def test_reproduce_figure_reads_bundled_preset_not_working_directory(tmp_path, monkeypatch):
+    # a file named like the figure in the working directory is a config for
+    # simulate, but --which names the bundled figure
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fig1").write_text(SMALL_CONFIG)
+    flags = ["--horizon", "2"]
+    fig_digest = _digest_of(["reproduce-figure", "--which", "fig1", *flags], tmp_path / "fig")
+    preset = config_digest(load_config(preset_path("fig1")), {"horizon": 2.0})
+    assert fig_digest == preset
+    assert _digest_of(["simulate", "fig1", *flags], tmp_path / "sim") != preset
+    rows = (tmp_path / "fig" / "fig1.csv").read_text().splitlines()
+    assert rows[1].startswith("0,0.5,0.5,") and len(rows) == 10  # preset sample_dt 0.25
 
 
 def test_simulate_span_below_step_floor(tmp_path):

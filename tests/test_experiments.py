@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from conftest import fig_initial_state, fig_params
 from symevol.experiments import (EnsembleSpec, ScenarioConfig, _draw_initial,
                                  _histogram_series, compare_full_vs_averaged,
-                                 fig_initial_state, fig_params, invariant_drift,
-                                 invariant_series, phase_series, reproduce_figure,
+                                 invariant_drift, invariant_series, phase_series,
                                  run_ensemble, run_scenario, stabilization_time)
 from symevol.averaged import INVARIANT_NAMES
-from symevol.config import build_scenario
+from symevol.config import ConfigError, build_scenario, load_config, preset_path
 from symevol.integrate import MAX_GRID_POINTS, IntegrationError, IntegratorConfig, integrate
 from symevol.model import CartesianState, ModelParams, full_rhs
 from symevol.resonance import RESONANCES
@@ -320,16 +320,33 @@ def test_ensemble_thousand_particle_smoke():
     assert len(rep.failures) == 0
 
 
+def _preset_run(name, **overrides):
+    sc = build_scenario(load_config(preset_path(name)), overrides)
+    traj = run_scenario(sc)
+    return sc, traj, *mode_actions(traj.states, sc.params.omega)
+
+
 def test_reproduce_figure_bundles():
-    b = reproduce_figure("fig1", horizon=40.0, sample_dt=0.5, rtol=1e-9)
-    assert b.E1[0] == 0.125 and b.E2[0] == 0.125
-    assert b.E0 == 0.25
-    assert len(b.times) == len(b.v1) == len(b.E2)
-    with pytest.raises(ValueError):
-        reproduce_figure("fig9")
+    # the figure scenarios are the presets: fig1 decays at n = 2, fig2 at n = 3
+    sc1, traj, e1, e2 = _preset_run("fig1", horizon=40.0, sample_dt=0.5, rtol=1e-9)
+    assert e1[0] == 0.125 and e2[0] == 0.125
+    assert e1[0] + e2[0] == 0.25
+    assert len(traj.times) == len(e1) == len(e2) == 81
+    sc2 = build_scenario(load_config(preset_path("fig2")))
+    assert (sc1.params.n, sc2.params.n) == (2, 3)
+    assert sc1.params.replace(n=3, delta=None) == sc2.params and sc1.initial == sc2.initial
+    assert (sc1.integrator.t_end, sc2.integrator.t_end) == (40.0, 8000.0)
+    with pytest.raises(ConfigError):
+        preset_path("fig9")
 
 
 def test_stabilization_time_monotone_series():
-    b = reproduce_figure("fig1", horizon=40.0, sample_dt=0.5, rtol=1e-9)
-    t = stabilization_time(b, fraction=10.0)  # absurdly loose: settles at once
-    assert t == b.times[0]
+    _, traj, e1, e2 = _preset_run("fig1", horizon=40.0, sample_dt=0.5, rtol=1e-9)
+    t = stabilization_time(traj.times, e1, e2, fraction=10.0)  # absurdly loose: settles at once
+    assert t == traj.times[0]
+    assert stabilization_time(traj.times, e1, e2, fraction=0.0) == math.inf
+
+
+def test_compare_unknown_system_names_known_ones():
+    with pytest.raises(ValueError, match="unknown averaged system 'bogus'; known: .*12-second"):
+        compare_full_vs_averaged(fig_params(2), fig_initial_state(), resonance="bogus")

@@ -38,6 +38,12 @@ def test_params_validation():
         ModelParams(1, 1, 1, 1, omega=2.0, epsilon=0.1, n=0)
     with pytest.raises(ValueError):
         ModelParams(1, 1, 1, 1, omega=2.0, epsilon=0.1, alpha_kind="linear")
+    for bad in ({"a1": math.nan}, {"a2": math.inf}, {"a3": -math.inf}, {"a4": math.inf},
+                {"omega": math.nan}, {"omega": math.inf}, {"delta": math.nan},
+                {"delta": math.inf}):
+        with pytest.raises(ValueError, match="finite"):
+            ModelParams(**{"a1": 1, "a2": 1, "a3": 1, "a4": 1, "omega": 2.0,
+                           "epsilon": 0.1, **bad})
     p = ModelParams(1, 1, 1, 1, omega=2.0, epsilon=0.1, n=3)
     assert p.delta == pytest.approx(1e-3)
     frozen = ModelParams(1, 1, 1, 1, omega=2.0, epsilon=0.1, delta=0.0)

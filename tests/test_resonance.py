@@ -98,8 +98,6 @@ def test_locate_13_none_cases():
     assert not locate_13(0, 1).exists
     deg = locate_13(0, 0)
     assert not deg.exists and deg.degenerate
-    lit = locate_13(0, 0, literal_47_140=True)
-    assert not lit.exists and not lit.degenerate
 
 
 def test_classify_11_parameter_zero():
