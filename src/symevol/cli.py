@@ -50,6 +50,15 @@ def _write_csv(path: Path, header, columns):
             fh.write("".join([row % tuple(r) for r in chunk.tolist()]))
 
 
+def _make_outdir(path: str) -> Path:
+    """Create the output directory and its parents, or raise ConfigError."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from exc
+    return Path(path)
+
+
 def _write_manifest(outdir: Path, command: str, digest: str, outputs, seed=None,
                     wall_time=0.0, extra=None):
     manifest = {
@@ -75,8 +84,7 @@ def _cmd_simulate(args) -> int:
     cfg = load_config(preset_path(figure) if figure else resolve_config_path(args.config))
     scenario = build_scenario(cfg, vars(args))
     digest = config_digest(cfg, vars(args))
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _make_outdir(args.out)
     start = time.perf_counter()
     traj = run_scenario(scenario)
     e1, e2 = mode_actions(traj.states, scenario.params.omega)
@@ -103,22 +111,18 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_compare(args) -> int:
     cfg = load_config(resolve_config_path(args.config))
-    scenario, eps_list, window, resonance = build_compare(cfg, vars(args))
+    params, initial, eps_list, settings = build_compare(cfg, vars(args))
     digest = config_digest(cfg, vars(args))
     start = time.perf_counter()
     rows = []
     for eps in eps_list:
-        params = scenario.params.replace(epsilon=eps, delta=None)
         try:
-            res = compare_full_vs_averaged(params, scenario.initial, L=window,
-                                           resonance=resonance,
-                                           rtol=scenario.integrator.rtol,
-                                           atol=scenario.integrator.atol)
-        except ValueError as exc:  # omega, resonance, initial data or window rejected
+            res = compare_full_vs_averaged(params.replace(epsilon=eps, delta=None), initial,
+                                           **settings)
+        except ValueError as exc:  # omega, resonance, initial data, window or tolerance rejected
             raise ConfigError(str(exc)) from exc
         rows.append((eps, res.sup_r1, res.sup_r2, res.sup_E1, res.sup_E2))
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _make_outdir(args.out)
     csv_path = outdir / "compare.csv"
     _write_csv(csv_path, ["epsilon", "sup_r1", "sup_r2", "sup_E1", "sup_E2"],
                list(zip(*rows)))
@@ -128,7 +132,7 @@ def _cmd_compare(args) -> int:
     else:
         exponent = None
     summary = {"scaling_exponent": exponent if exponent is not None else "n/a",
-               "resonance": resonance or "auto", "window_L": window}
+               "resonance": settings["resonance"] or "auto", "window_L": settings["L"]}
     summary_path = outdir / "compare_summary.json"
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     _write_manifest(outdir, "compare", digest, [csv_path.name, summary_path.name],
@@ -154,8 +158,7 @@ def _cmd_ensemble(args) -> int:
     cfg = load_config(resolve_config_path(args.config))
     spec = build_ensemble(cfg, vars(args))
     digest = config_digest(cfg, vars(args))
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _make_outdir(args.out)
     start = time.perf_counter()
     report = run_ensemble(spec)
     moments_path = outdir / "moments.csv"

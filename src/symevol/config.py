@@ -131,11 +131,17 @@ def build_initial(cfg: dict) -> CartesianState:
         raise ConfigError(str(exc)) from exc
 
 
+def _tolerances(cfg: dict, overrides: dict) -> dict:
+    """rtol and atol of the config's integrator, which must be rk45."""
+    if _get(cfg, "integrator", "method", str, default="rk45") != "rk45":
+        raise ConfigError("[integrator] method must be rk45, the only method that runs")
+    return {"rtol": _get(cfg, "integrator", "rtol", float, 1e-10, overrides.get("rtol")),
+            "atol": _get(cfg, "integrator", "atol", float, 1e-12, overrides.get("atol"))}
+
+
 def build_scenario(cfg: dict, overrides: dict | None = None) -> ScenarioConfig:
     """The run a config describes; an override that is not None wins."""
     overrides = overrides or {}
-    if _get(cfg, "integrator", "method", str, default="rk45") != "rk45":
-        raise ConfigError("[integrator] method must be rk45, the only method that runs")
     params = build_params(cfg)
     initial = build_initial(cfg)
     horizon = _get(cfg, "scenario", "horizon", float, override=overrides.get("horizon"))
@@ -143,8 +149,7 @@ def build_scenario(cfg: dict, overrides: dict | None = None) -> ScenarioConfig:
         grid = IntegratorConfig(
             t0=initial.t,
             t_end=initial.t + horizon,
-            rtol=_get(cfg, "integrator", "rtol", float, 1e-10, overrides.get("rtol")),
-            atol=_get(cfg, "integrator", "atol", float, 1e-12, overrides.get("atol")),
+            **_tolerances(cfg, overrides),
             sample_dt=_get(cfg, "integrator", "sample_dt", float, 0.25, overrides.get("sample_dt")),
         )
         return ScenarioConfig(params, initial, grid,
@@ -176,14 +181,17 @@ def _eps_list(text: str) -> list[float]:
 
 
 def build_compare(cfg: dict, overrides: dict | None = None):
-    """The run of ``compare``: its scenario, the epsilon ladder (default
-    0.1), the window L of [0, L/epsilon] (default 1) and the averaged system
-    (default None: the first one of the scenario's omega)."""
+    """The run of ``compare``: the model, the initial state, the epsilon
+    ladder (default 0.1) and the keyword settings of every rung: rtol, atol,
+    the window L of [0, L/epsilon] (default 1) and the averaged system
+    (default None: the first one of the model's omega). It reads no [scenario]."""
     overrides = overrides or {}
-    return (build_scenario(cfg, overrides),
+    return (build_params(cfg), build_initial(cfg),
             _get(cfg, "compare", "eps_list", _eps_list, [0.1], overrides.get("eps_list")),
-            _get(cfg, "compare", "window", float, 1.0, overrides.get("window")),
-            _get(cfg, "compare", "resonance", str, None, overrides.get("resonance")))
+            {**_tolerances(cfg, overrides),
+             "L": _get(cfg, "compare", "window", float, 1.0, overrides.get("window")),
+             "resonance": _get(cfg, "compare", "resonance", str, None,
+                               overrides.get("resonance"))})
 
 
 def build_ensemble(cfg: dict, overrides: dict | None = None) -> EnsembleSpec:

@@ -1,6 +1,7 @@
 """Time steppers: adaptive Dormand-Prince 5(4) and fixed-step classical RK4.
 
-Both methods deliver dense output by cubic Hermite interpolation on the
+Both methods are tableau records in ``_METHODS``, which one single-row loop
+runs. Both deliver dense output by cubic Hermite interpolation on the
 accepted steps, so the returned sample times are exactly the requested grid
 and never constrain the step-size control. Integrations are deterministic:
 identical inputs produce bit-identical trajectories on one platform.
@@ -13,27 +14,46 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = ["IntegratorConfig", "Trajectory", "IntegrationError", "integrate",
            "order_check", "OrderEstimate", "MAX_GRID_POINTS"]
 
-# Dormand-Prince 5(4) tableau. The fifth-order solution is propagated; the
-# difference to the embedded fourth-order one estimates the local error.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_E = np.array([35 / 384 - 5179 / 57600, 0.0, 500 / 1113 - 7571 / 16695,
-                  125 / 192 - 393 / 640, -2187 / 6784 + 92097 / 339200,
-                  11 / 84 - 187 / 2100, -1 / 40])
+
+class _Method(NamedTuple):
+    """Explicit Runge-Kutta tableau: stage s > 0 is the slope at t + c[s] h,
+    y + h (a[s-1] @ k[:s]). The last row of ``a`` holds the solution weights
+    (first same as last); a method without error weights ``e`` takes fixed steps."""
+
+    c: np.ndarray
+    a: tuple
+    e: np.ndarray | None
+
+
+_METHODS = {
+    # Dormand & Prince 5(4): the fifth-order solution is propagated; the
+    # difference to the embedded fourth-order one estimates the local error.
+    "rk45": _Method(
+        c=np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]),
+        a=(np.array([1 / 5]),
+           np.array([3 / 40, 9 / 40]),
+           np.array([44 / 45, -56 / 15, 32 / 9]),
+           np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+           np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+           np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])),
+        e=np.array([35 / 384 - 5179 / 57600, 0.0, 500 / 1113 - 7571 / 16695,
+                    125 / 192 - 393 / 640, -2187 / 6784 + 92097 / 339200,
+                    11 / 84 - 187 / 2100, -1 / 40])),
+    "rk4": _Method(
+        c=np.array([0.0, 1 / 2, 1 / 2, 1.0, 1.0]),
+        a=(np.array([1 / 2]),
+           np.array([0.0, 1 / 2]),
+           np.array([0.0, 0.0, 1.0]),
+           np.array([1 / 6, 1 / 3, 1 / 3, 1 / 6])),
+        e=None),
+}
 
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
@@ -57,6 +77,17 @@ def _failure_text(message: str, t_last: float) -> str:
     return f"{message} (last good time t = {t_last:.6g})"
 
 
+# why an adaptive run stops, by whether its last attempt met non-finite values
+_STOP = {False: ("step size underflow", "underflow"),
+         True: ("non-finite values in right-hand side", "nonfinite")}
+
+
+def _stops(t, h, streak, t_end):
+    """Whether an adaptive run (floats) or each batch row (arrays) stops short of t_end:
+    a step below 1e-14 max(1, |t|), or 41 non-finite attempts in a row."""
+    return (t < t_end) & ((h < 1e-14) | (h < 1e-14 * abs(t)) | (streak > 40))
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Stepper selection, tolerances and time grid of one run.
@@ -76,7 +107,7 @@ class IntegratorConfig:
     t0: float = 0.0
 
     def __post_init__(self):
-        if self.method not in ("rk45", "rk4"):
+        if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if not -math.inf < self.t0 < self.t_end < math.inf:
             raise ValueError(f"need finite t0 < t_end, got t0 = {self.t0!r}, "
@@ -85,13 +116,14 @@ class IntegratorConfig:
             value = getattr(self, name)
             if value is not None and not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if self.method == "rk4" and self.step is None:
+        fixed = _METHODS[self.method].e is None
+        if fixed and self.step is None:
             raise ValueError("fixed-step method needs a step size")
         span = self.t_end - self.t0
         if span / self.sample_dt > MAX_GRID_POINTS:
             raise ValueError(f"[{self.t0:g}, {self.t_end:g}] at sample_dt {self.sample_dt!r} "
                              f"gives over {MAX_GRID_POINTS} samples")
-        if self.method == "rk4" and span / self.step > MAX_GRID_POINTS:
+        if fixed and span / self.step > MAX_GRID_POINTS:
             raise ValueError(f"[{self.t0:g}, {self.t_end:g}] at step {self.step!r} "
                              f"needs over {MAX_GRID_POINTS} steps")
 
@@ -150,12 +182,21 @@ def _hermite_fill(out, ts, idx, t0, h, y0, y1, f0, f1, t1):
     return stop
 
 
-def _initial_step(rhs, t0, y0, f0, rtol, atol, span):
+def _row_rms(x):
+    """Root mean square over the last axis of a (d,) or (n, d) array."""
+    sq = x * x
+    acc = sq[..., 0]
+    for j in range(1, x.shape[-1]):
+        acc = acc + sq[..., j]
+    return np.sqrt(acc / x.shape[-1])
+
+
+def _initial_step(y0, f0, rtol, atol, span):
+    """First trial step per row of y0; the loops clamp each step to the time left."""
     scale = atol + rtol * np.abs(y0)
-    d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
-    d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
-    h0 = 1e-6 * span if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    return min(h0, span)
+    d0 = _row_rms(y0 / scale)
+    d1 = _row_rms(f0 / scale)
+    return np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6 * span, 0.01 * d0 / d1)
 
 
 def integrate(rhs, y0, config: IntegratorConfig) -> Trajectory:
@@ -175,10 +216,8 @@ def integrate(rhs, y0, config: IntegratorConfig) -> Trajectory:
     ``(row, message)``, with the message the single-row run would raise,
     and its samples past the failure are NaN. ``stats`` holds the totals
     ``accepted``/``rejected``/``rhs_evals`` and the per-row counts
-    ``row_accepted``/``row_rejected``/``row_rhs_evals``. A batch evaluates
-    all six stages of every attempted step, where a single-row run stops at
-    the first non-finite stage, so ``row_rhs_evals`` of a row that met
-    non-finite values exceeds the single-row count.
+    ``row_accepted``/``row_rejected``/``row_rhs_evals``, each the count of
+    the single-row run.
     """
     y0 = np.asarray(y0, dtype=float)
     ts = _sample_grid(config.t0, config.t_end, config.sample_dt)
@@ -191,88 +230,77 @@ def integrate(rhs, y0, config: IntegratorConfig) -> Trajectory:
     else:
         out = np.empty((len(ts), len(y0)))
         out[0] = y0
-        run = _run_rk4 if config.method == "rk4" else _run_rk45
+        run = _run_single
     stats = run(rhs, y0, config, ts, out)
     return Trajectory(times=ts, states=out, stats=stats)
 
 
-def _run_rk45(rhs, y0, config, ts, out):
+def _run_single(rhs, y0, config, ts, out):
+    c, a, e = _METHODS[config.method]
     t0, t_end = config.t0, config.t_end
     rtol, atol = config.rtol, config.atol
-    hmax = t_end - t0
+    span = t_end - t0
     t = t0
     y = y0.copy()
     f = np.asarray(rhs(t, y), dtype=float)
     evals = 1
-    accepted = rejected = 0
+    accepted = rejected = streak = 0
     idx = 1
-    h = _initial_step(rhs, t0, y0, f, rtol, atol, hmax)
-    k = np.empty((7, len(y0)))
-    nonfinite_streak = 0
-
-    while t < t_end:
-        clamped = h >= t_end - t
-        if clamped:
-            h = t_end - t
-        k[0] = f
-        broke = False
-        for s in range(1, 7):
-            ys = y + h * (_DP_A[s] @ k[:s])
-            if not np.all(np.isfinite(ys)):
-                broke = True
-                break
-            k[s] = rhs(t + _DP_C[s] * h, ys)
-            evals += 1
-        if broke or not np.all(np.isfinite(k)):
-            nonfinite_streak += 1
-            rejected += 1
-            h *= 0.25
-            if nonfinite_streak > 40 or h < 1e-14 * max(1.0, abs(t)):
-                raise IntegrationError("non-finite values in right-hand side", t, y, "nonfinite")
-            continue
-        nonfinite_streak = 0
-        y_new = ys  # stage 7 input equals the fifth-order solution (FSAL)
-        err = h * (_DP_E @ k)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err_norm = math.sqrt(float(np.mean((err / scale) ** 2)))
-        if err_norm <= 1.0:
-            t_new = t_end if clamped else t + h
-            idx = _hermite_fill(out, ts, idx, t, h, y, y_new, k[0], k[6], t_new)
-            t = t_new
-            y = y_new
-            f = k[6].copy()
-            accepted += 1
-            factor = _MAX_FACTOR if err_norm == 0.0 else min(
-                _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err_norm**-0.2))
-            h = min(h * factor, hmax)
+    k = np.empty((len(c), len(y0)))
+    with np.errstate(all="ignore"):  # non-finite values are tested once per step
+        if e is None:
+            n_steps = max(1, round(span / config.step))
+            h = span / n_steps
         else:
-            rejected += 1
-            h *= max(_MIN_FACTOR, _SAFETY * err_norm**-0.2)
-        if t < t_end and h < 1e-14 * max(1.0, abs(t)):
-            raise IntegrationError("step size underflow", t, y, "underflow")
+            h = float(_initial_step(y, f, rtol, atol, span))
+        while t < t_end:
+            if e is None:  # fixed step i ends at t0 + i h, the last one at t_end
+                t_new = t_end if accepted == n_steps - 1 else t0 + (accepted + 1) * h
+            elif h >= t_end - t:
+                h = t_end - t
+                t_new = t_end
+            else:
+                t_new = t + h
+            k[0] = f
+            for s, a_s in enumerate(a, 1):
+                ys = y + h * (a_s @ k[:s])
+                k[s] = rhs(t + c[s] * h, ys)
+            evals += len(a)
+            y_new = ys  # the last stage input is the solution (first same as last)
+            finite = np.isfinite(k).all() and np.isfinite(y_new).all()
+            if e is None and not finite:
+                raise IntegrationError("non-finite values in fixed-step solution",
+                                       t, y, "nonfinite")
+            err_norm = 0.0 if e is None else float(_row_rms(
+                h * (e @ k) / (atol + rtol * np.maximum(np.abs(y), np.abs(y_new)))))
+            streak = 0 if finite else streak + 1
+            if finite and err_norm <= 1.0:
+                idx = _hermite_fill(out, ts, idx, t, h, y, y_new, k[0], k[-1], t_new)
+                t, y, f = t_new, y_new, k[-1].copy()
+                accepted += 1
+                if e is not None:
+                    factor = _MAX_FACTOR if err_norm == 0.0 else min(
+                        _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err_norm**-0.2))
+                    h = min(h * factor, span)
+            else:
+                rejected += 1
+                h *= max(_MIN_FACTOR, _SAFETY * err_norm**-0.2) if finite else 0.25
+            if e is not None and _stops(t, h, streak, t_end):
+                message, reason = _STOP[streak > 0]
+                raise IntegrationError(message, t, y, reason)
     return {"accepted": accepted, "rejected": rejected, "rhs_evals": evals}
 
 
-# The batched loop below repeats _run_rk45 row by row: same tableau,
-# controller, initial step, non-finite streak limit and underflow test. Its
-# stage and error sums and its norms are fixed-order elementwise sums, not
-# dot products or reductions, so a row's arithmetic never depends on how
-# many rows share the batch.
+# The batched loop below runs the adaptive branch of _run_single row by row,
+# with the same record, initial step, error norm, controller and failure
+# decision. Its stage and error sums are fixed-order elementwise sums, not dot
+# products, so a row's arithmetic never depends on the rows sharing the batch.
 
 def _weighted_sum(weights, k):
     acc = weights[0] * k[0]
     for w, kj in zip(weights[1:], k[1:]):
         acc = acc + w * kj
     return acc
-
-
-def _row_rms(x):
-    """Root mean square over the last axis of an (n, d) array."""
-    sq = x * x
-    acc = sq[:, 0]
-    for j in range(1, x.shape[1]):
-        acc = acc + sq[:, j]
-    return np.sqrt(acc / x.shape[1])
 
 
 def _hermite_fill_rows(out, rows, ts, idx, t0, h, y0, y1, f0, f1, t1, mask):
@@ -293,9 +321,10 @@ def _hermite_fill_rows(out, rows, ts, idx, t0, h, y0, y1, f0, f1, t1, mask):
 
 
 def _run_rk45_rows(rhs, y0, config, ts, out):
+    c, a, e = _METHODS[config.method]
     t0, t_end = config.t0, config.t_end
     rtol, atol = config.rtol, config.atol
-    hmax = t_end - t0
+    span = t_end - t0
     n_rows = len(y0)
     accepted = np.zeros(n_rows, dtype=np.int64)
     rejected = np.zeros(n_rows, dtype=np.int64)
@@ -309,83 +338,46 @@ def _run_rk45_rows(rhs, y0, config, ts, out):
     streak = np.zeros(n_rows, dtype=np.int64)
     with np.errstate(all="ignore"):
         f = np.asarray(rhs(t, y), dtype=float)
-        scale = atol + rtol * np.abs(y)
-        d0 = _row_rms(y / scale)
-        d1 = _row_rms(f / scale)
-        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6 * (t_end - t0), 0.01 * d0 / d1)
-        h = np.minimum(h0, hmax)
+        h = _initial_step(y, f, rtol, atol, span)
         while rows.size:
             clamped = h >= t_end - t
             h = np.where(clamped, t_end - t, h)
             hc = h[:, None]
             k = [f]
-            finite = np.ones(rows.size, dtype=bool)
-            for s in range(1, 7):
-                ys = y + hc * _weighted_sum(_DP_A[s], k)
-                finite &= np.isfinite(ys).all(axis=1)
-                k.append(np.asarray(rhs(t + _DP_C[s] * h, ys), dtype=float))
-            finite &= np.isfinite(k[6]).all(axis=1)
-            evals[rows] += 6
-            y_new = ys  # stage 7 input equals the fifth-order solution (FSAL)
-            err = hc * _weighted_sum(_DP_E, k)
+            for s, a_s in enumerate(a, 1):
+                ys = y + hc * _weighted_sum(a_s, k)
+                k.append(np.asarray(rhs(t + c[s] * h, ys), dtype=float))
+            evals[rows] += len(a)
+            y_new = ys  # the last stage input is the solution (first same as last)
+            finite = np.isfinite(k).all(axis=(0, 2)) & np.isfinite(y_new).all(axis=1)
+            err = hc * _weighted_sum(e, k)
             err_norm = _row_rms(err / (atol + rtol * np.maximum(np.abs(y), np.abs(y_new))))
             ok = finite & (err_norm <= 1.0)
             factor = _SAFETY * err_norm**-0.2
             grow = np.where(err_norm == 0.0, _MAX_FACTOR,
                             np.minimum(_MAX_FACTOR, np.maximum(_MIN_FACTOR, factor)))
             t_new = np.where(clamped, t_end, t + h)
-            idx = _hermite_fill_rows(out, rows, ts, idx, t, h, y, y_new, f, k[6], t_new, ok)
+            idx = _hermite_fill_rows(out, rows, ts, idx, t, h, y, y_new, f, k[-1], t_new, ok)
             accepted[rows] += ok
             rejected[rows] += ~ok
-            h = np.where(ok, np.minimum(h * grow, hmax),
+            h = np.where(ok, np.minimum(h * grow, span),
                          np.where(finite, h * np.maximum(_MIN_FACTOR, factor), h * 0.25))
             t = np.where(ok, t_new, t)
             y = np.where(ok[:, None], y_new, y)
-            f = np.where(ok[:, None], k[6], f)
+            f = np.where(ok[:, None], k[-1], f)
             streak = np.where(finite, 0, streak + 1)
-            tiny = (t < t_end) & (h < 1e-14 * np.maximum(1.0, np.abs(t)))
-            failed = np.where(finite, tiny, (streak > 40) | tiny)
+            failed = _stops(t, h, streak, t_end)
             for i in np.flatnonzero(failed).tolist():
-                why = ("step size underflow" if finite[i]
-                       else "non-finite values in right-hand side")
-                failures.append((int(rows[i]), _failure_text(why, float(t[i]))))
+                message = _STOP[bool(streak[i])][0]
+                failures.append((int(rows[i]), _failure_text(message, float(t[i]))))
             live = (t < t_end) & ~failed
             if not live.all():
                 rows, t, y, f, h, idx, streak = (
-                    a[live] for a in (rows, t, y, f, h, idx, streak))
+                    v[live] for v in (rows, t, y, f, h, idx, streak))
     return {"accepted": int(accepted.sum()), "rejected": int(rejected.sum()),
             "rhs_evals": int(evals.sum()), "row_accepted": accepted,
             "row_rejected": rejected, "row_rhs_evals": evals,
             "failures": sorted(failures)}
-
-
-def _run_rk4(rhs, y0, config, ts, out):
-    t0, t_end = config.t0, config.t_end
-    span = t_end - t0
-    n_steps = max(1, round(span / config.step))
-    h = span / n_steps
-    t = t0
-    y = y0.copy()
-    f = np.asarray(rhs(t, y), dtype=float)
-    evals = 1
-    idx = 1
-    for i in range(n_steps):
-        k1 = f
-        k2 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k1), dtype=float)
-        k3 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k2), dtype=float)
-        k4 = np.asarray(rhs(t + h, y + h * k3), dtype=float)
-        y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        evals += 3
-        if not np.all(np.isfinite(y_new)):
-            raise IntegrationError("non-finite values in fixed-step solution", t, y, "nonfinite")
-        t_new = t_end if i == n_steps - 1 else t0 + (i + 1) * h
-        f_new = np.asarray(rhs(t_new, y_new), dtype=float)
-        evals += 1
-        idx = _hermite_fill(out, ts, idx, t, h, y, y_new, k1, f_new, t_new)
-        t = t_new
-        y = y_new
-        f = f_new
-    return {"accepted": n_steps, "rejected": 0, "rhs_evals": evals}
 
 
 @dataclass(frozen=True)

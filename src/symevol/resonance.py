@@ -337,25 +337,21 @@ def _report_13(a1, a2, e0) -> dict:
 class Resonance:
     """What the package knows about one resonance omega:1.
 
-    ``angle`` is a :data:`~symevol.transforms.COMBINATION_COEFFS` kind;
     ``systems`` maps each averaged-system name to its field in the regular
-    slow-Cartesian chart; ``invariants`` are evaluable along a Cartesian
-    trajectory;
-    ``report(a1, a2, e0)`` builds the ``resonance`` command's JSON body.
+    slow-Cartesian chart; ``report(a1, a2, e0)`` builds the ``resonance``
+    command's JSON body.
     """
 
-    angle: str
     systems: dict
     default_system: str
-    invariants: tuple
     report: Callable[..., dict]
 
 
 RESONANCES = {
-    1.0: Resonance("chi11", {"11": avg11_cart}, "11", ("E0_11",), _report_11),
-    2.0: Resonance("chi12", {"12-first": avg12_first_cart, "12-second": avg12_second_cart},
-                   "12-first", ("E0_12", "I3_12"), _report_12),
-    3.0: Resonance("chi3", {"13": avg13_cart}, "13", (), _report_13),
+    1.0: Resonance({"11": avg11_cart}, "11", _report_11),
+    2.0: Resonance({"12-first": avg12_first_cart, "12-second": avg12_second_cart},
+                   "12-first", _report_12),
+    3.0: Resonance({"13": avg13_cart}, "13", _report_13),
 }
 
 SYSTEM_OMEGA = {name: omega for omega, entry in RESONANCES.items() for name in entry.systems}

@@ -323,6 +323,20 @@ def test_compare_bad_config_setting_exit_2(tmp_path, key):
     assert not out.exists()
 
 
+def test_compare_does_not_read_scenario(small_config, tmp_path):
+    # compare integrates over [0, window/epsilon]: a config without [scenario]
+    # runs, and writes what the same config with a horizon writes
+    bare = tmp_path / "bare.ini"
+    bare.write_text(SMALL_CONFIG.replace("[scenario]\nhorizon = 5\nlabel = smoke\n", ""))
+    assert "[scenario]" not in bare.read_text()
+    for name, cfg in (("bare", bare), ("with_horizon", small_config)):
+        code, lines = _run_cli(["compare", str(cfg), "--eps-list", "0.1,0.05",
+                                "--out", str(tmp_path / name)])
+        assert code == 0 and lines == [], name
+    assert ((tmp_path / "bare" / "compare.csv").read_bytes()
+            == (tmp_path / "with_horizon" / "compare.csv").read_bytes())
+
+
 def test_compare_runs_through_normal_mode(tmp_path):
     # at omega 1, 1e-6 from the q1 normal mode and with loose tolerances, where
     # the polar chart is singular: the regular chart runs the averaged system
@@ -525,6 +539,20 @@ def test_reproduce_figure_reads_bundled_preset_not_working_directory(tmp_path, m
     assert _digest_of(["simulate", "fig1", *flags], tmp_path / "sim") != preset
     rows = (tmp_path / "fig" / "fig1.csv").read_text().splitlines()
     assert rows[1].startswith("0,0.5,0.5,") and len(rows) == 10  # preset sample_dt 0.25
+
+
+@pytest.mark.parametrize("command", ["simulate", "reproduce-figure", "compare", "ensemble"])
+def test_out_naming_a_file_exit_2(small_config, tmp_path, command):
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    argv = {"simulate": ["simulate", str(small_config)],
+            "reproduce-figure": ["reproduce-figure", "--which", "fig1"],
+            "compare": ["compare", str(small_config)],
+            "ensemble": ["ensemble", str(_ensemble_config(tmp_path))]}[command]
+    code, lines = _run_cli([*argv, "--out", str(taken)])
+    assert code == 2 and len(lines) == 1, lines
+    assert lines[0].startswith("config error: cannot create output directory"), lines
+    assert taken.read_text() == "a file\n"
 
 
 def test_simulate_span_below_step_floor(tmp_path):

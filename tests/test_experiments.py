@@ -42,7 +42,7 @@ def test_run_scenario_invariants_and_angles():
     assert invariant_series(traj, "E0_12", p)[0] == pytest.approx(0.25)
     assert invariant_series(traj, "I3_12", p)[0] == pytest.approx(0.0, abs=1e-15)
     psi1, psi2 = phase_series(traj, p.omega)
-    m1, m2 = COMBINATION_COEFFS[RESONANCES[p.omega].angle]
+    m1, m2 = COMBINATION_COEFFS["chi12"]
     chi = m1 * psi1 + m2 * psi2
     # continuous lift: no 2*pi jumps between samples
     assert np.max(np.abs(np.diff(chi))) < 1.0

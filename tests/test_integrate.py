@@ -215,6 +215,30 @@ def test_batched_failures_match_scalar_integrate():
     assert np.all(np.isnan(batch.states[failed, -1]))
 
 
+def test_batched_stats_match_scalar_after_non_finite_steps():
+    # y' = -y is defined on y > 0 only: a trial step long enough to push a
+    # stage input out of the domain meets NaN, is rejected, and the run goes
+    # on with a shorter step. Both loops count every stage of such a step.
+    nan_calls = []
+
+    def rhs(t, y):
+        out = np.where(y > 0.0, -y, np.nan)
+        nan_calls.append(np.isnan(out).any())
+        return out
+
+    y0 = np.array([[1.0, 0.5], [2.0, 1e-3], [0.1, 0.3], [5.0, 5.0]])
+    cfg = IntegratorConfig(t_end=30.0, sample_dt=1.0, rtol=1e-3, atol=1e-9)
+    batch = integrate(rhs, y0, cfg)
+    assert any(nan_calls) and batch.stats["failures"] == []
+    for i, row in enumerate(y0):
+        nan_calls.clear()
+        single = integrate(rhs, row, cfg)
+        assert any(nan_calls)
+        assert single.stats["accepted"] == batch.stats["row_accepted"][i]
+        assert single.stats["rejected"] == batch.stats["row_rejected"][i]
+        assert single.stats["rhs_evals"] == batch.stats["row_rhs_evals"][i]
+
+
 def _harmonic_batch():
     """Harmonic oscillators of mixed amplitudes, the origin among them."""
     y0 = np.array([[1.0, 0.0], [0.0, 2.0], [0.3, -0.4], [5.0, 1.0], [0.0, 0.0],
