@@ -3,7 +3,7 @@ reproduce-figure, order-check.
 
 Time series go to CSV (17 significant digits, round-trip exact for
 doubles), structured results to JSON, and every run writes a manifest with
-the canonical config digest so reruns can be checked byte for byte.
+the digest of its resolved settings so reruns can be checked byte for byte.
 Exit codes: 0 ok, 2 usage/config error, 3 numerical failure.
 """
 
@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from .config import (PRESETS, ConfigError, build_compare, build_ensemble, build_initial,
-                     build_params, build_scenario, config_digest, load_config,
-                     preset_path, resolve_config_path)
+                     build_params, build_scenario, load_config, preset_path,
+                     resolve_config_path, run_digest)
 from .experiments import (EnsembleFailure, compare_full_vs_averaged, run_ensemble,
                           run_scenario, stabilization_time)
 from .integrate import IntegrationError, order_check
@@ -83,7 +83,7 @@ def _cmd_simulate(args) -> int:
     figure = args.which
     cfg = load_config(preset_path(figure) if figure else resolve_config_path(args.config))
     scenario = build_scenario(cfg, vars(args))
-    digest = config_digest(cfg, vars(args))
+    digest = run_digest(scenario)
     outdir = _make_outdir(args.out)
     start = time.perf_counter()
     traj = run_scenario(scenario)
@@ -111,17 +111,17 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_compare(args) -> int:
     cfg = load_config(resolve_config_path(args.config))
-    params, initial, eps_list, settings = build_compare(cfg, vars(args))
-    digest = config_digest(cfg, vars(args))
+    run = build_compare(cfg, vars(args))
+    digest = run_digest(run)
+    rungs, initial, settings = run
     start = time.perf_counter()
     rows = []
-    for eps in eps_list:
+    for params in rungs:
         try:
-            res = compare_full_vs_averaged(params.replace(epsilon=eps, delta=None), initial,
-                                           **settings)
+            res = compare_full_vs_averaged(params, initial, **settings)
         except ValueError as exc:  # omega, resonance, initial data, window or tolerance rejected
             raise ConfigError(str(exc)) from exc
-        rows.append((eps, res.sup_r1, res.sup_r2, res.sup_E1, res.sup_E2))
+        rows.append((params.epsilon, res.sup_r1, res.sup_r2, res.sup_E1, res.sup_E2))
     outdir = _make_outdir(args.out)
     csv_path = outdir / "compare.csv"
     _write_csv(csv_path, ["epsilon", "sup_r1", "sup_r2", "sup_E1", "sup_E2"],
@@ -157,7 +157,7 @@ def _cmd_resonance(args) -> int:
 def _cmd_ensemble(args) -> int:
     cfg = load_config(resolve_config_path(args.config))
     spec = build_ensemble(cfg, vars(args))
-    digest = config_digest(cfg, vars(args))
+    digest = run_digest(spec)
     outdir = _make_outdir(args.out)
     start = time.perf_counter()
     report = run_ensemble(spec)

@@ -1,15 +1,18 @@
 """Flat INI-style run configuration: parsing, validation and digesting.
 
 A config has one section per concern ([model], [initial], [integrator],
-[scenario], [ensemble], [compare]); values are plain typed scalars. The manifest
-digest is the SHA-256 of the canonicalized text (sections and keys sorted,
-whitespace normalized), so semantically identical configs hash identically.
+[scenario], [ensemble], [compare]); values are plain typed scalars. Each
+builder resolves the file, the command-line overrides and the defaults into
+one frozen run record, and the manifest digest is taken over that record, so
+every spelling of one run has one digest.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import hashlib
+import json
 import math
 from importlib import resources
 from pathlib import Path
@@ -19,7 +22,7 @@ from .integrate import IntegratorConfig
 from .model import CartesianState, ModelParams
 
 __all__ = ["ConfigError", "PRESETS", "preset_path", "load_config", "resolve_config_path",
-           "canonical_text", "config_digest", "build_params", "build_initial",
+           "run_digest", "build_params", "build_initial",
            "build_scenario", "build_ensemble", "build_compare"]
 
 PRESETS = ("fig1", "fig2")
@@ -53,37 +56,20 @@ def load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
     return {section: dict(parser[section]) for section in parser.sections()}
 
 
-def canonical_text(cfg: dict) -> str:
-    lines = []
-    for section in sorted(cfg):
-        for key in sorted(cfg[section]):
-            value = " ".join(str(cfg[section][key]).split())
-            lines.append(f"{section}.{key}={value}")
-    return "\n".join(lines) + "\n"
-
-
-# section of each setting a command-line option replaces or adds, by option name
-_OVERRIDE_SECTIONS = {"horizon": "scenario", "rtol": "integrator", "atol": "integrator",
-                      "sample_dt": "integrator", "seed": "ensemble", "eps_list": "compare",
-                      "window": "compare", "resonance": "compare"}
-
-
-def config_digest(cfg: dict, overrides: dict | None = None) -> str:
-    """SHA-256 of the canonical text of ``cfg`` with every override that is
-    not None written over its key, so that the digest names the run made;
-    without overrides it is the digest of the config as read."""
-    merged = {section: dict(keys) for section, keys in cfg.items()}
-    for name, value in (overrides or {}).items():
-        if value is not None and name in _OVERRIDE_SECTIONS:
-            merged.setdefault(_OVERRIDE_SECTIONS[name], {})[name] = value
-    return hashlib.sha256(canonical_text(merged).encode("utf-8")).hexdigest()
+def run_digest(record) -> str:
+    """SHA-256 of a built run record (a ScenarioConfig, an EnsembleSpec or
+    what :func:`build_compare` returns) written as JSON with sorted keys.
+    Floats are written by ``repr``, so two records share a digest exactly
+    when they hold the same settings."""
+    text = json.dumps(record, default=dataclasses.asdict, sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 _REQUIRED = object()
@@ -119,8 +105,10 @@ def build_params(cfg: dict) -> ModelParams:
 
 
 def build_initial(cfg: dict) -> CartesianState:
+    """The initial state; its time t0 (default 0) may not precede the start
+    of the decay at t = 0."""
     try:
-        return CartesianState(
+        initial = CartesianState(
             t=_get(cfg, "initial", "t0", float, default=0.0),
             q1=_get(cfg, "initial", "q1", float),
             v1=_get(cfg, "initial", "v1", float),
@@ -129,6 +117,9 @@ def build_initial(cfg: dict) -> CartesianState:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if initial.t < 0.0:
+        raise ConfigError(f"[initial] t0 must be >= 0, where the decay starts; got {initial.t!r}")
+    return initial
 
 
 def _tolerances(cfg: dict, overrides: dict) -> dict:
@@ -167,9 +158,11 @@ def _parse_sampler(raw: str):
     except ValueError:
         values = []
     if (len(values) != arity or not all(map(math.isfinite, values))
-            or (kind == "normal" and values[1] < 0.0)):
+            or (kind == "normal" and values[1] < 0.0)
+            or (kind == "uniform" and not 0.0 <= values[1] - values[0] < math.inf)):
         raise ConfigError(f"bad sampler spec {raw!r} (want 'fixed V' | 'uniform LO HI' "
-                          "| 'normal MEAN SIGMA' with finite numbers and SIGMA >= 0)")
+                          "| 'normal MEAN SIGMA' with finite numbers, LO <= HI, a finite "
+                          "HI - LO and SIGMA >= 0)")
     return (kind, *values)
 
 
@@ -181,13 +174,16 @@ def _eps_list(text: str) -> list[float]:
 
 
 def build_compare(cfg: dict, overrides: dict | None = None):
-    """The run of ``compare``: the model, the initial state, the epsilon
-    ladder (default 0.1) and the keyword settings of every rung: rtol, atol,
-    the window L of [0, L/epsilon] (default 1) and the averaged system
-    (default None: the first one of the model's omega). It reads no [scenario]."""
+    """The run of ``compare``: the model of each rung of the epsilon ladder
+    (default 0.1), the initial state, and the keyword settings of every rung:
+    rtol, atol, the window L of [0, L/epsilon] (default 1) and the averaged
+    system (default None: the first one of the model's omega). It reads no
+    [scenario], and the config's own epsilon runs in no rung."""
     overrides = overrides or {}
-    return (build_params(cfg), build_initial(cfg),
-            _get(cfg, "compare", "eps_list", _eps_list, [0.1], overrides.get("eps_list")),
+    params = build_params(cfg)
+    eps_list = _get(cfg, "compare", "eps_list", _eps_list, [0.1], overrides.get("eps_list"))
+    return (tuple(params.replace(epsilon=eps, delta=None) for eps in eps_list),
+            build_initial(cfg),
             {**_tolerances(cfg, overrides),
              "L": _get(cfg, "compare", "window", float, 1.0, overrides.get("window")),
              "resonance": _get(cfg, "compare", "resonance", str, None,

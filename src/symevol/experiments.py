@@ -201,7 +201,8 @@ class EnsembleSpec:
     Sampling uses a counter-based generator keyed by (seed, particle index),
     so the draw for particle i never depends on the other particles. All
     particles' samples together, ``count * (t_end - t0) / sample_dt``, may
-    not exceed ``MAX_GRID_POINTS``.
+    not exceed ``MAX_GRID_POINTS``; the generator's key takes a seed in
+    [0, 2**64).
     """
 
     scenario: ScenarioConfig
@@ -212,6 +213,8 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("count must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         grid = self.scenario.integrator
         samples = (grid.t_end - grid.t0) / grid.sample_dt
         if self.count * samples > MAX_GRID_POINTS:

@@ -140,9 +140,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.times)
 
-    def column(self, index: int) -> np.ndarray:
-        return self.states[..., index]
-
 
 def _sample_grid(t0: float, t_end: float, dt: float) -> np.ndarray:
     span = t_end - t0

@@ -85,8 +85,8 @@ class ModelParams:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
-        if self.omega <= 0.0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
+        if self.omega <= 0.0 or not math.isfinite(self.omega * self.omega):
+            raise ValueError(f"omega must be positive with a finite square, got {self.omega}")
         if self.n < 1 or int(self.n) != self.n:
             raise ValueError(f"decay exponent n must be a positive integer, got {self.n}")
         if self.alpha_kind not in ALPHA_KINDS:

@@ -1,3 +1,4 @@
+import configparser
 import contextlib
 import csv
 import io
@@ -11,12 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from symevol.cli import _write_csv, main
-from symevol.config import (ConfigError, canonical_text, config_digest,
-                            load_config, preset_path, resolve_config_path)
+from symevol.config import (ConfigError, build_compare, build_ensemble, build_scenario,
+                            load_config, preset_path, resolve_config_path, run_digest)
+from symevol.integrate import MAX_GRID_POINTS
 
 SMALL_CONFIG = """\
 [model]
@@ -53,12 +55,14 @@ def small_config(tmp_path):
 
 
 def test_config_digest_canonicalization(tmp_path):
+    # key order and whitespace do not change the run a config builds
     a = tmp_path / "a.ini"
     b = tmp_path / "b.ini"
-    a.write_text("[model]\na1 = 1\na2 = 2\n")
-    b.write_text("[model]\na2 =  2\na1 = 1\n")
-    assert config_digest(load_config(a)) == config_digest(load_config(b))
-    assert "model.a1=1" in canonical_text(load_config(a))
+    a.write_text(SMALL_CONFIG)
+    b.write_text(SMALL_CONFIG.replace("a1 = 1\na2 = 1\n", "a2 =   1\na1=1\n"))
+    assert a.read_text() != b.read_text()
+    assert (run_digest(build_scenario(load_config(a)))
+            == run_digest(build_scenario(load_config(b))))
 
 
 def test_resolve_config_presets(small_config):
@@ -124,21 +128,69 @@ def _digest_of(argv, out):
 
 
 def test_manifest_digest_covers_overrides(small_config, tmp_path):
-    # equal digests must mean equal data: every override enters the digest,
-    # and a run without overrides keeps the digest of its config file
-    plain = config_digest(load_config(small_config))
+    # equal digests must mean equal data: every override that changes the run
+    # changes the digest, and a run without overrides has the digest of the
+    # record its config builds
+    cfg = load_config(small_config)
     sim = [_digest_of(["simulate", str(small_config), *extra], tmp_path / f"s{k}")
            for k, extra in enumerate(([], ["--horizon", "3"], ["--horizon", "4"],
                                       ["--sample-dt", "0.25"], ["--rtol", "1e-8"]))]
-    assert sim[0] == plain and len(set(sim)) == len(sim)
+    assert sim[0] == run_digest(build_scenario(cfg)) and len(set(sim)) == len(sim)
     cmp = [_digest_of(["compare", str(small_config), *extra], tmp_path / f"c{k}")
            for k, extra in enumerate(([], ["--eps-list", "0.1"], ["--eps-list", "0.05"],
                                       ["--window", "0.5"]))]
-    assert cmp[0] == plain and len(set(cmp)) == len(cmp)
+    # 0.1 is the default ladder: the same run as no flag
+    assert cmp[0] == cmp[1] == run_digest(build_compare(cfg))
+    assert len({cmp[0], cmp[2], cmp[3]}) == 3
     ens = _ensemble_config(tmp_path, count=2)
     seeds = [_digest_of(["ensemble", str(ens), *extra], tmp_path / f"e{k}")
              for k, extra in enumerate(([], ["--seed", "1"], ["--seed", "2"]))]
-    assert seeds[0] == config_digest(load_config(ens)) and len(set(seeds)) == 3
+    assert seeds[0] == run_digest(build_ensemble(load_config(ens))) and len(set(seeds)) == 3
+
+
+def test_simulate_spellings_of_one_run_share_a_digest(tmp_path):
+    # the fig1 preset cut to horizon 3, written five ways: one run, one digest
+    preset = preset_path("fig1").read_text().replace("horizon = 1000", "horizon = 3")
+    spellings = {
+        "as_is": (preset, []),
+        "flag": (preset, ["--horizon", "3"]),
+        "float": (preset.replace("horizon = 3", "horizon = 3.0"), []),
+        "rtol": (preset.replace("rtol = 1e-10", "rtol = 1.0e-10"), []),
+        "ignored_key": (preset + "workers = 1\n", []),
+    }
+    digests, data = set(), set()
+    for name, (text, flags) in spellings.items():
+        cfg = tmp_path / f"{name}.ini"
+        cfg.write_text(text)
+        digests.add(_digest_of(["simulate", str(cfg), *flags], tmp_path / name))
+        data.add((tmp_path / name / "trajectory.csv").read_bytes())
+    assert len(data) == 1 and len(digests) == 1
+
+
+def test_compare_digest_ignores_settings_compare_does_not_read(tmp_path):
+    # compare reads neither [scenario], [integrator] sample_dt nor the
+    # config's own epsilon: configs that differ only there make one run
+    bare = (SMALL_CONFIG.replace("[scenario]\nhorizon = 5\nlabel = smoke\n", "")
+            .replace("sample_dt = 0.5\n", ""))
+    texts = {"bare": bare,
+             "scenario": SMALL_CONFIG.replace("horizon = 5", "horizon = 7"),
+             "epsilon": bare.replace("epsilon = 0.1", "epsilon = 0.3")}
+    digests, data = set(), set()
+    for name, text in texts.items():
+        cfg = tmp_path / f"{name}.ini"
+        cfg.write_text(text)
+        digests.add(_digest_of(["compare", str(cfg)], tmp_path / name))
+        data.add((tmp_path / name / "compare.csv").read_bytes())
+    assert len(data) == 1 and len(digests) == 1
+
+
+def test_default_setting_written_out_shares_the_digest(tmp_path):
+    # a config that omits rtol runs the default 1e-10, as one that writes it
+    omitted, written = tmp_path / "omitted.ini", tmp_path / "written.ini"
+    omitted.write_text(SMALL_CONFIG.replace("rtol = 1e-9\n", ""))
+    written.write_text(SMALL_CONFIG.replace("rtol = 1e-9", "rtol = 1e-10"))
+    assert (_digest_of(["simulate", str(omitted)], tmp_path / "o")
+            == _digest_of(["simulate", str(written)], tmp_path / "w"))
 
 
 def test_simulate_malformed_config(tmp_path):
@@ -389,9 +441,7 @@ def test_resonance_invalid_inputs(capsys):
     assert main(["resonance", "--omega", "two"]) == 2
 
 
-def _ensemble_config(tmp_path, extra="", count=6):
-    path = tmp_path / "ens.ini"
-    path.write_text(SMALL_CONFIG + f"""
+ENSEMBLE_SECTION = """
 [ensemble]
 count = {count}
 seed = 42
@@ -399,8 +449,12 @@ q1 = fixed 0
 v1 = normal 0.5 0.05
 q2 = fixed 0
 v2 = fixed 0.5
-{extra}
-""")
+"""
+
+
+def _ensemble_config(tmp_path, extra="", count=6):
+    path = tmp_path / "ens.ini"
+    path.write_text(SMALL_CONFIG + ENSEMBLE_SECTION.format(count=count) + extra + "\n")
     return path
 
 
@@ -490,6 +544,94 @@ def test_non_finite_model_coefficient_exit_2(tmp_path, edit):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, edit, flags", [
+    ("simulate", ("q1 = 0", "t0 = -5\nq1 = 0"), []),
+    ("ensemble", ("q1 = 0", "t0 = -5\nq1 = 0"), []),
+    ("simulate", ("label = smoke", "label = caf\xe9"), []),  # written as latin-1
+    ("simulate", ("omega = 2", "omega = 1e300"), []),
+    ("ensemble", ("v1 = normal 0.5 0.05", "v1 = uniform 0.6 0.4"), []),
+    ("ensemble", ("v1 = normal 0.5 0.05", "v1 = uniform -1e308 1e308"), []),
+    ("ensemble", ("seed = 42", "seed = -1"), []),
+    ("ensemble", ("seed = 42", "seed = 18446744073709551616"), []),
+    ("ensemble", ("seed = 42", "seed = 42"), ["--seed", "-1"]),
+])
+def test_bad_input_exit_2_before_any_output(tmp_path, command, edit, flags):
+    # a time before the decay starts, a non-UTF-8 byte, an omega whose square
+    # overflows, an empty or unbounded uniform range and a seed outside the
+    # generator's key are rejected where they are read
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(_ensemble_config(tmp_path).read_text().replace(*edit), encoding="latin-1")
+    out = tmp_path / "out"
+    code, lines = _run_cli([command, str(cfg), "--out", str(out), *flags])
+    assert code == 2 and len(lines) == 1 and lines[0].startswith("config error: "), lines
+    assert not out.exists()
+
+
+def _sections(text: str) -> dict:
+    parser = configparser.ConfigParser()
+    parser.read_string(text)
+    return {section: dict(parser[section]) for section in parser.sections()}
+
+
+def _fuzzed_config(command: str, edit) -> bytes:
+    """SMALL_CONFIG (with an [ensemble] section for ``ensemble``) after one
+    edit: ("drop", section, key or None, _), ("set", section, key, value) or
+    ("byte", _, _, position), which puts the byte 0xe9 at that position."""
+    kind, section, key, value = edit
+    sections = _sections(SMALL_CONFIG + (ENSEMBLE_SECTION.format(count=4)
+                                         if command == "ensemble" else ""))
+    if kind == "drop" and key is None:
+        sections.pop(section, None)
+    elif kind == "drop":
+        sections.get(section, {}).pop(key, None)
+    elif kind == "set":
+        sections.setdefault(section, {})[key] = value
+    data = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for name, keys in sections.items()).encode()
+    if kind == "byte":
+        position = value % (len(data) + 1)
+        data = data[:position] + b"\xe9" + data[position:]
+    return data
+
+
+_FUZZ_SECTIONS = _sections(SMALL_CONFIG + ENSEMBLE_SECTION.format(count=4))
+_FUZZ_KEYS = [(s, k) for s, keys in _FUZZ_SECTIONS.items() for k in keys] + [("initial", "t0")]
+# one particle of the fuzzed ensemble holds horizon / sample_dt = 10 samples
+_COUNT_OVER_CEILING = str(MAX_GRID_POINTS // 10 + 1)
+_FUZZ_KEY = st.sampled_from(_FUZZ_KEYS)
+_FUZZ_SECTION = st.sampled_from(sorted(_FUZZ_SECTIONS))
+CONFIG_EDITS = st.one_of(
+    st.builds(lambda section: ("drop", section, None, None), _FUZZ_SECTION),
+    st.builds(lambda key: ("drop", *key, None), _FUZZ_KEY),
+    st.builds(lambda section: ("set", section, "unknown_key", "1"), _FUZZ_SECTION),
+    st.builds(lambda key, value: ("set", *key, value), _FUZZ_KEY,
+              st.sampled_from(("abc", "nan", "inf", "-1", "0", "1e300"))),
+    st.builds(lambda count: ("set", "ensemble", "count", count),
+              st.sampled_from(("0", _COUNT_OVER_CEILING))),
+    st.builds(lambda position: ("byte", None, None, position), st.integers(0, 10**4)),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(command=st.sampled_from(("simulate", "compare", "ensemble")), edit=CONFIG_EDITS)
+@example(command="simulate", edit=("set", "initial", "t0", "-5"))
+@example(command="ensemble", edit=("set", "initial", "t0", "-5"))
+@example(command="simulate", edit=("byte", None, None, 40))
+@example(command="simulate", edit=("set", "model", "omega", "1e300"))
+@example(command="ensemble", edit=("set", "ensemble", "v1", "uniform 0.6 0.4"))
+@example(command="ensemble", edit=("set", "ensemble", "v1", "uniform -1e308 1e308"))
+@example(command="ensemble", edit=("set", "ensemble", "seed", "-1"))
+@example(command="ensemble", edit=("set", "ensemble", "seed", "18446744073709551616"))
+def test_cli_contract_for_any_config(command, edit):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "fuzz.ini", Path(tmp) / "out"
+        cfg.write_bytes(_fuzzed_config(command, edit))
+        code, lines = _run_cli([command, str(cfg), "--out", str(out)])
+        assert code in (0, 2, 3), (command, edit, code)
+        assert len(lines) <= 1 and not any("Traceback" in line for line in lines), lines
+        assert code != 2 or not out.exists()
+
+
 def test_reproduce_figure_cli(tmp_path):
     out = tmp_path / "fig"
     assert main(["reproduce-figure", "--which", "fig1", "--out", str(out),
@@ -534,7 +676,7 @@ def test_reproduce_figure_reads_bundled_preset_not_working_directory(tmp_path, m
     (tmp_path / "fig1").write_text(SMALL_CONFIG)
     flags = ["--horizon", "2"]
     fig_digest = _digest_of(["reproduce-figure", "--which", "fig1", *flags], tmp_path / "fig")
-    preset = config_digest(load_config(preset_path("fig1")), {"horizon": 2.0})
+    preset = run_digest(build_scenario(load_config(preset_path("fig1")), {"horizon": 2.0}))
     assert fig_digest == preset
     assert _digest_of(["simulate", "fig1", *flags], tmp_path / "sim") != preset
     rows = (tmp_path / "fig" / "fig1.csv").read_text().splitlines()

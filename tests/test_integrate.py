@@ -160,13 +160,12 @@ def test_against_scipy_reference():
 def test_trajectory_container():
     traj = Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((2, 3)))
     assert len(traj) == 2
-    assert traj.column(1).shape == (2,)
     # a batch of three 2-component rows sampled three times
     cfg = IntegratorConfig(t_end=1.0, sample_dt=0.5)
     batch = integrate(lambda t, y: np.stack((y[:, 1], -y[:, 0]), axis=-1),
                       np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]]), cfg)
-    assert batch.column(1).shape == (3, 3)
-    np.testing.assert_array_equal(batch.column(0), batch.states[:, :, 0])
+    assert len(batch) == 3 and batch.states.shape == (3, 3, 2)
+    np.testing.assert_array_equal(batch.states[:, 0], [[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]])
 
 
 def _escaping_batch():
