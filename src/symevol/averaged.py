@@ -243,26 +243,43 @@ def _phase_drifts_11(u, w, tau, p: ModelParams):
     return phi1, phi2, k
 
 
-def avg12_first_cart(t, y, p: ModelParams) -> np.ndarray:
+def _slow_floats(y):
+    """The regular-chart state (x1, y1, x2, y2, tau) as floats; a tuple is
+    taken to hold floats already."""
+    return y[:5] if type(y) is tuple else tuple(float(v) for v in y[:5])
+
+
+def _like_state(y, *values):
+    """A field's values in the form of its state: a tuple for a tuple of
+    floats (the single-row integrator's form), an ndarray otherwise."""
+    return values if type(y) is tuple else np.array(values)
+
+
+def _avg12_first_terms(x1, y1, x2, y2, tau, p: ModelParams):
+    """(x1', y1', x2', y2') of the first-order 1:2 field, which both 1:2
+    fields contain."""
+    kappa = 0.5 * p.epsilon * math.exp(-tau) * p.a4
+    return (kappa * (x1 * y2 - y1 * x2), -kappa * (x1 * x2 + y1 * y2),
+            0.5 * kappa * x1 * y1, -0.25 * kappa * (x1 * x1 - y1 * y1))
+
+
+def avg12_first_cart(t, y, p: ModelParams):
     """First-order averaged 1:2 field in regular slow-Cartesian coordinates.
 
     With A1 = x1 + i*y1 = r1*exp(i*psi1) and A2 = x2 + i*y2 the field is
     polynomial (A1' = -i*kappa*conj(A1)*A2, A2' = -i*kappa/4*A1^2 with
     kappa = eps*exp(-tau)*a4/2), so trajectories pass smoothly through
-    normal-mode crossings where the polar chart degenerates.
+    normal-mode crossings where the polar chart degenerates. Like every
+    ``*_cart`` field it answers a tuple of floats with a tuple, any other
+    state with an ndarray.
     """
     _require_omega(p, 2.0, "the first-order averaged 1:2 system")
     _require_exponential(p)
-    x1, y1, x2, y2, tau = (float(v) for v in y[:5])
-    kappa = 0.5 * p.epsilon * math.exp(-tau) * p.a4
-    dx1 = kappa * (x1 * y2 - y1 * x2)
-    dy1 = -kappa * (x1 * x2 + y1 * y2)
-    dx2 = 0.5 * kappa * x1 * y1
-    dy2 = -0.25 * kappa * (x1 * x1 - y1 * y1)
-    return np.array([dx1, dy1, dx2, dy2, p.delta])
+    x1, y1, x2, y2, tau = _slow_floats(y)
+    return _like_state(y, *_avg12_first_terms(x1, y1, x2, y2, tau, p), p.delta)
 
 
-def avg12_second_cart(t, y, p: ModelParams) -> np.ndarray:
+def avg12_second_cart(t, y, p: ModelParams):
     """Second-order averaged 1:2 field in regular slow-Cartesian coordinates.
 
     The epsilon^2 phase drifts act as amplitude-dependent rotations
@@ -270,27 +287,24 @@ def avg12_second_cart(t, y, p: ModelParams) -> np.ndarray:
     """
     _require_omega(p, 2.0, "the second-order averaged 1:2 system")
     _require_exponential(p)
-    x1, y1, x2, y2, tau = (float(v) for v in y[:5])
-    base = avg12_first_cart(t, y, p)
+    x1, y1, x2, y2, tau = _slow_floats(y)
+    dx1, dy1, dx2, dy2 = _avg12_first_terms(x1, y1, x2, y2, tau, p)
     phi1, phi2 = _phase_drifts_12(x1 * x1 + y1 * y1, x2 * x2 + y2 * y2, tau, p)
-    base[0] += -phi1 * y1
-    base[1] += phi1 * x1
-    base[2] += -phi2 * y2
-    base[3] += phi2 * x2
-    return base
+    return _like_state(y, dx1 - phi1 * y1, dy1 + phi1 * x1, dx2 - phi2 * y2,
+                       dy2 + phi2 * x2, p.delta)
 
 
-def avg13_cart(t, y, p: ModelParams) -> np.ndarray:
+def avg13_cart(t, y, p: ModelParams):
     """Averaged 1:3 field in regular slow-Cartesian coordinates: the pure
     rotations A_k' = i*phi_k*A_k."""
     _require_omega(p, 3.0, "the averaged 1:3 system")
     _require_exponential(p)
-    x1, y1, x2, y2, tau = (float(v) for v in y[:5])
+    x1, y1, x2, y2, tau = _slow_floats(y)
     phi1, phi2 = _phase_drifts_13(x1 * x1 + y1 * y1, x2 * x2 + y2 * y2, p)
-    return np.array([-phi1 * y1, phi1 * x1, -phi2 * y2, phi2 * x2, p.delta])
+    return _like_state(y, -phi1 * y1, phi1 * x1, -phi2 * y2, phi2 * x2, p.delta)
 
 
-def avg11_cart(t, y, p: ModelParams) -> np.ndarray:
+def avg11_cart(t, y, p: ModelParams):
     """Averaged 1:1 field in regular slow-Cartesian coordinates.
 
     A1' = i*phi1*A1 + i*k*conj(A1)*A2^2 and A2' = i*phi2*A2 + i*k*A1^2*conj(A2),
@@ -298,12 +312,12 @@ def avg11_cart(t, y, p: ModelParams) -> np.ndarray:
     """
     _require_omega(p, 1.0, "the averaged 1:1 system")
     _require_exponential(p)
-    x1, y1, x2, y2, tau = (float(v) for v in y[:5])
+    x1, y1, x2, y2, tau = _slow_floats(y)
     A1, A2 = complex(x1, y1), complex(x2, y2)
     phi1, phi2, k = _phase_drifts_11(x1 * x1 + y1 * y1, x2 * x2 + y2 * y2, tau, p)
     d1 = 1j * (phi1 * A1 + k * A1.conjugate() * A2 * A2)
     d2 = 1j * (phi2 * A2 + k * A1 * A1 * A2.conjugate())
-    return np.array([d1.real, d1.imag, d2.real, d2.imag, p.delta])
+    return _like_state(y, d1.real, d1.imag, d2.real, d2.imag, p.delta)
 
 
 def polar_to_slow_cart(y) -> np.ndarray:

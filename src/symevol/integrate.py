@@ -1,17 +1,24 @@
 """Time steppers: adaptive Dormand-Prince 5(4) and fixed-step classical RK4.
 
-Both methods are tableau records in ``_METHODS``, which one single-row loop
-runs. Both deliver dense output by cubic Hermite interpolation on the
-accepted steps, so the returned sample times are exactly the requested grid
-and never constrain the step-size control. Integrations are deterministic:
-identical inputs produce bit-identical trajectories on one platform.
+Both methods are tableau records in ``_METHODS``. One single-row loop runs
+both over Python floats, through one generated straight-line step per
+tableau record and state dimension; the right-hand side receives each
+stage state as a tuple of d floats and may return any sequence of d
+floats. Both methods deliver dense output by cubic Hermite interpolation on
+the accepted steps, so the returned sample times are exactly the requested
+grid and never constrain the step-size control. Integrations are
+deterministic: identical inputs produce bit-identical trajectories on one
+platform.
 
 Dormand-Prince also integrates a batch of independent initial states at
 once (``y0`` of shape (N, d)); every row keeps its own time and step size.
+Both loops sum stages and errors in one order and share the controller, so
+a batch row equals the single-row run byte for byte.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -159,9 +166,9 @@ def _hermite(th, h, y0, y1, f0, f1):
     """Cubic Hermite interpolant of one step (or one step per row) at the
     step fractions ``th`` (shape (m,)); one output row per fraction.
 
-    ``h`` is a scalar or has shape (m,); the end values and slopes have shape
-    (d,) or (m, d). The arithmetic is elementwise, so every sample gets the
-    bits of a one-sample evaluation."""
+    ``h`` is a scalar or has shape (m,); the end values and slopes are
+    sequences of d floats or arrays of shape (d,) or (m, d). The arithmetic
+    is elementwise, so every sample gets the bits of a one-sample evaluation."""
     th2 = th * th
     th3 = th2 * th
     return ((2 * th3 - 3 * th2 + 1)[:, None] * y0 + ((th3 - 2 * th2 + th) * h)[:, None] * f0
@@ -170,7 +177,7 @@ def _hermite(th, h, y0, y1, f0, f1):
 
 def _hermite_fill(out, ts, idx, t0, h, y0, y1, f0, f1, t1):
     """Fill samples with the cubic Hermite interpolant on (t0, t1]; returns
-    the next sample index."""
+    the next sample index. Arrays are built only on a step that holds a sample."""
     tol = t1 + 1e-14 * max(1.0, abs(t1))
     if idx >= len(ts) or ts[idx] > tol:  # most steps hold no sample
         return idx
@@ -200,8 +207,15 @@ def integrate(rhs, y0, config: IntegratorConfig) -> Trajectory:
     """Integrate y' = rhs(t, y) over [config.t0, config.t_end] with dense
     sampling.
 
+    For a 1-D ``y0`` of d values, ``rhs`` is called with a float time and
+    the stage state as a tuple of d floats, and may return any sequence of
+    d floats (a tuple, a list, an ndarray); another length raises
+    ValueError before any sample is written. Each step is one generated
+    straight-line step of the method's tableau record.
+
     Raises :class:`IntegrationError` on step-size underflow or persistent
-    non-finite values; the exception carries the last good (t, y).
+    non-finite values; the exception carries the last good (t, y), with y
+    an ndarray.
 
     A 2-D ``y0`` of shape (N, d) integrates N independent rows in one
     Dormand-Prince run (rk45 only; rk4 raises ValueError). ``rhs`` is then
@@ -214,9 +228,12 @@ def integrate(rhs, y0, config: IntegratorConfig) -> Trajectory:
     and its samples past the failure are NaN. ``stats`` holds the totals
     ``accepted``/``rejected``/``rhs_evals`` and the per-row counts
     ``row_accepted``/``row_rejected``/``row_rhs_evals``, each the count of
-    the single-row run.
+    the single-row run. A batch row equals the single-row run of its
+    state byte for byte.
     """
     y0 = np.asarray(y0, dtype=float)
+    if y0.ndim not in (1, 2) or y0.shape[-1] == 0:
+        raise ValueError(f"y0 must have shape (d,) or (N, d) with d >= 1, got {y0.shape}")
     ts = _sample_grid(config.t0, config.t_end, config.sample_dt)
     if y0.ndim == 2:
         if config.method != "rk45":
@@ -233,23 +250,26 @@ def integrate(rhs, y0, config: IntegratorConfig) -> Trajectory:
 
 
 def _run_single(rhs, y0, config, ts, out):
-    c, a, e = _METHODS[config.method]
+    _, a, e = _METHODS[config.method]
+    d = len(y0)
+    step = _step_function(config.method, d)
     t0, t_end = config.t0, config.t_end
     rtol, atol = config.rtol, config.atol
     span = t_end - t0
     t = t0
-    y = y0.copy()
-    f = np.asarray(rhs(t, y), dtype=float)
+    y = tuple(y0.tolist())
+    f = rhs(t, y)
+    if len(f) != d:
+        raise ValueError(f"rhs returned {len(f)} values for a state of {d}")
     evals = 1
     accepted = rejected = streak = 0
     idx = 1
-    k = np.empty((len(c), len(y0)))
     with np.errstate(all="ignore"):  # non-finite values are tested once per step
         if e is None:
             n_steps = max(1, round(span / config.step))
             h = span / n_steps
         else:
-            h = float(_initial_step(y, f, rtol, atol, span))
+            h = float(_initial_step(y0, np.asarray(f, dtype=float), rtol, atol, span))
         while t < t_end:
             if e is None:  # fixed step i ends at t0 + i h, the last one at t_end
                 t_new = t_end if accepted == n_steps - 1 else t0 + (accepted + 1) * h
@@ -258,40 +278,98 @@ def _run_single(rhs, y0, config, ts, out):
                 t_new = t_end
             else:
                 t_new = t + h
-            k[0] = f
-            for s, a_s in enumerate(a, 1):
-                ys = y + h * (a_s @ k[:s])
-                k[s] = rhs(t + c[s] * h, ys)
+            y_new, f_new, finite, err_norm = step(rhs, t, h, y, f, rtol, atol)
             evals += len(a)
-            y_new = ys  # the last stage input is the solution (first same as last)
-            finite = np.isfinite(k).all() and np.isfinite(y_new).all()
             if e is None and not finite:
                 raise IntegrationError("non-finite values in fixed-step solution",
-                                       t, y, "nonfinite")
-            err_norm = 0.0 if e is None else float(_row_rms(
-                h * (e @ k) / (atol + rtol * np.maximum(np.abs(y), np.abs(y_new)))))
+                                       t, np.array(y, dtype=float), "nonfinite")
             streak = 0 if finite else streak + 1
             if finite and err_norm <= 1.0:
-                idx = _hermite_fill(out, ts, idx, t, h, y, y_new, k[0], k[-1], t_new)
-                t, y, f = t_new, y_new, k[-1].copy()
+                idx = _hermite_fill(out, ts, idx, t, h, y, y_new, f, f_new, t_new)
+                t, y, f = t_new, y_new, f_new
                 accepted += 1
                 if e is not None:
                     factor = _MAX_FACTOR if err_norm == 0.0 else min(
-                        _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err_norm**-0.2))
+                        _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * float(_error_power(err_norm))))
                     h = min(h * factor, span)
             else:
                 rejected += 1
-                h *= max(_MIN_FACTOR, _SAFETY * err_norm**-0.2) if finite else 0.25
+                h *= max(_MIN_FACTOR, _SAFETY * float(_error_power(err_norm))) if finite else 0.25
             if e is not None and _stops(t, h, streak, t_end):
                 message, reason = _STOP[streak > 0]
-                raise IntegrationError(message, t, y, reason)
+                raise IntegrationError(message, t, np.array(y, dtype=float), reason)
     return {"accepted": accepted, "rejected": rejected, "rhs_evals": evals}
+
+
+def _error_power(err_norm):
+    """err_norm**-0.2 for a float or an array, by numpy's power in both loops:
+    libm's pow (Python's ``**``) differs from it in the last bit of ~5 % of
+    inputs, which would part a single run from its batch row."""
+    return np.power(err_norm, -0.2)
+
+
+def _weighted_source(weights, terms) -> str:
+    """``_weighted_sum`` as an expression: left to right, zero weights included."""
+    return "(" + " + ".join(f"{float(w)!r} * {x}" for w, x in zip(weights, terms)) + ")"
+
+
+def _sum_source(name, terms) -> list:
+    """Statements summing ``terms`` into ``name`` left to right, 64 terms per
+    statement, so that no expression nests too deep to compile."""
+    lines = [f"    {name} = {' + '.join(terms[:64])}"]
+    for i in range(64, len(terms), 64):
+        lines.append(f"    {name} = {name} + {' + '.join(terms[i:i + 64])}")
+    return lines
+
+
+@functools.cache
+def _step_function(method: str, d: int):
+    """One step of a tableau record on d floats, as straight-line code.
+
+    ``step(rhs, t, h, y, f, rtol, atol)`` takes the state ``y`` and its slope
+    ``f`` as sequences of d floats and returns the new state, the slope there
+    (the last stage), whether every stage and the new state are finite, and
+    the error norm (0.0 for a fixed-step record). Every sum is written in the
+    batched loop's order, so a single run equals its batch row bit for bit.
+    """
+    c, a, e = _METHODS[method]
+    comps = range(d)
+
+    def names(prefix):
+        return "".join(f"{prefix}{j}, " for j in comps)
+
+    lines = ["def step(rhs, t, h, y, f, rtol, atol):",
+             f"    {names('y')}= y",
+             f"    {names('k0_')}= f"]
+    for s, a_s in enumerate(a, 1):
+        for j in comps:
+            lines.append(f"    z{j} = y{j} + h * "
+                         + _weighted_source(a_s, [f"k{r}_{j}" for r in range(s)]))
+        lines.append(f"    {names(f'k{s}_')}= rhs(t + {float(c[s])!r} * h, ({names('z')}))")
+    # the last stage input is the solution (first same as last); a finite
+    # sum proves every value finite, and only a non-finite one is looked into
+    values = [f"k{r}_{j}" for r in range(len(c)) for j in comps] + [f"z{j}" for j in comps]
+    lines += _sum_source("total", values)
+    lines.append(f"    finite = isfinite(total) or all(map(isfinite, ({', '.join(values)},)))")
+    if e is None:
+        lines.append("    err_norm = 0.0")
+    else:
+        for j in comps:  # the error norm of _row_rms
+            lines.append(f"    x{j} = h * {_weighted_source(e, [f'k{r}_{j}' for r in range(len(c))])}"
+                         f" / (atol + rtol * max(abs(y{j}), abs(z{j})))")
+        lines += _sum_source("sq", [f"x{j} * x{j}" for j in comps])
+        lines.append(f"    err_norm = sqrt(sq / {d})")
+    lines.append(f"    return ({names('z')}), ({names(f'k{len(a)}_')}), finite, err_norm")
+    namespace = {"isfinite": math.isfinite, "sqrt": math.sqrt}
+    exec("\n".join(lines), namespace)
+    return namespace["step"]
 
 
 # The batched loop below runs the adaptive branch of _run_single row by row,
 # with the same record, initial step, error norm, controller and failure
-# decision. Its stage and error sums are fixed-order elementwise sums, not dot
-# products, so a row's arithmetic never depends on the rows sharing the batch.
+# decision. Its stage and error sums are fixed-order elementwise sums, in the
+# order of the generated single-row step, so a row's arithmetic never depends
+# on the rows sharing the batch and equals the single-row run's.
 
 def _weighted_sum(weights, k):
     acc = weights[0] * k[0]
@@ -350,7 +428,7 @@ def _run_rk45_rows(rhs, y0, config, ts, out):
             err = hc * _weighted_sum(e, k)
             err_norm = _row_rms(err / (atol + rtol * np.maximum(np.abs(y), np.abs(y_new))))
             ok = finite & (err_norm <= 1.0)
-            factor = _SAFETY * err_norm**-0.2
+            factor = _SAFETY * _error_power(err_norm)
             grow = np.where(err_norm == 0.0, _MAX_FACTOR,
                             np.minimum(_MAX_FACTOR, np.maximum(_MIN_FACTOR, factor)))
             t_new = np.where(clamped, t_end, t + h)

@@ -159,15 +159,21 @@ def _alpha_rows(t, p: ModelParams) -> np.ndarray:
     return 1.0 / (1.0 + d)
 
 
-def full_rhs(t, y, p: ModelParams) -> np.ndarray:
+def full_rhs(t, y, p: ModelParams):
     """Right-hand side of the full equations of motion.
 
     ``y`` is one state of shape (4,) or a stack of shape (..., 4); ``t`` is
     then a scalar or an array of shape ``y.shape[:-1]`` (one time per row).
-    Each row of a stack equals the single-state call bit for bit.
+    A state given as a tuple of 4 floats, as the single-row integrator passes
+    it, gets a tuple of 4 floats back; any other input gets an ndarray. Each
+    row of a stack equals the single-state call bit for bit.
     """
-    stacked = getattr(y, "ndim", 1) > 1
-    if stacked:
+    floats = type(y) is tuple
+    stacked = not floats and getattr(y, "ndim", 1) > 1
+    if floats:
+        q1, v1, q2, v2 = y
+        al = _alpha_at(t, p)
+    elif stacked:
         y = np.asarray(y, dtype=float)
         q1, v1, q2, v2 = y[..., 0], y[..., 1], y[..., 2], y[..., 3]
         al = _alpha_rows(t, p)
@@ -178,6 +184,8 @@ def full_rhs(t, y, p: ModelParams) -> np.ndarray:
     e = p.epsilon
     dv1 = -q1 + e * (p.a1 * q1 * q1 + p.a2 * q2 * q2) + e * al * 2.0 * p.a4 * q1 * q2
     dv2 = -p.omega**2 * q2 + e * 2.0 * p.a2 * q1 * q2 + e * al * (p.a3 * q2 * q2 + p.a4 * q1 * q1)
+    if floats:
+        return v1, dv1, v2, dv2
     if stacked:
         return np.stack((v1, dv1, v2, dv2), axis=-1)
     return np.array([v1, dv1, v2, dv2])

@@ -373,6 +373,9 @@ def test_slow_cart_chart_consistent_with_polar(params12, p11, p13, rng):
             np.testing.assert_allclose(d_cart[:4], expected, rtol=1e-12, atol=1e-14)
             assert np.max(np.abs(d_cart[:4] - expected)) <= 1e-13 * np.max(np.abs(expected))
             assert d_cart[4] == d_pol[4]
+            # the single-row integrator's form: a tuple of floats in, the same bits out
+            d_tuple = rhs_cart(0.0, tuple(u.tolist()), p)
+            assert type(d_tuple) is tuple and d_tuple == tuple(d_cart.tolist())
 
 
 def test_slow_cart_chart_crosses_normal_mode(params12):

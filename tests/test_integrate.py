@@ -31,6 +31,11 @@ def test_config_validation():
     assert IntegratorConfig(t0=-8.0, t_end=-5.0, sample_dt=0.1).t_end == -5.0
     assert IntegratorConfig(t0=5.0, t_end=5.0 + MAX_GRID_POINTS * 0.5, sample_dt=0.5,
                             method="rk4", step=0.5).step == 0.5
+    # a state holds at least one value, alone (d,) or in a batch (N, d)
+    cfg = IntegratorConfig(t_end=1.0, sample_dt=0.5)
+    for y0 in (np.zeros(0), np.zeros((2, 0)), np.float64(1.0), np.zeros((1, 1, 1))):
+        with pytest.raises(ValueError):
+            integrate(harmonic, y0, cfg)
 
 
 def test_harmonic_oscillator_accuracy():
@@ -81,7 +86,7 @@ def test_time_reversal_conservative_case():
     cfg = IntegratorConfig(t_end=T, sample_dt=T, rtol=1e-10, atol=1e-12)
     fwd = integrate(lambda t, y: full_rhs(t, y, p), y0, cfg)
     # the frozen system is autonomous; reverse by negating the field
-    back = integrate(lambda t, y: -full_rhs(0.0, y, p), fwd.states[-1], cfg)
+    back = integrate(lambda t, y: [-v for v in full_rhs(0.0, y, p)], fwd.states[-1], cfg)
     assert np.max(np.abs(back.states[-1] - y0)) < 100 * 1e-10
 
 
@@ -91,6 +96,7 @@ def test_blow_up_reports_last_good_state():
     with pytest.raises(IntegrationError) as err:
         integrate(lambda t, y: full_rhs(t, y, p), np.array([3.0, 0.0, 3.0, 0.0]), cfg)
     assert err.value.t_last < 50.0
+    assert isinstance(err.value.y_last, np.ndarray) and err.value.y_last.shape == (4,)
     assert np.all(np.isfinite(err.value.y_last))
     assert err.value.reason in ("underflow", "nonfinite")
 
@@ -177,25 +183,42 @@ def _escaping_batch():
     return (lambda t, y: full_rhs(t, y, p)), y0, cfg
 
 
-def test_batched_rows_match_scalar_integrate():
+def _fig1_batch(t0=0.0):
+    """Seven states near the fig1 initial condition on [t0, t0 + 20]."""
     p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.1, n=2)
     rng = np.random.default_rng(3)
     y0 = np.column_stack([np.zeros(7), rng.normal(0.5, 0.05, 7),
                           rng.normal(0.0, 0.05, 7), rng.uniform(0.4, 0.6, 7)])
-    cfg = IntegratorConfig(t_end=20.0, sample_dt=0.05, rtol=1e-10, atol=1e-12)
-    rhs = lambda t, y: full_rhs(t, y, p)  # noqa: E731
-    batch = integrate(rhs, y0, cfg)
-    assert batch.states.shape == (7, len(batch.times), 4)
-    assert batch.stats["failures"] == []
-    for i in range(7):
-        single = integrate(rhs, y0[i], cfg)
-        assert np.array_equal(single.times, batch.times)
-        assert np.max(np.abs(single.states - batch.states[i])) <= 1e-12
-        assert single.stats["accepted"] == batch.stats["row_accepted"][i]
-        assert single.stats["rejected"] == batch.stats["row_rejected"][i]
-        assert single.stats["rhs_evals"] == batch.stats["row_rhs_evals"][i]
-    assert batch.stats["accepted"] == batch.stats["row_accepted"].sum()
-    assert batch.stats["rejected"] == batch.stats["row_rejected"].sum()
+    cfg = IntegratorConfig(t0=t0, t_end=t0 + 20.0, sample_dt=0.05, rtol=1e-10, atol=1e-12)
+    return (lambda t, y: full_rhs(t, y, p)), y0, cfg
+
+
+def test_batched_rows_match_scalar_integrate():
+    # a single run is its batch row byte for byte: samples, counts and, for a
+    # row that fails, the message; a batch of one row included
+    fig1 = _fig1_batch()
+    cases = [fig1, _escaping_batch(), (fig1[0], fig1[1][2:3], fig1[2]), _fig1_batch(t0=3.7)]
+    failed = 0
+    for rhs, y0, cfg in cases:
+        batch = integrate(rhs, y0, cfg)
+        assert batch.states.shape == (len(y0), len(batch.times), y0.shape[1])
+        failures = dict(batch.stats["failures"])
+        for i, row in enumerate(y0):
+            if i in failures:
+                with pytest.raises(IntegrationError) as err:
+                    integrate(rhs, row, cfg)
+                assert str(err.value) == failures[i]
+                failed += 1
+                continue
+            single = integrate(rhs, row, cfg)
+            assert np.array_equal(single.times, batch.times)
+            assert np.array_equal(single.states, batch.states[i])
+            assert single.stats["accepted"] == batch.stats["row_accepted"][i]
+            assert single.stats["rejected"] == batch.stats["row_rejected"][i]
+            assert single.stats["rhs_evals"] == batch.stats["row_rhs_evals"][i]
+        assert batch.stats["accepted"] == batch.stats["row_accepted"].sum()
+        assert batch.stats["rejected"] == batch.stats["row_rejected"].sum()
+    assert failed >= 2
 
 
 def test_batched_failures_match_scalar_integrate():
@@ -221,6 +244,7 @@ def test_batched_stats_match_scalar_after_non_finite_steps():
     nan_calls = []
 
     def rhs(t, y):
+        y = np.asarray(y)
         out = np.where(y > 0.0, -y, np.nan)
         nan_calls.append(np.isnan(out).any())
         return out
@@ -269,6 +293,7 @@ def test_batched_integration_needs_rk45():
 
 def _per_sample_hermite_fill(out, ts, idx, t0, h, y0, y1, f0, f1, t1):
     """Reference: the Hermite fill written as one Python step per sample."""
+    y0, y1, f0, f1 = (np.asarray(v, dtype=float) for v in (y0, y1, f0, f1))
     while idx < len(ts) and ts[idx] <= t1 + 1e-14 * max(1.0, abs(t1)):
         th = (ts[idx] - t0) / h
         th2 = th * th
@@ -322,6 +347,50 @@ def test_hermite_kernel_rows_match_per_sample_formula_bitwise():
         _per_sample_hermite_fill(ref, np.array([0.0, t[i]]), 1, 0.0, h[i],
                                  y0[i], y1[i], f0[i], f1[i], h[i])
         assert np.array_equal(rows[i], ref[1])
+
+
+def test_rhs_may_return_any_sequence_of_d_floats(monkeypatch):
+    # the single-row rhs gets a tuple of d floats and may answer with any
+    # sequence of d floats; tuple, list and ndarray answers run byte for byte
+    p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.1, n=2)
+    y0 = np.array([0.0, 0.5, 0.0, 0.5])
+    states = []
+
+    def as_tuple(t, y):
+        states.append(y)
+        return full_rhs(t, y, p)
+
+    answers = [as_tuple, lambda t, y: list(full_rhs(t, y, p)),
+               lambda t, y: np.array(full_rhs(t, y, p))]
+    for method, step in (("rk45", None), ("rk4", 0.05)):
+        cfg = IntegratorConfig(t_end=5.0, sample_dt=0.25, method=method, step=step)
+        runs = [integrate(rhs, y0, cfg) for rhs in answers]
+        for run in runs[1:]:
+            assert np.array_equal(run.states, runs[0].states)
+            assert run.stats == runs[0].stats
+    assert all(type(y) is tuple and len(y) == 4 and all(type(v) is float for v in y)
+               for y in states)
+
+    # d - 1 or d + 1 values, at the first call or at a later stage, raise
+    # ValueError before any sample is written
+    fills = []
+    monkeypatch.setattr(integrate_module, "_hermite_fill", lambda *args: fills.append(args))
+
+    def late(answer):
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return full_rhs(t, y, p) if len(calls) < 3 else answer(full_rhs(t, y, p))
+        return rhs
+
+    for method, step in (("rk45", None), ("rk4", 0.05)):
+        cfg = IntegratorConfig(t_end=5.0, sample_dt=0.25, method=method, step=step)
+        for answer in (lambda f: f[:3], lambda f: f + (0.0,)):
+            for rhs in (lambda t, y, answer=answer: answer(full_rhs(t, y, p)), late(answer)):
+                with pytest.raises(ValueError):
+                    integrate(rhs, y0, cfg)
+    assert fills == []
 
 
 def test_span_below_step_floor_reaches_t_end():

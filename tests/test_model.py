@@ -107,6 +107,8 @@ def test_full_rhs_batched_rows_equal_single_calls(rng, kind):
     assert rows.shape == (40, 4)
     for t, y, row in zip(ts, ys, rows):
         assert np.array_equal(row, full_rhs(float(t), y, p))
+        # a tuple of floats, as the single-row integrator passes it, gets a tuple
+        assert full_rhs(float(t), tuple(y.tolist()), p) == tuple(row.tolist())
     # one time for a whole stack of any leading shape
     stack = full_rhs(2.5, ys.reshape(5, 8, 4), p)
     assert np.array_equal(stack.reshape(40, 4),
