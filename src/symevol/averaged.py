@@ -1,15 +1,15 @@
 """Averaged (normal form) vector fields for the 1:2, 1:3 and 1:1 resonances.
 
-Every system comes in two charts. The ``*_cart`` fields act on the regular
+Each system is held once, as its ``*_cart`` field on the regular
 slow-Cartesian state [x1, y1, x2, y2, tau] with A_k = x_k + i*y_k =
 r_k*exp(i*psi_k); averaged resonant normal forms are polynomial in A_k, so
 these fields pass smoothly through the normal modes (A_k = 0), and every
-averaged run integrates them. The ``*_rhs`` fields act on the polar state
-[r1, psi1, r2, psi2, tau] used by :func:`symevol.transforms.slow_rhs`; they
-are singular on the normal modes and serve as the reference forms of the
-invariants and the oracles. The slow time obeys tau' = delta and the decay
-factor enters as exp(-tau). The epsilon^2 phase drifts of each system are
-written once, in a helper that both of its charts call. A Gauss-Legendre
+averaged run integrates them. Its epsilon^2 phase drifts are written once,
+in a helper exact for Fraction arguments, which the resonance-manifold
+ratios read. The ``*_rhs`` fields on the polar state [r1, psi1, r2, psi2,
+tau] of :func:`symevol.transforms.slow_rhs` are the Cartesian fields seen
+through the chain rule, for r1, r2 > 0 only. The slow time obeys
+tau' = delta and the decay factor enters as exp(-tau). A Gauss-Legendre
 quadrature oracle (:func:`average_slow_field`,
 :func:`second_order_average`) recomputes the averages numerically so the
 closed forms can be validated.
@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .model import CartesianState, ModelParams
-from .transforms import PolarState, mode_actions, slow_rhs, _gauss_nodes
+from .transforms import PolarState, mode_actions, polar_to_cart, slow_rhs, _gauss_nodes
 
 __all__ = [
     "ZeroAmplitudeError",
@@ -58,85 +58,53 @@ class ZeroAmplitudeError(ValueError):
     """Polar averaged equations are singular on the normal modes."""
 
 
-def _check_amplitudes(r1, r2):
-    if r1 <= 0.0 or r2 <= 0.0:
-        raise ZeroAmplitudeError("averaged polar fields need r1 > 0 and r2 > 0")
-
-
 def _require_omega(p: ModelParams, omega: float, what: str):
     if p.omega != omega:
         raise ValueError(f"{what} applies to omega = {omega:g}, params have omega = {p.omega:g}")
 
 
-def _require_exponential(p: ModelParams):
+def _require_system(p: ModelParams, omega: float, what: str):
+    _require_omega(p, omega, what)
     if p.alpha_kind != "exponential":
         raise ValueError("averaged systems support the exponential decay law only")
 
 
-def avg12_first_rhs(t, y, p: ModelParams) -> np.ndarray:
-    """First-order averaged 1:2 field; chi = 2*psi1 - psi2 is the slow angle.
+# The drift helpers give psi_k' = -eps^2*phi_k (1:1 coupling eps^2*k). Their
+# constants are integers, so Fraction arguments give exact results.
 
-    Conserves E0 = r1^2/2 + 2*r2^2 and I3 = a4*r1^2*r2*cos(chi) exactly.
+
+def _phase_drifts_12(u, w, al2, a1, a2, a3, a4):
+    """Phase drifts (phi1, phi2) of the second-order 1:2 system at r1^2 = u,
+    r2^2 = w and alpha^2 = al2."""
+    return (a1 * a1 * u / 24 + a1 / 2 * a2 * w
+            + al2 * (a3 * a4 * w / 8 + a4 * a4 * (9 * u + 4 * w) / 64),
+            a1 / 4 * a2 * u + a2 * a2 * u / 30 + 29 * a2 * a2 * w / 120
+            + al2 * (a3 * a4 * u / 16 + a4 * a4 * u / 32 + 5 * a3 * a3 * w / 96))
+
+
+def _phase_drifts_13(u, w, a1, a2):
+    """Phase drifts (phi1, phi2) of the averaged 1:3 system at r1^2 = u,
+    r2^2 = w.
+
+    These are the second-order average of the symmetric system (alpha = 0);
+    the terms in the decaying coefficients a3, a4 are not part of this field.
     """
-    _require_omega(p, 2.0, "the first-order averaged 1:2 system")
-    _require_exponential(p)
-    r1, psi1, r2, psi2, tau = (float(v) for v in y[:5])
-    _check_amplitudes(r1, r2)
-    chi = 2.0 * psi1 - psi2
-    k = p.epsilon * math.exp(-tau) * p.a4
-    s, c = math.sin(chi), math.cos(chi)
-    return np.array([
-        -0.5 * k * r1 * r2 * s,
-        -0.5 * k * r2 * c,
-        0.125 * k * r1 * r1 * s,
-        -0.125 * k * (r1 * r1 / r2) * c,
-        p.delta,
-    ])
+    return (5 * a1 * a1 * u / 12 + (a1 / 2 * a2 + a2 * a2 / 35) * w,
+            (a1 * a2 / 6 + a2 * a2 / 105) * u + 23 * a2 * a2 * w / 140)
 
 
-def chi12_rhs(y, p: ModelParams) -> float:
-    """Drift of chi = 2*psi1 - psi2 under the first-order averaged 1:2 flow.
+def _phase_drifts_11(u, w, al2, a1, a2, a3, a4):
+    """Phase drifts (phi1, phi2) and coupling k of the averaged 1:1 system at
+    r1^2 = u, r2^2 = w and alpha^2 = al2.
 
-    Vanishes on the resonance manifold r1^2 = 8*r2^2 (any chi) and for
-    chi = +-pi/2 (any amplitudes).
+    The symmetry-breaking terms are quadratic in (a3, a4), so they carry
+    alpha^2. The terms linear in alpha (products such as a1*a4) are not part
+    of this field.
     """
-    _require_omega(p, 2.0, "the first-order averaged 1:2 system")
-    _require_exponential(p)
-    r1, psi1, r2, psi2, tau = (float(v) for v in y[:5])
-    if r2 <= 0.0:
-        raise ZeroAmplitudeError("chi drift is singular at r2 = 0")
-    chi = 2.0 * psi1 - psi2
-    return p.epsilon * p.a4 * math.exp(-tau) * (-r2 + 0.125 * r1 * r1 / r2) * math.cos(chi)
-
-
-def avg12_second_rhs(t, y, p: ModelParams) -> np.ndarray:
-    """Second-order averaged 1:2 field.
-
-    The amplitude equations are unchanged from first order; the phases gain
-    epsilon^2 drifts, with the decayed contributions carrying exp(-2*tau).
-    Passing tau = inf gives the autonomous symmetric limit.
-    """
-    _require_omega(p, 2.0, "the second-order averaged 1:2 system")
-    _require_exponential(p)
-    r1, psi1, r2, psi2, tau = (float(v) for v in y[:5])
-    base = avg12_first_rhs(t, y, p)
-    phi1, phi2 = _phase_drifts_12(r1 * r1, r2 * r2, tau, p)
-    base[1] += phi1
-    base[3] += phi2
-    return base
-
-
-def _phase_drifts_12(u, w, tau, p: ModelParams):
-    """epsilon^2 phase drifts (phi1, phi2) of the second-order 1:2 system at
-    r1^2 = u, r2^2 = w; the decayed contributions carry exp(-2*tau)."""
-    a1, a2, a3, a4 = p.a1, p.a2, p.a3, p.a4
-    e2 = p.epsilon**2
-    em2 = math.exp(-2.0 * tau)
-    phi1 = -e2 * (a1 * a1 * u / 24.0 + 0.5 * a1 * a2 * w
-                  + em2 * (a3 * a4 * w / 8.0 + a4 * a4 * (9.0 * u + 4.0 * w) / 64.0))
-    phi2 = -e2 * (0.25 * a1 * a2 * u + a2 * a2 * u / 30.0 + 29.0 * a2 * a2 * w / 120.0
-                  + em2 * (a3 * a4 * u / 16.0 + a4 * a4 * u / 32.0 + 5.0 * a3 * a3 * w / 96.0))
-    return phi1, phi2
+    cross, cross_al = a1 / 2 * a2 + a2 * a2 / 3, a3 / 2 * a4 + a4 * a4 / 3
+    return (5 * a1 * a1 * u / 12 + cross * w + al2 * (cross_al * w + 5 * a4 * a4 * u / 12),
+            cross * u + 5 * a2 * a2 * w / 12 + al2 * (5 * a3 * a3 * w / 12 + cross_al * u),
+            a1 * a2 / 12 - a2 / 2 * a2 + al2 * (a3 * a4 / 12 - a4 / 2 * a4))
 
 
 def _is_exact(x) -> bool:
@@ -144,12 +112,13 @@ def _is_exact(x) -> bool:
 
 
 def _chi2_coeffs(a1, a2):
-    """(c_u, c_w) of the chi2 drift eps^2*(c_u*r1^2 + c_w*r2^2); exact for
+    """(c_u, c_w) of the chi2 drift eps^2*(c_u*r1^2 + c_w*r2^2), which is
+    4*psi1' - 2*psi2' of the second-order 1:2 field at alpha = 0; exact for
     integer or Fraction coefficients."""
-    exact = _is_exact(a1) and _is_exact(a2)
-    a1, a2 = (Fraction(a1), Fraction(a2)) if exact else (float(a1), float(a2))
-    return (-a1 * a1 / 6 + a1 * a2 / 2 + a2 * a2 / 15,
-            -2 * a1 * a2 + 29 * a2 * a2 / 60)
+    kind = Fraction if _is_exact(a1) and _is_exact(a2) else float
+    a1, a2, zero = kind(a1), kind(a2), kind(0)
+    drifts = (_phase_drifts_12(u, w, zero, a1, a2, zero, zero) for u, w in ((1, zero), (zero, 1)))
+    return tuple(2 * phi2 - 4 * phi1 for phi1, phi2 in drifts)
 
 
 def chi2_rhs(r1, r2, p: ModelParams) -> float:
@@ -162,32 +131,19 @@ def chi2_rhs(r1, r2, p: ModelParams) -> float:
     return p.epsilon**2 * (c_u * r1 * r1 + c_w * r2 * r2)
 
 
-def avg13_rhs(t, y, p: ModelParams) -> np.ndarray:
-    """Second-order averaged 1:3 field: amplitudes are frozen at this order,
-    only the phases drift."""
-    _require_omega(p, 3.0, "the averaged 1:3 system")
-    _require_exponential(p)
-    r1, psi1, r2, psi2, tau = (float(v) for v in y[:5])
-    phi1, phi2 = _phase_drifts_13(r1 * r1, r2 * r2, p)
-    return np.array([0.0, phi1, 0.0, phi2, p.delta])
+def _chi3_paper_coeffs(a1, a2):
+    """(c_u, c_w) of the paper's reading of the chi3 drift,
+    -eps^2*(c_u*r1^2 - c_w*r2^2); exact for integer or Fraction
+    coefficients.
 
-
-def _phase_drifts_13(u, w, p: ModelParams):
-    """epsilon^2 phase drifts (phi1, phi2) of the averaged 1:3 system at
-    r1^2 = u, r2^2 = w.
-
-    These are the second-order average of the symmetric system (alpha = 0);
-    the terms in the decaying coefficients a3, a4 are not part of this field.
+    This reading is not 6*psi1' - 2*psi2' of :func:`avg13_cart`. At
+    a1 = a2 = 1 the field gives -eps^2*(451/210*r1^2 + 199/70*r2^2), whose
+    coefficients share one sign, so it has no positive-amplitude zero; this
+    reading gives the paper's manifold ratio r1^2/r2^2 = 1401/976. The
+    disagreement is recorded in the FOUND line on ``chi3_rhs`` in
+    CHANGES.md. The 47/140 coefficient is paired with a2^2 for dimensional
+    consistency with its sibling terms.
     """
-    a1, a2 = p.a1, p.a2
-    e2 = p.epsilon**2
-    return (-e2 * (5.0 * a1 * a1 * u / 12.0 + (0.5 * a1 * a2 + a2 * a2 / 35.0) * w),
-            -e2 * ((a1 * a2 / 6.0 + a2 * a2 / 105.0) * u + 23.0 * a2 * a2 * w / 140.0))
-
-
-def _chi3_coeffs(a1, a2):
-    """(c_u, c_w) of the chi3 drift -eps^2*(c_u*r1^2 - c_w*r2^2); exact for
-    integer or Fraction coefficients."""
     exact = _is_exact(a1) and _is_exact(a2)
     a1, a2 = (Fraction(a1), Fraction(a2)) if exact else (float(a1), float(a2))
     return (5 * a1 * a1 / 2 - a1 * a2 / 6 - a2 * a2 / 105,
@@ -195,52 +151,10 @@ def _chi3_coeffs(a1, a2):
 
 
 def chi3_rhs(r1, r2, p: ModelParams) -> float:
-    """Drift of chi3 = 6*psi1 - 2*psi2 at the 1:3 resonance.
-
-    The 47/140 coefficient is paired with a2^2 for dimensional consistency
-    with its sibling terms.
-    """
-    c_u, c_w = _chi3_coeffs(p.a1, p.a2)
+    """Drift of chi3 = 6*psi1 - 2*psi2 at the 1:3 resonance in the paper's
+    reading (:func:`_chi3_paper_coeffs`), which the 1:3 field does not give."""
+    c_u, c_w = _chi3_paper_coeffs(p.a1, p.a2)
     return -p.epsilon**2 * (c_u * r1 * r1 - c_w * r2 * r2)
-
-
-def avg11_rhs(t, y, p: ModelParams) -> np.ndarray:
-    """Second-order averaged 1:1 field; chi = psi1 - psi2 is the slow angle.
-
-    Conserves E0 = (r1^2 + r2^2)/2 exactly, decayed terms included. With
-    a3 = a4 = 0 (or tau = inf) this is the symmetric system, which carries
-    a second conserved combination fitted by :func:`fit_I3_11`.
-    """
-    _require_omega(p, 1.0, "the averaged 1:1 system")
-    _require_exponential(p)
-    r1, psi1, r2, psi2, tau = (float(v) for v in y[:5])
-    _check_amplitudes(r1, r2)
-    u = r1 * r1
-    w = r2 * r2
-    phi1, phi2, k = _phase_drifts_11(u, w, tau, p)
-    two_chi = 2.0 * (psi1 - psi2)
-    s2c, c2c = math.sin(two_chi), math.cos(two_chi)
-    return np.array([k * r1 * w * s2c, phi1 + k * w * c2c,
-                     -k * u * r2 * s2c, phi2 + k * u * c2c, p.delta])
-
-
-def _phase_drifts_11(u, w, tau, p: ModelParams):
-    """epsilon^2 phase drifts (phi1, phi2) and coupling k of the averaged 1:1
-    system at r1^2 = u, r2^2 = w.
-
-    The symmetry-breaking terms are quadratic in (a3, a4), so they carry
-    alpha^2 = exp(-2*tau). The terms linear in alpha (products such as
-    a1*a4) are not part of this field.
-    """
-    a1, a2, a3, a4 = p.a1, p.a2, p.a3, p.a4
-    e2 = p.epsilon**2
-    al2 = math.exp(-2.0 * tau)
-    phi1 = -e2 * (5.0 * a1 * a1 * u / 12.0 + (0.5 * a1 * a2 + a2 * a2 / 3.0) * w
-                  + al2 * ((0.5 * a3 * a4 + a4 * a4 / 3.0) * w + 5.0 * a4 * a4 * u / 12.0))
-    phi2 = -e2 * ((0.5 * a1 * a2 + a2 * a2 / 3.0) * u + 5.0 * a2 * a2 * w / 12.0
-                  + al2 * (5.0 * a3 * a3 * w / 12.0 + (0.5 * a3 * a4 + a4 * a4 / 3.0) * u))
-    k = e2 * (a1 * a2 / 12.0 - 0.5 * a2 * a2 + al2 * (a3 * a4 / 12.0 - 0.5 * a4 * a4))
-    return phi1, phi2, k
 
 
 def _slow_floats(y):
@@ -273,8 +187,7 @@ def avg12_first_cart(t, y, p: ModelParams):
     ``*_cart`` field it answers a tuple of floats with a tuple, any other
     state with an ndarray.
     """
-    _require_omega(p, 2.0, "the first-order averaged 1:2 system")
-    _require_exponential(p)
+    _require_system(p, 2.0, "the first-order averaged 1:2 system")
     x1, y1, x2, y2, tau = _slow_floats(y)
     return _like_state(y, *_avg12_first_terms(x1, y1, x2, y2, tau, p), p.delta)
 
@@ -282,42 +195,108 @@ def avg12_first_cart(t, y, p: ModelParams):
 def avg12_second_cart(t, y, p: ModelParams):
     """Second-order averaged 1:2 field in regular slow-Cartesian coordinates.
 
-    The epsilon^2 phase drifts act as amplitude-dependent rotations
-    A_k' += i*phi_k*A_k, which keeps the field polynomial.
+    The amplitude equations are those of first order; the epsilon^2 phase
+    drifts, whose decayed contributions carry exp(-2*tau), act as
+    amplitude-dependent rotations A_k' += i*phi_k*A_k, which keeps the field
+    polynomial. tau = inf gives the autonomous symmetric limit.
     """
-    _require_omega(p, 2.0, "the second-order averaged 1:2 system")
-    _require_exponential(p)
+    _require_system(p, 2.0, "the second-order averaged 1:2 system")
     x1, y1, x2, y2, tau = _slow_floats(y)
     dx1, dy1, dx2, dy2 = _avg12_first_terms(x1, y1, x2, y2, tau, p)
-    phi1, phi2 = _phase_drifts_12(x1 * x1 + y1 * y1, x2 * x2 + y2 * y2, tau, p)
+    e2 = p.epsilon**2
+    phi1, phi2 = _phase_drifts_12(x1 * x1 + y1 * y1, x2 * x2 + y2 * y2,
+                                  math.exp(-2.0 * tau), p.a1, p.a2, p.a3, p.a4)
+    phi1, phi2 = -e2 * phi1, -e2 * phi2
     return _like_state(y, dx1 - phi1 * y1, dy1 + phi1 * x1, dx2 - phi2 * y2,
                        dy2 + phi2 * x2, p.delta)
 
 
 def avg13_cart(t, y, p: ModelParams):
     """Averaged 1:3 field in regular slow-Cartesian coordinates: the pure
-    rotations A_k' = i*phi_k*A_k."""
-    _require_omega(p, 3.0, "the averaged 1:3 system")
-    _require_exponential(p)
+    rotations A_k' = i*phi_k*A_k, so the amplitudes are frozen at this
+    order."""
+    _require_system(p, 3.0, "the averaged 1:3 system")
     x1, y1, x2, y2, tau = _slow_floats(y)
-    phi1, phi2 = _phase_drifts_13(x1 * x1 + y1 * y1, x2 * x2 + y2 * y2, p)
+    e2 = p.epsilon**2
+    phi1, phi2 = _phase_drifts_13(x1 * x1 + y1 * y1, x2 * x2 + y2 * y2, p.a1, p.a2)
+    phi1, phi2 = -e2 * phi1, -e2 * phi2
     return _like_state(y, -phi1 * y1, phi1 * x1, -phi2 * y2, phi2 * x2, p.delta)
 
 
 def avg11_cart(t, y, p: ModelParams):
-    """Averaged 1:1 field in regular slow-Cartesian coordinates.
+    """Second-order averaged 1:1 field in regular slow-Cartesian coordinates.
 
-    A1' = i*phi1*A1 + i*k*conj(A1)*A2^2 and A2' = i*phi2*A2 + i*k*A1^2*conj(A2),
-    the polynomial form of :func:`avg11_rhs`.
+    A1' = i*phi1*A1 + i*k*conj(A1)*A2^2 and A2' = i*phi2*A2 + i*k*A1^2*conj(A2).
+    Conserves E0 = (r1^2 + r2^2)/2 exactly, decayed terms included. With
+    a3 = a4 = 0 (or tau = inf) this is the symmetric system, which carries
+    a second conserved combination fitted by :func:`fit_I3_11`.
     """
-    _require_omega(p, 1.0, "the averaged 1:1 system")
-    _require_exponential(p)
+    _require_system(p, 1.0, "the averaged 1:1 system")
     x1, y1, x2, y2, tau = _slow_floats(y)
-    A1, A2 = complex(x1, y1), complex(x2, y2)
-    phi1, phi2, k = _phase_drifts_11(x1 * x1 + y1 * y1, x2 * x2 + y2 * y2, tau, p)
-    d1 = 1j * (phi1 * A1 + k * A1.conjugate() * A2 * A2)
-    d2 = 1j * (phi2 * A2 + k * A1 * A1 * A2.conjugate())
-    return _like_state(y, d1.real, d1.imag, d2.real, d2.imag, p.delta)
+    e2 = p.epsilon**2
+    phi1, phi2, k = _phase_drifts_11(x1 * x1 + y1 * y1, x2 * x2 + y2 * y2,
+                                     math.exp(-2.0 * tau), p.a1, p.a2, p.a3, p.a4)
+    phi1, phi2, k = -e2 * phi1, -e2 * phi2, e2 * k
+    # z1 = k*conj(A1)*A2*A2 and z2 = k*A1*A1*conj(A2) in floats, rounded as
+    # Python's complex products round them; complex objects cost more here
+    br, bi = k * x1, -(k * y1)
+    cr, ci = br * x2 - bi * y2, br * y2 + bi * x2
+    z1r, z1i = cr * x2 - ci * y2, cr * y2 + ci * x2
+    fr, fi = br * x1 - k * y1 * y1, br * y1 + k * y1 * x1
+    z2r, z2i = fr * x2 + fi * y2, fi * x2 - fr * y2
+    return _like_state(y, -(phi1 * y1 + z1i), phi1 * x1 + z1r,
+                       -(phi2 * y2 + z2i), phi2 * x2 + z2r, p.delta)
+
+
+def _polar_view(cart, t, y, p: ModelParams) -> np.ndarray:
+    """The Cartesian field ``cart`` in the polar chart at [r1, psi1, r2,
+    psi2, tau]: r' = c*x' + s*y' and psi' = (c*y' - s*x')/r per mode, with
+    (c, s) = (cos(psi), sin(psi)). The chart needs r1 > 0 and r2 > 0."""
+    r1, psi1, r2, psi2, tau = (float(v) for v in y[:5])
+    if not (r1 > 0.0 and r2 > 0.0):
+        raise ZeroAmplitudeError("averaged polar fields need r1 > 0 and r2 > 0")
+    c1, s1, c2, s2 = math.cos(psi1), math.sin(psi1), math.cos(psi2), math.sin(psi2)
+    dx1, dy1, dx2, dy2, dtau = cart(t, (r1 * c1, r1 * s1, r2 * c2, r2 * s2, tau), p)
+    return np.array([c1 * dx1 + s1 * dy1, (c1 * dy1 - s1 * dx1) / r1,
+                     c2 * dx2 + s2 * dy2, (c2 * dy2 - s2 * dx2) / r2, dtau])
+
+
+def avg12_first_rhs(t, y, p: ModelParams) -> np.ndarray:
+    """First-order averaged 1:2 field in the polar chart, the view of
+    :func:`avg12_first_cart`; chi = 2*psi1 - psi2 is the slow angle.
+
+    Conserves E0 = r1^2/2 + 2*r2^2 and I3 = a4*r1^2*r2*cos(chi).
+    """
+    return _polar_view(avg12_first_cart, t, y, p)
+
+
+def chi12_rhs(y, p: ModelParams) -> float:
+    """Drift 2*psi1' - psi2' of chi = 2*psi1 - psi2 under the first-order
+    averaged 1:2 flow.
+
+    Vanishes on the resonance manifold r1^2 = 8*r2^2 (any chi) and for
+    chi = +-pi/2 (any amplitudes).
+    """
+    d = avg12_first_rhs(0.0, y, p)
+    return float(2.0 * d[1] - d[3])
+
+
+def avg12_second_rhs(t, y, p: ModelParams) -> np.ndarray:
+    """Second-order averaged 1:2 field in the polar chart, the view of
+    :func:`avg12_second_cart`."""
+    return _polar_view(avg12_second_cart, t, y, p)
+
+
+def avg13_rhs(t, y, p: ModelParams) -> np.ndarray:
+    """Averaged 1:3 field in the polar chart, the view of :func:`avg13_cart`:
+    amplitudes are frozen at this order, only the phases drift."""
+    return _polar_view(avg13_cart, t, y, p)
+
+
+def avg11_rhs(t, y, p: ModelParams) -> np.ndarray:
+    """Second-order averaged 1:1 field in the polar chart, the view of
+    :func:`avg11_cart`; chi = psi1 - psi2 is the slow angle."""
+    return _polar_view(avg11_cart, t, y, p)
 
 
 def polar_to_slow_cart(y) -> np.ndarray:
@@ -365,26 +344,16 @@ def cartesian_invariant(name: str, states, p: ModelParams, i3_coeffs=None):
 def invariant(name: str, state, p: ModelParams, i3_coeffs=None) -> float:
     """Evaluate a conserved quantity of the averaged flows.
 
-    Polar states (PolarState or [r1, psi1, r2, psi2, ...]) use the
-    amplitude/phase forms; CartesianState uses :func:`cartesian_invariant`.
-    ``I3_11`` additionally needs the fitted coefficients (alpha, beta) from
-    :func:`fit_I3_11`.
+    A CartesianState goes to :func:`cartesian_invariant` as it is; a polar
+    state (PolarState or [r1, psi1, r2, psi2, ...]) goes there mapped to the
+    original variables at t = 0, where the invariants read in the slow
+    phases. ``I3_11`` additionally needs the fitted coefficients
+    (alpha, beta) from :func:`fit_I3_11`.
     """
-    if isinstance(state, CartesianState):
-        return float(cartesian_invariant(name, state.as_array(), p, i3_coeffs))
-    _check_invariant(name, p, i3_coeffs)
-    y = state.as_array() if isinstance(state, PolarState) else np.asarray(state, dtype=float)
-    r1, psi1, r2, psi2 = (float(v) for v in y[:4])
-    if name == "E0_12":
-        return 0.5 * r1 * r1 + 2.0 * r2 * r2
-    if name == "I3_12":
-        return p.a4 * r1 * r1 * r2 * math.cos(2.0 * psi1 - psi2)
-    if name == "E0_11":
-        return 0.5 * (r1 * r1 + r2 * r2)
-    ca, cb = (float(c) for c in i3_coeffs)
-    u = r1 * r1
-    w = r2 * r2
-    return u * w * math.cos(2.0 * (psi1 - psi2)) + ca * u * u + cb * u
+    if not isinstance(state, CartesianState):
+        polar = state if isinstance(state, PolarState) else PolarState.from_array(state)
+        state = polar_to_cart(polar, p.omega, 0.0)
+    return float(cartesian_invariant(name, state.as_array(), p, i3_coeffs))
 
 
 def average_slow_field(y, p: ModelParams, nodes: int = 64) -> np.ndarray:

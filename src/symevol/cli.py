@@ -132,7 +132,7 @@ def _cmd_compare(args) -> int:
     else:
         exponent = None
     summary = {"scaling_exponent": exponent if exponent is not None else "n/a",
-               "resonance": settings["resonance"] or "auto", "window_L": settings["L"]}
+               "resonance": settings["resonance"], "window_L": settings["L"]}
     summary_path = outdir / "compare_summary.json"
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     _write_manifest(outdir, "compare", digest, [csv_path.name, summary_path.name],

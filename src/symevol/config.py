@@ -20,6 +20,7 @@ from pathlib import Path
 from .experiments import EnsembleSpec, ScenarioConfig
 from .integrate import IntegratorConfig
 from .model import CartesianState, ModelParams
+from .resonance import averaged_system
 
 __all__ = ["ConfigError", "PRESETS", "preset_path", "load_config", "resolve_config_path",
            "run_digest", "build_params", "build_initial",
@@ -177,17 +178,22 @@ def build_compare(cfg: dict, overrides: dict | None = None):
     """The run of ``compare``: the model of each rung of the epsilon ladder
     (default 0.1), the initial state, and the keyword settings of every rung:
     rtol, atol, the window L of [0, L/epsilon] (default 1) and the averaged
-    system (default None: the first one of the model's omega). It reads no
+    system, resolved by :func:`symevol.resonance.averaged_system` (so an
+    omitted system and omega's default named make one run). It reads no
     [scenario], and the config's own epsilon runs in no rung."""
     overrides = overrides or {}
     params = build_params(cfg)
     eps_list = _get(cfg, "compare", "eps_list", _eps_list, [0.1], overrides.get("eps_list"))
+    resonance = _get(cfg, "compare", "resonance", str, None, overrides.get("resonance"))
+    try:
+        resonance = averaged_system(params.omega, resonance)[0]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return (tuple(params.replace(epsilon=eps, delta=None) for eps in eps_list),
             build_initial(cfg),
             {**_tolerances(cfg, overrides),
              "L": _get(cfg, "compare", "window", float, 1.0, overrides.get("window")),
-             "resonance": _get(cfg, "compare", "resonance", str, None,
-                               overrides.get("resonance"))})
+             "resonance": resonance})
 
 
 def build_ensemble(cfg: dict, overrides: dict | None = None) -> EnsembleSpec:

@@ -17,7 +17,7 @@ import numpy as np
 from .averaged import cartesian_invariant, polar_to_slow_cart, slow_cart_amplitudes
 from .integrate import MAX_GRID_POINTS, IntegratorConfig, Trajectory, integrate
 from .model import CartesianState, ModelParams, full_rhs
-from .resonance import SYSTEM_OMEGA, resonance_for
+from .resonance import averaged_system
 from .transforms import PhaseUndefinedError, cart_to_polar, mode_actions, unwrap_phase_series
 
 __all__ = [
@@ -150,14 +150,7 @@ def compare_full_vs_averaged(params: ModelParams, initial: CartesianState,
     :class:`IntegratorConfig` rejects. With epsilon = 0 a fixed default
     window is used and both systems coincide.
     """
-    entry = resonance_for(params.omega)
-    resonance = resonance or entry.default_system
-    if resonance not in SYSTEM_OMEGA:
-        raise ValueError(f"unknown averaged system {resonance!r}; "
-                         f"known: {', '.join(SYSTEM_OMEGA)}")
-    if resonance not in entry.systems:
-        raise ValueError(f"resonance {resonance!r} needs omega = {SYSTEM_OMEGA[resonance]:g}")
-    avg_rhs = entry.systems[resonance]
+    resonance, avg_rhs = averaged_system(params.omega, resonance)
     horizon = L / params.epsilon if params.epsilon > 0 else 50.0
     try:
         polar = cart_to_polar(initial, params.omega, delta=params.delta)

@@ -69,6 +69,10 @@ _SAFETY = 0.9
 # Most points a uniform time grid (output samples or fixed steps) may have: 320 MB of 4-vectors.
 MAX_GRID_POINTS = 10_000_000
 
+# Smallest rtol: below it the error test asks for less than rounding can give
+# (scipy's solve_ivp uses the same floor).
+_MIN_RTOL = 100 * np.finfo(float).eps
+
 
 class IntegrationError(RuntimeError):
     """Integration aborted; carries the last successfully reached state."""
@@ -102,7 +106,8 @@ class IntegratorConfig:
     The run covers [t0, t_end]; samples are produced every ``sample_dt``
     starting from t0 (the end time is always included). ``step`` applies to
     the fixed-step method, ``rtol``/``atol`` to the adaptive one. Neither
-    the samples nor the fixed steps may number more than ``MAX_GRID_POINTS``.
+    the samples nor the fixed steps may number more than ``MAX_GRID_POINTS``,
+    and ``rtol`` may not be below 100 machine epsilons.
     """
 
     t_end: float
@@ -123,6 +128,8 @@ class IntegratorConfig:
             value = getattr(self, name)
             if value is not None and not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if self.rtol < _MIN_RTOL:
+            raise ValueError(f"rtol must be at least 100*eps = {_MIN_RTOL:.3g}, got {self.rtol!r}")
         fixed = _METHODS[self.method].e is None
         if fixed and self.step is None:
             raise ValueError("fixed-step method needs a step size")

@@ -19,9 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .averaged import (_chi2_coeffs, _chi3_coeffs, _is_exact, _phase_drifts_11, avg11_cart,
-                       avg12_first_cart, avg12_second_cart, avg13_cart, polar_to_slow_cart,
-                       slow_cart_amplitudes)
+from .averaged import (_chi2_coeffs, _chi3_paper_coeffs, _is_exact, _phase_drifts_11,
+                       avg11_cart, avg12_first_cart, avg12_second_cart, avg13_cart,
+                       polar_to_slow_cart, slow_cart_amplitudes)
 from .integrate import IntegratorConfig, integrate
 from .model import ModelParams
 from .transforms import wrap_angle
@@ -31,6 +31,7 @@ __all__ = [
     "RESONANCES",
     "SYSTEM_OMEGA",
     "resonance_for",
+    "averaged_system",
     "ResonanceManifold",
     "StabilityReport",
     "locate_12_first",
@@ -120,11 +121,12 @@ def locate_12_second(a1, a2) -> ResonanceManifold:
 def locate_13(a1, a2) -> ResonanceManifold:
     """1:3 manifold from the zero of the chi3 drift, chi3 in {0, pi}.
 
-    The drift is -(c_u*r1^2 - c_w*r2^2); a positive ratio needs both
-    coefficients non-zero with equal sign. Width O(eps^2), interaction
-    time 1/eps^4.
+    The drift is the paper's reading -(c_u*r1^2 - c_w*r2^2)
+    (:func:`symevol.averaged.chi3_rhs`), not a view of the 1:3 field; a
+    positive ratio needs both coefficients non-zero with equal sign. Width
+    O(eps^2), interaction time 1/eps^4.
     """
-    c_u, c_w = _chi3_coeffs(a1, a2)
+    c_u, c_w = _chi3_paper_coeffs(a1, a2)
     if c_u == 0 and c_w == 0:
         return ResonanceManifold("1:3", False, None, (0.0, math.pi), 2, 4, degenerate=True)
     if c_u != 0 and c_w != 0 and (c_u > 0) == (c_w > 0):
@@ -210,10 +212,10 @@ def classify_11(a1, a2) -> list[StabilityReport]:
 def _orbit_ratio(params, cos2chi):
     """r1^2/r2^2 of the constant-amplitude symmetric 1:1 solutions at
     cos(2*chi) = +-1: the zero of the chi drift, which is linear in
-    (r1^2, r2^2)."""
+    (r1^2, r2^2), here without its factor eps^2."""
     def chi_drift(u, w):
-        phi1, phi2, k = _phase_drifts_11(u, w, math.inf, params)
-        return phi1 - phi2 + k * (w - u) * cos2chi
+        phi1, phi2, k = _phase_drifts_11(u, w, 0.0, params.a1, params.a2, params.a3, params.a4)
+        return phi2 - phi1 + k * (w - u) * cos2chi
 
     den = chi_drift(1.0, 0.0)
     if den == 0.0:
@@ -364,3 +366,16 @@ def resonance_for(omega: float) -> Resonance:
     except KeyError:
         raise ValueError(f"no averaged system or resonance analysis for omega = {omega:g} "
                          f"(tabulated: {', '.join(f'{w:g}' for w in RESONANCES)})") from None
+
+
+def averaged_system(omega: float, name: str | None = None):
+    """(name, field) of the averaged system ``name`` of omega; an omitted
+    name means omega's default system. ValueError when omega has no entry
+    or the name is not one of omega's systems."""
+    entry = resonance_for(omega)
+    name = entry.default_system if name is None else name
+    if name not in SYSTEM_OMEGA:
+        raise ValueError(f"unknown averaged system {name!r}; known: {', '.join(SYSTEM_OMEGA)}")
+    if name not in entry.systems:
+        raise ValueError(f"resonance {name!r} needs omega = {SYSTEM_OMEGA[name]:g}")
+    return name, entry.systems[name]

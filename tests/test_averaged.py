@@ -1,14 +1,15 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import random_polar
-from symevol.averaged import (ZeroAmplitudeError, average_slow_field, avg11_cart, avg11_rhs,
-                              avg12_first_cart, avg12_first_rhs, avg12_second_cart,
-                              avg12_second_rhs, avg13_cart, avg13_rhs, chi2_rhs, chi3_rhs,
-                              chi12_rhs, fit_I3_11, invariant, polar_to_slow_cart,
-                              second_order_average, slow_cart_amplitudes)
+from symevol.averaged import (ZeroAmplitudeError, _chi3_paper_coeffs, _phase_drifts_13,
+                              average_slow_field, avg11_cart, avg11_rhs, avg12_first_cart,
+                              avg12_first_rhs, avg12_second_cart, avg12_second_rhs, avg13_cart,
+                              avg13_rhs, chi2_rhs, chi3_rhs, chi12_rhs, fit_I3_11, invariant,
+                              polar_to_slow_cart, second_order_average, slow_cart_amplitudes)
 from symevol.integrate import IntegratorConfig, integrate
 from symevol.model import CartesianState, ModelParams
 from symevol.transforms import PolarState, polar_to_cart
@@ -28,8 +29,15 @@ def p13():
 
 
 def test_avg12_first_frozen_at_chi_zero(params12):
-    y = np.array([0.6, 0.2, 0.3, 0.4, 0.5])  # chi = 2*0.2 - 0.4 = 0
-    d = avg12_first_rhs(0.0, y, params12)
+    # at chi = 2*psi1 - psi2 = 0 the amplitudes are frozen: r_k*r_k' =
+    # x_k*x_k' + y_k*y_k' is exactly zero at A1 = 3 + 4i, A2 = A1^2 = -7 + 24i,
+    # where kappa = eps*a4/2 = 1/2 keeps every product exact
+    p = ModelParams(1.0, 1.0, 0.75, 2.0, omega=2.0, epsilon=0.5, n=2)
+    x1, y1, x2, y2 = 3.0, 4.0, -7.0, 24.0
+    dx1, dy1, dx2, dy2, _ = avg12_first_cart(0.0, (x1, y1, x2, y2, 0.0), p)
+    assert x1 * dx1 + y1 * dy1 == 0.0 and x2 * dx2 + y2 * dy2 == 0.0
+    # the polar view too, at psi1 = psi2 = 0 where its chart is exact
+    d = avg12_first_rhs(0.0, np.array([0.6, 0.0, 0.3, 0.0, 0.5]), params12)
     assert d[0] == 0.0 and d[2] == 0.0
 
 
@@ -175,29 +183,41 @@ def test_chi2_root_and_signs():
 
 def test_avg13_amplitudes_exactly_frozen(p13, rng):
     for _ in range(20):
+        # the field is the pure rotation A_k' = i*phi_k*A_k, bit for bit
         y = random_polar(rng)
+        x1, y1, x2, y2, tau = polar_to_slow_cart(y).tolist()
+        phi1, phi2 = _phase_drifts_13(x1 * x1 + y1 * y1, x2 * x2 + y2 * y2, p13.a1, p13.a2)
+        phi1, phi2 = -p13.epsilon**2 * phi1, -p13.epsilon**2 * phi2
+        assert avg13_cart(0.0, (x1, y1, x2, y2, tau), p13) == (
+            -phi1 * y1, phi1 * x1, -phi2 * y2, phi2 * x2, p13.delta)
+        # and the polar view, at psi1 = psi2 = 0 where its chart is exact
+        y[1] = y[3] = 0.0
         d = avg13_rhs(0.0, y, p13)
         assert d[0] == 0.0 and d[2] == 0.0
 
 
 def test_avg13_decayed_limit_matches_oracle(p13, rng):
     # at alpha = 0 the 1:3 field is the second-order average: at a1 = 0 and
-    # r1 = 0, psi1' = -eps^2*a2^2*r2^2/35
+    # r1 = 0, psi1' = -eps^2*a2^2*r2^2/35, pinned on the drift helper since
+    # the polar chart is undefined at r1 = 0
     for _ in range(10):
         y = random_polar(rng)[:4]
         oracle = second_order_average(y, p13, al=0.0)
         field = avg13_rhs(0.0, np.append(y, np.inf), p13)[:4]
         assert np.max(np.abs(oracle - field)) < 1e-8 * np.max(np.abs(oracle))
-    pw = ModelParams(0.0, 1.0, 0.0, 0.0, omega=3.0, epsilon=0.1, n=2)
-    d = avg13_rhs(0.0, np.array([0.0, 0.0, 1.0, 0.0, 0.0]), pw)
-    assert d[1] / pw.epsilon**2 == pytest.approx(-1.0 / 35.0, rel=1e-14)
+    zero, one = Fraction(0), Fraction(1)
+    assert _phase_drifts_13(zero, one, zero, one)[0] == Fraction(1, 35)
     with pytest.raises(ValueError, match="omega = 1 or 3"):
         second_order_average(y, ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.1))
 
 
 def test_avg13_phase_values(p13):
-    d = avg13_rhs(0.0, np.array([1.0, 0.0, 0.0, 0.0, 0.0]), p13)
-    assert d[1] / p13.epsilon**2 == pytest.approx(-5.0 / 12.0, abs=1e-14)
+    # at r2 = 0, psi1' = -eps^2*5/12*a1^2*r1^2: pinned on the drift helper,
+    # since the polar chart rejects r2 = 0
+    zero, one = Fraction(0), Fraction(1)
+    assert _phase_drifts_13(one, zero, one, one)[0] == Fraction(5, 12)
+    with pytest.raises(ZeroAmplitudeError):
+        avg13_rhs(0.0, np.array([1.0, 0.0, 0.0, 0.0, 0.0]), p13)
     pz = ModelParams(0.0, 0.0, 0.75, 1.5, omega=3.0, epsilon=0.1, n=2)
     d = avg13_rhs(0.0, np.array([0.8, 0.1, 0.5, 0.7, 0.2]), pz)
     assert np.all(d[:4] == 0.0)
@@ -213,6 +233,22 @@ def test_chi3_root_and_readings():
     for r1 in (0.2, 0.7, 1.5):
         for r2 in (0.2, 0.7, 1.5):
             assert chi3_rhs(r1, r2, pa) > 0.0
+
+
+def test_chi3_field_drift_is_not_the_paper_reading():
+    # 6*psi1' - 2*psi2' of the 1:3 field is -eps^2*(451/210*r1^2 + 199/70*r2^2)
+    # at a1 = a2 = 1: one sign, so no manifold; the paper's reading gives 1401/976
+    zero, one = Fraction(0), Fraction(1)
+    field = [6 * phi1 - 2 * phi2 for phi1, phi2 in (_phase_drifts_13(one, zero, one, one),
+                                                    _phase_drifts_13(zero, one, one, one))]
+    assert field == [Fraction(451, 210), Fraction(199, 70)]
+    c_u, c_w = _chi3_paper_coeffs(1, 1)
+    assert c_w / c_u == Fraction(1401, 976)
+    # the integrated field agrees, and is far from zero at the paper's ratio
+    p = ModelParams(1.0, 1.0, 0.0, 0.0, omega=3.0, epsilon=0.1, n=2)
+    d = avg13_rhs(0.0, np.array([math.sqrt(1401.0), 0.3, math.sqrt(976.0), -0.2, 0.0]), p)
+    expected = -p.epsilon**2 * (451.0 / 210.0 * 1401.0 + 199.0 / 70.0 * 976.0)
+    assert 6 * d[1] - 2 * d[3] == pytest.approx(expected, rel=1e-13)
 
 
 # --------------------------------------------------------------------- 1:1
@@ -350,30 +386,19 @@ def test_fit_i3_11_rejects_degenerate_data():
 
 
 def test_slow_cart_chart_consistent_with_polar(params12, p11, p13, rng):
-    # push the polar field through the chart and compare
-    for rhs_polar, rhs_cart, p, tau in ((avg12_first_rhs, avg12_first_cart, params12, None),
-                                        (avg12_second_rhs, avg12_second_cart, params12, None),
-                                        (avg11_rhs, avg11_cart, p11, None),
-                                        (avg11_rhs, avg11_cart, p11, np.inf),
-                                        (avg13_rhs, avg13_cart, p13, None)):
+    # the polar fields are the chain-rule view of these fields by construction;
+    # the single-row integrator's form, a tuple of floats, gives the ndarray's bits
+    for rhs_cart, p, tau in ((avg12_first_cart, params12, None),
+                             (avg12_second_cart, params12, None),
+                             (avg11_cart, p11, None),
+                             (avg11_cart, p11, np.inf),
+                             (avg13_cart, p13, None)):
         for _ in range(40):
             y = random_polar(rng)
             if tau is not None:
                 y[4] = tau
-            d_pol = rhs_polar(0.0, y, p)
             u = polar_to_slow_cart(y)
             d_cart = rhs_cart(0.0, u, p)
-            r1, psi1, r2, psi2 = y[:4]
-            expected = np.array([
-                d_pol[0] * math.cos(psi1) - r1 * math.sin(psi1) * d_pol[1],
-                d_pol[0] * math.sin(psi1) + r1 * math.cos(psi1) * d_pol[1],
-                d_pol[2] * math.cos(psi2) - r2 * math.sin(psi2) * d_pol[3],
-                d_pol[2] * math.sin(psi2) + r2 * math.cos(psi2) * d_pol[3],
-            ])
-            np.testing.assert_allclose(d_cart[:4], expected, rtol=1e-12, atol=1e-14)
-            assert np.max(np.abs(d_cart[:4] - expected)) <= 1e-13 * np.max(np.abs(expected))
-            assert d_cart[4] == d_pol[4]
-            # the single-row integrator's form: a tuple of floats in, the same bits out
             d_tuple = rhs_cart(0.0, tuple(u.tolist()), p)
             assert type(d_tuple) is tuple and d_tuple == tuple(d_cart.tolist())
 

@@ -220,8 +220,8 @@ def _run_cli(argv):
     return code, lines
 
 
-BAD_SETTINGS = [["--rtol", "0"], ["--rtol", "-1"], ["--rtol", "nan"], ["--atol", "0"],
-                ["--sample-dt", "-0.1"], ["--sample-dt", "1e-300"],
+BAD_SETTINGS = [["--rtol", "0"], ["--rtol", "-1"], ["--rtol", "nan"], ["--rtol", "1e-300"],
+                ["--atol", "0"], ["--sample-dt", "-0.1"], ["--sample-dt", "1e-300"],
                 ["--horizon", "-1"], ["--horizon", "inf"], ["--horizon", "nan"]]
 
 
@@ -343,7 +343,8 @@ def test_compare_rejects_unsupported_omega(small_config, tmp_path, capsys):
 
 def test_compare_reads_settings_from_config(small_config, tmp_path):
     # [compare] eps_list, window and resonance are run settings like any other:
-    # a key in the config and the same value as a flag make one run, one digest
+    # a key in the config and the same value as a flag make one run, one digest,
+    # and so do an omitted resonance and omega's default named explicitly
     keyed = tmp_path / "keyed.ini"
     keyed.write_text(SMALL_CONFIG + "\n[compare]\neps_list = 0.05\nwindow = 0.5\n"
                                     "resonance = 12-second\n")
@@ -354,14 +355,18 @@ def test_compare_reads_settings_from_config(small_config, tmp_path):
         "flag_wins": ["compare", str(keyed), "--eps-list", "0.1", "--window", "1",
                       "--resonance", "12-first"],
         "defaults": ["compare", str(small_config)],
+        "default_named": ["compare", str(small_config), "--resonance", "12-first"],
     }
     digests = {name: _digest_of(argv, tmp_path / name) for name, argv in runs.items()}
     data = {name: (tmp_path / name / "compare.csv").read_bytes() for name in runs}
     assert data["keyed"] == data["flags"] and digests["keyed"] == digests["flags"]
-    assert data["flag_wins"] == data["defaults"] != data["keyed"]
+    assert data["flag_wins"] == data["defaults"] == data["default_named"] != data["keyed"]
+    assert digests["defaults"] == digests["default_named"] == digests["flag_wins"]
     assert data["keyed"].splitlines()[1].startswith(b"0.050000000000000003,")
     summary = json.loads((tmp_path / "keyed" / "compare_summary.json").read_text())
     assert summary["resonance"] == "12-second" and summary["window_L"] == 0.5
+    summary = json.loads((tmp_path / "defaults" / "compare_summary.json").read_text())
+    assert summary["resonance"] == "12-first"
 
 
 @pytest.mark.parametrize("key", ["eps_list = abc", "eps_list = 0", "window = wide",
@@ -492,9 +497,11 @@ def test_ensemble_manifest_lists_failed_particles(tmp_path):
     assert manifest["failures"] == len(failed) > 0
     assert [i for i, _ in failed] == sorted({i for i, _ in failed})
     assert all(0 <= i < 12 and "(last good time t = " in message for i, message in failed)
-    # when every particle fails, no statistics exist: a numerical failure
+    # when every particle fails, no statistics exist: a numerical failure;
+    # from q1 = 1.5 up every particle of this ensemble escapes
+    cfg.write_text(text.replace("q1 = uniform 0 3.2", "q1 = uniform 2 3.2"))
     code, lines = _run_cli(["ensemble", str(cfg), "--out", str(tmp_path / "none"),
-                               "--horizon", "30", "--rtol", "1e-300", "--atol", "1e-300"])
+                            "--horizon", "30"])
     assert code == 3 and len(lines) == 1
     assert lines[0].startswith("numerical failure: every particle integration failed")
 
