@@ -157,18 +157,6 @@ def chi3_rhs(r1, r2, p: ModelParams) -> float:
     return -p.epsilon**2 * (c_u * r1 * r1 - c_w * r2 * r2)
 
 
-def _slow_floats(y):
-    """The regular-chart state (x1, y1, x2, y2, tau) as floats; a tuple is
-    taken to hold floats already."""
-    return y[:5] if type(y) is tuple else tuple(float(v) for v in y[:5])
-
-
-def _like_state(y, *values):
-    """A field's values in the form of its state: a tuple for a tuple of
-    floats (the single-row integrator's form), an ndarray otherwise."""
-    return values if type(y) is tuple else np.array(values)
-
-
 def _avg12_first_terms(x1, y1, x2, y2, tau, p: ModelParams):
     """(x1', y1', x2', y2') of the first-order 1:2 field, which both 1:2
     fields contain."""
@@ -184,12 +172,12 @@ def avg12_first_cart(t, y, p: ModelParams):
     polynomial (A1' = -i*kappa*conj(A1)*A2, A2' = -i*kappa/4*A1^2 with
     kappa = eps*exp(-tau)*a4/2), so trajectories pass smoothly through
     normal-mode crossings where the polar chart degenerates. Like every
-    ``*_cart`` field it answers a tuple of floats with a tuple, any other
-    state with an ndarray.
+    ``*_cart`` field it takes the state as a sequence of its five float
+    components and answers the tuple of their rates.
     """
     _require_system(p, 2.0, "the first-order averaged 1:2 system")
-    x1, y1, x2, y2, tau = _slow_floats(y)
-    return _like_state(y, *_avg12_first_terms(x1, y1, x2, y2, tau, p), p.delta)
+    x1, y1, x2, y2, tau = y
+    return (*_avg12_first_terms(x1, y1, x2, y2, tau, p), p.delta)
 
 
 def avg12_second_cart(t, y, p: ModelParams):
@@ -201,14 +189,13 @@ def avg12_second_cart(t, y, p: ModelParams):
     polynomial. tau = inf gives the autonomous symmetric limit.
     """
     _require_system(p, 2.0, "the second-order averaged 1:2 system")
-    x1, y1, x2, y2, tau = _slow_floats(y)
+    x1, y1, x2, y2, tau = y
     dx1, dy1, dx2, dy2 = _avg12_first_terms(x1, y1, x2, y2, tau, p)
     e2 = p.epsilon**2
     phi1, phi2 = _phase_drifts_12(x1 * x1 + y1 * y1, x2 * x2 + y2 * y2,
                                   math.exp(-2.0 * tau), p.a1, p.a2, p.a3, p.a4)
     phi1, phi2 = -e2 * phi1, -e2 * phi2
-    return _like_state(y, dx1 - phi1 * y1, dy1 + phi1 * x1, dx2 - phi2 * y2,
-                       dy2 + phi2 * x2, p.delta)
+    return dx1 - phi1 * y1, dy1 + phi1 * x1, dx2 - phi2 * y2, dy2 + phi2 * x2, p.delta
 
 
 def avg13_cart(t, y, p: ModelParams):
@@ -216,11 +203,11 @@ def avg13_cart(t, y, p: ModelParams):
     rotations A_k' = i*phi_k*A_k, so the amplitudes are frozen at this
     order."""
     _require_system(p, 3.0, "the averaged 1:3 system")
-    x1, y1, x2, y2, tau = _slow_floats(y)
+    x1, y1, x2, y2, tau = y
     e2 = p.epsilon**2
     phi1, phi2 = _phase_drifts_13(x1 * x1 + y1 * y1, x2 * x2 + y2 * y2, p.a1, p.a2)
     phi1, phi2 = -e2 * phi1, -e2 * phi2
-    return _like_state(y, -phi1 * y1, phi1 * x1, -phi2 * y2, phi2 * x2, p.delta)
+    return -phi1 * y1, phi1 * x1, -phi2 * y2, phi2 * x2, p.delta
 
 
 def avg11_cart(t, y, p: ModelParams):
@@ -232,7 +219,7 @@ def avg11_cart(t, y, p: ModelParams):
     a second conserved combination fitted by :func:`fit_I3_11`.
     """
     _require_system(p, 1.0, "the averaged 1:1 system")
-    x1, y1, x2, y2, tau = _slow_floats(y)
+    x1, y1, x2, y2, tau = y
     e2 = p.epsilon**2
     phi1, phi2, k = _phase_drifts_11(x1 * x1 + y1 * y1, x2 * x2 + y2 * y2,
                                      math.exp(-2.0 * tau), p.a1, p.a2, p.a3, p.a4)
@@ -244,8 +231,8 @@ def avg11_cart(t, y, p: ModelParams):
     z1r, z1i = cr * x2 - ci * y2, cr * y2 + ci * x2
     fr, fi = br * x1 - k * y1 * y1, br * y1 + k * y1 * x1
     z2r, z2i = fr * x2 + fi * y2, fi * x2 - fr * y2
-    return _like_state(y, -(phi1 * y1 + z1i), phi1 * x1 + z1r,
-                       -(phi2 * y2 + z2i), phi2 * x2 + z2r, p.delta)
+    return (-(phi1 * y1 + z1i), phi1 * x1 + z1r, -(phi2 * y2 + z2i), phi2 * x2 + z2r,
+            p.delta)
 
 
 def _polar_view(cart, t, y, p: ModelParams) -> np.ndarray:

@@ -88,14 +88,14 @@ def _cmd_simulate(args) -> int:
     start = time.perf_counter()
     traj = run_scenario(scenario)
     e1, e2 = mode_actions(traj.states, scenario.params.omega)
+    run_info = {"samples": len(traj.times), "integrator_stats": traj.stats}
     if figure is None:
         csv_path = outdir / "trajectory.csv"
         _write_csv(csv_path, ["t", "q1", "v1", "q2", "v2", "E1", "E2"],
                    [traj.times, *traj.states.T, e1, e2])
         _write_manifest(outdir, "simulate", digest, [csv_path.name],
                         wall_time=time.perf_counter() - start,
-                        extra={"label": scenario.label, "samples": len(traj.times),
-                               "integrator_stats": traj.stats})
+                        extra={"label": scenario.label, **run_info})
         return EXIT_OK
     csv_path = outdir / f"{figure}.csv"
     _write_csv(csv_path, ["t", "v1", "v2", "E1", "E2"],
@@ -104,7 +104,7 @@ def _cmd_simulate(args) -> int:
     summary = {"figure": figure, "E0": float(e1[0] + e2[0]),
                "stabilization_time": stab if math.isfinite(stab) else "never"}
     _write_manifest(outdir, "reproduce-figure", digest, [csv_path.name],
-                    wall_time=time.perf_counter() - start, extra=summary)
+                    wall_time=time.perf_counter() - start, extra={**summary, **run_info})
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
 

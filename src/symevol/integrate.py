@@ -1,19 +1,20 @@
 """Time steppers: adaptive Dormand-Prince 5(4) and fixed-step classical RK4.
 
-Both methods are tableau records in ``_METHODS``. One single-row loop runs
-both over Python floats, through one generated straight-line step per
-tableau record and state dimension; the right-hand side receives each
-stage state as a tuple of d floats and may return any sequence of d
-floats. Both methods deliver dense output by cubic Hermite interpolation on
-the accepted steps, so the returned sample times are exactly the requested
-grid and never constrain the step-size control. Integrations are
-deterministic: identical inputs produce bit-identical trajectories on one
-platform.
+Both methods are tableau records in ``_METHODS``. The right-hand side takes
+a state as a tuple of its d components and answers with a sequence of d
+components. A component is a float in a single run, and an array with one
+entry per running row in a batch. One single-row loop runs both methods
+over Python floats, through one generated straight-line step per tableau
+record and state dimension. Dormand-Prince also integrates a batch of
+independent initial states at once (``y0`` of shape (N, d)), holding the
+rows as columns of a (d, n) array; every row keeps its own time and step
+size. Both loops sum stages and errors in one order and share the
+controller, so a batch row equals the single-row run byte for byte.
 
-Dormand-Prince also integrates a batch of independent initial states at
-once (``y0`` of shape (N, d)); every row keeps its own time and step size.
-Both loops sum stages and errors in one order and share the controller, so
-a batch row equals the single-row run byte for byte.
+Both methods deliver dense output by cubic Hermite interpolation on the
+accepted steps, so the returned sample times are exactly the requested grid
+and never constrain the step-size control. Integrations are deterministic:
+identical inputs produce bit-identical trajectories on one platform.
 """
 
 from __future__ import annotations
@@ -170,12 +171,14 @@ def _sample_grid(t0: float, t_end: float, dt: float) -> np.ndarray:
 
 
 def _hermite(th, h, y0, y1, f0, f1):
-    """Cubic Hermite interpolant of one step (or one step per row) at the
-    step fractions ``th`` (shape (m,)); one output row per fraction.
+    """Cubic Hermite interpolant of one step (or one step per sample) at the
+    step fractions ``th`` (shape (m,)); one output row of d values per
+    fraction.
 
-    ``h`` is a scalar or has shape (m,); the end values and slopes are
-    sequences of d floats or arrays of shape (d,) or (m, d). The arithmetic
-    is elementwise, so every sample gets the bits of a one-sample evaluation."""
+    ``h`` is a scalar or has shape (m,). The end values and slopes are the
+    step's states and slopes as sequences of d floats, or, one step per
+    sample, as arrays of shape (m, d). The arithmetic is elementwise, so
+    every sample gets the bits of a one-sample evaluation."""
     th2 = th * th
     th3 = th2 * th
     return ((2 * th3 - 3 * th2 + 1)[:, None] * y0 + ((th3 - 2 * th2 + th) * h)[:, None] * f0
@@ -194,16 +197,18 @@ def _hermite_fill(out, ts, idx, t0, h, y0, y1, f0, f1, t1):
 
 
 def _row_rms(x):
-    """Root mean square over the last axis of a (d,) or (n, d) array."""
+    """Root mean square over the d components, the first axis, of a (d,) or
+    (d, n) array."""
     sq = x * x
-    acc = sq[..., 0]
-    for j in range(1, x.shape[-1]):
-        acc = acc + sq[..., j]
-    return np.sqrt(acc / x.shape[-1])
+    acc = sq[0]
+    for j in range(1, len(x)):
+        acc = acc + sq[j]
+    return np.sqrt(acc / len(x))
 
 
 def _initial_step(y0, f0, rtol, atol, span):
-    """First trial step per row of y0; the loops clamp each step to the time left."""
+    """First trial step of a (d,) state or per column of a (d, n) batch; the
+    loops clamp each step to the time left."""
     scale = atol + rtol * np.abs(y0)
     d0 = _row_rms(y0 / scale)
     d1 = _row_rms(f0 / scale)
@@ -214,29 +219,29 @@ def integrate(rhs, y0, config: IntegratorConfig) -> Trajectory:
     """Integrate y' = rhs(t, y) over [config.t0, config.t_end] with dense
     sampling.
 
-    For a 1-D ``y0`` of d values, ``rhs`` is called with a float time and
-    the stage state as a tuple of d floats, and may return any sequence of
-    d floats (a tuple, a list, an ndarray); another length raises
-    ValueError before any sample is written. Each step is one generated
-    straight-line step of the method's tableau record.
+    ``rhs(t, y)`` gets the state ``y`` as a tuple of its d components and
+    returns a sequence of d components (a tuple, a list, an ndarray). For a
+    1-D ``y0`` of d values a component is a float and ``t`` is a float. For
+    a 2-D ``y0`` of shape (N, d), N independent rows run in one
+    Dormand-Prince run (rk45 only; rk4 raises ValueError): a component is an
+    array of shape (n,) holding the n rows still running, ``t`` is the array
+    of their times, and the answer must have shape (d, n). ``rhs`` must treat
+    rows independently. An answer of another length or shape raises
+    ValueError before any sample is written.
 
-    Raises :class:`IntegrationError` on step-size underflow or persistent
-    non-finite values; the exception carries the last good (t, y), with y
-    an ndarray.
+    A single run raises :class:`IntegrationError` on step-size underflow or
+    persistent non-finite values; the exception carries the last good
+    (t, y), with y an ndarray. ``states`` has shape (samples, d).
 
-    A 2-D ``y0`` of shape (N, d) integrates N independent rows in one
-    Dormand-Prince run (rk45 only; rk4 raises ValueError). ``rhs`` is then
-    called with a time array of shape (n,) and states of shape (n, d) for
-    the n rows still running, and must treat rows independently. Each row
-    keeps its own time and step size, and its result does not depend on the
-    other rows of the batch. ``states`` has shape (N, samples, d). A failing
-    row does not raise: it is listed in ``stats["failures"]`` as
+    A batch keeps each row's own time and step size, and a row's result
+    does not depend on the other rows. ``states`` has shape (N, samples, d).
+    A failing row does not raise: it is listed in ``stats["failures"]`` as
     ``(row, message)``, with the message the single-row run would raise,
     and its samples past the failure are NaN. ``stats`` holds the totals
     ``accepted``/``rejected``/``rhs_evals`` and the per-row counts
     ``row_accepted``/``row_rejected``/``row_rhs_evals``, each the count of
-    the single-row run. A batch row equals the single-row run of its
-    state byte for byte.
+    the single-row run. A batch row equals the single-row run of its state
+    byte for byte.
     """
     y0 = np.asarray(y0, dtype=float)
     if y0.ndim not in (1, 2) or y0.shape[-1] == 0:
@@ -387,8 +392,9 @@ def _weighted_sum(weights, k):
 
 def _hermite_fill_rows(out, rows, ts, idx, t0, h, y0, y1, f0, f1, t1, mask):
     """Vectorized :func:`_hermite_fill` over the rows selected by ``mask``:
-    batch row i writes ``out[rows[i]]`` at its samples on (t0[i], t1[i]].
-    Returns the next sample index of every row."""
+    batch row i, the column i of the (d, n) states and slopes, writes
+    ``out[rows[i]]`` at its samples on (t0[i], t1[i]]. Returns the next
+    sample index of every row."""
     stop = np.searchsorted(ts, t1 + 1e-14 * np.maximum(1.0, np.abs(t1)), side="right")
     counts = np.where(mask, stop - idx, 0)
     total = int(counts.sum())
@@ -397,9 +403,17 @@ def _hermite_fill_rows(out, rows, ts, idx, t0, h, y0, y1, f0, f1, t1, mask):
         first = np.cumsum(counts) - counts
         sample = idx[pair] + np.arange(total) - first[pair]
         hp = h[pair]
-        out[rows[pair], sample] = _hermite((ts[sample] - t0[pair]) / hp, hp,
-                                           y0[pair], y1[pair], f0[pair], f1[pair])
+        out[rows[pair], sample] = _hermite((ts[sample] - t0[pair]) / hp, hp, y0.T[pair],
+                                           y1.T[pair], f0.T[pair], f1.T[pair])
     return np.where(mask, stop, idx)
+
+
+def _columns(answer, shape):
+    """A batch rhs answer as a (d, n) array; another shape is a ValueError."""
+    k = np.asarray(answer, dtype=float)
+    if k.shape != shape:
+        raise ValueError(f"rhs returned values of shape {k.shape} for states of shape {shape}")
+    return k
 
 
 def _run_rk45_rows(rhs, y0, config, ts, out):
@@ -412,27 +426,26 @@ def _run_rk45_rows(rhs, y0, config, ts, out):
     rejected = np.zeros(n_rows, dtype=np.int64)
     evals = np.ones(n_rows, dtype=np.int64)
     failures = []
-    # live rows only, compressed whenever rows finish or fail
+    # live rows only, one column each, compressed whenever rows finish or fail
     rows = np.arange(n_rows)
     t = np.full(n_rows, float(t0))
-    y = y0.copy()
+    y = y0.T.copy()
     idx = np.ones(n_rows, dtype=np.intp)
     streak = np.zeros(n_rows, dtype=np.int64)
     with np.errstate(all="ignore"):
-        f = np.asarray(rhs(t, y), dtype=float)
+        f = _columns(rhs(t, tuple(y)), y.shape)
         h = _initial_step(y, f, rtol, atol, span)
         while rows.size:
             clamped = h >= t_end - t
             h = np.where(clamped, t_end - t, h)
-            hc = h[:, None]
             k = [f]
             for s, a_s in enumerate(a, 1):
-                ys = y + hc * _weighted_sum(a_s, k)
-                k.append(np.asarray(rhs(t + c[s] * h, ys), dtype=float))
+                ys = y + h * _weighted_sum(a_s, k)
+                k.append(_columns(rhs(t + c[s] * h, tuple(ys)), ys.shape))
             evals[rows] += len(a)
             y_new = ys  # the last stage input is the solution (first same as last)
-            finite = np.isfinite(k).all(axis=(0, 2)) & np.isfinite(y_new).all(axis=1)
-            err = hc * _weighted_sum(e, k)
+            finite = np.isfinite(k).all(axis=(0, 1)) & np.isfinite(y_new).all(axis=0)
+            err = h * _weighted_sum(e, k)
             err_norm = _row_rms(err / (atol + rtol * np.maximum(np.abs(y), np.abs(y_new))))
             ok = finite & (err_norm <= 1.0)
             factor = _SAFETY * _error_power(err_norm)
@@ -445,8 +458,8 @@ def _run_rk45_rows(rhs, y0, config, ts, out):
             h = np.where(ok, np.minimum(h * grow, span),
                          np.where(finite, h * np.maximum(_MIN_FACTOR, factor), h * 0.25))
             t = np.where(ok, t_new, t)
-            y = np.where(ok[:, None], y_new, y)
-            f = np.where(ok[:, None], k[-1], f)
+            y = np.where(ok, y_new, y)
+            f = np.where(ok, k[-1], f)
             streak = np.where(finite, 0, streak + 1)
             failed = _stops(t, h, streak, t_end)
             for i in np.flatnonzero(failed).tolist():
@@ -454,8 +467,8 @@ def _run_rk45_rows(rhs, y0, config, ts, out):
                 failures.append((int(rows[i]), _failure_text(message, float(t[i]))))
             live = (t < t_end) & ~failed
             if not live.all():
-                rows, t, y, f, h, idx, streak = (
-                    v[live] for v in (rows, t, y, f, h, idx, streak))
+                rows, t, h, idx, streak = (v[live] for v in (rows, t, h, idx, streak))
+                y, f = y[:, live], f[:, live]
     return {"accepted": int(accepted.sum()), "rejected": int(rejected.sum()),
             "rhs_evals": int(evals.sum()), "row_accepted": accepted,
             "row_rejected": rejected, "row_rhs_evals": evals,

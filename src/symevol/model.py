@@ -47,18 +47,26 @@ def alpha(tau, kind="exponential"):
     Monotone from alpha(0) = 1 toward 0. "exponential" is exp(-tau);
     "polynomial" is 1/(1 + tau) and is accepted for the full equations of
     motion only (the averaged systems and the dissipative transform assume
-    the exponential law).
+    the exponential law). ``tau`` is a float, or an ndarray taken element by
+    element: an entry gets the float's value bit for bit.
     """
-    arr = np.asarray(tau, dtype=float)
-    if np.any(arr < 0.0):
+    # a float skips the isinstance test, which costs it a tenth of a full_rhs call
+    if type(tau) is not float and isinstance(tau, np.ndarray):
+        if np.any(tau < 0.0):
+            raise ValueError("slow time tau must be >= 0")
+        if kind == "exponential":
+            # element by element: numpy's exp differs from math.exp in the last bit
+            return np.fromiter(map(math.exp, (-tau).ravel().tolist()), float,
+                               tau.size).reshape(tau.shape)
+        if kind == "polynomial":
+            return 1.0 / (1.0 + tau)
+    elif tau < 0.0:
         raise ValueError("slow time tau must be >= 0")
-    if kind == "exponential":
-        out = np.exp(-arr)
+    elif kind == "exponential":
+        return math.exp(-tau)
     elif kind == "polynomial":
-        out = 1.0 / (1.0 + arr)
-    else:
-        raise ValueError(f"unknown alpha kind {kind!r}")
-    return float(out) if arr.ndim == 0 else out
+        return 1.0 / (1.0 + tau)
+    raise ValueError(f"unknown alpha kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -129,83 +137,48 @@ class CartesianState:
         return cls(float(t), float(y[0]), float(y[1]), float(y[2]), float(y[3]))
 
 
-def _alpha_at(t, p: ModelParams) -> float:
-    d = p.delta * t
-    if d < 0.0:
-        raise ValueError("alpha undefined for negative slow time")
-    if p.alpha_kind == "exponential":
-        return math.exp(-d)
-    return 1.0 / (1.0 + d)
-
-
-def eval_hamiltonian(t, y, p: ModelParams) -> float:
+def eval_hamiltonian(t, y, p: ModelParams):
     """Energy at time t: quadratic part plus the eps-scaled cubic potential."""
-    q1, v1, q2, v2 = (float(y[0]), float(y[1]), float(y[2]), float(y[3]))
-    al = _alpha_at(t, p)
+    q1, v1, q2, v2 = y
+    al = alpha(p.delta * t, p.alpha_kind)
     h2 = 0.5 * (v1 * v1 + q1 * q1) + 0.5 * (v2 * v2 + p.omega**2 * q2 * q2)
     h3 = p.a1 * q1**3 / 3.0 + p.a2 * q1 * q2 * q2
     h3t = p.a3 * q2**3 / 3.0 + p.a4 * q1 * q1 * q2
     return h2 - p.epsilon * (h3 + al * h3t)
 
 
-def _alpha_rows(t, p: ModelParams) -> np.ndarray:
-    """:func:`_alpha_at` at an array of times, bit for bit."""
-    d = p.delta * np.asarray(t, dtype=float)
-    if np.any(d < 0.0):
-        raise ValueError("alpha undefined for negative slow time")
-    if p.alpha_kind == "exponential":
-        # element by element: numpy's exp differs from math.exp in the last bit
-        return np.fromiter(map(math.exp, (-d).ravel().tolist()), float, d.size).reshape(d.shape)
-    return 1.0 / (1.0 + d)
-
-
 def full_rhs(t, y, p: ModelParams):
     """Right-hand side of the full equations of motion.
 
-    ``y`` is one state of shape (4,) or a stack of shape (..., 4); ``t`` is
-    then a scalar or an array of shape ``y.shape[:-1]`` (one time per row).
-    A state given as a tuple of 4 floats, as the single-row integrator passes
-    it, gets a tuple of 4 floats back; any other input gets an ndarray. Each
-    row of a stack equals the single-state call bit for bit.
+    ``y`` is the state as a sequence of its four components (q1, v1, q2, v2)
+    and the answer is the tuple of their rates. A component is a float, or
+    an array with one entry per row of a batch; ``t`` is then a float or an
+    array of the same shape. The arithmetic is elementwise, so every entry
+    equals the call on floats bit for bit.
     """
-    floats = type(y) is tuple
-    stacked = not floats and getattr(y, "ndim", 1) > 1
-    if floats:
-        q1, v1, q2, v2 = y
-        al = _alpha_at(t, p)
-    elif stacked:
-        y = np.asarray(y, dtype=float)
-        q1, v1, q2, v2 = y[..., 0], y[..., 1], y[..., 2], y[..., 3]
-        al = _alpha_rows(t, p)
-    else:
-        # plain floats: a numpy-scalar version costs ~15x per call
-        q1, v1, q2, v2 = (float(y[0]), float(y[1]), float(y[2]), float(y[3]))
-        al = _alpha_at(t, p)
+    q1, v1, q2, v2 = y
+    al = alpha(p.delta * t, p.alpha_kind)
     e = p.epsilon
     dv1 = -q1 + e * (p.a1 * q1 * q1 + p.a2 * q2 * q2) + e * al * 2.0 * p.a4 * q1 * q2
     dv2 = -p.omega**2 * q2 + e * 2.0 * p.a2 * q1 * q2 + e * al * (p.a3 * q2 * q2 + p.a4 * q1 * q1)
-    if floats:
-        return v1, dv1, v2, dv2
-    if stacked:
-        return np.stack((v1, dv1, v2, dv2), axis=-1)
-    return np.array([v1, dv1, v2, dv2])
+    return v1, dv1, v2, dv2
 
 
-def intermediate_rhs(t, y, p: ModelParams) -> np.ndarray:
+def intermediate_rhs(t, y, p: ModelParams):
     """Full right-hand side with the symmetric (a1, a2) cubic terms removed.
 
     The plane q1 = v1 = 0 is exactly invariant: the q2 mode survives as a
-    normal mode of this system.
+    normal mode of this system. Takes and answers states as :func:`full_rhs`.
     """
-    q1, v1, q2, v2 = (float(y[0]), float(y[1]), float(y[2]), float(y[3]))
-    al = _alpha_at(t, p)
+    q1, v1, q2, v2 = y
+    al = alpha(p.delta * t, p.alpha_kind)
     e = p.epsilon
     dv1 = -q1 + e * al * 2.0 * p.a4 * q1 * q2
     dv2 = -p.omega**2 * q2 + e * al * (p.a3 * q2 * q2 + p.a4 * q1 * q1)
-    return np.array([v1, dv1, v2, dv2])
+    return v1, dv1, v2, dv2
 
 
-def dissipative_rhs(t, y, p: ModelParams) -> np.ndarray:
+def dissipative_rhs(t, y, p: ModelParams):
     """Autonomous damped form of the intermediate system, z = exp(-delta*t)*q.
 
     Valid for the exponential decay law only; the homogeneity of the cubic
@@ -213,15 +186,17 @@ def dissipative_rhs(t, y, p: ModelParams) -> np.ndarray:
 
         z1'' + z1         = -2*delta*z1' - delta^2*z1 + eps*2*a4*z1*z2
         z2'' + omega^2*z2 = -2*delta*z2' - delta^2*z2 + eps*(a3*z2^2 + a4*z1^2)
+
+    Takes and answers states as :func:`full_rhs`.
     """
     if p.alpha_kind != "exponential":
         raise ValueError("dissipative form only exists for the exponential decay law")
-    z1, w1, z2, w2 = (float(y[0]), float(y[1]), float(y[2]), float(y[3]))
+    z1, w1, z2, w2 = y
     d = p.delta
     e = p.epsilon
     dw1 = -z1 - 2.0 * d * w1 - d * d * z1 + e * 2.0 * p.a4 * z1 * z2
     dw2 = -p.omega**2 * z2 - 2.0 * d * w2 - d * d * z2 + e * (p.a3 * z2 * z2 + p.a4 * z1 * z1)
-    return np.array([w1, dw1, w2, dw2])
+    return w1, dw1, w2, dw2
 
 
 def dissipative_to_cartesian(t, z, delta):

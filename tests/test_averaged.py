@@ -387,7 +387,8 @@ def test_fit_i3_11_rejects_degenerate_data():
 
 def test_slow_cart_chart_consistent_with_polar(params12, p11, p13, rng):
     # the polar fields are the chain-rule view of these fields by construction;
-    # the single-row integrator's form, a tuple of floats, gives the ndarray's bits
+    # the single-row integrator's form, a tuple of floats, gives a tuple of
+    # floats with the bits of an ndarray state's answer
     for rhs_cart, p, tau in ((avg12_first_cart, params12, None),
                              (avg12_second_cart, params12, None),
                              (avg11_cart, p11, None),
@@ -400,7 +401,8 @@ def test_slow_cart_chart_consistent_with_polar(params12, p11, p13, rng):
             u = polar_to_slow_cart(y)
             d_cart = rhs_cart(0.0, u, p)
             d_tuple = rhs_cart(0.0, tuple(u.tolist()), p)
-            assert type(d_tuple) is tuple and d_tuple == tuple(d_cart.tolist())
+            assert type(d_tuple) is tuple and all(type(v) is float for v in d_tuple)
+            assert type(d_cart) is tuple and d_tuple == d_cart
 
 
 def test_slow_cart_chart_crosses_normal_mode(params12):

@@ -664,7 +664,8 @@ def test_reproduce_figure_digest_covers_rtol(tmp_path):
 ])
 def test_reproduce_figure_is_simulate_of_preset(tmp_path, which, flags):
     # reproduce-figure is the simulate run of the bundled preset: its CSV is
-    # the t,v1,v2,E1,E2 columns of simulate's, byte for byte, under one digest
+    # the t,v1,v2,E1,E2 columns of simulate's, byte for byte, under one digest,
+    # and both manifests report the same integrator statistics and sample count
     fig, sim = tmp_path / "fig", tmp_path / "sim"
     fig_digest = _digest_of(["reproduce-figure", "--which", which, *flags], fig)
     sim_digest = _digest_of(["simulate", which, *flags], sim)
@@ -674,6 +675,9 @@ def test_reproduce_figure_is_simulate_of_preset(tmp_path, which, flags):
                         for line in lines)
     assert (fig / f"{which}.csv").read_bytes() == cut
     assert fig_digest == sim_digest
+    fig_run, sim_run = (json.loads((out / "manifest.json").read_text()) for out in (fig, sim))
+    for key in ("integrator_stats", "samples"):
+        assert fig_run[key] == sim_run[key]
 
 
 def test_reproduce_figure_reads_bundled_preset_not_working_directory(tmp_path, monkeypatch):

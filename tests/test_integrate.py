@@ -14,6 +14,7 @@ integrate_module = importlib.import_module("symevol.integrate")
 
 
 def harmonic(t, y):
+    # floats in a single run, columns in a batch
     return np.array([y[1], -y[0]])
 
 
@@ -168,8 +169,7 @@ def test_trajectory_container():
     assert len(traj) == 2
     # a batch of three 2-component rows sampled three times
     cfg = IntegratorConfig(t_end=1.0, sample_dt=0.5)
-    batch = integrate(lambda t, y: np.stack((y[:, 1], -y[:, 0]), axis=-1),
-                      np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]]), cfg)
+    batch = integrate(harmonic, np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]]), cfg)
     assert len(batch) == 3 and batch.states.shape == (3, 3, 2)
     np.testing.assert_array_equal(batch.states[:, 0], [[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]])
 
@@ -267,7 +267,7 @@ def _harmonic_batch():
     y0 = np.array([[1.0, 0.0], [0.0, 2.0], [0.3, -0.4], [5.0, 1.0], [0.0, 0.0],
                    [1e-3, 0.0], [2.0, 2.0]])
     cfg = IntegratorConfig(t_end=7.0, sample_dt=0.1, rtol=1e-9, atol=1e-11)
-    return (lambda t, y: np.stack([y[:, 1], -y[:, 0]], axis=-1)), y0, cfg
+    return harmonic, y0, cfg
 
 
 @pytest.mark.parametrize("make", [_harmonic_batch, _escaping_batch])
@@ -350,10 +350,13 @@ def test_hermite_kernel_rows_match_per_sample_formula_bitwise():
 
 
 def test_rhs_may_return_any_sequence_of_d_floats(monkeypatch):
-    # the single-row rhs gets a tuple of d floats and may answer with any
-    # sequence of d floats; tuple, list and ndarray answers run byte for byte
+    # the rhs gets a tuple of d components, floats in a single run and columns
+    # of the running rows in a batch, and may answer with any sequence of d
+    # components; tuple, list and ndarray answers run byte for byte
     p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.1, n=2)
     y0 = np.array([0.0, 0.5, 0.0, 0.5])
+    # as many rows as components, so a (d,) answer could broadcast over the batch
+    y0s = np.array([y0, [0.1, 0.4, -0.1, 0.6], [0.2, 0.5, 0.0, 0.4], [0.0, 0.6, 0.1, 0.5]])
     states = []
 
     def as_tuple(t, y):
@@ -362,19 +365,29 @@ def test_rhs_may_return_any_sequence_of_d_floats(monkeypatch):
 
     answers = [as_tuple, lambda t, y: list(full_rhs(t, y, p)),
                lambda t, y: np.array(full_rhs(t, y, p))]
-    for method, step in (("rk45", None), ("rk4", 0.05)):
-        cfg = IntegratorConfig(t_end=5.0, sample_dt=0.25, method=method, step=step)
-        runs = [integrate(rhs, y0, cfg) for rhs in answers]
+    cfg45 = IntegratorConfig(t_end=5.0, sample_dt=0.25)
+    cases = [(y0, cfg45), (y0, IntegratorConfig(t_end=5.0, sample_dt=0.25, method="rk4",
+                                                step=0.05)), (y0s, cfg45)]
+    for start, cfg in cases:
+        states.clear()
+        runs = [integrate(rhs, start, cfg) for rhs in answers]
         for run in runs[1:]:
             assert np.array_equal(run.states, runs[0].states)
-            assert run.stats == runs[0].stats
-    assert all(type(y) is tuple and len(y) == 4 and all(type(v) is float for v in y)
-               for y in states)
+            assert run.stats.keys() == runs[0].stats.keys()
+            for key, value in run.stats.items():
+                assert np.array_equal(value, runs[0].stats[key])
+        assert all(type(y) is tuple and len(y) == 4 for y in states)
+        if start.ndim == 1:
+            assert all(type(v) is float for y in states for v in y)
+        else:
+            assert all(type(v) is np.ndarray and v.shape == y[0].shape == (len(y[0]),)
+                       for y in states for v in y)
 
-    # d - 1 or d + 1 values, at the first call or at a later stage, raise
-    # ValueError before any sample is written
+    # d - 1 or d + 1 components, or in a batch a constant (d,) answer, at the
+    # first call or at a later stage, raise ValueError before any sample is written
     fills = []
     monkeypatch.setattr(integrate_module, "_hermite_fill", lambda *args: fills.append(args))
+    monkeypatch.setattr(integrate_module, "_hermite_fill_rows", lambda *args: fills.append(args))
 
     def late(answer):
         calls = []
@@ -384,12 +397,12 @@ def test_rhs_may_return_any_sequence_of_d_floats(monkeypatch):
             return full_rhs(t, y, p) if len(calls) < 3 else answer(full_rhs(t, y, p))
         return rhs
 
-    for method, step in (("rk45", None), ("rk4", 0.05)):
-        cfg = IntegratorConfig(t_end=5.0, sample_dt=0.25, method=method, step=step)
-        for answer in (lambda f: f[:3], lambda f: f + (0.0,)):
+    short, long, constant = lambda f: f[:3], lambda f: f + (f[0],), lambda f: np.array(f)[:, 0]
+    for start, cfg in cases:
+        for answer in (short, long, constant) if start.ndim == 2 else (short, long):
             for rhs in (lambda t, y, answer=answer: answer(full_rhs(t, y, p)), late(answer)):
                 with pytest.raises(ValueError):
-                    integrate(rhs, y0, cfg)
+                    integrate(rhs, start, cfg)
     assert fills == []
 
 
@@ -400,7 +413,6 @@ def test_span_below_step_floor_reaches_t_end():
     traj = integrate(harmonic, np.array([1.0, 0.0]), cfg)
     assert np.array_equal(traj.times, [0.0, 1e-300])
     assert traj.stats["accepted"] == 1
-    batch = integrate(lambda t, y: np.stack([y[:, 1], -y[:, 0]], axis=-1),
-                      np.array([[1.0, 0.0], [0.0, 2.0]]), cfg)
+    batch = integrate(harmonic, np.array([[1.0, 0.0], [0.0, 2.0]]), cfg)
     assert batch.stats["failures"] == []
     assert np.all(np.isfinite(batch.states))

@@ -29,6 +29,21 @@ def test_alpha_polynomial_and_errors():
         alpha(1.0, kind="cubic")
 
 
+@pytest.mark.parametrize("kind", ["exponential", "polynomial"])
+def test_alpha_is_the_factor_full_rhs_applies(rng, kind):
+    # with q1 = 1 and every other component 0, eps = a4 = 1 and delta = 1,
+    # v2' of the full field is alpha(t) with no rounding of its own
+    p = ModelParams(0.0, 0.0, 0.0, 1.0, omega=2.0, epsilon=1.0, alpha_kind=kind, delta=1.0)
+    taus = rng.uniform(0.0, 40.0, size=10_000)
+    applied = full_rhs(taus, (np.ones_like(taus), 0.0, 0.0, 0.0), p)[3]
+    assert np.array_equal(alpha(taus, kind), applied)
+    for tau, value in zip(taus.tolist(), applied.tolist()):
+        assert alpha(tau, kind) == value == full_rhs(tau, (1.0, 0.0, 0.0, 0.0), p)[3]
+    for tau in (-1e-300, np.array([0.0, 2.0, -1.0])):
+        with pytest.raises(ValueError):
+            alpha(tau, kind)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         ModelParams(1, 1, 1, 1, omega=2.0, epsilon=1.5)
@@ -69,7 +84,7 @@ def test_hamiltonian_cubic_term():
 
 
 def test_full_rhs_origin_fixed_point(params12):
-    assert np.all(full_rhs(0.0, np.zeros(4), params12) == 0.0)
+    assert full_rhs(0.0, np.zeros(4), params12) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_full_rhs_linear_decoupling():
@@ -100,21 +115,26 @@ def test_full_rhs_matches_frozen_time_gradient(params12, rng):
 
 @pytest.mark.parametrize("kind", ["exponential", "polynomial"])
 def test_full_rhs_batched_rows_equal_single_calls(rng, kind):
+    # a call on column arrays (one entry per batch row) answers columns whose
+    # entries are the calls on floats bit for bit
     p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.1, n=2, alpha_kind=kind)
     ts = rng.uniform(0.0, 300.0, size=40)
-    ys = rng.uniform(-1.5, 1.5, size=(40, 4))
-    rows = full_rhs(ts, ys, p)
+    ys = rng.uniform(-1.5, 1.5, size=(4, 40))
+    columns = full_rhs(ts, tuple(ys), p)
+    assert type(columns) is tuple and len(columns) == 4
+    rows = np.array(columns).T
     assert rows.shape == (40, 4)
-    for t, y, row in zip(ts, ys, rows):
-        assert np.array_equal(row, full_rhs(float(t), y, p))
-        # a tuple of floats, as the single-row integrator passes it, gets a tuple
-        assert full_rhs(float(t), tuple(y.tolist()), p) == tuple(row.tolist())
-    # one time for a whole stack of any leading shape
-    stack = full_rhs(2.5, ys.reshape(5, 8, 4), p)
-    assert np.array_equal(stack.reshape(40, 4),
-                          np.array([full_rhs(2.5, y, p) for y in ys]))
+    for t, y, row in zip(ts, ys.T, rows):
+        # a tuple of floats, as the single-row integrator passes it, gets a tuple of floats
+        single = full_rhs(float(t), tuple(y.tolist()), p)
+        assert all(type(v) is float for v in single)
+        assert single == tuple(row.tolist())
+    # one time for a whole batch, and columns of any shape
+    stack = full_rhs(2.5, tuple(ys.reshape(4, 5, 8)), p)
+    assert np.array_equal(np.array(stack).reshape(4, 40),
+                          np.array([full_rhs(2.5, tuple(y.tolist()), p) for y in ys.T]).T)
     with pytest.raises(ValueError):
-        full_rhs(np.array([1.0, -1.0]), ys[:2], p)
+        full_rhs(np.array([1.0, -1.0]), tuple(ys[:, :2]), p)
 
 
 def test_intermediate_plane_invariance(params12, rng):
@@ -130,7 +150,7 @@ def test_intermediate_is_full_minus_symmetric_terms(params12, rng):
     for _ in range(20):
         t = rng.uniform(0.0, 20.0)
         y = rng.uniform(-1.0, 1.0, size=4)
-        diff = full_rhs(t, y, params12) - intermediate_rhs(t, y, params12)
+        diff = np.subtract(full_rhs(t, y, params12), intermediate_rhs(t, y, params12))
         q1, _, q2, _ = y
         expected = np.array([0.0,
                              e * (params12.a1 * q1**2 + params12.a2 * q2**2),
@@ -141,7 +161,7 @@ def test_intermediate_is_full_minus_symmetric_terms(params12, rng):
 
 def test_dissipative_rhs_values():
     p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.0, n=1, delta=0.01)
-    assert np.all(dissipative_rhs(0.0, np.zeros(4), p) == 0.0)
+    assert dissipative_rhs(0.0, np.zeros(4), p) == (0.0, 0.0, 0.0, 0.0)
     d = dissipative_rhs(0.0, np.array([1.0, 0.0, 0.0, 0.0]), p)
     assert d[1] == pytest.approx(-1.0001, abs=1e-15)
     poly = ModelParams(1, 1, 1, 1, omega=2.0, epsilon=0.1, alpha_kind="polynomial")
