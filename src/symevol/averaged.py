@@ -63,7 +63,12 @@ def _require_omega(p: ModelParams, omega: float, what: str):
         raise ValueError(f"{what} applies to omega = {omega:g}, params have omega = {p.omega:g}")
 
 
-def _require_system(p: ModelParams, omega: float, what: str):
+def _require_system(p: ModelParams, omega: float, what: str, tau):
+    """Checks shared by the ``*_cart`` fields; ``tau`` is the state's last
+    component, a float, since the fields run one state at a time."""
+    if isinstance(tau, np.ndarray):
+        raise ValueError("the averaged *_cart fields take a state of five floats, "
+                         "one run at a time, not batch columns")
     _require_omega(p, omega, what)
     if p.alpha_kind != "exponential":
         raise ValueError("averaged systems support the exponential decay law only")
@@ -175,8 +180,8 @@ def avg12_first_cart(t, y, p: ModelParams):
     ``*_cart`` field it takes the state as a sequence of its five float
     components and answers the tuple of their rates.
     """
-    _require_system(p, 2.0, "the first-order averaged 1:2 system")
     x1, y1, x2, y2, tau = y
+    _require_system(p, 2.0, "the first-order averaged 1:2 system", tau)
     return (*_avg12_first_terms(x1, y1, x2, y2, tau, p), p.delta)
 
 
@@ -188,8 +193,8 @@ def avg12_second_cart(t, y, p: ModelParams):
     amplitude-dependent rotations A_k' += i*phi_k*A_k, which keeps the field
     polynomial. tau = inf gives the autonomous symmetric limit.
     """
-    _require_system(p, 2.0, "the second-order averaged 1:2 system")
     x1, y1, x2, y2, tau = y
+    _require_system(p, 2.0, "the second-order averaged 1:2 system", tau)
     dx1, dy1, dx2, dy2 = _avg12_first_terms(x1, y1, x2, y2, tau, p)
     e2 = p.epsilon**2
     phi1, phi2 = _phase_drifts_12(x1 * x1 + y1 * y1, x2 * x2 + y2 * y2,
@@ -202,8 +207,8 @@ def avg13_cart(t, y, p: ModelParams):
     """Averaged 1:3 field in regular slow-Cartesian coordinates: the pure
     rotations A_k' = i*phi_k*A_k, so the amplitudes are frozen at this
     order."""
-    _require_system(p, 3.0, "the averaged 1:3 system")
     x1, y1, x2, y2, tau = y
+    _require_system(p, 3.0, "the averaged 1:3 system", tau)
     e2 = p.epsilon**2
     phi1, phi2 = _phase_drifts_13(x1 * x1 + y1 * y1, x2 * x2 + y2 * y2, p.a1, p.a2)
     phi1, phi2 = -e2 * phi1, -e2 * phi2
@@ -218,8 +223,8 @@ def avg11_cart(t, y, p: ModelParams):
     a3 = a4 = 0 (or tau = inf) this is the symmetric system, which carries
     a second conserved combination fitted by :func:`fit_I3_11`.
     """
-    _require_system(p, 1.0, "the averaged 1:1 system")
     x1, y1, x2, y2, tau = y
+    _require_system(p, 1.0, "the averaged 1:1 system", tau)
     e2 = p.epsilon**2
     phi1, phi2, k = _phase_drifts_11(x1 * x1 + y1 * y1, x2 * x2 + y2 * y2,
                                      math.exp(-2.0 * tau), p.a1, p.a2, p.a3, p.a4)

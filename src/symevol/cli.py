@@ -39,15 +39,17 @@ _CSV_CHUNK = 1024  # rows per write: memory for the text stays fixed as the seri
 
 
 def _write_csv(path: Path, header, columns):
-    """Write equal-length columns as CSV: a header line, then one row per
-    sample with every value as ``%.17g``, comma separated, CRLF line ends,
-    nothing quoted (the bytes ``csv.writer`` gives for these rows)."""
+    """Write equal-length columns (arrays or sequences of floats) as CSV: a
+    header line, then one row per sample with every value as ``%.17g``, comma
+    separated, CRLF line ends, nothing quoted (the bytes ``csv.writer`` gives
+    for these rows)."""
     row = ",".join(["%.17g"] * len(columns)) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, len(columns[0]), _CSV_CHUNK):
-            chunk = np.column_stack([c[start:start + _CSV_CHUNK] for c in columns])
-            fh.write("".join([row % tuple(r) for r in chunk.tolist()]))
+            chunk = zip(*[np.asarray(c[start:start + _CSV_CHUNK], dtype=float).tolist()
+                          for c in columns])
+            fh.write("".join([row % r for r in chunk]))
 
 
 def _make_outdir(path: str) -> Path:

@@ -293,7 +293,8 @@ def run_ensemble(spec: EnsembleSpec) -> DistributionReport:
         row, message = failures[0]
         raise EnsembleFailure(f"every particle integration failed; particle {row}: {message}")
     accepted = traj.stats["row_accepted"][ok]
-    stats = {key: traj.stats[key] for key in ("accepted", "rejected", "rhs_evals")}
+    stats = {key: traj.stats[key] for key in ("accepted", "rejected", "rejected_error",
+                                              "rejected_nonfinite", "rhs_evals")}
     stats["min_accepted"] = int(accepted.min())
     stats["max_accepted"] = int(accepted.max())
 

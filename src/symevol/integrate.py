@@ -8,13 +8,18 @@ over Python floats, through one generated straight-line step per tableau
 record and state dimension. Dormand-Prince also integrates a batch of
 independent initial states at once (``y0`` of shape (N, d)), holding the
 rows as columns of a (d, n) array; every row keeps its own time and step
-size. Both loops sum stages and errors in one order and share the
-controller, so a batch row equals the single-row run byte for byte.
+size. Both loops sum stages and errors in one order, test finiteness on
+the new state and the last stage, take the step factor from libm's pow and
+share the controller, so a batch row equals the single-row run byte for
+byte. The single-row loop makes no numpy call per step.
 
 Both methods deliver dense output by cubic Hermite interpolation on the
 accepted steps, so the returned sample times are exactly the requested grid
-and never constrain the step-size control. Integrations are deterministic:
-identical inputs produce bit-identical trajectories on one platform.
+and never constrain the step-size control: over floats, through one
+generated straight-line fill per state dimension, in a single run, and by
+one numpy kernel in a batch, with the same bits. Integrations are
+deterministic: identical inputs produce bit-identical trajectories on one
+platform.
 """
 
 from __future__ import annotations
@@ -173,7 +178,8 @@ def _sample_grid(t0: float, t_end: float, dt: float) -> np.ndarray:
 def _hermite(th, h, y0, y1, f0, f1):
     """Cubic Hermite interpolant of one step (or one step per sample) at the
     step fractions ``th`` (shape (m,)); one output row of d values per
-    fraction.
+    fraction. The batched fill's kernel; the single-row fill of
+    :func:`_fill_function` gives its bits.
 
     ``h`` is a scalar or has shape (m,). The end values and slopes are the
     step's states and slopes as sequences of d floats, or, one step per
@@ -187,13 +193,48 @@ def _hermite(th, h, y0, y1, f0, f1):
 
 def _hermite_fill(out, ts, idx, t0, h, y0, y1, f0, f1, t1):
     """Fill samples with the cubic Hermite interpolant on (t0, t1]; returns
-    the next sample index. Arrays are built only on a step that holds a sample."""
+    the next sample index. The end values and slopes are sequences of d
+    floats; the fill works over floats, writing through views of ``out`` and
+    ``ts`` made only on a step that holds a sample."""
     tol = t1 + 1e-14 * max(1.0, abs(t1))
     if idx >= len(ts) or ts[idx] > tol:  # most steps hold no sample
         return idx
-    stop = int(np.searchsorted(ts, tol, side="right"))
-    out[idx:stop] = _hermite((ts[idx:stop] - t0) / h, h, y0, y1, f0, f1)
-    return stop
+    fill = _fill_function(len(y0))
+    return fill(memoryview(out).cast("B").cast("d"), memoryview(ts), idx, len(ts), tol,
+                t0, h, y0, y1, f0, f1)
+
+
+@functools.cache
+def _fill_function(d: int):
+    """:func:`_hermite` over the floats of one step, as straight-line code.
+
+    ``fill(o, ts, i, n, tol, t0, h, y0, y1, f0, f1)`` writes the d values of
+    every sample i with ``ts[i] <= tol`` into the flat view ``o`` of the
+    (samples, d) output and returns the first sample index past them. Each
+    value is summed in :func:`_hermite`'s order, so both fills give the same
+    bits."""
+    comps = range(d)
+    lines = ["def fill(o, ts, i, n, tol, t0, h, y0, y1, f0, f1):"]
+    lines += [f"    {''.join(f'{v}_{j}, ' for j in comps)}= {v}" for v in ("y0", "y1", "f0", "f1")]
+    lines += ["    while i < n:",
+              "        t = ts[i]",
+              "        if t > tol:",
+              "            break",
+              "        th = (t - t0) / h",
+              "        th2 = th * th",
+              "        th3 = th2 * th",
+              "        a = 2 * th3 - 3 * th2 + 1",
+              "        b = (th3 - 2 * th2 + th) * h",
+              "        c = -2 * th3 + 3 * th2",
+              "        e = (th3 - th2) * h",
+              f"        base = {d} * i"]
+    lines += [f"        o[base + {j}] = a * y0_{j} + b * f0_{j} + c * y1_{j} + e * f1_{j}"
+              for j in comps]
+    lines += ["        i += 1",
+              "    return i"]
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    return namespace["fill"]
 
 
 def _row_rms(x):
@@ -237,11 +278,14 @@ def integrate(rhs, y0, config: IntegratorConfig) -> Trajectory:
     does not depend on the other rows. ``states`` has shape (N, samples, d).
     A failing row does not raise: it is listed in ``stats["failures"]`` as
     ``(row, message)``, with the message the single-row run would raise,
-    and its samples past the failure are NaN. ``stats`` holds the totals
-    ``accepted``/``rejected``/``rhs_evals`` and the per-row counts
-    ``row_accepted``/``row_rejected``/``row_rhs_evals``, each the count of
-    the single-row run. A batch row equals the single-row run of its state
-    byte for byte.
+    and its samples past the failure are NaN.
+
+    ``stats`` counts the ``accepted`` steps, the ``rejected`` ones, split
+    into ``rejected_error`` (error test failed) and ``rejected_nonfinite``
+    (non-finite values met), and the ``rhs_evals``. A batch gives these
+    totals over its rows and, under the same names prefixed ``row_``, one
+    count per row, each the count of the single-row run. A batch row equals
+    the single-row run of its state byte for byte.
     """
     y0 = np.asarray(y0, dtype=float)
     if y0.ndim not in (1, 2) or y0.shape[-1] == 0:
@@ -274,7 +318,7 @@ def _run_single(rhs, y0, config, ts, out):
     if len(f) != d:
         raise ValueError(f"rhs returned {len(f)} values for a state of {d}")
     evals = 1
-    accepted = rejected = streak = 0
+    accepted = rejected_error = rejected_nonfinite = streak = 0
     idx = 1
     with np.errstate(all="ignore"):  # non-finite values are tested once per step
         if e is None:
@@ -302,22 +346,32 @@ def _run_single(rhs, y0, config, ts, out):
                 accepted += 1
                 if e is not None:
                     factor = _MAX_FACTOR if err_norm == 0.0 else min(
-                        _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * float(_error_power(err_norm))))
+                        _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * _error_power(err_norm)))
                     h = min(h * factor, span)
+            elif finite:
+                rejected_error += 1
+                h *= max(_MIN_FACTOR, _SAFETY * _error_power(err_norm))
             else:
-                rejected += 1
-                h *= max(_MIN_FACTOR, _SAFETY * float(_error_power(err_norm))) if finite else 0.25
+                rejected_nonfinite += 1
+                h *= 0.25
             if e is not None and _stops(t, h, streak, t_end):
                 message, reason = _STOP[streak > 0]
                 raise IntegrationError(message, t, np.array(y, dtype=float), reason)
-    return {"accepted": accepted, "rejected": rejected, "rhs_evals": evals}
+    return {"accepted": accepted, "rejected": rejected_error + rejected_nonfinite,
+            "rejected_error": rejected_error, "rejected_nonfinite": rejected_nonfinite,
+            "rhs_evals": evals}
 
 
 def _error_power(err_norm):
-    """err_norm**-0.2 for a float or an array, by numpy's power in both loops:
-    libm's pow (Python's ``**``) differs from it in the last bit of ~5 % of
-    inputs, which would part a single run from its batch row."""
-    return np.power(err_norm, -0.2)
+    """err_norm**-0.2 by libm's pow in both loops: Python's ``**`` on a float,
+    ``math.pow`` mapped over the entries of an array, so a single run and its
+    batch row take the same bits (numpy's power differs from libm's in the
+    last bit of ~5 % of inputs). An entry that is not positive, a zero or NaN
+    error, gives 1.0: a zero error takes the largest factor and a non-finite
+    step a quarter of its size, so no row uses that entry."""
+    if isinstance(err_norm, float):
+        return err_norm ** -0.2
+    return np.array([math.pow(x, -0.2) for x in np.where(err_norm > 0.0, err_norm, 1.0).tolist()])
 
 
 def _weighted_source(weights, terms) -> str:
@@ -343,6 +397,11 @@ def _step_function(method: str, d: int):
     (the last stage), whether every stage and the new state are finite, and
     the error norm (0.0 for a fixed-step record). Every sum is written in the
     batched loop's order, so a single run equals its batch row bit for bit.
+
+    Finiteness is tested on the new state and the last stage only. The new
+    state's sum takes every other stage with its weight, zero weights
+    included, and 0·inf is NaN, so a non-finite earlier stage makes the new
+    state non-finite.
     """
     c, a, e = _METHODS[method]
     comps = range(d)
@@ -360,7 +419,7 @@ def _step_function(method: str, d: int):
         lines.append(f"    {names(f'k{s}_')}= rhs(t + {float(c[s])!r} * h, ({names('z')}))")
     # the last stage input is the solution (first same as last); a finite
     # sum proves every value finite, and only a non-finite one is looked into
-    values = [f"k{r}_{j}" for r in range(len(c)) for j in comps] + [f"z{j}" for j in comps]
+    values = [f"k{len(a)}_{j}" for j in comps] + [f"z{j}" for j in comps]
     lines += _sum_source("total", values)
     lines.append(f"    finite = isfinite(total) or all(map(isfinite, ({', '.join(values)},)))")
     if e is None:
@@ -423,7 +482,8 @@ def _run_rk45_rows(rhs, y0, config, ts, out):
     span = t_end - t0
     n_rows = len(y0)
     accepted = np.zeros(n_rows, dtype=np.int64)
-    rejected = np.zeros(n_rows, dtype=np.int64)
+    rejected_error = np.zeros(n_rows, dtype=np.int64)
+    rejected_nonfinite = np.zeros(n_rows, dtype=np.int64)
     evals = np.ones(n_rows, dtype=np.int64)
     failures = []
     # live rows only, one column each, compressed whenever rows finish or fail
@@ -444,7 +504,8 @@ def _run_rk45_rows(rhs, y0, config, ts, out):
                 k.append(_columns(rhs(t + c[s] * h, tuple(ys)), ys.shape))
             evals[rows] += len(a)
             y_new = ys  # the last stage input is the solution (first same as last)
-            finite = np.isfinite(k).all(axis=(0, 1)) & np.isfinite(y_new).all(axis=0)
+            # as in the single-row step, y_new's sum carries every earlier stage
+            finite = np.isfinite(y_new).all(axis=0) & np.isfinite(k[-1]).all(axis=0)
             err = h * _weighted_sum(e, k)
             err_norm = _row_rms(err / (atol + rtol * np.maximum(np.abs(y), np.abs(y_new))))
             ok = finite & (err_norm <= 1.0)
@@ -454,7 +515,9 @@ def _run_rk45_rows(rhs, y0, config, ts, out):
             t_new = np.where(clamped, t_end, t + h)
             idx = _hermite_fill_rows(out, rows, ts, idx, t, h, y, y_new, f, k[-1], t_new, ok)
             accepted[rows] += ok
-            rejected[rows] += ~ok
+            if not ok.all():
+                rejected_error[rows] += finite & ~ok
+                rejected_nonfinite[rows] += ~finite
             h = np.where(ok, np.minimum(h * grow, span),
                          np.where(finite, h * np.maximum(_MIN_FACTOR, factor), h * 0.25))
             t = np.where(ok, t_new, t)
@@ -469,9 +532,13 @@ def _run_rk45_rows(rhs, y0, config, ts, out):
             if not live.all():
                 rows, t, h, idx, streak = (v[live] for v in (rows, t, h, idx, streak))
                 y, f = y[:, live], f[:, live]
+    rejected = rejected_error + rejected_nonfinite
     return {"accepted": int(accepted.sum()), "rejected": int(rejected.sum()),
+            "rejected_error": int(rejected_error.sum()),
+            "rejected_nonfinite": int(rejected_nonfinite.sum()),
             "rhs_evals": int(evals.sum()), "row_accepted": accepted,
-            "row_rejected": rejected, "row_rhs_evals": evals,
+            "row_rejected": rejected, "row_rejected_error": rejected_error,
+            "row_rejected_nonfinite": rejected_nonfinite, "row_rhs_evals": evals,
             "failures": sorted(failures)}
 
 

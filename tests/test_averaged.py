@@ -1,3 +1,4 @@
+import importlib
 import math
 from fractions import Fraction
 
@@ -403,6 +404,22 @@ def test_slow_cart_chart_consistent_with_polar(params12, p11, p13, rng):
             d_tuple = rhs_cart(0.0, tuple(u.tolist()), p)
             assert type(d_tuple) is tuple and all(type(v) is float for v in d_tuple)
             assert type(d_cart) is tuple and d_tuple == d_cart
+
+
+def test_slow_cart_fields_reject_batch_columns(params12, p11, p13, monkeypatch):
+    # the fields take five floats: a batched run stops at its first rhs call
+    # with one ValueError, before any sample is written
+    integrate_module = importlib.import_module("symevol.integrate")
+    fills = []
+    monkeypatch.setattr(integrate_module, "_hermite_fill_rows", lambda *args: fills.append(args))
+    y0 = np.array([polar_to_slow_cart(np.array([0.5, 0.3, 0.4, -0.2, 0.0])),
+                   polar_to_slow_cart(np.array([0.4, 0.1, 0.5, 0.7, 0.0]))])
+    cfg = IntegratorConfig(t_end=1.0, sample_dt=0.5)
+    for rhs_cart, p in ((avg12_first_cart, params12), (avg12_second_cart, params12),
+                        (avg13_cart, p13), (avg11_cart, p11)):
+        with pytest.raises(ValueError, match="take a state of five floats"):
+            integrate(lambda t, y: rhs_cart(t, y, p), y0, cfg)
+    assert fills == []
 
 
 def test_slow_cart_chart_crosses_normal_mode(params12):

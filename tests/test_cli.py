@@ -475,7 +475,9 @@ def test_ensemble_outputs_and_determinism(tmp_path):
     assert manifest["failures"] == 0
     assert manifest["failed_particles"] == []
     stats = manifest["integrator_stats"]
-    assert set(stats) == {"accepted", "rejected", "rhs_evals", "min_accepted", "max_accepted"}
+    assert set(stats) == {"accepted", "rejected", "rejected_error", "rejected_nonfinite",
+                          "rhs_evals", "min_accepted", "max_accepted"}
+    assert stats["rejected"] == stats["rejected_error"] + stats["rejected_nonfinite"]
     assert 6 * stats["min_accepted"] <= stats["accepted"] <= 6 * stats["max_accepted"]
     rows = (out1 / "moments.csv").read_text().splitlines()
     assert rows[0] == "t,mean_v1,disp_v1,mean_v2,disp_v2,mean_E1,mean_E2"

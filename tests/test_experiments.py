@@ -340,6 +340,21 @@ def test_reproduce_figure_bundles():
         preset_path("fig9")
 
 
+def test_fig1_preset_step_counts_and_accuracy_pinned():
+    # a change of method, tolerance or controller moves these counts, so it
+    # cannot pass for a faster stepper; the run stays within 1e-6 of DOP853
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+    sc, traj, _, _ = _preset_run("fig1", horizon=100.0)
+    assert (sc.integrator.method, sc.integrator.rtol, sc.integrator.atol) == ("rk45", 1e-10, 1e-12)
+    assert {key: traj.stats[key] for key in ("accepted", "rejected", "rhs_evals")} == {
+        "accepted": 5622, "rejected": 3, "rhs_evals": 33751}
+    ref = scipy_integrate.solve_ivp(lambda t, y: full_rhs(t, y, sc.params), (0.0, 100.0),
+                                    traj.states[0], method="DOP853", rtol=1e-13, atol=1e-15,
+                                    t_eval=traj.times)
+    assert ref.success
+    assert np.max(np.abs(traj.states - ref.y.T)) < 1e-6
+
+
 def test_stabilization_time_monotone_series():
     _, traj, e1, e2 = _preset_run("fig1", horizon=40.0, sample_dt=0.5, rtol=1e-9)
     t = stabilization_time(traj.times, e1, e2, fraction=10.0)  # absurdly loose: settles at once

@@ -13,6 +13,10 @@ from symevol.model import ModelParams, full_rhs
 integrate_module = importlib.import_module("symevol.integrate")
 
 
+# step counts of a run; a batch also gives each per row, prefixed "row_"
+STAT_KEYS = ("accepted", "rejected", "rejected_error", "rejected_nonfinite", "rhs_evals")
+
+
 def harmonic(t, y):
     # floats in a single run, columns in a batch
     return np.array([y[1], -y[0]])
@@ -213,11 +217,10 @@ def test_batched_rows_match_scalar_integrate():
             single = integrate(rhs, row, cfg)
             assert np.array_equal(single.times, batch.times)
             assert np.array_equal(single.states, batch.states[i])
-            assert single.stats["accepted"] == batch.stats["row_accepted"][i]
-            assert single.stats["rejected"] == batch.stats["row_rejected"][i]
-            assert single.stats["rhs_evals"] == batch.stats["row_rhs_evals"][i]
-        assert batch.stats["accepted"] == batch.stats["row_accepted"].sum()
-        assert batch.stats["rejected"] == batch.stats["row_rejected"].sum()
+            for key in STAT_KEYS:
+                assert single.stats[key] == batch.stats[f"row_{key}"][i]
+        for key in STAT_KEYS:
+            assert batch.stats[key] == batch.stats[f"row_{key}"].sum()
     assert failed >= 2
 
 
@@ -253,13 +256,13 @@ def test_batched_stats_match_scalar_after_non_finite_steps():
     cfg = IntegratorConfig(t_end=30.0, sample_dt=1.0, rtol=1e-3, atol=1e-9)
     batch = integrate(rhs, y0, cfg)
     assert any(nan_calls) and batch.stats["failures"] == []
+    assert batch.stats["rejected_nonfinite"] > 0
     for i, row in enumerate(y0):
         nan_calls.clear()
         single = integrate(rhs, row, cfg)
         assert any(nan_calls)
-        assert single.stats["accepted"] == batch.stats["row_accepted"][i]
-        assert single.stats["rejected"] == batch.stats["row_rejected"][i]
-        assert single.stats["rhs_evals"] == batch.stats["row_rhs_evals"][i]
+        for key in STAT_KEYS:
+            assert single.stats[key] == batch.stats[f"row_{key}"][i]
 
 
 def _harmonic_batch():
@@ -278,7 +281,7 @@ def test_batched_rows_independent_of_chunking(make):
         parts = [integrate(rhs, y0[i:i + size], cfg) for i in range(0, len(y0), size)]
         assert np.array_equal(np.concatenate([part.states for part in parts]),
                               whole.states, equal_nan=True)
-        for key in ("row_accepted", "row_rejected", "row_rhs_evals"):
+        for key in (f"row_{key}" for key in STAT_KEYS):
             assert np.array_equal(np.concatenate([part.stats[key] for part in parts]),
                                   whole.stats[key])
         assert [(start + i, message) for start, part in zip(range(0, len(y0), size), parts)
@@ -347,6 +350,102 @@ def test_hermite_kernel_rows_match_per_sample_formula_bitwise():
         _per_sample_hermite_fill(ref, np.array([0.0, t[i]]), 1, 0.0, h[i],
                                  y0[i], y1[i], f0[i], f1[i], h[i])
         assert np.array_equal(rows[i], ref[1])
+
+
+@pytest.mark.parametrize("d", [1, 4, 5, 70])
+def test_float_fill_matches_kernel_and_per_sample_formula_bitwise(d):
+    # the single-run fill over floats, the batch's numpy kernel and the
+    # per-sample reference give the same bits; the grid puts 0, 1 and many
+    # samples in the step (t0, t0 + h]
+    rng = np.random.default_rng(d)
+    ts = np.sort(rng.uniform(0.0, 10.0, 400))
+    for t0, h, count in [(ts[10] - 1e-6, 1e-7, 0), (ts[10] - 1e-12, 2e-12, 1),
+                         (ts[10] - 1e-12, 4.0, None)]:
+        y0, y1, f0, f1 = (tuple(rng.normal(size=d).tolist()) for _ in range(4))
+        out, ref = np.zeros((len(ts), d)), np.zeros((len(ts), d))
+        stop = integrate_module._hermite_fill(out, ts, 10, t0, h, y0, y1, f0, f1, t0 + h)
+        assert type(stop) is int
+        assert stop - 10 == count if count is not None else stop - 10 > 100
+        assert stop == _per_sample_hermite_fill(ref, ts, 10, t0, h, y0, y1, f0, f1, t0 + h)
+        assert np.array_equal(out, ref)
+        kernel = integrate_module._hermite((ts[10:stop] - t0) / h, h, y0, y1, f0, f1)
+        assert np.array_equal(out[10:stop], kernel)
+        assert not out[:10].any() and not out[stop:].any()
+
+
+def test_error_power_float_matches_array_entry():
+    # both loops take err_norm**-0.2 from libm: a float and the matching entry
+    # of an array get the same bits, and zero, NaN and inf entries do not raise
+    rng = np.random.default_rng(3)
+    values = np.concatenate([rng.uniform(0.0, 2.0, 2000), 10.0 ** rng.uniform(-300, 300, 2000),
+                             [5e-324, 1.0, 1.7e308]])
+    rows = integrate_module._error_power(values)
+    for x, row in zip(values.tolist(), rows.tolist()):
+        single = integrate_module._error_power(x)
+        assert type(single) is float and single == row == math.pow(x, -0.2)
+    special = integrate_module._error_power(np.array([0.0, math.nan, math.inf, 1.0]))
+    assert special.tolist() == [1.0, 1.0, 0.0, 1.0]
+
+
+def test_method_records_weigh_every_stage_but_the_last_in_the_solution():
+    # the finiteness test reads only the new state and the last stage: the
+    # solution weights must cover every other stage
+    for record in integrate_module._METHODS.values():
+        assert len(record.a[-1]) == len(record.a) == len(record.c) - 1
+
+
+def _stage_rhs(bad_call, bad_row=0):
+    """A field of t alone, so a non-finite stage input does not spread to later
+    stages; its call number ``bad_call`` answers inf (in a batch, for one row)."""
+    calls = []
+
+    def rhs(t, y):
+        k = [1.0 - t * t, 0.5 * t]
+        if len(calls) == bad_call:
+            k[0] = math.inf if type(t) is float else np.where(
+                np.arange(len(t)) == bad_row, math.inf, k[0])
+        calls.append(t)
+        return k
+    return rhs
+
+
+@pytest.mark.parametrize("method", ["rk45", "rk4"])
+def test_inf_at_one_stage_counts_as_non_finite_attempt(method):
+    # call 0 is the first slope, call s the stage s of the first attempt;
+    # rk45's stage 1 enters the solution with weight zero
+    y0 = np.array([0.3, -0.2])
+    cfg = IntegratorConfig(t_end=2.0, sample_dt=0.5, method=method, step=0.1)
+    for stage in range(1, len(integrate_module._METHODS[method].a) + 1):
+        if method == "rk4":
+            with pytest.raises(IntegrationError) as err:
+                integrate(_stage_rhs(stage), y0, cfg)
+            assert err.value.reason == "nonfinite" and err.value.t_last == 0.0
+            continue
+        single = integrate(_stage_rhs(stage), y0, cfg)
+        assert single.stats["rejected_nonfinite"] == 1
+        assert single.stats["rejected_error"] == 0
+        batch = integrate(_stage_rhs(stage, bad_row=1), np.array([y0 + 0.1, y0, y0 - 0.1]), cfg)
+        assert batch.stats["row_rejected_nonfinite"].tolist() == [0, 1, 0]
+        assert np.array_equal(batch.states[1], single.states)
+        for key in STAT_KEYS:
+            assert single.stats[key] == batch.stats[f"row_{key}"][1]
+
+
+def test_single_run_makes_no_numpy_power_or_kernel_call(monkeypatch):
+    # the single-row loop takes its step factor and its dense output over floats
+    p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.1, n=2)
+    y0 = np.array([0.0, 0.5, 0.0, 0.5])
+    cfg = IntegratorConfig(t_end=10.0, sample_dt=0.01, rtol=1e-9, atol=1e-11)
+    before = integrate(lambda t, y: full_rhs(t, y, p), y0, cfg)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numpy call on the single-row path")
+
+    monkeypatch.setattr(np, "power", forbidden)
+    monkeypatch.setattr(integrate_module, "_hermite", forbidden)
+    after = integrate(lambda t, y: full_rhs(t, y, p), y0, cfg)
+    assert np.array_equal(after.states, before.states)
+    assert after.stats == before.stats
 
 
 def test_rhs_may_return_any_sequence_of_d_floats(monkeypatch):
