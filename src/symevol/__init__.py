@@ -1,12 +1,12 @@
 """symevol: numerical laboratory for a two degrees-of-freedom cubic
 oscillator whose mirror-symmetry breaking decays slowly in time."""
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .model import (CartesianState, ModelParams, alpha, dissipative_rhs,
                     eval_hamiltonian, full_rhs, intermediate_rhs)
-from .transforms import (ActionPair, PolarState, actions, cart_to_polar,
-                         combination_angle, polar_to_cart, slow_rhs, wrap_angle)
+from .transforms import (PolarState, cart_to_polar, combination_angle, mode_actions,
+                         polar_coordinates, polar_to_cart, slow_rhs, wrap_angle)
 from .integrate import IntegrationError, IntegratorConfig, Trajectory, integrate, order_check
 from .averaged import (avg11_rhs, avg12_first_rhs, avg12_second_rhs, avg13_rhs,
                        chi2_rhs, chi3_rhs, chi12_rhs, fit_I3_11, invariant)
@@ -19,7 +19,7 @@ __all__ = [
     "__version__",
     "ModelParams", "CartesianState", "alpha", "eval_hamiltonian", "full_rhs",
     "intermediate_rhs", "dissipative_rhs",
-    "PolarState", "ActionPair", "actions", "cart_to_polar", "polar_to_cart",
+    "PolarState", "mode_actions", "polar_coordinates", "cart_to_polar", "polar_to_cart",
     "combination_angle", "slow_rhs", "wrap_angle",
     "IntegratorConfig", "Trajectory", "IntegrationError", "integrate", "order_check",
     "avg12_first_rhs", "avg12_second_rhs", "avg13_rhs", "avg11_rhs",

@@ -348,37 +348,37 @@ def invariant(name: str, state, p: ModelParams, i3_coeffs=None) -> float:
     return float(cartesian_invariant(name, state.as_array(), p, i3_coeffs))
 
 
-def average_slow_field(y, p: ModelParams, nodes: int = 64) -> np.ndarray:
+def average_slow_field(y, p: ModelParams) -> np.ndarray:
     """Numerical t-average of the polar equations of motion at frozen y.
 
-    Gauss-Legendre quadrature over one common period (2*pi for integer
-    omega); the oracle against which the first-order averaged fields are
-    checked.
+    64-node Gauss-Legendre quadrature over one common period (2*pi for
+    integer omega); the oracle against which the first-order averaged
+    fields are checked.
     """
-    x, wts = _gauss_nodes(nodes)
+    x, wts = _gauss_nodes(64)
     tq = math.pi * (x + 1.0)
     y = np.asarray(y, dtype=float)
     vals = slow_rhs(tq, y, p)
     return (vals @ wts) * 0.5
 
 
-def second_order_average(y, p: ModelParams, al: float = 0.0,
-                         nodes: int = 48, inner_nodes: int = 10) -> np.ndarray:
+def second_order_average(y, p: ModelParams, al: float = 0.0) -> np.ndarray:
     """Numerical second-order average of the 1:1 or 1:3 polar system at
     frozen alpha.
 
     The first-order average vanishes identically at omega = 1 and 3, so the
     epsilon^2 field is the t-average of Df(t,y).u(t,y) with
     u(t,y) = int_0^t f(s,y) ds, independent of the antiderivative's
-    integration constant. Jacobians are computed by complex step; returns
-    the epsilon^2-scaled 4-component field for direct comparison with
-    :func:`avg11_rhs` and :func:`avg13_rhs`.
+    integration constant (48 Gauss-Legendre nodes, 10 per segment for u).
+    Jacobians are computed by complex step; returns the epsilon^2-scaled
+    4-component field for direct comparison with :func:`avg11_rhs` and
+    :func:`avg13_rhs`.
     """
     if p.omega not in (1.0, 3.0):
         raise ValueError(f"the second-order oracle applies to omega = 1 or 3, "
                          f"params have omega = {p.omega:g}")
     y4 = np.asarray(y, dtype=float)[:4]
-    xg, wg = _gauss_nodes(nodes)
+    xg, wg = _gauss_nodes(48)
     tq = math.pi * (xg + 1.0)
     # eps scaled out, alpha frozen at al through the slow time tau
     unit = p.replace(epsilon=1.0, alpha_kind="exponential")
@@ -389,8 +389,8 @@ def second_order_average(y, p: ModelParams, al: float = 0.0,
         return slow_rhs(t, (x[0], x[1], x[2], x[3], tau), unit)[:4]
 
     # u at the outer nodes, built up segment by segment.
-    xs, ws = _gauss_nodes(inner_nodes)
-    u_nodes = np.empty((nodes, 4))
+    xs, ws = _gauss_nodes(10)
+    u_nodes = np.empty((len(tq), 4))
     acc = np.zeros(4)
     prev = 0.0
     for i, tk in enumerate(tq):
@@ -403,7 +403,7 @@ def second_order_average(y, p: ModelParams, al: float = 0.0,
 
     # Jacobian columns at all outer nodes via complex step.
     h = 1e-100
-    jac = np.empty((nodes, 4, 4))
+    jac = np.empty((len(tq), 4, 4))
     for j in range(4):
         xc = y4.astype(complex)[:, None]
         xc[j] += 1j * h
@@ -423,18 +423,18 @@ class I3FitResult:
     residual: float
 
 
-def fit_I3_11(samples, min_samples: int = 200) -> I3FitResult:
+def fit_I3_11(samples) -> I3FitResult:
     """Fit (alpha, beta) so r1^2*r2^2*cos(2*chi) + alpha*r1^4 + beta*r1^2 is
     constant along a symmetric 1:1 averaged trajectory.
 
-    ``samples`` is the (m, >=4) polar state history. The residual is the
-    standard deviation of the fitted combination normalized by the standard
-    deviation of the cos(2*chi) term. Degenerate (normal mode) trajectories
-    are rejected.
+    ``samples`` is the (m, >=4) polar state history, m >= 200. The
+    residual is the standard deviation of the fitted combination normalized
+    by the standard deviation of the cos(2*chi) term. Degenerate (normal
+    mode) trajectories are rejected.
     """
     s = np.asarray(samples, dtype=float)
-    if s.ndim != 2 or s.shape[0] < min_samples:
-        raise ValueError(f"need at least {min_samples} polar samples")
+    if s.ndim != 2 or s.shape[0] < 200:
+        raise ValueError("need at least 200 polar samples")
     r1 = s[:, 0]
     r2 = s[:, 2]
     if np.min(r1) < 1e-8 or np.min(r2) < 1e-8:

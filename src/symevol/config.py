@@ -13,7 +13,6 @@ import configparser
 import dataclasses
 import hashlib
 import json
-import math
 from importlib import resources
 from pathlib import Path
 
@@ -127,8 +126,8 @@ def _tolerances(cfg: dict, overrides: dict) -> dict:
     """rtol and atol of the config's integrator, which must be rk45."""
     if _get(cfg, "integrator", "method", str, default="rk45") != "rk45":
         raise ConfigError("[integrator] method must be rk45, the only method that runs")
-    return {"rtol": _get(cfg, "integrator", "rtol", float, 1e-10, overrides.get("rtol")),
-            "atol": _get(cfg, "integrator", "atol", float, 1e-12, overrides.get("atol"))}
+    return {name: _get(cfg, "integrator", name, float, getattr(IntegratorConfig, name),
+                       overrides.get(name)) for name in ("rtol", "atol")}
 
 
 def build_scenario(cfg: dict, overrides: dict | None = None) -> ScenarioConfig:
@@ -150,21 +149,15 @@ def build_scenario(cfg: dict, overrides: dict | None = None) -> ScenarioConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _parse_sampler(raw: str):
-    parts = raw.split()
-    kind = parts[0].lower() if parts else ""
-    arity = {"fixed": 1, "uniform": 2, "normal": 2}.get(kind)
+def _split_sampler(coord: str, raw: str) -> tuple:
+    """The sampler spec 'KIND NUMBER...' of coord as (kind, floats...), for
+    :class:`EnsembleSpec` to check."""
+    kind, *numbers = raw.split() or [""]
     try:
-        values = [float(x) for x in parts[1:]]
+        return (kind.lower(), *map(float, numbers))
     except ValueError:
-        values = []
-    if (len(values) != arity or not all(map(math.isfinite, values))
-            or (kind == "normal" and values[1] < 0.0)
-            or (kind == "uniform" and not 0.0 <= values[1] - values[0] < math.inf)):
-        raise ConfigError(f"bad sampler spec {raw!r} (want 'fixed V' | 'uniform LO HI' "
-                          "| 'normal MEAN SIGMA' with finite numbers, LO <= HI, a finite "
-                          "HI - LO and SIGMA >= 0)")
-    return (kind, *values)
+        raise ConfigError(f"bad sampler spec {raw!r} for {coord} "
+                          "(want a kind and numbers)") from None
 
 
 def _eps_list(text: str) -> list[float]:
@@ -204,10 +197,9 @@ def build_ensemble(cfg: dict, overrides: dict | None = None) -> EnsembleSpec:
     for coord in ("q1", "v1", "q2", "v2"):
         raw = cfg["ensemble"].get(coord)
         if raw is None:
-            init = build_initial(cfg)
-            samplers[coord] = ("fixed", getattr(init, coord))
+            samplers[coord] = ("fixed", getattr(build_initial(cfg), coord))
         else:
-            samplers[coord] = _parse_sampler(raw)
+            samplers[coord] = _split_sampler(coord, raw)
     try:
         return EnsembleSpec(
             scenario=build_scenario(cfg, overrides),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .averaged import cartesian_invariant, polar_to_slow_cart, slow_cart_amplitu
 from .integrate import MAX_GRID_POINTS, IntegratorConfig, Trajectory, integrate
 from .model import CartesianState, ModelParams, full_rhs
 from .resonance import averaged_system
-from .transforms import PhaseUndefinedError, cart_to_polar, mode_actions, unwrap_phase_series
+from .transforms import cart_to_polar, mode_actions, polar_coordinates
 
 __all__ = [
     "ScenarioConfig",
@@ -30,7 +31,6 @@ __all__ = [
     "run_scenario",
     "polar_amplitude_series",
     "phase_series",
-    "invariant_series",
     "invariant_drift",
     "compare_full_vs_averaged",
     "run_ensemble",
@@ -53,32 +53,26 @@ class ScenarioConfig:
                              f"the initial state at t = {self.initial.t!r}")
 
 
+# below this amplitude a mode's phase is not taken as defined
+_MIN_AMPLITUDE = 1e-8
+
+
 def polar_amplitude_series(traj: Trajectory, omega: float):
     """Mode amplitudes along a Cartesian trajectory (phase-free, safe at
     normal modes)."""
-    q1, v1, q2, v2 = (traj.states[:, i] for i in range(4))
-    return np.hypot(q1, v1), np.hypot(q2, v2 / omega)
+    return polar_coordinates(traj.times, traj.states, omega)[::2]
 
 
-def phase_series(traj: Trajectory, omega: float, min_amplitude: float = 1e-8):
+def phase_series(traj: Trajectory, omega: float):
     """Continuously lifted slow phases (psi1, psi2) along a trajectory.
 
-    Requires both amplitudes to stay above ``min_amplitude``; near a normal
-    mode the phase is meaningless and polar analyses are disabled.
+    Requires both amplitudes to stay at or above 1e-8; near a normal mode
+    the phase is meaningless and polar analyses are disabled.
     """
-    r1, r2 = polar_amplitude_series(traj, omega)
-    if np.min(r1) < min_amplitude or np.min(r2) < min_amplitude:
+    r1, psi1, r2, psi2 = polar_coordinates(traj.times, traj.states, omega)
+    if np.min(r1) < _MIN_AMPLITUDE or np.min(r2) < _MIN_AMPLITUDE:
         raise ValueError("amplitude too close to a normal mode for phase extraction")
-    q1, v1, q2, v2 = (traj.states[:, i] for i in range(4))
-    theta1 = unwrap_phase_series(np.arctan2(-v1, q1))
-    theta2 = unwrap_phase_series(np.arctan2(-v2 / omega, q2))
-    return theta1 - traj.times, theta2 - omega * traj.times
-
-
-def invariant_series(traj: Trajectory, name: str, params: ModelParams) -> np.ndarray:
-    """Vectorized Cartesian invariant evaluation along a trajectory; ValueError
-    for a name that the averaged flow at params.omega does not conserve."""
-    return cartesian_invariant(name, traj.states, params)
+    return np.unwrap(psi1), np.unwrap(psi2)
 
 
 def run_scenario(sc: ScenarioConfig) -> Trajectory:
@@ -109,7 +103,7 @@ def invariant_drift(traj: Trajectory, names, params: ModelParams) -> list[Invari
     scale = abs(float(e1 + e2))
     reports = []
     for name in names:
-        series = invariant_series(traj, name, params)
+        series = cartesian_invariant(name, traj.states, params)
         drift = float(np.max(np.abs(series - series[0])))
         reports.append(InvariantReport(
             name=name,
@@ -140,7 +134,8 @@ class ComparisonResult:
 
 def compare_full_vs_averaged(params: ModelParams, initial: CartesianState,
                              L: float = 1.0, resonance: str | None = None,
-                             rtol: float = 1e-10, atol: float = 1e-12) -> ComparisonResult:
+                             rtol: float = IntegratorConfig.rtol,
+                             atol: float = IntegratorConfig.atol) -> ComparisonResult:
     """Integrate full and averaged systems from the same polar data and
     compare amplitudes and actions over [0, L/epsilon], sampled every 0.1.
 
@@ -152,12 +147,10 @@ def compare_full_vs_averaged(params: ModelParams, initial: CartesianState,
     """
     resonance, avg_rhs = averaged_system(params.omega, resonance)
     horizon = L / params.epsilon if params.epsilon > 0 else 50.0
-    try:
-        polar = cart_to_polar(initial, params.omega, delta=params.delta)
-    except PhaseUndefinedError:
-        polar = None
-    if polar is None or polar.r1 < 1e-8 or polar.r2 < 1e-8:
+    r1, _, r2, _ = polar_coordinates(initial.t, initial.as_array(), params.omega)
+    if min(r1, r2) < _MIN_AMPLITUDE:
         raise ValueError("normal-mode initial data: polar comparison undefined")
+    polar = cart_to_polar(initial, params.omega, delta=params.delta)
 
     cfg = IntegratorConfig(t0=initial.t, t_end=initial.t + horizon, sample_dt=0.1,
                            rtol=rtol, atol=atol)
@@ -182,7 +175,27 @@ def compare_full_vs_averaged(params: ModelParams, initial: CartesianState,
 # Ensembles
 # --------------------------------------------------------------------------
 
-_SAMPLER_KINDS = ("fixed", "uniform", "normal")
+# kind -> (how many numbers its spec takes, the draw from them, the
+# standard deviation of that draw)
+_SAMPLERS = {
+    "fixed": (1, lambda rng, value: value, lambda value: 0.0),
+    "uniform": (2, lambda rng, lo, hi: rng.uniform(lo, hi),
+                lambda lo, hi: (hi - lo) / math.sqrt(12.0)),
+    "normal": (2, lambda rng, mean, sigma: rng.normal(mean, sigma), lambda mean, sigma: sigma),
+}
+_COORDS = ("q1", "v1", "q2", "v2")
+_FIXED_ZERO = ("fixed", 0.0)  # the sampler of a coordinate a spec leaves out
+
+
+def _sampler_ok(spec) -> bool:
+    """Whether spec is a known kind with as many finite numbers as it takes
+    and a finite, non-negative standard deviation: SIGMA >= 0, and LO <= HI
+    with a finite HI - LO."""
+    kind, *values = spec or (None,)
+    arity, _, sigma = _SAMPLERS.get(kind, (None, None, None))
+    return (len(values) == arity
+            and all(isinstance(x, Real) and math.isfinite(x) for x in values)
+            and 0.0 <= sigma(*values) < math.inf)
 
 
 @dataclass(frozen=True)
@@ -190,7 +203,9 @@ class EnsembleSpec:
     """Ensemble of independently integrated particles.
 
     ``samplers`` maps each coordinate (q1, v1, q2, v2) to a distribution
-    tuple: ("fixed", value), ("uniform", lo, hi) or ("normal", mean, sigma).
+    tuple: ("fixed", value), ("uniform", lo, hi) or ("normal", mean, sigma),
+    with finite numbers, lo <= hi, a finite hi - lo and sigma >= 0; a
+    coordinate left out is ("fixed", 0.0).
     Sampling uses a counter-based generator keyed by (seed, particle index),
     so the draw for particle i never depends on the other particles. All
     particles' samples together, ``count * (t_end - t0) / sample_dt``, may
@@ -213,10 +228,12 @@ class EnsembleSpec:
         if self.count * samples > MAX_GRID_POINTS:
             raise ValueError(f"{self.count} particles of {samples:.6g} "
                              f"samples give over {MAX_GRID_POINTS} samples")
-        for coord in ("q1", "v1", "q2", "v2"):
-            kind = self.samplers.get(coord, ("fixed", 0.0))[0]
-            if kind not in _SAMPLER_KINDS:
-                raise ValueError(f"unknown sampler kind {kind!r} for {coord}")
+        for coord in _COORDS:
+            spec = self.samplers.get(coord, _FIXED_ZERO)
+            if not _sampler_ok(spec):
+                raise ValueError(f"bad sampler spec {spec!r} for {coord} (want fixed V, "
+                                 "uniform LO HI or normal MEAN SIGMA with finite numbers, "
+                                 "LO <= HI, a finite HI - LO and SIGMA >= 0)")
 
 
 class EnsembleFailure(RuntimeError):
@@ -247,25 +264,10 @@ def _draw_initial(samplers: dict, seed: int, index: int) -> np.ndarray:
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, index],
                                                             dtype=np.uint64)))
     out = np.empty(4)
-    for k, coord in enumerate(("q1", "v1", "q2", "v2")):
-        spec = samplers.get(coord, ("fixed", 0.0))
-        kind = spec[0]
-        if kind == "fixed":
-            out[k] = spec[1]
-        elif kind == "uniform":
-            out[k] = rng.uniform(spec[1], spec[2])
-        else:
-            out[k] = rng.normal(spec[1], spec[2])
+    for k, coord in enumerate(_COORDS):
+        kind, *values = samplers.get(coord, _FIXED_ZERO)
+        out[k] = _SAMPLERS[kind][1](rng, *values)
     return out
-
-
-def _sampler_sigma(spec) -> float:
-    kind = spec[0]
-    if kind == "fixed":
-        return 0.0
-    if kind == "uniform":
-        return abs(spec[2] - spec[1]) / math.sqrt(12.0)
-    return abs(spec[2])
 
 
 def run_ensemble(spec: EnsembleSpec) -> DistributionReport:
@@ -301,8 +303,8 @@ def run_ensemble(spec: EnsembleSpec) -> DistributionReport:
     v1 = good[:, :, 1]
     v2 = good[:, :, 3]
     e1, e2 = mode_actions(good, sc.params.omega)
-    edges_v1 = _velocity_edges(v1[:, 0], spec.samplers.get("v1", ("fixed", 0.0)))
-    edges_v2 = _velocity_edges(v2[:, 0], spec.samplers.get("v2", ("fixed", 0.0)))
+    edges_v1 = _velocity_edges(v1[:, 0], spec.samplers.get("v1", _FIXED_ZERO))
+    edges_v2 = _velocity_edges(v2[:, 0], spec.samplers.get("v2", _FIXED_ZERO))
     return DistributionReport(
         times=traj.times,
         mean_v1=v1.mean(axis=0),
@@ -325,7 +327,8 @@ def run_ensemble(spec: EnsembleSpec) -> DistributionReport:
 def _velocity_edges(v0: np.ndarray, sampler, bins: int = 64) -> np.ndarray:
     rms = float(np.sqrt(np.mean(v0**2)))
     if rms == 0.0:
-        rms = max(_sampler_sigma(sampler), 1.0)
+        kind, *values = sampler
+        rms = max(_SAMPLERS[kind][2](*values), 1.0)
     return np.linspace(-3.0 * rms, 3.0 * rms, bins + 1)
 
 

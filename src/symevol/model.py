@@ -104,10 +104,6 @@ class ModelParams:
         elif not 0.0 <= self.delta < math.inf:
             raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
 
-    def alpha(self, tau):
-        """Evaluate the decay factor of these parameters at slow time tau."""
-        return alpha(tau, self.alpha_kind)
-
     def replace(self, **changes) -> "ModelParams":
         from dataclasses import replace as _replace
 
@@ -203,25 +199,14 @@ def dissipative_to_cartesian(t, z, delta):
     """Map damped coordinates back to the intermediate system: q = exp(delta*t)*z.
 
     Accepts a single state (shape (4,)) or a stack of states (shape (m, 4))
-    with matching t.
+    with matching t; at rate -delta it is the inverse map.
     """
     z = np.asarray(z, dtype=float)
     s = np.exp(np.asarray(delta * np.asarray(t, dtype=float)))
     z1, w1, z2, w2 = np.moveaxis(z, -1, 0)
-    q1 = s * z1
-    v1 = s * (w1 + delta * z1)
-    q2 = s * z2
-    v2 = s * (w2 + delta * z2)
-    return np.stack([q1, v1, q2, v2], axis=-1)
+    return np.stack([s * z1, s * (w1 + delta * z1), s * z2, s * (w2 + delta * z2)], axis=-1)
 
 
 def cartesian_to_dissipative(t, y, delta):
     """Inverse of :func:`dissipative_to_cartesian`: z = exp(-delta*t)*q."""
-    y = np.asarray(y, dtype=float)
-    s = np.exp(-np.asarray(delta * np.asarray(t, dtype=float)))
-    q1, v1, q2, v2 = np.moveaxis(y, -1, 0)
-    z1 = s * q1
-    w1 = s * (v1 - delta * q1)
-    z2 = s * q2
-    w2 = s * (v2 - delta * q2)
-    return np.stack([z1, w1, z2, w2], axis=-1)
+    return dissipative_to_cartesian(t, y, -delta)

@@ -98,6 +98,17 @@ def locate_12_first(E0) -> ResonanceManifold:
                              r1_sq=8 * r2_sq, r2_sq=r2_sq)
 
 
+def _drift_zero(c_u, c_w):
+    """Where the drift c_u*r1^2 + c_w*r2^2 vanishes at positive amplitudes:
+    (r1^2/r2^2 or None, degenerate). A ratio needs coefficients of opposite
+    sign; both zero is the degenerate drift. Fractions stay exact."""
+    if c_u == 0 and c_w == 0:
+        return None, True
+    if c_u != 0 and c_w != 0 and (c_u > 0) != (c_w > 0):
+        return -c_w / c_u, False
+    return None, False
+
+
 def locate_12_second(a1, a2) -> ResonanceManifold:
     """Second-order 1:2 manifold from the zero of the chi2 drift.
 
@@ -105,17 +116,10 @@ def locate_12_second(a1, a2) -> ResonanceManifold:
     opposite sign; chi2 = 0 hosts stable resonant periodic orbits, chi2 = pi
     unstable ones. Width O(eps), interaction time 1/eps^3.
     """
-    c_u, c_w = _chi2_coeffs(a1, a2)
-    stability = {0.0: "stable", math.pi: "unstable"}
-    if c_u == 0 and c_w == 0:
-        return ResonanceManifold("1:2 second order", False, None, (0.0, math.pi), 1, 3,
-                                 angle_stability=stability, degenerate=True)
-    if c_u != 0 and c_w != 0 and (c_u > 0) != (c_w > 0):
-        ratio = -c_w / c_u
-        return ResonanceManifold("1:2 second order", True, ratio, (0.0, math.pi), 1, 3,
-                                 angle_stability=stability)
-    return ResonanceManifold("1:2 second order", False, None, (0.0, math.pi), 1, 3,
-                             angle_stability=stability)
+    ratio, degenerate = _drift_zero(*_chi2_coeffs(a1, a2))
+    return ResonanceManifold("1:2 second order", ratio is not None, ratio, (0.0, math.pi), 1, 3,
+                             angle_stability={0.0: "stable", math.pi: "unstable"},
+                             degenerate=degenerate)
 
 
 def locate_13(a1, a2) -> ResonanceManifold:
@@ -127,12 +131,9 @@ def locate_13(a1, a2) -> ResonanceManifold:
     O(eps^2), interaction time 1/eps^4.
     """
     c_u, c_w = _chi3_paper_coeffs(a1, a2)
-    if c_u == 0 and c_w == 0:
-        return ResonanceManifold("1:3", False, None, (0.0, math.pi), 2, 4, degenerate=True)
-    if c_u != 0 and c_w != 0 and (c_u > 0) == (c_w > 0):
-        ratio = c_w / c_u
-        return ResonanceManifold("1:3", True, ratio, (0.0, math.pi), 2, 4)
-    return ResonanceManifold("1:3", False, None, (0.0, math.pi), 2, 4)
+    ratio, degenerate = _drift_zero(-c_u, c_w)
+    return ResonanceManifold("1:3", ratio is not None, ratio, (0.0, math.pi), 2, 4,
+                             degenerate=degenerate)
 
 
 # Open intervals of the parameter p = a1/(3*a2) quoted from the 1:1
@@ -250,14 +251,13 @@ def _growth_verdict(growth, claim_stable):
 
 
 def verify_stability_numerically(report: StabilityReport, E0: float, epsilon: float,
-                                 perturbation: float = 1e-3,
-                                 horizon_factor: float = 50.0) -> str:
+                                 perturbation: float = 1e-3) -> str:
     """Cross-check a 1:1 stability claim by integrating the averaged flow.
 
     Seeds the mode/orbit with a relative perturbation and follows the
-    symmetric averaged system over horizon_factor/(epsilon^2 * E0) time
-    units; returns "consistent", "inconsistent" or "indeterminate" (the
-    latter also for zero perturbation or boundary claims).
+    symmetric averaged system over 50/(epsilon^2 * E0) time units; returns
+    "consistent", "inconsistent" or "indeterminate" (the latter also for
+    zero perturbation or boundary claims).
     """
     if perturbation == 0.0:
         return "indeterminate"
@@ -266,7 +266,7 @@ def verify_stability_numerically(report: StabilityReport, E0: float, epsilon: fl
     params = ModelParams(report.a1, report.a2, 0.0, 0.0, omega=1.0,
                          epsilon=epsilon, n=2)
     radius = math.sqrt(2.0 * E0)
-    horizon = horizon_factor / (epsilon**2 * E0)
+    horizon = 50.0 / (epsilon**2 * E0)
     chi0 = 0.7  # generic angle, away from the sin(2*chi) zeros
 
     if report.mode in ("q1-normal-mode", "q2-normal-mode"):

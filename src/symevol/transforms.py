@@ -6,9 +6,10 @@ The co-rotating polar chart used throughout is
     q2 = r2*cos(omega*t + psi2),  v2 = -omega*r2*sin(omega*t + psi2),
 
 so that (r1, psi1, r2, psi2) drift slowly when the cubic coupling is weak.
-Phases are wrapped to (-pi, pi] at reporting; along trajectories a
-continuous lift should be used (see :func:`unwrap_phase_series`) so that
-combination angles are differentiable.
+The chart is inverted once, by :func:`polar_coordinates`, for one state or a
+stack of states. Phases are wrapped to (-pi, pi] at reporting; along
+trajectories a continuous lift (``np.unwrap``) keeps combination angles
+differentiable.
 """
 
 from __future__ import annotations
@@ -18,25 +19,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CartesianState, ModelParams
+from .model import CartesianState, ModelParams, alpha
 
 __all__ = [
     "TWO_PI",
     "COMBINATION_COEFFS",
     "PhaseUndefinedError",
     "PolarState",
-    "ActionPair",
     "wrap_angle",
+    "polar_coordinates",
     "cart_to_polar",
     "polar_to_cart",
     "mode_actions",
-    "actions",
-    "actions_from_polar",
     "combination_angle",
     "slow_rhs",
     "near_identity_u",
-    "transformed_rhs",
-    "unwrap_phase_series",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -77,19 +74,28 @@ class PolarState:
         return cls(*(float(v) for v in y[:5]))
 
 
-@dataclass(frozen=True)
-class ActionPair:
-    """Per-mode actions E1 = (v1^2 + q1^2)/2 and E2 = (v2^2 + omega^2*q2^2)/2."""
-
-    E1: float
-    E2: float
-
-
 def wrap_angle(x):
     """Wrap angle(s) to the interval (-pi, pi]."""
     arr = np.asarray(x, dtype=float)
     wrapped = math.pi - np.remainder(math.pi - arr, TWO_PI)
     return float(wrapped) if arr.ndim == 0 else wrapped
+
+
+def polar_coordinates(t, states, omega: float):
+    """Invert the co-rotating polar chart: (r1, psi1, r2, psi2) of states
+    ordered [q1, v1, q2, v2] at times t, with the phases not wrapped.
+
+    A single state (shape (4,)) gives floats through math's hypot and atan2;
+    a stack (shape (..., 4), t broadcasting against (...)) gives arrays
+    through numpy's, which differ from math's in the last bit for some
+    arguments.
+    """
+    y = np.asarray(states, dtype=float)
+    single = y.ndim == 1
+    hypot, atan2 = (math.hypot, math.atan2) if single else (np.hypot, np.arctan2)
+    q1, v1, q2, v2 = y.tolist() if single else np.moveaxis(y, -1, 0)
+    p2 = v2 / omega
+    return hypot(q1, v1), atan2(-v1, q1) - t, hypot(q2, p2), atan2(-p2, q2) - omega * t
 
 
 def cart_to_polar(state: CartesianState, omega: float, delta: float = 0.0) -> PolarState:
@@ -99,17 +105,12 @@ def cart_to_polar(state: CartesianState, omega: float, delta: float = 0.0) -> Po
     either degree of freedom); callers near normal modes must work with the
     Cartesian variables instead.
     """
-    r1 = math.hypot(state.q1, state.v1)
-    r2 = math.hypot(state.q2, state.v2 / omega)
+    r1, psi1, r2, psi2 = polar_coordinates(state.t, state.as_array(), omega)
     if r1 == 0.0:
         raise PhaseUndefinedError("mode 1 amplitude is zero, psi1 undefined")
     if r2 == 0.0:
         raise PhaseUndefinedError("mode 2 amplitude is zero, psi2 undefined")
-    theta1 = math.atan2(-state.v1, state.q1)
-    theta2 = math.atan2(-state.v2 / omega, state.q2)
-    psi1 = wrap_angle(theta1 - state.t)
-    psi2 = wrap_angle(theta2 - omega * state.t)
-    return PolarState(r1, psi1, r2, psi2, tau=delta * state.t)
+    return PolarState(r1, wrap_angle(psi1), r2, wrap_angle(psi2), tau=delta * state.t)
 
 
 def polar_to_cart(polar: PolarState, omega: float, t: float) -> CartesianState:
@@ -132,17 +133,6 @@ def mode_actions(states, omega: float):
     return 0.5 * (v1**2 + q1**2), 0.5 * (v2**2 + omega**2 * q2**2)
 
 
-def actions(state: CartesianState, omega: float) -> ActionPair:
-    """Actions of the two modes from Cartesian data."""
-    e1, e2 = mode_actions(state.as_array(), omega)
-    return ActionPair(float(e1), float(e2))
-
-
-def actions_from_polar(polar: PolarState, omega: float) -> ActionPair:
-    """Actions expressed through the amplitudes: E1 = r1^2/2, E2 = omega^2*r2^2/2."""
-    return ActionPair(0.5 * polar.r1**2, 0.5 * omega**2 * polar.r2**2)
-
-
 def combination_angle(kind: str, psi1, psi2):
     """Resonant combination of the slow phases, wrapped to (-pi, pi]."""
     try:
@@ -157,14 +147,12 @@ def slow_rhs(t, y, p: ModelParams) -> np.ndarray:
 
     Obtained by variation of constants from the Cartesian equations; exactly
     equivalent to the full system away from the normal modes. Works on
-    scalar or array t (amplitudes and phases frozen), and on complex input
-    for derivative checks.
+    scalar or array t (amplitudes and phases frozen), and on complex
+    amplitudes and phases for derivative checks; the decay factor is
+    :func:`symevol.model.alpha` of the real slow time tau.
     """
     r1, psi1, r2, psi2, tau = y[0], y[1], y[2], y[3], y[4]
-    if p.alpha_kind == "exponential":
-        al = np.exp(-tau)
-    else:
-        al = 1.0 / (1.0 + tau)
+    al = alpha(tau, p.alpha_kind)
     w = p.omega
     e = p.epsilon
     th1 = t + psi1
@@ -192,9 +180,13 @@ def _gauss_nodes(n: int):
     return _GL_CACHE[n]
 
 
-def gauss_integral(f, a: float, b: float, panels: int = 8, nodes: int = 10):
-    """Composite Gauss-Legendre integral of a vector-valued f over [a, b]."""
-    x, wts = _gauss_nodes(nodes)
+_PANELS_PER_PERIOD = 8  # quadrature panels per 2*pi in near_identity_u
+
+
+def gauss_integral(f, a: float, b: float, panels: int = 8):
+    """Composite Gauss-Legendre integral of a vector-valued f over [a, b],
+    10 nodes per panel."""
+    x, wts = _gauss_nodes(10)
     edges = np.linspace(a, b, panels + 1)
     total = None
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -207,34 +199,22 @@ def gauss_integral(f, a: float, b: float, panels: int = 8, nodes: int = 10):
     return total
 
 
-def near_identity_u(f1, t: float, y, period: float = TWO_PI, mean_tol: float = 1e-9,
-                    panels_per_period: int = 8, nodes: int = 10) -> np.ndarray:
+def near_identity_u(f1, t: float, y) -> np.ndarray:
     """Oscillatory correction u(t, y) = integral of f1(s, y) ds from 0 to t.
 
-    f1 must be ``period``-periodic in its first argument with zero t-average
-    at frozen y, so that u stays bounded; a non-zero mean is detected and
+    f1 must be 2*pi-periodic in its first argument with zero t-average at
+    frozen y, so that u stays bounded; a mean above 1e-9 is detected and
     rejected. The integral is computed by composite Gauss-Legendre
-    quadrature with y held fixed.
+    quadrature, 8 panels per period, with y held fixed.
     """
     y = np.asarray(y, dtype=float)
-    mean = gauss_integral(lambda s: f1(s, y), 0.0, period,
-                          panels=panels_per_period, nodes=nodes) / period
-    if np.max(np.abs(mean)) > mean_tol:
+    mean = gauss_integral(lambda s: f1(s, y), 0.0, TWO_PI, panels=_PANELS_PER_PERIOD) / TWO_PI
+    if np.max(np.abs(mean)) > 1e-9:
         raise ValueError(
             f"f1 has non-zero t-average (max |mean| = {np.max(np.abs(mean)):.3e}); "
             "the correction would grow unboundedly"
         )
     if t == 0.0:
         return np.zeros_like(np.asarray(f1(0.0, y), dtype=float))
-    panels = max(1, math.ceil(abs(t) / period * panels_per_period))
-    return gauss_integral(lambda s: f1(s, y), 0.0, t, panels=panels, nodes=nodes)
-
-
-def transformed_rhs(f2, t, y, epsilon: float) -> np.ndarray:
-    """Leading vector field after removing a zero-mean f1: y' = eps*f2(t, y)."""
-    return epsilon * np.asarray(f2(t, y))
-
-
-def unwrap_phase_series(theta_wrapped: np.ndarray) -> np.ndarray:
-    """Continuous lift of a sampled angle series (samples closer than pi apart)."""
-    return np.unwrap(np.asarray(theta_wrapped, dtype=float))
+    panels = max(1, math.ceil(abs(t) / TWO_PI * _PANELS_PER_PERIOD))
+    return gauss_integral(lambda s: f1(s, y), 0.0, t, panels=panels)

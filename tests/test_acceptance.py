@@ -12,11 +12,10 @@ import numpy as np
 import pytest
 
 from conftest import fig_initial_state, fig_params
-from symevol.averaged import average_slow_field, avg11_rhs, avg12_first_rhs
+from symevol.averaged import average_slow_field, avg11_rhs, avg12_first_rhs, cartesian_invariant
 from symevol.cli import main as cli_main
 from symevol.config import build_scenario, load_config, preset_path
-from symevol.experiments import (invariant_series, polar_amplitude_series, run_scenario,
-                                 stabilization_time)
+from symevol.experiments import polar_amplitude_series, run_scenario, stabilization_time
 from symevol.integrate import IntegratorConfig, integrate, order_check
 from symevol.model import (CartesianState, ModelParams,
                            cartesian_to_dissipative, dissipative_rhs,
@@ -86,7 +85,7 @@ def test_criterion_02_quadrature_oracle_equivalence():
     worst = 0.0
     for _ in range(100):
         y = _rand_polar(rng)
-        residual = np.max(np.abs(average_slow_field(y, p, nodes=64)
+        residual = np.max(np.abs(average_slow_field(y, p)
                                  - avg12_first_rhs(0.0, y, p)))
         worst = max(worst, residual)
     _report(2, worst < 1e-9, f"max oracle residual {worst:.2e} (tol 1e-9)")
@@ -98,7 +97,7 @@ def test_criterion_03_adiabatic_drift_scaling(ladder_trajectories):
         p, traj = ladder_trajectories[eps]
         mask = traj.times <= 1.0 / eps + 1e-9
         for name in drifts:
-            series = invariant_series(traj, name, p)[mask]
+            series = cartesian_invariant(name, traj.states, p)[mask]
             drifts[name].append(float(np.max(np.abs(series - series[0]))))
     ratios = {k: [v[i] / v[i + 1] for i in range(2)] for k, v in drifts.items()}
     ok = all(1.5 <= r <= 2.8 for rs in ratios.values() for r in rs)

@@ -80,7 +80,7 @@ def test_avg12_first_conserves_both_integrals(params12, rng):
 def test_avg12_first_matches_quadrature_average(params12, rng):
     for _ in range(30):
         y = random_polar(rng)
-        oracle = average_slow_field(y, params12, nodes=64)
+        oracle = average_slow_field(y, params12)
         field = avg12_first_rhs(0.0, y, params12)
         assert np.max(np.abs(oracle - field)) < 1e-10
 
@@ -92,7 +92,7 @@ def test_first_order_averages_vanish_off_the_12_resonance(rng):
         p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=omega, epsilon=0.1, n=2)
         for _ in range(15):
             y = random_polar(rng)
-            avg = average_slow_field(y, p, nodes=64)
+            avg = average_slow_field(y, p)
             assert np.max(np.abs(avg[:4])) < 1e-12
 
 

@@ -6,14 +6,14 @@ import pytest
 from conftest import fig_initial_state, fig_params
 from symevol.experiments import (EnsembleSpec, ScenarioConfig, _draw_initial,
                                  _histogram_series, compare_full_vs_averaged,
-                                 invariant_drift, invariant_series, phase_series,
+                                 invariant_drift, phase_series, polar_amplitude_series,
                                  run_ensemble, run_scenario, stabilization_time)
-from symevol.averaged import INVARIANT_NAMES
+from symevol.averaged import INVARIANT_NAMES, cartesian_invariant
 from symevol.config import ConfigError, build_scenario, load_config, preset_path
 from symevol.integrate import MAX_GRID_POINTS, IntegrationError, IntegratorConfig, integrate
-from symevol.model import CartesianState, ModelParams, full_rhs
+from symevol.model import CartesianState, ModelParams, alpha, full_rhs
 from symevol.resonance import RESONANCES
-from symevol.transforms import COMBINATION_COEFFS, mode_actions
+from symevol.transforms import COMBINATION_COEFFS, cart_to_polar, mode_actions, wrap_angle
 
 
 def _scenario(params, initial, horizon, sample_dt=0.25, **settings):
@@ -39,13 +39,40 @@ def test_run_scenario_zero_initial_state():
 def test_run_scenario_invariants_and_angles():
     p = fig_params(2)
     traj = run_scenario(_scenario(p, fig_initial_state(), 20.0, sample_dt=0.2))
-    assert invariant_series(traj, "E0_12", p)[0] == pytest.approx(0.25)
-    assert invariant_series(traj, "I3_12", p)[0] == pytest.approx(0.0, abs=1e-15)
+    assert cartesian_invariant("E0_12", traj.states, p)[0] == pytest.approx(0.25)
+    assert cartesian_invariant("I3_12", traj.states, p)[0] == pytest.approx(0.0, abs=1e-15)
     psi1, psi2 = phase_series(traj, p.omega)
     m1, m2 = COMBINATION_COEFFS["chi12"]
     chi = m1 * psi1 + m2 * psi2
     # continuous lift: no 2*pi jumps between samples
     assert np.max(np.abs(np.diff(chi))) < 1.0
+
+
+def test_polar_series_equal_cart_to_polar_of_each_sample():
+    # the series read the one inverse chart on the whole trajectory; the
+    # scalar chart of each sample agrees to rounding (phases on the circle)
+    p = fig_params(2)
+    traj = run_scenario(_scenario(p, fig_initial_state(), 100.0))
+    r1, r2 = polar_amplitude_series(traj, p.omega)
+    psi1, psi2 = phase_series(traj, p.omega)
+    worst = 0.0
+    for k, t in enumerate(traj.times):
+        pol = cart_to_polar(CartesianState.from_array(t, traj.states[k]), p.omega)
+        worst = max(worst, abs(r1[k] - pol.r1), abs(r2[k] - pol.r2),
+                    abs(wrap_angle(wrap_angle(psi1[k]) - pol.psi1)),
+                    abs(wrap_angle(wrap_angle(psi2[k]) - pol.psi2)))
+    assert len(traj) == 401 and worst < 1e-12
+
+
+def test_phase_series_lifts_the_slow_phases_at_coarse_sampling():
+    # samples 4 time units apart: the fast angles t + psi1 and 2t + psi2 move
+    # by more than pi between samples, the slow phases by less (at most 1.4
+    # here), so the lift of psi has no 2*pi slip where a lift of the fast
+    # angle slips (jumps of 6.4 at this spacing)
+    p = fig_params(2)
+    traj = run_scenario(_scenario(p, fig_initial_state(), 200.0, sample_dt=4.0))
+    for psi in phase_series(traj, p.omega):
+        assert np.max(np.abs(np.diff(psi))) < math.pi
 
 
 def test_run_scenario_disables_angles_near_normal_mode():
@@ -66,7 +93,7 @@ def test_run_scenario_untabulated_omega_omits_chi_and_invariants():
     assert p.omega not in RESONANCES
     for name in INVARIANT_NAMES:
         with pytest.raises(ValueError, match="omega = 1.5"):
-            invariant_series(traj, name, p)
+            cartesian_invariant(name, traj.states, p)
 
 
 def test_averaged_systems_reject_polynomial_decay():
@@ -105,8 +132,8 @@ def test_scenario_config_validation():
 def test_decay_rates_for_figure_scenarios():
     # n = 2 vs n = 3 at eps = 0.1: alpha(1000*delta) is e^-10 vs e^-1
     p2, p3 = fig_params(2), fig_params(3)
-    assert p2.alpha(p2.delta * 1000.0) == pytest.approx(math.exp(-10.0))
-    assert p3.alpha(p3.delta * 1000.0) == pytest.approx(math.exp(-1.0))
+    assert alpha(p2.delta * 1000.0, p2.alpha_kind) == pytest.approx(math.exp(-10.0))
+    assert alpha(p3.delta * 1000.0, p3.alpha_kind) == pytest.approx(math.exp(-1.0))
 
 
 def test_compare_linear_limit_vanishes():
@@ -195,6 +222,17 @@ def test_ensemble_spec_sample_ceiling():
     for count in (0, MAX_GRID_POINTS // 20 + 1, 10**15):
         with pytest.raises(ValueError):
             _small_ensemble(count=count)
+
+
+@pytest.mark.parametrize("spec", [("uniform", 0.0), ("normal", 0.5, -1.0), ("fixed", math.nan),
+                                  ("uniform", 0.6, 0.4), ("uniform", -math.inf, 0.6),
+                                  ("uniform", -1e308, 1e308), ("fixed", "0.5"), ("bogus", 1.0),
+                                  ("fixed",), ()])
+def test_ensemble_spec_rejects_bad_sampler_on_construction(spec):
+    # wrong arity, a negative sigma, a non-finite or non-numeric value, an
+    # empty or infinite range and an unknown kind fail here, not in run_ensemble
+    with pytest.raises(ValueError, match="bad sampler spec .* for v1"):
+        _small_ensemble(samplers={"v1": spec})
 
 
 def test_ensemble_degenerate_sampler_zero_dispersion():

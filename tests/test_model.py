@@ -62,7 +62,7 @@ def test_params_validation():
     p = ModelParams(1, 1, 1, 1, omega=2.0, epsilon=0.1, n=3)
     assert p.delta == pytest.approx(1e-3)
     frozen = ModelParams(1, 1, 1, 1, omega=2.0, epsilon=0.1, delta=0.0)
-    assert frozen.alpha(frozen.delta * 500.0) == 1.0
+    assert alpha(frozen.delta * 500.0, frozen.alpha_kind) == 1.0
 
 
 def test_hamiltonian_origin_is_zero(params12):

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from symevol.integrate import IntegratorConfig, integrate
 from symevol.model import CartesianState, ModelParams, intermediate_rhs
-from symevol.transforms import (PhaseUndefinedError, PolarState, actions,
-                                actions_from_polar, cart_to_polar,
-                                combination_angle, near_identity_u, polar_to_cart,
-                                slow_rhs, transformed_rhs, wrap_angle)
+from symevol.transforms import (PhaseUndefinedError, PolarState, cart_to_polar,
+                                combination_angle, mode_actions, near_identity_u,
+                                polar_coordinates, polar_to_cart, slow_rhs, wrap_angle)
 
 TWO_PI = 2.0 * math.pi
 
@@ -63,6 +62,32 @@ def test_cart_to_polar_degenerate_modes():
     assert pol.r1 == 1.0 and pol.psi1 == 0.0
 
 
+def test_single_state_chart_is_maths_bit_for_bit(rng):
+    # one state goes through math.hypot and math.atan2, whose bits every
+    # compare ladder starts from; a stack goes through numpy's, elementwise
+    omegas, ts, ys = [], [], []
+    for _ in range(2000):
+        omega, t = rng.choice([1.0, 2.0, 3.0]), rng.uniform(0.0, 20.0)
+        q1, v1, q2, v2 = y = rng.uniform(-1.5, 1.5, size=4)
+        if math.hypot(q1, v1) == 0.0 or math.hypot(q2, v2) == 0.0:
+            continue
+        pol = cart_to_polar(CartesianState.from_array(t, y), omega)
+        assert (pol.r1, pol.r2) == (math.hypot(q1, v1), math.hypot(q2, v2 / omega))
+        assert pol.psi1 == wrap_angle(math.atan2(-v1, q1) - t)
+        assert pol.psi2 == wrap_angle(math.atan2(-v2 / omega, q2) - omega * t)
+        assert polar_coordinates(t, y, omega)[0] == pol.r1
+        if omega == 2.0:
+            ts.append(t)
+            ys.append(y)
+    ts, ys = np.array(ts[:600]).reshape(2, 3, 100), np.array(ys[:600]).reshape(2, 3, 100, 4)
+    r1, psi1, r2, psi2 = polar_coordinates(ts, ys, 2.0)
+    q1, v1, q2, v2 = np.moveaxis(ys, -1, 0)
+    assert r1.shape == (2, 3, 100)
+    assert np.array_equal(r1, np.hypot(q1, v1)) and np.array_equal(r2, np.hypot(q2, v2 / 2.0))
+    assert np.array_equal(psi1, np.arctan2(-v1, q1) - ts)
+    assert np.array_equal(psi2, np.arctan2(-v2 / 2.0, q2) - 2.0 * ts)
+
+
 def test_polar_to_cart_example():
     st_ = polar_to_cart(PolarState(0.5, -math.pi / 2, 0.0, 0.0), omega=2.0, t=0.0)
     assert abs(st_.q1) < 1e-15
@@ -96,20 +121,22 @@ def test_round_trip_random_states(rng):
 
 def test_actions_values_and_consistency(rng):
     fig = CartesianState(0.0, 0.0, 0.5, 0.0, 0.5)
-    pair = actions(fig, omega=2.0)
-    assert pair.E1 == 0.125 and pair.E2 == 0.125
-    zero = actions(CartesianState(0.0, 0.0, 0.0, 0.0, 0.0), omega=2.0)
-    assert zero.E1 == 0.0 and zero.E2 == 0.0
+    E1, E2 = mode_actions(fig.as_array(), omega=2.0)
+    assert E1 == 0.125 and E2 == 0.125
+    E1, E2 = mode_actions(CartesianState(0.0, 0.0, 0.0, 0.0, 0.0).as_array(), omega=2.0)
+    assert E1 == 0.0 and E2 == 0.0
     for _ in range(200):
         omega = rng.choice([1.0, 2.0, 3.0])
         y = rng.uniform(-1.5, 1.5, size=4)
         if math.hypot(y[0], y[1]) < 1e-3 or math.hypot(y[2], y[3] / omega) < 1e-3:
             continue
         st_ = CartesianState.from_array(rng.uniform(0, 10), y)
-        a = actions(st_, omega)
-        b = actions_from_polar(cart_to_polar(st_, omega), omega)
-        assert abs(a.E1 - b.E1) < 1e-12
-        assert abs(a.E2 - b.E2) < 1e-12
+        a = mode_actions(st_.as_array(), omega)
+        pol = cart_to_polar(st_, omega)
+        # through the amplitudes: E1 = r1^2/2, E2 = omega^2*r2^2/2
+        b = (0.5 * pol.r1**2, 0.5 * omega**2 * pol.r2**2)
+        assert abs(a[0] - b[0]) < 1e-12
+        assert abs(a[1] - b[1]) < 1e-12
 
 
 def test_combination_angles():
@@ -164,11 +191,6 @@ def _split_fields(params):
     return f1, f2
 
 
-def test_transformed_rhs_zero_field():
-    y = np.array([1.0, 2.0])
-    assert np.all(transformed_rhs(lambda t, x: np.zeros(2), 0.3, y, 0.1) == 0.0)
-
-
 def test_transformed_flow_matches_intermediate_system():
     # y' = eps*f2 is the polar form of the system without the symmetric
     # cubic terms; check against direct Cartesian integration.
@@ -180,7 +202,7 @@ def test_transformed_flow_matches_intermediate_system():
 
     def yflow(t, y):
         out = np.zeros(5)
-        out[:4] = transformed_rhs(f2, t, y, p.epsilon)
+        out[:4] = p.epsilon * np.asarray(f2(t, y))
         return out
 
     polar_traj = integrate(yflow, pol.as_array(), cfg)
