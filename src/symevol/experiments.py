@@ -185,6 +185,7 @@ _SAMPLERS = {
 }
 _COORDS = ("q1", "v1", "q2", "v2")
 _FIXED_ZERO = ("fixed", 0.0)  # the sampler of a coordinate a spec leaves out
+_HISTOGRAM_BINS = 64  # uniform bins per velocity component in an ensemble report
 
 
 def _sampler_ok(spec) -> bool:
@@ -274,14 +275,14 @@ def run_ensemble(spec: EnsembleSpec) -> DistributionReport:
     """Integrate every particle in one batched run and reduce to per-time
     stats.
 
-    Histogram bins are fixed: 64 uniform bins spanning three times the
-    ensemble's initial rms velocity (per component, about zero, falling back
-    to the sampler's offset scale); out-of-range values accumulate in the
-    edge bins so the histogram mass always equals the particle count.
-    Failed particles are recorded with their integrator message and
-    excluded from the statistics. ``stats`` totals the integrator's step
-    counts over all particles and gives the fewest and most accepted steps
-    of a particle that completed.
+    Histogram bins are fixed: ``_HISTOGRAM_BINS`` (64) uniform bins spanning
+    three times the ensemble's initial rms velocity (per component, about
+    zero, falling back to the sampler's offset scale); out-of-range values
+    accumulate in the edge bins so the histogram mass always equals the
+    particle count. Failed particles are recorded with their integrator
+    message and excluded from the statistics. ``stats`` totals the
+    integrator's step counts over all particles and gives the fewest and
+    most accepted steps of a particle that completed.
     """
     sc = spec.scenario
     p = sc.params
@@ -324,12 +325,12 @@ def run_ensemble(spec: EnsembleSpec) -> DistributionReport:
     )
 
 
-def _velocity_edges(v0: np.ndarray, sampler, bins: int = 64) -> np.ndarray:
+def _velocity_edges(v0: np.ndarray, sampler) -> np.ndarray:
     rms = float(np.sqrt(np.mean(v0**2)))
     if rms == 0.0:
         kind, *values = sampler
         rms = max(_SAMPLERS[kind][2](*values), 1.0)
-    return np.linspace(-3.0 * rms, 3.0 * rms, bins + 1)
+    return np.linspace(-3.0 * rms, 3.0 * rms, _HISTOGRAM_BINS + 1)
 
 
 def _histogram_series(values: np.ndarray, edges: np.ndarray) -> np.ndarray:

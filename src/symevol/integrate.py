@@ -5,10 +5,11 @@ a state as a tuple of its d components and answers with a sequence of d
 components. A component is a float in a single run, and an array with one
 entry per running row in a batch. One single-row loop runs both methods
 over Python floats, through one generated straight-line step per tableau
-record and state dimension. Dormand-Prince also integrates a batch of
+record and state dimension. An adaptive record also integrates a batch of
 independent initial states at once (``y0`` of shape (N, d)), holding the
 rows as columns of a (d, n) array; every row keeps its own time and step
-size. Both loops sum stages and errors in one order, test finiteness on
+size, and the step is generated from the same record, one statement per
+stage. Both steps write every sum through one emitter, test finiteness on
 the new state and the last stage, take the step factor from libm's pow and
 share the controller, so a batch row equals the single-row run byte for
 byte. The single-row loop makes no numpy call per step.
@@ -263,8 +264,8 @@ def integrate(rhs, y0, config: IntegratorConfig) -> Trajectory:
     ``rhs(t, y)`` gets the state ``y`` as a tuple of its d components and
     returns a sequence of d components (a tuple, a list, an ndarray). For a
     1-D ``y0`` of d values a component is a float and ``t`` is a float. For
-    a 2-D ``y0`` of shape (N, d), N independent rows run in one
-    Dormand-Prince run (rk45 only; rk4 raises ValueError): a component is an
+    a 2-D ``y0`` of shape (N, d), N independent rows run in one adaptive
+    run (a fixed-step method raises ValueError): a component is an
     array of shape (n,) holding the n rows still running, ``t`` is the array
     of their times, and the answer must have shape (d, n). ``rhs`` must treat
     rows independently. An answer of another length or shape raises
@@ -292,11 +293,11 @@ def integrate(rhs, y0, config: IntegratorConfig) -> Trajectory:
         raise ValueError(f"y0 must have shape (d,) or (N, d) with d >= 1, got {y0.shape}")
     ts = _sample_grid(config.t0, config.t_end, config.sample_dt)
     if y0.ndim == 2:
-        if config.method != "rk45":
-            raise ValueError(f"method {config.method!r} cannot integrate a batch of states")
+        if _METHODS[config.method].e is None:
+            raise ValueError(f"fixed-step method {config.method!r} cannot integrate a batch")
         out = np.full((y0.shape[0], len(ts), y0.shape[1]), np.nan)
         out[:, 0] = y0
-        run = _run_rk45_rows
+        run = _run_rows
     else:
         out = np.empty((len(ts), len(y0)))
         out[0] = y0
@@ -375,7 +376,8 @@ def _error_power(err_norm):
 
 
 def _weighted_source(weights, terms) -> str:
-    """``_weighted_sum`` as an expression: left to right, zero weights included."""
+    """A weighted sum as an expression: left to right, zero weights included.
+    Every stage and error sum of both generated steps is written by it."""
     return "(" + " + ".join(f"{float(w)!r} * {x}" for w, x in zip(weights, terms)) + ")"
 
 
@@ -395,8 +397,8 @@ def _step_function(method: str, d: int):
     ``step(rhs, t, h, y, f, rtol, atol)`` takes the state ``y`` and its slope
     ``f`` as sequences of d floats and returns the new state, the slope there
     (the last stage), whether every stage and the new state are finite, and
-    the error norm (0.0 for a fixed-step record). Every sum is written in the
-    batched loop's order, so a single run equals its batch row bit for bit.
+    the error norm (0.0 for a fixed-step record). Its sums are those of
+    :func:`_rows_step_function`, so a single run equals its batch row bit for bit.
 
     Finiteness is tested on the new state and the last stage only. The new
     state's sum takes every other stage with its weight, zero weights
@@ -436,17 +438,26 @@ def _step_function(method: str, d: int):
     return namespace["step"]
 
 
-# The batched loop below runs the adaptive branch of _run_single row by row,
-# with the same record, initial step, error norm, controller and failure
-# decision. Its stage and error sums are fixed-order elementwise sums, in the
-# order of the generated single-row step, so a row's arithmetic never depends
-# on the rows sharing the batch and equals the single-row run's.
-
-def _weighted_sum(weights, k):
-    acc = weights[0] * k[0]
-    for w, kj in zip(weights[1:], k[1:]):
-        acc = acc + w * kj
-    return acc
+@functools.cache
+def _rows_step_function(method: str):
+    """:func:`_step_function` of an adaptive record over a batch: ``y`` and
+    ``f`` are (d, n) arrays, a column per row, ``t`` and ``h`` (n,) arrays.
+    One statement per stage, with the float step's sums; every stage answer
+    passes :func:`_columns`. ``finite`` and the error norm are per row."""
+    c, a, e = _METHODS[method]
+    lines = ["def step(rhs, t, h, y, f, rtol, atol):",
+             "    k0 = f"]
+    for s, a_s in enumerate(a, 1):
+        lines += [f"    z = y + h * {_weighted_source(a_s, [f'k{r}' for r in range(s)])}",
+                  f"    k{s} = columns(rhs(t + {float(c[s])!r} * h, tuple(z)), y.shape)"]
+    lines += [f"    finite = isfinite(z).all(axis=0) & isfinite(k{len(a)}).all(axis=0)",
+              f"    x = h * {_weighted_source(e, [f'k{r}' for r in range(len(c))])}"
+              " / (atol + rtol * maximum(abs(y), abs(z)))",
+              f"    return z, k{len(a)}, finite, row_rms(x)"]
+    namespace = {"columns": _columns, "isfinite": np.isfinite, "maximum": np.maximum,
+                 "row_rms": _row_rms}
+    exec("\n".join(lines), namespace)
+    return namespace["step"]
 
 
 def _hermite_fill_rows(out, rows, ts, idx, t0, h, y0, y1, f0, f1, t1, mask):
@@ -475,8 +486,9 @@ def _columns(answer, shape):
     return k
 
 
-def _run_rk45_rows(rhs, y0, config, ts, out):
-    c, a, e = _METHODS[config.method]
+def _run_rows(rhs, y0, config, ts, out):
+    a = _METHODS[config.method].a
+    step = _rows_step_function(config.method)
     t0, t_end = config.t0, config.t_end
     rtol, atol = config.rtol, config.atol
     span = t_end - t0
@@ -498,22 +510,14 @@ def _run_rk45_rows(rhs, y0, config, ts, out):
         while rows.size:
             clamped = h >= t_end - t
             h = np.where(clamped, t_end - t, h)
-            k = [f]
-            for s, a_s in enumerate(a, 1):
-                ys = y + h * _weighted_sum(a_s, k)
-                k.append(_columns(rhs(t + c[s] * h, tuple(ys)), ys.shape))
+            y_new, f_new, finite, err_norm = step(rhs, t, h, y, f, rtol, atol)
             evals[rows] += len(a)
-            y_new = ys  # the last stage input is the solution (first same as last)
-            # as in the single-row step, y_new's sum carries every earlier stage
-            finite = np.isfinite(y_new).all(axis=0) & np.isfinite(k[-1]).all(axis=0)
-            err = h * _weighted_sum(e, k)
-            err_norm = _row_rms(err / (atol + rtol * np.maximum(np.abs(y), np.abs(y_new))))
             ok = finite & (err_norm <= 1.0)
             factor = _SAFETY * _error_power(err_norm)
             grow = np.where(err_norm == 0.0, _MAX_FACTOR,
                             np.minimum(_MAX_FACTOR, np.maximum(_MIN_FACTOR, factor)))
             t_new = np.where(clamped, t_end, t + h)
-            idx = _hermite_fill_rows(out, rows, ts, idx, t, h, y, y_new, f, k[-1], t_new, ok)
+            idx = _hermite_fill_rows(out, rows, ts, idx, t, h, y, y_new, f, f_new, t_new, ok)
             accepted[rows] += ok
             if not ok.all():
                 rejected_error[rows] += finite & ~ok
@@ -522,7 +526,7 @@ def _run_rk45_rows(rhs, y0, config, ts, out):
                          np.where(finite, h * np.maximum(_MIN_FACTOR, factor), h * 0.25))
             t = np.where(ok, t_new, t)
             y = np.where(ok, y_new, y)
-            f = np.where(ok, k[-1], f)
+            f = np.where(ok, f_new, f)
             streak = np.where(finite, 0, streak + 1)
             failed = _stops(t, h, streak, t_end)
             for i in np.flatnonzero(failed).tolist():

@@ -183,7 +183,7 @@ def _gauss_nodes(n: int):
 _PANELS_PER_PERIOD = 8  # quadrature panels per 2*pi in near_identity_u
 
 
-def gauss_integral(f, a: float, b: float, panels: int = 8):
+def gauss_integral(f, a: float, b: float, panels: int):
     """Composite Gauss-Legendre integral of a vector-valued f over [a, b],
     10 nodes per panel."""
     x, wts = _gauss_nodes(10)

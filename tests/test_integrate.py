@@ -288,10 +288,30 @@ def test_batched_rows_independent_of_chunking(make):
                 for i, message in part.stats["failures"]] == whole.stats["failures"]
 
 
-def test_batched_integration_needs_rk45():
+def test_batched_integration_rejects_fixed_step_record():
     cfg = IntegratorConfig(t_end=1.0, sample_dt=0.5, method="rk4", step=0.1)
     with pytest.raises(ValueError):
         integrate(lambda t, y: -y, np.ones((3, 2)), cfg)
+
+
+def test_batch_runs_any_adaptive_record(monkeypatch):
+    # Bogacki-Shampine 3(2), first same as last, known to neither loop by
+    # name: its batch rows equal their single runs byte for byte
+    b = np.array([2 / 9, 1 / 3, 4 / 9, 0.0])
+    bs32 = integrate_module._Method(
+        c=np.array([0.0, 1 / 2, 3 / 4, 1.0]),
+        a=(np.array([1 / 2]), np.array([0.0, 3 / 4]), b[:3]),
+        e=b - np.array([7 / 24, 1 / 4, 1 / 3, 1 / 8]))
+    monkeypatch.setitem(integrate_module._METHODS, "bs32", bs32)
+    rhs, y0, _ = _fig1_batch()
+    cfg = IntegratorConfig(t_end=20.0, sample_dt=0.05, method="bs32", rtol=1e-8, atol=1e-10)
+    batch = integrate(rhs, y0[:3], cfg)
+    assert batch.stats["failures"] == [] and batch.stats["accepted"] > 10_000
+    for i, row in enumerate(y0[:3]):
+        single = integrate(rhs, row, cfg)
+        assert np.array_equal(single.states, batch.states[i])
+        for key in STAT_KEYS:
+            assert single.stats[key] == batch.stats[f"row_{key}"][i]
 
 
 def _per_sample_hermite_fill(out, ts, idx, t0, h, y0, y1, f0, f1, t1):
@@ -483,25 +503,29 @@ def test_rhs_may_return_any_sequence_of_d_floats(monkeypatch):
                        for y in states for v in y)
 
     # d - 1 or d + 1 components, or in a batch a constant (d,) answer, at the
-    # first call or at a later stage, raise ValueError before any sample is written
+    # first call or at any stage of the first step, raise ValueError before
+    # any sample is written
     fills = []
     monkeypatch.setattr(integrate_module, "_hermite_fill", lambda *args: fills.append(args))
     monkeypatch.setattr(integrate_module, "_hermite_fill_rows", lambda *args: fills.append(args))
 
-    def late(answer):
+    def late(answer, call):
+        """The field, but its call number ``call`` (0 the first slope, s the
+        stage s of the first step) gives ``answer``."""
         calls = []
 
         def rhs(t, y):
             calls.append(t)
-            return full_rhs(t, y, p) if len(calls) < 3 else answer(full_rhs(t, y, p))
+            return answer(full_rhs(t, y, p)) if len(calls) == call + 1 else full_rhs(t, y, p)
         return rhs
 
     short, long, constant = lambda f: f[:3], lambda f: f + (f[0],), lambda f: np.array(f)[:, 0]
     for start, cfg in cases:
+        stages = len(integrate_module._METHODS[cfg.method].a)
         for answer in (short, long, constant) if start.ndim == 2 else (short, long):
-            for rhs in (lambda t, y, answer=answer: answer(full_rhs(t, y, p)), late(answer)):
+            for call in range(stages + 1):
                 with pytest.raises(ValueError):
-                    integrate(rhs, start, cfg)
+                    integrate(late(answer, call), start, cfg)
     assert fills == []
 
 
