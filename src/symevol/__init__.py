@@ -1,15 +1,14 @@
 """symevol: numerical laboratory for a two degrees-of-freedom cubic
 oscillator whose mirror-symmetry breaking decays slowly in time."""
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 from .model import (CartesianState, ModelParams, alpha, dissipative_rhs,
                     eval_hamiltonian, full_rhs, intermediate_rhs)
-from .transforms import (PolarState, cart_to_polar, combination_angle, mode_actions,
-                         polar_coordinates, polar_to_cart, slow_rhs, wrap_angle)
+from .transforms import (combination_angle, mode_actions, polar_coordinates, polar_to_cart,
+                         slow_rhs, wrap_angle)
 from .integrate import IntegrationError, IntegratorConfig, Trajectory, integrate, order_check
-from .averaged import (avg11_rhs, avg12_first_rhs, avg12_second_rhs, avg13_rhs,
-                       chi2_rhs, chi3_rhs, chi12_rhs, fit_I3_11, invariant)
+from .averaged import chi2_rhs, chi3_rhs, fit_I3_11, polar_view
 from .resonance import (classify_11, locate_12_first, locate_12_second, locate_13,
                         verify_stability_numerically)
 from .experiments import (EnsembleSpec, ScenarioConfig, compare_full_vs_averaged,
@@ -19,11 +18,10 @@ __all__ = [
     "__version__",
     "ModelParams", "CartesianState", "alpha", "eval_hamiltonian", "full_rhs",
     "intermediate_rhs", "dissipative_rhs",
-    "PolarState", "mode_actions", "polar_coordinates", "cart_to_polar", "polar_to_cart",
+    "mode_actions", "polar_coordinates", "polar_to_cart",
     "combination_angle", "slow_rhs", "wrap_angle",
     "IntegratorConfig", "Trajectory", "IntegrationError", "integrate", "order_check",
-    "avg12_first_rhs", "avg12_second_rhs", "avg13_rhs", "avg11_rhs",
-    "chi12_rhs", "chi2_rhs", "chi3_rhs", "invariant", "fit_I3_11",
+    "polar_view", "chi2_rhs", "chi3_rhs", "fit_I3_11",
     "locate_12_first", "locate_12_second", "locate_13", "classify_11",
     "verify_stability_numerically",
     "ScenarioConfig", "EnsembleSpec", "run_scenario", "run_ensemble",

@@ -6,9 +6,9 @@ r_k*exp(i*psi_k); averaged resonant normal forms are polynomial in A_k, so
 these fields pass smoothly through the normal modes (A_k = 0), and every
 averaged run integrates them. Its epsilon^2 phase drifts are written once,
 in a helper exact for Fraction arguments, which the resonance-manifold
-ratios read. The ``*_rhs`` fields on the polar state [r1, psi1, r2, psi2,
-tau] of :func:`symevol.transforms.slow_rhs` are the Cartesian fields seen
-through the chain rule, for r1, r2 > 0 only. The slow time obeys
+ratios read. :func:`polar_view` gives any of them on the polar state
+[r1, psi1, r2, psi2, tau] of :func:`symevol.transforms.slow_rhs`, through
+the chain rule, for r1, r2 > 0 only. The slow time obeys
 tau' = delta and the decay factor enters as exp(-tau). A Gauss-Legendre
 quadrature oracle (:func:`average_slow_field`,
 :func:`second_order_average`) recomputes the averages numerically so the
@@ -23,26 +23,21 @@ from fractions import Fraction
 
 import numpy as np
 
-from .model import CartesianState, ModelParams
-from .transforms import PolarState, mode_actions, polar_to_cart, slow_rhs, _gauss_nodes
+from .model import ModelParams
+from .transforms import mode_actions, slow_rhs, _gauss_nodes
 
 __all__ = [
     "ZeroAmplitudeError",
     "INVARIANT_NAMES",
-    "avg12_first_rhs",
-    "chi12_rhs",
-    "avg12_second_rhs",
     "chi2_rhs",
-    "avg13_rhs",
     "chi3_rhs",
-    "avg11_rhs",
     "avg12_first_cart",
     "avg12_second_cart",
     "avg13_cart",
     "avg11_cart",
+    "polar_view",
     "polar_to_slow_cart",
     "slow_cart_amplitudes",
-    "invariant",
     "cartesian_invariant",
     "average_slow_field",
     "second_order_average",
@@ -179,6 +174,10 @@ def avg12_first_cart(t, y, p: ModelParams):
     normal-mode crossings where the polar chart degenerates. Like every
     ``*_cart`` field it takes the state as a sequence of its five float
     components and answers the tuple of their rates.
+
+    Conserves E0 = r1^2/2 + 2*r2^2 and I3 = a4*r1^2*r2*cos(chi), where
+    chi = 2*psi1 - psi2 is the slow angle; the drift of chi vanishes on the
+    resonance manifold r1^2 = 8*r2^2 (any chi) and at chi = +-pi/2.
     """
     x1, y1, x2, y2, tau = y
     _require_system(p, 2.0, "the first-order averaged 1:2 system", tau)
@@ -218,10 +217,11 @@ def avg13_cart(t, y, p: ModelParams):
 def avg11_cart(t, y, p: ModelParams):
     """Second-order averaged 1:1 field in regular slow-Cartesian coordinates.
 
-    A1' = i*phi1*A1 + i*k*conj(A1)*A2^2 and A2' = i*phi2*A2 + i*k*A1^2*conj(A2).
-    Conserves E0 = (r1^2 + r2^2)/2 exactly, decayed terms included. With
-    a3 = a4 = 0 (or tau = inf) this is the symmetric system, which carries
-    a second conserved combination fitted by :func:`fit_I3_11`.
+    A1' = i*phi1*A1 + i*k*conj(A1)*A2^2 and A2' = i*phi2*A2 + i*k*A1^2*conj(A2);
+    chi = psi1 - psi2 is the slow angle. Conserves E0 = (r1^2 + r2^2)/2
+    exactly, decayed terms included. With a3 = a4 = 0 (or tau = inf) this is
+    the symmetric system, which carries a second conserved combination
+    fitted by :func:`fit_I3_11`.
     """
     x1, y1, x2, y2, tau = y
     _require_system(p, 1.0, "the averaged 1:1 system", tau)
@@ -240,10 +240,11 @@ def avg11_cart(t, y, p: ModelParams):
             p.delta)
 
 
-def _polar_view(cart, t, y, p: ModelParams) -> np.ndarray:
-    """The Cartesian field ``cart`` in the polar chart at [r1, psi1, r2,
-    psi2, tau]: r' = c*x' + s*y' and psi' = (c*y' - s*x')/r per mode, with
-    (c, s) = (cos(psi), sin(psi)). The chart needs r1 > 0 and r2 > 0."""
+def polar_view(cart, t, y, p: ModelParams) -> np.ndarray:
+    """The Cartesian field ``cart`` (one of the ``*_cart`` fields) in the
+    polar chart at [r1, psi1, r2, psi2, tau]: r' = c*x' + s*y' and
+    psi' = (c*y' - s*x')/r per mode, with (c, s) = (cos(psi), sin(psi)).
+    The chart needs r1 > 0 and r2 > 0."""
     r1, psi1, r2, psi2, tau = (float(v) for v in y[:5])
     if not (r1 > 0.0 and r2 > 0.0):
         raise ZeroAmplitudeError("averaged polar fields need r1 > 0 and r2 > 0")
@@ -251,44 +252,6 @@ def _polar_view(cart, t, y, p: ModelParams) -> np.ndarray:
     dx1, dy1, dx2, dy2, dtau = cart(t, (r1 * c1, r1 * s1, r2 * c2, r2 * s2, tau), p)
     return np.array([c1 * dx1 + s1 * dy1, (c1 * dy1 - s1 * dx1) / r1,
                      c2 * dx2 + s2 * dy2, (c2 * dy2 - s2 * dx2) / r2, dtau])
-
-
-def avg12_first_rhs(t, y, p: ModelParams) -> np.ndarray:
-    """First-order averaged 1:2 field in the polar chart, the view of
-    :func:`avg12_first_cart`; chi = 2*psi1 - psi2 is the slow angle.
-
-    Conserves E0 = r1^2/2 + 2*r2^2 and I3 = a4*r1^2*r2*cos(chi).
-    """
-    return _polar_view(avg12_first_cart, t, y, p)
-
-
-def chi12_rhs(y, p: ModelParams) -> float:
-    """Drift 2*psi1' - psi2' of chi = 2*psi1 - psi2 under the first-order
-    averaged 1:2 flow.
-
-    Vanishes on the resonance manifold r1^2 = 8*r2^2 (any chi) and for
-    chi = +-pi/2 (any amplitudes).
-    """
-    d = avg12_first_rhs(0.0, y, p)
-    return float(2.0 * d[1] - d[3])
-
-
-def avg12_second_rhs(t, y, p: ModelParams) -> np.ndarray:
-    """Second-order averaged 1:2 field in the polar chart, the view of
-    :func:`avg12_second_cart`."""
-    return _polar_view(avg12_second_cart, t, y, p)
-
-
-def avg13_rhs(t, y, p: ModelParams) -> np.ndarray:
-    """Averaged 1:3 field in the polar chart, the view of :func:`avg13_cart`:
-    amplitudes are frozen at this order, only the phases drift."""
-    return _polar_view(avg13_cart, t, y, p)
-
-
-def avg11_rhs(t, y, p: ModelParams) -> np.ndarray:
-    """Second-order averaged 1:1 field in the polar chart, the view of
-    :func:`avg11_cart`; chi = psi1 - psi2 is the slow angle."""
-    return _polar_view(avg11_cart, t, y, p)
 
 
 def polar_to_slow_cart(y) -> np.ndarray:
@@ -333,21 +296,6 @@ def cartesian_invariant(name: str, states, p: ModelParams, i3_coeffs=None):
             + ca * u * u + cb * u)
 
 
-def invariant(name: str, state, p: ModelParams, i3_coeffs=None) -> float:
-    """Evaluate a conserved quantity of the averaged flows.
-
-    A CartesianState goes to :func:`cartesian_invariant` as it is; a polar
-    state (PolarState or [r1, psi1, r2, psi2, ...]) goes there mapped to the
-    original variables at t = 0, where the invariants read in the slow
-    phases. ``I3_11`` additionally needs the fitted coefficients
-    (alpha, beta) from :func:`fit_I3_11`.
-    """
-    if not isinstance(state, CartesianState):
-        polar = state if isinstance(state, PolarState) else PolarState.from_array(state)
-        state = polar_to_cart(polar, p.omega, 0.0)
-    return float(cartesian_invariant(name, state.as_array(), p, i3_coeffs))
-
-
 def average_slow_field(y, p: ModelParams) -> np.ndarray:
     """Numerical t-average of the polar equations of motion at frozen y.
 
@@ -371,8 +319,8 @@ def second_order_average(y, p: ModelParams, al: float = 0.0) -> np.ndarray:
     u(t,y) = int_0^t f(s,y) ds, independent of the antiderivative's
     integration constant (48 Gauss-Legendre nodes, 10 per segment for u).
     Jacobians are computed by complex step; returns the epsilon^2-scaled
-    4-component field for direct comparison with :func:`avg11_rhs` and
-    :func:`avg13_rhs`.
+    4-component field for direct comparison with the :func:`polar_view` of
+    :func:`avg11_cart` and :func:`avg13_cart`.
     """
     if p.omega not in (1.0, 3.0):
         raise ValueError(f"the second-order oracle applies to omega = 1 or 3, "

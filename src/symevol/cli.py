@@ -149,7 +149,7 @@ def _cmd_resonance(args) -> int:
         a1, a2 = Fraction(args.a1), Fraction(args.a2)
         e0 = Fraction(args.e0) if args.e0 else Fraction(1, 4)
         body = resonance_for(omega).report(a1, a2, e0)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ArithmeticError) as exc:  # also an exact value beyond float range
         raise ConfigError(str(exc)) from exc
     report = {"omega": omega, "a1": str(a1), "a2": str(a2), **body}
     print(json.dumps(report, indent=2, sort_keys=True))

@@ -19,7 +19,7 @@ from .averaged import cartesian_invariant, polar_to_slow_cart, slow_cart_amplitu
 from .integrate import MAX_GRID_POINTS, IntegratorConfig, Trajectory, integrate
 from .model import CartesianState, ModelParams, full_rhs
 from .resonance import averaged_system
-from .transforms import cart_to_polar, mode_actions, polar_coordinates
+from .transforms import mode_actions, polar_coordinates, wrap_angle
 
 __all__ = [
     "ScenarioConfig",
@@ -147,17 +147,17 @@ def compare_full_vs_averaged(params: ModelParams, initial: CartesianState,
     """
     resonance, avg_rhs = averaged_system(params.omega, resonance)
     horizon = L / params.epsilon if params.epsilon > 0 else 50.0
-    r1, _, r2, _ = polar_coordinates(initial.t, initial.as_array(), params.omega)
+    r1, psi1, r2, psi2 = polar_coordinates(initial.t, initial.as_array(), params.omega)
     if min(r1, r2) < _MIN_AMPLITUDE:
         raise ValueError("normal-mode initial data: polar comparison undefined")
-    polar = cart_to_polar(initial, params.omega, delta=params.delta)
+    polar = [r1, wrap_angle(psi1), r2, wrap_angle(psi2), params.delta * initial.t]
 
     cfg = IntegratorConfig(t0=initial.t, t_end=initial.t + horizon, sample_dt=0.1,
                            rtol=rtol, atol=atol)
     full = integrate(lambda t, y: full_rhs(t, y, params), initial.as_array(), cfg)
     r1_full, r2_full = polar_amplitude_series(full, params.omega)
 
-    avg = integrate(lambda t, y: avg_rhs(t, y, params), polar_to_slow_cart(polar.as_array()), cfg)
+    avg = integrate(lambda t, y: avg_rhs(t, y, params), polar_to_slow_cart(polar), cfg)
     r1_avg, r2_avg = slow_cart_amplitudes(avg.states)
 
     w2 = params.omega**2

@@ -306,6 +306,11 @@ def integrate(rhs, y0, config: IntegratorConfig) -> Trajectory:
     return Trajectory(times=ts, states=out, stats=stats)
 
 
+def _fixed_step_count(span: float, step: float) -> int:
+    """Number of equal fixed steps that cover span with steps near step."""
+    return max(1, round(span / step))
+
+
 def _run_single(rhs, y0, config, ts, out):
     _, a, e = _METHODS[config.method]
     d = len(y0)
@@ -323,7 +328,7 @@ def _run_single(rhs, y0, config, ts, out):
     idx = 1
     with np.errstate(all="ignore"):  # non-finite values are tested once per step
         if e is None:
-            n_steps = max(1, round(span / config.step))
+            n_steps = _fixed_step_count(span, config.step)
             h = span / n_steps
         else:
             h = float(_initial_step(y0, np.asarray(f, dtype=float), rtol, atol, span))
@@ -560,15 +565,18 @@ def order_check(rhs, y0, t0: float, t_end: float, steps) -> OrderEstimate:
     """Measure the fixed-step RK4 convergence order on [t0, t_end] against
     an adaptive reference solution at tight tolerance.
 
-    ``steps`` must contain at least three distinct step sizes (geometric
-    progressions work best), checked before anything is integrated.
+    A fixed-step run takes span/round(span/h) for a nominal step h; the fit
+    and the report use those step sizes taken, of which there must be at
+    least three distinct ones (geometric progressions work best), checked
+    before anything is integrated.
     """
-    steps = [float(h) for h in steps]
-    if len(set(steps)) < 3:
-        raise ValueError("need at least three distinct step sizes")
     span = t_end - t0
-    configs = [IntegratorConfig(t0=t0, t_end=t_end, sample_dt=span, method="rk4", step=h)
+    configs = [IntegratorConfig(t0=t0, t_end=t_end, sample_dt=span, method="rk4", step=float(h))
                for h in steps]
+    steps = [span / _fixed_step_count(span, cfg.step) for cfg in configs]
+    if len(set(steps)) < 3:
+        raise ValueError("need at least three distinct step sizes; over a span of "
+                         f"{span:g} the steps taken are {', '.join(f'{h:g}' for h in steps)}")
     cfg = IntegratorConfig(t0=t0, t_end=t_end, sample_dt=span, rtol=1e-13, atol=1e-15)
     y_ref = integrate(rhs, y0, cfg).states[-1]
     errors = []

@@ -6,29 +6,27 @@ The co-rotating polar chart used throughout is
     q2 = r2*cos(omega*t + psi2),  v2 = -omega*r2*sin(omega*t + psi2),
 
 so that (r1, psi1, r2, psi2) drift slowly when the cubic coupling is weak.
-The chart is inverted once, by :func:`polar_coordinates`, for one state or a
-stack of states. Phases are wrapped to (-pi, pi] at reporting; along
-trajectories a continuous lift (``np.unwrap``) keeps combination angles
-differentiable.
+A polar state is the array [r1, psi1, r2, psi2], with the slow time tau
+as a fifth component where a field needs it. The chart is evaluated by
+:func:`polar_to_cart` and inverted by :func:`polar_coordinates`, each for
+one state or a stack of states. Phases are wrapped to (-pi, pi] at
+reporting; along trajectories a continuous lift (``np.unwrap``) keeps
+combination angles differentiable.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CartesianState, ModelParams, alpha
+from .model import ModelParams, alpha
 
 __all__ = [
     "TWO_PI",
     "COMBINATION_COEFFS",
-    "PhaseUndefinedError",
-    "PolarState",
     "wrap_angle",
     "polar_coordinates",
-    "cart_to_polar",
     "polar_to_cart",
     "mode_actions",
     "combination_angle",
@@ -46,32 +44,6 @@ COMBINATION_COEFFS = {
     "chi3": (6, -2),
     "chi11": (1, -1),
 }
-
-
-class PhaseUndefinedError(ValueError):
-    """Raised when a mode amplitude vanishes and its phase is meaningless."""
-
-
-@dataclass(frozen=True)
-class PolarState:
-    """Amplitudes and slow phases (r1, psi1, r2, psi2) plus slow time tau."""
-
-    r1: float
-    psi1: float
-    r2: float
-    psi2: float
-    tau: float = 0.0
-
-    def __post_init__(self):
-        if self.r1 < 0.0 or self.r2 < 0.0:
-            raise ValueError("amplitudes must be non-negative")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.r1, self.psi1, self.r2, self.psi2, self.tau])
-
-    @classmethod
-    def from_array(cls, y) -> "PolarState":
-        return cls(*(float(v) for v in y[:5]))
 
 
 def wrap_angle(x):
@@ -98,32 +70,14 @@ def polar_coordinates(t, states, omega: float):
     return hypot(q1, v1), atan2(-v1, q1) - t, hypot(q2, p2), atan2(-p2, q2) - omega * t
 
 
-def cart_to_polar(state: CartesianState, omega: float, delta: float = 0.0) -> PolarState:
-    """Invert the co-rotating polar chart at the state's own time.
-
-    Raises :class:`PhaseUndefinedError` on a normal mode (zero amplitude in
-    either degree of freedom); callers near normal modes must work with the
-    Cartesian variables instead.
-    """
-    r1, psi1, r2, psi2 = polar_coordinates(state.t, state.as_array(), omega)
-    if r1 == 0.0:
-        raise PhaseUndefinedError("mode 1 amplitude is zero, psi1 undefined")
-    if r2 == 0.0:
-        raise PhaseUndefinedError("mode 2 amplitude is zero, psi2 undefined")
-    return PolarState(r1, wrap_angle(psi1), r2, wrap_angle(psi2), tau=delta * state.t)
-
-
-def polar_to_cart(polar: PolarState, omega: float, t: float) -> CartesianState:
-    """Evaluate the polar chart at time t."""
-    th1 = t + polar.psi1
-    th2 = omega * t + polar.psi2
-    return CartesianState(
-        t,
-        polar.r1 * math.cos(th1),
-        -polar.r1 * math.sin(th1),
-        polar.r2 * math.cos(th2),
-        -omega * polar.r2 * math.sin(th2),
-    )
+def polar_to_cart(t, y, omega: float) -> np.ndarray:
+    """Evaluate the polar chart: the states [q1, v1, q2, v2] at times t of
+    polar states [r1, psi1, r2, psi2, ...] (shape (..., 4+), t broadcasting
+    against (...)); the forward twin of :func:`polar_coordinates`."""
+    r1, psi1, r2, psi2 = np.moveaxis(np.asarray(y, dtype=float)[..., :4], -1, 0)
+    th1, th2 = t + psi1, omega * t + psi2
+    return np.stack([r1 * np.cos(th1), -r1 * np.sin(th1),
+                     r2 * np.cos(th2), -omega * r2 * np.sin(th2)], axis=-1)
 
 
 def mode_actions(states, omega: float):

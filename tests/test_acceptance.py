@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from conftest import fig_initial_state, fig_params
-from symevol.averaged import average_slow_field, avg11_rhs, avg12_first_rhs, cartesian_invariant
+from symevol.averaged import (average_slow_field, avg11_cart, avg12_first_cart,
+                              cartesian_invariant, polar_view)
 from symevol.cli import main as cli_main
 from symevol.config import build_scenario, load_config, preset_path
 from symevol.experiments import polar_amplitude_series, run_scenario, stabilization_time
@@ -59,7 +60,7 @@ def test_criterion_01_invariant_exactness():
     worst = 0.0
     for _ in range(1000):
         y = _rand_polar(rng)
-        d = avg12_first_rhs(0.0, y, p12)
+        d = polar_view(avg12_first_cart, 0.0, y, p12)
         r1, psi1, r2, psi2 = y[:4]
         chi = 2 * psi1 - psi2
         t1, t2 = r1 * d[0], 4.0 * r2 * d[2]
@@ -71,7 +72,7 @@ def test_criterion_01_invariant_exactness():
                           p12.a4 * r1**2 * r2 * math.sin(chi) * d[3]])
         if np.abs(terms).sum() > 0:
             worst = max(worst, abs(terms.sum()) / np.abs(terms).sum())
-        d11 = avg11_rhs(0.0, y, p11)
+        d11 = polar_view(avg11_cart, 0.0, y, p11)
         u1, u2 = y[0] * d11[0], y[2] * d11[2]
         if abs(u1) + abs(u2) > 0:
             worst = max(worst, abs(u1 + u2) / (abs(u1) + abs(u2)))
@@ -86,7 +87,7 @@ def test_criterion_02_quadrature_oracle_equivalence():
     for _ in range(100):
         y = _rand_polar(rng)
         residual = np.max(np.abs(average_slow_field(y, p)
-                                 - avg12_first_rhs(0.0, y, p)))
+                                 - polar_view(avg12_first_cart, 0.0, y, p)))
         worst = max(worst, residual)
     _report(2, worst < 1e-9, f"max oracle residual {worst:.2e} (tol 1e-9)")
 
@@ -106,18 +107,20 @@ def test_criterion_03_adiabatic_drift_scaling(ladder_trajectories):
 
 
 def test_criterion_04_averaged_vs_full_error_scaling(ladder_trajectories):
-    from symevol.averaged import avg12_first_cart, polar_to_slow_cart, slow_cart_amplitudes
-    from symevol.transforms import cart_to_polar
+    from symevol.averaged import polar_to_slow_cart, slow_cart_amplitudes
+    from symevol.transforms import polar_coordinates, wrap_angle
 
     sups = []
     for eps in EPS_LADDER:
         p, traj = ladder_trajectories[eps]
         r1_full, r2_full = polar_amplitude_series(traj, p.omega)
-        polar = cart_to_polar(fig_initial_state(), p.omega, delta=p.delta)
+        ic = fig_initial_state()
+        r1, psi1, r2, psi2 = polar_coordinates(ic.t, ic.as_array(), p.omega)
+        polar = [r1, wrap_angle(psi1), r2, wrap_angle(psi2), p.delta * ic.t]
         cfg = IntegratorConfig(t_end=5.0 / eps, sample_dt=0.05,
                                rtol=1e-10, atol=1e-12)
         avg = integrate(lambda t, y: avg12_first_cart(t, y, p),
-                        polar_to_slow_cart(polar.as_array()), cfg)
+                        polar_to_slow_cart(polar), cfg)
         r1_avg, r2_avg = slow_cart_amplitudes(avg.states)
         sups.append(max(float(np.max(np.abs(r1_full - r1_avg))),
                         float(np.max(np.abs(r2_full - r2_avg)))))

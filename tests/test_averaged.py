@@ -7,13 +7,13 @@ import pytest
 
 from conftest import random_polar
 from symevol.averaged import (ZeroAmplitudeError, _chi3_paper_coeffs, _phase_drifts_13,
-                              average_slow_field, avg11_cart, avg11_rhs, avg12_first_cart,
-                              avg12_first_rhs, avg12_second_cart, avg12_second_rhs, avg13_cart,
-                              avg13_rhs, chi2_rhs, chi3_rhs, chi12_rhs, fit_I3_11, invariant,
-                              polar_to_slow_cart, second_order_average, slow_cart_amplitudes)
+                              average_slow_field, avg11_cart, avg12_first_cart,
+                              avg12_second_cart, avg13_cart, cartesian_invariant, chi2_rhs,
+                              chi3_rhs, fit_I3_11, polar_to_slow_cart, polar_view,
+                              second_order_average, slow_cart_amplitudes)
 from symevol.integrate import IntegratorConfig, integrate
-from symevol.model import CartesianState, ModelParams
-from symevol.transforms import PolarState, polar_to_cart
+from symevol.model import ModelParams
+from symevol.transforms import polar_to_cart
 
 
 @pytest.fixture
@@ -38,15 +38,15 @@ def test_avg12_first_frozen_at_chi_zero(params12):
     dx1, dy1, dx2, dy2, _ = avg12_first_cart(0.0, (x1, y1, x2, y2, 0.0), p)
     assert x1 * dx1 + y1 * dy1 == 0.0 and x2 * dx2 + y2 * dy2 == 0.0
     # the polar view too, at psi1 = psi2 = 0 where its chart is exact
-    d = avg12_first_rhs(0.0, np.array([0.6, 0.0, 0.3, 0.0, 0.5]), params12)
+    d = polar_view(avg12_first_cart, 0.0, np.array([0.6, 0.0, 0.3, 0.0, 0.5]), params12)
     assert d[0] == 0.0 and d[2] == 0.0
 
 
 def test_avg12_first_requires_omega_and_amplitudes(params12, p11):
     with pytest.raises(ValueError):
-        avg12_first_rhs(0.0, np.array([0.5, 0, 0.5, 0, 0]), p11)
+        polar_view(avg12_first_cart, 0.0, np.array([0.5, 0, 0.5, 0, 0]), p11)
     with pytest.raises(ZeroAmplitudeError):
-        avg12_first_rhs(0.0, np.array([0.0, 0, 0.5, 0, 0]), params12)
+        polar_view(avg12_first_cart, 0.0, np.array([0.0, 0, 0.5, 0, 0]), params12)
 
 
 def _e0_12_derivative(y, d):
@@ -70,7 +70,7 @@ def _i3_12_derivative(y, d, a4):
 def test_avg12_first_conserves_both_integrals(params12, rng):
     for _ in range(300):
         y = random_polar(rng)
-        d = avg12_first_rhs(0.0, y, params12)
+        d = polar_view(avg12_first_cart, 0.0, y, params12)
         num, scale = _e0_12_derivative(y, d)
         assert abs(num) <= 1e-12 * max(scale, 1e-300)
         num, scale = _i3_12_derivative(y, d, params12.a4)
@@ -81,7 +81,7 @@ def test_avg12_first_matches_quadrature_average(params12, rng):
     for _ in range(30):
         y = random_polar(rng)
         oracle = average_slow_field(y, params12)
-        field = avg12_first_rhs(0.0, y, params12)
+        field = polar_view(avg12_first_cart, 0.0, y, params12)
         assert np.max(np.abs(oracle - field)) < 1e-10
 
 
@@ -96,20 +96,30 @@ def test_first_order_averages_vanish_off_the_12_resonance(rng):
             assert np.max(np.abs(avg[:4])) < 1e-12
 
 
+def _chi12_drift(y, p):
+    """2*psi1' - psi2' of the first-order 1:2 field's polar view at y."""
+    d = polar_view(avg12_first_cart, 0.0, y, p)
+    return float(2.0 * d[1] - d[3])
+
+
 def test_chi12_consistency_and_zeros(params12, rng):
+    # the drift of chi = arg(A1^2*conj(A2)) read off the Cartesian field:
+    # psi_k' = (x_k*y_k' - y_k*x_k')/r_k^2
     for _ in range(50):
         y = random_polar(rng)
-        d = avg12_first_rhs(0.0, y, params12)
-        assert abs(2 * d[1] - d[3] - chi12_rhs(y, params12)) < 1e-13
+        x1, y1, x2, y2, tau = polar_to_slow_cart(y).tolist()
+        dx1, dy1, dx2, dy2, _ = avg12_first_cart(0.0, (x1, y1, x2, y2, tau), params12)
+        direct = 2 * (x1 * dy1 - y1 * dx1) / y[0] ** 2 - (x2 * dy2 - y2 * dx2) / y[2] ** 2
+        assert abs(direct - _chi12_drift(y, params12)) < 1e-13
     # on the resonance manifold r1^2 = 8 r2^2 the drift vanishes for any chi
     r2 = 0.4
     y = np.array([math.sqrt(8.0) * r2, 0.7, r2, 0.1, 0.3])
-    assert abs(chi12_rhs(y, params12)) < 1e-15
+    assert abs(_chi12_drift(y, params12)) < 1e-15
     # and for chi = pi/2 at any amplitudes
     y = np.array([0.9, math.pi / 4, 0.5, 0.0, 0.0])
-    assert abs(chi12_rhs(y, params12)) < 1e-16
+    assert abs(_chi12_drift(y, params12)) < 1e-16
     with pytest.raises(ZeroAmplitudeError):
-        chi12_rhs(np.array([0.5, 0.0, 0.0, 0.0, 0.0]), params12)
+        _chi12_drift(np.array([0.5, 0.0, 0.0, 0.0, 0.0]), params12)
 
 
 # --------------------------------------------------------------- 1:2 second
@@ -130,7 +140,7 @@ def test_avg12_second_autonomous_limit(params12, rng):
     for _ in range(40):
         y = random_polar(rng)
         y[4] = np.inf
-        np.testing.assert_allclose(avg12_second_rhs(0.0, y, params12),
+        np.testing.assert_allclose(polar_view(avg12_second_cart, 0.0, y, params12),
                                    _autonomous_second_order_reference(y, params12),
                                    rtol=0.0, atol=1e-15)
 
@@ -138,8 +148,8 @@ def test_avg12_second_autonomous_limit(params12, rng):
 def test_avg12_second_amplitudes_equal_first_order(params12, rng):
     for _ in range(40):
         y = random_polar(rng)
-        d1 = avg12_first_rhs(0.0, y, params12)
-        d2 = avg12_second_rhs(0.0, y, params12)
+        d1 = polar_view(avg12_first_cart, 0.0, y, params12)
+        d2 = polar_view(avg12_second_cart, 0.0, y, params12)
         assert d2[0] == pytest.approx(d1[0], abs=1e-16)
         assert d2[2] == pytest.approx(d1[2], abs=1e-16)
 
@@ -148,13 +158,13 @@ def test_avg12_second_phase_drift_value():
     # a1 = a2 = 1, r1 = r2 = 1, decayed limit: psi1'/eps^2 = -(1/24 + 1/2)
     p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.1, n=2)
     y = np.array([1.0, 0.3, 1.0, -0.2, np.inf])
-    d = avg12_second_rhs(0.0, y, p)
+    d = polar_view(avg12_second_cart, 0.0, y, p)
     assert d[1] / p.epsilon**2 == pytest.approx(-13.0 / 24.0, abs=1e-14)
 
 
 def test_avg12_second_all_coefficients_zero():
     p = ModelParams(0.0, 0.0, 0.0, 0.0, omega=2.0, epsilon=0.1, n=2)
-    d = avg12_second_rhs(0.0, np.array([0.7, 0.1, 0.4, 0.9, 0.2]), p)
+    d = polar_view(avg12_second_cart, 0.0, np.array([0.7, 0.1, 0.4, 0.9, 0.2]), p)
     assert np.all(d[:4] == 0.0)
 
 
@@ -163,7 +173,7 @@ def test_chi2_matches_second_order_phases(params12, rng):
     for _ in range(40):
         y = random_polar(rng)
         y[4] = np.inf
-        d = avg12_second_rhs(0.0, y, params12)
+        d = polar_view(avg12_second_cart, 0.0, y, params12)
         assert abs(4 * d[1] - 2 * d[3] - chi2_rhs(y[0], y[2], params12)) < 1e-15
 
 
@@ -193,7 +203,7 @@ def test_avg13_amplitudes_exactly_frozen(p13, rng):
             -phi1 * y1, phi1 * x1, -phi2 * y2, phi2 * x2, p13.delta)
         # and the polar view, at psi1 = psi2 = 0 where its chart is exact
         y[1] = y[3] = 0.0
-        d = avg13_rhs(0.0, y, p13)
+        d = polar_view(avg13_cart, 0.0, y, p13)
         assert d[0] == 0.0 and d[2] == 0.0
 
 
@@ -204,7 +214,7 @@ def test_avg13_decayed_limit_matches_oracle(p13, rng):
     for _ in range(10):
         y = random_polar(rng)[:4]
         oracle = second_order_average(y, p13, al=0.0)
-        field = avg13_rhs(0.0, np.append(y, np.inf), p13)[:4]
+        field = polar_view(avg13_cart, 0.0, np.append(y, np.inf), p13)[:4]
         assert np.max(np.abs(oracle - field)) < 1e-8 * np.max(np.abs(oracle))
     zero, one = Fraction(0), Fraction(1)
     assert _phase_drifts_13(zero, one, zero, one)[0] == Fraction(1, 35)
@@ -218,9 +228,9 @@ def test_avg13_phase_values(p13):
     zero, one = Fraction(0), Fraction(1)
     assert _phase_drifts_13(one, zero, one, one)[0] == Fraction(5, 12)
     with pytest.raises(ZeroAmplitudeError):
-        avg13_rhs(0.0, np.array([1.0, 0.0, 0.0, 0.0, 0.0]), p13)
+        polar_view(avg13_cart, 0.0, np.array([1.0, 0.0, 0.0, 0.0, 0.0]), p13)
     pz = ModelParams(0.0, 0.0, 0.75, 1.5, omega=3.0, epsilon=0.1, n=2)
-    d = avg13_rhs(0.0, np.array([0.8, 0.1, 0.5, 0.7, 0.2]), pz)
+    d = polar_view(avg13_cart, 0.0, np.array([0.8, 0.1, 0.5, 0.7, 0.2]), pz)
     assert np.all(d[:4] == 0.0)
 
 
@@ -247,7 +257,8 @@ def test_chi3_field_drift_is_not_the_paper_reading():
     assert c_w / c_u == Fraction(1401, 976)
     # the integrated field agrees, and is far from zero at the paper's ratio
     p = ModelParams(1.0, 1.0, 0.0, 0.0, omega=3.0, epsilon=0.1, n=2)
-    d = avg13_rhs(0.0, np.array([math.sqrt(1401.0), 0.3, math.sqrt(976.0), -0.2, 0.0]), p)
+    y = np.array([math.sqrt(1401.0), 0.3, math.sqrt(976.0), -0.2, 0.0])
+    d = polar_view(avg13_cart, 0.0, y, p)
     expected = -p.epsilon**2 * (451.0 / 210.0 * 1401.0 + 199.0 / 70.0 * 976.0)
     assert 6 * d[1] - 2 * d[3] == pytest.approx(expected, rel=1e-13)
 
@@ -258,7 +269,7 @@ def test_chi3_field_drift_is_not_the_paper_reading():
 def test_avg11_conserves_total_action(p11, rng):
     for _ in range(300):
         y = random_polar(rng)
-        d = avg11_rhs(0.0, y, p11)
+        d = polar_view(avg11_cart, 0.0, y, p11)
         t1, t2 = y[0] * d[0], y[2] * d[2]
         assert abs(t1 + t2) <= 1e-12 * max(abs(t1) + abs(t2), 1e-300)
 
@@ -266,7 +277,7 @@ def test_avg11_conserves_total_action(p11, rng):
 def test_avg11_frozen_when_sin2chi_vanishes(p11):
     for chi in (0.0, math.pi / 2, math.pi):
         y = np.array([0.7, chi, 0.4, 0.0, 0.3])
-        d = avg11_rhs(0.0, y, p11)
+        d = polar_view(avg11_cart, 0.0, y, p11)
         assert abs(d[0]) < 1e-16 and abs(d[2]) < 1e-16
 
 
@@ -274,7 +285,7 @@ def test_avg11_symmetric_limit_matches_oracle(p11, rng):
     for _ in range(10):
         y = random_polar(rng)[:4]
         oracle = second_order_average(y, p11, al=0.0)
-        field = avg11_rhs(0.0, np.append(y, np.inf), p11)[:4]
+        field = polar_view(avg11_cart, 0.0, np.append(y, np.inf), p11)[:4]
         assert np.max(np.abs(oracle - field)) < 1e-8
 
 
@@ -287,58 +298,59 @@ def test_avg11_decayed_terms_match_oracle(rng):
             for _ in range(5):
                 y = random_polar(rng)[:4]
                 oracle = second_order_average(y, p, al=al)
-                field = avg11_rhs(0.0, np.append(y, -math.log(al)), p)[:4]
+                field = polar_view(avg11_cart, 0.0, np.append(y, -math.log(al)), p)[:4]
                 assert np.max(np.abs(oracle - field)) < 1e-8
 
 
 def test_avg11_validation(p11, params12):
     with pytest.raises(ValueError):
-        avg11_rhs(0.0, np.array([0.5, 0, 0.5, 0, 0]), params12)
+        polar_view(avg11_cart, 0.0, np.array([0.5, 0, 0.5, 0, 0]), params12)
     with pytest.raises(ZeroAmplitudeError):
-        avg11_rhs(0.0, np.array([0.5, 0, 0.0, 0, 0]), p11)
+        polar_view(avg11_cart, 0.0, np.array([0.5, 0, 0.0, 0, 0]), p11)
 
 
 # -------------------------------------------------------------- invariants
 
 
 def test_invariant_fig1_values(params12):
-    st = CartesianState(0.0, 0.0, 0.5, 0.0, 0.5)
-    assert invariant("I3_12", st, params12) == 0.0
-    assert invariant("E0_12", st, params12) == pytest.approx(0.25, abs=1e-15)
+    st = np.array([0.0, 0.5, 0.0, 0.5])
+    assert cartesian_invariant("I3_12", st, params12) == 0.0
+    assert cartesian_invariant("E0_12", st, params12) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_invariant_cross_form_agreement(params12, rng):
+    # the invariants read in the slow phases (the chart at t = 0) agree with
+    # the same state at any time t
     for _ in range(200):
         y = random_polar(rng)
-        pol = PolarState.from_array(y)
         t = rng.uniform(0.0, 20.0)
-        cart = polar_to_cart(pol, 2.0, t)
         for name in ("E0_12", "I3_12"):
-            a = invariant(name, pol, params12)
-            b = invariant(name, cart, params12)
+            a = cartesian_invariant(name, polar_to_cart(0.0, y, 2.0), params12)
+            b = cartesian_invariant(name, polar_to_cart(t, y, 2.0), params12)
             assert abs(a - b) < 1e-11
 
 
 def test_invariant_e0_11_and_i3_11(p11, rng):
-    pol = PolarState(0.6, 0.2, 0.5, -0.3)
-    cart = polar_to_cart(pol, 1.0, 2.7)
-    assert invariant("E0_11", pol, p11) == pytest.approx(
-        invariant("E0_11", cart, p11), abs=1e-13)
+    pol = [0.6, 0.2, 0.5, -0.3]
+    slow, cart = polar_to_cart(0.0, pol, 1.0), polar_to_cart(2.7, pol, 1.0)
+    assert cartesian_invariant("E0_11", slow, p11) == pytest.approx(
+        cartesian_invariant("E0_11", cart, p11), abs=1e-13)
     coeffs = (-1.0, 0.4625)
-    a = invariant("I3_11", pol, p11, i3_coeffs=coeffs)
-    b = invariant("I3_11", cart, p11, i3_coeffs=coeffs)
+    a = cartesian_invariant("I3_11", slow, p11, i3_coeffs=coeffs)
+    b = cartesian_invariant("I3_11", cart, p11, i3_coeffs=coeffs)
     assert a == pytest.approx(b, abs=1e-12)
     with pytest.raises(ValueError, match="fitted"):
-        invariant("I3_11", pol, p11)
+        cartesian_invariant("I3_11", slow, p11)
 
 
 def test_invariant_name_and_omega_validation(params12, p11):
+    st = np.array([1.0, 0.0, 1.0, 0.0])
     with pytest.raises(ValueError):
-        invariant("E9_99", PolarState(1, 0, 1, 0), params12)
+        cartesian_invariant("E9_99", st, params12)
     with pytest.raises(ValueError):
-        invariant("E0_12", PolarState(1, 0, 1, 0), p11)
+        cartesian_invariant("E0_12", st, p11)
     with pytest.raises(ValueError):
-        invariant("E0_11", PolarState(1, 0, 1, 0), params12)
+        cartesian_invariant("E0_11", st, params12)
 
 
 # -------------------------------------------------------------- I3_11 fit
@@ -348,7 +360,7 @@ def _symmetric_11_trajectory(y0, horizon=6000.0):
     p = ModelParams(1.0, 1.0, 0.0, 0.0, omega=1.0, epsilon=0.1, n=2)
     cfg = IntegratorConfig(t_end=horizon, sample_dt=horizon / 1000.0,
                            rtol=1e-10, atol=1e-12)
-    return integrate(lambda t, y: avg11_rhs(t, y, p), np.asarray(y0), cfg)
+    return integrate(lambda t, y: polar_view(avg11_cart, t, y, p), np.asarray(y0), cfg)
 
 
 def test_fit_i3_11_recovers_conserved_combination():

@@ -265,18 +265,21 @@ SETTING_FLAGS = {
     "ensemble": ("--rtol", "--atol", "--sample-dt", "--horizon"),
     "reproduce-figure": ("--rtol", "--sample-dt", "--horizon"),
     "order-check": ("--horizon", "--steps"),
+    "resonance": ("--omega", "--a1", "--a2", "--e0"),
 }
-# one valid value per flag (horizons short: a valid long run is slow, not a defect)
-VALID_SETTING = {"--rtol": "1e-6", "--atol": "1e-9", "--sample-dt": "0.5",
-                 "--horizon": "1.5", "--steps": "0.05"}
-EDGE_VALUES = ("0", "-1", "nan", "inf", "1e-300", "1e300")
+# valid values per flag (horizons short: a valid long run is slow, not a defect)
+VALID_SETTING = {"--rtol": ("1e-6",), "--atol": ("1e-9",), "--sample-dt": ("0.5",),
+                 "--horizon": ("1.5",), "--steps": ("0.05",), "--omega": ("1", "2", "3"),
+                 "--a1": ("1",), "--a2": ("1",), "--e0": ("1/4",)}
+# the last two are beyond the float range, which exact (Fraction) inputs can reach
+EDGE_VALUES = ("0", "-1", "nan", "inf", "1e-300", "1e300", "1e400", "1e-400")
 
 
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_cli_contract_for_any_run_setting(data):
     command = data.draw(st.sampled_from(sorted(SETTING_FLAGS)), label="command")
-    values = {flag: data.draw(st.sampled_from((VALID_SETTING[flag], *EDGE_VALUES)), label=flag)
+    values = {flag: data.draw(st.sampled_from((*VALID_SETTING[flag], *EDGE_VALUES)), label=flag)
               for flag in SETTING_FLAGS[command]}
     assume(not (values.get("--horizon") == values.get("--sample-dt") == "1e300"))
     if "--steps" in values:
@@ -287,7 +290,7 @@ def test_cli_contract_for_any_run_setting(data):
                 "ensemble": ["ensemble", str(_ensemble_config(Path(tmp), count=4)),
                              "--out", str(out)],
                 "reproduce-figure": ["reproduce-figure", "--which", "fig1", "--out", str(out)],
-                "order-check": ["order-check"]}[command]
+                "order-check": ["order-check"], "resonance": ["resonance"]}[command]
         code, lines = _run_cli(argv + [x for item in values.items() for x in item])
         assert code in (0, 2, 3), (argv, values, code)
         assert len(lines) <= 1 and not any("Traceback" in line for line in lines), lines
@@ -444,6 +447,11 @@ def test_resonance_invalid_inputs(capsys):
     assert main(["resonance", "--omega", "1", "--a2", "0"]) == 2
     assert main(["resonance", "--omega", "5"]) == 2
     assert main(["resonance", "--omega", "two"]) == 2
+    # exact inputs whose ratios or squares leave the float range
+    for argv in (["--omega", "1", "--a1", "1e400"], ["--omega", "1", "--a1", "1", "--a2", "1e-400"],
+                 ["--omega", "2", "--e0", "1e400"]):
+        code, lines = _run_cli(["resonance", *argv])
+        assert code == 2 and len(lines) == 1 and lines[0].startswith("config error: "), argv
 
 
 ENSEMBLE_SECTION = """
@@ -787,6 +795,18 @@ def test_order_check_cli(capsys):
     assert main(["order-check", "--steps", "0.2,0.1,0.05", "--horizon", "5"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert 3.5 <= report["order"] <= 4.5
+
+
+def test_order_check_cli_fits_the_steps_taken(capsys):
+    # a step of 20, 30 or 40 over a span of 10 is one step of 10; 0.7 and 1.3
+    # over a span of 1 are both one step of 1
+    for argv in (["--steps", "20,30,40", "--horizon", "10"],
+                 ["--steps", "0.3,0.7,1.3", "--horizon", "1"]):
+        code, lines = _run_cli(["order-check", *argv])
+        assert code == 2 and len(lines) == 1 and "distinct step sizes" in lines[0], argv
+    # the report lists the steps taken: 1/round(1/0.3) = 1/3, not 0.3
+    assert main(["order-check", "--steps", "0.3,0.2,0.1", "--horizon", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["steps"] == [1 / 3, 0.2, 0.1]
 
 
 def test_module_entry_point():

@@ -13,7 +13,7 @@ from symevol.config import ConfigError, build_scenario, load_config, preset_path
 from symevol.integrate import MAX_GRID_POINTS, IntegrationError, IntegratorConfig, integrate
 from symevol.model import CartesianState, ModelParams, alpha, full_rhs
 from symevol.resonance import RESONANCES
-from symevol.transforms import COMBINATION_COEFFS, cart_to_polar, mode_actions, wrap_angle
+from symevol.transforms import COMBINATION_COEFFS, mode_actions, polar_coordinates, wrap_angle
 
 
 def _scenario(params, initial, horizon, sample_dt=0.25, **settings):
@@ -48,7 +48,7 @@ def test_run_scenario_invariants_and_angles():
     assert np.max(np.abs(np.diff(chi))) < 1.0
 
 
-def test_polar_series_equal_cart_to_polar_of_each_sample():
+def test_polar_series_equal_the_chart_of_each_sample():
     # the series read the one inverse chart on the whole trajectory; the
     # scalar chart of each sample agrees to rounding (phases on the circle)
     p = fig_params(2)
@@ -57,10 +57,10 @@ def test_polar_series_equal_cart_to_polar_of_each_sample():
     psi1, psi2 = phase_series(traj, p.omega)
     worst = 0.0
     for k, t in enumerate(traj.times):
-        pol = cart_to_polar(CartesianState.from_array(t, traj.states[k]), p.omega)
-        worst = max(worst, abs(r1[k] - pol.r1), abs(r2[k] - pol.r2),
-                    abs(wrap_angle(wrap_angle(psi1[k]) - pol.psi1)),
-                    abs(wrap_angle(wrap_angle(psi2[k]) - pol.psi2)))
+        pol = polar_coordinates(t, traj.states[k], p.omega)
+        worst = max(worst, abs(r1[k] - pol[0]), abs(r2[k] - pol[2]),
+                    abs(wrap_angle(wrap_angle(psi1[k]) - wrap_angle(pol[1]))),
+                    abs(wrap_angle(wrap_angle(psi2[k]) - wrap_angle(pol[3]))))
     assert len(traj) == 401 and worst < 1e-12
 
 
@@ -97,12 +97,12 @@ def test_run_scenario_untabulated_omega_omits_chi_and_invariants():
 
 
 def test_averaged_systems_reject_polynomial_decay():
-    from symevol.averaged import avg12_first_rhs
+    from symevol.averaged import avg12_first_cart, polar_view
 
     p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.1, n=2,
                     alpha_kind="polynomial")
     with pytest.raises(ValueError, match="exponential"):
-        avg12_first_rhs(0.0, np.array([0.5, 0.0, 0.5, 0.0, 0.0]), p)
+        polar_view(avg12_first_cart, 0.0, np.array([0.5, 0.0, 0.5, 0.0, 0.0]), p)
     with pytest.raises(ValueError, match="exponential"):
         compare_full_vs_averaged(p, fig_initial_state())
 

@@ -149,7 +149,9 @@ def test_order_check_needs_three_steps():
 
     bad = [(1.0, [0.1, 0.05]), (1.0, [0.1, 0.1, 0.1]), (-1.0, [0.2, 0.1, 0.05]),
            (math.inf, [0.2, 0.1, 0.05]), (1.0, [0.2, 0.1, 0.0]), (1.0, [0.2, 0.1, math.nan]),
-           (1.0, [0.2, 0.1, 0.5 / MAX_GRID_POINTS])]
+           (1.0, [0.2, 0.1, 0.5 / MAX_GRID_POINTS]),
+           # distinct nominal steps, but at most two distinct steps taken
+           (10.0, [20.0, 30.0, 40.0]), (1.0, [0.3, 0.7, 1.3])]
     for t_end, steps in bad:
         with pytest.raises(ValueError):
             order_check(never, np.array([1.0, 0.0]), 0.0, t_end, steps)

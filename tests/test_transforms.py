@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from symevol.integrate import IntegratorConfig, integrate
 from symevol.model import CartesianState, ModelParams, intermediate_rhs
-from symevol.transforms import (PhaseUndefinedError, PolarState, cart_to_polar,
-                                combination_angle, mode_actions, near_identity_u,
+from symevol.transforms import (combination_angle, mode_actions, near_identity_u,
                                 polar_coordinates, polar_to_cart, slow_rhs, wrap_angle)
 
 TWO_PI = 2.0 * math.pi
@@ -43,23 +42,12 @@ def test_wrap_angle_boundary():
     assert wrap_angle(-math.pi) == math.pi
 
 
-def test_cart_to_polar_worked_example():
-    st_ = CartesianState(0.0, 0.0, 0.5, 0.0, 0.5)
-    pol = cart_to_polar(st_, omega=2.0)
-    assert pol.r1 == pytest.approx(0.5, abs=1e-15)
-    assert pol.psi1 == pytest.approx(-math.pi / 2, abs=1e-15)
-    assert pol.r2 == pytest.approx(0.25, abs=1e-15)
-    assert pol.psi2 == pytest.approx(-math.pi / 2, abs=1e-15)
-
-
-def test_cart_to_polar_degenerate_modes():
-    with pytest.raises(PhaseUndefinedError):
-        cart_to_polar(CartesianState(0.0, 1.0, 0.0, 0.0, 0.0), omega=1.0)
-    with pytest.raises(PhaseUndefinedError):
-        cart_to_polar(CartesianState(0.0, 0.0, 0.0, 1.0, 0.0), omega=1.0)
-    # mode 1 alone is fine in the q1 slot of the error message contract
-    pol = cart_to_polar(CartesianState(0.0, 1.0, 0.0, 0.1, 0.0), omega=1.0)
-    assert pol.r1 == 1.0 and pol.psi1 == 0.0
+def test_polar_coordinates_worked_example():
+    r1, psi1, r2, psi2 = polar_coordinates(0.0, [0.0, 0.5, 0.0, 0.5], omega=2.0)
+    assert r1 == pytest.approx(0.5, abs=1e-15)
+    assert psi1 == pytest.approx(-math.pi / 2, abs=1e-15)
+    assert r2 == pytest.approx(0.25, abs=1e-15)
+    assert psi2 == pytest.approx(-math.pi / 2, abs=1e-15)
 
 
 def test_single_state_chart_is_maths_bit_for_bit(rng):
@@ -71,11 +59,10 @@ def test_single_state_chart_is_maths_bit_for_bit(rng):
         q1, v1, q2, v2 = y = rng.uniform(-1.5, 1.5, size=4)
         if math.hypot(q1, v1) == 0.0 or math.hypot(q2, v2) == 0.0:
             continue
-        pol = cart_to_polar(CartesianState.from_array(t, y), omega)
-        assert (pol.r1, pol.r2) == (math.hypot(q1, v1), math.hypot(q2, v2 / omega))
-        assert pol.psi1 == wrap_angle(math.atan2(-v1, q1) - t)
-        assert pol.psi2 == wrap_angle(math.atan2(-v2 / omega, q2) - omega * t)
-        assert polar_coordinates(t, y, omega)[0] == pol.r1
+        r1, psi1, r2, psi2 = polar_coordinates(t, y, omega)
+        assert (r1, r2) == (math.hypot(q1, v1), math.hypot(q2, v2 / omega))
+        assert psi1 == math.atan2(-v1, q1) - t
+        assert psi2 == math.atan2(-v2 / omega, q2) - omega * t
         if omega == 2.0:
             ts.append(t)
             ys.append(y)
@@ -89,11 +76,11 @@ def test_single_state_chart_is_maths_bit_for_bit(rng):
 
 
 def test_polar_to_cart_example():
-    st_ = polar_to_cart(PolarState(0.5, -math.pi / 2, 0.0, 0.0), omega=2.0, t=0.0)
-    assert abs(st_.q1) < 1e-15
-    assert st_.v1 == pytest.approx(0.5, abs=1e-15)
-    origin = polar_to_cart(PolarState(0.0, 0.0, 0.0, 0.0), omega=2.0, t=3.0)
-    assert origin.q1 == origin.v1 == origin.q2 == origin.v2 == 0.0
+    q1, v1, _, _ = polar_to_cart(0.0, [0.5, -math.pi / 2, 0.0, 0.0], omega=2.0)
+    assert abs(q1) < 1e-15
+    assert v1 == pytest.approx(0.5, abs=1e-15)
+    origin = polar_to_cart(3.0, [0.0, 0.0, 0.0, 0.0, 0.7], omega=2.0)
+    assert origin.shape == (4,) and np.all(origin == 0.0)
 
 
 def test_round_trip_random_states(rng):
@@ -108,9 +95,8 @@ def test_round_trip_random_states(rng):
         if math.hypot(y[0], y[1]) < 1e-3 or math.hypot(y[2], y[3] / omega) < 1e-3:
             continue
         for tval, tag in ((0.0, "zero"), (t, "generic")):
-            st_ = CartesianState.from_array(tval, y)
-            back = polar_to_cart(cart_to_polar(st_, omega), omega, tval)
-            err = np.max(np.abs(back.as_array() - y))
+            back = polar_to_cart(tval, polar_coordinates(tval, y, omega), omega)
+            err = np.max(np.abs(back - y))
             if tag == "zero":
                 worst0 = max(worst0, err)
             else:
@@ -130,11 +116,10 @@ def test_actions_values_and_consistency(rng):
         y = rng.uniform(-1.5, 1.5, size=4)
         if math.hypot(y[0], y[1]) < 1e-3 or math.hypot(y[2], y[3] / omega) < 1e-3:
             continue
-        st_ = CartesianState.from_array(rng.uniform(0, 10), y)
-        a = mode_actions(st_.as_array(), omega)
-        pol = cart_to_polar(st_, omega)
+        a = mode_actions(y, omega)
+        r1, _, r2, _ = polar_coordinates(rng.uniform(0, 10), y, omega)
         # through the amplitudes: E1 = r1^2/2, E2 = omega^2*r2^2/2
-        b = (0.5 * pol.r1**2, 0.5 * omega**2 * pol.r2**2)
+        b = (0.5 * r1**2, 0.5 * omega**2 * r2**2)
         assert abs(a[0] - b[0]) < 1e-12
         assert abs(a[1] - b[1]) < 1e-12
 
@@ -197,7 +182,7 @@ def test_transformed_flow_matches_intermediate_system():
     p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.1, n=2, delta=0.0)
     _, f2 = _split_fields(p)
     ic = CartesianState(0.0, 0.3, 0.2, 0.25, -0.1)
-    pol = cart_to_polar(ic, p.omega)
+    pol = [*polar_coordinates(ic.t, ic.as_array(), p.omega), 0.0]
     cfg = IntegratorConfig(t_end=30.0, sample_dt=0.5, rtol=1e-11, atol=1e-13)
 
     def yflow(t, y):
@@ -205,14 +190,10 @@ def test_transformed_flow_matches_intermediate_system():
         out[:4] = p.epsilon * np.asarray(f2(t, y))
         return out
 
-    polar_traj = integrate(yflow, pol.as_array(), cfg)
+    polar_traj = integrate(yflow, np.array(pol), cfg)
     cart_traj = integrate(lambda t, y: intermediate_rhs(t, y, p), ic.as_array(), cfg)
-    worst = 0.0
-    for k, t in enumerate(polar_traj.times):
-        mapped = polar_to_cart(PolarState.from_array(polar_traj.states[k]),
-                               p.omega, float(t))
-        worst = max(worst, np.max(np.abs(mapped.as_array() - cart_traj.states[k])))
-    assert worst < 1e-7
+    mapped = polar_to_cart(polar_traj.times, polar_traj.states, p.omega)
+    assert np.max(np.abs(mapped - cart_traj.states)) < 1e-7
 
 
 def test_near_identity_gap_halves_with_epsilon():
@@ -247,13 +228,9 @@ def test_slow_rhs_equivalent_to_full_system(params12):
     from symevol.model import full_rhs
 
     ic = CartesianState(0.0, 0.1, 0.5, -0.2, 0.4)
-    pol = cart_to_polar(ic, params12.omega, params12.delta)
+    pol = [*polar_coordinates(ic.t, ic.as_array(), params12.omega), params12.delta * ic.t]
     cfg = IntegratorConfig(t_end=50.0, sample_dt=0.5, rtol=1e-11, atol=1e-13)
     cart = integrate(lambda t, y: full_rhs(t, y, params12), ic.as_array(), cfg)
-    polar = integrate(lambda t, y: slow_rhs(t, y, params12), pol.as_array(), cfg)
-    worst = 0.0
-    for k, t in enumerate(polar.times):
-        mapped = polar_to_cart(PolarState.from_array(polar.states[k]),
-                               params12.omega, float(t))
-        worst = max(worst, np.max(np.abs(mapped.as_array() - cart.states[k])))
-    assert worst < 1e-7
+    polar = integrate(lambda t, y: slow_rhs(t, y, params12), np.array(pol), cfg)
+    mapped = polar_to_cart(polar.times, polar.states, params12.omega)
+    assert np.max(np.abs(mapped - cart.states)) < 1e-7

@@ -82,19 +82,24 @@ q2 = fixed 0
 v2 = uniform 0.4 0.6
 """
 
-CONFIGS = {"w1.ini": _W1, "w3.ini": _W3, "ens.ini": _ENSEMBLE}
+CONFIGS = {"w1.ini": _W1, "w3.ini": _W3, "ens.ini": _ENSEMBLE,
+           # the same ensemble with the decay factor alpha's array path in a batch
+           "ens-poly.ini": _ENSEMBLE.replace("alpha_kind = exponential",
+                                             "alpha_kind = polynomial")}
 
 # name: arguments after ``python -m symevol``; ``--out`` is added to commands that take it
 COMMANDS = {
     "simulate-fig1": ["simulate", "fig1", "--horizon", "100"],
     "simulate-fig1-dense": ["simulate", "fig1", "--horizon", "10", "--sample-dt", "0.001"],
     "reproduce-fig1": ["reproduce-figure", "--which", "fig1", "--horizon", "50"],
+    "reproduce-fig2": ["reproduce-figure", "--which", "fig2", "--horizon", "50"],
     "compare-11": ["compare", "w1.ini", "--eps-list", "0.1,0.05"],
     "compare-12": ["compare", "fig1", "--eps-list", "0.1,0.05"],
     "compare-12-second": ["compare", "fig1", "--eps-list", "0.1,0.05", "--resonance", "12-second"],
     "compare-13": ["compare", "w3.ini", "--eps-list", "0.1,0.05"],
     "ensemble-seed0": ["ensemble", "ens.ini", "--seed", "0"],
     "ensemble-seed8": ["ensemble", "ens.ini", "--seed", "8"],
+    "ensemble-polynomial": ["ensemble", "ens-poly.ini", "--seed", "0"],
     "resonance-1": ["resonance", "--omega", "1"],
     "resonance-2": ["resonance", "--omega", "2"],
     "resonance-3": ["resonance", "--omega", "3"],
