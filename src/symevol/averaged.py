@@ -6,7 +6,7 @@ r_k*exp(i*psi_k); averaged resonant normal forms are polynomial in A_k, so
 these fields pass smoothly through the normal modes (A_k = 0), and every
 averaged run integrates them. Its epsilon^2 phase drifts are written once,
 in a helper exact for Fraction arguments, which the resonance-manifold
-ratios read. :func:`polar_view` gives any of them on the polar state
+ratios and the 1:1 invariant I3_11 read. :func:`polar_view` gives any of them on the polar state
 [r1, psi1, r2, psi2, tau] of :func:`symevol.transforms.slow_rhs`, through
 the chain rule, for r1, r2 > 0 only. The slow time obeys
 tau' = delta and the decay factor enters as exp(-tau). A Gauss-Legendre
@@ -18,7 +18,6 @@ closed forms can be validated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -29,8 +28,6 @@ from .transforms import mode_actions, slow_rhs, _gauss_nodes
 __all__ = [
     "ZeroAmplitudeError",
     "INVARIANT_NAMES",
-    "chi2_rhs",
-    "chi3_rhs",
     "avg12_first_cart",
     "avg12_second_cart",
     "avg13_cart",
@@ -41,8 +38,6 @@ __all__ = [
     "cartesian_invariant",
     "average_slow_field",
     "second_order_average",
-    "fit_I3_11",
-    "I3FitResult",
 ]
 
 _INVARIANT_OMEGA = {"E0_12": 2.0, "I3_12": 2.0, "E0_11": 1.0, "I3_11": 1.0}
@@ -121,16 +116,6 @@ def _chi2_coeffs(a1, a2):
     return tuple(2 * phi2 - 4 * phi1 for phi1, phi2 in drifts)
 
 
-def chi2_rhs(r1, r2, p: ModelParams) -> float:
-    """Drift of chi2 = 4*psi1 - 2*psi2 in the late (symmetric) 1:2 regime.
-
-    Equals 4*psi1' - 2*psi2' of the second-order field at tau = inf; a zero
-    at positive amplitudes marks a second-order resonance manifold.
-    """
-    c_u, c_w = _chi2_coeffs(p.a1, p.a2)
-    return p.epsilon**2 * (c_u * r1 * r1 + c_w * r2 * r2)
-
-
 def _chi3_paper_coeffs(a1, a2):
     """(c_u, c_w) of the paper's reading of the chi3 drift,
     -eps^2*(c_u*r1^2 - c_w*r2^2); exact for integer or Fraction
@@ -140,7 +125,7 @@ def _chi3_paper_coeffs(a1, a2):
     a1 = a2 = 1 the field gives -eps^2*(451/210*r1^2 + 199/70*r2^2), whose
     coefficients share one sign, so it has no positive-amplitude zero; this
     reading gives the paper's manifold ratio r1^2/r2^2 = 1401/976. The
-    disagreement is recorded in the FOUND line on ``chi3_rhs`` in
+    disagreement is recorded in the FOUND line on the chi3 drift in
     CHANGES.md. The 47/140 coefficient is paired with a2^2 for dimensional
     consistency with its sibling terms.
     """
@@ -148,13 +133,6 @@ def _chi3_paper_coeffs(a1, a2):
     a1, a2 = (Fraction(a1), Fraction(a2)) if exact else (float(a1), float(a2))
     return (5 * a1 * a1 / 2 - a1 * a2 / 6 - a2 * a2 / 105,
             3 * a1 * a2 + Fraction(47, 140) * (a2 * a2))
-
-
-def chi3_rhs(r1, r2, p: ModelParams) -> float:
-    """Drift of chi3 = 6*psi1 - 2*psi2 at the 1:3 resonance in the paper's
-    reading (:func:`_chi3_paper_coeffs`), which the 1:3 field does not give."""
-    c_u, c_w = _chi3_paper_coeffs(p.a1, p.a2)
-    return -p.epsilon**2 * (c_u * r1 * r1 - c_w * r2 * r2)
 
 
 def _avg12_first_terms(x1, y1, x2, y2, tau, p: ModelParams):
@@ -220,8 +198,8 @@ def avg11_cart(t, y, p: ModelParams):
     A1' = i*phi1*A1 + i*k*conj(A1)*A2^2 and A2' = i*phi2*A2 + i*k*A1^2*conj(A2);
     chi = psi1 - psi2 is the slow angle. Conserves E0 = (r1^2 + r2^2)/2
     exactly, decayed terms included. With a3 = a4 = 0 (or tau = inf) this is
-    the symmetric system, which carries a second conserved combination
-    fitted by :func:`fit_I3_11`.
+    the symmetric system, a Hamiltonian flow whose Hamiltonian is the second
+    invariant ``I3_11`` of :func:`cartesian_invariant`.
     """
     x1, y1, x2, y2, tau = y
     _require_system(p, 1.0, "the averaged 1:1 system", tau)
@@ -268,32 +246,29 @@ def slow_cart_amplitudes(states: np.ndarray):
             np.hypot(states[..., 2], states[..., 3]))
 
 
-def _check_invariant(name: str, p: ModelParams, i3_coeffs):
-    if name not in INVARIANT_NAMES:
-        raise ValueError(f"unknown invariant {name!r}; know {INVARIANT_NAMES}")
-    _require_omega(p, _INVARIANT_OMEGA[name], name)
-    if name == "I3_11" and i3_coeffs is None:
-        raise ValueError("I3_11 needs the fitted (alpha, beta) coefficients")
-
-
-def cartesian_invariant(name: str, states, p: ModelParams, i3_coeffs=None):
+def cartesian_invariant(name: str, states, p: ModelParams):
     """Conserved quantity of the averaged flows in the original variables,
     vectorized over (..., 4) states ordered [q1, v1, q2, v2].
 
-    E0 is the sum of the mode actions; ``I3_11`` additionally needs the
-    fitted coefficients (alpha, beta) from :func:`fit_I3_11`.
+    E0 is the sum of the mode actions. ``I3_11`` is the Hamiltonian of
+    :func:`avg11_cart` at alpha = 0 without its factor eps^2,
+    k*r1^2*r2^2*cos(2*chi) - (r1^2*phi1 + r2^2*phi2)/2 with (phi1, phi2, k)
+    of :func:`_phase_drifts_11`; the coupling k multiplies rather than
+    divides, so the invariant stays defined at k = 0.
     """
-    _check_invariant(name, p, i3_coeffs)
+    if name not in INVARIANT_NAMES:
+        raise ValueError(f"unknown invariant {name!r}; know {INVARIANT_NAMES}")
+    _require_omega(p, _INVARIANT_OMEGA[name], name)
     if name in ("E0_12", "E0_11"):
         e1, e2 = mode_actions(states, p.omega)
         return e1 + e2
     q1, v1, q2, v2 = np.moveaxis(np.asarray(states, dtype=float), -1, 0)
     if name == "I3_12":
         return p.a4 * ((q1 * q1 - v1 * v1) * q2 + q1 * v1 * v2)
-    ca, cb = (float(c) for c in i3_coeffs)
-    u = q1 * q1 + v1 * v1
-    return ((q1 * q2 + v1 * v2) ** 2 - (q1 * v2 - v1 * q2) ** 2
-            + ca * u * u + cb * u)
+    u, w = q1 * q1 + v1 * v1, q2 * q2 + v2 * v2
+    phi1, phi2, k = _phase_drifts_11(u, w, 0.0, p.a1, p.a2, 0.0, 0.0)
+    return (k * ((q1 * q2 + v1 * v2) ** 2 - (q1 * v2 - v1 * q2) ** 2)
+            - (u * phi1 + w * phi2) / 2)
 
 
 def average_slow_field(y, p: ModelParams) -> np.ndarray:
@@ -360,44 +335,3 @@ def second_order_average(y, p: ModelParams, al: float = 0.0) -> np.ndarray:
     dfu = np.einsum("kij,kj->ki", jac, u_nodes)
     avg = (wg @ dfu) * 0.5
     return p.epsilon**2 * avg
-
-
-@dataclass(frozen=True)
-class I3FitResult:
-    """Least-squares coefficients of the symmetric 1:1 invariant."""
-
-    alpha: float
-    beta: float
-    residual: float
-
-
-def fit_I3_11(samples) -> I3FitResult:
-    """Fit (alpha, beta) so r1^2*r2^2*cos(2*chi) + alpha*r1^4 + beta*r1^2 is
-    constant along a symmetric 1:1 averaged trajectory.
-
-    ``samples`` is the (m, >=4) polar state history, m >= 200. The
-    residual is the standard deviation of the fitted combination normalized
-    by the standard deviation of the cos(2*chi) term. Degenerate (normal
-    mode) trajectories are rejected.
-    """
-    s = np.asarray(samples, dtype=float)
-    if s.ndim != 2 or s.shape[0] < 200:
-        raise ValueError("need at least 200 polar samples")
-    r1 = s[:, 0]
-    r2 = s[:, 2]
-    if np.min(r1) < 1e-8 or np.min(r2) < 1e-8:
-        raise ValueError("degenerate trajectory (normal mode); no two-parameter fit")
-    chi = s[:, 1] - s[:, 3]
-    yv = r1**2 * r2**2 * np.cos(2.0 * chi)
-    x1 = r1**4
-    x2 = r1**2
-    yc = yv - yv.mean()
-    design = np.column_stack([x1 - x1.mean(), x2 - x2.mean()])
-    sv = np.linalg.svd(design, compute_uv=False)
-    if sv[-1] < 1e-9 * max(sv[0], 1e-30):
-        raise ValueError("degenerate trajectory: amplitude variation too small to fit")
-    coeffs, *_ = np.linalg.lstsq(design, -yc, rcond=None)
-    ca, cb = float(coeffs[0]), float(coeffs[1])
-    combo = yv + ca * x1 + cb * x2
-    scale = max(float(np.std(yv)), 1e-300)
-    return I3FitResult(ca, cb, float(np.std(combo)) / scale)

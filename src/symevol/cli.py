@@ -128,12 +128,11 @@ def _cmd_compare(args) -> int:
     csv_path = outdir / "compare.csv"
     _write_csv(csv_path, ["epsilon", "sup_r1", "sup_r2", "sup_E1", "sup_E2"],
                list(zip(*rows)))
-    if len(rows) >= 2:
-        errs = [max(r[1], r[2]) for r in rows]
+    errs = [max(r[1], r[2]) for r in rows]
+    exponent = "n/a"  # a log-log fit needs two rungs, each with a positive sup
+    if len(rows) >= 2 and min(errs) > 0.0:
         exponent = float(np.polyfit(np.log([r[0] for r in rows]), np.log(errs), 1)[0])
-    else:
-        exponent = None
-    summary = {"scaling_exponent": exponent if exponent is not None else "n/a",
+    summary = {"scaling_exponent": exponent,
                "resonance": settings["resonance"], "window_L": settings["L"]}
     summary_path = outdir / "compare_summary.json"
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
@@ -149,7 +148,7 @@ def _cmd_resonance(args) -> int:
         a1, a2 = Fraction(args.a1), Fraction(args.a2)
         e0 = Fraction(args.e0) if args.e0 else Fraction(1, 4)
         body = resonance_for(omega).report(a1, a2, e0)
-    except (ValueError, ArithmeticError) as exc:  # also an exact value beyond float range
+    except (ValueError, ArithmeticError) as exc:  # also an exact value out of float range
         raise ConfigError(str(exc)) from exc
     report = {"omega": omega, "a1": str(a1), "a2": str(a2), **body}
     print(json.dumps(report, indent=2, sort_keys=True))

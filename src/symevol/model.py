@@ -128,10 +128,6 @@ class CartesianState:
     def as_array(self) -> np.ndarray:
         return np.array([self.q1, self.v1, self.q2, self.v2])
 
-    @classmethod
-    def from_array(cls, t, y) -> "CartesianState":
-        return cls(float(t), float(y[0]), float(y[1]), float(y[2]), float(y[3]))
-
 
 def eval_hamiltonian(t, y, p: ModelParams):
     """Energy at time t: quadratic part plus the eps-scaled cubic potential."""

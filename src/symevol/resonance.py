@@ -125,8 +125,8 @@ def locate_12_second(a1, a2) -> ResonanceManifold:
 def locate_13(a1, a2) -> ResonanceManifold:
     """1:3 manifold from the zero of the chi3 drift, chi3 in {0, pi}.
 
-    The drift is the paper's reading -(c_u*r1^2 - c_w*r2^2)
-    (:func:`symevol.averaged.chi3_rhs`), not a view of the 1:3 field; a
+    The drift is the paper's reading -eps^2*(c_u*r1^2 - c_w*r2^2)
+    (:func:`symevol.averaged._chi3_paper_coeffs`), not a view of the 1:3 field; a
     positive ratio needs both coefficients non-zero with equal sign. Width
     O(eps^2), interaction time 1/eps^4.
     """
@@ -134,6 +134,16 @@ def locate_13(a1, a2) -> ResonanceManifold:
     ratio, degenerate = _drift_zero(-c_u, c_w)
     return ResonanceManifold("1:3", ratio is not None, ratio, (0.0, math.pi), 2, 4,
                              degenerate=degenerate)
+
+
+def _to_float(x) -> float:
+    """float(x) of an exact (or float) value; ValueError when a non-zero x
+    rounds to 0.0, where float() itself raises OverflowError beyond the
+    float range."""
+    f = float(x)
+    if f == 0.0 and x != 0:
+        raise ValueError("a non-zero value underflows a float (below 5e-324 in magnitude)")
+    return f
 
 
 # Open intervals of the parameter p = a1/(3*a2) quoted from the 1:1
@@ -177,8 +187,7 @@ def classify_11(a1, a2) -> list[StabilityReport]:
         p = Fraction(a1, 3) / Fraction(a2)
     else:
         p = a1 / (3.0 * a2)
-    a1f, a2f = float(a1), float(a2)
-    pf = float(p)
+    a1f, a2f, pf = _to_float(a1), _to_float(a2), _to_float(p)
     reports = []
 
     state = _interval_state(p, _Q1_UNSTABLE)
@@ -310,7 +319,7 @@ def verify_stability_numerically(report: StabilityReport, E0: float, epsilon: fl
 def _manifold_json(m: ResonanceManifold, **extra) -> dict:
     ratio = "none"
     if m.exists:
-        ratio = {"value": float(m.amplitude_ratio)}
+        ratio = {"value": _to_float(m.amplitude_ratio)}
         if isinstance(m.amplitude_ratio, Fraction):
             ratio["exact"] = f"{m.amplitude_ratio.numerator}/{m.amplitude_ratio.denominator}"
     return {"ratio": ratio, "angles": list(m.angles), "size_order": m.size_order,
@@ -326,8 +335,8 @@ def _report_12(a1, a2, e0) -> dict:
     first = locate_12_first(e0)
     second = locate_12_second(a1, a2)
     stability = {f"{k:g}": v for k, v in (second.angle_stability or {}).items()}
-    return {"first_order": _manifold_json(first, r1_sq=float(first.r1_sq),
-                                          r2_sq=float(first.r2_sq)),
+    return {"first_order": _manifold_json(first, r1_sq=_to_float(first.r1_sq),
+                                          r2_sq=_to_float(first.r2_sq)),
             "second_order": _manifold_json(second, angle_stability=stability)}
 
 

@@ -1,4 +1,5 @@
-"""Amplitude/phase coordinates, actions, combination angles, averaging helpers.
+"""Amplitude/phase coordinates, actions, combination angles and the polar
+equations of motion.
 
 The co-rotating polar chart used throughout is
 
@@ -31,7 +32,6 @@ __all__ = [
     "mode_actions",
     "combination_angle",
     "slow_rhs",
-    "near_identity_u",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -132,43 +132,3 @@ def _gauss_nodes(n: int):
     if n not in _GL_CACHE:
         _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
     return _GL_CACHE[n]
-
-
-_PANELS_PER_PERIOD = 8  # quadrature panels per 2*pi in near_identity_u
-
-
-def gauss_integral(f, a: float, b: float, panels: int):
-    """Composite Gauss-Legendre integral of a vector-valued f over [a, b],
-    10 nodes per panel."""
-    x, wts = _gauss_nodes(10)
-    edges = np.linspace(a, b, panels + 1)
-    total = None
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        for xi, wi in zip(x, wts):
-            val = wi * np.asarray(f(mid + half * xi))
-            contrib = half * val
-            total = contrib if total is None else total + contrib
-    return total
-
-
-def near_identity_u(f1, t: float, y) -> np.ndarray:
-    """Oscillatory correction u(t, y) = integral of f1(s, y) ds from 0 to t.
-
-    f1 must be 2*pi-periodic in its first argument with zero t-average at
-    frozen y, so that u stays bounded; a mean above 1e-9 is detected and
-    rejected. The integral is computed by composite Gauss-Legendre
-    quadrature, 8 panels per period, with y held fixed.
-    """
-    y = np.asarray(y, dtype=float)
-    mean = gauss_integral(lambda s: f1(s, y), 0.0, TWO_PI, panels=_PANELS_PER_PERIOD) / TWO_PI
-    if np.max(np.abs(mean)) > 1e-9:
-        raise ValueError(
-            f"f1 has non-zero t-average (max |mean| = {np.max(np.abs(mean)):.3e}); "
-            "the correction would grow unboundedly"
-        )
-    if t == 0.0:
-        return np.zeros_like(np.asarray(f1(0.0, y), dtype=float))
-    panels = max(1, math.ceil(abs(t) / TWO_PI * _PANELS_PER_PERIOD))
-    return gauss_integral(lambda s: f1(s, y), 0.0, t, panels=panels)

@@ -326,6 +326,24 @@ def test_compare_single_epsilon_has_no_exponent(small_config, tmp_path):
     assert summary["scaling_exponent"] == "n/a"
 
 
+def _strict_json(text):
+    """json.loads that rejects NaN and Infinity, which are not JSON."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_compare_all_zero_sups_have_no_exponent(tmp_path, capsys):
+    # a window so short that every sup is exactly 0: no log-log fit, and
+    # every JSON written is valid JSON
+    out = tmp_path / "cmp0"
+    assert main(["compare", "fig1", "--eps-list", "0.1,0.05", "--window", "1e-20",
+                 "--out", str(out)]) == 0
+    assert _strict_json(capsys.readouterr().out)["scaling_exponent"] == "n/a"
+    assert _strict_json((out / "compare_summary.json").read_text())["scaling_exponent"] == "n/a"
+    assert _strict_json((out / "manifest.json").read_text())["scaling_exponent"] == "n/a"
+
+
 def test_compare_rejects_unsupported_omega(small_config, tmp_path, capsys):
     text = small_config.read_text()
     cases = [  # (config edit, extra arguments)
@@ -449,9 +467,18 @@ def test_resonance_invalid_inputs(capsys):
     assert main(["resonance", "--omega", "two"]) == 2
     # exact inputs whose ratios or squares leave the float range
     for argv in (["--omega", "1", "--a1", "1e400"], ["--omega", "1", "--a1", "1", "--a2", "1e-400"],
-                 ["--omega", "2", "--e0", "1e400"]):
+                 ["--omega", "2", "--e0", "1e400"],
+                 # and whose reported values underflow a float
+                 ["--omega", "3", "--a1", "1e400"], ["--omega", "2", "--e0", "1e-400"],
+                 ["--omega", "2", "--e0", "1e-330"],
+                 ["--omega", "1", "--a1", "1e-200", "--a2", "1e200"]):
         code, lines = _run_cli(["resonance", *argv])
         assert code == 2 and len(lines) == 1 and lines[0].startswith("config error: "), argv
+    # a true zero is a float: the 1:2 surface of energy 0 has r1^2 = r2^2 = 0
+    capsys.readouterr()
+    assert main(["resonance", "--omega", "2", "--e0", "0"]) == 0
+    first = json.loads(capsys.readouterr().out)["first_order"]
+    assert first["r1_sq"] == first["r2_sq"] == 0.0
 
 
 ENSEMBLE_SECTION = """

@@ -210,5 +210,3 @@ def test_dissipative_map_round_trip(rng):
 def test_state_validation():
     with pytest.raises(ValueError):
         CartesianState(0.0, math.nan, 0.0, 0.0, 0.0)
-    st = CartesianState.from_array(1.5, [1, 2, 3, 4])
-    assert st.t == 1.5 and st.v2 == 4.0

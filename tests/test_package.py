@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -18,3 +20,28 @@ def test_every_exported_name_resolves(name):
 
 def test_modules_are_found():
     assert {"symevol.transforms", "symevol.experiments", "symevol.model"} <= set(MODULES)
+
+
+def _identifiers(path: Path) -> set[str]:
+    """Names a file reads: Name and Attribute nodes and the names of
+    ``from ... import``; a def or class statement, a docstring or an
+    ``__all__`` string is not a read."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_top_level_name_is_reached():
+    # a name in symevol.__all__ is read by another source module or by an
+    # acceptance criterion; otherwise it is wired in or deleted
+    package = Path(symevol.__file__).parent
+    sources = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    acceptance = Path(__file__).with_name("test_acceptance.py")
+    reached = set().union(*(_identifiers(p) for p in [*sources, acceptance]))
+    assert [n for n in symevol.__all__ if n != "__version__" and n not in reached] == []

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from symevol.averaged import chi2_rhs, chi3_rhs
+from symevol.averaged import _chi2_coeffs, _chi3_paper_coeffs
 from symevol.model import ModelParams
 from symevol.resonance import (RESONANCES, classify_11, locate_12_first, locate_12_second,
                                locate_13, verify_stability_numerically)
@@ -58,9 +58,11 @@ def test_locate_12_second_none_cases():
 
 
 def test_locate_12_second_ratio_is_a_root():
-    p = ModelParams(1.0, 1.0, 0.0, 0.0, omega=2.0, epsilon=0.1, n=2)
+    # the chi2 drift eps^2*(c_u*r1^2 + c_w*r2^2) at eps = 0.1 vanishes at the ratio
     m = locate_12_second(1.0, 1.0)
-    assert abs(chi2_rhs(math.sqrt(float(m.amplitude_ratio)), 1.0, p)) < 1e-10
+    c_u, c_w = _chi2_coeffs(1.0, 1.0)
+    r1 = math.sqrt(float(m.amplitude_ratio))
+    assert abs(0.1**2 * (c_u * r1 * r1 + c_w)) < 1e-10
 
 
 def test_locate_12_second_none_means_fixed_sign():
@@ -68,8 +70,8 @@ def test_locate_12_second_none_means_fixed_sign():
     # positive quadrant (checked at extreme amplitude ratios)
     for a1, a2 in ((0, 1), (1, 0), (2, 1), (-1, 3)):
         m = locate_12_second(a1, a2)
-        p = ModelParams(float(a1), float(a2), 0.0, 0.0, omega=2.0, epsilon=0.1, n=2)
-        vals = [chi2_rhs(r1, r2, p) for r1, r2 in ((1e3, 1.0), (1.0, 1e3))]
+        c_u, c_w = _chi2_coeffs(float(a1), float(a2))
+        vals = [c_u * r1 * r1 + c_w * r2 * r2 for r1, r2 in ((1e3, 1.0), (1.0, 1e3))]
         if m.exists:
             assert vals[0] * vals[1] < 0.0
         elif not m.degenerate:
@@ -81,8 +83,10 @@ def test_locate_13_ratio_and_root():
     assert m.exists
     assert m.amplitude_ratio == Fraction(1401, 976)
     assert m.size_order == 2 and m.timescale_order == 4
-    p = ModelParams(1.0, 1.0, 0.0, 0.0, omega=3.0, epsilon=0.1, n=2)
-    assert abs(chi3_rhs(math.sqrt(float(m.amplitude_ratio)), 1.0, p)) < 1e-10
+    # the paper's chi3 drift -eps^2*(c_u*r1^2 - c_w*r2^2) at eps = 0.1 vanishes there
+    c_u, c_w = _chi3_paper_coeffs(1.0, 1.0)
+    r1 = math.sqrt(float(m.amplitude_ratio))
+    assert abs(-0.1**2 * (c_u * r1 * r1 - c_w)) < 1e-10
 
 
 def test_locate_13_none_cases():

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from symevol.integrate import IntegratorConfig, integrate
 from symevol.model import CartesianState, ModelParams, intermediate_rhs
-from symevol.transforms import (combination_angle, mode_actions, near_identity_u,
-                                polar_coordinates, polar_to_cart, slow_rhs, wrap_angle)
+from symevol.transforms import (combination_angle, mode_actions, polar_coordinates,
+                                polar_to_cart, slow_rhs, wrap_angle)
 
 TWO_PI = 2.0 * math.pi
 
@@ -133,95 +133,25 @@ def test_combination_angles():
         combination_angle("chi99", 0.0, 0.0)
 
 
-def test_near_identity_analytic_antiderivative():
-    g = np.array([1.0, -2.0, 0.5])
-
-    def f1(s, y):
-        return math.cos(s) * g
-
-    for t in (0.0, 0.7, 2.0, 5.5):
-        u = near_identity_u(f1, t, np.zeros(3))
-        np.testing.assert_allclose(u, math.sin(t) * g, atol=1e-10)
-
-
-def test_near_identity_period_recurrence():
-    def f1(s, y):
-        return np.array([math.cos(s) + 0.5 * math.sin(2 * s), math.cos(3 * s)])
-
-    u = near_identity_u(f1, TWO_PI, np.zeros(2))
-    assert np.max(np.abs(u)) < 1e-9
-    u2 = near_identity_u(f1, 3.0 + TWO_PI, np.zeros(2))
-    u3 = near_identity_u(f1, 3.0, np.zeros(2))
-    np.testing.assert_allclose(u2, u3, atol=1e-9)
-
-
-def test_near_identity_rejects_nonzero_mean():
-    with pytest.raises(ValueError, match="non-zero t-average"):
-        near_identity_u(lambda s, y: np.array([1.0 + math.cos(s)]), 1.0, np.zeros(1))
-
-
-def _split_fields(params):
-    """Zero-mean symmetric part and decayed part of the polar system."""
-    psym = ModelParams(params.a1, params.a2, 0.0, 0.0, omega=params.omega,
-                       epsilon=1.0, n=1, delta=0.0)
-    pasym = ModelParams(0.0, 0.0, params.a3, params.a4, omega=params.omega,
-                        epsilon=1.0, n=1, delta=0.0)
-
-    def f1(t, y):
-        return slow_rhs(t, np.append(np.asarray(y)[:4], 0.0), psym)[:4]
-
-    def f2(t, y):
-        return slow_rhs(t, np.append(np.asarray(y)[:4], 0.0), pasym)[:4]
-
-    return f1, f2
-
-
 def test_transformed_flow_matches_intermediate_system():
-    # y' = eps*f2 is the polar form of the system without the symmetric
-    # cubic terms; check against direct Cartesian integration.
+    # y' = eps*f2, with f2 the (a3, a4) part of the polar system at eps = 1,
+    # is the polar form of the system without the symmetric cubic terms;
+    # check against direct Cartesian integration.
     p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.1, n=2, delta=0.0)
-    _, f2 = _split_fields(p)
+    pasym = ModelParams(0.0, 0.0, p.a3, p.a4, omega=p.omega, epsilon=1.0, n=1, delta=0.0)
     ic = CartesianState(0.0, 0.3, 0.2, 0.25, -0.1)
     pol = [*polar_coordinates(ic.t, ic.as_array(), p.omega), 0.0]
     cfg = IntegratorConfig(t_end=30.0, sample_dt=0.5, rtol=1e-11, atol=1e-13)
 
     def yflow(t, y):
         out = np.zeros(5)
-        out[:4] = p.epsilon * np.asarray(f2(t, y))
+        out[:4] = p.epsilon * slow_rhs(t, np.append(y[:4], 0.0), pasym)[:4]
         return out
 
     polar_traj = integrate(yflow, np.array(pol), cfg)
     cart_traj = integrate(lambda t, y: intermediate_rhs(t, y, p), ic.as_array(), cfg)
     mapped = polar_to_cart(polar_traj.times, polar_traj.states, p.omega)
     assert np.max(np.abs(mapped - cart_traj.states)) < 1e-7
-
-
-def test_near_identity_gap_halves_with_epsilon():
-    # sup |x - y - eps*u| over [0, 1/eps] is O(eps): halving eps roughly
-    # halves it (measured ratio 2.0007; at eps = 0.1 the quadratic remainder
-    # still contaminates the ratio, so the smaller pair is used).
-    gaps = []
-    for eps in (0.05, 0.025):
-        p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=eps, n=2)
-        f1, f2 = _split_fields(p)
-        y0 = np.array([0.5, -0.3, 0.4, 0.9, 0.0])
-        cfg = IntegratorConfig(t_end=1.0 / eps, sample_dt=0.5, rtol=1e-11, atol=1e-13)
-        x_traj = integrate(lambda t, y: slow_rhs(t, y, p), y0, cfg)
-
-        def yflow(t, y, _p=p, _f2=f2):
-            out = np.zeros(5)
-            out[:4] = _p.epsilon * math.exp(-y[4]) * _f2(t, y)
-            out[4] = _p.delta
-            return out
-
-        y_traj = integrate(yflow, y0, cfg)
-        gap = 0.0
-        for k, t in enumerate(x_traj.times):
-            u = near_identity_u(f1, float(t), y_traj.states[k][:4])
-            gap = max(gap, np.max(np.abs(
-                x_traj.states[k][:4] - y_traj.states[k][:4] - eps * u)))
-        gaps.append(gap)
-    assert 1.5 <= gaps[0] / gaps[1] <= 2.8
 
 
 def test_slow_rhs_equivalent_to_full_system(params12):
