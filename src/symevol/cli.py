@@ -23,10 +23,9 @@ from . import __version__
 from .config import (PRESETS, ConfigError, build_compare, build_ensemble, build_initial,
                      build_params, build_scenario, load_config, preset_path,
                      resolve_config_path, run_digest)
-from .experiments import (EnsembleFailure, compare_full_vs_averaged, run_ensemble,
+from .experiments import (EnsembleFailure, compare_full_vs_averaged, full_field, run_ensemble,
                           run_scenario, stabilization_time)
 from .integrate import IntegrationError, order_check
-from .model import full_rhs
 from .resonance import SYSTEM_OMEGA, resonance_for
 from .transforms import mode_actions
 
@@ -191,7 +190,7 @@ def _cmd_order_check(args) -> int:
     params, initial = build_params(cfg), build_initial(cfg)
     try:
         steps = [float(s) for s in args.steps.split(",") if s.strip()]
-        est = order_check(lambda t, y: full_rhs(t, y, params), initial.as_array(),
+        est = order_check(full_field(params), initial.as_array(),
                           initial.t, args.horizon, steps)
     except ValueError as exc:  # --steps or --horizon rejected
         raise ConfigError(str(exc)) from exc

@@ -5,35 +5,41 @@ a state as a tuple of its d components and answers with a sequence of d
 components. A component is a float in a single run, and an array with one
 entry per running row in a batch. One single-row loop runs both methods
 over Python floats, through one generated straight-line step per tableau
-record and state dimension. An adaptive record also integrates a batch of
-independent initial states at once (``y0`` of shape (N, d)), holding the
-rows as columns of a (d, n) array; every row keeps its own time and step
-size, and the step is generated from the same record, one statement per
-stage. Both steps write every sum through one emitter, test finiteness on
-the new state and the last stage, take the step factor from libm's pow and
-share the controller, so a batch row equals the single-row run byte for
-byte. The single-row loop makes no numpy call per step.
+record and state dimension. Given an :class:`InlineRhs`, a right-hand side
+with its source text, that step writes the field's equations in place of
+the call at every stage, with the same bits; the full model's single runs
+come that way (``experiments.full_field``), every other field is called.
+An adaptive record also integrates a batch of independent initial states at
+once (``y0`` of shape (N, d)), holding the rows as columns of a (d, n)
+array; every row keeps its own time and step size, and the step is
+generated from the same record, one statement per stage, which calls the
+right-hand side once for all rows. Both steps write every sum through one
+emitter, test finiteness on the new state and the last stage, take the step
+factor from libm's pow and share the controller, so a batch row equals the
+single-row run byte for byte. The single-row loop makes no numpy call per
+step.
 
 Both methods deliver dense output by cubic Hermite interpolation on the
 accepted steps, so the returned sample times are exactly the requested grid
 and never constrain the step-size control: over floats, through one
-generated straight-line fill per state dimension, in a single run, and by
-one numpy kernel in a batch, with the same bits. Integrations are
-deterministic: identical inputs produce bit-identical trajectories on one
-platform.
+generated straight-line fill per state dimension, in a single run, called
+only on a step that holds a sample, and by one numpy kernel in a batch,
+with the same bits. Integrations are deterministic: identical inputs
+produce bit-identical trajectories on one platform.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 __all__ = ["IntegratorConfig", "Trajectory", "IntegrationError", "integrate",
-           "order_check", "OrderEstimate", "MAX_GRID_POINTS"]
+           "order_check", "OrderEstimate", "MAX_GRID_POINTS", "InlineRhs"]
 
 
 class _Method(NamedTuple):
@@ -196,10 +202,8 @@ def _hermite_fill(out, ts, idx, t0, h, y0, y1, f0, f1, t1):
     """Fill samples with the cubic Hermite interpolant on (t0, t1]; returns
     the next sample index. The end values and slopes are sequences of d
     floats; the fill works over floats, writing through views of ``out`` and
-    ``ts`` made only on a step that holds a sample."""
+    ``ts``. A single run calls it only on a step that holds a sample."""
     tol = t1 + 1e-14 * max(1.0, abs(t1))
-    if idx >= len(ts) or ts[idx] > tol:  # most steps hold no sample
-        return idx
     fill = _fill_function(len(y0))
     return fill(memoryview(out).cast("B").cast("d"), memoryview(ts), idx, len(ts), tol,
                 t0, h, y0, y1, f0, f1)
@@ -269,7 +273,9 @@ def integrate(rhs, y0, config: IntegratorConfig) -> Trajectory:
     array of shape (n,) holding the n rows still running, ``t`` is the array
     of their times, and the answer must have shape (d, n). ``rhs`` must treat
     rows independently. An answer of another length or shape raises
-    ValueError before any sample is written.
+    ValueError before any sample is written. An :class:`InlineRhs` is called
+    like its callable, except that a single run writes its equations into the
+    step's stages, with the same bits and ``rhs_evals``.
 
     A single run raises :class:`IntegrationError` on step-size underflow or
     persistent non-finite values; the exception carries the last good
@@ -314,7 +320,6 @@ def _fixed_step_count(span: float, step: float) -> int:
 def _run_single(rhs, y0, config, ts, out):
     _, a, e = _METHODS[config.method]
     d = len(y0)
-    step = _step_function(config.method, d)
     t0, t_end = config.t0, config.t_end
     rtol, atol = config.rtol, config.atol
     span = t_end - t0
@@ -323,6 +328,10 @@ def _run_single(rhs, y0, config, ts, out):
     f = rhs(t, y)
     if len(f) != d:
         raise ValueError(f"rhs returned {len(f)} values for a state of {d}")
+    step = _step_function(config.method, d, rhs)
+    # the sample times, read as floats, and past the last one a time no step reaches
+    samples = memoryview(np.append(ts, math.inf))
+    t_next = samples[1]
     evals = 1
     accepted = rejected_error = rejected_nonfinite = streak = 0
     idx = 1
@@ -347,7 +356,11 @@ def _run_single(rhs, y0, config, ts, out):
                                        t, np.array(y, dtype=float), "nonfinite")
             streak = 0 if finite else streak + 1
             if finite and err_norm <= 1.0:
-                idx = _hermite_fill(out, ts, idx, t, h, y, y_new, f, f_new, t_new)
+                # most steps hold no sample: fill only when the next one lies
+                # within the fill's own tolerance of the step's end
+                if t_next <= t_new + 1e-14 * max(1.0, abs(t_new)):
+                    idx = _hermite_fill(out, ts, idx, t, h, y, y_new, f, f_new, t_new)
+                    t_next = samples[idx]
                 t, y, f = t_new, y_new, f_new
                 accepted += 1
                 if e is not None:
@@ -395,15 +408,68 @@ def _sum_source(name, terms) -> list:
     return lines
 
 
-@functools.cache
-def _step_function(method: str, d: int):
-    """One step of a tableau record on d floats, as straight-line code.
+class InlineRhs(NamedTuple):
+    """A right-hand side with its source text, which a single run writes into
+    its step at every stage in place of a call.
 
-    ``step(rhs, t, h, y, f, rtol, atol)`` takes the state ``y`` and its slope
-    ``f`` as sequences of d floats and returns the new state, the slope there
-    (the last stage), whether every stage and the new state are finite, and
-    the error norm (0.0 for a fixed-step record). Its sums are those of
-    :func:`_rows_step_function`, so a single run equals its batch row bit for bit.
+    ``call(t, y)`` is the right-hand side itself; the first slope and the
+    batched loop call it, and so does calling the record. ``equations`` is its
+    source, as :class:`symevol.model.Equations`: straight-line ``body``
+    statements that, at the time ``t`` with the state components in the names
+    ``state``, assign their rates to the names ``rates``. ``bindings`` holds
+    every other name the body reads. Apart from the state, the rates and
+    ``t``, the body's names share the step's namespace, so they must differ
+    from the step's own: ``rhs``, ``h``, ``y``, ``f``, ``rtol``, ``atol``,
+    ``total``, ``finite``, ``sq``, ``err_norm``, ``isfinite``, ``sqrt`` and
+    the names ``y<j>``, ``z<j>``, ``x<j>`` and ``k<s>_<j>``.
+    """
+
+    call: object
+    equations: object
+    bindings: dict
+
+    def __call__(self, t, y):
+        return self.call(t, y)
+
+
+def _step_function(method: str, d: int, rhs):
+    """The single-run step of ``rhs``: :func:`_step_code` run in a namespace
+    that binds the names of ``rhs``'s source when it is an :class:`InlineRhs`."""
+    inline = isinstance(rhs, InlineRhs)
+    namespace = {"isfinite": math.isfinite, "sqrt": math.sqrt,
+                 **(rhs.bindings if inline else {})}
+    exec(_step_code(method, d, rhs.equations if inline else None), namespace)
+    return namespace["step"]
+
+
+_IDENTIFIER = re.compile(r"\b[A-Za-z_]\w*")
+
+
+def _inline_stage(equations, time, inputs, outputs) -> list:
+    """The statements of ``equations.body`` with the state names replaced by
+    ``inputs``, the rates by ``outputs`` and ``t`` by the expression ``time``."""
+    rename = {"t": f"({time})", **dict(zip(equations.state, inputs)),
+              **dict(zip(equations.rates, outputs))}
+    return ["    " + _IDENTIFIER.sub(lambda m: rename.get(m[0], m[0]), statement)
+            for statement in equations.body]
+
+
+@functools.cache
+def _step_code(method: str, d: int, equations):
+    """One step of a tableau record on d floats, as compiled straight-line code.
+
+    It defines ``step(rhs, t, h, y, f, rtol, atol)``, which takes the state
+    ``y`` and its slope ``f`` as sequences of d floats and returns the new
+    state, the slope there (the last stage), whether every stage and the new
+    state are finite, and the error norm (0.0 for a fixed-step record). Its
+    sums are those of :func:`_rows_step_function`, so a single run equals its
+    batch row bit for bit.
+
+    Each stage calls ``rhs`` or, given the source ``equations`` of an
+    :class:`InlineRhs`, evaluates its body in place: the same operations
+    without the call, the tuples and the parameter loads, so both give the
+    same bits. The code depends on the source only, never on the values bound
+    to its names, so there is one entry per method, dimension and source.
 
     Finiteness is tested on the new state and the last stage only. The new
     state's sum takes every other stage with its weight, zero weights
@@ -423,7 +489,12 @@ def _step_function(method: str, d: int):
         for j in comps:
             lines.append(f"    z{j} = y{j} + h * "
                          + _weighted_source(a_s, [f"k{r}_{j}" for r in range(s)]))
-        lines.append(f"    {names(f'k{s}_')}= rhs(t + {float(c[s])!r} * h, ({names('z')}))")
+        time = f"t + {float(c[s])!r} * h"
+        if equations is None:
+            lines.append(f"    {names(f'k{s}_')}= rhs({time}, ({names('z')}))")
+        else:
+            lines += _inline_stage(equations, time, [f"z{j}" for j in comps],
+                                   [f"k{s}_{j}" for j in comps])
     # the last stage input is the solution (first same as last); a finite
     # sum proves every value finite, and only a non-finite one is looked into
     values = [f"k{len(a)}_{j}" for j in comps] + [f"z{j}" for j in comps]
@@ -438,17 +509,16 @@ def _step_function(method: str, d: int):
         lines += _sum_source("sq", [f"x{j} * x{j}" for j in comps])
         lines.append(f"    err_norm = sqrt(sq / {d})")
     lines.append(f"    return ({names('z')}), ({names(f'k{len(a)}_')}), finite, err_norm")
-    namespace = {"isfinite": math.isfinite, "sqrt": math.sqrt}
-    exec("\n".join(lines), namespace)
-    return namespace["step"]
+    return compile("\n".join(lines), f"<{method} step>", "exec")
 
 
 @functools.cache
 def _rows_step_function(method: str):
-    """:func:`_step_function` of an adaptive record over a batch: ``y`` and
-    ``f`` are (d, n) arrays, a column per row, ``t`` and ``h`` (n,) arrays.
-    One statement per stage, with the float step's sums; every stage answer
-    passes :func:`_columns`. ``finite`` and the error norm are per row."""
+    """:func:`_step_code` of an adaptive record over a batch, calling ``rhs``
+    at every stage: ``y`` and ``f`` are (d, n) arrays, a column per row, ``t``
+    and ``h`` (n,) arrays. One statement per stage, with the float step's
+    sums; every stage answer passes :func:`_columns`. ``finite`` and the error
+    norm are per row."""
     c, a, e = _METHODS[method]
     lines = ["def step(rhs, t, h, y, f, rtol, atol):",
              "    k0 = f"]

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +33,8 @@ __all__ = [
     "alpha",
     "eval_hamiltonian",
     "full_rhs",
+    "Equations",
+    "FULL_EQUATIONS",
     "intermediate_rhs",
     "dissipative_rhs",
     "dissipative_to_cartesian",
@@ -139,21 +142,66 @@ def eval_hamiltonian(t, y, p: ModelParams):
     return h2 - p.epsilon * (h3 + al * h3t)
 
 
-def full_rhs(t, y, p: ModelParams):
-    """Right-hand side of the full equations of motion.
+class Equations(NamedTuple):
+    """A vector field written once, as straight-line source text.
 
-    ``y`` is the state as a sequence of its four components (q1, v1, q2, v2)
-    and the answer is the tuple of their rates. A component is a float, or
-    an array with one entry per row of a batch; ``t`` is then a float or an
-    array of the same shape. The arithmetic is elementwise, so every entry
-    equals the call on floats bit for bit.
+    ``body`` is a sequence of assignments. With the time in ``t`` and the state
+    components in the names ``state``, they assign the rates of the components
+    to the names ``rates``. Besides their own results they read the fields
+    ``params`` of :class:`ModelParams` and the decay factor :func:`alpha`.
     """
-    q1, v1, q2, v2 = y
-    al = alpha(p.delta * t, p.alpha_kind)
-    e = p.epsilon
-    dv1 = -q1 + e * (p.a1 * q1 * q1 + p.a2 * q2 * q2) + e * al * 2.0 * p.a4 * q1 * q2
-    dv2 = -p.omega**2 * q2 + e * 2.0 * p.a2 * q1 * q2 + e * al * (p.a3 * q2 * q2 + p.a4 * q1 * q1)
-    return v1, dv1, v2, dv2
+
+    state: tuple
+    rates: tuple
+    params: tuple
+    body: tuple
+
+    def bindings(self, p: ModelParams) -> dict:
+        """Every name the body reads besides the state, ``t`` and its own
+        results, bound at p."""
+        return {"alpha": alpha, **{name: getattr(p, name) for name in self.params}}
+
+
+# The full equations of motion. ``full_rhs`` is generated from them, and so is
+# the inlined stage of a single run's step (integrate.InlineRhs).
+FULL_EQUATIONS = Equations(
+    state=("q1", "v1", "q2", "v2"),
+    rates=("dq1", "dv1", "dq2", "dv2"),
+    params=("a1", "a2", "a3", "a4", "omega", "epsilon", "delta", "alpha_kind"),
+    body=("al = alpha(delta * t, alpha_kind)",
+          "dq1 = v1",
+          "dv1 = (-q1 + epsilon * (a1 * q1 * q1 + a2 * q2 * q2)"
+          " + epsilon * al * 2.0 * a4 * q1 * q2)",
+          "dq2 = v2",
+          "dv2 = (-omega**2 * q2 + epsilon * 2.0 * a2 * q1 * q2"
+          " + epsilon * al * (a3 * q2 * q2 + a4 * q1 * q1))"))
+
+
+def _rhs_function(equations: Equations, name: str, doc: str):
+    """``name(t, y, p)``: the rates of ``equations`` at the state ``y``, a
+    sequence of its components, and the parameters p."""
+    lines = [f"def {name}(t, y, p):",
+             f"    {', '.join(equations.state)} = y",
+             *(f"    {param} = p.{param}" for param in equations.params),
+             *(f"    {statement}" for statement in equations.body),
+             f"    return {', '.join(equations.rates)}"]
+    namespace = {"alpha": alpha, "__name__": __name__}
+    exec("\n".join(lines), namespace)
+    function = namespace[name]
+    function.__doc__ = doc
+    return function
+
+
+full_rhs = _rhs_function(FULL_EQUATIONS, "full_rhs", """\
+Right-hand side of the full equations of motion, generated from
+:data:`FULL_EQUATIONS`.
+
+``y`` is the state as a sequence of its four components (q1, v1, q2, v2)
+and the answer is the tuple of their rates. A component is a float, or an
+array with one entry per row of a batch; ``t`` is then a float or an array
+of the same shape. The arithmetic is elementwise, so every entry equals the
+call on floats bit for bit.
+""")
 
 
 def intermediate_rhs(t, y, p: ModelParams):

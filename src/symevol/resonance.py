@@ -13,6 +13,7 @@ verifier integrates the averaged 1:1 flow to cross-check each verdict.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -138,11 +139,13 @@ def locate_13(a1, a2) -> ResonanceManifold:
 
 def _to_float(x) -> float:
     """float(x) of an exact (or float) value; ValueError when a non-zero x
-    rounds to 0.0, where float() itself raises OverflowError beyond the
-    float range."""
+    lands below the smallest normal float, where a float keeps too few
+    correct digits (or none), as float() itself raises OverflowError beyond
+    the float range."""
     f = float(x)
-    if f == 0.0 and x != 0:
-        raise ValueError("a non-zero value underflows a float (below 5e-324 in magnitude)")
+    if abs(f) < sys.float_info.min and x != 0:
+        raise ValueError("a non-zero value underflows a float "
+                         f"(below {sys.float_info.min:.3g} in magnitude)")
     return f
 
 

@@ -471,6 +471,8 @@ def test_resonance_invalid_inputs(capsys):
                  # and whose reported values underflow a float
                  ["--omega", "3", "--a1", "1e400"], ["--omega", "2", "--e0", "1e-400"],
                  ["--omega", "2", "--e0", "1e-330"],
+                 # or land among the subnormal floats, with few correct digits
+                 ["--omega", "2", "--e0", "1e-320"],
                  ["--omega", "1", "--a1", "1e-200", "--a2", "1e200"]):
         code, lines = _run_cli(["resonance", *argv])
         assert code == 2 and len(lines) == 1 and lines[0].startswith("config error: "), argv

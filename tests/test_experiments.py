@@ -1,17 +1,20 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import symevol.experiments as experiments_module
 from conftest import fig_initial_state, fig_params
 from symevol.experiments import (EnsembleSpec, ScenarioConfig, _draw_initial,
-                                 _histogram_series, compare_full_vs_averaged,
+                                 _histogram_series, compare_full_vs_averaged, full_field,
                                  invariant_drift, phase_series, polar_amplitude_series,
                                  run_ensemble, run_scenario, stabilization_time)
 from symevol.averaged import INVARIANT_NAMES, cartesian_invariant
 from symevol.config import ConfigError, build_scenario, load_config, preset_path
-from symevol.integrate import MAX_GRID_POINTS, IntegrationError, IntegratorConfig, integrate
-from symevol.model import CartesianState, ModelParams, alpha, full_rhs
+from symevol.integrate import (MAX_GRID_POINTS, InlineRhs, IntegrationError, IntegratorConfig,
+                               integrate, order_check)
+from symevol.model import ALPHA_KINDS, CartesianState, ModelParams, alpha, full_rhs
 from symevol.resonance import RESONANCES
 from symevol.transforms import COMBINATION_COEFFS, mode_actions, polar_coordinates, wrap_angle
 
@@ -20,6 +23,70 @@ def _scenario(params, initial, horizon, sample_dt=0.25, **settings):
     grid = IntegratorConfig(t0=initial.t, t_end=initial.t + horizon, sample_dt=sample_dt,
                             **settings)
     return ScenarioConfig(params, initial, grid)
+
+
+def _called(p):
+    """The full system at p as a plain callable: every stage calls full_rhs."""
+    return lambda t, y: full_rhs(t, y, p)
+
+
+@pytest.mark.parametrize("kind", ALPHA_KINDS)
+@pytest.mark.parametrize("name", ["fig1", "fig2"])
+def test_inlined_stage_equals_the_called_field(name, kind):
+    # run_scenario writes the model's equations into its step; calling
+    # full_rhs at every stage gives the same bits and counts: from the
+    # preset's start, from t0 = 2.5 and with negative coefficients, for rk45
+    # runs and for the rk4 runs of an order check
+    base = build_scenario(load_config(preset_path(name)), {"horizon": 20.0})
+    p = base.params.replace(alpha_kind=kind)
+    for params, initial in ((p, base.initial), (p, dataclasses.replace(base.initial, t=2.5)),
+                            (p.replace(a1=-1.0, a3=-0.75), base.initial)):
+        sc = _scenario(params, initial, 20.0)
+        assert isinstance(full_field(params), InlineRhs)
+        inlined = run_scenario(sc)
+        called = integrate(_called(params), initial.as_array(), sc.integrator)
+        assert np.array_equal(inlined.states, called.states)
+        assert inlined.stats == called.stats and inlined.stats["accepted"] > 500
+    y0, steps = base.initial.as_array(), [0.2, 0.1, 0.05]
+    assert order_check(full_field(p), y0, 0.0, 5.0, steps) == order_check(_called(p), y0, 0.0,
+                                                                           5.0, steps)
+
+
+@pytest.mark.parametrize("kind", ALPHA_KINDS)
+def test_inlined_stage_rejects_negative_slow_time(kind):
+    p = fig_params(2).replace(alpha_kind=kind)
+    start = dataclasses.replace(fig_initial_state(), t=-1.0)
+    sc = _scenario(p, start, 5.0)
+    with pytest.raises(ValueError, match="slow time tau must be >= 0"):
+        run_scenario(sc)
+    with pytest.raises(ValueError, match="slow time tau must be >= 0"):
+        integrate(_called(p), start.as_array(), sc.integrator)
+    # the inlined stage takes alpha itself: past a first slope that does
+    # not, the first stage raises
+    stub = full_field(p)._replace(call=lambda t, y: (0.0,) * 4)
+    with pytest.raises(ValueError, match="slow time tau must be >= 0"):
+        integrate(stub, start.as_array(), sc.integrator)
+
+
+def test_rebound_full_rhs_is_called_at_every_stage(monkeypatch):
+    # a full_rhs rebound in experiments (a tracer's counter, a spy) is called
+    # at every stage, with the bits of the inlined runs
+    p, initial = fig_params(2), fig_initial_state()
+    sc = _scenario(p, initial, 20.0)
+    inlined, compared = run_scenario(sc), compare_full_vs_averaged(p, initial)
+    calls = []
+
+    def spy(t, y, params):
+        calls.append(t)
+        return full_rhs(t, y, params)
+
+    monkeypatch.setattr(experiments_module, "full_rhs", spy)
+    assert not isinstance(full_field(p), InlineRhs)
+    traj = run_scenario(sc)
+    assert len(calls) == traj.stats["rhs_evals"] == inlined.stats["rhs_evals"]
+    assert np.array_equal(traj.states, inlined.states) and traj.stats == inlined.stats
+    before = len(calls)
+    assert compare_full_vs_averaged(p, initial) == compared and len(calls) > before
 
 
 def test_run_scenario_fig1_initial_actions():

@@ -343,7 +343,8 @@ def test_hermite_fill_matches_per_sample_formula_bitwise(method, monkeypatch):
         counts.append(stop - idx)
         return stop
 
-    # steps holding many samples, about one, and none; t_end off the grid;
+    # steps holding many samples, about one, and none (which the loop skips,
+    # so every fill holds a sample); t_end off the grid;
     # last, RK4 steps that end 1 ulp before a sample time (t = 7 * (0.7 / 7)),
     # which the fill's tolerance assigns to the step that ends there
     step = 0.3 if method == "rk4" else None
@@ -356,7 +357,7 @@ def test_hermite_fill_matches_per_sample_formula_bitwise(method, monkeypatch):
         slow = integrate(rhs, y0, cfg)
         assert fast.times[-1] == t_end
         assert np.array_equal(fast.states, slow.states)
-    assert {0, 1} <= set(counts) and max(counts) > 10
+    assert 0 not in counts and 1 in counts and max(counts) > 10
 
 
 def test_hermite_kernel_rows_match_per_sample_formula_bitwise():
@@ -541,3 +542,10 @@ def test_span_below_step_floor_reaches_t_end():
     batch = integrate(harmonic, np.array([[1.0, 0.0], [0.0, 2.0]]), cfg)
     assert batch.stats["failures"] == []
     assert np.all(np.isfinite(batch.states))
+    # a span of two ulps: t0 stands for t_end, so the grid holds one sample
+    # and no step has one to fill
+    cfg = IntegratorConfig(t0=1.0, t_end=1.0 + 2**-51, sample_dt=1.0)
+    for start in (np.array([1.0, 0.0]), np.array([[1.0, 0.0]])):
+        traj = integrate(harmonic, start, cfg)
+        assert np.array_equal(traj.times, [1.0]) and np.array_equal(traj.states[..., 0, :], start)
+        assert traj.stats["accepted"] == 1

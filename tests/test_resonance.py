@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 
 from symevol.averaged import _chi2_coeffs, _chi3_paper_coeffs
 from symevol.model import ModelParams
-from symevol.resonance import (RESONANCES, classify_11, locate_12_first, locate_12_second,
-                               locate_13, verify_stability_numerically)
+from symevol.resonance import (RESONANCES, _to_float, classify_11, locate_12_first,
+                               locate_12_second, locate_13, verify_stability_numerically)
 
 
 def test_resonance_table_consistency():
@@ -21,6 +22,17 @@ def test_resonance_table_consistency():
             for q in others:
                 with pytest.raises(ValueError):
                     field(0.0, slow, q)
+
+
+def test_report_values_are_normal_floats_or_zero():
+    # a true zero and the smallest normal float are kept; a non-zero value
+    # below it, subnormal or rounding to 0.0, is a ValueError
+    tiny = sys.float_info.min
+    assert _to_float(Fraction(0)) == 0.0 and _to_float(0.0) == 0.0
+    assert _to_float(Fraction(tiny)) == tiny and _to_float(-tiny) == -tiny
+    for x in (Fraction(1, 10**320), -Fraction(1, 10**320), Fraction(1, 10**400), tiny / 2):
+        with pytest.raises(ValueError, match="underflows a float"):
+            _to_float(x)
 
 
 def test_locate_12_first_energy_surface():

@@ -82,15 +82,26 @@ q2 = fixed 0
 v2 = uniform 0.4 0.6
 """
 
+# single runs of the fig1 model off the presets' settings
+_SIMULATE = (_ENSEMBLE[:_ENSEMBLE.index("[ensemble]")]
+             .replace("sample_dt = 0.01", "sample_dt = 0.25")
+             .replace("horizon = 3", "horizon = 50"))
+
 CONFIGS = {"w1.ini": _W1, "w3.ini": _W3, "ens.ini": _ENSEMBLE,
            # the same ensemble with the decay factor alpha's array path in a batch
            "ens-poly.ini": _ENSEMBLE.replace("alpha_kind = exponential",
-                                             "alpha_kind = polynomial")}
+                                             "alpha_kind = polynomial"),
+           # a single run under the polynomial decay, and one that starts late
+           "sim-poly.ini": _SIMULATE.replace("alpha_kind = exponential",
+                                             "alpha_kind = polynomial"),
+           "sim-t0.ini": _SIMULATE.replace("t0 = 0", "t0 = 2.5")}
 
 # name: arguments after ``python -m symevol``; ``--out`` is added to commands that take it
 COMMANDS = {
     "simulate-fig1": ["simulate", "fig1", "--horizon", "100"],
     "simulate-fig1-dense": ["simulate", "fig1", "--horizon", "10", "--sample-dt", "0.001"],
+    "simulate-polynomial": ["simulate", "sim-poly.ini"],
+    "simulate-t0": ["simulate", "sim-t0.ini"],
     "reproduce-fig1": ["reproduce-figure", "--which", "fig1", "--horizon", "50"],
     "reproduce-fig2": ["reproduce-figure", "--which", "fig2", "--horizon", "50"],
     "compare-11": ["compare", "w1.ini", "--eps-list", "0.1,0.05"],
