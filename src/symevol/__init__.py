@@ -1,10 +1,10 @@
 """symevol: numerical laboratory for a two degrees-of-freedom cubic
 oscillator whose mirror-symmetry breaking decays slowly in time."""
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 from .model import (CartesianState, ModelParams, alpha, dissipative_rhs,
-                    eval_hamiltonian, full_rhs, intermediate_rhs)
+                    eval_hamiltonian, full_rhs)
 from .transforms import mode_actions, polar_coordinates, slow_rhs, wrap_angle
 from .integrate import IntegrationError, IntegratorConfig, Trajectory, integrate, order_check
 from .averaged import polar_view
@@ -16,7 +16,7 @@ from .experiments import (EnsembleSpec, ScenarioConfig, compare_full_vs_averaged
 __all__ = [
     "__version__",
     "ModelParams", "CartesianState", "alpha", "eval_hamiltonian", "full_rhs",
-    "intermediate_rhs", "dissipative_rhs",
+    "dissipative_rhs",
     "mode_actions", "polar_coordinates", "slow_rhs", "wrap_angle",
     "IntegratorConfig", "Trajectory", "IntegrationError", "integrate", "order_check",
     "polar_view",

@@ -106,12 +106,18 @@ def _is_exact(x) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
+def _exact_or_float(*xs) -> tuple:
+    """xs as Fractions when every x is an int or a Fraction (a bool is
+    neither), else as floats."""
+    kind = Fraction if all(map(_is_exact, xs)) else float
+    return tuple(map(kind, xs))
+
+
 def _chi2_coeffs(a1, a2):
     """(c_u, c_w) of the chi2 drift eps^2*(c_u*r1^2 + c_w*r2^2), which is
     4*psi1' - 2*psi2' of the second-order 1:2 field at alpha = 0; exact for
     integer or Fraction coefficients."""
-    kind = Fraction if _is_exact(a1) and _is_exact(a2) else float
-    a1, a2, zero = kind(a1), kind(a2), kind(0)
+    a1, a2, zero = _exact_or_float(a1, a2, 0)
     drifts = (_phase_drifts_12(u, w, zero, a1, a2, zero, zero) for u, w in ((1, zero), (zero, 1)))
     return tuple(2 * phi2 - 4 * phi1 for phi1, phi2 in drifts)
 
@@ -129,8 +135,7 @@ def _chi3_paper_coeffs(a1, a2):
     CHANGES.md. The 47/140 coefficient is paired with a2^2 for dimensional
     consistency with its sibling terms.
     """
-    exact = _is_exact(a1) and _is_exact(a2)
-    a1, a2 = (Fraction(a1), Fraction(a2)) if exact else (float(a1), float(a2))
+    a1, a2 = _exact_or_float(a1, a2)
     return (5 * a1 * a1 / 2 - a1 * a2 / 6 - a2 * a2 / 105,
             3 * a1 * a2 + Fraction(47, 140) * (a2 * a2))
 

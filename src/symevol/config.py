@@ -193,13 +193,8 @@ def build_ensemble(cfg: dict, overrides: dict | None = None) -> EnsembleSpec:
     overrides = overrides or {}
     if "ensemble" not in cfg:
         raise ConfigError("missing [ensemble] section")
-    samplers = {}
-    for coord in ("q1", "v1", "q2", "v2"):
-        raw = cfg["ensemble"].get(coord)
-        if raw is None:
-            samplers[coord] = ("fixed", getattr(build_initial(cfg), coord))
-        else:
-            samplers[coord] = _split_sampler(coord, raw)
+    samplers = {coord: _split_sampler(coord, cfg["ensemble"][coord])
+                for coord in ("q1", "v1", "q2", "v2") if coord in cfg["ensemble"]}
     try:
         return EnsembleSpec(
             scenario=build_scenario(cfg, overrides),

@@ -199,7 +199,6 @@ _SAMPLERS = {
     "normal": (2, lambda rng, mean, sigma: rng.normal(mean, sigma), lambda mean, sigma: sigma),
 }
 _COORDS = ("q1", "v1", "q2", "v2")
-_FIXED_ZERO = ("fixed", 0.0)  # the sampler of a coordinate a spec leaves out
 _HISTOGRAM_BINS = 64  # uniform bins per velocity component in an ensemble report
 
 
@@ -220,8 +219,9 @@ class EnsembleSpec:
 
     ``samplers`` maps each coordinate (q1, v1, q2, v2) to a distribution
     tuple: ("fixed", value), ("uniform", lo, hi) or ("normal", mean, sigma),
-    with finite numbers, lo <= hi, a finite hi - lo and sigma >= 0; a
-    coordinate left out is ("fixed", 0.0).
+    with finite numbers, lo <= hi, a finite hi - lo and sigma >= 0. A
+    coordinate left out is fixed at its value in ``scenario.initial``; after
+    construction ``samplers`` holds all four.
     Sampling uses a counter-based generator keyed by (seed, particle index),
     so the draw for particle i never depends on the other particles. All
     particles' samples together, ``count * (t_end - t0) / sample_dt``, may
@@ -244,12 +244,15 @@ class EnsembleSpec:
         if self.count * samples > MAX_GRID_POINTS:
             raise ValueError(f"{self.count} particles of {samples:.6g} "
                              f"samples give over {MAX_GRID_POINTS} samples")
-        for coord in _COORDS:
-            spec = self.samplers.get(coord, _FIXED_ZERO)
+        initial = self.scenario.initial
+        samplers = {coord: self.samplers.get(coord, ("fixed", getattr(initial, coord)))
+                    for coord in _COORDS}
+        for coord, spec in samplers.items():
             if not _sampler_ok(spec):
                 raise ValueError(f"bad sampler spec {spec!r} for {coord} (want fixed V, "
                                  "uniform LO HI or normal MEAN SIGMA with finite numbers, "
                                  "LO <= HI, a finite HI - LO and SIGMA >= 0)")
+        object.__setattr__(self, "samplers", samplers)
 
 
 class EnsembleFailure(RuntimeError):
@@ -281,7 +284,7 @@ def _draw_initial(samplers: dict, seed: int, index: int) -> np.ndarray:
                                                             dtype=np.uint64)))
     out = np.empty(4)
     for k, coord in enumerate(_COORDS):
-        kind, *values = samplers.get(coord, _FIXED_ZERO)
+        kind, *values = samplers[coord]
         out[k] = _SAMPLERS[kind][1](rng, *values)
     return out
 
@@ -319,8 +322,8 @@ def run_ensemble(spec: EnsembleSpec) -> DistributionReport:
     v1 = good[:, :, 1]
     v2 = good[:, :, 3]
     e1, e2 = mode_actions(good, sc.params.omega)
-    edges_v1 = _velocity_edges(v1[:, 0], spec.samplers.get("v1", _FIXED_ZERO))
-    edges_v2 = _velocity_edges(v2[:, 0], spec.samplers.get("v2", _FIXED_ZERO))
+    edges_v1 = _velocity_edges(v1[:, 0], spec.samplers["v1"])
+    edges_v2 = _velocity_edges(v2[:, 0], spec.samplers["v2"])
     return DistributionReport(
         times=traj.times,
         mean_v1=v1.mean(axis=0),

@@ -35,7 +35,6 @@ __all__ = [
     "full_rhs",
     "Equations",
     "FULL_EQUATIONS",
-    "intermediate_rhs",
     "dissipative_rhs",
     "dissipative_to_cartesian",
     "cartesian_to_dissipative",
@@ -204,24 +203,12 @@ call on floats bit for bit.
 """)
 
 
-def intermediate_rhs(t, y, p: ModelParams):
-    """Full right-hand side with the symmetric (a1, a2) cubic terms removed.
-
-    The plane q1 = v1 = 0 is exactly invariant: the q2 mode survives as a
-    normal mode of this system. Takes and answers states as :func:`full_rhs`.
-    """
-    q1, v1, q2, v2 = y
-    al = alpha(p.delta * t, p.alpha_kind)
-    e = p.epsilon
-    dv1 = -q1 + e * al * 2.0 * p.a4 * q1 * q2
-    dv2 = -p.omega**2 * q2 + e * al * (p.a3 * q2 * q2 + p.a4 * q1 * q1)
-    return v1, dv1, v2, dv2
-
-
 def dissipative_rhs(t, y, p: ModelParams):
     """Autonomous damped form of the intermediate system, z = exp(-delta*t)*q.
 
-    Valid for the exponential decay law only; the homogeneity of the cubic
+    The intermediate system is :func:`full_rhs` at ``p.replace(a1=0.0,
+    a2=0.0)``: the symmetric cubic terms removed, so the plane q1 = v1 = 0
+    is invariant. Valid for the exponential decay law only; the homogeneity of the cubic
     terms turns the explicit time dependence into linear friction 2*delta:
 
         z1'' + z1         = -2*delta*z1' - delta^2*z1 + eps*2*a4*z1*z2

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .averaged import (_chi2_coeffs, _chi3_paper_coeffs, _is_exact, _phase_drifts_11,
+from .averaged import (_chi2_coeffs, _chi3_paper_coeffs, _exact_or_float, _phase_drifts_11,
                        avg11_cart, avg12_first_cart, avg12_second_cart, avg13_cart,
                        polar_to_slow_cart, slow_cart_amplitudes)
 from .integrate import IntegratorConfig, integrate
@@ -93,8 +93,8 @@ def locate_12_first(E0) -> ResonanceManifold:
     if E0 == 0:
         return ResonanceManifold("1:2 first order", False, None, (0.0, math.pi), 0, 1,
                                  r1_sq=0.0, r2_sq=0.0)
-    ratio = Fraction(8) if _is_exact(E0) else 8.0
-    r2_sq = E0 / 6
+    ratio, e0 = _exact_or_float(8, E0)
+    r2_sq = e0 / 6
     return ResonanceManifold("1:2 first order", True, ratio, (0.0, math.pi), 0, 1,
                              r1_sq=8 * r2_sq, r2_sq=r2_sq)
 
@@ -149,13 +149,17 @@ def _to_float(x) -> float:
     return f
 
 
-# Open intervals of the parameter p = a1/(3*a2) quoted from the 1:1
-# classification; endpoints are flagged "boundary".
-_Q1_UNSTABLE = ((Fraction(-1, 3), Fraction(2, 15)), (Fraction(1, 3), Fraction(2, 3)))
-_Q2_UNSTABLE = ((Fraction(-1, 3), Fraction(1, 3)),)
-_INPHASE_EXISTS_BELOW = Fraction(2, 3)
-_INPHASE_STABLE = ((Fraction(-1, 3), Fraction(2, 3)),)
-_OUTPHASE_EXISTS_BELOW = Fraction(2, 15)
+# The 1:1 classification in the parameter p = a1/(3*a2), one row per
+# solution: (mode, the p it exists below or None when it always exists, open
+# intervals of p, whether it is stable inside them or outside them). A
+# threshold and an interval end are flagged "boundary".
+_MODES_11 = (
+    ("q1-normal-mode", None,
+     ((Fraction(-1, 3), Fraction(2, 15)), (Fraction(1, 3), Fraction(2, 3))), False),
+    ("q2-normal-mode", None, ((Fraction(-1, 3), Fraction(1, 3)),), False),
+    ("in-phase", Fraction(2, 3), ((Fraction(-1, 3), Fraction(2, 3)),), True),
+    ("out-of-phase", Fraction(2, 15), (), False),
+)
 
 _BOUNDARY_TOL = 1e-9
 
@@ -180,60 +184,39 @@ def _interval_state(p, intervals):
 def classify_11(a1, a2) -> list[StabilityReport]:
     """Stability table of the symmetric 1:1 system at parameter p = a1/(3*a2).
 
-    Follows the classification of the averaged 1:1 flow: the q1 and q2
-    normal modes always exist; in-phase (chi = 0, pi) and out-of-phase
-    (chi = +-pi/2) periodic solutions exist only below parameter thresholds.
+    One report per row of :data:`_MODES_11`, the classification of the
+    averaged 1:1 flow: the q1 and q2 normal modes always exist; in-phase
+    (chi = 0, pi) and out-of-phase (chi = +-pi/2) periodic solutions exist
+    only below a threshold of p. p is exact for integer or Fraction
+    coefficients.
     """
     if a2 == 0:
         raise ValueError("classification undefined for a2 = 0 (parameter a1/(3*a2))")
-    if _is_exact(a1) and _is_exact(a2):
-        p = Fraction(a1, 3) / Fraction(a2)
-    else:
-        p = a1 / (3.0 * a2)
+    a1x, a2x = _exact_or_float(a1, a2)
+    p = a1x / (3 * a2x)
     a1f, a2f, pf = _to_float(a1), _to_float(a2), _to_float(p)
     reports = []
-
-    state = _interval_state(p, _Q1_UNSTABLE)
-    reports.append(StabilityReport("q1-normal-mode", True,
-                                   "boundary" if state == "boundary" else state == "outside",
-                                   pf, a1f, a2f))
-
-    state = _interval_state(p, _Q2_UNSTABLE)
-    reports.append(StabilityReport("q2-normal-mode", True,
-                                   "boundary" if state == "boundary" else state == "outside",
-                                   pf, a1f, a2f))
-
-    if _near(p, _INPHASE_EXISTS_BELOW):
-        reports.append(StabilityReport("in-phase", True, "boundary", pf, a1f, a2f))
-    elif float(p) < float(_INPHASE_EXISTS_BELOW):
-        state = _interval_state(p, _INPHASE_STABLE)
-        reports.append(StabilityReport("in-phase", True,
-                                       "boundary" if state == "boundary" else state == "inside",
-                                       pf, a1f, a2f))
-    else:
-        reports.append(StabilityReport("in-phase", False, None, pf, a1f, a2f))
-
-    if _near(p, _OUTPHASE_EXISTS_BELOW):
-        reports.append(StabilityReport("out-of-phase", True, "boundary", pf, a1f, a2f))
-    elif float(p) < float(_OUTPHASE_EXISTS_BELOW):
-        reports.append(StabilityReport("out-of-phase", True, True, pf, a1f, a2f))
-    else:
-        reports.append(StabilityReport("out-of-phase", False, None, pf, a1f, a2f))
+    for mode, exists_below, intervals, stable_inside in _MODES_11:
+        if exists_below is not None and _near(p, exists_below):
+            stable = "boundary"
+        elif exists_below is not None and not float(p) < float(exists_below):
+            stable = None
+        else:
+            state = _interval_state(p, intervals)
+            stable = "boundary" if state == "boundary" else (state == "inside") == stable_inside
+        reports.append(StabilityReport(mode, stable is not None, stable, pf, a1f, a2f))
     return reports
 
 
 def _orbit_ratio(params, cos2chi):
     """r1^2/r2^2 of the constant-amplitude symmetric 1:1 solutions at
-    cos(2*chi) = +-1: the zero of the chi drift, which is linear in
+    cos(2*chi) = +-1, or None: the zero of the chi drift, which is linear in
     (r1^2, r2^2), here without its factor eps^2."""
     def chi_drift(u, w):
         phi1, phi2, k = _phase_drifts_11(u, w, 0.0, params.a1, params.a2, params.a3, params.a4)
         return phi2 - phi1 + k * (w - u) * cos2chi
 
-    den = chi_drift(1.0, 0.0)
-    if den == 0.0:
-        return None
-    return -chi_drift(0.0, 1.0) / den
+    return _drift_zero(chi_drift(1.0, 0.0), chi_drift(0.0, 1.0))[0]
 
 
 def _integrate_avg11(y0_polar, params, horizon):
@@ -244,6 +227,7 @@ def _integrate_avg11(y0_polar, params, horizon):
 
 _GROWN = 30.0
 _BOUNDED = 10.0
+_PERTURBATION = 1e-3
 
 
 def _growth_verdict(growth, claim_stable):
@@ -262,19 +246,16 @@ def _growth_verdict(growth, claim_stable):
     return "indeterminate"
 
 
-def verify_stability_numerically(report: StabilityReport, E0: float, epsilon: float,
-                                 perturbation: float = 1e-3) -> str:
+def verify_stability_numerically(report: StabilityReport, E0: float, epsilon: float) -> str:
     """Cross-check a 1:1 stability claim by integrating the averaged flow.
 
-    Seeds the mode/orbit with a relative perturbation and follows the
-    symmetric averaged system over 50/(epsilon^2 * E0) time units; returns
-    "consistent", "inconsistent" or "indeterminate" (the latter also for
-    zero perturbation or boundary claims).
+    Seeds the mode/orbit with a relative perturbation of 1e-3 and follows
+    the symmetric averaged system over 50/(epsilon^2 * E0) time units;
+    returns "consistent", "inconsistent" or "indeterminate" (the latter also
+    for boundary claims).
     """
-    if perturbation == 0.0:
-        return "indeterminate"
-    if perturbation < 0.0 or E0 <= 0.0:
-        raise ValueError("need E0 > 0 and perturbation >= 0")
+    if E0 <= 0.0:
+        raise ValueError("need E0 > 0")
     params = ModelParams(report.a1, report.a2, 0.0, 0.0, omega=1.0,
                          epsilon=epsilon, n=2)
     radius = math.sqrt(2.0 * E0)
@@ -282,7 +263,7 @@ def verify_stability_numerically(report: StabilityReport, E0: float, epsilon: fl
     chi0 = 0.7  # generic angle, away from the sin(2*chi) zeros
 
     if report.mode in ("q1-normal-mode", "q2-normal-mode"):
-        seed = perturbation * radius
+        seed = _PERTURBATION * radius
         big = math.sqrt(2.0 * E0 - seed * seed)
         if report.mode == "q1-normal-mode":
             y0 = np.array([big, chi0, seed, 0.0, 0.0])
@@ -303,9 +284,9 @@ def verify_stability_numerically(report: StabilityReport, E0: float, epsilon: fl
         return "inconsistent"
     r2_star = math.sqrt(2.0 * E0 / (1.0 + ratio))
     r1_star = math.sqrt(2.0 * E0 * ratio / (1.0 + ratio))
-    r1 = r1_star * (1.0 + perturbation)
+    r1 = r1_star * (1.0 + _PERTURBATION)
     r2 = math.sqrt(max(2.0 * E0 - r1 * r1, 1e-12 * E0))
-    y0 = np.array([r1, chi_star + perturbation, r2, 0.0, 0.0])
+    y0 = np.array([r1, chi_star + _PERTURBATION, r2, 0.0, 0.0])
     x1, y1, x2, y2 = _integrate_avg11(y0, params, horizon).states[:, :4].T
     dr = (np.hypot(x1, y1) - r1_star) / radius
     # chi = psi1 - psi2 is the angle of A1*conj(A2)

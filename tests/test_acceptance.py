@@ -20,8 +20,7 @@ from symevol.experiments import polar_amplitude_series, run_scenario, stabilizat
 from symevol.integrate import IntegratorConfig, integrate, order_check
 from symevol.model import (CartesianState, ModelParams,
                            cartesian_to_dissipative, dissipative_rhs,
-                           dissipative_to_cartesian, eval_hamiltonian, full_rhs,
-                           intermediate_rhs)
+                           dissipative_to_cartesian, eval_hamiltonian, full_rhs)
 from symevol.resonance import (classify_11, locate_12_second, locate_13,
                                verify_stability_numerically)
 from symevol.transforms import mode_actions
@@ -252,7 +251,8 @@ def test_criterion_10_infrastructure(tmp_path):
 
     pz = fig_params(2)
     cfg_z = IntegratorConfig(t_end=200.0, sample_dt=1.0, rtol=1e-10, atol=1e-12)
-    direct = integrate(lambda t, y: intermediate_rhs(t, y, pz), y0s, cfg_z)
+    p_int = pz.replace(a1=0.0, a2=0.0)  # the intermediate system
+    direct = integrate(lambda t, y: full_rhs(t, y, p_int), y0s, cfg_z)
     z0 = cartesian_to_dissipative(0.0, y0s, pz.delta)
     damped = integrate(lambda t, y: dissipative_rhs(t, y, pz), z0, cfg_z)
     zerr = float(np.max(np.abs(dissipative_to_cartesian(damped.times, damped.states,

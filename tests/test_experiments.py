@@ -329,6 +329,15 @@ def test_ensemble_degenerate_sampler_zero_dispersion():
     assert np.all(rep.disp_v2 == 0.0)
 
 
+def test_ensemble_spec_fixes_left_out_coordinates_at_the_initial_state():
+    # only v1 is sampled: q1, q2 and v2 stay at the fig1 state (0, 0, 0.5)
+    spec = _small_ensemble(count=4, horizon=1.0, samplers={"v1": ("normal", 0.5, 0.05)})
+    assert spec.samplers == {"q1": ("fixed", 0.0), "v1": ("normal", 0.5, 0.05),
+                             "q2": ("fixed", 0.0), "v2": ("fixed", 0.5)}
+    rep = run_ensemble(spec)
+    assert rep.mean_v2[0] == 0.5 and rep.disp_v2[0] == 0.0
+
+
 def _assert_same_report(a, b):
     for name, value in vars(a).items():
         other = getattr(b, name)

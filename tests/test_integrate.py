@@ -199,11 +199,23 @@ def _fig1_batch(t0=0.0):
     return (lambda t, y: full_rhs(t, y, p)), y0, cfg
 
 
+def _decay_batch(d):
+    """y' = -r*y in d components, rates r spread over [0.5, 1.5]."""
+    rates = np.linspace(0.5, 1.5, d).tolist()
+    y0 = np.array([np.ones(d), np.linspace(1.0, 0.5, d)])
+    cfg = IntegratorConfig(t_end=2.0, sample_dt=0.1)
+    return (lambda t, y: [-r * v for r, v in zip(rates, y)]), y0, cfg
+
+
 def test_batched_rows_match_scalar_integrate():
     # a single run is its batch row byte for byte: samples, counts and, for a
-    # row that fails, the message; a batch of one row included
+    # row that fails, the message; a batch of one row included. The single
+    # run's step writes a sum of over 64 terms as several statements: its
+    # finiteness sum (2*d terms) from d = 33 on, its error sum from d = 65 on.
     fig1 = _fig1_batch()
-    cases = [fig1, _escaping_batch(), (fig1[0], fig1[1][2:3], fig1[2]), _fig1_batch(t0=3.7)]
+    decays = [_decay_batch(d) for d in (33, 70)]
+    cases = [fig1, _escaping_batch(), (fig1[0], fig1[1][2:3], fig1[2]), _fig1_batch(t0=3.7),
+             *decays]
     failed = 0
     for rhs, y0, cfg in cases:
         batch = integrate(rhs, y0, cfg)
@@ -224,6 +236,11 @@ def test_batched_rows_match_scalar_integrate():
         for key in STAT_KEYS:
             assert batch.stats[key] == batch.stats[f"row_{key}"].sum()
     assert failed >= 2
+    for rhs, y0, cfg in decays:
+        batch = integrate(rhs, y0, cfg)
+        rates = np.linspace(0.5, 1.5, y0.shape[1])
+        exact = y0[:, None, :] * np.exp(-np.outer(batch.times, rates))
+        assert np.max(np.abs(batch.states - exact)) < 1e-8
 
 
 def test_batched_failures_match_scalar_integrate():

@@ -46,6 +46,17 @@ def test_locate_12_first_energy_surface():
     assert m.size_order == 0 and m.timescale_order == 1
 
 
+def test_locate_12_first_exact_or_float():
+    # an int or Fraction E0 gives every value exactly, a float E0 every value as a float
+    m = locate_12_first(1)
+    assert (m.amplitude_ratio, m.r1_sq, m.r2_sq) == (Fraction(8), Fraction(4, 3), Fraction(1, 6))
+    assert all(type(v) is Fraction for v in (m.amplitude_ratio, m.r1_sq, m.r2_sq))
+    assert locate_12_first(Fraction(1, 4)).r2_sq == Fraction(1, 24)
+    m = locate_12_first(1.0)
+    assert all(type(v) is float for v in (m.amplitude_ratio, m.r1_sq, m.r2_sq))
+    assert (m.amplitude_ratio, m.r2_sq) == (8.0, 1.0 / 6)
+
+
 def test_locate_12_first_empty_and_invalid():
     assert not locate_12_first(0.0).exists
     with pytest.raises(ValueError):
@@ -152,9 +163,3 @@ def test_verify_q1_mode_unstable_at_zero():
 def test_verify_in_phase_stable_at_zero():
     report = [r for r in classify_11(0.0, 1.0) if r.mode == "in-phase"][0]
     assert verify_stability_numerically(report, E0=1.0, epsilon=0.1) == "consistent"
-
-
-def test_verify_zero_perturbation_is_indeterminate():
-    report = classify_11(0.0, 1.0)[0]
-    assert verify_stability_numerically(report, E0=1.0, epsilon=0.1,
-                                        perturbation=0.0) == "indeterminate"

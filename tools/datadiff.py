@@ -112,6 +112,11 @@ COMMANDS = {
     "ensemble-seed8": ["ensemble", "ens.ini", "--seed", "8"],
     "ensemble-polynomial": ["ensemble", "ens-poly.ini", "--seed", "0"],
     "resonance-1": ["resonance", "--omega", "1"],
+    # the 1:1 classification on each threshold of p = a1/(3*a2) (-1/3 twice,
+    # 2/15, 2/3) and between them
+    **{f"resonance-1-a1={a1},a2={a2}": ["resonance", "--omega", "1", f"--a1={a1}", f"--a2={a2}"]
+       for a1, a2 in (("-1", "1"), ("2", "5"), ("2", "1"), ("1", "-1"), ("0", "1"),
+                      ("3", "5"), ("3", "2"), ("3", "1"), ("-3", "1"))},
     "resonance-2": ["resonance", "--omega", "2"],
     "resonance-3": ["resonance", "--omega", "3"],
     "order-check": ["order-check"],
