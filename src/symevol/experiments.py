@@ -80,10 +80,10 @@ def phase_series(traj: Trajectory, omega: float):
 def full_field(p: ModelParams):
     """The full system at p as :func:`integrate` takes it.
 
-    The model's own ``full_rhs`` comes with its equations, which a single run
-    writes into its step. A ``full_rhs`` rebound in this module (a tracer's
-    counter, a test's spy) is looked up at call time and called at every
-    stage, so it sees every evaluation.
+    The model's own ``full_rhs`` comes with its equations, which single runs
+    and batches write into their steps. A ``full_rhs`` rebound in this module
+    (a tracer's counter, a test's spy) is looked up at call time and called
+    at every stage, so it sees every evaluation.
     """
     rhs = lambda t, y: full_rhs(t, y, p)  # noqa: E731
     if full_rhs is not model.full_rhs:
@@ -305,7 +305,7 @@ def run_ensemble(spec: EnsembleSpec) -> DistributionReport:
     sc = spec.scenario
     p = sc.params
     y0 = np.array([_draw_initial(spec.samplers, spec.seed, i) for i in range(spec.count)])
-    traj = integrate(lambda t, y: full_rhs(t, y, p), y0, sc.integrator)
+    traj = integrate(full_field(p), y0, sc.integrator)
     failures = traj.stats["failures"]
     ok = np.ones(spec.count, dtype=bool)
     ok[[i for i, _ in failures]] = False

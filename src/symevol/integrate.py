@@ -5,17 +5,19 @@ a state as a tuple of its d components and answers with a sequence of d
 components. A component is a float in a single run, and an array with one
 entry per running row in a batch. One single-row loop runs both methods
 over Python floats, through one generated straight-line step per tableau
-record and state dimension. Given an :class:`InlineRhs`, a right-hand side
-with its source text, that step writes the field's equations in place of
-the call at every stage, with the same bits; the full model's single runs
-come that way (``experiments.full_field``), every other field is called.
-An adaptive record also integrates a batch of independent initial states at
-once (``y0`` of shape (N, d)), holding the rows as columns of a (d, n)
-array; every row keeps its own time and step size, and the step is
-generated from the same record, one statement per stage, which calls the
-right-hand side once for all rows. Both steps write every sum through one
-emitter, test finiteness on the new state and the last stage, take the step
-factor from libm's pow and share the controller, so a batch row equals the
+record and state dimension. An adaptive record also integrates a batch of
+independent initial states at once (``y0`` of shape (N, d)), holding the
+rows as columns of a (d, n) array; every row keeps its own time and step
+size, and the step is generated from the same record, one statement per
+stage sum. Given an :class:`InlineRhs`, a right-hand side with its source
+text, both steps write the field's equations in place of the call at every
+stage, with the same bits, and evaluate the statements that read only the
+time once per stage time (a single run) or once per step, over every stage
+time at once (a batch); the full model comes that way
+(``experiments.full_field``), every other field is called, in a batch once
+per stage for all rows. Both steps write every sum through one emitter,
+test finiteness on the new state and the last stage, take the step factor
+from libm's pow and share the controller, so a batch row equals the
 single-row run byte for byte. The single-row loop makes no numpy call per
 step.
 
@@ -24,8 +26,9 @@ accepted steps, so the returned sample times are exactly the requested grid
 and never constrain the step-size control: over floats, through one
 generated straight-line fill per state dimension, in a single run, called
 only on a step that holds a sample, and by one numpy kernel in a batch,
-with the same bits. Integrations are deterministic: identical inputs
-produce bit-identical trajectories on one platform.
+called on blocks of steps, with the same bits. Integrations are
+deterministic: identical inputs produce bit-identical trajectories on one
+platform.
 """
 
 from __future__ import annotations
@@ -274,7 +277,7 @@ def integrate(rhs, y0, config: IntegratorConfig) -> Trajectory:
     of their times, and the answer must have shape (d, n). ``rhs`` must treat
     rows independently. An answer of another length or shape raises
     ValueError before any sample is written. An :class:`InlineRhs` is called
-    like its callable, except that a single run writes its equations into the
+    like its callable, except that both loops write its equations into the
     step's stages, with the same bits and ``rhs_evals``.
 
     A single run raises :class:`IntegrationError` on step-size underflow or
@@ -409,19 +412,21 @@ def _sum_source(name, terms) -> list:
 
 
 class InlineRhs(NamedTuple):
-    """A right-hand side with its source text, which a single run writes into
-    its step at every stage in place of a call.
+    """A right-hand side with its source text, which the generated steps write
+    in place of a call at every stage.
 
-    ``call(t, y)`` is the right-hand side itself; the first slope and the
-    batched loop call it, and so does calling the record. ``equations`` is its
-    source, as :class:`symevol.model.Equations`: straight-line ``body``
-    statements that, at the time ``t`` with the state components in the names
-    ``state``, assign their rates to the names ``rates``. ``bindings`` holds
-    every other name the body reads. Apart from the state, the rates and
-    ``t``, the body's names share the step's namespace, so they must differ
-    from the step's own: ``rhs``, ``h``, ``y``, ``f``, ``rtol``, ``atol``,
-    ``total``, ``finite``, ``sq``, ``err_norm``, ``isfinite``, ``sqrt`` and
-    the names ``y<j>``, ``z<j>``, ``x<j>`` and ``k<s>_<j>``.
+    ``call(t, y)`` is the right-hand side itself; the first slope calls it,
+    and so does calling the record. ``equations`` is its source, as
+    :class:`symevol.model.Equations`: straight-line ``body`` statements that,
+    at the time ``t`` with the state components in the names ``state``,
+    assign their rates to the names ``rates``, each name once. ``bindings``
+    holds every other name the body reads. Apart from the state, the rates
+    and ``t``, the body's names share the step's namespace, so they must
+    differ from the steps' own: ``rhs``, ``h``, ``y``, ``f``, ``z``,
+    ``rtol``, ``atol``, ``total``, ``finite``, ``sq``, ``x``, ``err_norm``,
+    ``times``, ``nodes``, ``isfinite``, ``sqrt``, ``maximum``,
+    ``empty_like``, ``row_rms``, ``columns`` and the names ``y<j>``,
+    ``z<j>``, ``x<j>``, ``k<s>`` and ``k<s>_<j>``.
     """
 
     call: object
@@ -445,13 +450,27 @@ def _step_function(method: str, d: int, rhs):
 _IDENTIFIER = re.compile(r"\b[A-Za-z_]\w*")
 
 
-def _inline_stage(equations, time, inputs, outputs) -> list:
-    """The statements of ``equations.body`` with the state names replaced by
-    ``inputs``, the rates by ``outputs`` and ``t`` by the expression ``time``."""
-    rename = {"t": f"({time})", **dict(zip(equations.state, inputs)),
-              **dict(zip(equations.rates, outputs))}
+def _split_body(equations):
+    """The statements of ``equations.body`` that read ``t`` and no state
+    name, directly or through an earlier statement, the rest, each in body
+    order, and the names the first part assigns. The first part is the same
+    at every stage of one stage time."""
+    timed, rest = [], []
+    t_names, state_names = {"t"}, set(equations.state)
+    for statement in equations.body:
+        target, expression = statement.split("=", 1)
+        reads = set(_IDENTIFIER.findall(expression))
+        part, names = ((timed, t_names) if reads & t_names and not reads & state_names
+                       else (rest, state_names))
+        part.append(statement)
+        names.update(_IDENTIFIER.findall(target))
+    return timed, rest, t_names - {"t"}
+
+
+def _inline(statements, rename) -> list:
+    """``statements`` as lines of a step, every name in ``rename`` replaced."""
     return ["    " + _IDENTIFIER.sub(lambda m: rename.get(m[0], m[0]), statement)
-            for statement in equations.body]
+            for statement in statements]
 
 
 @functools.cache
@@ -462,14 +481,17 @@ def _step_code(method: str, d: int, equations):
     ``y`` and its slope ``f`` as sequences of d floats and returns the new
     state, the slope there (the last stage), whether every stage and the new
     state are finite, and the error norm (0.0 for a fixed-step record). Its
-    sums are those of :func:`_rows_step_function`, so a single run equals its
+    sums are those of :func:`_rows_step_code`, so a single run equals its
     batch row bit for bit.
 
     Each stage calls ``rhs`` or, given the source ``equations`` of an
     :class:`InlineRhs`, evaluates its body in place: the same operations
     without the call, the tuples and the parameter loads, so both give the
-    same bits. The code depends on the source only, never on the values bound
-    to its names, so there is one entry per method, dimension and source.
+    same bits. The statements that read only the time and the parameters
+    (:func:`_split_body`) run once per stage time: a stage at the time of
+    the stage before reuses their values. The code depends on the source
+    only, never on the values bound to its names, so there is one entry per
+    method, dimension and source.
 
     Finiteness is tested on the new state and the last stage only. The new
     state's sum takes every other stage with its weight, zero weights
@@ -485,16 +507,20 @@ def _step_code(method: str, d: int, equations):
     lines = ["def step(rhs, t, h, y, f, rtol, atol):",
              f"    {names('y')}= y",
              f"    {names('k0_')}= f"]
+    if equations is not None:
+        timed, rest, _ = _split_body(equations)
     for s, a_s in enumerate(a, 1):
         for j in comps:
             lines.append(f"    z{j} = y{j} + h * "
                          + _weighted_source(a_s, [f"k{r}_{j}" for r in range(s)]))
-        time = f"t + {float(c[s])!r} * h"
+        time = f"(t + {float(c[s])!r} * h)"
         if equations is None:
             lines.append(f"    {names(f'k{s}_')}= rhs({time}, ({names('z')}))")
-        else:
-            lines += _inline_stage(equations, time, [f"z{j}" for j in comps],
-                                   [f"k{s}_{j}" for j in comps])
+            continue
+        if s == 1 or c[s] != c[s - 1]:
+            lines += _inline(timed, {"t": time})
+        lines += _inline(rest, {"t": time, **{x: f"z{j}" for j, x in enumerate(equations.state)},
+                                **{x: f"k{s}_{j}" for j, x in enumerate(equations.rates)}})
     # the last stage input is the solution (first same as last); a finite
     # sum proves every value finite, and only a non-finite one is looked into
     values = [f"k{len(a)}_{j}" for j in comps] + [f"z{j}" for j in comps]
@@ -512,45 +538,78 @@ def _step_code(method: str, d: int, equations):
     return compile("\n".join(lines), f"<{method} step>", "exec")
 
 
+def _rows_step_function(method: str, rhs):
+    """The batched step of ``rhs``: :func:`_rows_step_code` run in a namespace
+    that binds the names of ``rhs``'s source when it is an :class:`InlineRhs`."""
+    inline = isinstance(rhs, InlineRhs)
+    namespace = {"columns": _columns, "isfinite": np.isfinite, "maximum": np.maximum,
+                 "empty_like": np.empty_like, "row_rms": _row_rms,
+                 "nodes": _METHODS[method].c[1:, None], **(rhs.bindings if inline else {})}
+    exec(_rows_step_code(method, rhs.equations if inline else None), namespace)
+    return namespace["step"]
+
+
 @functools.cache
-def _rows_step_function(method: str):
-    """:func:`_step_code` of an adaptive record over a batch, calling ``rhs``
-    at every stage: ``y`` and ``f`` are (d, n) arrays, a column per row, ``t``
-    and ``h`` (n,) arrays. One statement per stage, with the float step's
-    sums; every stage answer passes :func:`_columns`. ``finite`` and the error
-    norm are per row."""
+def _rows_step_code(method: str, equations):
+    """:func:`_step_code` of an adaptive record over a batch: ``y`` and ``f``
+    are (d, n) arrays, a column per row, ``t`` and ``h`` (n,) arrays. One
+    statement per stage sum, with the float step's sums; ``finite`` and the
+    error norm are per row.
+
+    Each stage calls ``rhs``, and its answer passes :func:`_columns`, or,
+    given the source ``equations`` of an :class:`InlineRhs`, evaluates its
+    body in place. The statements that read only the time and the parameters
+    (:func:`_split_body`) then run once per step, over the (stages, n) array
+    ``times`` of every stage time, and stage s reads row s - 1 of their
+    values; the arithmetic is elementwise, so the bits are those of a call
+    per stage."""
     c, a, e = _METHODS[method]
     lines = ["def step(rhs, t, h, y, f, rtol, atol):",
              "    k0 = f"]
+    if equations is not None:
+        timed, rest, shared = _split_body(equations)
+        lines += ["    times = t + nodes * h", *_inline(timed, {"t": "times"})]
     for s, a_s in enumerate(a, 1):
-        lines += [f"    z = y + h * {_weighted_source(a_s, [f'k{r}' for r in range(s)])}",
-                  f"    k{s} = columns(rhs(t + {float(c[s])!r} * h, tuple(z)), y.shape)"]
+        lines.append(f"    z = y + h * {_weighted_source(a_s, [f'k{r}' for r in range(s)])}")
+        if equations is None:
+            lines.append(f"    k{s} = columns(rhs(t + {float(c[s])!r} * h, tuple(z)), y.shape)")
+            continue
+        rename = {"t": f"times[{s - 1}]", **{x: f"{x}[{s - 1}]" for x in shared},
+                  **{x: f"z{j}" for j, x in enumerate(equations.state)},
+                  **{x: f"k{s}[{j}]" for j, x in enumerate(equations.rates)}}
+        lines += [f"    {''.join(f'z{j}, ' for j in range(len(equations.state)))}= z",
+                  f"    k{s} = empty_like(y)", *_inline(rest, rename)]
     lines += [f"    finite = isfinite(z).all(axis=0) & isfinite(k{len(a)}).all(axis=0)",
               f"    x = h * {_weighted_source(e, [f'k{r}' for r in range(len(c))])}"
               " / (atol + rtol * maximum(abs(y), abs(z)))",
               f"    return z, k{len(a)}, finite, row_rms(x)"]
-    namespace = {"columns": _columns, "isfinite": np.isfinite, "maximum": np.maximum,
-                 "row_rms": _row_rms}
-    exec("\n".join(lines), namespace)
-    return namespace["step"]
+    return compile("\n".join(lines), f"<{method} batch step>", "exec")
 
 
-def _hermite_fill_rows(out, rows, ts, idx, t0, h, y0, y1, f0, f1, t1, mask):
-    """Vectorized :func:`_hermite_fill` over the rows selected by ``mask``:
+# Most row-steps the batched loop holds before it fills their samples, so that
+# the memory the fill holds is bounded whatever the row count and horizon.
+_FILL_BLOCK = 4096
+
+
+def _hermite_fill_rows(out, ts, block):
+    """Vectorized :func:`_hermite_fill` over a block of batched steps. Each
+    entry is ``(rows, idx, stop, t0, h, y0, y1, f0, f1, ok)`` of one step:
     batch row i, the column i of the (d, n) states and slopes, writes
-    ``out[rows[i]]`` at its samples on (t0[i], t1[i]]. Returns the next
-    sample index of every row."""
-    stop = np.searchsorted(ts, t1 + 1e-14 * np.maximum(1.0, np.abs(t1)), side="right")
-    counts = np.where(mask, stop - idx, 0)
+    ``out[rows[i]]`` at its samples ``idx[i]`` up to ``stop[i]`` (those on
+    (t0[i], t0[i] + h[i]]) when ``ok[i]``."""
+    rows, idx, stop, t0, h, ok = (np.concatenate([entry[i] for entry in block])
+                                  for i in (0, 1, 2, 3, 4, 9))
+    y0, y1, f0, f1 = (np.concatenate([entry[i] for entry in block], axis=1).T
+                      for i in (5, 6, 7, 8))
+    counts = np.where(ok, stop - idx, 0)
     total = int(counts.sum())
     if total:
         pair = np.repeat(np.arange(len(idx)), counts)
         first = np.cumsum(counts) - counts
         sample = idx[pair] + np.arange(total) - first[pair]
         hp = h[pair]
-        out[rows[pair], sample] = _hermite((ts[sample] - t0[pair]) / hp, hp, y0.T[pair],
-                                           y1.T[pair], f0.T[pair], f1.T[pair])
-    return np.where(mask, stop, idx)
+        out[rows[pair], sample] = _hermite((ts[sample] - t0[pair]) / hp, hp, y0[pair],
+                                           y1[pair], f0[pair], f1[pair])
 
 
 def _columns(answer, shape):
@@ -563,7 +622,7 @@ def _columns(answer, shape):
 
 def _run_rows(rhs, y0, config, ts, out):
     a = _METHODS[config.method].a
-    step = _rows_step_function(config.method)
+    step = _rows_step_function(config.method, rhs)
     t0, t_end = config.t0, config.t_end
     rtol, atol = config.rtol, config.atol
     span = t_end - t0
@@ -571,7 +630,6 @@ def _run_rows(rhs, y0, config, ts, out):
     accepted = np.zeros(n_rows, dtype=np.int64)
     rejected_error = np.zeros(n_rows, dtype=np.int64)
     rejected_nonfinite = np.zeros(n_rows, dtype=np.int64)
-    evals = np.ones(n_rows, dtype=np.int64)
     failures = []
     # live rows only, one column each, compressed whenever rows finish or fail
     rows = np.arange(n_rows)
@@ -579,6 +637,9 @@ def _run_rows(rhs, y0, config, ts, out):
     y = y0.T.copy()
     idx = np.ones(n_rows, dtype=np.intp)
     streak = np.zeros(n_rows, dtype=np.int64)
+    # the steps whose samples are not filled yet: no array they hold is
+    # written in place afterwards, so they are held without a copy
+    block, held = [], 0
     with np.errstate(all="ignore"):
         f = _columns(rhs(t, tuple(y)), y.shape)
         h = _initial_step(y, f, rtol, atol, span)
@@ -586,23 +647,33 @@ def _run_rows(rhs, y0, config, ts, out):
             clamped = h >= t_end - t
             h = np.where(clamped, t_end - t, h)
             y_new, f_new, finite, err_norm = step(rhs, t, h, y, f, rtol, atol)
-            evals[rows] += len(a)
             ok = finite & (err_norm <= 1.0)
             factor = _SAFETY * _error_power(err_norm)
             grow = np.where(err_norm == 0.0, _MAX_FACTOR,
                             np.minimum(_MAX_FACTOR, np.maximum(_MIN_FACTOR, factor)))
             t_new = np.where(clamped, t_end, t + h)
-            idx = _hermite_fill_rows(out, rows, ts, idx, t, h, y, y_new, f, f_new, t_new, ok)
+            stop = np.searchsorted(ts, t_new + 1e-14 * np.maximum(1.0, np.abs(t_new)),
+                                   side="right")
+            block.append((rows, idx, stop, t, h, y, y_new, f, f_new, ok))
+            held += rows.size
+            if held >= _FILL_BLOCK:
+                _hermite_fill_rows(out, ts, block)
+                block, held = [], 0
             accepted[rows] += ok
-            if not ok.all():
+            if ok.all():
+                h = np.minimum(h * grow, span)
+                t, y, f, idx = t_new, y_new, f_new, stop
+                streak.fill(0)
+            else:
                 rejected_error[rows] += finite & ~ok
                 rejected_nonfinite[rows] += ~finite
-            h = np.where(ok, np.minimum(h * grow, span),
-                         np.where(finite, h * np.maximum(_MIN_FACTOR, factor), h * 0.25))
-            t = np.where(ok, t_new, t)
-            y = np.where(ok, y_new, y)
-            f = np.where(ok, f_new, f)
-            streak = np.where(finite, 0, streak + 1)
+                h = np.where(ok, np.minimum(h * grow, span),
+                             np.where(finite, h * np.maximum(_MIN_FACTOR, factor), h * 0.25))
+                t = np.where(ok, t_new, t)
+                y = np.where(ok, y_new, y)
+                f = np.where(ok, f_new, f)
+                idx = np.where(ok, stop, idx)
+                streak = np.where(finite, 0, streak + 1)
             failed = _stops(t, h, streak, t_end)
             for i in np.flatnonzero(failed).tolist():
                 message = _STOP[bool(streak[i])][0]
@@ -611,7 +682,10 @@ def _run_rows(rhs, y0, config, ts, out):
             if not live.all():
                 rows, t, h, idx, streak = (v[live] for v in (rows, t, h, idx, streak))
                 y, f = y[:, live], f[:, live]
+        if block:
+            _hermite_fill_rows(out, ts, block)
     rejected = rejected_error + rejected_nonfinite
+    evals = 1 + len(a) * (accepted + rejected)
     return {"accepted": int(accepted.sum()), "rejected": int(rejected.sum()),
             "rejected_error": int(rejected_error.sum()),
             "rejected_nonfinite": int(rejected_nonfinite.sum()),

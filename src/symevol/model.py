@@ -144,10 +144,11 @@ def eval_hamiltonian(t, y, p: ModelParams):
 class Equations(NamedTuple):
     """A vector field written once, as straight-line source text.
 
-    ``body`` is a sequence of assignments. With the time in ``t`` and the state
-    components in the names ``state``, they assign the rates of the components
-    to the names ``rates``. Besides their own results they read the fields
-    ``params`` of :class:`ModelParams` and the decay factor :func:`alpha`.
+    ``body`` is a sequence of assignments, each to a name no other assigns.
+    With the time in ``t`` and the state components in the names ``state``,
+    they assign the rates of the components to the names ``rates``. Besides
+    their own results they read the fields ``params`` of :class:`ModelParams`
+    and the decay factor :func:`alpha`.
     """
 
     state: tuple

@@ -252,10 +252,12 @@ def verify_stability_numerically(report: StabilityReport, E0: float, epsilon: fl
     Seeds the mode/orbit with a relative perturbation of 1e-3 and follows
     the symmetric averaged system over 50/(epsilon^2 * E0) time units;
     returns "consistent", "inconsistent" or "indeterminate" (the latter also
-    for boundary claims).
+    for boundary claims). E0 and epsilon must be positive, else ValueError.
     """
     if E0 <= 0.0:
         raise ValueError("need E0 > 0")
+    if epsilon <= 0.0:
+        raise ValueError("need epsilon > 0")
     params = ModelParams(report.a1, report.a2, 0.0, 0.0, omega=1.0,
                          epsilon=epsilon, n=2)
     radius = math.sqrt(2.0 * E0)

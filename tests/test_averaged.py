@@ -412,7 +412,8 @@ def test_slow_cart_chart_consistent_with_polar(params12, p11, p13, rng):
 
 def test_slow_cart_fields_reject_batch_columns(params12, p11, p13, monkeypatch):
     # the fields take five floats: a batched run stops at its first rhs call
-    # with one ValueError, before any sample is written
+    # with one ValueError, before any sample is written (the batch writes its
+    # samples through _hermite_fill_rows, as the valid run at the end shows)
     integrate_module = importlib.import_module("symevol.integrate")
     fills = []
     monkeypatch.setattr(integrate_module, "_hermite_fill_rows", lambda *args: fills.append(args))
@@ -424,6 +425,8 @@ def test_slow_cart_fields_reject_batch_columns(params12, p11, p13, monkeypatch):
         with pytest.raises(ValueError, match="take a state of five floats"):
             integrate(lambda t, y: rhs_cart(t, y, p), y0, cfg)
     assert fills == []
+    integrate(lambda t, y: [-v for v in y], y0, cfg)
+    assert len(fills) == 1
 
 
 def test_slow_cart_chart_crosses_normal_mode(params12):

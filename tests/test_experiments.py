@@ -33,10 +33,10 @@ def _called(p):
 @pytest.mark.parametrize("kind", ALPHA_KINDS)
 @pytest.mark.parametrize("name", ["fig1", "fig2"])
 def test_inlined_stage_equals_the_called_field(name, kind):
-    # run_scenario writes the model's equations into its step; calling
-    # full_rhs at every stage gives the same bits and counts: from the
-    # preset's start, from t0 = 2.5 and with negative coefficients, for rk45
-    # runs and for the rk4 runs of an order check
+    # run_scenario writes the model's equations into its step, and so does a
+    # batch; calling full_rhs at every stage gives the same bits and counts:
+    # from the preset's start, from t0 = 2.5 and with negative coefficients,
+    # for rk45 runs, batches and the rk4 runs of an order check
     base = build_scenario(load_config(preset_path(name)), {"horizon": 20.0})
     p = base.params.replace(alpha_kind=kind)
     for params, initial in ((p, base.initial), (p, dataclasses.replace(base.initial, t=2.5)),
@@ -47,6 +47,14 @@ def test_inlined_stage_equals_the_called_field(name, kind):
         called = integrate(_called(params), initial.as_array(), sc.integrator)
         assert np.array_equal(inlined.states, called.states)
         assert inlined.stats == called.stats and inlined.stats["accepted"] > 500
+        rows = initial.as_array() + np.array([[0.0] * 4, [0.05, -0.1, 0.1, 0.0],
+                                              [-0.1, 0.2, 0.0, -0.3]])
+        inlined = integrate(full_field(params), rows, sc.integrator)
+        called = integrate(_called(params), rows, sc.integrator)
+        assert np.array_equal(inlined.states, called.states)
+        assert inlined.stats.keys() == called.stats.keys()
+        for key, value in inlined.stats.items():
+            assert np.array_equal(value, called.stats[key])
     y0, steps = base.initial.as_array(), [0.2, 0.1, 0.05]
     assert order_check(full_field(p), y0, 0.0, 5.0, steps) == order_check(_called(p), y0, 0.0,
                                                                            5.0, steps)
@@ -62,10 +70,13 @@ def test_inlined_stage_rejects_negative_slow_time(kind):
     with pytest.raises(ValueError, match="slow time tau must be >= 0"):
         integrate(_called(p), start.as_array(), sc.integrator)
     # the inlined stage takes alpha itself: past a first slope that does
-    # not, the first stage raises
-    stub = full_field(p)._replace(call=lambda t, y: (0.0,) * 4)
-    with pytest.raises(ValueError, match="slow time tau must be >= 0"):
-        integrate(stub, start.as_array(), sc.integrator)
+    # not, the first stage raises, and in a batch the first step, which
+    # takes alpha at every stage time at once
+    stub = full_field(p)._replace(call=lambda t, y: [0.0 * v for v in y])
+    rows = np.array([start.as_array(), start.as_array() + 0.1])
+    for y0 in (start.as_array(), rows):
+        with pytest.raises(ValueError, match="slow time tau must be >= 0"):
+            integrate(stub, y0, sc.integrator)
 
 
 def test_rebound_full_rhs_is_called_at_every_stage(monkeypatch):
@@ -74,6 +85,8 @@ def test_rebound_full_rhs_is_called_at_every_stage(monkeypatch):
     p, initial = fig_params(2), fig_initial_state()
     sc = _scenario(p, initial, 20.0)
     inlined, compared = run_scenario(sc), compare_full_vs_averaged(p, initial)
+    spec = _small_ensemble(count=5)
+    ensemble = run_ensemble(spec)
     calls = []
 
     def spy(t, y, params):
@@ -87,6 +100,45 @@ def test_rebound_full_rhs_is_called_at_every_stage(monkeypatch):
     assert np.array_equal(traj.states, inlined.states) and traj.stats == inlined.stats
     before = len(calls)
     assert compare_full_vs_averaged(p, initial) == compared and len(calls) > before
+    # a batch calls it once per stage for all running rows
+    before = len(calls)
+    _assert_same_report(run_ensemble(spec), ensemble)
+    assert sum(np.size(t) for t in calls[before:]) == ensemble.stats["rhs_evals"]
+
+
+@pytest.mark.parametrize("method", ["rk45", "rk4"])
+def test_inlined_alpha_once_per_stage_time(method):
+    # the statement that reads only t and the parameters, the decay factor
+    # alpha, runs once per stage time: rk45's last two stages share t + h,
+    # rk4's stages come in pairs at t + h/2 and t + h; a batch runs it once
+    # per step, over the times of all its stages. The bits stay those of
+    # calling full_rhs at every stage.
+    p = fig_params(2)
+    field = full_field(p)
+    times = []
+
+    def counted(tau, kind):
+        times.append(tau)
+        return alpha(tau, kind)
+
+    spy = field._replace(bindings={**field.bindings, "alpha": counted})
+    settings = {"method": "rk4", "step": 0.05} if method == "rk4" else {}
+    sc = _scenario(p, fig_initial_state(), 20.0, **settings)
+    y0 = fig_initial_state().as_array()
+    runs = [integrate(rhs, y0, sc.integrator) for rhs in (spy, _called(p))]
+    assert np.array_equal(runs[0].states, runs[1].states) and runs[0].stats == runs[1].stats
+    attempts = runs[0].stats["accepted"] + runs[0].stats["rejected"]
+    assert len(times) == {"rk45": 5, "rk4": 2}[method] * attempts
+    if method == "rk4":
+        return
+    times.clear()
+    rows = np.array([y0, y0 * 1.1, y0 * 0.9])
+    batch, called = (integrate(rhs, rows, sc.integrator) for rhs in (spy, _called(p)))
+    assert np.array_equal(batch.states, called.states)
+    for key, value in batch.stats.items():
+        assert np.array_equal(value, called.stats[key])
+    assert len(times) == max(batch.stats["row_accepted"] + batch.stats["row_rejected"])
+    assert times[0].shape == (6, 3) and all(len(tau) == 6 for tau in times)
 
 
 def test_run_scenario_fig1_initial_actions():

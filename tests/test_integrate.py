@@ -307,6 +307,32 @@ def test_batched_rows_independent_of_chunking(make):
                 for i, message in part.stats["failures"]] == whole.stats["failures"]
 
 
+@pytest.mark.parametrize("make", [_harmonic_batch, _escaping_batch])
+def test_batched_fill_independent_of_block_size(make, monkeypatch):
+    # the batch fills its samples in blocks of row-steps: a fill after every
+    # step, after a few and once at the end give the same bytes and counts
+    rhs, y0, cfg = make()
+    whole = integrate(rhs, y0, cfg)
+    fill = integrate_module._hermite_fill_rows
+    for cap in (1, 10, 10**9):
+        monkeypatch.setattr(integrate_module, "_FILL_BLOCK", cap)
+        calls = []
+        monkeypatch.setattr(integrate_module, "_hermite_fill_rows",
+                            lambda *args: calls.append(fill(*args)))
+        run = integrate(rhs, y0, cfg)
+        assert np.array_equal(run.states, whole.states, equal_nan=True)
+        for key in (f"row_{key}" for key in STAT_KEYS):
+            assert np.array_equal(run.stats[key], whole.stats[key])
+        assert run.stats["failures"] == whole.stats["failures"]
+        steps = max(whole.stats["row_accepted"] + whole.stats["row_rejected"])
+        if cap == 1:
+            assert len(calls) == steps
+        elif cap == 10:
+            assert 1 < len(calls) < steps
+        else:
+            assert len(calls) == 1
+
+
 def test_batched_integration_rejects_fixed_step_record():
     cfg = IntegratorConfig(t_end=1.0, sample_dt=0.5, method="rk4", step=0.1)
     with pytest.raises(ValueError):
@@ -524,10 +550,16 @@ def test_rhs_may_return_any_sequence_of_d_floats(monkeypatch):
 
     # d - 1 or d + 1 components, or in a batch a constant (d,) answer, at the
     # first call or at any stage of the first step, raise ValueError before
-    # any sample is written
+    # any sample is written (every run writes its samples through the two
+    # patched fills, as the valid runs at the end show)
     fills = []
-    monkeypatch.setattr(integrate_module, "_hermite_fill", lambda *args: fills.append(args))
-    monkeypatch.setattr(integrate_module, "_hermite_fill_rows", lambda *args: fills.append(args))
+
+    def fill(out, ts, *args):
+        fills.append(args)
+        return len(ts)  # the single run's next sample index: past the last
+
+    monkeypatch.setattr(integrate_module, "_hermite_fill", fill)
+    monkeypatch.setattr(integrate_module, "_hermite_fill_rows", fill)
 
     def late(answer, call):
         """The field, but its call number ``call`` (0 the first slope, s the
@@ -547,6 +579,10 @@ def test_rhs_may_return_any_sequence_of_d_floats(monkeypatch):
                 with pytest.raises(ValueError):
                     integrate(late(answer, call), start, cfg)
     assert fills == []
+    for start, cfg in cases:
+        integrate(answers[0], start, cfg)
+        assert fills
+        fills.clear()
 
 
 def test_span_below_step_floor_reaches_t_end():

@@ -163,3 +163,12 @@ def test_verify_q1_mode_unstable_at_zero():
 def test_verify_in_phase_stable_at_zero():
     report = [r for r in classify_11(0.0, 1.0) if r.mode == "in-phase"][0]
     assert verify_stability_numerically(report, E0=1.0, epsilon=0.1) == "consistent"
+
+
+@pytest.mark.parametrize("E0, epsilon", [(0.0, 0.1), (-1.0, 0.1), (1.0, 0.0)])
+def test_verify_rejects_non_positive_energy_or_epsilon(E0, epsilon):
+    # the horizon 50/(epsilon^2 E0) needs both positive; epsilon = 0, which
+    # ModelParams accepts, is refused before the division
+    for report in classify_11(0.0, 1.0):
+        with pytest.raises(ValueError, match="need (E0|epsilon) > 0"):
+            verify_stability_numerically(report, E0=E0, epsilon=epsilon)

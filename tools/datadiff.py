@@ -82,12 +82,47 @@ q2 = fixed 0
 v2 = uniform 0.4 0.6
 """
 
+# twelve particles at epsilon = 0.9, part of which escape and leave the batch
+# mid-run by failure (run at --horizon 30)
+_ENSEMBLE_FAILING = """[model]
+a1 = 1
+a2 = 1
+a3 = 0.75
+a4 = 1.5
+omega = 2
+epsilon = 0.9
+n = 2
+
+[initial]
+q1 = 0
+v1 = 0.5
+q2 = 0
+v2 = 0.5
+
+[scenario]
+horizon = 5
+
+[integrator]
+rtol = 1e-9
+atol = 1e-11
+sample_dt = 0.5
+
+[ensemble]
+count = 12
+seed = 42
+q1 = uniform 0 3.2
+v1 = fixed 0.1
+q2 = fixed 0.1
+v2 = fixed 0.1
+"""
+
 # single runs of the fig1 model off the presets' settings
 _SIMULATE = (_ENSEMBLE[:_ENSEMBLE.index("[ensemble]")]
              .replace("sample_dt = 0.01", "sample_dt = 0.25")
              .replace("horizon = 3", "horizon = 50"))
 
 CONFIGS = {"w1.ini": _W1, "w3.ini": _W3, "ens.ini": _ENSEMBLE,
+           "ens-fail.ini": _ENSEMBLE_FAILING,
            # the same ensemble with the decay factor alpha's array path in a batch
            "ens-poly.ini": _ENSEMBLE.replace("alpha_kind = exponential",
                                              "alpha_kind = polynomial"),
@@ -111,6 +146,7 @@ COMMANDS = {
     "ensemble-seed0": ["ensemble", "ens.ini", "--seed", "0"],
     "ensemble-seed8": ["ensemble", "ens.ini", "--seed", "8"],
     "ensemble-polynomial": ["ensemble", "ens-poly.ini", "--seed", "0"],
+    "ensemble-failing": ["ensemble", "ens-fail.ini", "--horizon", "30"],
     "resonance-1": ["resonance", "--omega", "1"],
     # the 1:1 classification on each threshold of p = a1/(3*a2) (-1/3 twice,
     # 2/15, 2/3) and between them
