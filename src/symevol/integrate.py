@@ -660,20 +660,17 @@ def _run_rows(rhs, y0, config, ts, out):
                 _hermite_fill_rows(out, ts, block)
                 block, held = [], 0
             accepted[rows] += ok
-            if ok.all():
-                h = np.minimum(h * grow, span)
-                t, y, f, idx = t_new, y_new, f_new, stop
-                streak.fill(0)
-            else:
+            h_new = np.minimum(h * grow, span)
+            if not ok.all():
+                # a rejected row keeps its state with a smaller step
                 rejected_error[rows] += finite & ~ok
                 rejected_nonfinite[rows] += ~finite
-                h = np.where(ok, np.minimum(h * grow, span),
-                             np.where(finite, h * np.maximum(_MIN_FACTOR, factor), h * 0.25))
-                t = np.where(ok, t_new, t)
-                y = np.where(ok, y_new, y)
-                f = np.where(ok, f_new, f)
-                idx = np.where(ok, stop, idx)
-                streak = np.where(finite, 0, streak + 1)
+                h_new = np.where(ok, h_new, np.where(finite, h * np.maximum(_MIN_FACTOR, factor),
+                                                     h * 0.25))
+                t_new, y_new, f_new, stop = (np.where(ok, new, old) for new, old in
+                                             ((t_new, t), (y_new, y), (f_new, f), (stop, idx)))
+            h, t, y, f, idx = h_new, t_new, y_new, f_new, stop
+            streak = np.where(finite, 0, streak + 1)
             failed = _stops(t, h, streak, t_end)
             for i in np.flatnonzero(failed).tolist():
                 message = _STOP[bool(streak[i])][0]

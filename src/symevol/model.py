@@ -162,8 +162,8 @@ class Equations(NamedTuple):
         return {"alpha": alpha, **{name: getattr(p, name) for name in self.params}}
 
 
-# The full equations of motion. ``full_rhs`` is generated from them, and so is
-# the inlined stage of a single run's step (integrate.InlineRhs).
+# The full equations of motion. ``full_rhs`` is generated from them, and so are
+# the inlined stages of the single-run and batched steps (integrate.InlineRhs).
 FULL_EQUATIONS = Equations(
     state=("q1", "v1", "q2", "v2"),
     rates=("dq1", "dv1", "dq2", "dv2"),
