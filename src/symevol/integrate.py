@@ -23,16 +23,18 @@ step.
 
 Both methods deliver dense output by cubic Hermite interpolation on the
 accepted steps, so the returned sample times are exactly the requested grid
-and never constrain the step-size control: over floats, through one
-generated straight-line fill per state dimension, in a single run, called
-only on a step that holds a sample, and by one numpy kernel in a batch,
-called on blocks of steps, with the same bits. Integrations are
-deterministic: identical inputs produce bit-identical trajectories on one
-platform.
+and never constrain the step-size control. Both loops hold their accepted
+steps in a block, a single run only the steps that hold a sample, and fill
+the block's samples through one numpy kernel once it holds a bounded number
+of row-steps (a batch) or samples (a single run), and at the end, so that
+the memory the fill holds stays bounded. Every sample gets the bits of its
+own evaluation, whatever the block. Integrations are deterministic:
+identical inputs produce bit-identical trajectories on one platform.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import re
@@ -84,6 +86,11 @@ _SAFETY = 0.9
 
 # Most points a uniform time grid (output samples or fixed steps) may have: 320 MB of 4-vectors.
 MAX_GRID_POINTS = 10_000_000
+
+# Most row-steps a batch, and most samples a single run, hold before they fill
+# their samples, so that the memory the fill holds is bounded whatever the row
+# count and horizon.
+_FILL_BLOCK = 4096
 
 # Smallest rtol: below it the error test asks for less than rounding can give
 # (scipy's solve_ivp uses the same floor).
@@ -186,63 +193,35 @@ def _sample_grid(t0: float, t_end: float, dt: float) -> np.ndarray:
 
 
 def _hermite(th, h, y0, y1, f0, f1):
-    """Cubic Hermite interpolant of one step (or one step per sample) at the
-    step fractions ``th`` (shape (m,)); one output row of d values per
-    fraction. The batched fill's kernel; the single-row fill of
-    :func:`_fill_function` gives its bits.
-
-    ``h`` is a scalar or has shape (m,). The end values and slopes are the
-    step's states and slopes as sequences of d floats, or, one step per
-    sample, as arrays of shape (m, d). The arithmetic is elementwise, so
-    every sample gets the bits of a one-sample evaluation."""
+    """Cubic Hermite interpolant at the step fractions ``th`` (shape (m,)),
+    one sample per entry: ``h`` has shape (m,), the step's end states and
+    slopes (m, d); one output row of d values per sample. The only Hermite
+    formula, evaluated by :func:`_hermite_fill` for both loops. The
+    arithmetic is elementwise, so every sample gets the bits of a
+    one-sample evaluation, whatever the block it is filled in."""
     th2 = th * th
     th3 = th2 * th
     return ((2 * th3 - 3 * th2 + 1)[:, None] * y0 + ((th3 - 2 * th2 + th) * h)[:, None] * f0
             + (-2 * th3 + 3 * th2)[:, None] * y1 + ((th3 - th2) * h)[:, None] * f1)
 
 
-def _hermite_fill(out, ts, idx, t0, h, y0, y1, f0, f1, t1):
-    """Fill samples with the cubic Hermite interpolant on (t0, t1]; returns
-    the next sample index. The end values and slopes are sequences of d
-    floats; the fill works over floats, writing through views of ``out`` and
-    ``ts``. A single run calls it only on a step that holds a sample."""
-    tol = t1 + 1e-14 * max(1.0, abs(t1))
-    fill = _fill_function(len(y0))
-    return fill(memoryview(out).cast("B").cast("d"), memoryview(ts), idx, len(ts), tol,
-                t0, h, y0, y1, f0, f1)
-
-
-@functools.cache
-def _fill_function(d: int):
-    """:func:`_hermite` over the floats of one step, as straight-line code.
-
-    ``fill(o, ts, i, n, tol, t0, h, y0, y1, f0, f1)`` writes the d values of
-    every sample i with ``ts[i] <= tol`` into the flat view ``o`` of the
-    (samples, d) output and returns the first sample index past them. Each
-    value is summed in :func:`_hermite`'s order, so both fills give the same
-    bits."""
-    comps = range(d)
-    lines = ["def fill(o, ts, i, n, tol, t0, h, y0, y1, f0, f1):"]
-    lines += [f"    {''.join(f'{v}_{j}, ' for j in comps)}= {v}" for v in ("y0", "y1", "f0", "f1")]
-    lines += ["    while i < n:",
-              "        t = ts[i]",
-              "        if t > tol:",
-              "            break",
-              "        th = (t - t0) / h",
-              "        th2 = th * th",
-              "        th3 = th2 * th",
-              "        a = 2 * th3 - 3 * th2 + 1",
-              "        b = (th3 - 2 * th2 + th) * h",
-              "        c = -2 * th3 + 3 * th2",
-              "        e = (th3 - th2) * h",
-              f"        base = {d} * i"]
-    lines += [f"        o[base + {j}] = a * y0_{j} + b * f0_{j} + c * y1_{j} + e * f1_{j}"
-              for j in comps]
-    lines += ["        i += 1",
-              "    return i"]
-    namespace = {}
-    exec("\n".join(lines), namespace)
-    return namespace["fill"]
+def _hermite_fill(out, ts, rows, idx, stop, t0, h, y0, y1, f0, f1):
+    """Fill the samples of a block of m steps with each step's cubic Hermite
+    interpolant. Step i writes ``out[rows[i]]``, of shape (samples, d), at
+    the samples ``idx[i]`` up to ``stop[i]`` (those on (t0[i], t0[i] +
+    h[i]]). ``rows``, ``idx``, ``stop``, ``t0`` and ``h`` have shape (m,),
+    the end states and slopes (m, d). Both loops fill through it: a batch
+    into its (N, samples, d) output, a single run as row 0 of
+    ``out[None]``."""
+    counts = stop - idx
+    total = int(counts.sum())
+    if total:
+        pair = np.repeat(np.arange(len(idx)), counts)
+        first = np.cumsum(counts) - counts
+        sample = idx[pair] + np.arange(total) - first[pair]
+        hp = h[pair]
+        out[rows[pair], sample] = _hermite((ts[sample] - t0[pair]) / hp, hp, y0[pair],
+                                           y1[pair], f0[pair], f1[pair])
 
 
 def _row_rms(x):
@@ -328,7 +307,7 @@ def _run_single(rhs, y0, config, ts, out):
     span = t_end - t0
     t = t0
     y = tuple(y0.tolist())
-    f = rhs(t, y)
+    f = tuple(rhs(t, y))  # the block may hold it past the rhs's next call
     if len(f) != d:
         raise ValueError(f"rhs returned {len(f)} values for a state of {d}")
     step = _step_function(config.method, d, rhs)
@@ -338,6 +317,9 @@ def _run_single(rhs, y0, config, ts, out):
     evals = 1
     accepted = rejected_error = rejected_nonfinite = streak = 0
     idx = 1
+    # the steps whose samples are not filled yet, as the floats and tuples the
+    # loop made them; filled once they hold _FILL_BLOCK samples or the grid's last
+    block = []
     with np.errstate(all="ignore"):  # non-finite values are tested once per step
         if e is None:
             n_steps = _fixed_step_count(span, config.step)
@@ -359,11 +341,18 @@ def _run_single(rhs, y0, config, ts, out):
                                        t, np.array(y, dtype=float), "nonfinite")
             streak = 0 if finite else streak + 1
             if finite and err_norm <= 1.0:
-                # most steps hold no sample: fill only when the next one lies
-                # within the fill's own tolerance of the step's end
-                if t_next <= t_new + 1e-14 * max(1.0, abs(t_new)):
-                    idx = _hermite_fill(out, ts, idx, t, h, y, y_new, f, f_new, t_new)
+                # most steps hold no sample: a step joins the block only when
+                # the next sample lies within the tolerance of its end
+                tol = t_new + 1e-14 * max(1.0, abs(t_new))
+                if t_next <= tol:
+                    stop = bisect.bisect_right(samples, tol, idx)
+                    block.append((idx, stop, t, h, y, y_new, f, f_new))
+                    idx = stop
                     t_next = samples[idx]
+                    if idx == len(ts) or idx - block[0][0] >= _FILL_BLOCK:
+                        rows = np.zeros(len(block), dtype=np.intp)
+                        _hermite_fill(out[None], ts, rows, *map(np.array, zip(*block)))
+                        block = []
                 t, y, f = t_new, y_new, f_new
                 accepted += 1
                 if e is not None:
@@ -586,32 +575,6 @@ def _rows_step_code(method: str, equations):
     return compile("\n".join(lines), f"<{method} batch step>", "exec")
 
 
-# Most row-steps the batched loop holds before it fills their samples, so that
-# the memory the fill holds is bounded whatever the row count and horizon.
-_FILL_BLOCK = 4096
-
-
-def _hermite_fill_rows(out, ts, block):
-    """Vectorized :func:`_hermite_fill` over a block of batched steps. Each
-    entry is ``(rows, idx, stop, t0, h, y0, y1, f0, f1, ok)`` of one step:
-    batch row i, the column i of the (d, n) states and slopes, writes
-    ``out[rows[i]]`` at its samples ``idx[i]`` up to ``stop[i]`` (those on
-    (t0[i], t0[i] + h[i]]) when ``ok[i]``."""
-    rows, idx, stop, t0, h, ok = (np.concatenate([entry[i] for entry in block])
-                                  for i in (0, 1, 2, 3, 4, 9))
-    y0, y1, f0, f1 = (np.concatenate([entry[i] for entry in block], axis=1).T
-                      for i in (5, 6, 7, 8))
-    counts = np.where(ok, stop - idx, 0)
-    total = int(counts.sum())
-    if total:
-        pair = np.repeat(np.arange(len(idx)), counts)
-        first = np.cumsum(counts) - counts
-        sample = idx[pair] + np.arange(total) - first[pair]
-        hp = h[pair]
-        out[rows[pair], sample] = _hermite((ts[sample] - t0[pair]) / hp, hp, y0[pair],
-                                           y1[pair], f0[pair], f1[pair])
-
-
 def _columns(answer, shape):
     """A batch rhs answer as a (d, n) array; another shape is a ValueError."""
     k = np.asarray(answer, dtype=float)
@@ -654,21 +617,18 @@ def _run_rows(rhs, y0, config, ts, out):
             t_new = np.where(clamped, t_end, t + h)
             stop = np.searchsorted(ts, t_new + 1e-14 * np.maximum(1.0, np.abs(t_new)),
                                    side="right")
-            block.append((rows, idx, stop, t, h, y, y_new, f, f_new, ok))
-            held += rows.size
-            if held >= _FILL_BLOCK:
-                _hermite_fill_rows(out, ts, block)
-                block, held = [], 0
             accepted[rows] += ok
             h_new = np.minimum(h * grow, span)
             if not ok.all():
-                # a rejected row keeps its state with a smaller step
+                # a rejected row keeps its state with a smaller step, and fills no sample
                 rejected_error[rows] += finite & ~ok
                 rejected_nonfinite[rows] += ~finite
                 h_new = np.where(ok, h_new, np.where(finite, h * np.maximum(_MIN_FACTOR, factor),
                                                      h * 0.25))
                 t_new, y_new, f_new, stop = (np.where(ok, new, old) for new, old in
                                              ((t_new, t), (y_new, y), (f_new, f), (stop, idx)))
+            block.append((rows, idx, stop, t, h, y, y_new, f, f_new))
+            held += rows.size
             h, t, y, f, idx = h_new, t_new, y_new, f_new, stop
             streak = np.where(finite, 0, streak + 1)
             failed = _stops(t, h, streak, t_end)
@@ -679,8 +639,11 @@ def _run_rows(rhs, y0, config, ts, out):
             if not live.all():
                 rows, t, h, idx, streak = (v[live] for v in (rows, t, h, idx, streak))
                 y, f = y[:, live], f[:, live]
-        if block:
-            _hermite_fill_rows(out, ts, block)
+            if held >= _FILL_BLOCK or not rows.size:
+                columns = list(zip(*block))
+                _hermite_fill(out, ts, *(np.concatenate(column) for column in columns[:5]),
+                              *(np.concatenate(column, axis=1).T for column in columns[5:]))
+                block, held = [], 0
     rejected = rejected_error + rejected_nonfinite
     evals = 1 + len(a) * (accepted + rejected)
     return {"accepted": int(accepted.sum()), "rejected": int(rejected.sum()),

@@ -164,17 +164,22 @@ class Equations(NamedTuple):
 
 # The full equations of motion. ``full_rhs`` is generated from them, and so are
 # the inlined stages of the single-run and batched steps (integrate.InlineRhs).
+# The factors that read only the time and the parameters are statements of
+# their own, so that the steps evaluate them once per stage time; they are the
+# leading factors of the products, so the rates keep their bits.
 FULL_EQUATIONS = Equations(
     state=("q1", "v1", "q2", "v2"),
     rates=("dq1", "dv1", "dq2", "dv2"),
     params=("a1", "a2", "a3", "a4", "omega", "epsilon", "delta", "alpha_kind"),
     body=("al = alpha(delta * t, alpha_kind)",
+          "eps_al = epsilon * al",
+          "eps_al_2a4 = eps_al * 2.0 * a4",
           "dq1 = v1",
           "dv1 = (-q1 + epsilon * (a1 * q1 * q1 + a2 * q2 * q2)"
-          " + epsilon * al * 2.0 * a4 * q1 * q2)",
+          " + eps_al_2a4 * q1 * q2)",
           "dq2 = v2",
           "dv2 = (-omega**2 * q2 + epsilon * 2.0 * a2 * q1 * q2"
-          " + epsilon * al * (a3 * q2 * q2 + a4 * q1 * q1))"))
+          " + eps_al * (a3 * q2 * q2 + a4 * q1 * q1))"))
 
 
 def _rhs_function(equations: Equations, name: str, doc: str):

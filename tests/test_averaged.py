@@ -413,10 +413,10 @@ def test_slow_cart_chart_consistent_with_polar(params12, p11, p13, rng):
 def test_slow_cart_fields_reject_batch_columns(params12, p11, p13, monkeypatch):
     # the fields take five floats: a batched run stops at its first rhs call
     # with one ValueError, before any sample is written (the batch writes its
-    # samples through _hermite_fill_rows, as the valid run at the end shows)
+    # samples through _hermite_fill, as the valid run at the end shows)
     integrate_module = importlib.import_module("symevol.integrate")
     fills = []
-    monkeypatch.setattr(integrate_module, "_hermite_fill_rows", lambda *args: fills.append(args))
+    monkeypatch.setattr(integrate_module, "_hermite_fill", lambda *args: fills.append(args))
     y0 = np.array([polar_to_slow_cart(np.array([0.5, 0.3, 0.4, -0.2, 0.0])),
                    polar_to_slow_cart(np.array([0.4, 0.1, 0.5, 0.7, 0.0]))])
     cfg = IntegratorConfig(t_end=1.0, sample_dt=0.5)

@@ -313,11 +313,11 @@ def test_batched_fill_independent_of_block_size(make, monkeypatch):
     # step, after a few and once at the end give the same bytes and counts
     rhs, y0, cfg = make()
     whole = integrate(rhs, y0, cfg)
-    fill = integrate_module._hermite_fill_rows
+    fill = integrate_module._hermite_fill
     for cap in (1, 10, 10**9):
         monkeypatch.setattr(integrate_module, "_FILL_BLOCK", cap)
         calls = []
-        monkeypatch.setattr(integrate_module, "_hermite_fill_rows",
+        monkeypatch.setattr(integrate_module, "_hermite_fill",
                             lambda *args: calls.append(fill(*args)))
         run = integrate(rhs, y0, cfg)
         assert np.array_equal(run.states, whole.states, equal_nan=True)
@@ -331,6 +331,50 @@ def test_batched_fill_independent_of_block_size(make, monkeypatch):
             assert 1 < len(calls) < steps
         else:
             assert len(calls) == 1
+
+
+@pytest.mark.parametrize("method", ["rk45", "rk4"])
+def test_single_run_fill_independent_of_block_size(method, monkeypatch):
+    # a single run fills its samples in blocks of samples: a fill after every
+    # step that holds a sample, after a few and once at the end give the same
+    # bytes and counts, and a failing run the same error
+    p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.1, n=2)
+    y0 = np.array([0.0, 0.5, 0.0, 0.5])
+    step = 0.05 if method == "rk4" else None
+    cfg = IntegratorConfig(t_end=10.0, sample_dt=0.01, method=method, step=step)
+    # the blow-up of test_blow_up_reports_last_good_state
+    p_bad = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.9, n=1)
+    y0_bad = np.array([3.0, 0.0, 3.0, 0.0])
+    cfg_bad = IntegratorConfig(t_end=50.0, sample_dt=0.01, method=method, step=step)
+
+    def valid():
+        return integrate(lambda t, y: full_rhs(t, y, p), y0, cfg)
+
+    def failing():
+        with pytest.raises(IntegrationError) as err:
+            integrate(lambda t, y: full_rhs(t, y, p_bad), y0_bad, cfg_bad)
+        return err.value
+
+    whole, failed = valid(), failing()
+    fill = integrate_module._hermite_fill
+    for cap in (10**9, 10, 1):
+        monkeypatch.setattr(integrate_module, "_FILL_BLOCK", cap)
+        steps = []  # the steps of each fill
+        monkeypatch.setattr(integrate_module, "_hermite_fill",
+                            lambda *args: steps.append(len(args[3])) or fill(*args))
+        run = valid()
+        assert np.array_equal(run.states, whole.states)
+        assert run.stats == whole.stats
+        if cap == 10**9:
+            holding = steps[0]  # the steps that hold a sample
+            assert steps == [holding] and 100 < holding <= run.stats["accepted"]
+        elif cap == 10:
+            assert 1 < len(steps) < holding and sum(steps) == holding
+        else:
+            assert steps == [1] * holding
+        err = failing()
+        assert str(err) == str(failed) and err.t_last == failed.t_last
+        assert err.reason == failed.reason and np.array_equal(err.y_last, failed.y_last)
 
 
 def test_batched_integration_rejects_fixed_step_record():
@@ -380,14 +424,19 @@ def test_hermite_fill_matches_per_sample_formula_bitwise(method, monkeypatch):
     fill = integrate_module._hermite_fill
     counts = []
 
-    def counting_fill(out, ts, idx, *rest):
-        stop = fill(out, ts, idx, *rest)
-        assert type(stop) is int
-        counts.append(stop - idx)
-        return stop
+    def counting_fill(out, ts, rows, idx, stop, *rest):
+        counts.extend((stop - idx).tolist())
+        fill(out, ts, rows, idx, stop, *rest)
 
-    # steps holding many samples, about one, and none (which the loop skips,
-    # so every fill holds a sample); t_end off the grid;
+    def per_sample_fill(out, ts, rows, idx, stop, t0, h, y0, y1, f0, f1):
+        # each step of the block through the reference, which finds the
+        # step's samples by its own rule
+        for i in range(len(idx)):
+            assert stop[i] == _per_sample_hermite_fill(out[rows[i]], ts, idx[i], t0[i], h[i],
+                                                       y0[i], y1[i], f0[i], f1[i], t0[i] + h[i])
+
+    # steps holding many samples, about one, and none (which the loop leaves
+    # out of the block, so every step in it holds a sample); t_end off the grid;
     # last, RK4 steps that end 1 ulp before a sample time (t = 7 * (0.7 / 7)),
     # which the fill's tolerance assigns to the step that ends there
     step = 0.3 if method == "rk4" else None
@@ -396,7 +445,7 @@ def test_hermite_fill_matches_per_sample_formula_bitwise(method, monkeypatch):
         cfg = IntegratorConfig(t_end=t_end, sample_dt=sample_dt, method=method, step=step)
         monkeypatch.setattr(integrate_module, "_hermite_fill", counting_fill)
         fast = integrate(rhs, y0, cfg)
-        monkeypatch.setattr(integrate_module, "_hermite_fill", _per_sample_hermite_fill)
+        monkeypatch.setattr(integrate_module, "_hermite_fill", per_sample_fill)
         slow = integrate(rhs, y0, cfg)
         assert fast.times[-1] == t_end
         assert np.array_equal(fast.states, slow.states)
@@ -420,23 +469,28 @@ def test_hermite_kernel_rows_match_per_sample_formula_bitwise():
 
 @pytest.mark.parametrize("d", [1, 4, 5, 70])
 def test_float_fill_matches_kernel_and_per_sample_formula_bitwise(d):
-    # the single-run fill over floats, the batch's numpy kernel and the
-    # per-sample reference give the same bits; the grid puts 0, 1 and many
-    # samples in the step (t0, t0 + h]
+    # the one fill, over a block of steps given as a single run holds them
+    # (floats and tuples of d floats), writes each step's samples with the
+    # bits of the per-sample reference into the output row the step names;
+    # the steps hold 0, 1 and many samples, and no other sample is written
     rng = np.random.default_rng(d)
     ts = np.sort(rng.uniform(0.0, 10.0, 400))
-    for t0, h, count in [(ts[10] - 1e-6, 1e-7, 0), (ts[10] - 1e-12, 2e-12, 1),
-                         (ts[10] - 1e-12, 4.0, None)]:
+    block, rows, counts = [], [], []
+    out, ref = np.zeros((2, len(ts), d)), np.zeros((2, len(ts), d))
+    written = np.zeros((2, len(ts)), dtype=bool)
+    for row, t0, h in [(1, ts[10] - 1e-6, 1e-7), (0, ts[10] - 1e-12, 2e-12),
+                       (1, ts[20] - 1e-12, 4.0), (0, ts[20] - 1e-12, 4.0)]:
+        idx = int(np.searchsorted(ts, t0, side="right"))
         y0, y1, f0, f1 = (tuple(rng.normal(size=d).tolist()) for _ in range(4))
-        out, ref = np.zeros((len(ts), d)), np.zeros((len(ts), d))
-        stop = integrate_module._hermite_fill(out, ts, 10, t0, h, y0, y1, f0, f1, t0 + h)
-        assert type(stop) is int
-        assert stop - 10 == count if count is not None else stop - 10 > 100
-        assert stop == _per_sample_hermite_fill(ref, ts, 10, t0, h, y0, y1, f0, f1, t0 + h)
-        assert np.array_equal(out, ref)
-        kernel = integrate_module._hermite((ts[10:stop] - t0) / h, h, y0, y1, f0, f1)
-        assert np.array_equal(out[10:stop], kernel)
-        assert not out[:10].any() and not out[stop:].any()
+        stop = _per_sample_hermite_fill(ref[row], ts, idx, t0, h, y0, y1, f0, f1, t0 + h)
+        block.append((idx, stop, t0, h, y0, y1, f0, f1))
+        rows.append(row)
+        counts.append(stop - idx)
+        written[row, idx:stop] = True
+    assert counts[:2] == [0, 1] and min(counts[2:]) > 100
+    integrate_module._hermite_fill(out, ts, np.array(rows), *map(np.array, zip(*block)))
+    assert np.array_equal(out, ref)
+    assert np.array_equal(out.any(axis=2), written)
 
 
 def test_error_power_float_matches_array_entry():
@@ -497,27 +551,36 @@ def test_inf_at_one_stage_counts_as_non_finite_attempt(method):
             assert single.stats[key] == batch.stats[f"row_{key}"][1]
 
 
-def test_single_run_makes_no_numpy_power_or_kernel_call(monkeypatch):
-    # the single-row loop takes its step factor and its dense output over floats
+def test_single_run_makes_no_numpy_call_per_step(monkeypatch):
+    # the single-row loop takes its step factor over floats and fills its
+    # samples in blocks: the kernel runs once per _FILL_BLOCK samples
     p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.1, n=2)
     y0 = np.array([0.0, 0.5, 0.0, 0.5])
     cfg = IntegratorConfig(t_end=10.0, sample_dt=0.01, rtol=1e-9, atol=1e-11)
     before = integrate(lambda t, y: full_rhs(t, y, p), y0, cfg)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("numpy call on the single-row path")
+        raise AssertionError("numpy power on the single-row path")
 
     monkeypatch.setattr(np, "power", forbidden)
-    monkeypatch.setattr(integrate_module, "_hermite", forbidden)
-    after = integrate(lambda t, y: full_rhs(t, y, p), y0, cfg)
-    assert np.array_equal(after.states, before.states)
-    assert after.stats == before.stats
+    kernel = integrate_module._hermite
+    for cap in (integrate_module._FILL_BLOCK, 100):
+        monkeypatch.setattr(integrate_module, "_FILL_BLOCK", cap)
+        calls = []
+        monkeypatch.setattr(integrate_module, "_hermite",
+                            lambda *args: calls.append(1) or kernel(*args))
+        after = integrate(lambda t, y: full_rhs(t, y, p), y0, cfg)
+        assert np.array_equal(after.states, before.states)
+        assert after.stats == before.stats
+        assert 1 <= len(calls) <= math.ceil(len(after) / cap) + 1
+        assert 10 * len(calls) < after.stats["accepted"]
 
 
 def test_rhs_may_return_any_sequence_of_d_floats(monkeypatch):
     # the rhs gets a tuple of d components, floats in a single run and columns
     # of the running rows in a batch, and may answer with any sequence of d
-    # components; tuple, list and ndarray answers run byte for byte
+    # components; tuple, list and ndarray answers run byte for byte, and so
+    # does a list the rhs rewrites at every call
     p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.1, n=2)
     y0 = np.array([0.0, 0.5, 0.0, 0.5])
     # as many rows as components, so a (d,) answer could broadcast over the batch
@@ -528,10 +591,18 @@ def test_rhs_may_return_any_sequence_of_d_floats(monkeypatch):
         states.append(y)
         return full_rhs(t, y, p)
 
+    buffer = [0.0] * 4
+
+    def reused(t, y):  # one list, rewritten at every call
+        buffer[:] = full_rhs(t, y, p)
+        return buffer
+
     answers = [as_tuple, lambda t, y: list(full_rhs(t, y, p)),
-               lambda t, y: np.array(full_rhs(t, y, p))]
+               lambda t, y: np.array(full_rhs(t, y, p)), reused]
     cfg45 = IntegratorConfig(t_end=5.0, sample_dt=0.25)
-    cases = [(y0, cfg45), (y0, IntegratorConfig(t_end=5.0, sample_dt=0.25, method="rk4",
+    # every rk4 step holds a sample inside it, the first too, whose slope is the
+    # first answer
+    cases = [(y0, cfg45), (y0, IntegratorConfig(t_end=5.0, sample_dt=0.025, method="rk4",
                                                 step=0.05)), (y0s, cfg45)]
     for start, cfg in cases:
         states.clear()
@@ -550,16 +621,10 @@ def test_rhs_may_return_any_sequence_of_d_floats(monkeypatch):
 
     # d - 1 or d + 1 components, or in a batch a constant (d,) answer, at the
     # first call or at any stage of the first step, raise ValueError before
-    # any sample is written (every run writes its samples through the two
-    # patched fills, as the valid runs at the end show)
+    # any sample is written (every run writes its samples through the patched
+    # fill, as the valid runs at the end show)
     fills = []
-
-    def fill(out, ts, *args):
-        fills.append(args)
-        return len(ts)  # the single run's next sample index: past the last
-
-    monkeypatch.setattr(integrate_module, "_hermite_fill", fill)
-    monkeypatch.setattr(integrate_module, "_hermite_fill_rows", fill)
+    monkeypatch.setattr(integrate_module, "_hermite_fill", lambda *args: fills.append(args))
 
     def late(answer, call):
         """The field, but its call number ``call`` (0 the first slope, s the
