@@ -17,13 +17,14 @@ closed forms can be validated.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 
 from .model import ModelParams
-from .transforms import mode_actions, slow_rhs, _gauss_nodes
+from .transforms import mode_actions, slow_rhs
 
 __all__ = [
     "ZeroAmplitudeError",
@@ -274,6 +275,12 @@ def cartesian_invariant(name: str, states, p: ModelParams):
     phi1, phi2, k = _phase_drifts_11(u, w, 0.0, p.a1, p.a2, 0.0, 0.0)
     return (k * ((q1 * q2 + v1 * v2) ** 2 - (q1 * v2 - v1 * q2) ** 2)
             - (u * phi1 + w * phi2) / 2)
+
+
+@functools.cache
+def _gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
+    return np.polynomial.legendre.leggauss(n)
 
 
 def average_slow_field(y, p: ModelParams) -> np.ndarray:

@@ -1,10 +1,12 @@
 """Flat INI-style run configuration: parsing, validation and digesting.
 
 A config has one section per concern ([model], [initial], [integrator],
-[scenario], [ensemble], [compare]); values are plain typed scalars. Each
-builder resolves the file, the command-line overrides and the defaults into
-one frozen run record, and the manifest digest is taken over that record, so
-every spelling of one run has one digest.
+[scenario], [ensemble], [compare]); values are plain typed scalars, and
+``_KEYS`` holds every key once, as section -> key -> (cast, default), a key
+without a default being required. Each builder resolves the file, the
+command-line overrides and those defaults into one frozen run record, and
+the manifest digest is taken over that record, so every spelling of one run
+has one digest. Unknown keys are ignored, except in [ensemble].
 """
 
 from __future__ import annotations
@@ -72,92 +74,11 @@ def run_digest(record) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-_REQUIRED = object()
-
-
-def _get(cfg: dict, section: str, key: str, cast, default=_REQUIRED, override=None):
-    try:
-        raw = cfg[section][key] if override is None else override
-    except KeyError:
-        if default is not _REQUIRED:
-            return default
-        raise ConfigError(f"missing required key [{section}] {key}") from None
-    try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
-
-
-def build_params(cfg: dict) -> ModelParams:
-    try:
-        return ModelParams(
-            a1=_get(cfg, "model", "a1", float),
-            a2=_get(cfg, "model", "a2", float),
-            a3=_get(cfg, "model", "a3", float),
-            a4=_get(cfg, "model", "a4", float),
-            omega=_get(cfg, "model", "omega", float),
-            epsilon=_get(cfg, "model", "epsilon", float),
-            n=_get(cfg, "model", "n", int, default=2),
-            alpha_kind=_get(cfg, "model", "alpha_kind", str, default="exponential"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def build_initial(cfg: dict) -> CartesianState:
-    """The initial state; its time t0 (default 0) may not precede the start
-    of the decay at t = 0."""
-    try:
-        initial = CartesianState(
-            t=_get(cfg, "initial", "t0", float, default=0.0),
-            q1=_get(cfg, "initial", "q1", float),
-            v1=_get(cfg, "initial", "v1", float),
-            q2=_get(cfg, "initial", "q2", float),
-            v2=_get(cfg, "initial", "v2", float),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if initial.t < 0.0:
-        raise ConfigError(f"[initial] t0 must be >= 0, where the decay starts; got {initial.t!r}")
-    return initial
-
-
-def _tolerances(cfg: dict, overrides: dict) -> dict:
-    """rtol and atol of the config's integrator, which must be rk45."""
-    if _get(cfg, "integrator", "method", str, default="rk45") != "rk45":
-        raise ConfigError("[integrator] method must be rk45, the only method that runs")
-    return {name: _get(cfg, "integrator", name, float, getattr(IntegratorConfig, name),
-                       overrides.get(name)) for name in ("rtol", "atol")}
-
-
-def build_scenario(cfg: dict, overrides: dict | None = None) -> ScenarioConfig:
-    """The run a config describes; an override that is not None wins."""
-    overrides = overrides or {}
-    params = build_params(cfg)
-    initial = build_initial(cfg)
-    horizon = _get(cfg, "scenario", "horizon", float, override=overrides.get("horizon"))
-    try:
-        grid = IntegratorConfig(
-            t0=initial.t,
-            t_end=initial.t + horizon,
-            **_tolerances(cfg, overrides),
-            sample_dt=_get(cfg, "integrator", "sample_dt", float, 0.25, overrides.get("sample_dt")),
-        )
-        return ScenarioConfig(params, initial, grid,
-                              label=_get(cfg, "scenario", "label", str, default=""))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _split_sampler(coord: str, raw: str) -> tuple:
-    """The sampler spec 'KIND NUMBER...' of coord as (kind, floats...), for
+def _sampler(text: str) -> tuple:
+    """The sampler spec 'KIND NUMBER...' as (kind, floats...), for
     :class:`EnsembleSpec` to check."""
-    kind, *numbers = raw.split() or [""]
-    try:
-        return (kind.lower(), *map(float, numbers))
-    except ValueError:
-        raise ConfigError(f"bad sampler spec {raw!r} for {coord} "
-                          "(want a kind and numbers)") from None
+    kind, *numbers = text.split() or [""]
+    return (kind.lower(), *map(float, numbers))
 
 
 def _eps_list(text: str) -> list[float]:
@@ -167,6 +88,83 @@ def _eps_list(text: str) -> list[float]:
     return eps
 
 
+# section -> key -> (cast, default); a key without a default is required
+_KEYS = {
+    "model": {"a1": (float,), "a2": (float,), "a3": (float,), "a4": (float,),
+              "omega": (float,), "epsilon": (float,), "n": (int, ModelParams.n),
+              "alpha_kind": (str, ModelParams.alpha_kind)},
+    "initial": {"t0": (float, IntegratorConfig.t0),
+                "q1": (float,), "v1": (float,), "q2": (float,), "v2": (float,)},
+    "integrator": {"method": (str, IntegratorConfig.method),
+                   "rtol": (float, IntegratorConfig.rtol),
+                   "atol": (float, IntegratorConfig.atol), "sample_dt": (float, 0.25)},
+    "scenario": {"horizon": (float,), "label": (str, ScenarioConfig.label)},
+    "ensemble": {"count": (int,), "seed": (int, 0),
+                 **dict.fromkeys(("q1", "v1", "q2", "v2"), (_sampler, None)),
+                 "workers": (str, None)},  # retired: accepted and ignored
+    "compare": {"eps_list": (_eps_list, (0.1,)), "window": (float, 1.0),
+                "resonance": (str, None)},
+}
+
+
+def _read(cfg: dict, section: str, overrides: dict | None = None) -> dict:
+    """Every key of ``section`` in ``_KEYS``, cast: an override that is not
+    None wins over the file, and a key given in neither takes its default."""
+    given, overrides = cfg.get(section, {}), overrides or {}
+    values = {}
+    for key, (cast, *default) in _KEYS[section].items():
+        raw = overrides.get(key)
+        raw = given.get(key) if raw is None else raw
+        if raw is None and not default:
+            raise ConfigError(f"missing required key [{section}] {key}")
+        try:
+            values[key] = default[0] if raw is None else cast(raw)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
+    return values
+
+
+def build_params(cfg: dict) -> ModelParams:
+    try:
+        return ModelParams(**_read(cfg, "model"))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def build_initial(cfg: dict) -> CartesianState:
+    """The initial state; its time t0 (default 0) may not precede the start
+    of the decay at t = 0."""
+    values = _read(cfg, "initial")
+    try:
+        initial = CartesianState(t=values.pop("t0"), **values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if initial.t < 0.0:
+        raise ConfigError(f"[initial] t0 must be >= 0, where the decay starts; got {initial.t!r}")
+    return initial
+
+
+def _integrator(cfg: dict, overrides: dict | None) -> dict:
+    """The config's [integrator], whose method must be one a config may name."""
+    values = _read(cfg, "integrator", overrides)
+    if values["method"] not in ("rk45",):
+        raise ConfigError("[integrator] method must be rk45, the only method that runs")
+    return values
+
+
+def build_scenario(cfg: dict, overrides: dict | None = None) -> ScenarioConfig:
+    """The run a config describes; an override that is not None wins."""
+    params, initial = build_params(cfg), build_initial(cfg)
+    scenario = _read(cfg, "scenario", overrides)
+    integrator = _integrator(cfg, overrides)
+    try:
+        grid = IntegratorConfig(t0=initial.t, t_end=initial.t + scenario["horizon"],
+                                **integrator)
+        return ScenarioConfig(params, initial, grid, label=scenario["label"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def build_compare(cfg: dict, overrides: dict | None = None):
     """The run of ``compare``: the model of each rung of the epsilon ladder
     (default 0.1), the initial state, and the keyword settings of every rung:
@@ -174,33 +172,33 @@ def build_compare(cfg: dict, overrides: dict | None = None):
     system, resolved by :func:`symevol.resonance.averaged_system` (so an
     omitted system and omega's default named make one run). It reads no
     [scenario], and the config's own epsilon runs in no rung."""
-    overrides = overrides or {}
     params = build_params(cfg)
-    eps_list = _get(cfg, "compare", "eps_list", _eps_list, [0.1], overrides.get("eps_list"))
-    resonance = _get(cfg, "compare", "resonance", str, None, overrides.get("resonance"))
+    settings = _read(cfg, "compare", overrides)
     try:
-        resonance = averaged_system(params.omega, resonance)[0]
+        resonance = averaged_system(params.omega, settings["resonance"])[0]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return (tuple(params.replace(epsilon=eps, delta=None) for eps in eps_list),
+    integrator = _integrator(cfg, overrides)
+    return (tuple(params.replace(epsilon=eps, delta=None) for eps in settings["eps_list"]),
             build_initial(cfg),
-            {**_tolerances(cfg, overrides),
-             "L": _get(cfg, "compare", "window", float, 1.0, overrides.get("window")),
-             "resonance": resonance})
+            {"rtol": integrator["rtol"], "atol": integrator["atol"],
+             "L": settings["window"], "resonance": resonance})
 
 
 def build_ensemble(cfg: dict, overrides: dict | None = None) -> EnsembleSpec:
-    overrides = overrides or {}
+    """The ensemble run a config describes; a key of [ensemble] that
+    ``_KEYS`` does not hold, such as a misspelt coordinate, is an error."""
     if "ensemble" not in cfg:
         raise ConfigError("missing [ensemble] section")
-    samplers = {coord: _split_sampler(coord, cfg["ensemble"][coord])
-                for coord in ("q1", "v1", "q2", "v2") if coord in cfg["ensemble"]}
+    unknown = [key for key in cfg["ensemble"] if key not in _KEYS["ensemble"]]
+    if unknown:
+        raise ConfigError(f"unknown key [ensemble] {', '.join(unknown)}; "
+                          f"known: {', '.join(_KEYS['ensemble'])}")
+    values = _read(cfg, "ensemble", overrides)
+    samplers = {coord: values[coord] for coord in ("q1", "v1", "q2", "v2")
+                if values[coord] is not None}
     try:
-        return EnsembleSpec(
-            scenario=build_scenario(cfg, overrides),
-            samplers=samplers,
-            count=_get(cfg, "ensemble", "count", int),
-            seed=_get(cfg, "ensemble", "seed", int, 0, overrides.get("seed")),
-        )
+        return EnsembleSpec(build_scenario(cfg, overrides), samplers,
+                            values["count"], values["seed"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -124,11 +124,3 @@ def slow_rhs(t, y, p: ModelParams) -> np.ndarray:
                      np.broadcast_to(dr2, dtau.shape), np.broadcast_to(dpsi2, dtau.shape),
                      dtau])
 
-
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gauss_nodes(n: int):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]

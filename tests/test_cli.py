@@ -1,6 +1,7 @@
 import configparser
 import contextlib
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -16,9 +17,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from symevol.cli import _write_csv, main
-from symevol.config import (ConfigError, build_compare, build_ensemble, build_scenario,
+from symevol.config import (_KEYS, ConfigError, build_compare, build_ensemble, build_scenario,
                             load_config, preset_path, resolve_config_path, run_digest)
 from symevol.integrate import MAX_GRID_POINTS
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SMALL_CONFIG = """\
 [model]
@@ -577,6 +580,54 @@ def test_ensemble_bad_sampler_exit_2(tmp_path, sampler):
     code, lines = _run_cli(["ensemble", str(cfg), "--out", str(out)])
     assert code == 2 and len(lines) == 1 and lines[0].startswith("config error: bad sampler")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, edit", [
+    ("vv2", ("v2 = fixed 0.5", "vv2 = normal 0.5 0.05")),
+    ("sed", ("seed = 42", "sed = 42")),
+    ("q3", ("q2 = fixed 0", "q2 = fixed 0\nq3 = fixed 0")),
+])
+def test_ensemble_unknown_key_exit_2(tmp_path, key, edit):
+    # [ensemble] is the one section whose unknown keys are errors: a misspelt
+    # coordinate would run fixed at its [initial] value, a misspelt seed at 0
+    cfg = _ensemble_config(tmp_path)
+    cfg.write_text(cfg.read_text().replace(*edit))
+    assert f"\n{key} = " in cfg.read_text()
+    out = tmp_path / "out"
+    code, lines = _run_cli(["ensemble", str(cfg), "--out", str(out)])
+    assert code == 2 and len(lines) == 1 and lines[0].startswith("config error: "), lines
+    assert f"[ensemble] {key};" in lines[0], lines
+    assert not out.exists()
+
+
+def test_benchmark_ensemble_config_runs(tmp_path, monkeypatch):
+    # the benchmark's [ensemble] text carries the retired key workers, which
+    # is accepted and ignored
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  ROOT / "benchmarks" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    cfg = tmp_path / "bench.ini"
+    cfg.write_text(workloads.FIG1_MODEL.format(v1=0.5, v2=0.5)
+                   + workloads.ENSEMBLE_SECTION.format(count=4))
+    assert "workers = 1" in cfg.read_text()
+    code, lines = _run_cli(["ensemble", str(cfg), "--out", str(tmp_path / "out"),
+                            "--horizon", "1", "--seed", "3"])
+    assert code == 0 and lines == []
+    assert (tmp_path / "out" / "moments.csv").exists()
+
+
+def test_readme_config_block_holds_every_key(tmp_path):
+    # the example under README's "Config format" names every key of the table,
+    # but the retired [ensemble] workers, and no other
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Config format", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    example_ini = tmp_path / "readme.ini"
+    example_ini.write_text(block)
+    documented = {(s, k) for s, keys in load_config(example_ini).items() for k in keys}
+    table = {(s, k) for s, keys in _KEYS.items() for k in keys}
+    assert documented == table - {("ensemble", "workers")}
 
 
 @pytest.mark.parametrize("edit", [("a1 = 1", "a1 = nan"), ("a4 = 1.5", "a4 = inf"),
