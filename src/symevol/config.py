@@ -6,7 +6,8 @@ A config has one section per concern ([model], [initial], [integrator],
 without a default being required. Each builder resolves the file, the
 command-line overrides and those defaults into one frozen run record, and
 the manifest digest is taken over that record, so every spelling of one run
-has one digest. Unknown keys are ignored, except in [ensemble].
+has one digest. Unknown keys are ignored, except in [ensemble]; a
+[DEFAULT] section is an error.
 """
 
 from __future__ import annotations
@@ -53,8 +54,9 @@ def resolve_config_path(name_or_path: str) -> Path:
 
 
 def load_config(path) -> dict:
-    """Read an INI config into {section: {key: string}}."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    """Read an INI config into {section: {key: string}}; a [DEFAULT] section is an error."""
+    # no section can be named "", so [DEFAULT] is read as an ordinary section, not copied into all
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -62,6 +64,9 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
+    if parser.has_section(configparser.DEFAULTSECT):
+        raise ConfigError("a [DEFAULT] section is not supported; "
+                          "write each key in the section that reads it")
     return {section: dict(parser[section]) for section in parser.sections()}
 
 

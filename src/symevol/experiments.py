@@ -16,7 +16,6 @@ from numbers import Real
 import numpy as np
 
 from .averaged import cartesian_invariant, polar_to_slow_cart, slow_cart_amplitudes
-from . import model
 from .integrate import MAX_GRID_POINTS, InlineRhs, IntegratorConfig, Trajectory, integrate
 from .model import FULL_EQUATIONS, CartesianState, ModelParams, full_rhs
 from .resonance import averaged_system
@@ -78,17 +77,13 @@ def phase_series(traj: Trajectory, omega: float):
 
 
 def full_field(p: ModelParams):
-    """The full system at p as :func:`integrate` takes it.
-
-    The model's own ``full_rhs`` comes with its equations, which single runs
-    and batches write into their steps. A ``full_rhs`` rebound in this module
-    (a tracer's counter, a test's spy) is looked up at call time and called
-    at every stage, so it sees every evaluation.
+    """The full system at p as :func:`integrate` takes it: an
+    :class:`InlineRhs` whose equations single runs and batches write into
+    every stage of their steps. Only each run's first slope calls
+    ``full_rhs``, looked up in this module at call time, so a ``full_rhs``
+    rebound here (a tracer's counter, a test's spy) sees that call alone.
     """
-    rhs = lambda t, y: full_rhs(t, y, p)  # noqa: E731
-    if full_rhs is not model.full_rhs:
-        return rhs
-    return InlineRhs(rhs, FULL_EQUATIONS, FULL_EQUATIONS.bindings(p))
+    return InlineRhs(lambda t, y: full_rhs(t, y, p), FULL_EQUATIONS, FULL_EQUATIONS.bindings(p))
 
 
 def run_scenario(sc: ScenarioConfig) -> Trajectory:

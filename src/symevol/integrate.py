@@ -1,27 +1,28 @@
-"""Time steppers: adaptive Dormand-Prince 5(4) and fixed-step classical RK4.
+"""Time steppers: adaptive Dormand-Prince 5(4), and classical RK4 for the
+order check.
 
-Both methods are tableau records in ``_METHODS``. The right-hand side takes
-a state as a tuple of its d components and answers with a sequence of d
-components. A component is a float in a single run, and an array with one
-entry per running row in a batch. One single-row loop runs both methods
-over Python floats, through one generated straight-line step per tableau
-record and state dimension. An adaptive record also integrates a batch of
-independent initial states at once (``y0`` of shape (N, d)), holding the
-rows as columns of a (d, n) array; every row keeps its own time and step
-size, and the step is generated from the same record, one statement per
-stage sum. Given an :class:`InlineRhs`, a right-hand side with its source
-text, both steps write the field's equations in place of the call at every
-stage, with the same bits, and evaluate the statements that read only the
-time once per stage time (a single run) or once per step, over every stage
-time at once (a batch); the full model comes that way
-(``experiments.full_field``), every other field is called, in a batch once
-per stage for all rows. Both steps write every sum through one emitter,
-test finiteness on the new state and the last stage, take the step factor
-from libm's pow and share the controller, so a batch row equals the
-single-row run byte for byte. The single-row loop makes no numpy call per
-step.
+Both methods are tableau records in ``_METHODS``. :func:`integrate` runs the
+adaptive ones; :func:`order_check` takes its fixed RK4 steps itself, through
+the same generated step. The right-hand side takes a state as a tuple of its
+d components and answers with a sequence of d components. A component is a
+float in a single run, and an array with one entry per running row in a
+batch. The single-row loop runs over Python floats, through one generated
+straight-line step per tableau record and state dimension. A batch of
+independent initial states (``y0`` of shape (N, d)) holds the rows as
+columns of a (d, n) array; every row keeps its own time and step size, and
+the step is generated from the same record, one statement per stage sum.
+Given an :class:`InlineRhs`, a right-hand side with its source text, both
+steps write the field's equations in place of the call at every stage, with
+the same bits, and evaluate the statements that read only the time once per
+stage time (a single run) or once per step, over every stage time at once (a
+batch); the full model always comes that way (``experiments.full_field``),
+every other field is called, in a batch once per stage for all rows. Both
+steps write every sum through one emitter, test finiteness on the new state
+and the last stage, take the step factor from libm's pow and share the
+controller, so a batch row equals the single-row run byte for byte. The
+single-row loop makes no numpy call per step.
 
-Both methods deliver dense output by cubic Hermite interpolation on the
+Both loops deliver dense output by cubic Hermite interpolation on the
 accepted steps, so the returned sample times are exactly the requested grid
 and never constrain the step-size control. Both loops hold their accepted
 steps in a block, a single run only the steps that hold a sample, and fill
@@ -50,7 +51,7 @@ __all__ = ["IntegratorConfig", "Trajectory", "IntegrationError", "integrate",
 class _Method(NamedTuple):
     """Explicit Runge-Kutta tableau: stage s > 0 is the slope at t + c[s] h,
     y + h (a[s-1] @ k[:s]). The last row of ``a`` holds the solution weights
-    (first same as last); a method without error weights ``e`` takes fixed steps."""
+    (first same as last); a record without ``e`` takes fixed steps (order_check)."""
 
     c: np.ndarray
     a: tuple
@@ -127,10 +128,9 @@ class IntegratorConfig:
     """Stepper selection, tolerances and time grid of one run.
 
     The run covers [t0, t_end]; samples are produced every ``sample_dt``
-    starting from t0 (the end time is always included). ``step`` applies to
-    the fixed-step method, ``rtol``/``atol`` to the adaptive one. Neither
-    the samples nor the fixed steps may number more than ``MAX_GRID_POINTS``,
-    and ``rtol`` may not be below 100 machine epsilons.
+    starting from t0 (the end time is always included). The method is an
+    adaptive record of ``_METHODS``. The samples may not number more than
+    ``MAX_GRID_POINTS``, and ``rtol`` may not be below 100 machine epsilons.
     """
 
     t_end: float
@@ -138,31 +138,25 @@ class IntegratorConfig:
     method: str = "rk45"
     rtol: float = 1e-10
     atol: float = 1e-12
-    step: float | None = None
     t0: float = 0.0
 
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        if _METHODS[self.method].e is None:
+            raise ValueError(f"method {self.method!r} takes fixed steps, which order_check runs")
         if not -math.inf < self.t0 < self.t_end < math.inf:
             raise ValueError(f"need finite t0 < t_end, got t0 = {self.t0!r}, "
                              f"t_end = {self.t_end!r}")
-        for name in ("sample_dt", "rtol", "atol", "step"):
+        for name in ("sample_dt", "rtol", "atol"):
             value = getattr(self, name)
-            if value is not None and not 0.0 < value < math.inf:
+            if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.rtol < _MIN_RTOL:
             raise ValueError(f"rtol must be at least 100*eps = {_MIN_RTOL:.3g}, got {self.rtol!r}")
-        fixed = _METHODS[self.method].e is None
-        if fixed and self.step is None:
-            raise ValueError("fixed-step method needs a step size")
-        span = self.t_end - self.t0
-        if span / self.sample_dt > MAX_GRID_POINTS:
+        if (self.t_end - self.t0) / self.sample_dt > MAX_GRID_POINTS:
             raise ValueError(f"[{self.t0:g}, {self.t_end:g}] at sample_dt {self.sample_dt!r} "
                              f"gives over {MAX_GRID_POINTS} samples")
-        if fixed and span / self.step > MAX_GRID_POINTS:
-            raise ValueError(f"[{self.t0:g}, {self.t_end:g}] at step {self.step!r} "
-                             f"needs over {MAX_GRID_POINTS} steps")
 
 
 @dataclass
@@ -250,11 +244,10 @@ def integrate(rhs, y0, config: IntegratorConfig) -> Trajectory:
     ``rhs(t, y)`` gets the state ``y`` as a tuple of its d components and
     returns a sequence of d components (a tuple, a list, an ndarray). For a
     1-D ``y0`` of d values a component is a float and ``t`` is a float. For
-    a 2-D ``y0`` of shape (N, d), N independent rows run in one adaptive
-    run (a fixed-step method raises ValueError): a component is an
-    array of shape (n,) holding the n rows still running, ``t`` is the array
-    of their times, and the answer must have shape (d, n). ``rhs`` must treat
-    rows independently. An answer of another length or shape raises
+    a 2-D ``y0`` of shape (N, d), N independent rows run at once: a component
+    is an array of shape (n,) holding the n rows still running, ``t`` is the
+    array of their times, and the answer must have shape (d, n). ``rhs`` must
+    treat rows independently. An answer of another length or shape raises
     ValueError before any sample is written. An :class:`InlineRhs` is called
     like its callable, except that both loops write its equations into the
     step's stages, with the same bits and ``rhs_evals``.
@@ -281,8 +274,6 @@ def integrate(rhs, y0, config: IntegratorConfig) -> Trajectory:
         raise ValueError(f"y0 must have shape (d,) or (N, d) with d >= 1, got {y0.shape}")
     ts = _sample_grid(config.t0, config.t_end, config.sample_dt)
     if y0.ndim == 2:
-        if _METHODS[config.method].e is None:
-            raise ValueError(f"fixed-step method {config.method!r} cannot integrate a batch")
         out = np.full((y0.shape[0], len(ts), y0.shape[1]), np.nan)
         out[:, 0] = y0
         run = _run_rows
@@ -294,13 +285,7 @@ def integrate(rhs, y0, config: IntegratorConfig) -> Trajectory:
     return Trajectory(times=ts, states=out, stats=stats)
 
 
-def _fixed_step_count(span: float, step: float) -> int:
-    """Number of equal fixed steps that cover span with steps near step."""
-    return max(1, round(span / step))
-
-
 def _run_single(rhs, y0, config, ts, out):
-    _, a, e = _METHODS[config.method]
     d = len(y0)
     t0, t_end = config.t0, config.t_end
     rtol, atol = config.rtol, config.atol
@@ -314,31 +299,20 @@ def _run_single(rhs, y0, config, ts, out):
     # the sample times, read as floats, and past the last one a time no step reaches
     samples = memoryview(np.append(ts, math.inf))
     t_next = samples[1]
-    evals = 1
     accepted = rejected_error = rejected_nonfinite = streak = 0
     idx = 1
     # the steps whose samples are not filled yet, as the floats and tuples the
     # loop made them; filled once they hold _FILL_BLOCK samples or the grid's last
     block = []
     with np.errstate(all="ignore"):  # non-finite values are tested once per step
-        if e is None:
-            n_steps = _fixed_step_count(span, config.step)
-            h = span / n_steps
-        else:
-            h = float(_initial_step(y0, np.asarray(f, dtype=float), rtol, atol, span))
+        h = float(_initial_step(y0, np.asarray(f, dtype=float), rtol, atol, span))
         while t < t_end:
-            if e is None:  # fixed step i ends at t0 + i h, the last one at t_end
-                t_new = t_end if accepted == n_steps - 1 else t0 + (accepted + 1) * h
-            elif h >= t_end - t:
+            if h >= t_end - t:
                 h = t_end - t
                 t_new = t_end
             else:
                 t_new = t + h
             y_new, f_new, finite, err_norm = step(rhs, t, h, y, f, rtol, atol)
-            evals += len(a)
-            if e is None and not finite:
-                raise IntegrationError("non-finite values in fixed-step solution",
-                                       t, np.array(y, dtype=float), "nonfinite")
             streak = 0 if finite else streak + 1
             if finite and err_norm <= 1.0:
                 # most steps hold no sample: a step joins the block only when
@@ -355,22 +329,29 @@ def _run_single(rhs, y0, config, ts, out):
                         block = []
                 t, y, f = t_new, y_new, f_new
                 accepted += 1
-                if e is not None:
-                    factor = _MAX_FACTOR if err_norm == 0.0 else min(
-                        _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * _error_power(err_norm)))
-                    h = min(h * factor, span)
+                factor = _MAX_FACTOR if err_norm == 0.0 else min(
+                    _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * _error_power(err_norm)))
+                h = min(h * factor, span)
             elif finite:
                 rejected_error += 1
                 h *= max(_MIN_FACTOR, _SAFETY * _error_power(err_norm))
             else:
                 rejected_nonfinite += 1
                 h *= 0.25
-            if e is not None and _stops(t, h, streak, t_end):
+            if _stops(t, h, streak, t_end):
                 message, reason = _STOP[streak > 0]
                 raise IntegrationError(message, t, np.array(y, dtype=float), reason)
-    return {"accepted": accepted, "rejected": rejected_error + rejected_nonfinite,
-            "rejected_error": rejected_error, "rejected_nonfinite": rejected_nonfinite,
-            "rhs_evals": evals}
+    return _stats(config.method, accepted, rejected_error, rejected_nonfinite)
+
+
+def _stats(method, accepted, rejected_error, rejected_nonfinite) -> dict:
+    """The step counts of a run from its counters, ints in a single run and
+    arrays of one entry per row in a batch: every attempt evaluates each
+    stage past the first slope, which the run evaluates once."""
+    rejected = rejected_error + rejected_nonfinite
+    return {"accepted": accepted, "rejected": rejected, "rejected_error": rejected_error,
+            "rejected_nonfinite": rejected_nonfinite,
+            "rhs_evals": 1 + len(_METHODS[method].a) * (accepted + rejected)}
 
 
 def _error_power(err_norm):
@@ -426,14 +407,19 @@ class InlineRhs(NamedTuple):
         return self.call(t, y)
 
 
-def _step_function(method: str, d: int, rhs):
-    """The single-run step of ``rhs``: :func:`_step_code` run in a namespace
-    that binds the names of ``rhs``'s source when it is an :class:`InlineRhs`."""
+def _bind(code, rhs, namespace):
+    """The ``step`` that the code object ``code(equations)`` defines, run in
+    ``namespace`` plus the names of ``rhs``'s source when it is an :class:`InlineRhs`."""
     inline = isinstance(rhs, InlineRhs)
-    namespace = {"isfinite": math.isfinite, "sqrt": math.sqrt,
-                 **(rhs.bindings if inline else {})}
-    exec(_step_code(method, d, rhs.equations if inline else None), namespace)
+    namespace.update(rhs.bindings if inline else {})
+    exec(code(rhs.equations if inline else None), namespace)
     return namespace["step"]
+
+
+def _step_function(method: str, d: int, rhs):
+    """The single-run step of ``rhs``, from :func:`_step_code`."""
+    return _bind(functools.partial(_step_code, method, d), rhs,
+                 {"isfinite": math.isfinite, "sqrt": math.sqrt})
 
 
 _IDENTIFIER = re.compile(r"\b[A-Za-z_]\w*")
@@ -528,14 +514,11 @@ def _step_code(method: str, d: int, equations):
 
 
 def _rows_step_function(method: str, rhs):
-    """The batched step of ``rhs``: :func:`_rows_step_code` run in a namespace
-    that binds the names of ``rhs``'s source when it is an :class:`InlineRhs`."""
-    inline = isinstance(rhs, InlineRhs)
-    namespace = {"columns": _columns, "isfinite": np.isfinite, "maximum": np.maximum,
-                 "empty_like": np.empty_like, "row_rms": _row_rms,
-                 "nodes": _METHODS[method].c[1:, None], **(rhs.bindings if inline else {})}
-    exec(_rows_step_code(method, rhs.equations if inline else None), namespace)
-    return namespace["step"]
+    """The batched step of ``rhs``, from :func:`_rows_step_code`."""
+    return _bind(functools.partial(_rows_step_code, method), rhs,
+                 {"columns": _columns, "isfinite": np.isfinite, "maximum": np.maximum,
+                  "empty_like": np.empty_like, "row_rms": _row_rms,
+                  "nodes": _METHODS[method].c[1:, None]})
 
 
 @functools.cache
@@ -584,7 +567,6 @@ def _columns(answer, shape):
 
 
 def _run_rows(rhs, y0, config, ts, out):
-    a = _METHODS[config.method].a
     step = _rows_step_function(config.method, rhs)
     t0, t_end = config.t0, config.t_end
     rtol, atol = config.rtol, config.atol
@@ -644,14 +626,9 @@ def _run_rows(rhs, y0, config, ts, out):
                 _hermite_fill(out, ts, *(np.concatenate(column) for column in columns[:5]),
                               *(np.concatenate(column, axis=1).T for column in columns[5:]))
                 block, held = [], 0
-    rejected = rejected_error + rejected_nonfinite
-    evals = 1 + len(a) * (accepted + rejected)
-    return {"accepted": int(accepted.sum()), "rejected": int(rejected.sum()),
-            "rejected_error": int(rejected_error.sum()),
-            "rejected_nonfinite": int(rejected_nonfinite.sum()),
-            "rhs_evals": int(evals.sum()), "row_accepted": accepted,
-            "row_rejected": rejected, "row_rejected_error": rejected_error,
-            "row_rejected_nonfinite": rejected_nonfinite, "row_rhs_evals": evals,
+    rows = _stats(config.method, accepted, rejected_error, rejected_nonfinite)
+    return {**{key: int(value.sum()) for key, value in rows.items()},
+            **{f"row_{key}": value for key, value in rows.items()},
             "failures": sorted(failures)}
 
 
@@ -669,24 +646,42 @@ def order_check(rhs, y0, t0: float, t_end: float, steps) -> OrderEstimate:
     """Measure the fixed-step RK4 convergence order on [t0, t_end] against
     an adaptive reference solution at tight tolerance.
 
-    A fixed-step run takes span/round(span/h) for a nominal step h; the fit
-    and the report use those step sizes taken, of which there must be at
-    least three distinct ones (geometric progressions work best), checked
-    before anything is integrated.
+    A nominal step h takes n = max(1, round(span/h)) steps of span/n, step i
+    from t0 + i span/n, at most ``MAX_GRID_POINTS``; the fit and the report
+    use those step sizes taken, of which there must be at least three
+    distinct ones (geometric progressions work best), checked before anything
+    is integrated. A non-finite step raises :class:`IntegrationError`.
     """
+    reference = IntegratorConfig(t0=t0, t_end=t_end, sample_dt=t_end - t0,
+                                 rtol=1e-13, atol=1e-15)
+    y0 = np.asarray(y0, dtype=float)
+    if y0.ndim != 1:
+        raise ValueError(f"order_check takes one state of shape (d,), got {y0.shape}")
     span = t_end - t0
-    configs = [IntegratorConfig(t0=t0, t_end=t_end, sample_dt=span, method="rk4", step=float(h))
-               for h in steps]
-    steps = [span / _fixed_step_count(span, cfg.step) for cfg in configs]
+    counts = []
+    for h in map(float, steps):
+        if not 0.0 < h < math.inf or span / h > MAX_GRID_POINTS:
+            raise ValueError(f"a step must be positive, finite and take at most "
+                             f"{MAX_GRID_POINTS} steps over [{t0:g}, {t_end:g}], got {h!r}")
+        counts.append(max(1, round(span / h)))
+    steps = [span / n for n in counts]
     if len(set(steps)) < 3:
         raise ValueError("need at least three distinct step sizes; over a span of "
                          f"{span:g} the steps taken are {', '.join(f'{h:g}' for h in steps)}")
-    cfg = IntegratorConfig(t0=t0, t_end=t_end, sample_dt=span, rtol=1e-13, atol=1e-15)
-    y_ref = integrate(rhs, y0, cfg).states[-1]
+    y_ref = integrate(rhs, y0, reference).states[-1]
+    step = _step_function("rk4", len(y0), rhs)
+    start = tuple(y0.tolist())
+    f0 = tuple(rhs(t0, start))
     errors = []
-    for cfg in configs:
-        y_h = integrate(rhs, y0, cfg).states[-1]
-        errors.append(float(np.max(np.abs(y_h - y_ref))))
+    for n, h in zip(counts, steps):
+        y, f = start, f0
+        for i in range(n):
+            z, f, finite, _ = step(rhs, t0 + i * h, h, y, f, 0.0, 0.0)  # rk4 reads no tolerance
+            if not finite:
+                raise IntegrationError("non-finite values in fixed-step solution",
+                                       t0 + i * h, np.array(y, dtype=float), "nonfinite")
+            y = z
+        errors.append(float(np.max(np.abs(np.array(y) - y_ref))))
     floor = 5e-13 * (1.0 + float(np.max(np.abs(y_ref))))
     if min(errors) < floor:
         return OrderEstimate(None, True, tuple(steps), tuple(errors))

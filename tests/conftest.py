@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -36,3 +38,17 @@ def fig_params(n: int, epsilon: float = 0.1) -> ModelParams:
 def fig_initial_state() -> CartesianState:
     """The presets' initial data: at the origin with velocities (0.5, 0.5)."""
     return CartesianState(t=0.0, q1=0.0, v1=0.5, q2=0.0, v2=0.5)
+
+
+def rk4_steps(rhs, y0, t0, h, n):
+    """The states after each of n fixed steps of the generated rk4 step, step
+    i from t0 + i h, as order_check takes them."""
+    step = importlib.import_module("symevol.integrate")._step_function("rk4", len(y0), rhs)
+    y = tuple(y0.tolist())
+    f = tuple(rhs(t0, y))
+    states = []
+    for i in range(n):
+        y, f, finite, err_norm = step(rhs, t0 + i * h, h, y, f, 0.0, 0.0)
+        assert finite and err_norm == 0.0
+        states.append(y)
+    return np.array(states)

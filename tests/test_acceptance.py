@@ -16,11 +16,12 @@ from symevol.averaged import (average_slow_field, avg11_cart, avg12_first_cart,
                               cartesian_invariant, polar_view)
 from symevol.cli import main as cli_main
 from symevol.config import build_scenario, load_config, preset_path
-from symevol.experiments import polar_amplitude_series, run_scenario, stabilization_time
+from symevol.experiments import (full_field, polar_amplitude_series, run_scenario,
+                                 stabilization_time)
 from symevol.integrate import IntegratorConfig, integrate, order_check
 from symevol.model import (CartesianState, ModelParams,
                            cartesian_to_dissipative, dissipative_rhs,
-                           dissipative_to_cartesian, eval_hamiltonian, full_rhs)
+                           dissipative_to_cartesian, eval_hamiltonian)
 from symevol.resonance import (classify_11, locate_12_second, locate_13,
                                verify_stability_numerically)
 from symevol.transforms import mode_actions
@@ -47,8 +48,7 @@ def ladder_trajectories():
         p = fig_params(2, epsilon=eps)
         cfg = IntegratorConfig(t_end=5.0 / eps, sample_dt=0.05,
                                rtol=1e-10, atol=1e-12)
-        runs[eps] = (p, integrate(lambda t, y: full_rhs(t, y, p),
-                                  fig_initial_state().as_array(), cfg))
+        runs[eps] = (p, integrate(full_field(p), fig_initial_state().as_array(), cfg))
     return runs
 
 
@@ -147,7 +147,7 @@ def test_criterion_06_first_order_resonance_locking():
     p = fig_params(2, epsilon=eps)
     ic = CartesianState(0.0, math.sqrt(1.0 / 3.0), 0.0, math.sqrt(1.0 / 24.0), 0.0)
     cfg = IntegratorConfig(t_end=1.0 / eps, sample_dt=0.05, rtol=1e-10, atol=1e-12)
-    traj = integrate(lambda t, y: full_rhs(t, y, p), ic.as_array(), cfg)
+    traj = integrate(full_field(p), ic.as_array(), cfg)
     r1, r2 = polar_amplitude_series(traj, p.omega)
     dev = float(np.max(np.abs(r1**2 - 8.0 * r2**2)))
     _report(6, dev <= 0.5 * eps,
@@ -160,8 +160,7 @@ def test_criterion_07_one_three_flatness():
         p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=3.0, epsilon=eps, n=2)
         cfg = IntegratorConfig(t_end=1.0 / eps**2, sample_dt=0.05,
                                rtol=1e-10, atol=1e-12)
-        traj = integrate(lambda t, y: full_rhs(t, y, p),
-                         fig_initial_state().as_array(), cfg)
+        traj = integrate(full_field(p), fig_initial_state().as_array(), cfg)
         r1, r2 = polar_amplitude_series(traj, p.omega)
         variations.append(max(float(np.max(np.abs(r1 - r1[0]))),
                               float(np.max(np.abs(r2 - r2[0])))))
@@ -225,14 +224,13 @@ def test_criterion_10_infrastructure(tmp_path):
 
     p = fig_params(2)
     y0 = fig_initial_state().as_array()
-    est = order_check(lambda t, y: full_rhs(t, y, p), y0, 0.0, 10.0,
-                      [0.2, 0.1, 0.05, 0.025])
+    est = order_check(full_field(p), y0, 0.0, 10.0, [0.2, 0.1, 0.05, 0.025])
     ok &= est.order is not None and 3.7 <= est.order <= 4.3
     details.append(f"rk4 order {est.order:.2f}")
 
     frozen = fig_params(2).replace(delta=0.0)
     cfg = IntegratorConfig(t_end=1000.0, sample_dt=0.5, rtol=1e-10, atol=1e-12)
-    traj = integrate(lambda t, y: full_rhs(t, y, frozen), y0, cfg)
+    traj = integrate(full_field(frozen), y0, cfg)
     h = np.array([eval_hamiltonian(t, s, frozen)
                   for t, s in zip(traj.times, traj.states)])
     drift = float(np.max(np.abs(h - h[0])))
@@ -243,8 +241,8 @@ def test_criterion_10_infrastructure(tmp_path):
     y0s = np.array([0.3, 0.5, 0.2, -0.4])
     flip = np.array([1.0, 1.0, -1.0, -1.0])
     cfg_s = IntegratorConfig(t_end=60.0, sample_dt=0.25, rtol=1e-10, atol=1e-12)
-    a = integrate(lambda t, y: full_rhs(t, y, psym), y0s, cfg_s)
-    b = integrate(lambda t, y: full_rhs(t, y, psym), y0s * flip, cfg_s)
+    a = integrate(full_field(psym), y0s, cfg_s)
+    b = integrate(full_field(psym), y0s * flip, cfg_s)
     refl = float(np.max(np.abs(a.states - b.states * flip)))
     ok &= refl < 1e-9
     details.append(f"reflection residual {refl:.2e}")
@@ -252,7 +250,7 @@ def test_criterion_10_infrastructure(tmp_path):
     pz = fig_params(2)
     cfg_z = IntegratorConfig(t_end=200.0, sample_dt=1.0, rtol=1e-10, atol=1e-12)
     p_int = pz.replace(a1=0.0, a2=0.0)  # the intermediate system
-    direct = integrate(lambda t, y: full_rhs(t, y, p_int), y0s, cfg_z)
+    direct = integrate(full_field(p_int), y0s, cfg_z)
     z0 = cartesian_to_dissipative(0.0, y0s, pz.delta)
     damped = integrate(lambda t, y: dissipative_rhs(t, y, pz), z0, cfg_z)
     zerr = float(np.max(np.abs(dissipative_to_cartesian(damped.times, damped.states,

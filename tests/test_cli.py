@@ -600,6 +600,23 @@ def test_ensemble_unknown_key_exit_2(tmp_path, key, edit):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "ensemble"])
+@pytest.mark.parametrize("default", ["[DEFAULT]\nn = 3\n", "[DEFAULT]\nlabel = x\n", "[DEFAULT]\n"],
+                         ids=["n", "label", "empty"])
+def test_default_section_exit_2(tmp_path, command, default):
+    # configparser copies a [DEFAULT] section's keys into every section, so
+    # n = 3 there would set [model] n unseen, and in [ensemble] any such key
+    # would be reported as misspelt; the loader rejects the section itself
+    cfg = tmp_path / "default.ini"
+    cfg.write_text(default + _ensemble_config(tmp_path).read_text().replace("n = 2\n", ""))
+    assert "\nn = " not in cfg.read_text().split("[model]")[1]
+    out = tmp_path / "out"
+    code, lines = _run_cli([command, str(cfg), "--out", str(out)])
+    assert code == 2 and lines == ["config error: a [DEFAULT] section is not supported; "
+                                   "write each key in the section that reads it"], lines
+    assert not out.exists()
+
+
 def test_benchmark_ensemble_config_runs(tmp_path, monkeypatch):
     # the benchmark's [ensemble] text carries the retired key workers, which
     # is accepted and ignored

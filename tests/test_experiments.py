@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import symevol.experiments as experiments_module
-from conftest import fig_initial_state, fig_params
+from conftest import fig_initial_state, fig_params, rk4_steps
 from symevol.experiments import (EnsembleSpec, ScenarioConfig, _draw_initial,
                                  _histogram_series, compare_full_vs_averaged, full_field,
                                  invariant_drift, phase_series, polar_amplitude_series,
@@ -36,7 +36,7 @@ def test_inlined_stage_equals_the_called_field(name, kind):
     # run_scenario writes the model's equations into its step, and so does a
     # batch; calling full_rhs at every stage gives the same bits and counts:
     # from the preset's start, from t0 = 2.5 and with negative coefficients,
-    # for rk45 runs, batches and the rk4 runs of an order check
+    # for rk45 runs, batches and the rk4 steps of an order check
     base = build_scenario(load_config(preset_path(name)), {"horizon": 20.0})
     p = base.params.replace(alpha_kind=kind)
     for params, initial in ((p, base.initial), (p, dataclasses.replace(base.initial, t=2.5)),
@@ -79,9 +79,10 @@ def test_inlined_stage_rejects_negative_slow_time(kind):
             integrate(stub, y0, sc.integrator)
 
 
-def test_rebound_full_rhs_is_called_at_every_stage(monkeypatch):
-    # a full_rhs rebound in experiments (a tracer's counter, a spy) is called
-    # at every stage, with the bits of the inlined runs
+def test_rebound_full_rhs_sees_only_first_slopes(monkeypatch):
+    # full_field is the model's InlineRhs whatever full_rhs is bound to in
+    # experiments, so a rebound full_rhs (a tracer's counter, a spy) is called
+    # once per integrate call, for its first slope, and the runs keep their bits
     p, initial = fig_params(2), fig_initial_state()
     sc = _scenario(p, initial, 20.0)
     inlined, compared = run_scenario(sc), compare_full_vs_averaged(p, initial)
@@ -94,25 +95,25 @@ def test_rebound_full_rhs_is_called_at_every_stage(monkeypatch):
         return full_rhs(t, y, params)
 
     monkeypatch.setattr(experiments_module, "full_rhs", spy)
-    assert not isinstance(full_field(p), InlineRhs)
+    assert isinstance(full_field(p), InlineRhs)
     traj = run_scenario(sc)
-    assert len(calls) == traj.stats["rhs_evals"] == inlined.stats["rhs_evals"]
+    assert calls == [initial.t]
     assert np.array_equal(traj.states, inlined.states) and traj.stats == inlined.stats
-    before = len(calls)
-    assert compare_full_vs_averaged(p, initial) == compared and len(calls) > before
-    # a batch calls it once per stage for all running rows
-    before = len(calls)
+    calls.clear()
+    assert compare_full_vs_averaged(p, initial) == compared and calls == [initial.t]
+    # a batch calls it once, for the first slopes of all its rows
+    calls.clear()
     _assert_same_report(run_ensemble(spec), ensemble)
-    assert sum(np.size(t) for t in calls[before:]) == ensemble.stats["rhs_evals"]
+    assert len(calls) == 1 and np.shape(calls[0]) == (spec.count,)
 
 
 @pytest.mark.parametrize("method", ["rk45", "rk4"])
 def test_inlined_alpha_once_per_stage_time(method):
     # the statement that reads only t and the parameters, the decay factor
     # alpha, runs once per stage time: rk45's last two stages share t + h,
-    # rk4's stages come in pairs at t + h/2 and t + h; a batch runs it once
-    # per step, over the times of all its stages. The bits stay those of
-    # calling full_rhs at every stage.
+    # the stages of order_check's rk4 steps come in pairs at t + h/2 and
+    # t + h; a batch runs it once per step, over the times of all its stages.
+    # The bits stay those of calling full_rhs at every stage.
     p = fig_params(2)
     field = full_field(p)
     times = []
@@ -122,15 +123,17 @@ def test_inlined_alpha_once_per_stage_time(method):
         return alpha(tau, kind)
 
     spy = field._replace(bindings={**field.bindings, "alpha": counted})
-    settings = {"method": "rk4", "step": 0.05} if method == "rk4" else {}
-    sc = _scenario(p, fig_initial_state(), 20.0, **settings)
-    y0 = fig_initial_state().as_array()
+    initial = fig_initial_state()
+    y0 = initial.as_array()
+    if method == "rk4":  # 400 steps of 0.05, as order_check takes them
+        ends = [rk4_steps(rhs, y0, initial.t, 0.05, 400) for rhs in (spy, _called(p))]
+        assert np.array_equal(ends[0], ends[1]) and len(times) == 2 * 400
+        return
+    sc = _scenario(p, initial, 20.0)
     runs = [integrate(rhs, y0, sc.integrator) for rhs in (spy, _called(p))]
     assert np.array_equal(runs[0].states, runs[1].states) and runs[0].stats == runs[1].stats
     attempts = runs[0].stats["accepted"] + runs[0].stats["rejected"]
-    assert len(times) == {"rk45": 5, "rk4": 2}[method] * attempts
-    if method == "rk4":
-        return
+    assert len(times) == 5 * attempts
     times.clear()
     rows = np.array([y0, y0 * 1.1, y0 * 0.9])
     batch, called = (integrate(rhs, rows, sc.integrator) for rhs in (spy, _called(p)))

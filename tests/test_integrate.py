@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import rk4_steps
 from symevol.integrate import (MAX_GRID_POINTS, IntegrationError, IntegratorConfig,
                                Trajectory, integrate, order_check)
 from symevol.model import ModelParams, full_rhs
@@ -16,6 +17,9 @@ integrate_module = importlib.import_module("symevol.integrate")
 # step counts of a run; a batch also gives each per row, prefixed "row_"
 STAT_KEYS = ("accepted", "rejected", "rejected_error", "rejected_nonfinite", "rhs_evals")
 
+# every record integrate runs: those with error weights
+ADAPTIVE = [name for name, record in integrate_module._METHODS.items() if record.e is not None]
+
 
 def harmonic(t, y):
     # floats in a single run, columns in a batch
@@ -23,19 +27,21 @@ def harmonic(t, y):
 
 
 def test_config_validation():
-    bad = [{"sample_dt": -1.0}, {"rtol": 0.0}, {"method": "rk4"}, {"method": "euler"},
+    bad = [{"sample_dt": -1.0}, {"rtol": 0.0}, {"method": "euler"},
            {"t_end": math.nan}, {"t_end": -math.inf}, {"sample_dt": math.inf},
-           {"rtol": math.nan}, {"atol": math.inf}, {"method": "rk4", "step": math.nan},
+           {"rtol": math.nan}, {"atol": math.inf},
            {"t0": math.nan}, {"t0": -math.inf}, {"t0": 10.0}, {"t0": 11.0}, {"t_end": -5.0},
-           # over MAX_GRID_POINTS samples, or rk4 steps, counted on construction
-           {"t_end": 1e8, "sample_dt": 1e-3},
-           {"t_end": 1.0, "method": "rk4", "step": 0.5 / MAX_GRID_POINTS}]
+           # over MAX_GRID_POINTS samples, counted on construction
+           {"t_end": 1e8, "sample_dt": 1e-3}]
     for settings in bad:
         with pytest.raises(ValueError):
             IntegratorConfig(**{"t_end": 10.0, "sample_dt": 0.1, **settings})
     assert IntegratorConfig(t0=-8.0, t_end=-5.0, sample_dt=0.1).t_end == -5.0
-    assert IntegratorConfig(t0=5.0, t_end=5.0 + MAX_GRID_POINTS * 0.5, sample_dt=0.5,
-                            method="rk4", step=0.5).step == 0.5
+    assert IntegratorConfig(t0=5.0, t_end=5.0 + MAX_GRID_POINTS * 0.5, sample_dt=0.5).t0 == 5.0
+    # integrate runs adaptive records only; fixed RK4 steps are order_check's
+    assert not hasattr(IntegratorConfig, "step")
+    with pytest.raises(ValueError, match="order_check"):
+        IntegratorConfig(t_end=1.0, sample_dt=0.5, method="rk4")
     # a state holds at least one value, alone (d,) or in a batch (N, d)
     cfg = IntegratorConfig(t_end=1.0, sample_dt=0.5)
     for y0 in (np.zeros(0), np.zeros((2, 0)), np.float64(1.0), np.zeros((1, 1, 1))):
@@ -118,11 +124,12 @@ def test_nan_rhs_aborts():
 def test_rk4_matches_adaptive():
     p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.1, n=2)
     y0 = np.array([0.0, 0.5, 0.0, 0.5])
-    cfg4 = IntegratorConfig(t_end=20.0, sample_dt=0.5, method="rk4", step=0.005)
+    # every 100th of 4000 steps of 0.005 against the samples every 0.5
+    a = rk4_steps(lambda t, y: full_rhs(t, y, p), y0, 0.0, 0.005, 4000)[99::100]
     cfg5 = IntegratorConfig(t_end=20.0, sample_dt=0.5, rtol=1e-12, atol=1e-14)
-    a = integrate(lambda t, y: full_rhs(t, y, p), y0, cfg4)
     b = integrate(lambda t, y: full_rhs(t, y, p), y0, cfg5)
-    assert np.max(np.abs(a.states - b.states)) < 1e-6
+    assert len(a) == len(b) - 1
+    assert np.max(np.abs(a - b.states[1:])) < 1e-6
 
 
 def test_order_check_rk4():
@@ -155,6 +162,9 @@ def test_order_check_needs_three_steps():
     for t_end, steps in bad:
         with pytest.raises(ValueError):
             order_check(never, np.array([1.0, 0.0]), 0.0, t_end, steps)
+    # the fixed steps run one state, not a batch
+    with pytest.raises(ValueError):
+        order_check(never, np.ones((3, 2)), 0.0, 1.0, [0.2, 0.1, 0.05])
 
 
 def test_against_scipy_reference():
@@ -333,19 +343,18 @@ def test_batched_fill_independent_of_block_size(make, monkeypatch):
             assert len(calls) == 1
 
 
-@pytest.mark.parametrize("method", ["rk45", "rk4"])
+@pytest.mark.parametrize("method", ADAPTIVE)
 def test_single_run_fill_independent_of_block_size(method, monkeypatch):
     # a single run fills its samples in blocks of samples: a fill after every
     # step that holds a sample, after a few and once at the end give the same
     # bytes and counts, and a failing run the same error
     p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.1, n=2)
     y0 = np.array([0.0, 0.5, 0.0, 0.5])
-    step = 0.05 if method == "rk4" else None
-    cfg = IntegratorConfig(t_end=10.0, sample_dt=0.01, method=method, step=step)
+    cfg = IntegratorConfig(t_end=10.0, sample_dt=0.01, method=method)
     # the blow-up of test_blow_up_reports_last_good_state
     p_bad = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.9, n=1)
     y0_bad = np.array([3.0, 0.0, 3.0, 0.0])
-    cfg_bad = IntegratorConfig(t_end=50.0, sample_dt=0.01, method=method, step=step)
+    cfg_bad = IntegratorConfig(t_end=50.0, sample_dt=0.01, method=method)
 
     def valid():
         return integrate(lambda t, y: full_rhs(t, y, p), y0, cfg)
@@ -375,12 +384,6 @@ def test_single_run_fill_independent_of_block_size(method, monkeypatch):
         err = failing()
         assert str(err) == str(failed) and err.t_last == failed.t_last
         assert err.reason == failed.reason and np.array_equal(err.y_last, failed.y_last)
-
-
-def test_batched_integration_rejects_fixed_step_record():
-    cfg = IntegratorConfig(t_end=1.0, sample_dt=0.5, method="rk4", step=0.1)
-    with pytest.raises(ValueError):
-        integrate(lambda t, y: -y, np.ones((3, 2)), cfg)
 
 
 def test_batch_runs_any_adaptive_record(monkeypatch):
@@ -416,7 +419,7 @@ def _per_sample_hermite_fill(out, ts, idx, t0, h, y0, y1, f0, f1, t1):
     return idx
 
 
-@pytest.mark.parametrize("method", ["rk45", "rk4"])
+@pytest.mark.parametrize("method", ADAPTIVE)
 def test_hermite_fill_matches_per_sample_formula_bitwise(method, monkeypatch):
     p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.1, n=2)
     rhs = lambda t, y: full_rhs(t, y, p)  # noqa: E731
@@ -436,13 +439,9 @@ def test_hermite_fill_matches_per_sample_formula_bitwise(method, monkeypatch):
                                                        y0[i], y1[i], f0[i], f1[i], t0[i] + h[i])
 
     # steps holding many samples, about one, and none (which the loop leaves
-    # out of the block, so every step in it holds a sample); t_end off the grid;
-    # last, RK4 steps that end 1 ulp before a sample time (t = 7 * (0.7 / 7)),
-    # which the fill's tolerance assigns to the step that ends there
-    step = 0.3 if method == "rk4" else None
-    cases = [(10.05, dt, step) for dt in (0.001, 0.3, 2.5)] + [(0.7, 0.1, 0.1)]
-    for t_end, sample_dt, step in cases:
-        cfg = IntegratorConfig(t_end=t_end, sample_dt=sample_dt, method=method, step=step)
+    # out of the block, so every step in it holds a sample); t_end off the grid
+    for t_end, sample_dt in [(10.05, dt) for dt in (0.001, 0.3, 2.5)] + [(0.7, 0.1)]:
+        cfg = IntegratorConfig(t_end=t_end, sample_dt=sample_dt, method=method)
         monkeypatch.setattr(integrate_module, "_hermite_fill", counting_fill)
         fast = integrate(rhs, y0, cfg)
         monkeypatch.setattr(integrate_module, "_hermite_fill", per_sample_fill)
@@ -530,17 +529,28 @@ def _stage_rhs(bad_call, bad_row=0):
 
 
 @pytest.mark.parametrize("method", ["rk45", "rk4"])
-def test_inf_at_one_stage_counts_as_non_finite_attempt(method):
+def test_inf_at_one_stage_counts_as_non_finite_attempt(method, monkeypatch):
     # call 0 is the first slope, call s the stage s of the first attempt;
-    # rk45's stage 1 enters the solution with weight zero
+    # rk45's stage 1 enters the solution with weight zero. A fixed rk4 step
+    # has no attempt to repeat: order_check raises at the step that met it.
     y0 = np.array([0.3, -0.2])
-    cfg = IntegratorConfig(t_end=2.0, sample_dt=0.5, method=method, step=0.1)
-    for stage in range(1, len(integrate_module._METHODS[method].a) + 1):
-        if method == "rk4":
+    stages = len(integrate_module._METHODS[method].a)
+    if method == "rk4":
+        # the reference run integrates the field without an inf, so that the
+        # poisoned field's calls start at order_check's first slope
+        reference = integrate_module.integrate
+        monkeypatch.setattr(integrate_module, "integrate",
+                            lambda rhs, y, cfg: reference(_stage_rhs(-1), y, cfg))
+        # a stage of the first step, and stage 1 of the third (step 2 of 0.1)
+        for bad_call, t_last in [(s, 0.0) for s in range(1, stages + 1)] + [(9, 0.2)]:
             with pytest.raises(IntegrationError) as err:
-                integrate(_stage_rhs(stage), y0, cfg)
-            assert err.value.reason == "nonfinite" and err.value.t_last == 0.0
-            continue
+                order_check(_stage_rhs(bad_call), y0, 0.0, 2.0, [0.1, 0.05, 0.025])
+            assert err.value.reason == "nonfinite" and err.value.t_last == t_last
+            if t_last == 0.0:
+                assert np.array_equal(err.value.y_last, y0)
+        return
+    cfg = IntegratorConfig(t_end=2.0, sample_dt=0.5, method=method)
+    for stage in range(1, stages + 1):
         single = integrate(_stage_rhs(stage), y0, cfg)
         assert single.stats["rejected_nonfinite"] == 1
         assert single.stats["rejected_error"] == 0
@@ -580,7 +590,8 @@ def test_rhs_may_return_any_sequence_of_d_floats(monkeypatch):
     # the rhs gets a tuple of d components, floats in a single run and columns
     # of the running rows in a batch, and may answer with any sequence of d
     # components; tuple, list and ndarray answers run byte for byte, and so
-    # does a list the rhs rewrites at every call
+    # does a list the rhs rewrites at every call, in integrate and in
+    # order_check's fixed rk4 steps
     p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.1, n=2)
     y0 = np.array([0.0, 0.5, 0.0, 0.5])
     # as many rows as components, so a (d,) answer could broadcast over the batch
@@ -599,12 +610,8 @@ def test_rhs_may_return_any_sequence_of_d_floats(monkeypatch):
 
     answers = [as_tuple, lambda t, y: list(full_rhs(t, y, p)),
                lambda t, y: np.array(full_rhs(t, y, p)), reused]
-    cfg45 = IntegratorConfig(t_end=5.0, sample_dt=0.25)
-    # every rk4 step holds a sample inside it, the first too, whose slope is the
-    # first answer
-    cases = [(y0, cfg45), (y0, IntegratorConfig(t_end=5.0, sample_dt=0.025, method="rk4",
-                                                step=0.05)), (y0s, cfg45)]
-    for start, cfg in cases:
+    cfg = IntegratorConfig(t_end=5.0, sample_dt=0.25)
+    for start in (y0, y0s):
         states.clear()
         runs = [integrate(rhs, start, cfg) for rhs in answers]
         for run in runs[1:]:
@@ -613,11 +620,21 @@ def test_rhs_may_return_any_sequence_of_d_floats(monkeypatch):
             for key, value in run.stats.items():
                 assert np.array_equal(value, runs[0].stats[key])
         assert all(type(y) is tuple and len(y) == 4 for y in states)
+        # one call for each row's first slope and each later stage of an
+        # attempt; the totals are Python ints
+        assert sum(np.size(y[0]) for y in states) == runs[0].stats["rhs_evals"]
+        assert all(type(runs[0].stats[key]) is int for key in STAT_KEYS)
         if start.ndim == 1:
             assert all(type(v) is float for y in states for v in y)
         else:
             assert all(type(v) is np.ndarray and v.shape == y[0].shape == (len(y[0]),)
                        for y in states for v in y)
+    states.clear()
+    estimates = [order_check(rhs, y0, 0.0, 5.0, [0.2, 0.1, 0.05]) for rhs in answers]
+    assert all(estimate == estimates[0] for estimate in estimates[1:])
+    assert not estimates[0].saturated
+    assert all(type(y) is tuple and len(y) == 4 and all(type(v) is float for v in y)
+               for y in states)
 
     # d - 1 or d + 1 components, or in a batch a constant (d,) answer, at the
     # first call or at any stage of the first step, raise ValueError before
@@ -637,14 +654,14 @@ def test_rhs_may_return_any_sequence_of_d_floats(monkeypatch):
         return rhs
 
     short, long, constant = lambda f: f[:3], lambda f: f + (f[0],), lambda f: np.array(f)[:, 0]
-    for start, cfg in cases:
-        stages = len(integrate_module._METHODS[cfg.method].a)
+    stages = len(integrate_module._METHODS[cfg.method].a)
+    for start in (y0, y0s):
         for answer in (short, long, constant) if start.ndim == 2 else (short, long):
             for call in range(stages + 1):
                 with pytest.raises(ValueError):
                     integrate(late(answer, call), start, cfg)
     assert fills == []
-    for start, cfg in cases:
+    for start in (y0, y0s):
         integrate(answers[0], start, cfg)
         assert fills
         fills.clear()
