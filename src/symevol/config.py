@@ -54,20 +54,25 @@ def resolve_config_path(name_or_path: str) -> Path:
 
 
 def load_config(path) -> dict:
-    """Read an INI config into {section: {key: string}}; a [DEFAULT] section is an error."""
+    """Read an INI config into {section: {key: string}}; a [DEFAULT] section is an error.
+    Every error is a :class:`ConfigError` of one line."""
     # no section can be named "", so [DEFAULT] is read as an ordinary section, not copied into all
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
+        if parser.has_section(configparser.DEFAULTSECT):
+            raise ConfigError("a [DEFAULT] section is not supported; "
+                              "write each key in the section that reads it")
+        # reading a value interpolates it, which can raise too
+        return {section: dict(parser[section]) for section in parser.sections()}
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config: {exc}") from exc
-    if parser.has_section(configparser.DEFAULTSECT):
-        raise ConfigError("a [DEFAULT] section is not supported; "
-                          "write each key in the section that reads it")
-    return {section: dict(parser[section]) for section in parser.sections()}
+        # configparser writes the line number and the offending line on lines of
+        # their own; the CLI reports an error on one line, so join them
+        text = " ".join(line.strip() for line in str(exc).splitlines())
+        raise ConfigError(f"cannot parse config: {text}") from exc
 
 
 def run_digest(record) -> str:

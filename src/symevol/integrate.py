@@ -13,14 +13,15 @@ columns of a (d, n) array; every row keeps its own time and step size, and
 the step is generated from the same record, one statement per stage sum.
 Given an :class:`InlineRhs`, a right-hand side with its source text, both
 steps write the field's equations in place of the call at every stage, with
-the same bits, and evaluate the statements that read only the time once per
-stage time (a single run) or once per step, over every stage time at once (a
-batch); the full model always comes that way (``experiments.full_field``),
-every other field is called, in a batch once per stage for all rows. Both
-steps write every sum through one emitter, test finiteness on the new state
-and the last stage, take the step factor from libm's pow and share the
-controller, so a batch row equals the single-row run byte for byte. The
-single-row loop makes no numpy call per step.
+the same bits. They evaluate the statements that read only the parameters
+once per run, and those that read only the time once per stage time (a
+single run) or once per step, over every stage time at once (a batch); the
+full model always comes that way (``experiments.full_field``), every other
+field is called, in a batch once per stage for all rows. Both steps write
+every sum through one emitter, test finiteness on the new state and the
+last stage, take the step factor from libm's pow and share the controller,
+so a batch row equals the single-row run byte for byte. The single-row loop
+makes no numpy call, and no ``min`` or ``max`` call, per step.
 
 Both loops deliver dense output by cubic Hermite interpolation on the
 accepted steps, so the returned sample times are exactly the requested grid
@@ -317,7 +318,10 @@ def _run_single(rhs, y0, config, ts, out):
             if finite and err_norm <= 1.0:
                 # most steps hold no sample: a step joins the block only when
                 # the next sample lies within the tolerance of its end
-                tol = t_new + 1e-14 * max(1.0, abs(t_new))
+                # max(1.0, |t_new|) and the clamps below are written as the
+                # builtins' own rules, the same bits without a call per step
+                tol = abs(t_new)
+                tol = t_new + 1e-14 * (tol if tol > 1.0 else 1.0)
                 if t_next <= tol:
                     stop = bisect.bisect_right(samples, tol, idx)
                     block.append((idx, stop, t, h, y, y_new, f, f_new))
@@ -329,12 +333,18 @@ def _run_single(rhs, y0, config, ts, out):
                         block = []
                 t, y, f = t_new, y_new, f_new
                 accepted += 1
-                factor = _MAX_FACTOR if err_norm == 0.0 else min(
-                    _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * _error_power(err_norm)))
-                h = min(h * factor, span)
+                if err_norm == 0.0:
+                    h *= _MAX_FACTOR
+                else:
+                    factor = _SAFETY * _error_power(err_norm)
+                    factor = factor if factor > _MIN_FACTOR else _MIN_FACTOR
+                    h *= factor if factor < _MAX_FACTOR else _MAX_FACTOR
+                if span < h:
+                    h = span
             elif finite:
                 rejected_error += 1
-                h *= max(_MIN_FACTOR, _SAFETY * _error_power(err_norm))
+                factor = _SAFETY * _error_power(err_norm)
+                h *= factor if factor > _MIN_FACTOR else _MIN_FACTOR
             else:
                 rejected_nonfinite += 1
                 h *= 0.25
@@ -396,7 +406,9 @@ class InlineRhs(NamedTuple):
     ``rtol``, ``atol``, ``total``, ``finite``, ``sq``, ``x``, ``err_norm``,
     ``times``, ``nodes``, ``isfinite``, ``sqrt``, ``maximum``,
     ``empty_like``, ``row_rms``, ``columns`` and the names ``y<j>``,
-    ``z<j>``, ``x<j>``, ``k<s>`` and ``k<s>_<j>``.
+    ``z<j>``, ``x<j>``, ``ay<j>``, ``az<j>``, ``k<s>`` and ``k<s>_<j>``.
+    The body's statements that read only the parameters run once per bound
+    step, in the namespace that holds ``bindings``.
     """
 
     call: object
@@ -409,7 +421,9 @@ class InlineRhs(NamedTuple):
 
 def _bind(code, rhs, namespace):
     """The ``step`` that the code object ``code(equations)`` defines, run in
-    ``namespace`` plus the names of ``rhs``'s source when it is an :class:`InlineRhs`."""
+    ``namespace`` plus the names of ``rhs``'s source when it is an
+    :class:`InlineRhs`; running the code evaluates the source's
+    parameter-only statements once, into that namespace."""
     inline = isinstance(rhs, InlineRhs)
     namespace.update(rhs.bindings if inline else {})
     exec(code(rhs.equations if inline else None), namespace)
@@ -426,20 +440,25 @@ _IDENTIFIER = re.compile(r"\b[A-Za-z_]\w*")
 
 
 def _split_body(equations):
-    """The statements of ``equations.body`` that read ``t`` and no state
-    name, directly or through an earlier statement, the rest, each in body
-    order, and the names the first part assigns. The first part is the same
-    at every stage of one stage time."""
-    timed, rest = [], []
+    """The statements of ``equations.body`` in three parts, each in body
+    order: those that read neither ``t`` nor a state name, directly or
+    through an earlier statement; those that read ``t`` and no state name;
+    the rest. Then the names the second part assigns. The first part is the
+    same for the whole run, the second at every stage of one stage time."""
+    fixed, timed, rest = [], [], []
     t_names, state_names = {"t"}, set(equations.state)
     for statement in equations.body:
         target, expression = statement.split("=", 1)
         reads = set(_IDENTIFIER.findall(expression))
-        part, names = ((timed, t_names) if reads & t_names and not reads & state_names
-                       else (rest, state_names))
+        if reads & state_names:
+            part, names = rest, state_names
+        elif reads & t_names:
+            part, names = timed, t_names
+        else:
+            part, names = fixed, set()
         part.append(statement)
         names.update(_IDENTIFIER.findall(target))
-    return timed, rest, t_names - {"t"}
+    return fixed, timed, rest, t_names - {"t"}
 
 
 def _inline(statements, rename) -> list:
@@ -462,16 +481,20 @@ def _step_code(method: str, d: int, equations):
     Each stage calls ``rhs`` or, given the source ``equations`` of an
     :class:`InlineRhs`, evaluates its body in place: the same operations
     without the call, the tuples and the parameter loads, so both give the
-    same bits. The statements that read only the time and the parameters
-    (:func:`_split_body`) run once per stage time: a stage at the time of
-    the stage before reuses their values. The code depends on the source
-    only, never on the values bound to its names, so there is one entry per
-    method, dimension and source.
+    same bits. Of the statements :func:`_split_body` sorts, those that read
+    only the parameters stand before ``def step``, so they run once, when
+    :func:`_bind` runs the code; those that read only the time and the
+    parameters run once per stage time: a stage at the time of the stage
+    before reuses their values. The code depends on the source only, never
+    on the values bound to its names, so there is one entry per method,
+    dimension and source.
 
     Finiteness is tested on the new state and the last stage only. The new
     state's sum takes every other stage with its weight, zero weights
     included, and 0·inf is NaN, so a non-finite earlier stage makes the new
-    state non-finite.
+    state non-finite. The error norm's ``max(|y|, |z|)`` is written as
+    ``max``'s own rule, ``b if b > a else a``, which gives its result for
+    ±0.0 and NaN too, without the call.
     """
     c, a, e = _METHODS[method]
     comps = range(d)
@@ -483,7 +506,8 @@ def _step_code(method: str, d: int, equations):
              f"    {names('y')}= y",
              f"    {names('k0_')}= f"]
     if equations is not None:
-        timed, rest, _ = _split_body(equations)
+        fixed, timed, rest, _ = _split_body(equations)
+        lines = fixed + lines
     for s, a_s in enumerate(a, 1):
         for j in comps:
             lines.append(f"    z{j} = y{j} + h * "
@@ -505,8 +529,9 @@ def _step_code(method: str, d: int, equations):
         lines.append("    err_norm = 0.0")
     else:
         for j in comps:  # the error norm of _row_rms
-            lines.append(f"    x{j} = h * {_weighted_source(e, [f'k{r}_{j}' for r in range(len(c))])}"
-                         f" / (atol + rtol * max(abs(y{j}), abs(z{j})))")
+            lines += [f"    ay{j} = abs(y{j})", f"    az{j} = abs(z{j})",
+                      f"    x{j} = h * {_weighted_source(e, [f'k{r}_{j}' for r in range(len(c))])}"
+                      f" / (atol + rtol * (az{j} if az{j} > ay{j} else ay{j}))"]
         lines += _sum_source("sq", [f"x{j} * x{j}" for j in comps])
         lines.append(f"    err_norm = sqrt(sq / {d})")
     lines.append(f"    return ({names('z')}), ({names(f'k{len(a)}_')}), finite, err_norm")
@@ -530,17 +555,18 @@ def _rows_step_code(method: str, equations):
 
     Each stage calls ``rhs``, and its answer passes :func:`_columns`, or,
     given the source ``equations`` of an :class:`InlineRhs`, evaluates its
-    body in place. The statements that read only the time and the parameters
-    (:func:`_split_body`) then run once per step, over the (stages, n) array
-    ``times`` of every stage time, and stage s reads row s - 1 of their
-    values; the arithmetic is elementwise, so the bits are those of a call
-    per stage."""
+    body in place. Of the statements :func:`_split_body` sorts, those that
+    read only the parameters then stand before ``def step`` and run once, as
+    in :func:`_step_code`; those that read only the time and the parameters
+    run once per step, over the (stages, n) array ``times`` of every stage
+    time, and stage s reads row s - 1 of their values. The arithmetic is
+    elementwise, so the bits are those of a call per stage."""
     c, a, e = _METHODS[method]
     lines = ["def step(rhs, t, h, y, f, rtol, atol):",
              "    k0 = f"]
     if equations is not None:
-        timed, rest, shared = _split_body(equations)
-        lines += ["    times = t + nodes * h", *_inline(timed, {"t": "times"})]
+        fixed, timed, rest, shared = _split_body(equations)
+        lines = [*fixed, *lines, "    times = t + nodes * h", *_inline(timed, {"t": "times"})]
     for s, a_s in enumerate(a, 1):
         lines.append(f"    z = y + h * {_weighted_source(a_s, [f'k{r}' for r in range(s)])}")
         if equations is None:

@@ -149,6 +149,11 @@ class Equations(NamedTuple):
     they assign the rates of the components to the names ``rates``. Besides
     their own results they read the fields ``params`` of :class:`ModelParams`
     and the decay factor :func:`alpha`.
+
+    The generated steps of :mod:`symevol.integrate` sort the statements in
+    three classes: those that read neither ``t`` nor a state name, directly
+    or through an earlier statement, run once per run; those that read ``t``
+    but no state name run once per stage time; the rest run at every stage.
     """
 
     state: tuple
@@ -164,21 +169,25 @@ class Equations(NamedTuple):
 
 # The full equations of motion. ``full_rhs`` is generated from them, and so are
 # the inlined stages of the single-run and batched steps (integrate.InlineRhs).
-# The factors that read only the time and the parameters are statements of
-# their own, so that the steps evaluate them once per stage time; they are the
-# leading factors of the products, so the rates keep their bits.
+# The factors that read only the parameters, and those that read only the time
+# and the parameters, are statements of their own, so that the steps evaluate
+# them once per run and once per stage time; they are the leading factors of
+# the products (``-omega**2`` is ``(-(omega**2))``, and a product associates
+# from the left), so the rates keep their bits.
 FULL_EQUATIONS = Equations(
     state=("q1", "v1", "q2", "v2"),
     rates=("dq1", "dv1", "dq2", "dv2"),
     params=("a1", "a2", "a3", "a4", "omega", "epsilon", "delta", "alpha_kind"),
-    body=("al = alpha(delta * t, alpha_kind)",
+    body=("minus_omega_sq = -omega**2",
+          "eps_2a2 = epsilon * 2.0 * a2",
+          "al = alpha(delta * t, alpha_kind)",
           "eps_al = epsilon * al",
           "eps_al_2a4 = eps_al * 2.0 * a4",
           "dq1 = v1",
           "dv1 = (-q1 + epsilon * (a1 * q1 * q1 + a2 * q2 * q2)"
           " + eps_al_2a4 * q1 * q2)",
           "dq2 = v2",
-          "dv2 = (-omega**2 * q2 + epsilon * 2.0 * a2 * q1 * q2"
+          "dv2 = (minus_omega_sq * q2 + eps_2a2 * q1 * q2"
           " + eps_al * (a3 * q2 * q2 + a4 * q1 * q1))"))
 
 

@@ -617,6 +617,23 @@ def test_default_section_exit_2(tmp_path, command, default):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, where", [("[model]\na1 = 1\nfoo\n", "[line  3]: 'foo\\n'"),
+                                         ("[model\n", "line: 1 '[model\\n'"),
+                                         ("[model]\na1 = 5%\n", "'%' must be followed")],
+                         ids=["no-equals", "open-header", "percent"])
+def test_unparsable_config_exit_2_on_one_line(tmp_path, text, where):
+    # configparser writes the line number and the offending line on lines of
+    # their own, and a stray % fails only when the value is read; the loader
+    # reports each as one config error line that keeps them
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    code, lines = _run_cli(["simulate", str(cfg), "--out", str(out)])
+    assert code == 2 and len(lines) == 1, lines
+    assert lines[0].startswith("config error: cannot parse config: ") and where in lines[0], lines
+    assert not out.exists()
+
+
 def test_benchmark_ensemble_config_runs(tmp_path, monkeypatch):
     # the benchmark's [ensemble] text carries the retired key workers, which
     # is accepted and ignored

@@ -13,8 +13,9 @@ from symevol.experiments import (EnsembleSpec, ScenarioConfig, _draw_initial,
 from symevol.averaged import INVARIANT_NAMES, cartesian_invariant
 from symevol.config import ConfigError, build_scenario, load_config, preset_path
 from symevol.integrate import (MAX_GRID_POINTS, InlineRhs, IntegrationError, IntegratorConfig,
-                               integrate, order_check)
-from symevol.model import ALPHA_KINDS, CartesianState, ModelParams, alpha, full_rhs
+                               _split_body, integrate, order_check)
+from symevol.model import (ALPHA_KINDS, FULL_EQUATIONS, CartesianState, ModelParams, alpha,
+                           full_rhs)
 from symevol.resonance import RESONANCES
 from symevol.transforms import COMBINATION_COEFFS, mode_actions, polar_coordinates, wrap_angle
 
@@ -35,12 +36,15 @@ def _called(p):
 def test_inlined_stage_equals_the_called_field(name, kind):
     # run_scenario writes the model's equations into its step, and so does a
     # batch; calling full_rhs at every stage gives the same bits and counts:
-    # from the preset's start, from t0 = 2.5 and with negative coefficients,
-    # for rk45 runs, batches and the rk4 steps of an order check
+    # from the preset's start, from t0 = 2.5, with negative coefficients and
+    # with coefficients whose products round (the presets' omega**2 and
+    # epsilon * 2.0 * a2 are exact), for rk45 runs, batches and the rk4 steps
+    # of an order check
     base = build_scenario(load_config(preset_path(name)), {"horizon": 20.0})
     p = base.params.replace(alpha_kind=kind)
     for params, initial in ((p, base.initial), (p, dataclasses.replace(base.initial, t=2.5)),
-                            (p.replace(a1=-1.0, a3=-0.75), base.initial)):
+                            (p.replace(a1=-1.0, a3=-0.75), base.initial),
+                            (p.replace(omega=2.1, epsilon=0.3, a2=-0.7), base.initial)):
         sc = _scenario(params, initial, 20.0)
         assert isinstance(full_field(params), InlineRhs)
         inlined = run_scenario(sc)
@@ -105,6 +109,45 @@ def test_rebound_full_rhs_sees_only_first_slopes(monkeypatch):
     calls.clear()
     _assert_same_report(run_ensemble(spec), ensemble)
     assert len(calls) == 1 and np.shape(calls[0]) == (spec.count,)
+
+
+def test_split_body_sorts_the_full_equations():
+    # two statements read only the parameters, three the time too, and the
+    # four rates the state; the names of the second part are what a batch
+    # step indexes by stage
+    fixed, timed, rest, shared = _split_body(FULL_EQUATIONS)
+    assert fixed == ["minus_omega_sq = -omega**2", "eps_2a2 = epsilon * 2.0 * a2"]
+    assert timed == ["al = alpha(delta * t, alpha_kind)", "eps_al = epsilon * al",
+                     "eps_al_2a4 = eps_al * 2.0 * a4"]
+    assert [statement.split(" =")[0] for statement in rest] == list(FULL_EQUATIONS.rates)
+    assert shared == {"al", "eps_al", "eps_al_2a4"}
+    assert fixed + timed + rest == list(FULL_EQUATIONS.body)
+
+
+def test_parameter_statements_once_per_integrate_call():
+    # the statements that read only the parameters run when integrate binds
+    # its step, once per call, in a single run and in a batch alike, where a
+    # stage used to take omega**2 at every stage; the bits stay the same
+    calls = []
+
+    class CountedOmega(float):
+        def __pow__(self, exponent):
+            calls.append(exponent)
+            return float(self) ** exponent
+
+    p = fig_params(2)
+    field = full_field(p)
+    spy = field._replace(bindings={**field.bindings, "omega": CountedOmega(p.omega)})
+    initial = fig_initial_state()
+    y0 = initial.as_array()
+    sc = _scenario(p, initial, 20.0)
+    for start in (y0, np.array([y0, y0 * 1.1, y0 * 0.9])):
+        calls.clear()
+        counted = integrate(spy, start, sc.integrator)
+        assert calls == [2]
+        plain = integrate(field, start, sc.integrator)
+        assert np.array_equal(counted.states, plain.states)
+        assert np.sum(counted.stats["accepted"]) > 500
 
 
 @pytest.mark.parametrize("method", ["rk45", "rk4"])

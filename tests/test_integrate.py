@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import rk4_steps
-from symevol.integrate import (MAX_GRID_POINTS, IntegrationError, IntegratorConfig,
+from symevol.integrate import (MAX_GRID_POINTS, InlineRhs, IntegrationError, IntegratorConfig,
                                Trajectory, integrate, order_check)
-from symevol.model import ModelParams, full_rhs
+from symevol.model import FULL_EQUATIONS, ModelParams, full_rhs
 
 
 # the package re-exports the function ``integrate`` under the module's name
@@ -584,6 +584,66 @@ def test_single_run_makes_no_numpy_call_per_step(monkeypatch):
         assert after.stats == before.stats
         assert 1 <= len(calls) <= math.ceil(len(after) / cap) + 1
         assert 10 * len(calls) < after.stats["accepted"]
+
+
+@pytest.mark.parametrize("inline", [False, True], ids=["called", "inlined"])
+def test_single_run_makes_no_min_or_max_call_per_step(inline):
+    # the loop's sample tolerance and step clamps, and the generated step's
+    # error norm, are written as the builtins' rules, without the calls
+    p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.1, n=2)
+    rhs = lambda t, y: full_rhs(t, y, p)  # noqa: E731
+    if inline:
+        rhs = InlineRhs(rhs, FULL_EQUATIONS, FULL_EQUATIONS.bindings(p))
+    step = integrate_module._step_function("rk45", 4, rhs)
+    for code in (step.__code__, integrate_module._run_single.__code__):
+        assert not {"min", "max"} & set(code.co_names), code.co_name
+
+
+def _error_norm_reference(y, z, k, h, rtol, atol):
+    """The rk45 error norm of the slopes k (stages by components) on builtin
+    max, with the generated step's sums: left to right, zero weights included."""
+    e = [float(w) for w in integrate_module._METHODS["rk45"].e]
+    xs = []
+    for j in range(len(y)):
+        acc = e[0] * k[0][j]
+        for r in range(1, len(e)):
+            acc = acc + e[r] * k[r][j]
+        xs.append(h * acc / (atol + rtol * max(abs(y[j]), abs(z[j]))))
+    sq = xs[0] * xs[0]
+    for x in xs[1:]:
+        sq = sq + x * x
+    return math.sqrt(sq / len(y))
+
+
+def test_generated_error_norm_equals_builtin_max_reference():
+    # the error norm's max(|y|, |z|) is written as b if b > a else a; it gives
+    # max's bits on random states and on the edges of the rule: zero
+    # components of either sign, |y| = |z| and y = -z
+    h, rtol, atol = 0.01, 1e-6, 1e-9
+    b = [float(w) for w in integrate_module._METHODS["rk45"].a[-1]]
+    rng = np.random.default_rng(2024)
+    cases = [(rng.normal(size=4) * 10.0 ** rng.integers(-8, 3), rng.normal(size=(7, 4)))
+             for _ in range(200)]
+    # components 0-2 have slopes only at the last stage, which the new state
+    # does not weigh, so z = y there: -0.0 and 0.0 (z is 0.0), and 0.7 = |z|;
+    # component 3 starts at half its step backwards, so it ends at z = -y
+    k = np.zeros((7, 4))
+    k[6, :3] = [0.3, -0.2, 1.1]
+    k[:, 3] = rng.normal(size=7)
+    step_sum = b[0] * k[0, 3]
+    for r in range(1, len(b)):
+        step_sum = step_sum + b[r] * k[r, 3]
+    cases.append((np.array([-0.0, 0.0, 0.7, -(h * step_sum) / 2]), k))
+    cases.append((np.array([0.0, -0.0, -0.7, (h * step_sum) / 2]), -k))
+    step = integrate_module._step_function("rk45", 4, harmonic)  # it calls the rhs it is given
+    for y, k in cases:
+        answers = iter([tuple(row) for row in k[1:].tolist()])
+        z, _, finite, err_norm = step(lambda t, z: next(answers), 0.0, h, tuple(y.tolist()),
+                                      tuple(k[0].tolist()), rtol, atol)
+        assert finite and next(answers, None) is None
+        assert err_norm == _error_norm_reference(y.tolist(), z, k.tolist(), h, rtol, atol)
+    assert z[:3] == (0.0, -0.0, -0.7) and z[3] == -y[3] != 0.0
+    assert math.copysign(1.0, y[1]) == -1.0 and err_norm > 0.0
 
 
 def test_rhs_may_return_any_sequence_of_d_floats(monkeypatch):
