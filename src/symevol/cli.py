@@ -116,13 +116,15 @@ def _cmd_compare(args) -> int:
     digest = run_digest(run)
     rungs, initial, settings = run
     start = time.perf_counter()
-    rows = []
+    rows, stats = [], []
     for params in rungs:
         try:
             res = compare_full_vs_averaged(params, initial, **settings)
         except ValueError as exc:  # omega, resonance, initial data, window or tolerance rejected
             raise ConfigError(str(exc)) from exc
         rows.append((params.epsilon, res.sup_r1, res.sup_r2, res.sup_E1, res.sup_E2))
+        stats.append({"epsilon": params.epsilon, "full": res.full_stats,
+                      "averaged": res.averaged_stats})
     outdir = _make_outdir(args.out)
     csv_path = outdir / "compare.csv"
     _write_csv(csv_path, ["epsilon", "sup_r1", "sup_r2", "sup_E1", "sup_E2"],
@@ -136,7 +138,8 @@ def _cmd_compare(args) -> int:
     summary_path = outdir / "compare_summary.json"
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     _write_manifest(outdir, "compare", digest, [csv_path.name, summary_path.name],
-                    wall_time=time.perf_counter() - start, extra=summary)
+                    wall_time=time.perf_counter() - start,
+                    extra={**summary, "integrator_stats": stats})
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
 

@@ -128,7 +128,8 @@ def invariant_drift(traj: Trajectory, names, params: ModelParams) -> list[Invari
 
 @dataclass(frozen=True)
 class ComparisonResult:
-    """Sup-norm discrepancies between the full and averaged descriptions."""
+    """Sup-norm discrepancies between the full and averaged descriptions,
+    with the ``Trajectory.stats`` of the full and the averaged run."""
 
     resonance: str
     horizon: float
@@ -136,6 +137,8 @@ class ComparisonResult:
     sup_r2: float
     sup_E1: float
     sup_E2: float
+    full_stats: dict
+    averaged_stats: dict
 
     @property
     def sup_amplitude(self) -> float:
@@ -178,6 +181,8 @@ def compare_full_vs_averaged(params: ModelParams, initial: CartesianState,
         sup_r2=float(np.max(np.abs(r2_full - r2_avg))),
         sup_E1=float(np.max(np.abs(0.5 * r1_full**2 - 0.5 * r1_avg**2))),
         sup_E2=float(np.max(np.abs(0.5 * w2 * r2_full**2 - 0.5 * w2 * r2_avg**2))),
+        full_stats=full.stats,
+        averaged_stats=avg.stats,
     )
 
 

@@ -3,25 +3,30 @@ order check.
 
 Both methods are tableau records in ``_METHODS``. :func:`integrate` runs the
 adaptive ones; :func:`order_check` takes its fixed RK4 steps itself, through
-the same generated step. The right-hand side takes a state as a tuple of its
-d components and answers with a sequence of d components. A component is a
+a generated step. The right-hand side takes a state as a tuple of its d
+components and answers with a sequence of d components. A component is a
 float in a single run, and an array with one entry per running row in a
-batch. The single-row loop runs over Python floats, through one generated
-straight-line step per tableau record and state dimension. A batch of
-independent initial states (``y0`` of shape (N, d)) holds the rows as
-columns of a (d, n) array; every row keeps its own time and step size, and
-the step is generated from the same record, one statement per stage sum.
-Given an :class:`InlineRhs`, a right-hand side with its source text, both
-steps write the field's equations in place of the call at every stage, with
-the same bits. They evaluate the statements that read only the parameters
-once per run, and those that read only the time once per stage time (a
-single run) or once per step, over every stage time at once (a batch); the
-full model always comes that way (``experiments.full_field``), every other
-field is called, in a batch once per stage for all rows. Both steps write
-every sum through one emitter, test finiteness on the new state and the
-last stage, take the step factor from libm's pow and share the controller,
-so a batch row equals the single-row run byte for byte. The single-row loop
-makes no numpy call, and no ``min`` or ``max`` call, per step.
+batch. A single run is one generated loop over Python floats per tableau
+record and state dimension: the attempt's straight-line stages, the
+controller, the sample test and the stop rule are written in place, and the
+state and its slope stay in locals across steps. A batch of independent
+initial states (``y0`` of shape (N, d)) holds the rows as columns of a (d, n)
+array; every row keeps its own time and step size, and the step is generated
+from the same record, one statement per stage sum. One emitter writes the
+stages of the loop and of both steps. Given an :class:`InlineRhs`, a
+right-hand side with its source text, they write the field's equations in
+place of the call at every stage, with the same bits. They evaluate the
+statements that read only the parameters, and the source's guard at the
+start time, once per run, and those that read only the time, the decay law
+among them, once per stage time (a single run) or once per step, over every
+stage time at once (a batch). The law takes libm's ``exp``: ``math.exp`` in a
+single run, mapped over the entries in a batch. The full model always comes
+that way (``experiments.full_field``); every other field is called, in a
+batch once per stage for all rows. Both loops test finiteness on the new
+state and the last stage, take the step factor from libm's pow and share
+the controller, so a batch row equals the single-row run byte for byte. The
+single-row loop makes no numpy call, and no ``min``, ``max`` or other Python
+call, per step but on a step that holds a sample.
 
 Both loops deliver dense output by cubic Hermite interpolation on the
 accepted steps, so the returned sample times are exactly the requested grid
@@ -119,8 +124,9 @@ _STOP = {False: ("step size underflow", "underflow"),
 
 
 def _stops(t, h, streak, t_end):
-    """Whether an adaptive run (floats) or each batch row (arrays) stops short of t_end:
-    a step below 1e-14 max(1, |t|), or 41 non-finite attempts in a row."""
+    """Whether each batch row stops short of t_end: a step below 1e-14
+    max(1, |t|), or 41 non-finite attempts in a row. A single run's loop
+    writes the same rule in place (``_LOOP``)."""
     return (t < t_end) & ((h < 1e-14) | (h < 1e-14 * abs(t)) | (streak > 40))
 
 
@@ -289,69 +295,38 @@ def integrate(rhs, y0, config: IntegratorConfig) -> Trajectory:
 def _run_single(rhs, y0, config, ts, out):
     d = len(y0)
     t0, t_end = config.t0, config.t_end
-    rtol, atol = config.rtol, config.atol
-    span = t_end - t0
-    t = t0
     y = tuple(y0.tolist())
-    f = tuple(rhs(t, y))  # the block may hold it past the rhs's next call
+    f = tuple(rhs(t0, y))  # the block may hold it past the rhs's next call
     if len(f) != d:
         raise ValueError(f"rhs returned {len(f)} values for a state of {d}")
-    step = _step_function(config.method, d, rhs)
+    run = _loop_function(config.method, d, rhs, t0)
     # the sample times, read as floats, and past the last one a time no step reaches
     samples = memoryview(np.append(ts, math.inf))
-    t_next = samples[1]
-    accepted = rejected_error = rejected_nonfinite = streak = 0
-    idx = 1
-    # the steps whose samples are not filled yet, as the floats and tuples the
-    # loop made them; filled once they hold _FILL_BLOCK samples or the grid's last
-    block = []
     with np.errstate(all="ignore"):  # non-finite values are tested once per step
-        h = float(_initial_step(y0, np.asarray(f, dtype=float), rtol, atol, span))
-        while t < t_end:
-            if h >= t_end - t:
-                h = t_end - t
-                t_new = t_end
-            else:
-                t_new = t + h
-            y_new, f_new, finite, err_norm = step(rhs, t, h, y, f, rtol, atol)
-            streak = 0 if finite else streak + 1
-            if finite and err_norm <= 1.0:
-                # most steps hold no sample: a step joins the block only when
-                # the next sample lies within the tolerance of its end
-                # max(1.0, |t_new|) and the clamps below are written as the
-                # builtins' own rules, the same bits without a call per step
-                tol = abs(t_new)
-                tol = t_new + 1e-14 * (tol if tol > 1.0 else 1.0)
-                if t_next <= tol:
-                    stop = bisect.bisect_right(samples, tol, idx)
-                    block.append((idx, stop, t, h, y, y_new, f, f_new))
-                    idx = stop
-                    t_next = samples[idx]
-                    if idx == len(ts) or idx - block[0][0] >= _FILL_BLOCK:
-                        rows = np.zeros(len(block), dtype=np.intp)
-                        _hermite_fill(out[None], ts, rows, *map(np.array, zip(*block)))
-                        block = []
-                t, y, f = t_new, y_new, f_new
-                accepted += 1
-                if err_norm == 0.0:
-                    h *= _MAX_FACTOR
-                else:
-                    factor = _SAFETY * _error_power(err_norm)
-                    factor = factor if factor > _MIN_FACTOR else _MIN_FACTOR
-                    h *= factor if factor < _MAX_FACTOR else _MAX_FACTOR
-                if span < h:
-                    h = span
-            elif finite:
-                rejected_error += 1
-                factor = _SAFETY * _error_power(err_norm)
-                h *= factor if factor > _MIN_FACTOR else _MIN_FACTOR
-            else:
-                rejected_nonfinite += 1
-                h *= 0.25
-            if _stops(t, h, streak, t_end):
-                message, reason = _STOP[streak > 0]
-                raise IntegrationError(message, t, np.array(y, dtype=float), reason)
-    return _stats(config.method, accepted, rejected_error, rejected_nonfinite)
+        h = float(_initial_step(y0, np.asarray(f, dtype=float), config.rtol, config.atol,
+                                t_end - t0))
+        counts = run(rhs, t0, h, y, f, t_end, t_end - t0, config.rtol, config.atol, samples,
+                     out, ts)
+    return _stats(config.method, *counts)
+
+
+def _failure(t, y, streak) -> IntegrationError:
+    """The error of a single run that stops short at t, in the state y: its
+    last attempt met non-finite values when ``streak`` > 0."""
+    message, reason = _STOP[streak > 0]
+    return IntegrationError(message, t, np.array(y, dtype=float), reason)
+
+
+def _fill_steps(out, ts, block):
+    """Fill the samples of the steps a single run holds in ``block``, a flat
+    list of 4 + 4d numbers per step: its first sample and the sample past its
+    last, t and h, then the d components each of y, y_new, f and f_new."""
+    d = out.shape[1]
+    steps = np.fromiter(block, float, len(block)).reshape(-1, 4 + 4 * d)
+    idx, stop = steps[:, :2].T.astype(np.intp)
+    y0, y1, f0, f1 = (steps[:, i:i + d] for i in range(4, 4 + 4 * d, d))
+    _hermite_fill(out[None], ts, np.zeros(len(steps), dtype=np.intp), idx, stop,
+                  steps[:, 2], steps[:, 3], y0, y1, f0, f1)
 
 
 def _stats(method, accepted, rejected_error, rejected_nonfinite) -> dict:
@@ -365,15 +340,19 @@ def _stats(method, accepted, rejected_error, rejected_nonfinite) -> dict:
 
 
 def _error_power(err_norm):
-    """err_norm**-0.2 by libm's pow in both loops: Python's ``**`` on a float,
-    ``math.pow`` mapped over the entries of an array, so a single run and its
-    batch row take the same bits (numpy's power differs from libm's in the
-    last bit of ~5 % of inputs). An entry that is not positive, a zero or NaN
-    error, gives 1.0: a zero error takes the largest factor and a non-finite
-    step a quarter of its size, so no row uses that entry."""
-    if isinstance(err_norm, float):
-        return err_norm ** -0.2
+    """err_norm**-0.2 of every entry of an array by libm's pow, ``math.pow``
+    mapped over the entries, so that a batch row takes the bits of the single
+    run's ``**`` (numpy's power differs from libm's in the last bit of ~5 %
+    of inputs). An entry that is not positive, a zero or NaN error, gives
+    1.0: a zero error takes the largest factor and a non-finite step a
+    quarter of its size, so no row uses that entry."""
     return np.array([math.pow(x, -0.2) for x in np.where(err_norm > 0.0, err_norm, 1.0).tolist()])
+
+
+def _exp(x):
+    """libm's exp of every entry of an array, as a batch binds ``exp``, so
+    that a batch row takes the bits of the single run's ``math.exp``."""
+    return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def _weighted_source(weights, terms) -> str:
@@ -385,10 +364,20 @@ def _weighted_source(weights, terms) -> str:
 def _sum_source(name, terms) -> list:
     """Statements summing ``terms`` into ``name`` left to right, 64 terms per
     statement, so that no expression nests too deep to compile."""
-    lines = [f"    {name} = {' + '.join(terms[:64])}"]
+    lines = [f"{name} = {' + '.join(terms[:64])}"]
     for i in range(64, len(terms), 64):
-        lines.append(f"    {name} = {name} + {' + '.join(terms[i:i + 64])}")
+        lines.append(f"{name} = {name} + {' + '.join(terms[i:i + 64])}")
     return lines
+
+
+def _names(prefix, d) -> str:
+    """``prefix0, ..., prefix<d-1>,``: d names as a tuple's items."""
+    return " ".join(f"{prefix}{j}," for j in range(d))
+
+
+def _indented(lines, depth) -> list:
+    """``lines`` indented by ``depth`` levels of four spaces."""
+    return ["    " * depth + line for line in lines]
 
 
 class InlineRhs(NamedTuple):
@@ -399,16 +388,19 @@ class InlineRhs(NamedTuple):
     and so does calling the record. ``equations`` is its source, as
     :class:`symevol.model.Equations`: straight-line ``body`` statements that,
     at the time ``t`` with the state components in the names ``state``,
-    assign their rates to the names ``rates``, each name once. ``bindings``
-    holds every other name the body reads. Apart from the state, the rates
-    and ``t``, the body's names share the step's namespace, so they must
-    differ from the steps' own: ``rhs``, ``h``, ``y``, ``f``, ``z``,
-    ``rtol``, ``atol``, ``total``, ``finite``, ``sq``, ``x``, ``err_norm``,
-    ``times``, ``nodes``, ``isfinite``, ``sqrt``, ``maximum``,
-    ``empty_like``, ``row_rms``, ``columns`` and the names ``y<j>``,
-    ``z<j>``, ``x<j>``, ``ay<j>``, ``az<j>``, ``k<s>`` and ``k<s>_<j>``.
-    The body's statements that read only the parameters run once per bound
-    step, in the namespace that holds ``bindings``.
+    assign their rates to the names ``rates``, each name once, and ``guard``
+    statements, which the steps run once per run, at its start time ``t0``.
+    ``bindings`` holds every other name they read but ``exp``, which each
+    loop binds to libm's exp of its components. Apart from the state, the
+    rates and ``t``, the body's names share the loop's namespace, so they
+    must differ from the loops' own: ``rhs``, ``t0``, ``h``, ``y``, ``f``,
+    ``z``, ``rtol``, ``atol``, ``total``, ``finite``, ``sq``, ``x``,
+    ``err_norm``, ``times``, ``nodes``, ``exp``, ``isfinite``, ``sqrt``,
+    ``maximum``, ``empty_like``, ``row_rms``, ``columns``, the names of the
+    single run's loop in :data:`_LOOP`, and the names ``y<j>``, ``z<j>``,
+    ``x<j>``, ``ay<j>``, ``az<j>``, ``k<s>`` and ``k<s>_<j>``. The body's
+    statements that read only the parameters run once per bound step, in the
+    namespace that holds ``bindings``.
     """
 
     call: object
@@ -419,21 +411,34 @@ class InlineRhs(NamedTuple):
         return self.call(t, y)
 
 
-def _bind(code, rhs, namespace):
-    """The ``step`` that the code object ``code(equations)`` defines, run in
-    ``namespace`` plus the names of ``rhs``'s source when it is an
+def _bind(code, rhs, t0, namespace) -> dict:
+    """``namespace`` once the code object ``code(equations)`` has run in it,
+    with ``t0`` and the names of ``rhs``'s source when it is an
     :class:`InlineRhs`; running the code evaluates the source's
-    parameter-only statements once, into that namespace."""
+    parameter-only statements once, and its guard at t0."""
     inline = isinstance(rhs, InlineRhs)
-    namespace.update(rhs.bindings if inline else {})
+    namespace.update(rhs.bindings if inline else {}, t0=t0)
     exec(code(rhs.equations if inline else None), namespace)
-    return namespace["step"]
+    return namespace
 
 
-def _step_function(method: str, d: int, rhs):
-    """The single-run step of ``rhs``, from :func:`_step_code`."""
-    return _bind(functools.partial(_step_code, method, d), rhs,
-                 {"isfinite": math.isfinite, "sqrt": math.sqrt})
+# the names a generated step or loop over floats reads
+_FLOAT_NAMES = {"isfinite": math.isfinite, "sqrt": math.sqrt, "exp": math.exp}
+
+
+def _step_function(method: str, d: int, rhs, t0):
+    """The single step of ``rhs``, from :func:`_step_code`, for a run from t0."""
+    return _bind(functools.partial(_step_code, method, d), rhs, t0, {**_FLOAT_NAMES})["step"]
+
+
+def _loop_function(method: str, d: int, rhs, t0):
+    """The whole adaptive loop of ``rhs``, from :func:`_loop_code`, for a run
+    from t0. It reads ``_FILL_BLOCK`` when bound, and ``_hermite_fill`` at
+    every fill."""
+    return _bind(functools.partial(_loop_code, method, d), rhs, t0,
+                 {**_FLOAT_NAMES, "bisect_right": bisect.bisect_right,
+                  "fill_steps": _fill_steps, "fill_block": _FILL_BLOCK,
+                  "failure": _failure})["run"]
 
 
 _IDENTIFIER = re.compile(r"\b[A-Za-z_]\w*")
@@ -462,32 +467,36 @@ def _split_body(equations):
 
 
 def _inline(statements, rename) -> list:
-    """``statements`` as lines of a step, every name in ``rename`` replaced."""
-    return ["    " + _IDENTIFIER.sub(lambda m: rename.get(m[0], m[0]), statement)
+    """``statements`` with every name in ``rename`` replaced."""
+    return [_IDENTIFIER.sub(lambda m: rename.get(m[0], m[0]), statement)
             for statement in statements]
 
 
-@functools.cache
-def _step_code(method: str, d: int, equations):
-    """One step of a tableau record on d floats, as compiled straight-line code.
+def _once_per_run(equations) -> list:
+    """The statements a generated step or loop runs when it is bound: the
+    body's statements that read only the parameters, then the guard at the
+    run's start time ``t0``; none for a called right-hand side."""
+    if equations is None:
+        return []
+    return [*_split_body(equations)[0], *_inline(equations.guard, {"t": "t0"})]
 
-    It defines ``step(rhs, t, h, y, f, rtol, atol)``, which takes the state
-    ``y`` and its slope ``f`` as sequences of d floats and returns the new
-    state, the slope there (the last stage), whether every stage and the new
-    state are finite, and the error norm (0.0 for a fixed-step record). Its
-    sums are those of :func:`_rows_step_code`, so a single run equals its
-    batch row bit for bit.
+
+def _stage_lines(method: str, d: int, equations) -> list:
+    """One attempt of a tableau record on d floats, as straight-line
+    statements: from the state in ``y<j>``, its slope in ``k0_<j>``, the time
+    ``t`` and the step ``h``, they assign the stages ``k<s>_<j>``, the new
+    state ``z<j>``, whether every stage and the new state are finite
+    (``finite``) and the error norm (``err_norm``, 0.0 for a fixed-step
+    record). Its sums are those of :func:`_rows_step_code`, so a single run
+    equals its batch row bit for bit.
 
     Each stage calls ``rhs`` or, given the source ``equations`` of an
     :class:`InlineRhs`, evaluates its body in place: the same operations
     without the call, the tuples and the parameter loads, so both give the
     same bits. Of the statements :func:`_split_body` sorts, those that read
-    only the parameters stand before ``def step``, so they run once, when
-    :func:`_bind` runs the code; those that read only the time and the
-    parameters run once per stage time: a stage at the time of the stage
-    before reuses their values. The code depends on the source only, never
-    on the values bound to its names, so there is one entry per method,
-    dimension and source.
+    only the time and the parameters, the decay law among them, run once per
+    stage time: a stage at the time of the stage before reuses their values.
+    Those that read only the parameters are left to :func:`_once_per_run`.
 
     Finiteness is tested on the new state and the last stage only. The new
     state's sum takes every other stage with its weight, zero weights
@@ -498,23 +507,16 @@ def _step_code(method: str, d: int, equations):
     """
     c, a, e = _METHODS[method]
     comps = range(d)
-
-    def names(prefix):
-        return "".join(f"{prefix}{j}, " for j in comps)
-
-    lines = ["def step(rhs, t, h, y, f, rtol, atol):",
-             f"    {names('y')}= y",
-             f"    {names('k0_')}= f"]
+    lines = []
     if equations is not None:
-        fixed, timed, rest, _ = _split_body(equations)
-        lines = fixed + lines
+        _, timed, rest, _ = _split_body(equations)
     for s, a_s in enumerate(a, 1):
         for j in comps:
-            lines.append(f"    z{j} = y{j} + h * "
+            lines.append(f"z{j} = y{j} + h * "
                          + _weighted_source(a_s, [f"k{r}_{j}" for r in range(s)]))
         time = f"(t + {float(c[s])!r} * h)"
         if equations is None:
-            lines.append(f"    {names(f'k{s}_')}= rhs({time}, ({names('z')}))")
+            lines.append(f"{_names(f'k{s}_', d)} = rhs({time}, ({_names('z', d)}))")
             continue
         if s == 1 or c[s] != c[s - 1]:
             lines += _inline(timed, {"t": time})
@@ -524,26 +526,136 @@ def _step_code(method: str, d: int, equations):
     # sum proves every value finite, and only a non-finite one is looked into
     values = [f"k{len(a)}_{j}" for j in comps] + [f"z{j}" for j in comps]
     lines += _sum_source("total", values)
-    lines.append(f"    finite = isfinite(total) or all(map(isfinite, ({', '.join(values)},)))")
+    lines.append(f"finite = isfinite(total) or all(map(isfinite, ({', '.join(values)},)))")
     if e is None:
-        lines.append("    err_norm = 0.0")
-    else:
-        for j in comps:  # the error norm of _row_rms
-            lines += [f"    ay{j} = abs(y{j})", f"    az{j} = abs(z{j})",
-                      f"    x{j} = h * {_weighted_source(e, [f'k{r}_{j}' for r in range(len(c))])}"
-                      f" / (atol + rtol * (az{j} if az{j} > ay{j} else ay{j}))"]
-        lines += _sum_source("sq", [f"x{j} * x{j}" for j in comps])
-        lines.append(f"    err_norm = sqrt(sq / {d})")
-    lines.append(f"    return ({names('z')}), ({names(f'k{len(a)}_')}), finite, err_norm")
+        lines.append("err_norm = 0.0")
+        return lines
+    for j in comps:  # the error norm of _row_rms
+        lines += [f"ay{j} = abs(y{j})", f"az{j} = abs(z{j})",
+                  f"x{j} = h * {_weighted_source(e, [f'k{r}_{j}' for r in range(len(c))])}"
+                  f" / (atol + rtol * (az{j} if az{j} > ay{j} else ay{j}))"]
+    lines += _sum_source("sq", [f"x{j} * x{j}" for j in comps])
+    lines.append(f"err_norm = sqrt(sq / {d})")
+    return lines
+
+
+@functools.cache
+def _step_code(method: str, d: int, equations):
+    """One step of a tableau record on d floats, as compiled straight-line
+    code: :func:`_once_per_run`, then ``step(rhs, t, h, y, f, rtol, atol)``,
+    which takes the state ``y`` and its slope ``f`` as sequences of d floats
+    and returns the new state, the slope there (the last stage), ``finite``
+    and the error norm of :func:`_stage_lines`. ``order_check`` takes its
+    fixed rk4 steps through it. The code depends on the source only, never on
+    the values bound to its names, so there is one entry per method,
+    dimension and source."""
+    last = len(_METHODS[method].a)
+    lines = [*_once_per_run(equations),
+             "def step(rhs, t, h, y, f, rtol, atol):",
+             f"    {_names('y', d)} = y",
+             f"    {_names('k0_', d)} = f",
+             *_indented(_stage_lines(method, d, equations), 1),
+             f"    return ({_names('z', d)}), ({_names(f'k{last}_', d)}), finite, err_norm"]
     return compile("\n".join(lines), f"<{method} step>", "exec")
 
 
-def _rows_step_function(method: str, rhs):
-    """The batched step of ``rhs``, from :func:`_rows_step_code`."""
-    return _bind(functools.partial(_rows_step_code, method), rhs,
+# A single run's adaptive loop over floats, as _loop_code fills it in: the
+# attempt's statements, the controller, the sample test, the stop rule of
+# _stops and the step's bookkeeping, with the state and the slope at its
+# start (first same as last) in locals across steps. It calls out only on a
+# step that holds a sample (bisect_right, and fill_steps once the block holds
+# fill_block samples or the grid's last) and at the end. max(1.0, |t_new|) and
+# the clamps are written as the builtins' own rules, the same bits without a
+# call per step.
+_LOOP = """\
+def run(rhs, t, h, y, f, t_end, span, rtol, atol, samples, out, ts):
+    {y} = y
+    {k0} = f
+    last_sample = len(ts)
+    idx = 1
+    t_next = samples[1]
+    accepted = rejected_error = rejected_nonfinite = streak = 0
+    block = []
+    while t < t_end:
+        if h >= t_end - t:
+            h = t_end - t
+            t_new = t_end
+        else:
+            t_new = t + h
+{attempt}
+        if not finite:
+            streak += 1
+            rejected_nonfinite += 1
+            h *= 0.25
+        elif err_norm <= 1.0:
+            streak = 0
+            # most steps hold no sample: a step joins the block only when the
+            # next sample lies within the tolerance of its end. It joins in
+            # two parts: CPython 3.11 never reuses a freed tuple of 20 items,
+            # the length of one part at d = 4, and holds up to 2000 of them
+            # until a full collection
+            tol = abs(t_new)
+            tol = t_new + 1e-14 * (tol if tol > 1.0 else 1.0)
+            if t_next <= tol:
+                stop = bisect_right(samples, tol, idx)
+                block += idx, stop, t, h
+                block += {y} {z} {k0} {k_last}
+                idx = stop
+                t_next = samples[idx]
+                if idx == last_sample or idx - block[0] >= fill_block:
+                    fill_steps(out, ts, block)
+                    block = []
+            t = t_new
+{advance}
+            accepted += 1
+            if err_norm == 0.0:
+                h *= {max_factor!r}
+            else:
+                factor = {safety!r} * err_norm ** -0.2
+                factor = factor if factor > {min_factor!r} else {min_factor!r}
+                h *= factor if factor < {max_factor!r} else {max_factor!r}
+            if span < h:
+                h = span
+        else:
+            streak = 0
+            rejected_error += 1
+            factor = {safety!r} * err_norm ** -0.2
+            h *= factor if factor > {min_factor!r} else {min_factor!r}
+        if t < t_end and (h < 1e-14 or h < 1e-14 * abs(t) or streak > 40):
+            raise failure(t, ({y}), streak)
+    return accepted, rejected_error, rejected_nonfinite
+"""
+
+
+@functools.cache
+def _loop_code(method: str, d: int, equations):
+    """A single run's whole adaptive loop of a tableau record on d floats, as
+    compiled code: :func:`_once_per_run`, then :data:`_LOOP` around the
+    attempt of :func:`_stage_lines`. ``run(rhs, t, h, y, f, t_end, span,
+    rtol, atol, samples, out, ts)`` integrates from t with the first trial
+    step h, the state ``y`` and its slope ``f`` as sequences of d floats,
+    fills ``out`` at the times ``ts`` (``samples`` is ``ts`` and inf past it)
+    and returns the counts of accepted, error-rejected and non-finite
+    attempts, or raises :class:`IntegrationError`. Its controller and stop
+    rule are those of :func:`_run_rows`. Cached as :func:`_step_code`: a loop
+    compiled per run costs more than it saves."""
+    last = len(_METHODS[method].a)
+    code = _LOOP.format(
+        y=_names("y", d), z=_names("z", d), k0=_names("k0_", d), k_last=_names(f"k{last}_", d),
+        attempt="\n".join(_indented(_stage_lines(method, d, equations), 2)),
+        advance="\n".join(_indented([*(f"y{j} = z{j}" for j in range(d)),
+                                     *(f"k0_{j} = k{last}_{j}" for j in range(d))], 3)),
+        safety=_SAFETY, min_factor=_MIN_FACTOR, max_factor=_MAX_FACTOR)
+    return compile("\n".join([*_once_per_run(equations), code]), f"<{method} loop>", "exec")
+
+
+def _rows_step_function(method: str, rhs, t0):
+    """The batched step of ``rhs``, from :func:`_rows_step_code`, for a run
+    from t0."""
+    return _bind(functools.partial(_rows_step_code, method), rhs, t0,
                  {"columns": _columns, "isfinite": np.isfinite, "maximum": np.maximum,
-                  "empty_like": np.empty_like, "row_rms": _row_rms,
-                  "nodes": _METHODS[method].c[1:, None]})
+                  "empty_like": np.empty_like, "row_rms": _row_rms, "exp": _exp,
+                  "nodes": _METHODS[method].c[1:, None]})["step"]
 
 
 @functools.cache
@@ -555,18 +667,19 @@ def _rows_step_code(method: str, equations):
 
     Each stage calls ``rhs``, and its answer passes :func:`_columns`, or,
     given the source ``equations`` of an :class:`InlineRhs`, evaluates its
-    body in place. Of the statements :func:`_split_body` sorts, those that
-    read only the parameters then stand before ``def step`` and run once, as
-    in :func:`_step_code`; those that read only the time and the parameters
-    run once per step, over the (stages, n) array ``times`` of every stage
-    time, and stage s reads row s - 1 of their values. The arithmetic is
-    elementwise, so the bits are those of a call per stage."""
+    body in place. :func:`_once_per_run` stands before ``def step``, as in
+    :func:`_step_code`. The statements :func:`_split_body` sorts as reading
+    only the time and the parameters, the decay law among them, run once per
+    step, over the (stages, n) array ``times`` of every stage time, and stage
+    s reads row s - 1 of their values. The arithmetic is elementwise, and
+    ``exp`` libm's per entry, so the bits are those of a call per stage."""
     c, a, e = _METHODS[method]
     lines = ["def step(rhs, t, h, y, f, rtol, atol):",
              "    k0 = f"]
     if equations is not None:
-        fixed, timed, rest, shared = _split_body(equations)
-        lines = [*fixed, *lines, "    times = t + nodes * h", *_inline(timed, {"t": "times"})]
+        _, timed, rest, shared = _split_body(equations)
+        lines = [*_once_per_run(equations), *lines, "    times = t + nodes * h",
+                 *_indented(_inline(timed, {"t": "times"}), 1)]
     for s, a_s in enumerate(a, 1):
         lines.append(f"    z = y + h * {_weighted_source(a_s, [f'k{r}' for r in range(s)])}")
         if equations is None:
@@ -575,8 +688,8 @@ def _rows_step_code(method: str, equations):
         rename = {"t": f"times[{s - 1}]", **{x: f"{x}[{s - 1}]" for x in shared},
                   **{x: f"z{j}" for j, x in enumerate(equations.state)},
                   **{x: f"k{s}[{j}]" for j, x in enumerate(equations.rates)}}
-        lines += [f"    {''.join(f'z{j}, ' for j in range(len(equations.state)))}= z",
-                  f"    k{s} = empty_like(y)", *_inline(rest, rename)]
+        lines += [f"    {_names('z', len(equations.state))} = z",
+                  f"    k{s} = empty_like(y)", *_indented(_inline(rest, rename), 1)]
     lines += [f"    finite = isfinite(z).all(axis=0) & isfinite(k{len(a)}).all(axis=0)",
               f"    x = h * {_weighted_source(e, [f'k{r}' for r in range(len(c))])}"
               " / (atol + rtol * maximum(abs(y), abs(z)))",
@@ -593,7 +706,7 @@ def _columns(answer, shape):
 
 
 def _run_rows(rhs, y0, config, ts, out):
-    step = _rows_step_function(config.method, rhs)
+    step = _rows_step_function(config.method, rhs, config.t0)
     t0, t_end = config.t0, config.t_end
     rtol, atol = config.rtol, config.atol
     span = t_end - t0
@@ -695,7 +808,7 @@ def order_check(rhs, y0, t0: float, t_end: float, steps) -> OrderEstimate:
         raise ValueError("need at least three distinct step sizes; over a span of "
                          f"{span:g} the steps taken are {', '.join(f'{h:g}' for h in steps)}")
     y_ref = integrate(rhs, y0, reference).states[-1]
-    step = _step_function("rk4", len(y0), rhs)
+    step = _step_function("rk4", len(y0), rhs, t0)
     start = tuple(y0.tolist())
     f0 = tuple(rhs(t0, start))
     errors = []

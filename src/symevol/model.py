@@ -42,6 +42,31 @@ __all__ = [
 
 ALPHA_KINDS = ("exponential", "polynomial")
 
+# The decay laws of ALPHA_KINDS at the slow time tau, written once: alpha
+# evaluates this text, and FULL_EQUATIONS writes it into full_rhs and into the
+# stages of the generated steps, so that no stage calls alpha. ``exp`` is
+# libm's exp: of a float, or of every entry of an array.
+_DECAY_LAW = "exp(-tau) if exponential else 1.0 / (1.0 + tau)"
+
+
+def _exp(x):
+    """libm's exp of a float, or of every entry of an array: numpy's exp
+    differs from libm's in the last bit of some inputs, and an entry must get
+    the float's bits."""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return math.exp(x)
+
+
+def _check_slow_time(tau):
+    """ValueError unless the slow time tau, a float or every entry of an
+    array, is >= 0."""
+    if np.any(tau < 0.0) if isinstance(tau, np.ndarray) else tau < 0.0:
+        raise ValueError("slow time tau must be >= 0")
+
+
+_decay = eval(f"lambda tau, exponential: {_DECAY_LAW}", {"exp": _exp})
+
 
 def alpha(tau, kind="exponential"):
     """Decay factor of the symmetry-breaking terms at slow time tau >= 0.
@@ -52,23 +77,10 @@ def alpha(tau, kind="exponential"):
     the exponential law). ``tau`` is a float, or an ndarray taken element by
     element: an entry gets the float's value bit for bit.
     """
-    # a float skips the isinstance test, which costs it a tenth of a full_rhs call
-    if type(tau) is not float and isinstance(tau, np.ndarray):
-        if np.any(tau < 0.0):
-            raise ValueError("slow time tau must be >= 0")
-        if kind == "exponential":
-            # element by element: numpy's exp differs from math.exp in the last bit
-            return np.fromiter(map(math.exp, (-tau).ravel().tolist()), float,
-                               tau.size).reshape(tau.shape)
-        if kind == "polynomial":
-            return 1.0 / (1.0 + tau)
-    elif tau < 0.0:
-        raise ValueError("slow time tau must be >= 0")
-    elif kind == "exponential":
-        return math.exp(-tau)
-    elif kind == "polynomial":
-        return 1.0 / (1.0 + tau)
-    raise ValueError(f"unknown alpha kind {kind!r}")
+    if kind not in ALPHA_KINDS:
+        raise ValueError(f"unknown alpha kind {kind!r}")
+    _check_slow_time(tau)
+    return _decay(tau, kind == "exponential")
 
 
 @dataclass(frozen=True)
@@ -148,7 +160,12 @@ class Equations(NamedTuple):
     With the time in ``t`` and the state components in the names ``state``,
     they assign the rates of the components to the names ``rates``. Besides
     their own results they read the fields ``params`` of :class:`ModelParams`
-    and the decay factor :func:`alpha`.
+    and libm's ``exp``, which each evaluator binds for its components: floats
+    (a single run) or arrays (a batch, and :func:`full_rhs` on arrays).
+    ``guard`` holds statements of ``t`` and the parameters that raise
+    ValueError where the field is not defined; :func:`full_rhs` runs them at
+    every call, a generated step once per run, at its start time, so what
+    they test must hold at every later time once it holds at one.
 
     The generated steps of :mod:`symevol.integrate` sort the statements in
     three classes: those that read neither ``t`` nor a state name, directly
@@ -160,11 +177,13 @@ class Equations(NamedTuple):
     rates: tuple
     params: tuple
     body: tuple
+    guard: tuple
 
     def bindings(self, p: ModelParams) -> dict:
-        """Every name the body reads besides the state, ``t`` and its own
-        results, bound at p."""
-        return {"alpha": alpha, **{name: getattr(p, name) for name in self.params}}
+        """Every name the body and the guard read besides the state, ``t``,
+        ``exp`` and the body's own results, bound at p."""
+        return {"check_slow_time": _check_slow_time,
+                **{name: getattr(p, name) for name in self.params}}
 
 
 # The full equations of motion. ``full_rhs`` is generated from them, and so are
@@ -173,14 +192,17 @@ class Equations(NamedTuple):
 # and the parameters, are statements of their own, so that the steps evaluate
 # them once per run and once per stage time; they are the leading factors of
 # the products (``-omega**2`` is ``(-(omega**2))``, and a product associates
-# from the left), so the rates keep their bits.
+# from the left), so the rates keep their bits. The slow time only grows
+# along a run, so the guard holds at every stage once it holds at the start.
 FULL_EQUATIONS = Equations(
     state=("q1", "v1", "q2", "v2"),
     rates=("dq1", "dv1", "dq2", "dv2"),
     params=("a1", "a2", "a3", "a4", "omega", "epsilon", "delta", "alpha_kind"),
     body=("minus_omega_sq = -omega**2",
           "eps_2a2 = epsilon * 2.0 * a2",
-          "al = alpha(delta * t, alpha_kind)",
+          "exponential = alpha_kind == 'exponential'",
+          "tau = delta * t",
+          f"al = {_DECAY_LAW}",
           "eps_al = epsilon * al",
           "eps_al_2a4 = eps_al * 2.0 * a4",
           "dq1 = v1",
@@ -188,7 +210,8 @@ FULL_EQUATIONS = Equations(
           " + eps_al_2a4 * q1 * q2)",
           "dq2 = v2",
           "dv2 = (minus_omega_sq * q2 + eps_2a2 * q1 * q2"
-          " + eps_al * (a3 * q2 * q2 + a4 * q1 * q1))"))
+          " + eps_al * (a3 * q2 * q2 + a4 * q1 * q1))"),
+    guard=("check_slow_time(delta * t)",))
 
 
 def _rhs_function(equations: Equations, name: str, doc: str):
@@ -197,9 +220,9 @@ def _rhs_function(equations: Equations, name: str, doc: str):
     lines = [f"def {name}(t, y, p):",
              f"    {', '.join(equations.state)} = y",
              *(f"    {param} = p.{param}" for param in equations.params),
-             *(f"    {statement}" for statement in equations.body),
+             *(f"    {statement}" for statement in (*equations.guard, *equations.body)),
              f"    return {', '.join(equations.rates)}"]
-    namespace = {"alpha": alpha, "__name__": __name__}
+    namespace = {"exp": _exp, "check_slow_time": _check_slow_time, "__name__": __name__}
     exec("\n".join(lines), namespace)
     function = namespace[name]
     function.__doc__ = doc

@@ -43,7 +43,7 @@ def fig_initial_state() -> CartesianState:
 def rk4_steps(rhs, y0, t0, h, n):
     """The states after each of n fixed steps of the generated rk4 step, step
     i from t0 + i h, as order_check takes them."""
-    step = importlib.import_module("symevol.integrate")._step_function("rk4", len(y0), rhs)
+    step = importlib.import_module("symevol.integrate")._step_function("rk4", len(y0), rhs, t0)
     y = tuple(y0.tolist())
     f = tuple(rhs(t0, y))
     states = []

@@ -17,6 +17,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from symevol.cli import _write_csv, main
+from symevol.experiments import compare_full_vs_averaged
 from symevol.config import (_KEYS, ConfigError, build_compare, build_ensemble, build_scenario,
                             load_config, preset_path, resolve_config_path, run_digest)
 from symevol.integrate import MAX_GRID_POINTS
@@ -521,6 +522,34 @@ def test_ensemble_outputs_and_determinism(tmp_path):
     assert 6 * stats["min_accepted"] <= stats["accepted"] <= 6 * stats["max_accepted"]
     rows = (out1 / "moments.csv").read_text().splitlines()
     assert rows[0] == "t,mean_v1,disp_v1,mean_v2,disp_v2,mean_E1,mean_E2"
+
+
+def test_every_run_command_writes_integrator_stats(small_config, tmp_path):
+    # each of the four run commands explains its runs in the manifest: the
+    # step counts of its run, of its ensemble's rows, and of both runs of
+    # every compare rung, which each equal the run made on its own
+    counts = {"accepted", "rejected", "rejected_error", "rejected_nonfinite", "rhs_evals"}
+    runs = {"simulate": ["simulate", str(small_config)],
+            "reproduce-figure": ["reproduce-figure", "--which", "fig1", "--horizon", "2"],
+            "compare": ["compare", str(small_config), "--eps-list", "0.1,0.05"],
+            "ensemble": ["ensemble", str(_ensemble_config(tmp_path))]}
+    manifests = {}
+    for name, argv in runs.items():
+        assert main([*argv, "--out", str(tmp_path / name)]) == 0
+        manifests[name] = json.loads((tmp_path / name / "manifest.json").read_text())
+    for name in ("simulate", "reproduce-figure"):
+        assert set(manifests[name]["integrator_stats"]) == counts
+    assert set(manifests["ensemble"]["integrator_stats"]) == counts | {"min_accepted",
+                                                                        "max_accepted"}
+    rungs = manifests["compare"]["integrator_stats"]
+    assert [rung["epsilon"] for rung in rungs] == [0.1, 0.05]
+    ladder, initial, settings = build_compare(load_config(small_config), {"eps_list": "0.1,0.05"})
+    for rung, params in zip(rungs, ladder, strict=True):
+        assert set(rung) == {"epsilon", "full", "averaged"}
+        res = compare_full_vs_averaged(params, initial, **settings)
+        assert rung["full"] == res.full_stats and rung["averaged"] == res.averaged_stats
+        assert set(rung["full"]) == set(rung["averaged"]) == counts
+        assert rung["full"]["accepted"] > rung["averaged"]["accepted"] > 0
 
 
 def test_ensemble_manifest_lists_failed_particles(tmp_path):

@@ -73,9 +73,9 @@ def test_inlined_stage_rejects_negative_slow_time(kind):
         run_scenario(sc)
     with pytest.raises(ValueError, match="slow time tau must be >= 0"):
         integrate(_called(p), start.as_array(), sc.integrator)
-    # the inlined stage takes alpha itself: past a first slope that does
-    # not, the first stage raises, and in a batch the first step, which
-    # takes alpha at every stage time at once
+    # the inlined loops test the slow time themselves: past a first slope
+    # that does not, the guard raises when the single run's loop or the
+    # batch's step is bound, at the run's start time
     stub = full_field(p)._replace(call=lambda t, y: [0.0 * v for v in y])
     rows = np.array([start.as_array(), start.as_array() + 0.1])
     for y0 in (start.as_array(), rows):
@@ -112,16 +112,22 @@ def test_rebound_full_rhs_sees_only_first_slopes(monkeypatch):
 
 
 def test_split_body_sorts_the_full_equations():
-    # two statements read only the parameters, three the time too, and the
-    # four rates the state; the names of the second part are what a batch
-    # step indexes by stage
+    # three statements read only the parameters, the law's flag among them;
+    # four the time too: the slow time, the decay law written as its text,
+    # with no call of alpha, and its two products; and the four rates the
+    # state. The names of the second part are what a batch step indexes by
+    # stage
     fixed, timed, rest, shared = _split_body(FULL_EQUATIONS)
-    assert fixed == ["minus_omega_sq = -omega**2", "eps_2a2 = epsilon * 2.0 * a2"]
-    assert timed == ["al = alpha(delta * t, alpha_kind)", "eps_al = epsilon * al",
-                     "eps_al_2a4 = eps_al * 2.0 * a4"]
+    assert fixed == ["minus_omega_sq = -omega**2", "eps_2a2 = epsilon * 2.0 * a2",
+                     "exponential = alpha_kind == 'exponential'"]
+    assert timed == ["tau = delta * t",
+                     "al = exp(-tau) if exponential else 1.0 / (1.0 + tau)",
+                     "eps_al = epsilon * al", "eps_al_2a4 = eps_al * 2.0 * a4"]
     assert [statement.split(" =")[0] for statement in rest] == list(FULL_EQUATIONS.rates)
-    assert shared == {"al", "eps_al", "eps_al_2a4"}
+    assert shared == {"tau", "al", "eps_al", "eps_al_2a4"}
     assert fixed + timed + rest == list(FULL_EQUATIONS.body)
+    assert not any("alpha(" in statement for statement in FULL_EQUATIONS.body)
+    assert FULL_EQUATIONS.guard == ("check_slow_time(delta * t)",)
 
 
 def test_parameter_statements_once_per_integrate_call():
@@ -152,39 +158,45 @@ def test_parameter_statements_once_per_integrate_call():
 
 @pytest.mark.parametrize("method", ["rk45", "rk4"])
 def test_inlined_alpha_once_per_stage_time(method):
-    # the statement that reads only t and the parameters, the decay factor
-    # alpha, runs once per stage time: rk45's last two stages share t + h,
-    # the stages of order_check's rk4 steps come in pairs at t + h/2 and
-    # t + h; a batch runs it once per step, over the times of all its stages.
-    # The bits stay those of calling full_rhs at every stage.
-    p = fig_params(2)
-    field = full_field(p)
+    # the decay law, written into the stages as its text, runs once per stage
+    # time: rk45's last two stages share t + h, the stages of order_check's
+    # rk4 steps come in pairs at t + h/2 and t + h; a batch runs it once per
+    # step, over the times of all its stages. Each run also takes the slow
+    # time once more, for its guard at t0. A delta that counts its products
+    # counts both, under either law. The bits stay those of calling full_rhs
+    # at every stage.
     times = []
 
-    def counted(tau, kind):
-        times.append(tau)
-        return alpha(tau, kind)
+    class CountedDelta(float):
+        def __mul__(self, t):
+            times.append(t)
+            return float(self) * t
 
-    spy = field._replace(bindings={**field.bindings, "alpha": counted})
     initial = fig_initial_state()
     y0 = initial.as_array()
-    if method == "rk4":  # 400 steps of 0.05, as order_check takes them
-        ends = [rk4_steps(rhs, y0, initial.t, 0.05, 400) for rhs in (spy, _called(p))]
-        assert np.array_equal(ends[0], ends[1]) and len(times) == 2 * 400
-        return
-    sc = _scenario(p, initial, 20.0)
-    runs = [integrate(rhs, y0, sc.integrator) for rhs in (spy, _called(p))]
-    assert np.array_equal(runs[0].states, runs[1].states) and runs[0].stats == runs[1].stats
-    attempts = runs[0].stats["accepted"] + runs[0].stats["rejected"]
-    assert len(times) == 5 * attempts
-    times.clear()
-    rows = np.array([y0, y0 * 1.1, y0 * 0.9])
-    batch, called = (integrate(rhs, rows, sc.integrator) for rhs in (spy, _called(p)))
-    assert np.array_equal(batch.states, called.states)
-    for key, value in batch.stats.items():
-        assert np.array_equal(value, called.stats[key])
-    assert len(times) == max(batch.stats["row_accepted"] + batch.stats["row_rejected"])
-    assert times[0].shape == (6, 3) and all(len(tau) == 6 for tau in times)
+    for kind in ALPHA_KINDS:
+        times.clear()
+        p = fig_params(2).replace(alpha_kind=kind)
+        field = full_field(p)
+        spy = field._replace(bindings={**field.bindings, "delta": CountedDelta(p.delta)})
+        if method == "rk4":  # 400 steps of 0.05, as order_check takes them
+            ends = [rk4_steps(rhs, y0, initial.t, 0.05, 400) for rhs in (spy, _called(p))]
+            assert np.array_equal(ends[0], ends[1]) and len(times) == 1 + 2 * 400
+            continue
+        sc = _scenario(p, initial, 20.0)
+        runs = [integrate(rhs, y0, sc.integrator) for rhs in (spy, _called(p))]
+        assert np.array_equal(runs[0].states, runs[1].states) and runs[0].stats == runs[1].stats
+        attempts = runs[0].stats["accepted"] + runs[0].stats["rejected"]
+        assert times[0] == initial.t and len(times) == 1 + 5 * attempts
+        times.clear()
+        rows = np.array([y0, y0 * 1.1, y0 * 0.9])
+        batch, called = (integrate(rhs, rows, sc.integrator) for rhs in (spy, _called(p)))
+        assert np.array_equal(batch.states, called.states)
+        for key, value in batch.stats.items():
+            assert np.array_equal(value, called.stats[key])
+        assert len(times) == 1 + max(batch.stats["row_accepted"] + batch.stats["row_rejected"])
+        assert times[0] == initial.t
+        assert times[1].shape == (6, 3) and all(len(t) == 6 for t in times[1:])
 
 
 def test_run_scenario_fig1_initial_actions():

@@ -253,20 +253,38 @@ def test_batched_rows_match_scalar_integrate():
         assert np.max(np.abs(batch.states - exact)) < 1e-8
 
 
-def test_batched_failures_match_scalar_integrate():
-    rhs, y0, cfg = _escaping_batch()
-    expected = []
-    for i, row in enumerate(y0):
-        try:
-            integrate(rhs, row, cfg)
-        except IntegrationError as exc:
-            expected.append((i, str(exc)))
-    batch = integrate(rhs, y0, cfg)
-    assert len(expected) >= 2
-    assert batch.stats["failures"] == expected
-    failed = [i for i, _ in expected]
-    assert np.all(np.isfinite(np.delete(batch.states, failed, axis=0)))
-    assert np.all(np.isnan(batch.states[failed, -1]))
+def _pole_batch():
+    """y1' = 1/(10 - t)^2 up to its pole at t = 10, and y2' = -y2: both rows
+    stop at a step below 1e-14 |t|, the relative part of the step floor."""
+    cfg = IntegratorConfig(t0=9.0, t_end=11.0, sample_dt=0.5)
+    return ((lambda t, y: (1.0 / ((10.0 - t) * (10.0 - t)), -y[1])),
+            np.array([[0.0, 1.0], [0.0, 2.0]]), cfg)
+
+
+def test_batched_failures_match_scalar_integrate(monkeypatch):
+    # a failing row stops where its single run stops, to the bit of the last
+    # good time, which the message rounds to six digits: near the pole a step
+    # floor of 1e-14 in place of 1e-14 |t| moves it by about 2e-10
+    text = integrate_module._failure_text
+    for rhs, y0, cfg in (_escaping_batch(), _pole_batch()):
+        expected, last = [], []
+        for i, row in enumerate(y0):
+            try:
+                integrate(rhs, row, cfg)
+            except IntegrationError as exc:
+                expected.append((i, str(exc)))
+                last.append(exc.t_last)
+        times = []
+        monkeypatch.setattr(integrate_module, "_failure_text",
+                            lambda message, t: times.append(t) or text(message, t))
+        batch = integrate(rhs, y0, cfg)
+        monkeypatch.setattr(integrate_module, "_failure_text", text)
+        assert len(expected) >= 2
+        assert batch.stats["failures"] == expected and sorted(times) == sorted(last)
+        failed = [i for i, _ in expected]
+        assert np.all(np.isfinite(np.delete(batch.states, failed, axis=0)))
+        assert np.all(np.isnan(batch.states[failed, -1]))
+    assert all(9.9999999 < t < 10.0 for t in last)
 
 
 def test_batched_stats_match_scalar_after_non_finite_steps():
@@ -468,39 +486,41 @@ def test_hermite_kernel_rows_match_per_sample_formula_bitwise():
 
 @pytest.mark.parametrize("d", [1, 4, 5, 70])
 def test_float_fill_matches_kernel_and_per_sample_formula_bitwise(d):
-    # the one fill, over a block of steps given as a single run holds them
-    # (floats and tuples of d floats), writes each step's samples with the
-    # bits of the per-sample reference into the output row the step names;
-    # the steps hold 0, 1 and many samples, and no other sample is written
+    # the single run's block fill, over the steps as its loop holds them
+    # (flat floats: the first sample, the stop, t, h and the d components of
+    # y, y_new, f and f_new), writes each step's samples with the bits of the
+    # per-sample reference into its output; the steps hold 0, 1 and many
+    # samples, and no other sample is written
     rng = np.random.default_rng(d)
     ts = np.sort(rng.uniform(0.0, 10.0, 400))
-    block, rows, counts = [], [], []
+    blocks, counts = ([], []), []
     out, ref = np.zeros((2, len(ts), d)), np.zeros((2, len(ts), d))
     written = np.zeros((2, len(ts)), dtype=bool)
     for row, t0, h in [(1, ts[10] - 1e-6, 1e-7), (0, ts[10] - 1e-12, 2e-12),
                        (1, ts[20] - 1e-12, 4.0), (0, ts[20] - 1e-12, 4.0)]:
         idx = int(np.searchsorted(ts, t0, side="right"))
-        y0, y1, f0, f1 = (tuple(rng.normal(size=d).tolist()) for _ in range(4))
+        y0, y1, f0, f1 = (rng.normal(size=d).tolist() for _ in range(4))
         stop = _per_sample_hermite_fill(ref[row], ts, idx, t0, h, y0, y1, f0, f1, t0 + h)
-        block.append((idx, stop, t0, h, y0, y1, f0, f1))
-        rows.append(row)
+        blocks[row].extend([idx, stop, t0, h, *y0, *y1, *f0, *f1])
         counts.append(stop - idx)
         written[row, idx:stop] = True
     assert counts[:2] == [0, 1] and min(counts[2:]) > 100
-    integrate_module._hermite_fill(out, ts, np.array(rows), *map(np.array, zip(*block)))
+    for row, block in enumerate(blocks):
+        integrate_module._fill_steps(out[row], ts, block)
     assert np.array_equal(out, ref)
     assert np.array_equal(out.any(axis=2), written)
 
 
 def test_error_power_float_matches_array_entry():
-    # both loops take err_norm**-0.2 from libm: a float and the matching entry
-    # of an array get the same bits, and zero, NaN and inf entries do not raise
+    # both loops take err_norm**-0.2 from libm: the single run's ``**`` on a
+    # float and the matching entry of the batch's array get the same bits,
+    # and zero, NaN and inf entries do not raise
     rng = np.random.default_rng(3)
     values = np.concatenate([rng.uniform(0.0, 2.0, 2000), 10.0 ** rng.uniform(-300, 300, 2000),
                              [5e-324, 1.0, 1.7e308]])
     rows = integrate_module._error_power(values)
     for x, row in zip(values.tolist(), rows.tolist()):
-        single = integrate_module._error_power(x)
+        single = x ** -0.2
         assert type(single) is float and single == row == math.pow(x, -0.2)
     special = integrate_module._error_power(np.array([0.0, math.nan, math.inf, 1.0]))
     assert special.tolist() == [1.0, 1.0, 0.0, 1.0]
@@ -588,15 +608,21 @@ def test_single_run_makes_no_numpy_call_per_step(monkeypatch):
 
 @pytest.mark.parametrize("inline", [False, True], ids=["called", "inlined"])
 def test_single_run_makes_no_min_or_max_call_per_step(inline):
-    # the loop's sample tolerance and step clamps, and the generated step's
-    # error norm, are written as the builtins' rules, without the calls
+    # the generated loop writes the sample tolerance, the step clamps, the
+    # controller, the stop rule and the error norm's max in place, and its
+    # inlined stages the decay law: it names none of the builtins min and
+    # max, alpha, _stops or _error_power, and neither do _run_single and
+    # order_check's rk4 step
     p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.1, n=2)
     rhs = lambda t, y: full_rhs(t, y, p)  # noqa: E731
     if inline:
         rhs = InlineRhs(rhs, FULL_EQUATIONS, FULL_EQUATIONS.bindings(p))
-    step = integrate_module._step_function("rk45", 4, rhs)
-    for code in (step.__code__, integrate_module._run_single.__code__):
-        assert not {"min", "max"} & set(code.co_names), code.co_name
+    run = integrate_module._loop_function("rk45", 4, rhs, 0.0)
+    step = integrate_module._step_function("rk4", 4, rhs, 0.0)
+    for code in (run.__code__, step.__code__, integrate_module._run_single.__code__):
+        assert not {"min", "max", "alpha", "_stops", "_error_power"} & set(code.co_names), \
+            code.co_name
+    assert "exp" in run.__code__.co_names if inline else "rhs" in run.__code__.co_varnames
 
 
 def _error_norm_reference(y, z, k, h, rtol, atol):
@@ -635,7 +661,7 @@ def test_generated_error_norm_equals_builtin_max_reference():
         step_sum = step_sum + b[r] * k[r, 3]
     cases.append((np.array([-0.0, 0.0, 0.7, -(h * step_sum) / 2]), k))
     cases.append((np.array([0.0, -0.0, -0.7, (h * step_sum) / 2]), -k))
-    step = integrate_module._step_function("rk45", 4, harmonic)  # it calls the rhs it is given
+    step = integrate_module._step_function("rk45", 4, harmonic, 0.0)  # it calls the rhs it is given
     for y, k in cases:
         answers = iter([tuple(row) for row in k[1:].tolist()])
         z, _, finite, err_norm = step(lambda t, z: next(answers), 0.0, h, tuple(y.tolist()),

@@ -6,7 +6,7 @@ data files moved.
 
 Each command runs as ``python -m symevol ...`` with ``PYTHONPATH=<tree>/src``
 in a temporary directory, one output directory per command; its stdout and
-exit status are kept there as ``stdout.txt``. Every file is then reported
+exit status are kept there as ``stdout.txt``, its stderr as ``stderr.txt``. Every file is then reported
 as ``identical`` or with the largest absolute and relative difference of
 the numbers in it. A manifest is compared without ``tool_version`` and
 ``wall_time_s``. The script exits 1 when a file moved and
@@ -123,13 +123,18 @@ _SIMULATE = (_ENSEMBLE[:_ENSEMBLE.index("[ensemble]")]
 
 CONFIGS = {"w1.ini": _W1, "w3.ini": _W3, "ens.ini": _ENSEMBLE,
            "ens-fail.ini": _ENSEMBLE_FAILING,
-           # the same ensemble with the decay factor alpha's array path in a batch
+           # the same ensemble under the polynomial decay law
            "ens-poly.ini": _ENSEMBLE.replace("alpha_kind = exponential",
                                              "alpha_kind = polynomial"),
            # a single run under the polynomial decay, and one that starts late
            "sim-poly.ini": _SIMULATE.replace("alpha_kind = exponential",
                                              "alpha_kind = polynomial"),
-           "sim-t0.ini": _SIMULATE.replace("t0 = 0", "t0 = 2.5")}
+           "sim-t0.ini": _SIMULATE.replace("t0 = 0", "t0 = 2.5"),
+           # a single run that fails: from q1 = 5 it escapes, and the step size
+           # underflows before horizon 30 (exit 3, the last good time on stderr)
+           "sim-fail.ini": (_SIMULATE.replace("q1 = 0\n", "q1 = 5\n").replace("v1 = 0.5", "v1 = 0.1")
+                            .replace("q2 = 0\n", "q2 = 0.1\n").replace("v2 = 0.5", "v2 = 0.1")
+                            .replace("horizon = 50", "horizon = 30"))}
 
 # name: arguments after ``python -m symevol``; ``--out`` is added to commands that take it
 COMMANDS = {
@@ -137,6 +142,7 @@ COMMANDS = {
     "simulate-fig1-dense": ["simulate", "fig1", "--horizon", "10", "--sample-dt", "0.001"],
     "simulate-polynomial": ["simulate", "sim-poly.ini"],
     "simulate-t0": ["simulate", "sim-t0.ini"],
+    "simulate-failing": ["simulate", "sim-fail.ini"],
     "reproduce-fig1": ["reproduce-figure", "--which", "fig1", "--horizon", "50"],
     "reproduce-fig2": ["reproduce-figure", "--which", "fig2", "--horizon", "50"],
     "compare-11": ["compare", "w1.ini", "--eps-list", "0.1,0.05"],
@@ -227,6 +233,7 @@ def _run_tree(tree: Path, root: Path) -> str:
             argv += ["--out", str(out)]
         run = subprocess.run(argv, env=env, cwd=work, capture_output=True, text=True)
         (out / "stdout.txt").write_text(f"{run.stdout}[exit status {run.returncode}]\n")
+        (out / "stderr.txt").write_text(run.stderr)
     return probe[0]
 
 
