@@ -4,7 +4,8 @@ reproduce-figure, order-check.
 Time series go to CSV (17 significant digits, round-trip exact for
 doubles), structured results to JSON, and every run writes a manifest with
 the digest of its resolved settings so reruns can be checked byte for byte.
-Exit codes: 0 ok, 2 usage/config error, 3 numerical failure.
+Exit codes: 0 ok, 2 usage/config error, 3 numerical failure; a run that
+fails writes nothing, not even its ``--out`` directory.
 """
 
 from __future__ import annotations
@@ -85,9 +86,9 @@ def _cmd_simulate(args) -> int:
     cfg = load_config(preset_path(figure) if figure else resolve_config_path(args.config))
     scenario = build_scenario(cfg, vars(args))
     digest = run_digest(scenario)
-    outdir = _make_outdir(args.out)
     start = time.perf_counter()
     traj = run_scenario(scenario)
+    outdir = _make_outdir(args.out)
     e1, e2 = mode_actions(traj.states, scenario.params.omega)
     run_info = {"samples": len(traj.times), "integrator_stats": traj.stats}
     if figure is None:
@@ -161,9 +162,9 @@ def _cmd_ensemble(args) -> int:
     cfg = load_config(resolve_config_path(args.config))
     spec = build_ensemble(cfg, vars(args))
     digest = run_digest(spec)
-    outdir = _make_outdir(args.out)
     start = time.perf_counter()
     report = run_ensemble(spec)
+    outdir = _make_outdir(args.out)
     moments_path = outdir / "moments.csv"
     _write_csv(moments_path,
                ["t", "mean_v1", "disp_v1", "mean_v2", "disp_v2", "mean_E1", "mean_E2"],

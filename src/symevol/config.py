@@ -105,7 +105,7 @@ _KEYS = {
               "alpha_kind": (str, ModelParams.alpha_kind)},
     "initial": {"t0": (float, IntegratorConfig.t0),
                 "q1": (float,), "v1": (float,), "q2": (float,), "v2": (float,)},
-    "integrator": {"method": (str, IntegratorConfig.method),
+    "integrator": {"method": (str, "rk45"),
                    "rtol": (float, IntegratorConfig.rtol),
                    "atol": (float, IntegratorConfig.atol), "sample_dt": (float, 0.25)},
     "scenario": {"horizon": (float,), "label": (str, ScenarioConfig.label)},
@@ -155,9 +155,10 @@ def build_initial(cfg: dict) -> CartesianState:
 
 
 def _integrator(cfg: dict, overrides: dict | None) -> dict:
-    """The config's [integrator], whose method must be one a config may name."""
+    """The config's [integrator] settings but its method, which must be rk45,
+    the one method that runs."""
     values = _read(cfg, "integrator", overrides)
-    if values["method"] not in ("rk45",):
+    if values.pop("method") != "rk45":
         raise ConfigError("[integrator] method must be rk45, the only method that runs")
     return values
 

@@ -1,32 +1,31 @@
-"""Time steppers: adaptive Dormand-Prince 5(4), and classical RK4 for the
-order check.
+"""Time stepper: adaptive Dormand-Prince 5(4), the one tableau (``_TABLEAU``)
+that :func:`integrate` runs; :func:`order_check` takes classical RK4 steps
+of its own, in plain Python.
 
-Both methods are tableau records in ``_METHODS``. :func:`integrate` runs the
-adaptive ones; :func:`order_check` takes its fixed RK4 steps itself, through
-a generated step. The right-hand side takes a state as a tuple of its d
-components and answers with a sequence of d components. A component is a
-float in a single run, and an array with one entry per running row in a
-batch. A single run is one generated loop over Python floats per tableau
-record and state dimension: the attempt's straight-line stages, the
-controller, the sample test and the stop rule are written in place, and the
-state and its slope stay in locals across steps. A batch of independent
-initial states (``y0`` of shape (N, d)) holds the rows as columns of a (d, n)
-array; every row keeps its own time and step size, and the step is generated
-from the same record, one statement per stage sum. One emitter writes the
-stages of the loop and of both steps. Given an :class:`InlineRhs`, a
-right-hand side with its source text, they write the field's equations in
-place of the call at every stage, with the same bits. They evaluate the
-statements that read only the parameters, and the source's guard at the
-start time, once per run, and those that read only the time, the decay law
-among them, once per stage time (a single run) or once per step, over every
-stage time at once (a batch). The law takes libm's ``exp``: ``math.exp`` in a
-single run, mapped over the entries in a batch. The full model always comes
-that way (``experiments.full_field``); every other field is called, in a
-batch once per stage for all rows. Both loops test finiteness on the new
-state and the last stage, take the step factor from libm's pow and share
-the controller, so a batch row equals the single-row run byte for byte. The
-single-row loop makes no numpy call, and no ``min``, ``max`` or other Python
-call, per step but on a step that holds a sample.
+The right-hand side takes a state as a tuple of its d components and answers
+with a sequence of d components. A component is a float in a single run, and
+an array with one entry per running row in a batch. A single run is one
+generated loop over Python floats per state dimension: the attempt's
+straight-line stages, the controller, the sample test and the stop rule are
+written in place, and the state and its slope stay in locals across steps. A
+batch of independent initial states (``y0`` of shape (N, d)) holds the rows
+as columns of a (d, n) array; every row keeps its own time and step size,
+and the step is generated from the same tableau, one statement per stage
+sum. One emitter writes the stage and error sums of the loop and of the
+batched step. Given an :class:`InlineRhs`, a right-hand side with its source
+text, they write the field's equations in place of the call at every stage,
+with the same bits. They evaluate the statements that read only the
+parameters, and the source's guard at the start time, once per run, and
+those that read only the time, the decay law among them, once per stage time
+(a single run) or once per step, over every stage time at once (a batch).
+The law takes libm's ``exp``: ``math.exp`` in a single run, ``model._exp``
+(mapped over the entries) in a batch. The full model always comes that way
+(``experiments.full_field``); every other field is called, in a batch once
+per stage for all rows. Both loops test finiteness on the new state and the
+last stage, take the step factor from libm's pow and share the controller,
+so a batch row equals the single-row run byte for byte. The single-row loop
+makes no numpy call, and no ``min``, ``max`` or other Python call, per step
+but on a step that holds a sample.
 
 Both loops deliver dense output by cubic Hermite interpolation on the
 accepted steps, so the returned sample times are exactly the requested grid
@@ -50,46 +49,50 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .model import _exp
+
 __all__ = ["IntegratorConfig", "Trajectory", "IntegrationError", "integrate",
            "order_check", "OrderEstimate", "MAX_GRID_POINTS", "InlineRhs"]
 
 
-class _Method(NamedTuple):
-    """Explicit Runge-Kutta tableau: stage s > 0 is the slope at t + c[s] h,
-    y + h (a[s-1] @ k[:s]). The last row of ``a`` holds the solution weights
-    (first same as last); a record without ``e`` takes fixed steps (order_check)."""
+class _Tableau(NamedTuple):
+    """Explicit Runge-Kutta tableau with an embedded error estimate: stage
+    s > 0 is the slope at t + c[s] h, y + h (a[s-1] @ k[:s]). The last row of
+    ``a`` holds the solution weights (first same as last), ``e`` the error
+    weights over every stage."""
 
     c: np.ndarray
     a: tuple
-    e: np.ndarray | None
+    e: np.ndarray
 
 
-_METHODS = {
-    # Dormand & Prince 5(4): the fifth-order solution is propagated; the
-    # difference to the embedded fourth-order one estimates the local error.
-    "rk45": _Method(
-        c=np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]),
-        a=(np.array([1 / 5]),
-           np.array([3 / 40, 9 / 40]),
-           np.array([44 / 45, -56 / 15, 32 / 9]),
-           np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-           np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-           np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])),
-        e=np.array([35 / 384 - 5179 / 57600, 0.0, 500 / 1113 - 7571 / 16695,
-                    125 / 192 - 393 / 640, -2187 / 6784 + 92097 / 339200,
-                    11 / 84 - 187 / 2100, -1 / 40])),
-    "rk4": _Method(
-        c=np.array([0.0, 1 / 2, 1 / 2, 1.0, 1.0]),
-        a=(np.array([1 / 2]),
-           np.array([0.0, 1 / 2]),
-           np.array([0.0, 0.0, 1.0]),
-           np.array([1 / 6, 1 / 3, 1 / 3, 1 / 6])),
-        e=None),
-}
+# Dormand & Prince 5(4), the one method integrate runs: the fifth-order
+# solution is propagated; the difference to the embedded fourth-order one
+# estimates the local error
+_TABLEAU = _Tableau(
+    c=np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]),
+    a=(np.array([1 / 5]),
+       np.array([3 / 40, 9 / 40]),
+       np.array([44 / 45, -56 / 15, 32 / 9]),
+       np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+       np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+       np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])),
+    e=np.array([35 / 384 - 5179 / 57600, 0.0, 500 / 1113 - 7571 / 16695,
+                125 / 192 - 393 / 640, -2187 / 6784 + 92097 / 339200,
+                11 / 84 - 187 / 2100, -1 / 40]))
 
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _SAFETY = 0.9
+
+# The stop rules both loops share: a step below _STEP_FLOOR max(1, |t|)
+# underflows, and a run stops at the attempt past _MAX_STREAK non-finite ones
+# in a row, each of which retries with _SHRINK of its step. A step fills the
+# samples up to _SAMPLE_TOL max(1, |t|) past its end.
+_STEP_FLOOR = 1e-14
+_MAX_STREAK = 40
+_SHRINK = 0.25
+_SAMPLE_TOL = 1e-14
 
 # Most points a uniform time grid (output samples or fixed steps) may have: 320 MB of 4-vectors.
 MAX_GRID_POINTS = 10_000_000
@@ -124,34 +127,31 @@ _STOP = {False: ("step size underflow", "underflow"),
 
 
 def _stops(t, h, streak, t_end):
-    """Whether each batch row stops short of t_end: a step below 1e-14
-    max(1, |t|), or 41 non-finite attempts in a row. A single run's loop
-    writes the same rule in place (``_LOOP``)."""
-    return (t < t_end) & ((h < 1e-14) | (h < 1e-14 * abs(t)) | (streak > 40))
+    """Whether each batch row stops short of t_end: a step below
+    ``_STEP_FLOOR`` max(1, |t|), or more than ``_MAX_STREAK`` non-finite
+    attempts in a row. A single run's loop writes the same rule in place
+    (``_LOOP``)."""
+    return (t < t_end) & ((h < _STEP_FLOOR) | (h < _STEP_FLOOR * abs(t))
+                          | (streak > _MAX_STREAK))
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Stepper selection, tolerances and time grid of one run.
+    """Tolerances and time grid of one run.
 
     The run covers [t0, t_end]; samples are produced every ``sample_dt``
-    starting from t0 (the end time is always included). The method is an
-    adaptive record of ``_METHODS``. The samples may not number more than
-    ``MAX_GRID_POINTS``, and ``rtol`` may not be below 100 machine epsilons.
+    starting from t0 (the end time is always included). The samples may not
+    number more than ``MAX_GRID_POINTS``, and ``rtol`` may not be below 100
+    machine epsilons.
     """
 
     t_end: float
     sample_dt: float
-    method: str = "rk45"
     rtol: float = 1e-10
     atol: float = 1e-12
     t0: float = 0.0
 
     def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        if _METHODS[self.method].e is None:
-            raise ValueError(f"method {self.method!r} takes fixed steps, which order_check runs")
         if not -math.inf < self.t0 < self.t_end < math.inf:
             raise ValueError(f"need finite t0 < t_end, got t0 = {self.t0!r}, "
                              f"t_end = {self.t_end!r}")
@@ -299,7 +299,7 @@ def _run_single(rhs, y0, config, ts, out):
     f = tuple(rhs(t0, y))  # the block may hold it past the rhs's next call
     if len(f) != d:
         raise ValueError(f"rhs returned {len(f)} values for a state of {d}")
-    run = _loop_function(config.method, d, rhs, t0)
+    run = _loop_function(d, rhs, t0)
     # the sample times, read as floats, and past the last one a time no step reaches
     samples = memoryview(np.append(ts, math.inf))
     with np.errstate(all="ignore"):  # non-finite values are tested once per step
@@ -307,7 +307,7 @@ def _run_single(rhs, y0, config, ts, out):
                                 t_end - t0))
         counts = run(rhs, t0, h, y, f, t_end, t_end - t0, config.rtol, config.atol, samples,
                      out, ts)
-    return _stats(config.method, *counts)
+    return _stats(*counts)
 
 
 def _failure(t, y, streak) -> IntegrationError:
@@ -329,14 +329,14 @@ def _fill_steps(out, ts, block):
                   steps[:, 2], steps[:, 3], y0, y1, f0, f1)
 
 
-def _stats(method, accepted, rejected_error, rejected_nonfinite) -> dict:
+def _stats(accepted, rejected_error, rejected_nonfinite) -> dict:
     """The step counts of a run from its counters, ints in a single run and
     arrays of one entry per row in a batch: every attempt evaluates each
     stage past the first slope, which the run evaluates once."""
     rejected = rejected_error + rejected_nonfinite
     return {"accepted": accepted, "rejected": rejected, "rejected_error": rejected_error,
             "rejected_nonfinite": rejected_nonfinite,
-            "rhs_evals": 1 + len(_METHODS[method].a) * (accepted + rejected)}
+            "rhs_evals": 1 + len(_TABLEAU.a) * (accepted + rejected)}
 
 
 def _error_power(err_norm):
@@ -349,15 +349,10 @@ def _error_power(err_norm):
     return np.array([math.pow(x, -0.2) for x in np.where(err_norm > 0.0, err_norm, 1.0).tolist()])
 
 
-def _exp(x):
-    """libm's exp of every entry of an array, as a batch binds ``exp``, so
-    that a batch row takes the bits of the single run's ``math.exp``."""
-    return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
-
-
 def _weighted_source(weights, terms) -> str:
     """A weighted sum as an expression: left to right, zero weights included.
-    Every stage and error sum of both generated steps is written by it."""
+    Every stage and error sum of the single run's loop and of the batched
+    step is written by it."""
     return "(" + " + ".join(f"{float(w)!r} * {x}" for w, x in zip(weights, terms)) + ")"
 
 
@@ -381,15 +376,15 @@ def _indented(lines, depth) -> list:
 
 
 class InlineRhs(NamedTuple):
-    """A right-hand side with its source text, which the generated steps write
-    in place of a call at every stage.
+    """A right-hand side with its source text, which the single run's loop
+    and the batched step write in place of a call at every stage.
 
     ``call(t, y)`` is the right-hand side itself; the first slope calls it,
     and so does calling the record. ``equations`` is its source, as
     :class:`symevol.model.Equations`: straight-line ``body`` statements that,
     at the time ``t`` with the state components in the names ``state``,
     assign their rates to the names ``rates``, each name once, and ``guard``
-    statements, which the steps run once per run, at its start time ``t0``.
+    statements, which both run once per run, at its start time ``t0``.
     ``bindings`` holds every other name they read but ``exp``, which each
     loop binds to libm's exp of its components. Apart from the state, the
     rates and ``t``, the body's names share the loop's namespace, so they
@@ -399,8 +394,8 @@ class InlineRhs(NamedTuple):
     ``maximum``, ``empty_like``, ``row_rms``, ``columns``, the names of the
     single run's loop in :data:`_LOOP`, and the names ``y<j>``, ``z<j>``,
     ``x<j>``, ``ay<j>``, ``az<j>``, ``k<s>`` and ``k<s>_<j>``. The body's
-    statements that read only the parameters run once per bound step, in the
-    namespace that holds ``bindings``.
+    statements that read only the parameters run once per bound loop or
+    step, in the namespace that holds ``bindings``.
     """
 
     call: object
@@ -422,23 +417,14 @@ def _bind(code, rhs, t0, namespace) -> dict:
     return namespace
 
 
-# the names a generated step or loop over floats reads
-_FLOAT_NAMES = {"isfinite": math.isfinite, "sqrt": math.sqrt, "exp": math.exp}
-
-
-def _step_function(method: str, d: int, rhs, t0):
-    """The single step of ``rhs``, from :func:`_step_code`, for a run from t0."""
-    return _bind(functools.partial(_step_code, method, d), rhs, t0, {**_FLOAT_NAMES})["step"]
-
-
-def _loop_function(method: str, d: int, rhs, t0):
+def _loop_function(d: int, rhs, t0):
     """The whole adaptive loop of ``rhs``, from :func:`_loop_code`, for a run
     from t0. It reads ``_FILL_BLOCK`` when bound, and ``_hermite_fill`` at
     every fill."""
-    return _bind(functools.partial(_loop_code, method, d), rhs, t0,
-                 {**_FLOAT_NAMES, "bisect_right": bisect.bisect_right,
-                  "fill_steps": _fill_steps, "fill_block": _FILL_BLOCK,
-                  "failure": _failure})["run"]
+    return _bind(functools.partial(_loop_code, d), rhs, t0,
+                 {"isfinite": math.isfinite, "sqrt": math.sqrt, "exp": math.exp,
+                  "bisect_right": bisect.bisect_right, "fill_steps": _fill_steps,
+                  "fill_block": _FILL_BLOCK, "failure": _failure})["run"]
 
 
 _IDENTIFIER = re.compile(r"\b[A-Za-z_]\w*")
@@ -473,22 +459,21 @@ def _inline(statements, rename) -> list:
 
 
 def _once_per_run(equations) -> list:
-    """The statements a generated step or loop runs when it is bound: the
-    body's statements that read only the parameters, then the guard at the
-    run's start time ``t0``; none for a called right-hand side."""
+    """The statements the generated loop or batched step runs when it is
+    bound: the body's statements that read only the parameters, then the
+    guard at the run's start time ``t0``; none for a called right-hand side."""
     if equations is None:
         return []
     return [*_split_body(equations)[0], *_inline(equations.guard, {"t": "t0"})]
 
 
-def _stage_lines(method: str, d: int, equations) -> list:
-    """One attempt of a tableau record on d floats, as straight-line
-    statements: from the state in ``y<j>``, its slope in ``k0_<j>``, the time
-    ``t`` and the step ``h``, they assign the stages ``k<s>_<j>``, the new
-    state ``z<j>``, whether every stage and the new state are finite
-    (``finite``) and the error norm (``err_norm``, 0.0 for a fixed-step
-    record). Its sums are those of :func:`_rows_step_code`, so a single run
-    equals its batch row bit for bit.
+def _stage_lines(d: int, equations) -> list:
+    """One attempt of the tableau on d floats, as straight-line statements:
+    from the state in ``y<j>``, its slope in ``k0_<j>``, the time ``t`` and
+    the step ``h``, they assign the stages ``k<s>_<j>``, the new state
+    ``z<j>``, whether every stage and the new state are finite (``finite``)
+    and the error norm (``err_norm``). Its sums are those of
+    :func:`_rows_step_code`, so a single run equals its batch row bit for bit.
 
     Each stage calls ``rhs`` or, given the source ``equations`` of an
     :class:`InlineRhs`, evaluates its body in place: the same operations
@@ -505,7 +490,7 @@ def _stage_lines(method: str, d: int, equations) -> list:
     ``max``'s own rule, ``b if b > a else a``, which gives its result for
     ±0.0 and NaN too, without the call.
     """
-    c, a, e = _METHODS[method]
+    c, a, e = _TABLEAU
     comps = range(d)
     lines = []
     if equations is not None:
@@ -527,9 +512,6 @@ def _stage_lines(method: str, d: int, equations) -> list:
     values = [f"k{len(a)}_{j}" for j in comps] + [f"z{j}" for j in comps]
     lines += _sum_source("total", values)
     lines.append(f"finite = isfinite(total) or all(map(isfinite, ({', '.join(values)},)))")
-    if e is None:
-        lines.append("err_norm = 0.0")
-        return lines
     for j in comps:  # the error norm of _row_rms
         lines += [f"ay{j} = abs(y{j})", f"az{j} = abs(z{j})",
                   f"x{j} = h * {_weighted_source(e, [f'k{r}_{j}' for r in range(len(c))])}"
@@ -539,26 +521,6 @@ def _stage_lines(method: str, d: int, equations) -> list:
     return lines
 
 
-@functools.cache
-def _step_code(method: str, d: int, equations):
-    """One step of a tableau record on d floats, as compiled straight-line
-    code: :func:`_once_per_run`, then ``step(rhs, t, h, y, f, rtol, atol)``,
-    which takes the state ``y`` and its slope ``f`` as sequences of d floats
-    and returns the new state, the slope there (the last stage), ``finite``
-    and the error norm of :func:`_stage_lines`. ``order_check`` takes its
-    fixed rk4 steps through it. The code depends on the source only, never on
-    the values bound to its names, so there is one entry per method,
-    dimension and source."""
-    last = len(_METHODS[method].a)
-    lines = [*_once_per_run(equations),
-             "def step(rhs, t, h, y, f, rtol, atol):",
-             f"    {_names('y', d)} = y",
-             f"    {_names('k0_', d)} = f",
-             *_indented(_stage_lines(method, d, equations), 1),
-             f"    return ({_names('z', d)}), ({_names(f'k{last}_', d)}), finite, err_norm"]
-    return compile("\n".join(lines), f"<{method} step>", "exec")
-
-
 # A single run's adaptive loop over floats, as _loop_code fills it in: the
 # attempt's statements, the controller, the sample test, the stop rule of
 # _stops and the step's bookkeeping, with the state and the slope at its
@@ -566,7 +528,8 @@ def _step_code(method: str, d: int, equations):
 # step that holds a sample (bisect_right, and fill_steps once the block holds
 # fill_block samples or the grid's last) and at the end. max(1.0, |t_new|) and
 # the clamps are written as the builtins' own rules, the same bits without a
-# call per step.
+# call per step. An accepted step has 0 < err_norm <= 1, so its factor is at
+# least the safety factor and needs no floor.
 _LOOP = """\
 def run(rhs, t, h, y, f, t_end, span, rtol, atol, samples, out, ts):
     {y} = y
@@ -586,7 +549,7 @@ def run(rhs, t, h, y, f, t_end, span, rtol, atol, samples, out, ts):
         if not finite:
             streak += 1
             rejected_nonfinite += 1
-            h *= 0.25
+            h *= {shrink!r}
         elif err_norm <= 1.0:
             streak = 0
             # most steps hold no sample: a step joins the block only when the
@@ -595,7 +558,7 @@ def run(rhs, t, h, y, f, t_end, span, rtol, atol, samples, out, ts):
             # the length of one part at d = 4, and holds up to 2000 of them
             # until a full collection
             tol = abs(t_new)
-            tol = t_new + 1e-14 * (tol if tol > 1.0 else 1.0)
+            tol = t_new + {sample_tol!r} * (tol if tol > 1.0 else 1.0)
             if t_next <= tol:
                 stop = bisect_right(samples, tol, idx)
                 block += idx, stop, t, h
@@ -612,7 +575,6 @@ def run(rhs, t, h, y, f, t_end, span, rtol, atol, samples, out, ts):
                 h *= {max_factor!r}
             else:
                 factor = {safety!r} * err_norm ** -0.2
-                factor = factor if factor > {min_factor!r} else {min_factor!r}
                 h *= factor if factor < {max_factor!r} else {max_factor!r}
             if span < h:
                 h = span
@@ -621,59 +583,62 @@ def run(rhs, t, h, y, f, t_end, span, rtol, atol, samples, out, ts):
             rejected_error += 1
             factor = {safety!r} * err_norm ** -0.2
             h *= factor if factor > {min_factor!r} else {min_factor!r}
-        if t < t_end and (h < 1e-14 or h < 1e-14 * abs(t) or streak > 40):
+        if t < t_end and (h < {floor!r} or h < {floor!r} * abs(t) or streak > {limit!r}):
             raise failure(t, ({y}), streak)
     return accepted, rejected_error, rejected_nonfinite
 """
 
 
 @functools.cache
-def _loop_code(method: str, d: int, equations):
-    """A single run's whole adaptive loop of a tableau record on d floats, as
-    compiled code: :func:`_once_per_run`, then :data:`_LOOP` around the
-    attempt of :func:`_stage_lines`. ``run(rhs, t, h, y, f, t_end, span,
-    rtol, atol, samples, out, ts)`` integrates from t with the first trial
-    step h, the state ``y`` and its slope ``f`` as sequences of d floats,
-    fills ``out`` at the times ``ts`` (``samples`` is ``ts`` and inf past it)
-    and returns the counts of accepted, error-rejected and non-finite
-    attempts, or raises :class:`IntegrationError`. Its controller and stop
-    rule are those of :func:`_run_rows`. Cached as :func:`_step_code`: a loop
-    compiled per run costs more than it saves."""
-    last = len(_METHODS[method].a)
+def _loop_code(d: int, equations):
+    """A single run's whole adaptive loop on d floats, as compiled code:
+    :func:`_once_per_run`, then :data:`_LOOP` around the attempt of
+    :func:`_stage_lines`. ``run(rhs, t, h, y, f, t_end, span, rtol, atol,
+    samples, out, ts)`` integrates from t with the first trial step h, the
+    state ``y`` and its slope ``f`` as sequences of d floats, fills ``out``
+    at the times ``ts`` (``samples`` is ``ts`` and inf past it) and returns
+    the counts of accepted, error-rejected and non-finite attempts, or raises
+    :class:`IntegrationError`. Its controller and stop rule are those of
+    :func:`_run_rows`. The code depends on the source only, never on the
+    values bound to its names, so it is cached, one entry per dimension and
+    source: a loop compiled per run costs more than it saves."""
+    last = len(_TABLEAU.a)
     code = _LOOP.format(
         y=_names("y", d), z=_names("z", d), k0=_names("k0_", d), k_last=_names(f"k{last}_", d),
-        attempt="\n".join(_indented(_stage_lines(method, d, equations), 2)),
+        attempt="\n".join(_indented(_stage_lines(d, equations), 2)),
         advance="\n".join(_indented([*(f"y{j} = z{j}" for j in range(d)),
                                      *(f"k0_{j} = k{last}_{j}" for j in range(d))], 3)),
-        safety=_SAFETY, min_factor=_MIN_FACTOR, max_factor=_MAX_FACTOR)
-    return compile("\n".join([*_once_per_run(equations), code]), f"<{method} loop>", "exec")
+        safety=_SAFETY, min_factor=_MIN_FACTOR, max_factor=_MAX_FACTOR, shrink=_SHRINK,
+        sample_tol=_SAMPLE_TOL, floor=_STEP_FLOOR, limit=_MAX_STREAK)
+    return compile("\n".join([*_once_per_run(equations), code]), "<loop>", "exec")
 
 
-def _rows_step_function(method: str, rhs, t0):
+def _rows_step_function(rhs, t0):
     """The batched step of ``rhs``, from :func:`_rows_step_code`, for a run
     from t0."""
-    return _bind(functools.partial(_rows_step_code, method), rhs, t0,
+    return _bind(_rows_step_code, rhs, t0,
                  {"columns": _columns, "isfinite": np.isfinite, "maximum": np.maximum,
                   "empty_like": np.empty_like, "row_rms": _row_rms, "exp": _exp,
-                  "nodes": _METHODS[method].c[1:, None]})["step"]
+                  "nodes": _TABLEAU.c[1:, None]})["step"]
 
 
 @functools.cache
-def _rows_step_code(method: str, equations):
-    """:func:`_step_code` of an adaptive record over a batch: ``y`` and ``f``
-    are (d, n) arrays, a column per row, ``t`` and ``h`` (n,) arrays. One
-    statement per stage sum, with the float step's sums; ``finite`` and the
-    error norm are per row.
+def _rows_step_code(equations):
+    """One attempt of the tableau over a batch, as compiled code:
+    :func:`_once_per_run`, then ``step(rhs, t, h, y, f, rtol, atol)``, which
+    takes ``y`` and ``f`` as (d, n) arrays, a column per row, ``t`` and ``h``
+    as (n,) arrays, and returns the new state, the slope there (the last
+    stage), ``finite`` and the error norm, both per row. One statement per
+    stage sum, with the single run's sums.
 
     Each stage calls ``rhs``, and its answer passes :func:`_columns`, or,
     given the source ``equations`` of an :class:`InlineRhs`, evaluates its
-    body in place. :func:`_once_per_run` stands before ``def step``, as in
-    :func:`_step_code`. The statements :func:`_split_body` sorts as reading
-    only the time and the parameters, the decay law among them, run once per
+    body in place. The statements :func:`_split_body` sorts as reading only
+    the time and the parameters, the decay law among them, run once per
     step, over the (stages, n) array ``times`` of every stage time, and stage
     s reads row s - 1 of their values. The arithmetic is elementwise, and
     ``exp`` libm's per entry, so the bits are those of a call per stage."""
-    c, a, e = _METHODS[method]
+    c, a, e = _TABLEAU
     lines = ["def step(rhs, t, h, y, f, rtol, atol):",
              "    k0 = f"]
     if equations is not None:
@@ -694,7 +659,7 @@ def _rows_step_code(method: str, equations):
               f"    x = h * {_weighted_source(e, [f'k{r}' for r in range(len(c))])}"
               " / (atol + rtol * maximum(abs(y), abs(z)))",
               f"    return z, k{len(a)}, finite, row_rms(x)"]
-    return compile("\n".join(lines), f"<{method} batch step>", "exec")
+    return compile("\n".join(lines), "<batch step>", "exec")
 
 
 def _columns(answer, shape):
@@ -706,7 +671,7 @@ def _columns(answer, shape):
 
 
 def _run_rows(rhs, y0, config, ts, out):
-    step = _rows_step_function(config.method, rhs, config.t0)
+    step = _rows_step_function(rhs, config.t0)
     t0, t_end = config.t0, config.t_end
     rtol, atol = config.rtol, config.atol
     span = t_end - t0
@@ -733,10 +698,10 @@ def _run_rows(rhs, y0, config, ts, out):
             y_new, f_new, finite, err_norm = step(rhs, t, h, y, f, rtol, atol)
             ok = finite & (err_norm <= 1.0)
             factor = _SAFETY * _error_power(err_norm)
-            grow = np.where(err_norm == 0.0, _MAX_FACTOR,
-                            np.minimum(_MAX_FACTOR, np.maximum(_MIN_FACTOR, factor)))
+            # an accepted row has 0 < err_norm <= 1, so its factor needs no floor
+            grow = np.where(err_norm == 0.0, _MAX_FACTOR, np.minimum(_MAX_FACTOR, factor))
             t_new = np.where(clamped, t_end, t + h)
-            stop = np.searchsorted(ts, t_new + 1e-14 * np.maximum(1.0, np.abs(t_new)),
+            stop = np.searchsorted(ts, t_new + _SAMPLE_TOL * np.maximum(1.0, np.abs(t_new)),
                                    side="right")
             accepted[rows] += ok
             h_new = np.minimum(h * grow, span)
@@ -745,7 +710,7 @@ def _run_rows(rhs, y0, config, ts, out):
                 rejected_error[rows] += finite & ~ok
                 rejected_nonfinite[rows] += ~finite
                 h_new = np.where(ok, h_new, np.where(finite, h * np.maximum(_MIN_FACTOR, factor),
-                                                     h * 0.25))
+                                                     h * _SHRINK))
                 t_new, y_new, f_new, stop = (np.where(ok, new, old) for new, old in
                                              ((t_new, t), (y_new, y), (f_new, f), (stop, idx)))
             block.append((rows, idx, stop, t, h, y, y_new, f, f_new))
@@ -765,10 +730,37 @@ def _run_rows(rhs, y0, config, ts, out):
                 _hermite_fill(out, ts, *(np.concatenate(column) for column in columns[:5]),
                               *(np.concatenate(column, axis=1).T for column in columns[5:]))
                 block, held = [], 0
-    rows = _stats(config.method, accepted, rejected_error, rejected_nonfinite)
+    rows = _stats(accepted, rejected_error, rejected_nonfinite)
     return {**{key: int(value.sum()) for key, value in rows.items()},
             **{f"row_{key}": value for key, value in rows.items()},
             "failures": sorted(failures)}
+
+
+# Classical RK4, whose fixed steps order_check takes: each stage's time
+# fraction and its weights on the slopes before it; the last row holds the
+# solution weights, and its slope is the next step's first
+_RK4 = ((0.5, (0.5,)), (0.5, (0.0, 0.5)), (1.0, (0.0, 0.0, 1.0)),
+        (1.0, (1 / 6, 1 / 3, 1 / 3, 1 / 6)))
+
+
+def _rk4_step(rhs, t, h, y, f):
+    """One step of ``_RK4`` from the state ``y`` at t, with its slope ``f``,
+    both tuples of floats: the new state, and its slope at t + h (the last
+    stage). Each stage input sums every earlier slope with its weight, left
+    to right with zero weights included, so a non-finite slope makes the new
+    state non-finite. An answer of another length raises ValueError."""
+    k = [f]
+    for c, weights in _RK4:
+        z = []
+        for j, y_j in enumerate(y):
+            acc = weights[0] * k[0][j]
+            for w, k_r in zip(weights[1:], k[1:]):
+                acc = acc + w * k_r[j]
+            z.append(y_j + h * acc)
+        k.append(tuple(rhs(t + c * h, tuple(z))))
+        if len(k[-1]) != len(y):
+            raise ValueError(f"rhs returned {len(k[-1])} values for a state of {len(y)}")
+    return tuple(z), k[-1]
 
 
 @dataclass(frozen=True)
@@ -808,15 +800,14 @@ def order_check(rhs, y0, t0: float, t_end: float, steps) -> OrderEstimate:
         raise ValueError("need at least three distinct step sizes; over a span of "
                          f"{span:g} the steps taken are {', '.join(f'{h:g}' for h in steps)}")
     y_ref = integrate(rhs, y0, reference).states[-1]
-    step = _step_function("rk4", len(y0), rhs, t0)
     start = tuple(y0.tolist())
     f0 = tuple(rhs(t0, start))
     errors = []
     for n, h in zip(counts, steps):
         y, f = start, f0
         for i in range(n):
-            z, f, finite, _ = step(rhs, t0 + i * h, h, y, f, 0.0, 0.0)  # rk4 reads no tolerance
-            if not finite:
+            z, f = _rk4_step(rhs, t0 + i * h, h, y, f)
+            if not all(map(math.isfinite, (*z, *f))):
                 raise IntegrationError("non-finite values in fixed-step solution",
                                        t0 + i * h, np.array(y, dtype=float), "nonfinite")
             y = z

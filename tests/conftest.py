@@ -41,14 +41,14 @@ def fig_initial_state() -> CartesianState:
 
 
 def rk4_steps(rhs, y0, t0, h, n):
-    """The states after each of n fixed steps of the generated rk4 step, step
-    i from t0 + i h, as order_check takes them."""
-    step = importlib.import_module("symevol.integrate")._step_function("rk4", len(y0), rhs, t0)
+    """The states after each of n fixed rk4 steps, step i from t0 + i h, as
+    order_check takes them."""
+    step = importlib.import_module("symevol.integrate")._rk4_step
     y = tuple(y0.tolist())
     f = tuple(rhs(t0, y))
     states = []
     for i in range(n):
-        y, f, finite, err_norm = step(rhs, t0 + i * h, h, y, f, 0.0, 0.0)
-        assert finite and err_norm == 0.0
+        y, f = step(rhs, t0 + i * h, h, y, f)
+        assert np.all(np.isfinite(y + f))
         states.append(y)
     return np.array(states)

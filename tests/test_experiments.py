@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import symevol.experiments as experiments_module
-from conftest import fig_initial_state, fig_params, rk4_steps
+from conftest import fig_initial_state, fig_params
 from symevol.experiments import (EnsembleSpec, ScenarioConfig, _draw_initial,
                                  _histogram_series, compare_full_vs_averaged, full_field,
                                  invariant_drift, phase_series, polar_amplitude_series,
@@ -38,8 +38,8 @@ def test_inlined_stage_equals_the_called_field(name, kind):
     # batch; calling full_rhs at every stage gives the same bits and counts:
     # from the preset's start, from t0 = 2.5, with negative coefficients and
     # with coefficients whose products round (the presets' omega**2 and
-    # epsilon * 2.0 * a2 are exact), for rk45 runs, batches and the rk4 steps
-    # of an order check
+    # epsilon * 2.0 * a2 are exact), for rk45 runs and batches; an order
+    # check, whose rk4 steps call it, takes it too
     base = build_scenario(load_config(preset_path(name)), {"horizon": 20.0})
     p = base.params.replace(alpha_kind=kind)
     for params, initial in ((p, base.initial), (p, dataclasses.replace(base.initial, t=2.5)),
@@ -156,11 +156,9 @@ def test_parameter_statements_once_per_integrate_call():
         assert np.sum(counted.stats["accepted"]) > 500
 
 
-@pytest.mark.parametrize("method", ["rk45", "rk4"])
-def test_inlined_alpha_once_per_stage_time(method):
+def test_inlined_alpha_once_per_stage_time():
     # the decay law, written into the stages as its text, runs once per stage
-    # time: rk45's last two stages share t + h, the stages of order_check's
-    # rk4 steps come in pairs at t + h/2 and t + h; a batch runs it once per
+    # time: rk45's last two stages share t + h; a batch runs it once per
     # step, over the times of all its stages. Each run also takes the slow
     # time once more, for its guard at t0. A delta that counts its products
     # counts both, under either law. The bits stay those of calling full_rhs
@@ -179,10 +177,6 @@ def test_inlined_alpha_once_per_stage_time(method):
         p = fig_params(2).replace(alpha_kind=kind)
         field = full_field(p)
         spy = field._replace(bindings={**field.bindings, "delta": CountedDelta(p.delta)})
-        if method == "rk4":  # 400 steps of 0.05, as order_check takes them
-            ends = [rk4_steps(rhs, y0, initial.t, 0.05, 400) for rhs in (spy, _called(p))]
-            assert np.array_equal(ends[0], ends[1]) and len(times) == 1 + 2 * 400
-            continue
         sc = _scenario(p, initial, 20.0)
         runs = [integrate(rhs, y0, sc.integrator) for rhs in (spy, _called(p))]
         assert np.array_equal(runs[0].states, runs[1].states) and runs[0].stats == runs[1].stats
@@ -588,7 +582,7 @@ def test_fig1_preset_step_counts_and_accuracy_pinned():
     # cannot pass for a faster stepper; the run stays within 1e-6 of DOP853
     scipy_integrate = pytest.importorskip("scipy.integrate")
     sc, traj, _, _ = _preset_run("fig1", horizon=100.0)
-    assert (sc.integrator.method, sc.integrator.rtol, sc.integrator.atol) == ("rk45", 1e-10, 1e-12)
+    assert (sc.integrator.rtol, sc.integrator.atol) == (1e-10, 1e-12)
     assert {key: traj.stats[key] for key in ("accepted", "rejected", "rhs_evals")} == {
         "accepted": 5622, "rejected": 3, "rhs_evals": 33751}
     ref = scipy_integrate.solve_ivp(lambda t, y: full_rhs(t, y, sc.params), (0.0, 100.0),

@@ -1,3 +1,4 @@
+import functools
 import importlib
 import math
 
@@ -17,9 +18,6 @@ integrate_module = importlib.import_module("symevol.integrate")
 # step counts of a run; a batch also gives each per row, prefixed "row_"
 STAT_KEYS = ("accepted", "rejected", "rejected_error", "rejected_nonfinite", "rhs_evals")
 
-# every record integrate runs: those with error weights
-ADAPTIVE = [name for name, record in integrate_module._METHODS.items() if record.e is not None]
-
 
 def harmonic(t, y):
     # floats in a single run, columns in a batch
@@ -27,7 +25,7 @@ def harmonic(t, y):
 
 
 def test_config_validation():
-    bad = [{"sample_dt": -1.0}, {"rtol": 0.0}, {"method": "euler"},
+    bad = [{"sample_dt": -1.0}, {"rtol": 0.0},
            {"t_end": math.nan}, {"t_end": -math.inf}, {"sample_dt": math.inf},
            {"rtol": math.nan}, {"atol": math.inf},
            {"t0": math.nan}, {"t0": -math.inf}, {"t0": 10.0}, {"t0": 11.0}, {"t_end": -5.0},
@@ -38,10 +36,8 @@ def test_config_validation():
             IntegratorConfig(**{"t_end": 10.0, "sample_dt": 0.1, **settings})
     assert IntegratorConfig(t0=-8.0, t_end=-5.0, sample_dt=0.1).t_end == -5.0
     assert IntegratorConfig(t0=5.0, t_end=5.0 + MAX_GRID_POINTS * 0.5, sample_dt=0.5).t0 == 5.0
-    # integrate runs adaptive records only; fixed RK4 steps are order_check's
-    assert not hasattr(IntegratorConfig, "step")
-    with pytest.raises(ValueError, match="order_check"):
-        IntegratorConfig(t_end=1.0, sample_dt=0.5, method="rk4")
+    # integrate runs one method, and fixed RK4 steps are order_check's
+    assert not {"step", "method"} & set(vars(IntegratorConfig(t_end=1.0, sample_dt=0.5)))
     # a state holds at least one value, alone (d,) or in a batch (N, d)
     cfg = IntegratorConfig(t_end=1.0, sample_dt=0.5)
     for y0 in (np.zeros(0), np.zeros((2, 0)), np.float64(1.0), np.zeros((1, 1, 1))):
@@ -361,18 +357,17 @@ def test_batched_fill_independent_of_block_size(make, monkeypatch):
             assert len(calls) == 1
 
 
-@pytest.mark.parametrize("method", ADAPTIVE)
-def test_single_run_fill_independent_of_block_size(method, monkeypatch):
+def test_single_run_fill_independent_of_block_size(monkeypatch):
     # a single run fills its samples in blocks of samples: a fill after every
     # step that holds a sample, after a few and once at the end give the same
     # bytes and counts, and a failing run the same error
     p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.1, n=2)
     y0 = np.array([0.0, 0.5, 0.0, 0.5])
-    cfg = IntegratorConfig(t_end=10.0, sample_dt=0.01, method=method)
+    cfg = IntegratorConfig(t_end=10.0, sample_dt=0.01)
     # the blow-up of test_blow_up_reports_last_good_state
     p_bad = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.9, n=1)
     y0_bad = np.array([3.0, 0.0, 3.0, 0.0])
-    cfg_bad = IntegratorConfig(t_end=50.0, sample_dt=0.01, method=method)
+    cfg_bad = IntegratorConfig(t_end=50.0, sample_dt=0.01)
 
     def valid():
         return integrate(lambda t, y: full_rhs(t, y, p), y0, cfg)
@@ -405,16 +400,21 @@ def test_single_run_fill_independent_of_block_size(method, monkeypatch):
 
 
 def test_batch_runs_any_adaptive_record(monkeypatch):
-    # Bogacki-Shampine 3(2), first same as last, known to neither loop by
-    # name: its batch rows equal their single runs byte for byte
+    # both emitters read the tableau as data: in place of Dormand-Prince,
+    # Bogacki-Shampine 3(2), first same as last, runs with batch rows equal
+    # to their single runs byte for byte (fresh code caches, which the patch
+    # drops at the end, keep its code from later runs)
     b = np.array([2 / 9, 1 / 3, 4 / 9, 0.0])
-    bs32 = integrate_module._Method(
+    bs32 = integrate_module._Tableau(
         c=np.array([0.0, 1 / 2, 3 / 4, 1.0]),
         a=(np.array([1 / 2]), np.array([0.0, 3 / 4]), b[:3]),
         e=b - np.array([7 / 24, 1 / 4, 1 / 3, 1 / 8]))
-    monkeypatch.setitem(integrate_module._METHODS, "bs32", bs32)
+    monkeypatch.setattr(integrate_module, "_TABLEAU", bs32)
+    for name in ("_loop_code", "_rows_step_code"):
+        code = getattr(integrate_module, name).__wrapped__
+        monkeypatch.setattr(integrate_module, name, functools.cache(code))
     rhs, y0, _ = _fig1_batch()
-    cfg = IntegratorConfig(t_end=20.0, sample_dt=0.05, method="bs32", rtol=1e-8, atol=1e-10)
+    cfg = IntegratorConfig(t_end=20.0, sample_dt=0.05, rtol=1e-8, atol=1e-10)
     batch = integrate(rhs, y0[:3], cfg)
     assert batch.stats["failures"] == [] and batch.stats["accepted"] > 10_000
     for i, row in enumerate(y0[:3]):
@@ -437,8 +437,7 @@ def _per_sample_hermite_fill(out, ts, idx, t0, h, y0, y1, f0, f1, t1):
     return idx
 
 
-@pytest.mark.parametrize("method", ADAPTIVE)
-def test_hermite_fill_matches_per_sample_formula_bitwise(method, monkeypatch):
+def test_hermite_fill_matches_per_sample_formula_bitwise(monkeypatch):
     p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.1, n=2)
     rhs = lambda t, y: full_rhs(t, y, p)  # noqa: E731
     y0 = np.array([0.0, 0.5, 0.0, 0.5])
@@ -459,7 +458,7 @@ def test_hermite_fill_matches_per_sample_formula_bitwise(method, monkeypatch):
     # steps holding many samples, about one, and none (which the loop leaves
     # out of the block, so every step in it holds a sample); t_end off the grid
     for t_end, sample_dt in [(10.05, dt) for dt in (0.001, 0.3, 2.5)] + [(0.7, 0.1)]:
-        cfg = IntegratorConfig(t_end=t_end, sample_dt=sample_dt, method=method)
+        cfg = IntegratorConfig(t_end=t_end, sample_dt=sample_dt)
         monkeypatch.setattr(integrate_module, "_hermite_fill", counting_fill)
         fast = integrate(rhs, y0, cfg)
         monkeypatch.setattr(integrate_module, "_hermite_fill", per_sample_fill)
@@ -527,10 +526,13 @@ def test_error_power_float_matches_array_entry():
 
 
 def test_method_records_weigh_every_stage_but_the_last_in_the_solution():
-    # the finiteness test reads only the new state and the last stage: the
-    # solution weights must cover every other stage
-    for record in integrate_module._METHODS.values():
-        assert len(record.a[-1]) == len(record.a) == len(record.c) - 1
+    # the finiteness tests of integrate and of order_check read only the new
+    # state and the last stage: the solution weights must cover every other
+    # stage
+    tableau = integrate_module._TABLEAU
+    assert len(tableau.a[-1]) == len(tableau.a) == len(tableau.c) - 1 == len(tableau.e) - 1
+    rk4 = integrate_module._RK4
+    assert [len(weights) for _, weights in rk4] == list(range(1, len(rk4) + 1))
 
 
 def _stage_rhs(bad_call, bad_row=0):
@@ -554,7 +556,7 @@ def test_inf_at_one_stage_counts_as_non_finite_attempt(method, monkeypatch):
     # rk45's stage 1 enters the solution with weight zero. A fixed rk4 step
     # has no attempt to repeat: order_check raises at the step that met it.
     y0 = np.array([0.3, -0.2])
-    stages = len(integrate_module._METHODS[method].a)
+    stages = len(integrate_module._TABLEAU.a if method == "rk45" else integrate_module._RK4)
     if method == "rk4":
         # the reference run integrates the field without an inf, so that the
         # poisoned field's calls start at order_check's first slope
@@ -569,7 +571,7 @@ def test_inf_at_one_stage_counts_as_non_finite_attempt(method, monkeypatch):
             if t_last == 0.0:
                 assert np.array_equal(err.value.y_last, y0)
         return
-    cfg = IntegratorConfig(t_end=2.0, sample_dt=0.5, method=method)
+    cfg = IntegratorConfig(t_end=2.0, sample_dt=0.5)
     for stage in range(1, stages + 1):
         single = integrate(_stage_rhs(stage), y0, cfg)
         assert single.stats["rejected_nonfinite"] == 1
@@ -617,9 +619,9 @@ def test_single_run_makes_no_min_or_max_call_per_step(inline):
     rhs = lambda t, y: full_rhs(t, y, p)  # noqa: E731
     if inline:
         rhs = InlineRhs(rhs, FULL_EQUATIONS, FULL_EQUATIONS.bindings(p))
-    run = integrate_module._loop_function("rk45", 4, rhs, 0.0)
-    step = integrate_module._step_function("rk4", 4, rhs, 0.0)
-    for code in (run.__code__, step.__code__, integrate_module._run_single.__code__):
+    run = integrate_module._loop_function(4, rhs, 0.0)
+    for code in (run.__code__, integrate_module._rk4_step.__code__,
+                 integrate_module._run_single.__code__):
         assert not {"min", "max", "alpha", "_stops", "_error_power"} & set(code.co_names), \
             code.co_name
     assert "exp" in run.__code__.co_names if inline else "rhs" in run.__code__.co_varnames
@@ -628,7 +630,7 @@ def test_single_run_makes_no_min_or_max_call_per_step(inline):
 def _error_norm_reference(y, z, k, h, rtol, atol):
     """The rk45 error norm of the slopes k (stages by components) on builtin
     max, with the generated step's sums: left to right, zero weights included."""
-    e = [float(w) for w in integrate_module._METHODS["rk45"].e]
+    e = [float(w) for w in integrate_module._TABLEAU.e]
     xs = []
     for j in range(len(y)):
         acc = e[0] * k[0][j]
@@ -646,7 +648,7 @@ def test_generated_error_norm_equals_builtin_max_reference():
     # max's bits on random states and on the edges of the rule: zero
     # components of either sign, |y| = |z| and y = -z
     h, rtol, atol = 0.01, 1e-6, 1e-9
-    b = [float(w) for w in integrate_module._METHODS["rk45"].a[-1]]
+    b = [float(w) for w in integrate_module._TABLEAU.a[-1]]
     rng = np.random.default_rng(2024)
     cases = [(rng.normal(size=4) * 10.0 ** rng.integers(-8, 3), rng.normal(size=(7, 4)))
              for _ in range(200)]
@@ -661,11 +663,19 @@ def test_generated_error_norm_equals_builtin_max_reference():
         step_sum = step_sum + b[r] * k[r, 3]
     cases.append((np.array([-0.0, 0.0, 0.7, -(h * step_sum) / 2]), k))
     cases.append((np.array([0.0, -0.0, -0.7, (h * step_sum) / 2]), -k))
-    step = integrate_module._step_function("rk45", 4, harmonic, 0.0)  # it calls the rhs it is given
+    # the attempt the loop runs, as a function that calls the rhs it is given
+    names = integrate_module._names
+    lines = ["def step(rhs, t, h, y, f, rtol, atol):", f"    {names('y', 4)} = y",
+             f"    {names('k0_', 4)} = f", *integrate_module._indented(
+                 integrate_module._stage_lines(4, None), 1),
+             f"    return ({names('z', 4)}), finite, err_norm"]
+    namespace = {"isfinite": math.isfinite, "sqrt": math.sqrt}
+    exec("\n".join(lines), namespace)
     for y, k in cases:
         answers = iter([tuple(row) for row in k[1:].tolist()])
-        z, _, finite, err_norm = step(lambda t, z: next(answers), 0.0, h, tuple(y.tolist()),
-                                      tuple(k[0].tolist()), rtol, atol)
+        z, finite, err_norm = namespace["step"](lambda t, z: next(answers), 0.0, h,
+                                                tuple(y.tolist()), tuple(k[0].tolist()),
+                                                rtol, atol)
         assert finite and next(answers, None) is None
         assert err_norm == _error_norm_reference(y.tolist(), z, k.tolist(), h, rtol, atol)
     assert z[:3] == (0.0, -0.0, -0.7) and z[3] == -y[3] != 0.0
@@ -740,7 +750,7 @@ def test_rhs_may_return_any_sequence_of_d_floats(monkeypatch):
         return rhs
 
     short, long, constant = lambda f: f[:3], lambda f: f + (f[0],), lambda f: np.array(f)[:, 0]
-    stages = len(integrate_module._METHODS[cfg.method].a)
+    stages = len(integrate_module._TABLEAU.a)
     for start in (y0, y0s):
         for answer in (short, long, constant) if start.ndim == 2 else (short, long):
             for call in range(stages + 1):
@@ -751,6 +761,12 @@ def test_rhs_may_return_any_sequence_of_d_floats(monkeypatch):
         integrate(answers[0], start, cfg)
         assert fills
         fills.clear()
+    # and so do order_check's rk4 steps, at any stage
+    for answer in (short, long):
+        for call in range(len(integrate_module._RK4)):  # call 0 is stage 1 here
+            with pytest.raises(ValueError):
+                integrate_module._rk4_step(late(answer, call), 0.0, 0.1, tuple(y0.tolist()),
+                                           full_rhs(0.0, tuple(y0.tolist()), p))
 
 
 def test_span_below_step_floor_reaches_t_end():
@@ -770,3 +786,46 @@ def test_span_below_step_floor_reaches_t_end():
         traj = integrate(harmonic, start, cfg)
         assert np.array_equal(traj.times, [1.0]) and np.array_equal(traj.states[..., 0, :], start)
         assert traj.stats["accepted"] == 1
+
+
+def test_span_clamp_holds_the_next_step_under_the_step_floor():
+    # an accepted step's successor is clamped to the span. From t0 = 1000 a
+    # span of 8e-12 lies below the step floor 1e-14*|t| = 1e-11: y' = -2.5e9 y
+    # takes a first step of about 4e-12, short of t_end, and the clamp holds
+    # the next one under the floor, so the run stops with an underflow, a
+    # single run and its batch row alike (without the clamp the step would
+    # grow past the floor and reach t_end)
+    cfg = IntegratorConfig(t0=1000.0, t_end=1000.0 + 8e-12, sample_dt=8e-12, rtol=1e-6)
+
+    def rhs(t, y):
+        return (-2.5e9 * y[0],)
+
+    with pytest.raises(IntegrationError) as err:
+        integrate(rhs, np.array([1.0]), cfg)
+    assert err.value.reason == "underflow" and 1000.0 < err.value.t_last < cfg.t_end
+    batch = integrate(rhs, np.array([[1.0]]), cfg)
+    assert batch.stats["failures"] == [(0, str(err.value))]
+    assert batch.stats["accepted"] == 1
+
+
+def test_non_finite_streak_limit():
+    # y' is NaN for t > 0 and 0 at t = 0: every attempt meets NaN and retries
+    # with a quarter of its step, from 1e-6 of the span (the first slope is
+    # zero). The 41st non-finite attempt in a row stops the run while its
+    # step, 1e11 / 4**41 = 2e-14, is still above the step floor of 1e-14
+    cfg = IntegratorConfig(t_end=1e17, sample_dt=1e16)
+    calls = []
+
+    def rhs(t, y):  # a float in a single run, an array in a batch
+        calls.append(t)
+        return (np.where(t > 0.0, math.nan, 0.0) if type(t) is np.ndarray
+                else math.nan if t > 0.0 else 0.0,)
+
+    batch = integrate(rhs, np.array([[1.0]]), cfg)
+    assert batch.stats["row_rejected_nonfinite"].tolist() == [41]
+    calls.clear()
+    with pytest.raises(IntegrationError) as err:
+        integrate(rhs, np.array([1.0]), cfg)
+    assert err.value.reason == "nonfinite" and err.value.t_last == 0.0
+    assert batch.stats["failures"] == [(0, str(err.value))]
+    assert len(calls) == 1 + 6 * 41  # the first slope, then six stages per attempt
