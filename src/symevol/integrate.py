@@ -85,14 +85,16 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _SAFETY = 0.9
 
-# The stop rules both loops share: a step below _STEP_FLOOR max(1, |t|)
-# underflows, and a run stops at the attempt past _MAX_STREAK non-finite ones
-# in a row, each of which retries with _SHRINK of its step. A step fills the
-# samples up to _SAMPLE_TOL max(1, |t|) past its end.
+# The stop rule both loops share: a run short of t_end stops on a step below
+# _STEP_FLOOR max(1, |t|), an underflow, or at the attempt past _MAX_STREAK
+# non-finite ones in a row, each of which retries with _SHRINK of its step.
+# One text, written with & and |, so that it is a bool on the single run's
+# floats and one bool per row on the batch's columns.
 _STEP_FLOOR = 1e-14
 _MAX_STREAK = 40
 _SHRINK = 0.25
-_SAMPLE_TOL = 1e-14
+_STOP_RULE = (f"(t < t_end) & ((h < {_STEP_FLOOR!r}) | (h < {_STEP_FLOOR!r} * abs(t))"
+              f" | (streak > {_MAX_STREAK!r}))")
 
 # Most points a uniform time grid (output samples or fixed steps) may have: 320 MB of 4-vectors.
 MAX_GRID_POINTS = 10_000_000
@@ -126,13 +128,9 @@ _STOP = {False: ("step size underflow", "underflow"),
          True: ("non-finite values in right-hand side", "nonfinite")}
 
 
-def _stops(t, h, streak, t_end):
-    """Whether each batch row stops short of t_end: a step below
-    ``_STEP_FLOOR`` max(1, |t|), or more than ``_MAX_STREAK`` non-finite
-    attempts in a row. A single run's loop writes the same rule in place
-    (``_LOOP``)."""
-    return (t < t_end) & ((h < _STEP_FLOOR) | (h < _STEP_FLOOR * abs(t))
-                          | (streak > _MAX_STREAK))
+# whether each batch row stops short of t_end; the single run's loop writes
+# the same rule into its source (_LOOP)
+_stops = eval(f"lambda t, h, streak, t_end: {_STOP_RULE}", {})
 
 
 @dataclass(frozen=True)
@@ -259,15 +257,18 @@ def integrate(rhs, y0, config: IntegratorConfig) -> Trajectory:
     like its callable, except that both loops write its equations into the
     step's stages, with the same bits and ``rhs_evals``.
 
-    A single run raises :class:`IntegrationError` on step-size underflow or
-    persistent non-finite values; the exception carries the last good
-    (t, y), with y an ndarray. ``states`` has shape (samples, d).
+    Each accepted step fills the samples after its start and at or before
+    its end. A run short of t_end stops on step-size underflow (a step below
+    1e-14 max(1, |t|)) or on persistent non-finite values (the attempt past
+    40 non-finite ones in a row), by one rule that both loops read. A single
+    run raises :class:`IntegrationError`; the exception carries the last
+    good (t, y), with y an ndarray. ``states`` has shape (samples, d).
 
     A batch keeps each row's own time and step size, and a row's result
     does not depend on the other rows. ``states`` has shape (N, samples, d).
     A failing row does not raise: it is listed in ``stats["failures"]`` as
     ``(row, message)``, with the message the single-row run would raise,
-    and its samples past the failure are NaN.
+    and its samples past the last good time are NaN.
 
     ``stats`` counts the ``accepted`` steps, the ``rejected`` ones, split
     into ``rejected_error`` (error test failed) and ``rejected_nonfinite``
@@ -522,14 +523,14 @@ def _stage_lines(d: int, equations) -> list:
 
 
 # A single run's adaptive loop over floats, as _loop_code fills it in: the
-# attempt's statements, the controller, the sample test, the stop rule of
-# _stops and the step's bookkeeping, with the state and the slope at its
-# start (first same as last) in locals across steps. It calls out only on a
-# step that holds a sample (bisect_right, and fill_steps once the block holds
-# fill_block samples or the grid's last) and at the end. max(1.0, |t_new|) and
-# the clamps are written as the builtins' own rules, the same bits without a
-# call per step. An accepted step has 0 < err_norm <= 1, so its factor is at
-# least the safety factor and needs no floor.
+# attempt's statements, the controller, the sample test, the stop rule (the
+# text _STOP_RULE, which _stops reads too) and the step's bookkeeping, with
+# the state and the slope at its start (first same as last) in locals across
+# steps. It calls out only on a step that holds a sample (bisect_right, and
+# fill_steps once the block holds fill_block samples or the grid's last) and
+# at the end. The clamps are written as the builtins' own rules, the same
+# bits without a call per step. An accepted step has 0 < err_norm <= 1, so
+# its factor is at least the safety factor and needs no floor.
 _LOOP = """\
 def run(rhs, t, h, y, f, t_end, span, rtol, atol, samples, out, ts):
     {y} = y
@@ -553,14 +554,12 @@ def run(rhs, t, h, y, f, t_end, span, rtol, atol, samples, out, ts):
         elif err_norm <= 1.0:
             streak = 0
             # most steps hold no sample: a step joins the block only when the
-            # next sample lies within the tolerance of its end. It joins in
-            # two parts: CPython 3.11 never reuses a freed tuple of 20 items,
-            # the length of one part at d = 4, and holds up to 2000 of them
-            # until a full collection
-            tol = abs(t_new)
-            tol = t_new + {sample_tol!r} * (tol if tol > 1.0 else 1.0)
-            if t_next <= tol:
-                stop = bisect_right(samples, tol, idx)
+            # next sample lies at or before its end. It joins in two parts:
+            # CPython 3.11 never reuses a freed tuple of 20 items, the length
+            # of one part at d = 4, and holds up to 2000 of them until a full
+            # collection
+            if t_next <= t_new:
+                stop = bisect_right(samples, t_new, idx)
                 block += idx, stop, t, h
                 block += {y} {z} {k0} {k_last}
                 idx = stop
@@ -583,7 +582,7 @@ def run(rhs, t, h, y, f, t_end, span, rtol, atol, samples, out, ts):
             rejected_error += 1
             factor = {safety!r} * err_norm ** -0.2
             h *= factor if factor > {min_factor!r} else {min_factor!r}
-        if t < t_end and (h < {floor!r} or h < {floor!r} * abs(t) or streak > {limit!r}):
+        if {stop_rule}:
             raise failure(t, ({y}), streak)
     return accepted, rejected_error, rejected_nonfinite
 """
@@ -598,10 +597,11 @@ def _loop_code(d: int, equations):
     state ``y`` and its slope ``f`` as sequences of d floats, fills ``out``
     at the times ``ts`` (``samples`` is ``ts`` and inf past it) and returns
     the counts of accepted, error-rejected and non-finite attempts, or raises
-    :class:`IntegrationError`. Its controller and stop rule are those of
-    :func:`_run_rows`. The code depends on the source only, never on the
-    values bound to its names, so it is cached, one entry per dimension and
-    source: a loop compiled per run costs more than it saves."""
+    :class:`IntegrationError`. Its controller is that of :func:`_run_rows`,
+    and its stop rule the text :data:`_STOP_RULE` that ``_stops`` reads. The
+    code depends on the source only, never on the values bound to its names,
+    so it is cached, one entry per dimension and source: a loop compiled per
+    run costs more than it saves."""
     last = len(_TABLEAU.a)
     code = _LOOP.format(
         y=_names("y", d), z=_names("z", d), k0=_names("k0_", d), k_last=_names(f"k{last}_", d),
@@ -609,7 +609,7 @@ def _loop_code(d: int, equations):
         advance="\n".join(_indented([*(f"y{j} = z{j}" for j in range(d)),
                                      *(f"k0_{j} = k{last}_{j}" for j in range(d))], 3)),
         safety=_SAFETY, min_factor=_MIN_FACTOR, max_factor=_MAX_FACTOR, shrink=_SHRINK,
-        sample_tol=_SAMPLE_TOL, floor=_STEP_FLOOR, limit=_MAX_STREAK)
+        stop_rule=_STOP_RULE)
     return compile("\n".join([*_once_per_run(equations), code]), "<loop>", "exec")
 
 
@@ -701,8 +701,7 @@ def _run_rows(rhs, y0, config, ts, out):
             # an accepted row has 0 < err_norm <= 1, so its factor needs no floor
             grow = np.where(err_norm == 0.0, _MAX_FACTOR, np.minimum(_MAX_FACTOR, factor))
             t_new = np.where(clamped, t_end, t + h)
-            stop = np.searchsorted(ts, t_new + _SAMPLE_TOL * np.maximum(1.0, np.abs(t_new)),
-                                   side="right")
+            stop = np.searchsorted(ts, t_new, side="right")
             accepted[rows] += ok
             h_new = np.minimum(h * grow, span)
             if not ok.all():

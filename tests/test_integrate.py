@@ -29,6 +29,8 @@ def test_config_validation():
            {"t_end": math.nan}, {"t_end": -math.inf}, {"sample_dt": math.inf},
            {"rtol": math.nan}, {"atol": math.inf},
            {"t0": math.nan}, {"t0": -math.inf}, {"t0": 10.0}, {"t0": 11.0}, {"t_end": -5.0},
+           # below the rtol floor of 100 machine epsilons
+           {"rtol": 50 * np.finfo(float).eps},
            # over MAX_GRID_POINTS samples, counted on construction
            {"t_end": 1e8, "sample_dt": 1e-3}]
     for settings in bad:
@@ -36,6 +38,7 @@ def test_config_validation():
             IntegratorConfig(**{"t_end": 10.0, "sample_dt": 0.1, **settings})
     assert IntegratorConfig(t0=-8.0, t_end=-5.0, sample_dt=0.1).t_end == -5.0
     assert IntegratorConfig(t0=5.0, t_end=5.0 + MAX_GRID_POINTS * 0.5, sample_dt=0.5).t0 == 5.0
+    assert IntegratorConfig(t_end=1.0, sample_dt=0.5, rtol=100 * np.finfo(float).eps).rtol > 0.0
     # integrate runs one method, and fixed RK4 steps are order_check's
     assert not {"step", "method"} & set(vars(IntegratorConfig(t_end=1.0, sample_dt=0.5)))
     # a state holds at least one value, alone (d,) or in a batch (N, d)
@@ -610,11 +613,11 @@ def test_single_run_makes_no_numpy_call_per_step(monkeypatch):
 
 @pytest.mark.parametrize("inline", [False, True], ids=["called", "inlined"])
 def test_single_run_makes_no_min_or_max_call_per_step(inline):
-    # the generated loop writes the sample tolerance, the step clamps, the
-    # controller, the stop rule and the error norm's max in place, and its
-    # inlined stages the decay law: it names none of the builtins min and
-    # max, alpha, _stops or _error_power, and neither do _run_single and
-    # order_check's rk4 step
+    # the generated loop writes the step clamps, the controller, the stop
+    # rule's text and the error norm's max in place, and its inlined stages
+    # the decay law: it names none of the builtins min and max, alpha,
+    # _stops or _error_power, and neither do _run_single and order_check's
+    # rk4 step
     p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.1, n=2)
     rhs = lambda t, y: full_rhs(t, y, p)  # noqa: E731
     if inline:
@@ -794,7 +797,13 @@ def test_span_clamp_holds_the_next_step_under_the_step_floor():
     # takes a first step of about 4e-12, short of t_end, and the clamp holds
     # the next one under the floor, so the run stops with an underflow, a
     # single run and its batch row alike (without the clamp the step would
-    # grow past the floor and reach t_end)
+    # grow past the floor and reach t_end). The stop is wanted: the span is
+    # 70 ulps of 1000, so t + h rounds by 0.5 % of the first step, and a run
+    # let through (no clamp, and the floor tested only on a step shorter
+    # than the time left) ends at 0.98025 against the exact 0.98030, an
+    # error of 5e-5 at rtol 1e-6. The batch row fills no sample
+    # past its failure: its sample at t_end is NaN, not an extrapolation of
+    # its last step
     cfg = IntegratorConfig(t0=1000.0, t_end=1000.0 + 8e-12, sample_dt=8e-12, rtol=1e-6)
 
     def rhs(t, y):
@@ -806,6 +815,45 @@ def test_span_clamp_holds_the_next_step_under_the_step_floor():
     batch = integrate(rhs, np.array([[1.0]]), cfg)
     assert batch.stats["failures"] == [(0, str(err.value))]
     assert batch.stats["accepted"] == 1
+    assert batch.states[0, 0, 0] == 1.0 and np.isnan(batch.states[0, -1, 0])
+
+
+def test_step_floor_stops_a_run_at_t_zero():
+    # the floor is 1e-14*max(1, |t|), not 1e-14*|t|: y' is 0 before t = 1e-20
+    # and 1e6 after, so from t0 = 0 every attempt fails its error test until
+    # the step falls below 1e-14, and both loops stop at t = 0 with an
+    # underflow (on a floor of 1e-14*|t| alone, zero at t = 0, the step
+    # would shrink under 1e-20 and the run complete)
+    cfg = IntegratorConfig(t_end=1.0, sample_dt=0.5)
+
+    def rhs(t, y):  # a float in a single run, an array in a batch
+        return (np.where(t < 1e-20, 0.0, 1e6) if type(t) is np.ndarray
+                else 0.0 if t < 1e-20 else 1e6,)
+
+    with pytest.raises(IntegrationError) as err:
+        integrate(rhs, np.array([0.0]), cfg)
+    assert err.value.reason == "underflow" and err.value.t_last == 0.0
+    batch = integrate(rhs, np.array([[0.0]]), cfg)
+    assert batch.stats["failures"] == [(0, str(err.value))]
+    assert batch.stats["accepted"] == 0 and np.isnan(batch.states[0, 1:]).all()
+
+
+def test_overflowing_finiteness_sum_is_not_a_non_finite_step():
+    # a single run tests finiteness on the sum of the new state and the last
+    # stage, and only an infinite sum on every value: from (1e308, 1e308) the
+    # sum of the new state overflows though every value is finite, so the run
+    # completes in one step, as its batch row does
+    cfg = IntegratorConfig(t_end=1.0, sample_dt=1.0)
+
+    def rhs(t, y):
+        return tuple(-1e-3 * v for v in y)
+
+    single = integrate(rhs, np.array([1e308, 1e308]), cfg)
+    assert single.stats["accepted"] == 1 and single.stats["rejected"] == 0
+    assert np.isfinite(single.states).all() and single.states[-1, 0] < 1e308
+    batch = integrate(rhs, np.array([[1e308, 1e308]]), cfg)
+    assert batch.stats["failures"] == []
+    assert np.array_equal(batch.states[0], single.states)
 
 
 def test_non_finite_streak_limit():
