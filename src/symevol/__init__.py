@@ -1,7 +1,7 @@
 """symevol: numerical laboratory for a two degrees-of-freedom cubic
 oscillator whose mirror-symmetry breaking decays slowly in time."""
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"
 
 from .model import (CartesianState, ModelParams, alpha, dissipative_rhs,
                     eval_hamiltonian, full_rhs)

@@ -105,6 +105,8 @@ _KEYS = {
               "alpha_kind": (str, ModelParams.alpha_kind)},
     "initial": {"t0": (float, IntegratorConfig.t0),
                 "q1": (float,), "v1": (float,), "q2": (float,), "v2": (float,)},
+    # retired: the method follows from the field; rk45 is accepted, as the
+    # benchmark's configs write it, and ignored
     "integrator": {"method": (str, "rk45"),
                    "rtol": (float, IntegratorConfig.rtol),
                    "atol": (float, IntegratorConfig.atol), "sample_dt": (float, 0.25)},
@@ -155,11 +157,13 @@ def build_initial(cfg: dict) -> CartesianState:
 
 
 def _integrator(cfg: dict, overrides: dict | None) -> dict:
-    """The config's [integrator] settings but its method, which must be rk45,
-    the one method that runs."""
+    """The config's [integrator] settings but its method, a retired key that
+    accepts rk45 only and is ignored: the full model runs the Taylor method,
+    the averaged fields rk45."""
     values = _read(cfg, "integrator", overrides)
     if values.pop("method") != "rk45":
-        raise ConfigError("[integrator] method must be rk45, the only method that runs")
+        raise ConfigError("[integrator] method is retired and accepts only rk45; "
+                          "the method follows from the field")
     return values
 
 

@@ -78,10 +78,12 @@ def phase_series(traj: Trajectory, omega: float):
 
 def full_field(p: ModelParams):
     """The full system at p as :func:`integrate` takes it: an
-    :class:`InlineRhs` whose equations single runs and batches write into
-    every stage of their steps. Only each run's first slope calls
-    ``full_rhs``, looked up in this module at call time, so a ``full_rhs``
-    rebound here (a tracer's counter, a test's spy) sees that call alone.
+    :class:`InlineRhs`, from whose equations single runs and batches
+    generate their Taylor method. The record's call, ``full_rhs`` looked up
+    in this module at call time, serves callers that evaluate the field,
+    such as the fixed RK4 steps of ``order_check``; the Taylor runs make no
+    call, so a ``full_rhs`` rebound here (a tracer's counter, a test's spy)
+    sees none of theirs.
     """
     return InlineRhs(lambda t, y: full_rhs(t, y, p), FULL_EQUATIONS, FULL_EQUATIONS.bindings(p))
 
@@ -298,8 +300,10 @@ def run_ensemble(spec: EnsembleSpec) -> DistributionReport:
     zero, falling back to the sampler's offset scale); out-of-range values
     accumulate in the edge bins so the histogram mass always equals the
     particle count. Failed particles are recorded with their integrator
-    message and excluded from the statistics. ``stats`` totals the
-    integrator's step counts over all particles and gives the fewest and
+    message and excluded from the statistics. ``stats`` names the
+    integrator's method and order, totals its step counts over all
+    particles, gives the spread (min, median, max) over the particles that
+    took a step of their smallest, largest and last step, and the fewest and
     most accepted steps of a particle that completed.
     """
     sc = spec.scenario
@@ -314,8 +318,9 @@ def run_ensemble(spec: EnsembleSpec) -> DistributionReport:
         row, message = failures[0]
         raise EnsembleFailure(f"every particle integration failed; particle {row}: {message}")
     accepted = traj.stats["row_accepted"][ok]
-    stats = {key: traj.stats[key] for key in ("accepted", "rejected", "rejected_error",
-                                              "rejected_nonfinite", "rhs_evals")}
+    stats = {key: traj.stats[key] for key in ("method", "order", "accepted", "rejected",
+                                              "rejected_error", "rejected_nonfinite",
+                                              "rhs_evals", "h_min", "h_max", "h_final")}
     stats["min_accepted"] = int(accepted.min())
     stats["max_accepted"] = int(accepted.max())
 

@@ -1,55 +1,53 @@
-"""Time stepper: adaptive Dormand-Prince 5(4), the one tableau (``_TABLEAU``)
-that :func:`integrate` runs; :func:`order_check` takes classical RK4 steps
-of its own, in plain Python.
+"""Time stepper: a fixed-order Taylor method for a right-hand side given by
+its equations (:class:`InlineRhs`, which is how the full model always
+comes, ``experiments.full_field``), and adaptive Dormand-Prince 5(4)
+(``_TABLEAU``) for any other callable; :func:`order_check` takes classical
+RK4 steps of its own, in plain Python. The method follows from the form of
+the right-hand side; there is no method knob. The Taylor method lives in
+:mod:`symevol.taylor` and shares this module's stop rule, failures and
+stats.
 
 The right-hand side takes a state as a tuple of its d components and answers
 with a sequence of d components. A component is a float in a single run, and
 an array with one entry per running row in a batch. A single run is one
-generated loop over Python floats per state dimension: the attempt's
-straight-line stages, the controller, the sample test and the stop rule are
-written in place, and the state and its slope stay in locals across steps. A
-batch of independent initial states (``y0`` of shape (N, d)) holds the rows
-as columns of a (d, n) array; every row keeps its own time and step size,
-and the step is generated from the same tableau, one statement per stage
-sum. One emitter writes the stage and error sums of the loop and of the
-batched step. Given an :class:`InlineRhs`, a right-hand side with its source
-text, they write the field's equations in place of the call at every stage,
-with the same bits. They evaluate the statements that read only the
-parameters, and the source's guard at the start time, once per run, and
-those that read only the time, the decay law among them, once per stage time
-(a single run) or once per step, over every stage time at once (a batch).
-The law takes libm's ``exp``: ``math.exp`` in a single run, ``model._exp``
-(mapped over the entries) in a batch. The full model always comes that way
-(``experiments.full_field``); every other field is called, in a batch once
-per stage for all rows. Both loops test finiteness on the new state and the
-last stage, take the step factor from libm's pow and share the controller,
-so a batch row equals the single-row run byte for byte. The single-row loop
-makes no numpy call, and no ``min``, ``max`` or other Python call, per step
-but on a step that holds a sample.
+generated loop over Python floats: the attempt's straight-line statements,
+the step size, the sample test and the stop rule are written in place, and
+the state stays in locals across steps. A batch of independent initial
+states (``y0`` of shape (N, d)) holds the rows as columns of a (d, n) array;
+every row keeps its own time and step size, and its step is generated from
+the same description as the single run's: for Dormand-Prince, one emitter
+writes the stage and error sums of the single run's loop and of the batched
+step, which call the right-hand side at every stage (a batch once per stage
+for all rows). Both loops test finiteness on the new state and the last
+stage, take the step factor from libm's pow and share the controller.
 
-Both loops deliver dense output by cubic Hermite interpolation on the
-accepted steps, so the returned sample times are exactly the requested grid
-and never constrain the step-size control. Both loops hold their accepted
-steps in a block, a single run only the steps that hold a sample, and fill
-the block's samples through one numpy kernel once it holds a bounded number
-of row-steps (a batch) or samples (a single run), and at the end, so that
-the memory the fill holds stays bounded. Every sample gets the bits of its
-own evaluation, whatever the block. Integrations are deterministic:
-identical inputs produce bit-identical trajectories on one platform.
+So for either method a batch row equals the single-row run byte for byte.
+Neither single-row loop makes a numpy call, or a ``min``, ``max`` or other
+Python call, per step but on a step that holds a sample.
+
+Both loops hold their accepted steps in a block, a single run only the steps
+that hold a sample, and fill the block's samples through one numpy kernel
+per method (:func:`_hermite_fill`, Dormand-Prince's cubic Hermite
+interpolant, and ``taylor._taylor_fill``) once it holds a bounded number of
+row-steps (a batch) or samples (a single run), and at the end, so that the
+memory the fill holds stays bounded. The returned sample times are exactly
+the requested grid and never constrain the step size. Every sample gets the
+bits of its own evaluation, whatever the block. Integrations are
+deterministic: identical inputs produce bit-identical trajectories on one
+platform.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
-import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import _exp
 
 __all__ = ["IntegratorConfig", "Trajectory", "IntegrationError", "integrate",
            "order_check", "OrderEstimate", "MAX_GRID_POINTS", "InlineRhs"]
@@ -66,9 +64,9 @@ class _Tableau(NamedTuple):
     e: np.ndarray
 
 
-# Dormand & Prince 5(4), the one method integrate runs: the fifth-order
-# solution is propagated; the difference to the embedded fourth-order one
-# estimates the local error
+# Dormand & Prince 5(4), the method of a called right-hand side: the
+# fifth-order solution is propagated; the difference to the embedded
+# fourth-order one estimates the local error
 _TABLEAU = _Tableau(
     c=np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]),
     a=(np.array([1 / 5]),
@@ -85,11 +83,11 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _SAFETY = 0.9
 
-# The stop rule both loops share: a run short of t_end stops on a step below
-# _STEP_FLOOR max(1, |t|), an underflow, or at the attempt past _MAX_STREAK
-# non-finite ones in a row, each of which retries with _SHRINK of its step.
-# One text, written with & and |, so that it is a bool on the single run's
-# floats and one bool per row on the batch's columns.
+# The stop rule both loops of both methods share: a run short of t_end stops
+# on a step below _STEP_FLOOR max(1, |t|), an underflow, or at the attempt
+# past _MAX_STREAK non-finite ones in a row, each of which retries with
+# _SHRINK of its step. One text, written with & and |, so that it is a bool
+# on the single run's floats and one bool per row on the batch's columns.
 _STEP_FLOOR = 1e-14
 _MAX_STREAK = 40
 _SHRINK = 0.25
@@ -204,6 +202,15 @@ def _hermite(th, h, y0, y1, f0, f1):
             + (-2 * th3 + 3 * th2)[:, None] * y1 + ((th3 - th2) * h)[:, None] * f1)
 
 
+def _block_samples(idx, stop):
+    """The samples a block of steps fills, step i those from ``idx[i]`` up
+    to ``stop[i]``: for each sample, in step order, its step and its index."""
+    counts = stop - idx
+    pair = np.repeat(np.arange(len(idx)), counts)
+    first = np.cumsum(counts) - counts
+    return pair, idx[pair] + np.arange(len(pair)) - first[pair]
+
+
 def _hermite_fill(out, ts, rows, idx, stop, t0, h, y0, y1, f0, f1):
     """Fill the samples of a block of m steps with each step's cubic Hermite
     interpolant. Step i writes ``out[rows[i]]``, of shape (samples, d), at
@@ -212,12 +219,8 @@ def _hermite_fill(out, ts, rows, idx, stop, t0, h, y0, y1, f0, f1):
     the end states and slopes (m, d). Both loops fill through it: a batch
     into its (N, samples, d) output, a single run as row 0 of
     ``out[None]``."""
-    counts = stop - idx
-    total = int(counts.sum())
-    if total:
-        pair = np.repeat(np.arange(len(idx)), counts)
-        first = np.cumsum(counts) - counts
-        sample = idx[pair] + np.arange(total) - first[pair]
+    pair, sample = _block_samples(idx, stop)
+    if len(pair):
         hp = h[pair]
         out[rows[pair], sample] = _hermite((ts[sample] - t0[pair]) / hp, hp, y0[pair],
                                            y1[pair], f0[pair], f1[pair])
@@ -246,23 +249,30 @@ def integrate(rhs, y0, config: IntegratorConfig) -> Trajectory:
     """Integrate y' = rhs(t, y) over [config.t0, config.t_end] with dense
     sampling.
 
+    An :class:`InlineRhs` runs a Taylor method of order
+    p = max(2, ceil(-ln(rtol) / 2) + 1), 13 at the default rtol 1e-10,
+    generated from its equations; its steps take no error test, their size
+    comes from the last two Taylor coefficients, and the samples are the
+    steps' own polynomials. Any other ``rhs`` runs adaptive Dormand-Prince
+    5(4) with cubic Hermite samples.
+
     ``rhs(t, y)`` gets the state ``y`` as a tuple of its d components and
     returns a sequence of d components (a tuple, a list, an ndarray). For a
     1-D ``y0`` of d values a component is a float and ``t`` is a float. For
     a 2-D ``y0`` of shape (N, d), N independent rows run at once: a component
     is an array of shape (n,) holding the n rows still running, ``t`` is the
     array of their times, and the answer must have shape (d, n). ``rhs`` must
-    treat rows independently. An answer of another length or shape raises
-    ValueError before any sample is written. An :class:`InlineRhs` is called
-    like its callable, except that both loops write its equations into the
-    step's stages, with the same bits and ``rhs_evals``.
+    treat rows independently. An answer of another length or shape, or an
+    :class:`InlineRhs` whose equations have another number of components,
+    raises ValueError before any sample is written.
 
     Each accepted step fills the samples after its start and at or before
     its end. A run short of t_end stops on step-size underflow (a step below
     1e-14 max(1, |t|)) or on persistent non-finite values (the attempt past
-    40 non-finite ones in a row), by one rule that both loops read. A single
-    run raises :class:`IntegrationError`; the exception carries the last
-    good (t, y), with y an ndarray. ``states`` has shape (samples, d).
+    40 non-finite ones in a row), by one rule that both loops of both methods
+    read. A single run raises :class:`IntegrationError`; the exception
+    carries the last good (t, y), with y an ndarray. ``states`` has shape
+    (samples, d).
 
     A batch keeps each row's own time and step size, and a row's result
     does not depend on the other rows. ``states`` has shape (N, samples, d).
@@ -270,25 +280,38 @@ def integrate(rhs, y0, config: IntegratorConfig) -> Trajectory:
     ``(row, message)``, with the message the single-row run would raise,
     and its samples past the last good time are NaN.
 
-    ``stats`` counts the ``accepted`` steps, the ``rejected`` ones, split
-    into ``rejected_error`` (error test failed) and ``rejected_nonfinite``
-    (non-finite values met), and the ``rhs_evals``. A batch gives these
-    totals over its rows and, under the same names prefixed ``row_``, one
-    count per row, each the count of the single-row run. A batch row equals
+    ``stats`` names the ``method`` (``"taylor"``, with its ``order``, or
+    ``"rk45"``), and counts the ``accepted`` steps, the ``rejected`` ones,
+    split into ``rejected_error`` (error test failed; always 0 for the Taylor
+    method, which has no error test) and ``rejected_nonfinite`` (non-finite
+    values met), and the ``rhs_evals``: for rk45 the first slope and every
+    stage past the first of every attempt, for the Taylor method one
+    evaluation of the coefficients' recurrence per attempt. ``h_min``,
+    ``h_max`` and ``h_final`` are the smallest, the largest and the last
+    accepted step; the last ends at t_end. A batch gives the counts' totals
+    over its rows and each step size's ``min``, ``median`` and ``max`` over
+    the rows that accepted a step (None if none did), and, under the same
+    names prefixed ``row_``, one value per row, each that of the single-row
+    run (NaN step sizes for a row that accepted no step). A batch row equals
     the single-row run of its state byte for byte.
     """
     y0 = np.asarray(y0, dtype=float)
     if y0.ndim not in (1, 2) or y0.shape[-1] == 0:
         raise ValueError(f"y0 must have shape (d,) or (N, d) with d >= 1, got {y0.shape}")
     ts = _sample_grid(config.t0, config.t_end, config.sample_dt)
+    if isinstance(rhs, InlineRhs):
+        from . import taylor  # which imports this module's shared parts
+        run_single, run_rows = taylor.run_single, taylor.run_rows
+    else:
+        run_single, run_rows = _run_single, _run_rows
     if y0.ndim == 2:
         out = np.full((y0.shape[0], len(ts), y0.shape[1]), np.nan)
         out[:, 0] = y0
-        run = _run_rows
+        run = run_rows
     else:
         out = np.empty((len(ts), len(y0)))
         out[0] = y0
-        run = _run_single
+        run = run_single
     stats = run(rhs, y0, config, ts, out)
     return Trajectory(times=ts, states=out, stats=stats)
 
@@ -300,15 +323,16 @@ def _run_single(rhs, y0, config, ts, out):
     f = tuple(rhs(t0, y))  # the block may hold it past the rhs's next call
     if len(f) != d:
         raise ValueError(f"rhs returned {len(f)} values for a state of {d}")
-    run = _loop_function(d, rhs, t0)
+    run = _loop_function(d)
     # the sample times, read as floats, and past the last one a time no step reaches
     samples = memoryview(np.append(ts, math.inf))
     with np.errstate(all="ignore"):  # non-finite values are tested once per step
         h = float(_initial_step(y0, np.asarray(f, dtype=float), config.rtol, config.atol,
                                 t_end - t0))
-        counts = run(rhs, t0, h, y, f, t_end, t_end - t0, config.rtol, config.atol, samples,
-                     out, ts)
-    return _stats(*counts)
+        accepted, rejected_error, rejected_nonfinite, *steps = run(
+            rhs, t0, h, y, f, t_end, t_end - t0, config.rtol, config.atol, samples, out, ts)
+    return _stats({"method": "rk45"}, accepted, rejected_error, rejected_nonfinite,
+                  _rk45_evals(accepted, rejected_error, rejected_nonfinite), *steps)
 
 
 def _failure(t, y, streak) -> IntegrationError:
@@ -319,9 +343,10 @@ def _failure(t, y, streak) -> IntegrationError:
 
 
 def _fill_steps(out, ts, block):
-    """Fill the samples of the steps a single run holds in ``block``, a flat
-    list of 4 + 4d numbers per step: its first sample and the sample past its
-    last, t and h, then the d components each of y, y_new, f and f_new."""
+    """Fill the samples of the rk45 steps a single run holds in ``block``, a
+    flat list of 4 + 4d numbers per step: its first sample and the sample
+    past its last, t and h, then the d components each of y, y_new, f and
+    f_new."""
     d = out.shape[1]
     steps = np.fromiter(block, float, len(block)).reshape(-1, 4 + 4 * d)
     idx, stop = steps[:, :2].T.astype(np.intp)
@@ -330,24 +355,64 @@ def _fill_steps(out, ts, block):
                   steps[:, 2], steps[:, 3], y0, y1, f0, f1)
 
 
-def _stats(accepted, rejected_error, rejected_nonfinite) -> dict:
-    """The step counts of a run from its counters, ints in a single run and
-    arrays of one entry per row in a batch: every attempt evaluates each
+# the step sizes of Trajectory.stats: a batch gives their spread over its
+# rows, where it totals the counts
+_STEP_SIZES = ("h_min", "h_max", "h_final")
+
+
+def _rk45_evals(accepted, rejected_error, rejected_nonfinite):
+    """The rk45 right-hand-side evaluations: every attempt evaluates each
     stage past the first slope, which the run evaluates once."""
-    rejected = rejected_error + rejected_nonfinite
-    return {"accepted": accepted, "rejected": rejected, "rejected_error": rejected_error,
-            "rejected_nonfinite": rejected_nonfinite,
-            "rhs_evals": 1 + len(_TABLEAU.a) * (accepted + rejected)}
+    return 1 + len(_TABLEAU.a) * (accepted + rejected_error + rejected_nonfinite)
+
+
+def _stats(method, accepted, rejected_error, rejected_nonfinite, rhs_evals,
+           h_min, h_max, h_final) -> dict:
+    """The stats of a run from its counters and step sizes, ints and floats
+    in a single run and arrays of one entry per row in a batch; ``method``
+    names the method and a Taylor method's order."""
+    return {**method, "accepted": accepted, "rejected": rejected_error + rejected_nonfinite,
+            "rejected_error": rejected_error, "rejected_nonfinite": rejected_nonfinite,
+            "rhs_evals": rhs_evals, "h_min": h_min, "h_max": h_max, "h_final": h_final}
+
+
+def _batch_stats(rows: dict, failures) -> dict:
+    """A batch's stats from the per-row ones of :func:`_stats`: the method,
+    each count's total, each step size's min, median and max over the rows
+    that accepted a step, every per-row array under its name prefixed
+    ``row_`` (NaN step sizes for a row that accepted none), and the
+    failures."""
+    moved = rows["accepted"] > 0
+    stats = {}
+    for key, value in rows.items():
+        if not isinstance(value, np.ndarray):
+            stats[key] = value
+            continue
+        if key in _STEP_SIZES:
+            value[~moved] = np.nan
+            kept = value[moved]
+            stats[key] = {"min": float(kept.min()), "median": float(np.median(kept)),
+                          "max": float(kept.max())} if kept.size else None
+        else:
+            stats[key] = int(value.sum())
+        stats[f"row_{key}"] = value
+    return {**stats, "failures": sorted(failures)}
+
+
+def _power(x, exponent):
+    """x**exponent of every entry of an array by libm's pow, ``math.pow``
+    mapped over the entries, so that a batch row takes the bits of the single
+    run's ``**`` on a float (numpy's power differs from libm's in the last
+    bit of ~5 % of inputs)."""
+    return np.fromiter(map(math.pow, x.tolist(), itertools.repeat(exponent)), float, x.size)
 
 
 def _error_power(err_norm):
-    """err_norm**-0.2 of every entry of an array by libm's pow, ``math.pow``
-    mapped over the entries, so that a batch row takes the bits of the single
-    run's ``**`` (numpy's power differs from libm's in the last bit of ~5 %
-    of inputs). An entry that is not positive, a zero or NaN error, gives
+    """err_norm**-0.2 of every entry of an array by :func:`_power`, the rk45
+    step factor. An entry that is not positive, a zero or NaN error, gives
     1.0: a zero error takes the largest factor and a non-finite step a
     quarter of its size, so no row uses that entry."""
-    return np.array([math.pow(x, -0.2) for x in np.where(err_norm > 0.0, err_norm, 1.0).tolist()])
+    return _power(np.where(err_norm > 0.0, err_norm, 1.0), -0.2)
 
 
 def _weighted_source(weights, terms) -> str:
@@ -377,26 +442,30 @@ def _indented(lines, depth) -> list:
 
 
 class InlineRhs(NamedTuple):
-    """A right-hand side with its source text, which the single run's loop
-    and the batched step write in place of a call at every stage.
+    """A right-hand side with its source text, from which both loops write a
+    Taylor method (:class:`symevol.taylor._TaylorEmitter`).
 
-    ``call(t, y)`` is the right-hand side itself; the first slope calls it,
-    and so does calling the record. ``equations`` is its source, as
+    ``call(t, y)`` is the right-hand side itself, and calling the record
+    calls it (the fixed RK4 steps of :func:`order_check` do); the Taylor
+    loops never do. ``equations`` is its source, as
     :class:`symevol.model.Equations`: straight-line ``body`` statements that,
     at the time ``t`` with the state components in the names ``state``,
     assign their rates to the names ``rates``, each name once, and ``guard``
-    statements, which both run once per run, at its start time ``t0``.
+    statements. The body's statements fall in two classes. Those that read
+    neither ``t`` nor a state name, directly or through an earlier
+    statement, run once per run, when the loop or the batched step is bound,
+    in the namespace that holds ``bindings``, and so does the guard, with
+    ``t`` the run's start time. Every other statement assigns a Taylor series
+    and may use only the constructs ``taylor._TaylorEmitter`` lists.
     ``bindings`` holds every other name they read but ``exp``, which each
-    loop binds to libm's exp of its components. Apart from the state, the
-    rates and ``t``, the body's names share the loop's namespace, so they
-    must differ from the loops' own: ``rhs``, ``t0``, ``h``, ``y``, ``f``,
-    ``z``, ``rtol``, ``atol``, ``total``, ``finite``, ``sq``, ``x``,
-    ``err_norm``, ``times``, ``nodes``, ``exp``, ``isfinite``, ``sqrt``,
-    ``maximum``, ``empty_like``, ``row_rms``, ``columns``, the names of the
-    single run's loop in :data:`_LOOP`, and the names ``y<j>``, ``z<j>``,
-    ``x<j>``, ``ay<j>``, ``az<j>``, ``k<s>`` and ``k<s>_<j>``. The body's
-    statements that read only the parameters run once per bound loop or
-    step, in the namespace that holds ``bindings``.
+    loop binds to libm's exp (``math.exp``, in a batch ``model._exp``).
+
+    The statements' names share the generated code's namespace, so they must
+    differ from its own: every name that starts with an underscore, ``t``
+    (the time), ``y``, ``h``, ``cap``, ``t_end``, ``t_new``, ``rtol``,
+    ``atol``, ``finite``, ``clamped``, ``inf``, ``exp``, ``isfinite``,
+    ``where``, ``power``, ``empty``, ``cumsum`` and the names of the single
+    run's loop in ``taylor._TAYLOR_LOOP``.
     """
 
     call: object
@@ -407,82 +476,13 @@ class InlineRhs(NamedTuple):
         return self.call(t, y)
 
 
-def _bind(code, rhs, t0, namespace) -> dict:
-    """``namespace`` once the code object ``code(equations)`` has run in it,
-    with ``t0`` and the names of ``rhs``'s source when it is an
-    :class:`InlineRhs`; running the code evaluates the source's
-    parameter-only statements once, and its guard at t0."""
-    inline = isinstance(rhs, InlineRhs)
-    namespace.update(rhs.bindings if inline else {}, t0=t0)
-    exec(code(rhs.equations if inline else None), namespace)
-    return namespace
-
-
-def _loop_function(d: int, rhs, t0):
-    """The whole adaptive loop of ``rhs``, from :func:`_loop_code`, for a run
-    from t0. It reads ``_FILL_BLOCK`` when bound, and ``_hermite_fill`` at
-    every fill."""
-    return _bind(functools.partial(_loop_code, d), rhs, t0,
-                 {"isfinite": math.isfinite, "sqrt": math.sqrt, "exp": math.exp,
-                  "bisect_right": bisect.bisect_right, "fill_steps": _fill_steps,
-                  "fill_block": _FILL_BLOCK, "failure": _failure})["run"]
-
-
-_IDENTIFIER = re.compile(r"\b[A-Za-z_]\w*")
-
-
-def _split_body(equations):
-    """The statements of ``equations.body`` in three parts, each in body
-    order: those that read neither ``t`` nor a state name, directly or
-    through an earlier statement; those that read ``t`` and no state name;
-    the rest. Then the names the second part assigns. The first part is the
-    same for the whole run, the second at every stage of one stage time."""
-    fixed, timed, rest = [], [], []
-    t_names, state_names = {"t"}, set(equations.state)
-    for statement in equations.body:
-        target, expression = statement.split("=", 1)
-        reads = set(_IDENTIFIER.findall(expression))
-        if reads & state_names:
-            part, names = rest, state_names
-        elif reads & t_names:
-            part, names = timed, t_names
-        else:
-            part, names = fixed, set()
-        part.append(statement)
-        names.update(_IDENTIFIER.findall(target))
-    return fixed, timed, rest, t_names - {"t"}
-
-
-def _inline(statements, rename) -> list:
-    """``statements`` with every name in ``rename`` replaced."""
-    return [_IDENTIFIER.sub(lambda m: rename.get(m[0], m[0]), statement)
-            for statement in statements]
-
-
-def _once_per_run(equations) -> list:
-    """The statements the generated loop or batched step runs when it is
-    bound: the body's statements that read only the parameters, then the
-    guard at the run's start time ``t0``; none for a called right-hand side."""
-    if equations is None:
-        return []
-    return [*_split_body(equations)[0], *_inline(equations.guard, {"t": "t0"})]
-
-
-def _stage_lines(d: int, equations) -> list:
-    """One attempt of the tableau on d floats, as straight-line statements:
-    from the state in ``y<j>``, its slope in ``k0_<j>``, the time ``t`` and
-    the step ``h``, they assign the stages ``k<s>_<j>``, the new state
-    ``z<j>``, whether every stage and the new state are finite (``finite``)
-    and the error norm (``err_norm``). Its sums are those of
+def _stage_lines(d: int) -> list:
+    """One rk45 attempt on d floats, as straight-line statements: from the
+    state in ``y<j>``, its slope in ``k0_<j>``, the time ``t`` and the step
+    ``h``, they assign the stages ``k<s>_<j>``, each a call of ``rhs``, the
+    new state ``z<j>``, whether every stage and the new state are finite
+    (``finite``) and the error norm (``err_norm``). Its sums are those of
     :func:`_rows_step_code`, so a single run equals its batch row bit for bit.
-
-    Each stage calls ``rhs`` or, given the source ``equations`` of an
-    :class:`InlineRhs`, evaluates its body in place: the same operations
-    without the call, the tuples and the parameter loads, so both give the
-    same bits. Of the statements :func:`_split_body` sorts, those that read
-    only the time and the parameters, the decay law among them, run once per
-    stage time: a stage at the time of the stage before reuses their values.
-    Those that read only the parameters are left to :func:`_once_per_run`.
 
     Finiteness is tested on the new state and the last stage only. The new
     state's sum takes every other stage with its weight, zero weights
@@ -494,20 +494,11 @@ def _stage_lines(d: int, equations) -> list:
     c, a, e = _TABLEAU
     comps = range(d)
     lines = []
-    if equations is not None:
-        _, timed, rest, _ = _split_body(equations)
     for s, a_s in enumerate(a, 1):
         for j in comps:
             lines.append(f"z{j} = y{j} + h * "
                          + _weighted_source(a_s, [f"k{r}_{j}" for r in range(s)]))
-        time = f"(t + {float(c[s])!r} * h)"
-        if equations is None:
-            lines.append(f"{_names(f'k{s}_', d)} = rhs({time}, ({_names('z', d)}))")
-            continue
-        if s == 1 or c[s] != c[s - 1]:
-            lines += _inline(timed, {"t": time})
-        lines += _inline(rest, {"t": time, **{x: f"z{j}" for j, x in enumerate(equations.state)},
-                                **{x: f"k{s}_{j}" for j, x in enumerate(equations.rates)}})
+        lines.append(f"{_names(f'k{s}_', d)} = rhs((t + {float(c[s])!r} * h), ({_names('z', d)}))")
     # the last stage input is the solution (first same as last); a finite
     # sum proves every value finite, and only a non-finite one is looked into
     values = [f"k{len(a)}_{j}" for j in comps] + [f"z{j}" for j in comps]
@@ -522,7 +513,7 @@ def _stage_lines(d: int, equations) -> list:
     return lines
 
 
-# A single run's adaptive loop over floats, as _loop_code fills it in: the
+# A single run's rk45 loop over floats, as _loop_code fills it in: the
 # attempt's statements, the controller, the sample test, the stop rule (the
 # text _STOP_RULE, which _stops reads too) and the step's bookkeeping, with
 # the state and the slope at its start (first same as last) in locals across
@@ -539,6 +530,8 @@ def run(rhs, t, h, y, f, t_end, span, rtol, atol, samples, out, ts):
     idx = 1
     t_next = samples[1]
     accepted = rejected_error = rejected_nonfinite = streak = 0
+    h_min = inf
+    h_max = h_last = 0.0
     block = []
     while t < t_end:
         if h >= t_end - t:
@@ -570,6 +563,9 @@ def run(rhs, t, h, y, f, t_end, span, rtol, atol, samples, out, ts):
             t = t_new
 {advance}
             accepted += 1
+            h_min = h if h < h_min else h_min
+            h_max = h if h > h_max else h_max
+            h_last = h
             if err_norm == 0.0:
                 h *= {max_factor!r}
             else:
@@ -584,82 +580,71 @@ def run(rhs, t, h, y, f, t_end, span, rtol, atol, samples, out, ts):
             h *= factor if factor > {min_factor!r} else {min_factor!r}
         if {stop_rule}:
             raise failure(t, ({y}), streak)
-    return accepted, rejected_error, rejected_nonfinite
+    return accepted, rejected_error, rejected_nonfinite, h_min, h_max, h_last
 """
 
 
 @functools.cache
-def _loop_code(d: int, equations):
-    """A single run's whole adaptive loop on d floats, as compiled code:
-    :func:`_once_per_run`, then :data:`_LOOP` around the attempt of
-    :func:`_stage_lines`. ``run(rhs, t, h, y, f, t_end, span, rtol, atol,
-    samples, out, ts)`` integrates from t with the first trial step h, the
-    state ``y`` and its slope ``f`` as sequences of d floats, fills ``out``
-    at the times ``ts`` (``samples`` is ``ts`` and inf past it) and returns
-    the counts of accepted, error-rejected and non-finite attempts, or raises
-    :class:`IntegrationError`. Its controller is that of :func:`_run_rows`,
-    and its stop rule the text :data:`_STOP_RULE` that ``_stops`` reads. The
-    code depends on the source only, never on the values bound to its names,
-    so it is cached, one entry per dimension and source: a loop compiled per
-    run costs more than it saves."""
+def _loop_code(d: int):
+    """A single run's whole rk45 loop on d floats, as compiled code:
+    :data:`_LOOP` around the attempt of :func:`_stage_lines`. ``run(rhs, t,
+    h, y, f, t_end, span, rtol, atol, samples, out, ts)`` integrates from t
+    with the first trial step h, the state ``y`` and its slope ``f`` as
+    sequences of d floats, fills ``out`` at the times ``ts`` (``samples`` is
+    ``ts`` and inf past it) and returns the counts of accepted,
+    error-rejected and non-finite attempts and the smallest, largest and
+    last accepted step, or raises :class:`IntegrationError`. Its controller
+    is that of :func:`_run_rows`, and its stop rule the text
+    :data:`_STOP_RULE` that ``_stops`` reads. Cached, one entry per
+    dimension: a loop compiled per run costs more than it saves."""
     last = len(_TABLEAU.a)
     code = _LOOP.format(
         y=_names("y", d), z=_names("z", d), k0=_names("k0_", d), k_last=_names(f"k{last}_", d),
-        attempt="\n".join(_indented(_stage_lines(d, equations), 2)),
+        attempt="\n".join(_indented(_stage_lines(d), 2)),
         advance="\n".join(_indented([*(f"y{j} = z{j}" for j in range(d)),
                                      *(f"k0_{j} = k{last}_{j}" for j in range(d))], 3)),
         safety=_SAFETY, min_factor=_MIN_FACTOR, max_factor=_MAX_FACTOR, shrink=_SHRINK,
         stop_rule=_STOP_RULE)
-    return compile("\n".join([*_once_per_run(equations), code]), "<loop>", "exec")
+    return compile(code, "<loop>", "exec")
 
 
-def _rows_step_function(rhs, t0):
-    """The batched step of ``rhs``, from :func:`_rows_step_code`, for a run
-    from t0."""
-    return _bind(_rows_step_code, rhs, t0,
-                 {"columns": _columns, "isfinite": np.isfinite, "maximum": np.maximum,
-                  "empty_like": np.empty_like, "row_rms": _row_rms, "exp": _exp,
-                  "nodes": _TABLEAU.c[1:, None]})["step"]
+def _loop_function(d: int):
+    """The rk45 loop of :func:`_loop_code`, bound. It reads ``_FILL_BLOCK``
+    when bound, and ``_hermite_fill`` at every fill."""
+    namespace = {"isfinite": math.isfinite, "sqrt": math.sqrt, "inf": math.inf,
+                 "bisect_right": bisect.bisect_right, "fill_steps": _fill_steps,
+                 "fill_block": _FILL_BLOCK, "failure": _failure}
+    exec(_loop_code(d), namespace)
+    return namespace["run"]
 
 
 @functools.cache
-def _rows_step_code(equations):
-    """One attempt of the tableau over a batch, as compiled code:
-    :func:`_once_per_run`, then ``step(rhs, t, h, y, f, rtol, atol)``, which
-    takes ``y`` and ``f`` as (d, n) arrays, a column per row, ``t`` and ``h``
-    as (n,) arrays, and returns the new state, the slope there (the last
-    stage), ``finite`` and the error norm, both per row. One statement per
-    stage sum, with the single run's sums.
-
-    Each stage calls ``rhs``, and its answer passes :func:`_columns`, or,
-    given the source ``equations`` of an :class:`InlineRhs`, evaluates its
-    body in place. The statements :func:`_split_body` sorts as reading only
-    the time and the parameters, the decay law among them, run once per
-    step, over the (stages, n) array ``times`` of every stage time, and stage
-    s reads row s - 1 of their values. The arithmetic is elementwise, and
-    ``exp`` libm's per entry, so the bits are those of a call per stage."""
+def _rows_step_code():
+    """One rk45 attempt over a batch, as compiled code: ``step(rhs, t, h, y,
+    f, rtol, atol)``, which takes ``y`` and ``f`` as (d, n) arrays, a column
+    per row, ``t`` and ``h`` as (n,) arrays, and returns the new state, the
+    slope there (the last stage), ``finite`` and the error norm, both per
+    row. One statement per stage sum, with the single run's sums; each stage
+    calls ``rhs``, and its answer passes :func:`_columns`."""
     c, a, e = _TABLEAU
     lines = ["def step(rhs, t, h, y, f, rtol, atol):",
              "    k0 = f"]
-    if equations is not None:
-        _, timed, rest, shared = _split_body(equations)
-        lines = [*_once_per_run(equations), *lines, "    times = t + nodes * h",
-                 *_indented(_inline(timed, {"t": "times"}), 1)]
     for s, a_s in enumerate(a, 1):
-        lines.append(f"    z = y + h * {_weighted_source(a_s, [f'k{r}' for r in range(s)])}")
-        if equations is None:
-            lines.append(f"    k{s} = columns(rhs(t + {float(c[s])!r} * h, tuple(z)), y.shape)")
-            continue
-        rename = {"t": f"times[{s - 1}]", **{x: f"{x}[{s - 1}]" for x in shared},
-                  **{x: f"z{j}" for j, x in enumerate(equations.state)},
-                  **{x: f"k{s}[{j}]" for j, x in enumerate(equations.rates)}}
-        lines += [f"    {_names('z', len(equations.state))} = z",
-                  f"    k{s} = empty_like(y)", *_indented(_inline(rest, rename), 1)]
+        lines += [f"    z = y + h * {_weighted_source(a_s, [f'k{r}' for r in range(s)])}",
+                  f"    k{s} = columns(rhs(t + {float(c[s])!r} * h, tuple(z)), y.shape)"]
     lines += [f"    finite = isfinite(z).all(axis=0) & isfinite(k{len(a)}).all(axis=0)",
               f"    x = h * {_weighted_source(e, [f'k{r}' for r in range(len(c))])}"
               " / (atol + rtol * maximum(abs(y), abs(z)))",
               f"    return z, k{len(a)}, finite, row_rms(x)"]
     return compile("\n".join(lines), "<batch step>", "exec")
+
+
+def _rows_step_function():
+    """The batched rk45 step of :func:`_rows_step_code`, bound."""
+    namespace = {"columns": _columns, "isfinite": np.isfinite, "maximum": np.maximum,
+                 "row_rms": _row_rms}
+    exec(_rows_step_code(), namespace)
+    return namespace["step"]
 
 
 def _columns(answer, shape):
@@ -671,7 +656,7 @@ def _columns(answer, shape):
 
 
 def _run_rows(rhs, y0, config, ts, out):
-    step = _rows_step_function(rhs, config.t0)
+    step = _rows_step_function()
     t0, t_end = config.t0, config.t_end
     rtol, atol = config.rtol, config.atol
     span = t_end - t0
@@ -679,6 +664,7 @@ def _run_rows(rhs, y0, config, ts, out):
     accepted = np.zeros(n_rows, dtype=np.int64)
     rejected_error = np.zeros(n_rows, dtype=np.int64)
     rejected_nonfinite = np.zeros(n_rows, dtype=np.int64)
+    h_min, h_max, h_last = np.full(n_rows, math.inf), np.zeros(n_rows), np.full(n_rows, math.nan)
     failures = []
     # live rows only, one column each, compressed whenever rows finish or fail
     rows = np.arange(n_rows)
@@ -703,6 +689,9 @@ def _run_rows(rhs, y0, config, ts, out):
             t_new = np.where(clamped, t_end, t + h)
             stop = np.searchsorted(ts, t_new, side="right")
             accepted[rows] += ok
+            h_min[rows] = np.where(ok & (h < h_min[rows]), h, h_min[rows])
+            h_max[rows] = np.where(ok & (h > h_max[rows]), h, h_max[rows])
+            h_last[rows] = np.where(ok, h, h_last[rows])
             h_new = np.minimum(h * grow, span)
             if not ok.all():
                 # a rejected row keeps its state with a smaller step, and fills no sample
@@ -717,9 +706,7 @@ def _run_rows(rhs, y0, config, ts, out):
             h, t, y, f, idx = h_new, t_new, y_new, f_new, stop
             streak = np.where(finite, 0, streak + 1)
             failed = _stops(t, h, streak, t_end)
-            for i in np.flatnonzero(failed).tolist():
-                message = _STOP[bool(streak[i])][0]
-                failures.append((int(rows[i]), _failure_text(message, float(t[i]))))
+            failures += _failed_rows(rows, t, streak, failed)
             live = (t < t_end) & ~failed
             if not live.all():
                 rows, t, h, idx, streak = (v[live] for v in (rows, t, h, idx, streak))
@@ -729,10 +716,16 @@ def _run_rows(rhs, y0, config, ts, out):
                 _hermite_fill(out, ts, *(np.concatenate(column) for column in columns[:5]),
                               *(np.concatenate(column, axis=1).T for column in columns[5:]))
                 block, held = [], 0
-    rows = _stats(accepted, rejected_error, rejected_nonfinite)
-    return {**{key: int(value.sum()) for key, value in rows.items()},
-            **{f"row_{key}": value for key, value in rows.items()},
-            "failures": sorted(failures)}
+    return _batch_stats(_stats({"method": "rk45"}, accepted, rejected_error, rejected_nonfinite,
+                               _rk45_evals(accepted, rejected_error, rejected_nonfinite),
+                               h_min, h_max, h_last), failures)
+
+
+def _failed_rows(rows, t, streak, failed) -> list:
+    """``(row, message)`` of every batch row that ``failed``, stopped short
+    of t_end by :data:`_STOP_RULE`, with the message its single run raises."""
+    return [(int(rows[i]), _failure_text(_STOP[bool(streak[i])][0], float(t[i])))
+            for i in np.flatnonzero(failed).tolist()]
 
 
 # Classical RK4, whose fixed steps order_check takes: each stage's time

@@ -44,8 +44,8 @@ ALPHA_KINDS = ("exponential", "polynomial")
 
 # The decay laws of ALPHA_KINDS at the slow time tau, written once: alpha
 # evaluates this text, and FULL_EQUATIONS writes it into full_rhs and into the
-# stages of the generated steps, so that no stage calls alpha. ``exp`` is
-# libm's exp: of a float, or of every entry of an array.
+# Taylor recurrences of the generated steps, so that no step calls alpha.
+# ``exp`` is libm's exp: of a float, or of every entry of an array.
 _DECAY_LAW = "exp(-tau) if exponential else 1.0 / (1.0 + tau)"
 
 
@@ -167,10 +167,13 @@ class Equations(NamedTuple):
     every call, a generated step once per run, at its start time, so what
     they test must hold at every later time once it holds at one.
 
-    The generated steps of :mod:`symevol.integrate` sort the statements in
-    three classes: those that read neither ``t`` nor a state name, directly
-    or through an earlier statement, run once per run; those that read ``t``
-    but no state name run once per stage time; the rest run at every stage.
+    The Taylor method of :mod:`symevol.integrate` sorts the statements in two
+    classes: those that read neither ``t`` nor a state name, directly or
+    through an earlier statement, run once per run; every other one assigns
+    a Taylor series and may use only ``+``, ``-``, ``*``, ``/``, ``exp`` and
+    ``a if c else b`` with ``c`` of the first class. The generated code
+    reserves ``t``, every name that starts with an underscore and the names
+    that :class:`symevol.integrate.InlineRhs` lists.
     """
 
     state: tuple
@@ -186,31 +189,32 @@ class Equations(NamedTuple):
                 **{name: getattr(p, name) for name in self.params}}
 
 
-# The full equations of motion. ``full_rhs`` is generated from them, and so are
-# the inlined stages of the single-run and batched steps (integrate.InlineRhs).
-# The factors that read only the parameters, and those that read only the time
-# and the parameters, are statements of their own, so that the steps evaluate
-# them once per run and once per stage time; they are the leading factors of
-# the products (``-omega**2`` is ``(-(omega**2))``, and a product associates
-# from the left), so the rates keep their bits. The slow time only grows
-# along a run, so the guard holds at every stage once it holds at the start.
+# The full equations of motion. ``full_rhs`` is generated from them, and so is
+# the Taylor method of the single-run and batched steps (integrate.InlineRhs).
+# The factors that read only the parameters are statements of their own, so
+# that the steps evaluate them once per run, and the three quadratic products
+# of the coordinates are too, so that the Taylor method takes five Cauchy
+# products per coefficient: these three and the decay factor's two. The slow
+# time only grows along a run, so the guard holds at every stage once it
+# holds at the start.
 FULL_EQUATIONS = Equations(
     state=("q1", "v1", "q2", "v2"),
     rates=("dq1", "dv1", "dq2", "dv2"),
     params=("a1", "a2", "a3", "a4", "omega", "epsilon", "delta", "alpha_kind"),
     body=("minus_omega_sq = -omega**2",
           "eps_2a2 = epsilon * 2.0 * a2",
+          "eps_2a4 = epsilon * 2.0 * a4",
           "exponential = alpha_kind == 'exponential'",
           "tau = delta * t",
           f"al = {_DECAY_LAW}",
-          "eps_al = epsilon * al",
-          "eps_al_2a4 = eps_al * 2.0 * a4",
+          "q1q1 = q1 * q1",
+          "q2q2 = q2 * q2",
+          "q1q2 = q1 * q2",
           "dq1 = v1",
-          "dv1 = (-q1 + epsilon * (a1 * q1 * q1 + a2 * q2 * q2)"
-          " + eps_al_2a4 * q1 * q2)",
+          "dv1 = -q1 + epsilon * (a1 * q1q1 + a2 * q2q2) + al * (eps_2a4 * q1q2)",
           "dq2 = v2",
-          "dv2 = (minus_omega_sq * q2 + eps_2a2 * q1 * q2"
-          " + eps_al * (a3 * q2 * q2 + a4 * q1 * q1))"),
+          "dv2 = (minus_omega_sq * q2 + eps_2a2 * q1q2"
+          " + al * (epsilon * (a3 * q2q2 + a4 * q1q1)))"),
     guard=("check_slow_time(delta * t)",))
 
 

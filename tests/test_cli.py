@@ -311,6 +311,20 @@ def test_simulate_blow_up_exit_code(tmp_path, capsys):
     assert not (tmp_path / "o").exists()  # a failed run writes nothing
 
 
+def test_loose_atol_stays_on_the_solution(tmp_path):
+    # at atol 1e300 the Taylor step's tolerance bounds nothing, but the cap
+    # at e^-2 of the series' estimated radius of convergence keeps every
+    # step where the series converges: the run stays on the default run's
+    # solution (without the cap it takes one step of 10 and ends near 1e8)
+    runs = []
+    for extra in ([], ["--atol", "1e300"]):
+        out = tmp_path / f"atol{len(runs)}"
+        assert main(["simulate", "fig1", "--horizon", "10", "--out", str(out), *extra]) == 0
+        runs.append(np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1))
+    assert runs[0].shape == runs[1].shape == (41, 7)
+    assert np.max(np.abs(runs[1] - runs[0])) < 1e-6
+
+
 def test_compare_table_and_exponent(small_config, tmp_path, capsys):
     out = tmp_path / "cmp"
     code = main(["compare", str(small_config), "--out", str(out),
@@ -517,8 +531,13 @@ def test_ensemble_outputs_and_determinism(tmp_path):
     assert manifest["failures"] == 0
     assert manifest["failed_particles"] == []
     stats = manifest["integrator_stats"]
-    assert set(stats) == {"accepted", "rejected", "rejected_error", "rejected_nonfinite",
-                          "rhs_evals", "min_accepted", "max_accepted"}
+    assert set(stats) == {"method", "order", "accepted", "rejected", "rejected_error",
+                          "rejected_nonfinite", "rhs_evals", "h_min", "h_max", "h_final",
+                          "min_accepted", "max_accepted"}
+    assert (stats["method"], stats["rejected_error"]) == ("taylor", 0) and stats["order"] > 2
+    for key in ("h_min", "h_max", "h_final"):  # the spread over the particles
+        assert 0.0 < stats[key]["min"] <= stats[key]["median"] <= stats[key]["max"]
+    assert stats["h_min"]["min"] <= stats["h_max"]["max"]
     assert stats["rejected"] == stats["rejected_error"] + stats["rejected_nonfinite"]
     assert 6 * stats["min_accepted"] <= stats["accepted"] <= 6 * stats["max_accepted"]
     rows = (out1 / "moments.csv").read_text().splitlines()
@@ -527,9 +546,12 @@ def test_ensemble_outputs_and_determinism(tmp_path):
 
 def test_every_run_command_writes_integrator_stats(small_config, tmp_path):
     # each of the four run commands explains its runs in the manifest: the
-    # step counts of its run, of its ensemble's rows, and of both runs of
-    # every compare rung, which each equal the run made on its own
-    counts = {"accepted", "rejected", "rejected_error", "rejected_nonfinite", "rhs_evals"}
+    # method, the step counts and the smallest, largest and last step of its
+    # run, of its ensemble's rows (their spread over the rows), and of both
+    # runs of every compare rung, which each equal the run made on its own.
+    # The full model runs the Taylor method, compare's averaged field rk45
+    keys = {"method", "accepted", "rejected", "rejected_error", "rejected_nonfinite",
+            "rhs_evals", "h_min", "h_max", "h_final"}
     runs = {"simulate": ["simulate", str(small_config)],
             "reproduce-figure": ["reproduce-figure", "--which", "fig1", "--horizon", "2"],
             "compare": ["compare", str(small_config), "--eps-list", "0.1,0.05"],
@@ -539,9 +561,14 @@ def test_every_run_command_writes_integrator_stats(small_config, tmp_path):
         assert main([*argv, "--out", str(tmp_path / name)]) == 0
         manifests[name] = json.loads((tmp_path / name / "manifest.json").read_text())
     for name in ("simulate", "reproduce-figure"):
-        assert set(manifests[name]["integrator_stats"]) == counts
-    assert set(manifests["ensemble"]["integrator_stats"]) == counts | {"min_accepted",
-                                                                        "max_accepted"}
+        stats = manifests[name]["integrator_stats"]
+        assert set(stats) == keys | {"order"}
+        assert (stats["method"], stats["rejected_error"]) == ("taylor", 0) and stats["order"] > 2
+        assert stats["rhs_evals"] == stats["accepted"] + stats["rejected"] > 0
+        assert 0.0 < stats["h_min"] <= stats["h_final"] <= stats["h_max"]
+    stats = manifests["ensemble"]["integrator_stats"]
+    assert set(stats) == keys | {"order", "min_accepted", "max_accepted"}
+    assert stats["method"] == "taylor" and set(stats["h_max"]) == {"min", "median", "max"}
     rungs = manifests["compare"]["integrator_stats"]
     assert [rung["epsilon"] for rung in rungs] == [0.1, 0.05]
     ladder, initial, settings = build_compare(load_config(small_config), {"eps_list": "0.1,0.05"})
@@ -549,8 +576,11 @@ def test_every_run_command_writes_integrator_stats(small_config, tmp_path):
         assert set(rung) == {"epsilon", "full", "averaged"}
         res = compare_full_vs_averaged(params, initial, **settings)
         assert rung["full"] == res.full_stats and rung["averaged"] == res.averaged_stats
-        assert set(rung["full"]) == set(rung["averaged"]) == counts
-        assert rung["full"]["accepted"] > rung["averaged"]["accepted"] > 0
+        assert set(rung["full"]) == keys | {"order"} and set(rung["averaged"]) == keys
+        assert (rung["full"]["method"], rung["averaged"]["method"]) == ("taylor", "rk45")
+        assert rung["full"]["accepted"] > 0 and rung["averaged"]["accepted"] > 0
+        assert rung["averaged"]["rhs_evals"] == 1 + 6 * (rung["averaged"]["accepted"]
+                                                         + rung["averaged"]["rejected"])
 
 
 def test_ensemble_manifest_lists_failed_particles(tmp_path):

@@ -13,7 +13,8 @@ from symevol.experiments import (EnsembleSpec, ScenarioConfig, _draw_initial,
 from symevol.averaged import INVARIANT_NAMES, cartesian_invariant
 from symevol.config import ConfigError, build_scenario, load_config, preset_path
 from symevol.integrate import (MAX_GRID_POINTS, InlineRhs, IntegrationError, IntegratorConfig,
-                               _split_body, integrate, order_check)
+                               integrate, order_check)
+from symevol.taylor import _split_body
 from symevol.model import (ALPHA_KINDS, FULL_EQUATIONS, CartesianState, ModelParams, alpha,
                            full_rhs)
 from symevol.resonance import RESONANCES
@@ -34,12 +35,13 @@ def _called(p):
 @pytest.mark.parametrize("kind", ALPHA_KINDS)
 @pytest.mark.parametrize("name", ["fig1", "fig2"])
 def test_inlined_stage_equals_the_called_field(name, kind):
-    # run_scenario writes the model's equations into its step, and so does a
-    # batch; calling full_rhs at every stage gives the same bits and counts:
-    # from the preset's start, from t0 = 2.5, with negative coefficients and
-    # with coefficients whose products round (the presets' omega**2 and
-    # epsilon * 2.0 * a2 are exact), for rk45 runs and batches; an order
-    # check, whose rk4 steps call it, takes it too
+    # run_scenario and a batch run the Taylor method generated from the
+    # model's equations, and calling full_rhs at every stage runs rk45: both
+    # give the same solution to well within the tolerance, from the preset's
+    # start, from t0 = 2.5, with negative coefficients and with coefficients
+    # whose products round. A Taylor batch row equals its single run bit for
+    # bit. An order check, whose rk4 steps call the field, measures the same
+    # errors against either reference
     base = build_scenario(load_config(preset_path(name)), {"horizon": 20.0})
     p = base.params.replace(alpha_kind=kind)
     for params, initial in ((p, base.initial), (p, dataclasses.replace(base.initial, t=2.5)),
@@ -47,21 +49,25 @@ def test_inlined_stage_equals_the_called_field(name, kind):
                             (p.replace(omega=2.1, epsilon=0.3, a2=-0.7), base.initial)):
         sc = _scenario(params, initial, 20.0)
         assert isinstance(full_field(params), InlineRhs)
-        inlined = run_scenario(sc)
+        taylor = run_scenario(sc)
         called = integrate(_called(params), initial.as_array(), sc.integrator)
-        assert np.array_equal(inlined.states, called.states)
-        assert inlined.stats == called.stats and inlined.stats["accepted"] > 500
+        assert np.max(np.abs(taylor.states - called.states)) < 1e-8
+        assert (taylor.stats["method"], called.stats["method"]) == ("taylor", "rk45")
+        assert 50 < taylor.stats["accepted"] < called.stats["accepted"] / 5
         rows = initial.as_array() + np.array([[0.0] * 4, [0.05, -0.1, 0.1, 0.0],
                                               [-0.1, 0.2, 0.0, -0.3]])
-        inlined = integrate(full_field(params), rows, sc.integrator)
-        called = integrate(_called(params), rows, sc.integrator)
-        assert np.array_equal(inlined.states, called.states)
-        assert inlined.stats.keys() == called.stats.keys()
-        for key, value in inlined.stats.items():
-            assert np.array_equal(value, called.stats[key])
+        batch = integrate(full_field(params), rows, sc.integrator)
+        assert np.array_equal(batch.states[0], taylor.states)
+        for i in (1, 2):
+            single = integrate(full_field(params), rows[i], sc.integrator)
+            assert np.array_equal(batch.states[i], single.states)
+            assert single.stats["accepted"] == batch.stats["row_accepted"][i]
+        assert np.max(np.abs(batch.states - integrate(_called(params), rows,
+                                                      sc.integrator).states)) < 1e-8
     y0, steps = base.initial.as_array(), [0.2, 0.1, 0.05]
-    assert order_check(full_field(p), y0, 0.0, 5.0, steps) == order_check(_called(p), y0, 0.0,
-                                                                           5.0, steps)
+    inlined, called = (order_check(rhs, y0, 0.0, 5.0, steps) for rhs in (full_field(p), _called(p)))
+    np.testing.assert_allclose(inlined.errors, called.errors, rtol=1e-6)
+    assert inlined.order == pytest.approx(called.order, abs=1e-6)
 
 
 @pytest.mark.parametrize("kind", ALPHA_KINDS)
@@ -85,8 +91,11 @@ def test_inlined_stage_rejects_negative_slow_time(kind):
 
 def test_rebound_full_rhs_sees_only_first_slopes(monkeypatch):
     # full_field is the model's InlineRhs whatever full_rhs is bound to in
-    # experiments, so a rebound full_rhs (a tracer's counter, a spy) is called
-    # once per integrate call, for its first slope, and the runs keep their bits
+    # experiments, and its Taylor runs evaluate the equations' recurrences,
+    # never the field, so a rebound full_rhs (a tracer's counter, a spy)
+    # sees no call from a single run, a comparison's full run or an
+    # ensemble, and the runs keep their bits; an order check's rk4 steps do
+    # call it
     p, initial = fig_params(2), fig_initial_state()
     sc = _scenario(p, initial, 20.0)
     inlined, compared = run_scenario(sc), compare_full_vs_averaged(p, initial)
@@ -101,31 +110,27 @@ def test_rebound_full_rhs_sees_only_first_slopes(monkeypatch):
     monkeypatch.setattr(experiments_module, "full_rhs", spy)
     assert isinstance(full_field(p), InlineRhs)
     traj = run_scenario(sc)
-    assert calls == [initial.t]
     assert np.array_equal(traj.states, inlined.states) and traj.stats == inlined.stats
-    calls.clear()
-    assert compare_full_vs_averaged(p, initial) == compared and calls == [initial.t]
-    # a batch calls it once, for the first slopes of all its rows
-    calls.clear()
+    assert compare_full_vs_averaged(p, initial) == compared
     _assert_same_report(run_ensemble(spec), ensemble)
-    assert len(calls) == 1 and np.shape(calls[0]) == (spec.count,)
+    assert calls == []
+    order_check(full_field(p), initial.as_array(), 0.0, 1.0, [0.5, 0.25, 0.125])
+    assert len(calls) == 1 + 4 * (2 + 4 + 8)  # the first slope, then four stages per step
 
 
 def test_split_body_sorts_the_full_equations():
-    # three statements read only the parameters, the law's flag among them;
-    # four the time too: the slow time, the decay law written as its text,
-    # with no call of alpha, and its two products; and the four rates the
-    # state. The names of the second part are what a batch step indexes by
-    # stage
-    fixed, timed, rest, shared = _split_body(FULL_EQUATIONS)
+    # four statements read only the parameters, the law's flag among them,
+    # and run once per run; the rest read the time or the state and become
+    # Taylor series: the slow time, the decay law written as its text, with
+    # no call of alpha, the three quadratic products and the four rates
+    fixed, rest = _split_body(FULL_EQUATIONS)
     assert fixed == ["minus_omega_sq = -omega**2", "eps_2a2 = epsilon * 2.0 * a2",
-                     "exponential = alpha_kind == 'exponential'"]
-    assert timed == ["tau = delta * t",
-                     "al = exp(-tau) if exponential else 1.0 / (1.0 + tau)",
-                     "eps_al = epsilon * al", "eps_al_2a4 = eps_al * 2.0 * a4"]
-    assert [statement.split(" =")[0] for statement in rest] == list(FULL_EQUATIONS.rates)
-    assert shared == {"tau", "al", "eps_al", "eps_al_2a4"}
-    assert fixed + timed + rest == list(FULL_EQUATIONS.body)
+                     "eps_2a4 = epsilon * 2.0 * a4", "exponential = alpha_kind == 'exponential'"]
+    assert rest[:2] == ["tau = delta * t",
+                        "al = exp(-tau) if exponential else 1.0 / (1.0 + tau)"]
+    assert [statement.split(" =")[0] for statement in rest[2:]] == [
+        "q1q1", "q2q2", "q1q2", *FULL_EQUATIONS.rates]
+    assert fixed + rest == list(FULL_EQUATIONS.body)
     assert not any("alpha(" in statement for statement in FULL_EQUATIONS.body)
     assert FULL_EQUATIONS.guard == ("check_slow_time(delta * t)",)
 
@@ -153,16 +158,16 @@ def test_parameter_statements_once_per_integrate_call():
         assert calls == [2]
         plain = integrate(field, start, sc.integrator)
         assert np.array_equal(counted.states, plain.states)
-        assert np.sum(counted.stats["accepted"]) > 500
+        assert np.sum(counted.stats["accepted"]) > 50
 
 
-def test_inlined_alpha_once_per_stage_time():
-    # the decay law, written into the stages as its text, runs once per stage
-    # time: rk45's last two stages share t + h; a batch runs it once per
-    # step, over the times of all its stages. Each run also takes the slow
-    # time once more, for its guard at t0. A delta that counts its products
-    # counts both, under either law. The bits stay those of calling full_rhs
-    # at every stage.
+def test_inlined_alpha_once_per_attempt():
+    # the decay law, written into the Taylor recurrences as its text, runs
+    # once per attempt: the slow time's two coefficients, delta * t and
+    # delta * 1.0, then the law's series from one exp (or one division) of
+    # the first. Each run also takes the slow time once more, for its guard
+    # at t0. A delta that counts its products counts these, under either law,
+    # in a single run and in a batch, where an attempt covers every row
     times = []
 
     class CountedDelta(float):
@@ -178,19 +183,17 @@ def test_inlined_alpha_once_per_stage_time():
         field = full_field(p)
         spy = field._replace(bindings={**field.bindings, "delta": CountedDelta(p.delta)})
         sc = _scenario(p, initial, 20.0)
-        runs = [integrate(rhs, y0, sc.integrator) for rhs in (spy, _called(p))]
+        runs = [integrate(rhs, y0, sc.integrator) for rhs in (spy, field)]
         assert np.array_equal(runs[0].states, runs[1].states) and runs[0].stats == runs[1].stats
-        attempts = runs[0].stats["accepted"] + runs[0].stats["rejected"]
-        assert times[0] == initial.t and len(times) == 1 + 5 * attempts
+        assert times[0] == initial.t and times[2::2] == [1.0] * runs[0].stats["rhs_evals"]
+        assert len(times) == 1 + 2 * runs[0].stats["rhs_evals"]
         times.clear()
         rows = np.array([y0, y0 * 1.1, y0 * 0.9])
-        batch, called = (integrate(rhs, rows, sc.integrator) for rhs in (spy, _called(p)))
-        assert np.array_equal(batch.states, called.states)
-        for key, value in batch.stats.items():
-            assert np.array_equal(value, called.stats[key])
-        assert len(times) == 1 + max(batch.stats["row_accepted"] + batch.stats["row_rejected"])
-        assert times[0] == initial.t
-        assert times[1].shape == (6, 3) and all(len(t) == 6 for t in times[1:])
+        batch, plain = (integrate(rhs, rows, sc.integrator) for rhs in (spy, field))
+        assert np.array_equal(batch.states, plain.states)
+        attempts = max(batch.stats["row_rhs_evals"])
+        assert times[0] == initial.t and len(times) == 1 + 2 * attempts
+        assert all(t.shape == (3,) for t in times[1::2][:10])
 
 
 def test_run_scenario_fig1_initial_actions():
@@ -578,18 +581,21 @@ def test_reproduce_figure_bundles():
 
 
 def test_fig1_preset_step_counts_and_accuracy_pinned():
-    # a change of method, tolerance or controller moves these counts, so it
-    # cannot pass for a faster stepper; the run stays within 1e-6 of DOP853
+    # a change of method, order, tolerance or step rule moves these counts,
+    # so it cannot pass for a faster stepper; the run stays within the
+    # error it measured against DOP853 (9.5e-13), where rk45 took 5,622
+    # steps to 2.6e-9
     scipy_integrate = pytest.importorskip("scipy.integrate")
     sc, traj, _, _ = _preset_run("fig1", horizon=100.0)
     assert (sc.integrator.rtol, sc.integrator.atol) == (1e-10, 1e-12)
-    assert {key: traj.stats[key] for key in ("accepted", "rejected", "rhs_evals")} == {
-        "accepted": 5622, "rejected": 3, "rhs_evals": 33751}
+    assert {key: traj.stats[key] for key in ("method", "order", "accepted", "rejected",
+                                             "rhs_evals")} == {
+        "method": "taylor", "order": 13, "accepted": 326, "rejected": 0, "rhs_evals": 326}
     ref = scipy_integrate.solve_ivp(lambda t, y: full_rhs(t, y, sc.params), (0.0, 100.0),
                                     traj.states[0], method="DOP853", rtol=1e-13, atol=1e-15,
                                     t_eval=traj.times)
     assert ref.success
-    assert np.max(np.abs(traj.states - ref.y.T)) < 1e-6
+    assert np.max(np.abs(traj.states - ref.y.T)) < 1.5e-12
 
 
 def test_stabilization_time_monotone_series():

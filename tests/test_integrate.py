@@ -1,6 +1,8 @@
 import functools
 import importlib
 import math
+import re
+import types
 
 import numpy as np
 import pytest
@@ -8,11 +10,12 @@ import pytest
 from conftest import rk4_steps
 from symevol.integrate import (MAX_GRID_POINTS, InlineRhs, IntegrationError, IntegratorConfig,
                                Trajectory, integrate, order_check)
-from symevol.model import FULL_EQUATIONS, ModelParams, full_rhs
+from symevol.model import FULL_EQUATIONS, Equations, ModelParams, full_rhs
 
 
 # the package re-exports the function ``integrate`` under the module's name
 integrate_module = importlib.import_module("symevol.integrate")
+taylor_module = importlib.import_module("symevol.taylor")
 
 
 # step counts of a run; a batch also gives each per row, prefixed "row_"
@@ -22,6 +25,12 @@ STAT_KEYS = ("accepted", "rejected", "rejected_error", "rejected_nonfinite", "rh
 def harmonic(t, y):
     # floats in a single run, columns in a batch
     return np.array([y[1], -y[0]])
+
+
+def _inline(p):
+    """The full model at p as experiments.full_field gives it: an InlineRhs,
+    which runs the Taylor method."""
+    return InlineRhs(lambda t, y: full_rhs(t, y, p), FULL_EQUATIONS, FULL_EQUATIONS.bindings(p))
 
 
 def test_config_validation():
@@ -55,10 +64,20 @@ def test_harmonic_oscillator_accuracy():
 
 
 def test_zero_initial_state_stays_zero():
+    # rk45 and the Taylor method alike. Every Taylor coefficient of the zero
+    # state is zero, and a zero norm bounds no step, so the Taylor run takes
+    # one step to t_end (the step rule without that guard divides by zero);
+    # its batch row with a moving row beside it does the same
     p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.1, n=2)
     cfg = IntegratorConfig(t_end=20.0, sample_dt=0.5, rtol=1e-10, atol=1e-12)
     traj = integrate(lambda t, y: full_rhs(t, y, p), np.zeros(4), cfg)
     assert np.all(traj.states == 0.0)
+    taylor = integrate(_inline(p), np.zeros(4), cfg)
+    assert np.all(taylor.states == 0.0)
+    assert taylor.stats["accepted"] == 1 and taylor.stats["h_min"] == 20.0
+    batch = integrate(_inline(p), np.array([np.zeros(4), [0.0, 0.5, 0.0, 0.5]]), cfg)
+    assert np.all(batch.states[0] == 0.0) and batch.stats["row_accepted"][0] == 1
+    assert batch.stats["row_accepted"][1] > 10 and np.all(np.isfinite(batch.states))
 
 
 def test_sample_grid_exactness():
@@ -101,14 +120,26 @@ def test_time_reversal_conservative_case():
 
 
 def test_blow_up_reports_last_good_state():
+    # under rk45 and under the Taylor method, whose steps shrink with the
+    # radius of convergence as the solution escapes: the fig1 model from
+    # q1 = 5 (the config sim-fail.ini of CI and tools/datadiff.py), and at
+    # epsilon = 0.9 from (3, 0, 3, 0); a batch row fails where its single
+    # run does
+    fig1 = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.1, n=2)
     p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.9, n=1)
-    cfg = IntegratorConfig(t_end=50.0, sample_dt=0.5, rtol=1e-10, atol=1e-12)
-    with pytest.raises(IntegrationError) as err:
-        integrate(lambda t, y: full_rhs(t, y, p), np.array([3.0, 0.0, 3.0, 0.0]), cfg)
-    assert err.value.t_last < 50.0
-    assert isinstance(err.value.y_last, np.ndarray) and err.value.y_last.shape == (4,)
-    assert np.all(np.isfinite(err.value.y_last))
-    assert err.value.reason in ("underflow", "nonfinite")
+    cases = [(lambda t, y: full_rhs(t, y, p), np.array([3.0, 0.0, 3.0, 0.0]), 50.0),
+             (_inline(p), np.array([3.0, 0.0, 3.0, 0.0]), 50.0),
+             (_inline(fig1), np.array([5.0, 0.1, 0.1, 0.1]), 30.0)]
+    for rhs, y0, t_end in cases:
+        cfg = IntegratorConfig(t_end=t_end, sample_dt=0.5, rtol=1e-10, atol=1e-12)
+        with pytest.raises(IntegrationError) as err:
+            integrate(rhs, y0, cfg)
+        assert err.value.t_last < t_end
+        assert isinstance(err.value.y_last, np.ndarray) and err.value.y_last.shape == (4,)
+        assert np.all(np.isfinite(err.value.y_last))
+        assert err.value.reason in ("underflow", "nonfinite")
+        batch = integrate(rhs, np.array([y0, [0.0, 0.5, 0.0, 0.5]]), cfg)
+        assert batch.stats["failures"][0] == (0, str(err.value))
 
 
 def test_nan_rhs_aborts():
@@ -587,47 +618,48 @@ def test_inf_at_one_stage_counts_as_non_finite_attempt(method, monkeypatch):
 
 
 def test_single_run_makes_no_numpy_call_per_step(monkeypatch):
-    # the single-row loop takes its step factor over floats and fills its
-    # samples in blocks: the kernel runs once per _FILL_BLOCK samples
+    # the single-row loops take their step factor (rk45) or step (Taylor)
+    # over floats and fill their samples in blocks: the kernel runs once per
+    # _FILL_BLOCK samples
     p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.1, n=2)
     y0 = np.array([0.0, 0.5, 0.0, 0.5])
     cfg = IntegratorConfig(t_end=10.0, sample_dt=0.01, rtol=1e-9, atol=1e-11)
-    before = integrate(lambda t, y: full_rhs(t, y, p), y0, cfg)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("numpy power on the single-row path")
 
-    monkeypatch.setattr(np, "power", forbidden)
-    kernel = integrate_module._hermite
-    for cap in (integrate_module._FILL_BLOCK, 100):
-        monkeypatch.setattr(integrate_module, "_FILL_BLOCK", cap)
-        calls = []
-        monkeypatch.setattr(integrate_module, "_hermite",
-                            lambda *args: calls.append(1) or kernel(*args))
-        after = integrate(lambda t, y: full_rhs(t, y, p), y0, cfg)
-        assert np.array_equal(after.states, before.states)
-        assert after.stats == before.stats
-        assert 1 <= len(calls) <= math.ceil(len(after) / cap) + 1
-        assert 10 * len(calls) < after.stats["accepted"]
+    for rhs, module, name in ((lambda t, y: full_rhs(t, y, p), integrate_module, "_hermite"),
+                              (_inline(p), taylor_module, "_taylor_fill")):
+        before = integrate(rhs, y0, cfg)
+        monkeypatch.setattr(np, "power", forbidden)
+        kernel = getattr(module, name)
+        for cap in (integrate_module._FILL_BLOCK, 100):
+            monkeypatch.setattr(integrate_module, "_FILL_BLOCK", cap)
+            calls = []
+            monkeypatch.setattr(module, name, lambda *args: calls.append(1) or kernel(*args))
+            after = integrate(rhs, y0, cfg)
+            assert np.array_equal(after.states, before.states)
+            assert after.stats == before.stats
+            assert 1 <= len(calls) <= math.ceil(len(after) / cap) + 1
+            assert 10 * len(calls) < after.stats["accepted"] or module is taylor_module
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("inline", [False, True], ids=["called", "inlined"])
 def test_single_run_makes_no_min_or_max_call_per_step(inline):
-    # the generated loop writes the step clamps, the controller, the stop
-    # rule's text and the error norm's max in place, and its inlined stages
-    # the decay law: it names none of the builtins min and max, alpha,
-    # _stops or _error_power, and neither do _run_single and order_check's
-    # rk4 step
-    p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.1, n=2)
-    rhs = lambda t, y: full_rhs(t, y, p)  # noqa: E731
-    if inline:
-        rhs = InlineRhs(rhs, FULL_EQUATIONS, FULL_EQUATIONS.bindings(p))
-    run = integrate_module._loop_function(4, rhs, 0.0)
-    for code in (run.__code__, integrate_module._rk4_step.__code__,
-                 integrate_module._run_single.__code__):
-        assert not {"min", "max", "alpha", "_stops", "_error_power"} & set(code.co_names), \
-            code.co_name
-    assert "exp" in run.__code__.co_names if inline else "rhs" in run.__code__.co_varnames
+    # the generated loop writes the step clamps, the controller (rk45) or
+    # the step rule (Taylor), the stop rule's text and the norms' max in
+    # place, and its Taylor recurrences the decay law: it names none of the
+    # builtins min and max, alpha, _stops, _error_power or _power, and
+    # neither do the single runs and order_check's rk4 step
+    code = (taylor_module._taylor_loop_code(4, FULL_EQUATIONS, 13) if inline
+            else integrate_module._loop_code(4))
+    run = next(const for const in code.co_consts if isinstance(const, types.CodeType))
+    for code in (run, integrate_module._rk4_step.__code__,
+                 integrate_module._run_single.__code__, taylor_module.run_single.__code__):
+        assert not {"min", "max", "alpha", "_stops", "_error_power", "_power"} & set(
+            code.co_names), code.co_name
+    assert "exp" in run.co_names if inline else "rhs" in run.co_varnames
 
 
 def _error_norm_reference(y, z, k, h, rtol, atol):
@@ -670,7 +702,7 @@ def test_generated_error_norm_equals_builtin_max_reference():
     names = integrate_module._names
     lines = ["def step(rhs, t, h, y, f, rtol, atol):", f"    {names('y', 4)} = y",
              f"    {names('k0_', 4)} = f", *integrate_module._indented(
-                 integrate_module._stage_lines(4, None), 1),
+                 integrate_module._stage_lines(4), 1),
              f"    return ({names('z', 4)}), finite, err_norm"]
     namespace = {"isfinite": math.isfinite, "sqrt": math.sqrt}
     exec("\n".join(lines), namespace)
@@ -877,3 +909,162 @@ def test_non_finite_streak_limit():
     assert err.value.reason == "nonfinite" and err.value.t_last == 0.0
     assert batch.stats["failures"] == [(0, str(err.value))]
     assert len(calls) == 1 + 6 * 41  # the first slope, then six stages per attempt
+
+
+def _step_starts(monkeypatch, rhs, y0, cfg):
+    """The start times of the steps of the single Taylor run of ``rhs`` from
+    y0 that hold a sample, as its fills see them."""
+    starts = []
+    fill = taylor_module._taylor_fill
+    monkeypatch.setattr(taylor_module, "_taylor_fill",
+                        lambda *args: starts.extend(args[5].tolist()) or fill(*args))
+    integrate(rhs, y0, cfg)
+    monkeypatch.setattr(taylor_module, "_taylor_fill", fill)
+    return starts
+
+
+@pytest.mark.parametrize("kind", ["exponential", "polynomial"])
+def test_taylor_batch_rows_equal_single_runs(kind, monkeypatch):
+    # a Taylor batch row is its single run byte for byte: samples, counts and
+    # step sizes, from t0 = 2.5, where the decay factor's series starts away
+    # from 1, under either law, and on a grid whose first sample lies exactly
+    # on the end of the first step (2.5 + dt is that end, by Sterbenz's
+    # lemma), which both loops fill from that step
+    p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.3, n=1, alpha_kind=kind)
+    rhs = _inline(p)
+    rng = np.random.default_rng(11)
+    y0 = np.column_stack([rng.normal(0.0, 0.1, 4), rng.normal(0.5, 0.05, 4),
+                          rng.normal(0.0, 0.1, 4), rng.uniform(0.4, 0.6, 4)])
+    fine = IntegratorConfig(t0=2.5, t_end=12.5, sample_dt=1e-3)
+    first_end = _step_starts(monkeypatch, rhs, y0[0], fine)[1]
+    cfg = IntegratorConfig(t0=2.5, t_end=12.5, sample_dt=first_end - 2.5)
+    assert 2.5 + (first_end - 2.5) == first_end
+    batch = integrate(rhs, y0, cfg)
+    assert batch.times[1] == first_end and batch.stats["failures"] == []
+    assert _step_starts(monkeypatch, rhs, y0[0], cfg)[:2] == [2.5, first_end]
+    for i, row in enumerate(y0):
+        single = integrate(rhs, row, cfg)
+        assert np.array_equal(single.states, batch.states[i])
+        for key in ("accepted", "rejected", "rhs_evals", "h_min", "h_max", "h_final"):
+            assert single.stats[key] == batch.stats[f"row_{key}"][i]
+    assert batch.stats["h_min"]["min"] == min(batch.stats["row_h_min"])
+
+
+@pytest.mark.parametrize("rows", [1, 5])
+def test_taylor_fill_independent_of_block_size(rows, monkeypatch):
+    # both loops fill their Taylor samples in blocks: a fill after every step
+    # that holds a sample, after a few and once at the end give the same
+    # bytes and counts, one evaluation per sample whatever the block
+    p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.1, n=2)
+    y0 = np.array([[0.0, 0.5, 0.0, 0.5], [0.1, 0.4, -0.1, 0.6], [0.0, 0.6, 0.1, 0.5],
+                   [0.2, 0.5, 0.0, 0.4], [0.0, 0.45, 0.0, 0.55]])[:rows]
+    start = y0[0] if rows == 1 else y0
+    cfg = IntegratorConfig(t_end=10.0, sample_dt=0.01)
+    whole = integrate(_inline(p), start, cfg)
+    fill = taylor_module._taylor_fill
+    for cap in (10**9, 10, 1):
+        monkeypatch.setattr(integrate_module, "_FILL_BLOCK", cap)
+        calls = []  # the steps of each fill
+        monkeypatch.setattr(taylor_module, "_taylor_fill",
+                            lambda *args: calls.append(len(args[3])) or fill(*args))
+        run = integrate(_inline(p), start, cfg)
+        assert np.array_equal(run.states, whole.states)
+        assert run.stats.keys() == whole.stats.keys()
+        for key, value in run.stats.items():
+            assert np.array_equal(value, whole.stats[key])
+        if cap == 10**9:
+            # a single run holds the steps that hold a sample, a batch every
+            # row-step; each is filled once
+            held = calls[0]
+            assert calls == [held] and held == whole.stats["rhs_evals"]
+        else:
+            assert 1 < len(calls) <= held and sum(calls) == held
+
+
+def test_taylor_order_follows_rtol():
+    # Jorba and Zou's p = ceil(-ln(rtol)/2) + 1, at least 2
+    order = taylor_module._taylor_order
+    assert [order(rtol) for rtol in (1e-13, 1e-10, 1e-9, 1e-6, 0.5, 1e3)] == [16, 13, 12, 8, 2, 2]
+    p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.1, n=2)
+    cfg = IntegratorConfig(t_end=5.0, sample_dt=1.0, rtol=1e-6)
+    assert integrate(_inline(p), np.array([0.0, 0.5, 0.0, 0.5]), cfg).stats["order"] == 8
+
+
+def test_taylor_non_finite_coefficients_count_as_non_finite_attempt():
+    # u1' = u1^2 from 1e200: every coefficient past the first is +inf, the
+    # step rule gives a zero step, and Horner's rule gives NaN (inf times
+    # zero), so the one attempt is non-finite and the run stops at t0 on
+    # non-finite values, its batch row beside a quiet one too. In the full
+    # model from q1 = 1e200 the coefficients are NaN, which bound no step:
+    # the attempts retry with a quarter of their step until it is below the
+    # step floor, and the run stops on non-finite values as well
+    p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.1, n=2)
+    body = ("d1 = u1 * u1", "d2 = u2", "d3 = u3", "d4 = u4", "d5 = u5")
+    quiet = [0.0, 0.5, 0.0, 0.5, 0.0]
+    cfg = IntegratorConfig(t0=1.0, t_end=5.0, sample_dt=1.0)
+    for rhs, y0, attempts in ((_test_field(body), np.array([1e200, 0.0, 0.0, 0.0, 0.0]), 1),
+                              (_inline(p), np.array([1e200, 0.0, 0.0, 0.0]), 25)):
+        with pytest.raises(IntegrationError) as err:
+            integrate(rhs, y0, cfg)
+        assert err.value.reason == "nonfinite" and err.value.t_last == 1.0
+        assert np.array_equal(err.value.y_last, y0)
+        batch = integrate(rhs, np.array([y0, quiet[:len(y0)]]), cfg)
+        assert batch.stats["failures"] == [(0, str(err.value))]
+        assert batch.stats["row_rejected_nonfinite"].tolist() == [attempts, 0]
+        assert batch.stats["row_rejected_error"].tolist() == [0, 0]
+        assert np.isnan(batch.states[0, 1:]).all() and np.isfinite(batch.states[1]).all()
+
+
+def _test_field(body, flag=True):
+    """An InlineRhs of five components from ``body``, with the parameters k
+    = 1 and ``flag``; its call is never made."""
+    def never(t, y):
+        raise AssertionError("the Taylor method calls no right-hand side")
+
+    equations = Equations(state=("u1", "u2", "u3", "u4", "u5"),
+                          rates=("d1", "d2", "d3", "d4", "d5"), params=("k", "flag"),
+                          body=body, guard=())
+    return InlineRhs(never, equations, {"k": 1.0, "flag": flag})
+
+
+def test_taylor_emitter_rules_reach_exact_solutions():
+    # each rule of the emitter on a field with a known solution, from
+    # (1, 0, 0, 1, 0) over [0, 3]: the Cauchy product under unary minus
+    # (u1 = 1/(1+t)), exp of a state (u2 = ln(1+t)), a scalar over a series
+    # of t and a series over a series (u3 = ln(1+t), u4 = 1+t or, with flag
+    # false, e^(2t)), a conditional on a parameter, and a rate of the
+    # parameters alone (u5 = 2t); a batch row equals its single run
+    body = ("two = 2.0 * k",
+            "d1 = -(u1 * u1)",
+            "d2 = exp(-u2)",
+            "d3 = 1.0 / (1.0 + t)",
+            "d4 = u4 / (1.0 + t) if flag else two * u4",
+            "d5 = two")
+    cfg = IntegratorConfig(t_end=3.0, sample_dt=0.25)
+    y0 = np.array([1.0, 0.0, 0.0, 1.0, 0.0])
+    for flag, u4 in ((True, lambda t: 1.0 + t), (False, lambda t: np.exp(2.0 * t))):
+        traj = integrate(_test_field(body, flag), y0, cfg)
+        t = traj.times
+        exact = np.column_stack([1.0 / (1.0 + t), np.log1p(t), np.log1p(t), u4(t), 2.0 * t])
+        assert np.max(np.abs(traj.states - exact) / (1.0 + np.abs(exact))) < 1e-9
+        batch = integrate(_test_field(body, flag), np.array([y0, y0 * 0.5]), cfg)
+        assert np.array_equal(batch.states[0], traj.states)
+
+
+def test_taylor_emitter_rejects_other_constructs():
+    # a construct the emitter has no recurrence for, on a series, is a
+    # ValueError at generation that names the statement; so is a rate that
+    # no statement assigns. Constructs on parameters alone run as written
+    good = ("two = 2.0 * k ** 2", "d1 = u1", "d2 = u2", "d3 = u3", "d4 = u4", "d5 = two")
+    cfg = IntegratorConfig(t_end=1.0, sample_dt=0.5)
+    assert integrate(_test_field(good), np.ones(5), cfg).states[-1, 4] == 3.0
+    for statement in ("d1 = u1 ** 2", "d1 = u1 if u1 > 0.0 else -u1", "d1 = abs(u1)",
+                      "d1 = exp(u1, 2.0)", "d1 = u1 // 2.0"):
+        field = _test_field((statement, *good[2:]))
+        for y0 in (np.ones(5), np.ones((2, 5))):
+            with pytest.raises(ValueError, match=re.escape(repr(statement))):
+                integrate(field, y0, cfg)
+    with pytest.raises(ValueError, match="no statement assigns the rate 'd1'"):
+        integrate(_test_field(good[2:]), np.ones(5), cfg)
+    with pytest.raises(ValueError):  # five equations for a state of four
+        integrate(_test_field(good), np.ones(4), cfg)
