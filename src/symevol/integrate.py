@@ -458,14 +458,16 @@ class InlineRhs(NamedTuple):
     ``t`` the run's start time. Every other statement assigns a Taylor series
     and may use only the constructs ``taylor._TaylorEmitter`` lists.
     ``bindings`` holds every other name they read but ``exp``, which each
-    loop binds to libm's exp (``math.exp``, in a batch ``model._exp``).
+    loop binds to libm's exp (``math.exp``, in a batch ``model._exp``). A
+    division by zero or an ``exp`` that overflows makes the attempt
+    non-finite in both loops.
 
     The statements' names share the generated code's namespace, so they must
     differ from its own: every name that starts with an underscore, ``t``
     (the time), ``y``, ``h``, ``cap``, ``t_end``, ``t_new``, ``rtol``,
     ``atol``, ``finite``, ``clamped``, ``inf``, ``exp``, ``isfinite``,
-    ``where``, ``power``, ``empty``, ``cumsum`` and the names of the single
-    run's loop in ``taylor._TAYLOR_LOOP``.
+    ``where``, ``power``, ``empty``, ``add_reduce`` and the names of the
+    single run's loop in ``taylor._TAYLOR_LOOP``.
     """
 
     call: object

@@ -52,10 +52,24 @@ _DECAY_LAW = "exp(-tau) if exponential else 1.0 / (1.0 + tau)"
 def _exp(x):
     """libm's exp of a float, or of every entry of an array: numpy's exp
     differs from libm's in the last bit of some inputs, and an entry must get
-    the float's bits."""
+    the float's bits. An entry whose exp overflows is inf, as in numpy, where
+    a float's raises OverflowError."""
     if isinstance(x, np.ndarray):
-        return np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size).reshape(x.shape)
+        entries = x.ravel().tolist()
+        try:
+            values = np.fromiter(map(math.exp, entries), float, x.size)
+        except OverflowError:
+            values = np.fromiter(map(_exp_or_inf, entries), float, x.size)
+        return values.reshape(x.shape)
     return math.exp(x)
+
+
+def _exp_or_inf(x: float) -> float:
+    """libm's exp of a float, inf where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def _check_slow_time(tau):

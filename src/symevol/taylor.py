@@ -8,15 +8,19 @@ writes the recurrences of their Taylor coefficients, one coefficient at a
 time, as straight-line statements: locals of floats in the single run's loop
 (:data:`_TAYLOR_LOOP`), rows of arrays in the batched step, with the same
 operations in the same order, so a batch row equals its single run bit for
-bit. The order p follows from rtol (:func:`_taylor_order`), and the step
-size from the last two coefficients, capped at a fraction of the series'
-estimated radius of convergence (:func:`_step_rule_lines`); there is no
-error test. The new state and the dense output (:func:`_taylor_fill`) are
-Horner's rule on the step's own polynomial. Each step takes one libm ``exp``
-of the decay law at its start (``math.exp``, in a batch ``model._exp``,
-mapped over the entries) and its step size from libm's ``pow`` (``**``, in a
-batch ``math.pow`` mapped over the entries). The stop rule, the failures and
-the stats are those of :mod:`symevol.integrate`.
+bit. A batch writes each Cauchy sum of three terms or more as one
+``np.add.reduce`` over the rows of the products, which adds them in the
+single run's order from two columns on, so it never steps fewer than two
+columns (:meth:`_TaylorEmitter.dot`). The order p follows from rtol
+(:func:`_taylor_order`), and the step size from the last two coefficients,
+capped at a fraction of the series' estimated radius of convergence
+(:func:`_step_rule_lines`); there is no error test. The new state and the
+dense output (:func:`_taylor_fill`) are Horner's rule on the step's own
+polynomial. Each step takes one libm ``exp`` of the decay law at its start
+(``math.exp``, in a batch ``model._exp``, mapped over the entries) and its
+step size from libm's ``pow`` (``**``, in a batch ``math.pow`` mapped over
+the entries). The stop rule, the failures and the stats are those of
+:mod:`symevol.integrate`.
 
 References: A. Jorba and M. Zou, "A software package for the numerical
 integration of ODEs by means of high-order Taylor methods", Exp. Math. 14
@@ -195,12 +199,15 @@ class _TaylorEmitter:
 
     def dot(self, x, y, lo, hi, k) -> str:
         """The sum of x_i y_(k-i) over i = lo, ..., hi, left to right; in a
-        batch, of three terms or more, as ``cumsum`` over the rows, whose
-        sequential sums add in that order."""
+        batch, of three terms or more, as ``add_reduce`` (``np.add.reduce``)
+        of the (terms, n) products over axis 0. With n >= 2 columns numpy
+        adds the rows in that order, one column at a time; one column it
+        sums pairwise, so :func:`run_rows` never steps fewer than two
+        (``test_add_reduce_adds_rows_in_order`` pins the order)."""
         if self.batch and hi - lo >= 2:
             end = k - hi - 1
-            return (f"cumsum(_{x.name}[{lo}:{hi + 1}] * _{y.name}[{k - lo}:"
-                    f"{end if end >= 0 else ''}:-1], 0)[-1]")
+            return (f"add_reduce(_{x.name}[{lo}:{hi + 1}] * _{y.name}[{k - lo}:"
+                    f"{end if end >= 0 else ''}:-1], 0)")
         return "(" + " + ".join(f"{self.coef(x, i)} * {self.coef(y, k - i)}"
                                 for i in range(lo, hi + 1)) + ")"
 
@@ -415,9 +422,12 @@ def _step_rule_lines(emitter, d: int, p: int) -> list:
 # rule (the text _STOP_RULE, which _stops reads too) and the step's
 # bookkeeping, with the state, coefficient 0, in locals across steps. A
 # non-finite attempt retries from the same state under a cap of a quarter of
-# its step. It calls out only on a step that holds a sample (bisect_right,
-# and fill_steps once the block holds fill_block samples or the grid's last)
-# and at the end.
+# its step. A division by zero or an exp above ~709.78 raises on floats where
+# the batch's arrays give inf or NaN: such an attempt is non-finite too, with
+# a zero step, as no step from its state is finite, so the stop rule ends the
+# run at the time its batch row stops, on non-finite values. It calls out
+# only on a step that holds a sample (bisect_right, and fill_steps once the
+# block holds fill_block samples or the grid's last) and at the end.
 _TAYLOR_LOOP = """\
 def run(t, y, t_end, rtol, atol, samples, out, ts):
     {y} = y
@@ -429,7 +439,11 @@ def run(t, y, t_end, rtol, atol, samples, out, ts):
     h_max = 0.0
     block = []
     while t < t_end:
+        try:
 {attempt}
+        except (ZeroDivisionError, OverflowError):
+            finite = False
+            h = 0.0
         if not finite:
             streak += 1
             rejected_nonfinite += 1
@@ -487,7 +501,7 @@ def _taylor_loop_code(d: int, equations, p: int):
     attempt += _sum_source("_total", values)
     attempt.append(f"finite = isfinite(_total) or all(map(isfinite, ({', '.join(values)},)))")
     code = _TAYLOR_LOOP.format(
-        y=" ".join(f"_y{j}_0," for j in range(d)), attempt="\n".join(_indented(attempt, 2)),
+        y=" ".join(f"_y{j}_0," for j in range(d)), attempt="\n".join(_indented(attempt, 3)),
         coefficients=" ".join(f"_y{j}_{k}," for k in range(p + 1) for j in range(d)),
         terms=p + 1, advance="\n".join(_indented([f"_y{j}_0 = _z{j}" for j in range(d)], 3)),
         shrink=_SHRINK, stop_rule=_STOP_RULE)
@@ -561,12 +575,14 @@ def run_rows(rhs, y0, config, ts, out):
     """Integrate the (N, d) rows ``y0`` of ``rhs`` over ``config`` into
     ``out``, of shape (N, samples, d), and return the batch's stats: the
     step of :func:`_taylor_step_code` over the running rows, with the single
-    run's bookkeeping per row."""
+    run's bookkeeping per row. A last running row steps as two copies of its
+    column, whose sums numpy adds in order (:meth:`_TaylorEmitter.dot`)."""
     n_rows, d = y0.shape
     p = _taylor_order(config.rtol)
     step = _taylor_function(_taylor_step_code, "step", rhs, d, p, config.t0,
                             {"isfinite": np.isfinite, "exp": _exp, "where": np.where,
-                             "power": _power, "empty": np.empty, "cumsum": np.cumsum})
+                             "power": _power, "empty": np.empty,
+                             "add_reduce": np.add.reduce})
     t_end, rtol, atol = config.t_end, config.rtol, config.atol
     accepted = np.zeros(n_rows, dtype=np.int64)
     rejected = np.zeros(n_rows, dtype=np.int64)
@@ -583,7 +599,12 @@ def run_rows(rhs, y0, config, ts, out):
     block, held = [], 0
     with np.errstate(all="ignore"):
         while rows.size:
-            coeffs, h, t_new, y_new, finite = step(t, cap, y, t_end, rtol, atol)
+            if rows.size > 1:
+                coeffs, h, t_new, y_new, finite = step(t, cap, y, t_end, rtol, atol)
+            else:  # a last row steps as two copies of its column (see dot)
+                coeffs, h, t_new, y_new, finite = (
+                    v[..., :1] for v in step(t.repeat(2), cap.repeat(2), y.repeat(2, axis=1),
+                                             t_end, rtol, atol))
             stop = np.searchsorted(ts, t_new, side="right")
             accepted[rows] += finite
             h_min[rows] = np.where(finite & (h < h_min[rows]), h, h_min[rows])
@@ -621,16 +642,18 @@ def _taylor_fill(out, ts, rows, idx, stop, t0, coeffs):
     from its coefficients ``coeffs[i]``, of shape (p + 1, d): the value at
     ``ts[j]`` is Horner's rule in s = ts[j] - t0[i], the rule each loop's
     step takes for its new state. Each pass gathers one coefficient of every
-    sample's step, so the kernel holds (samples, d) arrays, never the
-    block's coefficients once per sample. Both loops fill through it: a
-    batch into its (N, samples, d) output, a single run as row 0 of
-    ``out[None]``."""
+    sample's step with ``take`` and updates the values in place, so the
+    kernel holds (samples, d) arrays, never the block's coefficients once
+    per sample. Both loops fill through it: a batch into its (N, samples, d)
+    output, a single run as row 0 of ``out[None]``."""
     pair, sample = _block_samples(idx, stop)
     if len(pair):
         s = (ts[sample] - t0[pair])[:, None]
-        value = coeffs[pair, -1]
-        for k in range(coeffs.shape[1] - 2, -1, -1):
-            value = value * s + coeffs[pair, k]
+        c = coeffs.transpose(1, 0, 2)  # coefficient k of every step: c[k], (m, d)
+        value = c[-1].take(pair, 0)
+        for k in range(len(c) - 2, -1, -1):
+            value *= s
+            value += c[k].take(pair, 0)
         out[rows[pair], sample] = value
 
 

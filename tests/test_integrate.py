@@ -16,6 +16,7 @@ from symevol.model import FULL_EQUATIONS, Equations, ModelParams, full_rhs
 # the package re-exports the function ``integrate`` under the module's name
 integrate_module = importlib.import_module("symevol.integrate")
 taylor_module = importlib.import_module("symevol.taylor")
+model_module = importlib.import_module("symevol.model")
 
 
 # step counts of a run; a batch also gives each per row, prefixed "row_"
@@ -929,7 +930,10 @@ def test_taylor_batch_rows_equal_single_runs(kind, monkeypatch):
     # step sizes, from t0 = 2.5, where the decay factor's series starts away
     # from 1, under either law, and on a grid whose first sample lies exactly
     # on the end of the first step (2.5 + dt is that end, by Sterbenz's
-    # lemma), which both loops fill from that step
+    # lemma), which both loops fill from that step. So is every row of a
+    # batch of one, two or three rows, and of one whose last live row runs
+    # alone for several steps: at p = 13 a Cauchy sum reaches 13 terms, which
+    # numpy's pairwise sum of a single column would add in another order
     p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.3, n=1, alpha_kind=kind)
     rhs = _inline(p)
     rng = np.random.default_rng(11)
@@ -939,15 +943,106 @@ def test_taylor_batch_rows_equal_single_runs(kind, monkeypatch):
     first_end = _step_starts(monkeypatch, rhs, y0[0], fine)[1]
     cfg = IntegratorConfig(t0=2.5, t_end=12.5, sample_dt=first_end - 2.5)
     assert 2.5 + (first_end - 2.5) == first_end
-    batch = integrate(rhs, y0, cfg)
-    assert batch.times[1] == first_end and batch.stats["failures"] == []
+    assert taylor_module._taylor_order(cfg.rtol) == 13
+    # small states take fewer steps, so the last row runs alone; over a
+    # horizon of 50 a row takes ~200 steps, and a changed sum order moves
+    # the bytes of nearly every row
+    alone = np.vstack([1e-3 * y0[[0, 2, 3]], y0[1]])
+    long = IntegratorConfig(t0=2.5, t_end=52.5, sample_dt=cfg.sample_dt)
+    for rows, run in ((y0, cfg), (y0[1:2], long), (y0[:2], long), (y0[:3], long), (alone, long)):
+        batch = integrate(rhs, rows, run)
+        assert batch.times[1] == first_end and batch.stats["failures"] == []
+        for i, row in enumerate(rows):
+            single = integrate(rhs, row, run)
+            assert np.array_equal(single.states, batch.states[i])
+            for key in ("accepted", "rejected", "rhs_evals", "h_min", "h_max", "h_final"):
+                assert single.stats[key] == batch.stats[f"row_{key}"][i]
+        assert batch.stats["h_min"]["min"] == min(batch.stats["row_h_min"])
+    attempts = sorted(batch.stats["row_rhs_evals"].tolist())
+    assert attempts[-1] - attempts[-2] >= 5
     assert _step_starts(monkeypatch, rhs, y0[0], cfg)[:2] == [2.5, first_end]
-    for i, row in enumerate(y0):
-        single = integrate(rhs, row, cfg)
-        assert np.array_equal(single.states, batch.states[i])
-        for key in ("accepted", "rejected", "rhs_evals", "h_min", "h_max", "h_final"):
-            assert single.stats[key] == batch.stats[f"row_{key}"][i]
-    assert batch.stats["h_min"]["min"] == min(batch.stats["row_h_min"])
+
+
+@pytest.mark.parametrize("n", [2, 3, 32, 1024])
+def test_add_reduce_adds_rows_in_order(n):
+    # the batch writes each Cauchy sum of three terms or more as
+    # np.add.reduce over axis 0 of the (terms, n) products of two series'
+    # rows, one of them reversed, and relies on numpy adding the rows one
+    # after another, in every column, as the single run's sum does. Up to
+    # 17 terms (p = 16 at rtol 1e-13), on terms of mixed signs from 1e-8 to
+    # 1e8, whose sums move with the order: a numpy that adds in another
+    # order fails here
+    rng = np.random.default_rng(n)
+    size = 18
+
+    def draw(shape):
+        return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+
+    # a stored series (its own rows) and a state series (a view of the
+    # coefficient array, as the batched step holds it)
+    x, y = draw((size, n)), draw((size, 4, n))[:, 1]
+    reordered = 0
+    for terms in range(3, size):
+        for lo in (0, 1):
+            hi = lo + terms - 1
+            k = lo + hi
+            products = x[lo:hi + 1] * y[k - lo:lo - 1 if lo else None:-1]
+            sums = np.add.reduce(products, 0)
+            for j in range(n):
+                column = [x[i, j] * y[k - i, j] for i in range(lo, hi + 1)]
+                forward = backward = 0.0
+                for term in column:
+                    forward += term
+                for term in reversed(column):
+                    backward += term
+                assert sums[j] == forward, (terms, lo, j)
+                reordered += backward != forward
+    assert reordered > 0
+    # the batched step sums this way, and no more with cumsum
+    code = taylor_module._taylor_step_code(4, FULL_EQUATIONS, 16)
+    step = next(const for const in code.co_consts if isinstance(const, types.CodeType))
+    assert "add_reduce" in step.co_names and "cumsum" not in step.co_names
+
+
+@pytest.mark.parametrize("d", [1, 4, 5])
+def test_taylor_fill_matches_per_sample_horner_bitwise(d):
+    # both paths into the Taylor fill, a batch's block of row-steps
+    # (_taylor_fill) and a single run's block of flat floats (the first
+    # sample, the stop, t and the terms coefficients, each as its d
+    # components: _fill_taylor_steps), write each step's samples with the
+    # bits of Horner's rule in plain Python, per sample and component; the
+    # steps hold 0, 1 and many samples, and no other sample is written
+    rng = np.random.default_rng(d)
+    ts = np.sort(rng.uniform(0.0, 10.0, 400))
+    for terms in (3, 17):
+        # (row, first sample, stop): t0 lies just before the first sample
+        steps = [(1, 10, 10), (0, 10, 11), (1, 20, 250), (0, 20, 390), (1, 300, 301)]
+        rows, idx, stop = (np.array(column, dtype=np.intp) for column in zip(*steps))
+        t0 = ts[idx] - rng.uniform(1e-9, 1e-3, len(steps))
+        coeffs = rng.normal(size=(len(steps), terms, d)) * 10.0 ** rng.uniform(
+            -3.0, 3.0, (len(steps), terms, 1))
+        ref = np.zeros((2, len(ts), d))
+        written = np.zeros((2, len(ts)), dtype=bool)
+        for i, (row, first, end) in enumerate(steps):
+            for j in range(first, end):
+                s = float(ts[j]) - float(t0[i])
+                for c in range(d):
+                    value = float(coeffs[i, -1, c])
+                    for k in range(terms - 2, -1, -1):
+                        value = value * s + float(coeffs[i, k, c])
+                    ref[row, j, c] = value
+            written[row, first:end] = True
+        batch = np.zeros_like(ref)
+        taylor_module._taylor_fill(batch, ts, rows, idx, stop, t0, coeffs)
+        single = np.zeros_like(ref)
+        for row in (0, 1):
+            block = []
+            for i in np.flatnonzero(rows == row).tolist():
+                block += [idx[i], stop[i], t0[i], *coeffs[i].ravel().tolist()]
+            taylor_module._fill_taylor_steps(single[row], ts, block, terms)
+        for out in (batch, single):
+            assert np.array_equal(out, ref)
+            assert np.array_equal(out.any(axis=2), written)
 
 
 @pytest.mark.parametrize("rows", [1, 5])
@@ -1013,6 +1108,44 @@ def test_taylor_non_finite_coefficients_count_as_non_finite_attempt():
         assert batch.stats["row_rejected_nonfinite"].tolist() == [attempts, 0]
         assert batch.stats["row_rejected_error"].tolist() == [0, 0]
         assert np.isnan(batch.states[0, 1:]).all() and np.isfinite(batch.states[1]).all()
+
+
+def test_taylor_division_by_zero_and_exp_overflow_are_non_finite_attempts():
+    # a single run's floats raise ZeroDivisionError on a division by zero
+    # and OverflowError on an exp above ln of the largest float (709.78),
+    # where its batch row's arrays give inf or NaN; each is a non-finite
+    # attempt, and the single run raises IntegrationError with the reason,
+    # time and message of its row's failure, beside a quiet row. 1/(t - 1)
+    # from t0 = 1 and exp(u1) from u1 = 800 fail at the start; exp(u2) with
+    # u2 = 100 t fails at the first step that starts past t = 7.0978
+    steady = ("d3 = u4", "d4 = -u3", "d5 = u5")
+    cases = [(("d1 = 1.0 / (t - 1.0)", "d2 = u2", *steady), 1.0, [0.0, 0.0, 0.0, 1.0, 0.0],
+              None, 1.0),
+             (("d1 = exp(u1)", "d2 = u2", *steady), 0.0, [800.0, 0.0, 0.0, 1.0, 0.0],
+              [-10.0, 0.0, 0.0, 1.0, 0.0], 0.0),
+             (("d1 = 0.0 * exp(u2)", "d2 = 100.0 * k", *steady), 0.0, [0.0, 0.0, 0.0, 1.0, 0.0],
+              [0.0, -1000.0, 0.0, 1.0, 0.0], None)]
+    for body, t0, y0, quiet, t_last in cases:
+        field = _test_field(body)
+        cfg = IntegratorConfig(t0=t0, t_end=t0 + 10.0, sample_dt=0.5)
+        with pytest.raises(IntegrationError) as err:
+            integrate(field, np.array(y0), cfg)
+        assert err.value.reason == "nonfinite"
+        if t_last is None:
+            assert 7.0978 < err.value.t_last < cfg.t_end
+        else:
+            assert err.value.t_last == t_last and np.array_equal(err.value.y_last, y0)
+        if quiet is None:  # a field of t alone fails on every row
+            batch = integrate(field, np.array([y0, y0]), cfg)
+            assert batch.stats["failures"] == [(0, str(err.value)), (1, str(err.value))]
+        else:
+            batch = integrate(field, np.array([y0, quiet]), cfg)
+            assert batch.stats["failures"] == [(0, str(err.value))]
+            assert np.isfinite(batch.states[1]).all()
+    # the batch's exp is libm's per entry, and inf where it overflows
+    assert model_module._exp(np.array([0.0, 710.0, -math.inf])).tolist() == [1.0, math.inf, 0.0]
+    with pytest.raises(OverflowError):
+        model_module._exp(710.0)
 
 
 def _test_field(body, flag=True):
