@@ -2,7 +2,8 @@
 reproduce-figure, order-check.
 
 Time series go to CSV (17 significant digits, round-trip exact for
-doubles), structured results to JSON, and every run writes a manifest with
+doubles: the bytes of ``"%.17g" % v``, formatted by numpy in blocks of
+rows), structured results to JSON, and every run writes a manifest with
 the digest of its resolved settings so reruns can be checked byte for byte.
 Exit codes: 0 ok, 2 usage/config error, 3 numerical failure; a run that
 fails writes nothing, not even its ``--out`` directory.
@@ -38,18 +39,134 @@ EXIT_NUMERICAL = 3
 _CSV_CHUNK = 1024  # rows per write: memory for the text stays fixed as the series grows
 
 
+def _words(byte_rows):
+    """Rows of 8*m bytes as m rows of uint64 words, each word read little-endian."""
+    return np.ascontiguousarray(byte_rows, dtype=np.uint8).view("<u8").astype(np.uint64).T.copy()
+
+
+# The tables of _csv_lines. It writes each value into a slot of four
+# little-endian words, 32 bytes, whose NUL bytes are padding:
+#   bytes 0-5    the sign, then "0." and up to three zeros when -4 <= E < 0;
+#   bytes 6-23   the 17 digits and the dot: digit j at byte 7 + j, except that
+#                the q digits before the dot sit one byte lower, so the dot
+#                takes byte 6 + q;
+#   bytes 24-27  "e-05" or "e-06" when E < -4;
+#   bytes 28-29  "," or "\r\n".
+_POW10 = 10.0 ** np.arange(23)  # exact doubles
+_SPLIT = 2.0 ** 27 + 1  # Veltkamp's split of a 53-bit double into two 26-bit halves
+_POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+_A, _B, _C, _D = np.ix_(*[np.arange(10, dtype=np.uint64)] * 4)  # g = 1000a + 100b + 10c + d
+_GROUP_TEXT = (_A + 48 | _B + 48 << 8 | _C + 48 << 16 | _D + 48 << 24).ravel()  # g's 4 digits
+_GROUP_ZEROS = ((_D == 0) * (1 + (_C == 0) * (1 + (_B == 0) * (1 + (_A == 0))))).ravel()
+_BYTE = np.arange(24)
+_KEEP = _words(np.where((_BYTE >= 7) & (_BYTE < 7 + np.arange(18)[:, None]), 0xFF, 0))  # t digits
+_DOT = _words(np.where((_BYTE == 6 + np.arange(17)[:, None]) & (_BYTE > 6), 46, 0))  # after q
+# per decimal exponent E = -6..15, at index E + 6
+_E = np.arange(-6, 16)
+_BEFORE_DOT = np.where(_E >= 0, _E + 1, np.where(_E < -4, 1, 0))
+_PREFIX_LEN = np.where((_E >= -4) & (_E < 0), 1 - _E, 0)  # "0." and -1 - E zeros
+_SIGN_PREFIX = _words(np.concatenate([  # index E + 6, and E + 28 for a negative value
+    np.where((_BYTE[:8] >= 1) & (_BYTE[:8] <= _PREFIX_LEN[:, None]) | (_BYTE[:8] == 0) & negative,
+             np.frombuffer(b"-0.000\0\0", np.uint8), 0)
+    for negative in (False, True)]))[0]
+_SUFFIX = _words(np.where(_E[:, None] < -4, np.frombuffer(b"e-00\0\0\0\0", np.uint8)
+                          + (_BYTE[:8] == 3) * -_E[:, None], 0))[0]
+
+
+def _significands(v):
+    """For each value: whether its 17 significant digits are found here, the
+    index E + 6 of its decimal exponent E (6 where not) and the digits as an
+    integer.
+
+    That holds for 1e-6 <= |v| < 1e16. The digits are round(|v| 10**k),
+    k = 16 - E <= 22. 10**k is an exact double, and Dekker's product gives
+    |v| 10**k = hi + lo exactly; above 2**53 hi is an even integer, so
+    rounding lo half to even rounds hi + lo as ``%.17g`` does. A log10 off by
+    one at a power of ten leaves hi outside (1e16, 1e17): not found here.
+    """
+    a = np.abs(v)
+    fast = (a >= 1e-6) & (a < 1e16)
+    a = np.where(fast, a, 1.0)  # no log10 of 0, nan or inf
+    e = np.floor(np.log10(a)).astype(np.intp)
+    k = np.minimum(16 - e, 22)
+    hi = a * _POW10.take(k)
+    c = _SPLIT * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    p_hi, p_lo = _POW10_HI.take(k), _POW10_LO.take(k)
+    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    fast &= (hi > 1e16) & (hi < 1e17)
+    sig = np.where(fast, hi, 1e16).astype(np.int64) + np.rint(lo).astype(np.int64)
+    return fast, np.where(fast, e, 0) + 6, sig
+
+
+def _eight_digits(n):
+    """The 8 digits of each n < 10**8 as ASCII bytes in a word, first digit
+    lowest, and the count of its trailing zero digits."""
+    high = n // 10 ** 4
+    low = n - high * 10 ** 4
+    zeros = _GROUP_ZEROS.take(low)
+    zeros += (zeros == 4) * _GROUP_ZEROS.take(high)
+    return _GROUP_TEXT.take(high) | _GROUP_TEXT.take(low) << 32, zeros
+
+
+def _digit_words(v):
+    """``_significands`` of v, with the digits and the dot of each value as
+    words 0-2 of its slot (see the tables above): trailing zeros after the
+    dot dropped, and the dot too when no digit follows it."""
+    fast, i, sig = _significands(v)
+    q = _BEFORE_DOT.take(i)
+    lead = sig // 10 ** 16
+    w0 = (lead.astype(np.uint64) + 48) << 56
+    sig -= lead * 10 ** 16
+    first = sig // 10 ** 8
+    w1, zeros1 = _eight_digits(first)
+    w2, zeros2 = _eight_digits(sig - first * 10 ** 8)
+    t = np.maximum(17 - zeros2 - (zeros2 == 8) * zeros1, q)  # the digits written
+    w1 &= _KEEP[1].take(t)
+    w2 &= _KEEP[2].take(t)
+    # the q digits before the dot move one byte down, across a word's end too
+    l0, l1, l2 = w0 & _KEEP[0].take(q), w1 & _KEEP[1].take(q), w2 & _KEEP[2].take(q)
+    dot = np.where(t > q, q, 0)  # no dot before nothing, nor after "0."
+    return fast, i, ((w0 ^ l0) | l0 >> 8 | l1 << 56 | _DOT[0].take(dot),
+                     (w1 ^ l1) | l1 >> 8 | l2 << 56 | _DOT[1].take(dot),
+                     (w2 ^ l2) | l2 >> 8 | _DOT[2].take(dot))
+
+
+def _csv_lines(block):
+    """The CSV lines of a (rows, cols) float64 block: every value as the bytes
+    of ``"%.17g" % v``, comma separated, each line ended by CRLF. A value whose
+    digits ``_significands`` does not find (zeros, subnormals, nan, inf, the
+    range outside) is formatted by ``%.17g`` itself."""
+    rows, cols = block.shape
+    v = block.ravel()
+    fast, i, digits = _digit_words(v)  # its helpers' temporaries go when they return
+    slot = np.empty((rows, cols, 4), "<u8")
+    words = slot.reshape(-1, 4)
+    words[:, 0] = digits[0] | _SIGN_PREFIX.take(i + 22 * (v < 0))
+    words[:, 1] = digits[1]
+    words[:, 2] = digits[2]
+    words[:, 3] = _SUFFIX.take(i)
+    slot[:, :-1, 3] |= ord(",") << 32
+    slot[:, -1, 3] |= 0x0A0D << 32  # "\r\n"
+    slow = np.flatnonzero(~fast)
+    text = np.array([b"%.17g" % x for x in v[slow].tolist()], dtype="S24")
+    words.view(np.uint8)[slow, :24] = text.view(np.uint8).reshape(-1, 24)
+    return slot.tobytes().translate(None, b"\0")
+
+
 def _write_csv(path: Path, header, columns):
     """Write equal-length columns (arrays or sequences of floats) as CSV: a
     header line, then one row per sample with every value as ``%.17g``, comma
     separated, CRLF line ends, nothing quoted (the bytes ``csv.writer`` gives
-    for these rows)."""
-    row = ",".join(["%.17g"] * len(columns)) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+    for these rows). Each block of ``_CSV_CHUNK`` rows is stacked as float64,
+    formatted by ``_csv_lines`` and written as bytes."""
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
         for start in range(0, len(columns[0]), _CSV_CHUNK):
-            chunk = zip(*[np.asarray(c[start:start + _CSV_CHUNK], dtype=float).tolist()
-                          for c in columns])
-            fh.write("".join([row % r for r in chunk]))
+            fh.write(_csv_lines(np.column_stack(
+                [np.asarray(c[start:start + _CSV_CHUNK], dtype=float) for c in columns])))
 
 
 def _make_outdir(path: str) -> Path:
@@ -131,8 +248,8 @@ def _cmd_compare(args) -> int:
     _write_csv(csv_path, ["epsilon", "sup_r1", "sup_r2", "sup_E1", "sup_E2"],
                list(zip(*rows)))
     errs = [max(r[1], r[2]) for r in rows]
-    exponent = "n/a"  # a log-log fit needs two rungs, each with a positive sup
-    if len(rows) >= 2 and min(errs) > 0.0:
+    exponent = "n/a"  # a log-log fit needs two distinct epsilons, each rung with a positive sup
+    if len({r[0] for r in rows}) >= 2 and min(errs) > 0.0:
         exponent = float(np.polyfit(np.log([r[0] for r in rows]), np.log(errs), 1)[0])
     summary = {"scaling_exponent": exponent,
                "resonance": settings["resonance"], "window_L": settings["L"]}

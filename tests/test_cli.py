@@ -8,6 +8,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -361,6 +362,22 @@ def test_compare_all_zero_sups_have_no_exponent(tmp_path, capsys):
     assert _strict_json(capsys.readouterr().out)["scaling_exponent"] == "n/a"
     assert _strict_json((out / "compare_summary.json").read_text())["scaling_exponent"] == "n/a"
     assert _strict_json((out / "manifest.json").read_text())["scaling_exponent"] == "n/a"
+
+
+def test_compare_repeated_epsilon_has_no_exponent(tmp_path, capsys):
+    # one distinct epsilon is no fit: no exponent, and no RankWarning on stderr
+    for eps_list, fitted in (("0.1,0.1", False), ("0.1,0.1,0.05", True)):
+        out = tmp_path / eps_list
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["compare", "fig1", "--eps-list", eps_list, "--out", str(out)]) == 0
+        printed = capsys.readouterr()
+        assert printed.err == "" and caught == [], eps_list
+        written = [_strict_json((out / name).read_text())
+                   for name in ("compare_summary.json", "manifest.json")]
+        for report in (_strict_json(printed.out), *written):
+            exponent = report["scaling_exponent"]
+            assert isinstance(exponent, float) if fitted else exponent == "n/a", eps_list
 
 
 def test_compare_rejects_unsupported_omega(small_config, tmp_path, capsys):
@@ -949,6 +966,69 @@ def test_write_csv_tuple_and_integer_columns(tmp_path):
         _write_csv(tmp_path / f"fast{k}.csv", header, columns)
         _csv_writer_reference(tmp_path / f"ref{k}.csv", header, columns)
         assert (tmp_path / f"fast{k}.csv").read_bytes() == (tmp_path / f"ref{k}.csv").read_bytes()
+
+
+def _csv_bytes(columns):
+    """The bytes _write_csv and _csv_writer_reference write for the columns."""
+    with tempfile.TemporaryDirectory() as tmp:
+        header = [f"c{k}" for k in range(len(columns))]
+        _write_csv(Path(tmp) / "fast.csv", header, columns)
+        _csv_writer_reference(Path(tmp) / "ref.csv", header, columns)
+        return (Path(tmp) / "fast.csv").read_bytes(), (Path(tmp) / "ref.csv").read_bytes()
+
+
+def _float_bits(low=0, high=2**64 - 1):
+    """Doubles drawn as their bit patterns, low..high viewed as float64."""
+    return st.integers(low, high).map(lambda bits: float(np.uint64(bits).view(np.float64)))
+
+
+_BITS = {x: int(np.float64(x).view(np.uint64)) for x in (1e-7, 1e17)}
+# drawn densely: the range numpy formats in blocks, 1e-6 <= |v| < 1e16, its edges, either sign
+_BLOCK_RANGE = _float_bits(_BITS[1e-7], _BITS[1e17]) | _float_bits(_BITS[1e-7] + 2**63,
+                                                                   _BITS[1e17] + 2**63)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.one_of(_float_bits(), st.floats(), _BLOCK_RANGE), min_size=1,
+                       max_size=60),
+       n_cols=st.integers(1, 4))
+def test_write_csv_is_percent_17g_for_any_double(values, n_cols):
+    rows = len(values) // n_cols or 1
+    columns = [np.resize(np.array(values), (n_cols, rows))[k] for k in range(n_cols)]
+    fast, ref = _csv_bytes(columns)
+    assert fast == ref
+
+
+def test_write_csv_pinned_values():
+    powers = [10.0**e for e in range(-7, 18)]
+    neighbours = [np.nextafter(p, side) for p in powers for side in (0.0, math.inf)]
+    trailing_zeros = [1.5 * 10.0**e for e in range(-6, 16)] + [0.5, 10.0, 1e-5, 2.5e-6, 1234.5]
+    values = [1000000000000000.25, 1000000000000000.75, np.copysign(math.nan, -1.0), -0.0,
+              1e-6, 1e16, *powers, *neighbours, *trailing_zeros]
+    fast, ref = _csv_bytes([np.array(values), -np.array(values)])
+    assert fast == ref
+    lines = fast.decode().split("\r\n")
+    # %.17g rounds a tie to even: 0.25 to 0.2, 0.75 to 0.8
+    assert lines[1:5] == ["1000000000000000.2,-1000000000000000.2",
+                          "1000000000000000.8,-1000000000000000.8", "nan,nan", "-0,0"]
+
+
+def _write_csv_peak(path, rows):
+    """tracemalloc's peak while _write_csv writes `rows` rows of 7 columns."""
+    columns = [np.arange(rows) * 0.001, *np.random.default_rng(rows).normal(size=(6, rows))]
+    tracemalloc.start()
+    try:
+        _write_csv(path, list("tabcdef"), columns)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_csv_memory_stays_fixed_as_rows_grow(tmp_path):
+    # the text is made and written in chunks of rows: 4x the rows, not 4x the memory
+    small = _write_csv_peak(tmp_path / "small.csv", 10_001)
+    large = _write_csv_peak(tmp_path / "large.csv", 40_004)
+    assert large <= small + 128 * 1024, (small, large)
 
 
 def test_ensemble_outputs_match_reference_writers(tmp_path):
