@@ -1,18 +1,21 @@
 """Averaged (normal form) vector fields for the 1:2, 1:3 and 1:1 resonances.
 
-Each system is held once, as its ``*_cart`` field on the regular
-slow-Cartesian state [x1, y1, x2, y2, tau] with A_k = x_k + i*y_k =
-r_k*exp(i*psi_k); averaged resonant normal forms are polynomial in A_k, so
-these fields pass smoothly through the normal modes (A_k = 0), and every
-averaged run integrates them. Its epsilon^2 phase drifts are written once,
-in a helper exact for Fraction arguments, which the resonance-manifold
-ratios and the 1:1 invariant I3_11 read. :func:`polar_view` gives any of them on the polar state
-[r1, psi1, r2, psi2, tau] of :func:`symevol.transforms.slow_rhs`, through
-the chain rule, for r1, r2 > 0 only. The slow time obeys
-tau' = delta and the decay factor enters as exp(-tau). A Gauss-Legendre
-quadrature oracle (:func:`average_slow_field`,
-:func:`second_order_average`) recomputes the averages numerically so the
-closed forms can be validated.
+Each system is written once, as the :class:`symevol.model.Equations` text of
+its field on the regular slow-Cartesian state [x1, y1, x2, y2, tau] with
+A_k = x_k + i*y_k = r_k*exp(i*psi_k) (:data:`AVG12_FIRST`,
+:data:`AVG12_SECOND`, :data:`AVG13`, :data:`AVG11`); averaged resonant
+normal forms are polynomial in A_k, so these fields pass smoothly through
+the normal modes (A_k = 0). Every averaged run integrates the Taylor method
+generated from the text, and the ``*_cart`` function of each field is
+generated from it too. Their epsilon^2 phase drifts are written once, as
+statements that the texts splice in and from which helpers exact for
+Fraction arguments are compiled, which the resonance-manifold ratios and the
+1:1 invariant I3_11 read. :func:`polar_view` gives any field on the polar
+state [r1, psi1, r2, psi2, tau] of :func:`symevol.transforms.slow_rhs`,
+through the chain rule, for r1, r2 > 0 only. The slow time obeys tau' =
+delta and the decay factor enters as exp(-tau). A Gauss-Legendre quadrature
+oracle (:func:`average_slow_field`, :func:`second_order_average`) recomputes
+the averages numerically so the closed forms can be validated.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .model import ModelParams
+from .model import Equations, ModelParams, _check_omega, _rhs_function
 from .transforms import mode_actions, slow_rhs
 
 __all__ = [
@@ -33,6 +36,10 @@ __all__ = [
     "avg12_second_cart",
     "avg13_cart",
     "avg11_cart",
+    "AVG12_FIRST",
+    "AVG12_SECOND",
+    "AVG13",
+    "AVG11",
     "polar_view",
     "polar_to_slow_cart",
     "slow_cart_amplitudes",
@@ -49,58 +56,53 @@ class ZeroAmplitudeError(ValueError):
     """Polar averaged equations are singular on the normal modes."""
 
 
-def _require_omega(p: ModelParams, omega: float, what: str):
-    if p.omega != omega:
-        raise ValueError(f"{what} applies to omega = {omega:g}, params have omega = {p.omega:g}")
+# The phase drifts, psi_k' = -eps^2*phi_k (1:1 coupling eps^2*k), each
+# system's written once as statements of r1^2 = u, r2^2 = w, alpha^2 = al2
+# and the coefficients. The fields splice them into their text, and the
+# helpers _phase_drifts_* are compiled from them. Their constants are
+# integers, so Fraction arguments give exact results.
+
+# The second-order 1:2 drifts.
+_DRIFTS_12 = (
+    "phi1 = (a1 * a1 * u / 24 + a1 / 2 * a2 * w"
+    " + al2 * (a3 * a4 * w / 8 + a4 * a4 * (9 * u + 4 * w) / 64))",
+    "phi2 = (a1 / 4 * a2 * u + a2 * a2 * u / 30 + 29 * a2 * a2 * w / 120"
+    " + al2 * (a3 * a4 * u / 16 + a4 * a4 * u / 32 + 5 * a3 * a3 * w / 96))")
+
+# The averaged 1:3 drifts: the second-order average of the symmetric system
+# (alpha = 0); the terms in the decaying coefficients a3, a4 are not part of
+# this field.
+_DRIFTS_13 = (
+    "phi1 = 5 * a1 * a1 * u / 12 + (a1 / 2 * a2 + a2 * a2 / 35) * w",
+    "phi2 = (a1 * a2 / 6 + a2 * a2 / 105) * u + 23 * a2 * a2 * w / 140")
+
+# The averaged 1:1 drifts and coupling k. The symmetry-breaking terms are
+# quadratic in (a3, a4), so they carry alpha^2. The terms linear in alpha
+# (products such as a1*a4) are not part of this field.
+_DRIFTS_11 = (
+    "cross = a1 / 2 * a2 + a2 * a2 / 3",
+    "cross_al = a3 / 2 * a4 + a4 * a4 / 3",
+    "phi1 = 5 * a1 * a1 * u / 12 + cross * w + al2 * (cross_al * w + 5 * a4 * a4 * u / 12)",
+    "phi2 = cross * u + 5 * a2 * a2 * w / 12 + al2 * (5 * a3 * a3 * w / 12 + cross_al * u)",
+    "k = a1 * a2 / 12 - a2 / 2 * a2 + al2 * (a3 * a4 / 12 - a4 / 2 * a4)")
 
 
-def _require_system(p: ModelParams, omega: float, what: str, tau):
-    """Checks shared by the ``*_cart`` fields; ``tau`` is the state's last
-    component, a float, since the fields run one state at a time."""
-    if isinstance(tau, np.ndarray):
-        raise ValueError("the averaged *_cart fields take a state of five floats, "
-                         "one run at a time, not batch columns")
-    _require_omega(p, omega, what)
-    if p.alpha_kind != "exponential":
-        raise ValueError("averaged systems support the exponential decay law only")
+def _drift_function(name, args, statements, results):
+    """``name(*args)``: the values ``results`` of the drift ``statements``,
+    on floats, arrays or Fractions alike."""
+    lines = [f"def {name}({', '.join(args)}):", *(f"    {s}" for s in statements),
+             f"    return {', '.join(results)}"]
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    return namespace[name]
 
 
-# The drift helpers give psi_k' = -eps^2*phi_k (1:1 coupling eps^2*k). Their
-# constants are integers, so Fraction arguments give exact results.
-
-
-def _phase_drifts_12(u, w, al2, a1, a2, a3, a4):
-    """Phase drifts (phi1, phi2) of the second-order 1:2 system at r1^2 = u,
-    r2^2 = w and alpha^2 = al2."""
-    return (a1 * a1 * u / 24 + a1 / 2 * a2 * w
-            + al2 * (a3 * a4 * w / 8 + a4 * a4 * (9 * u + 4 * w) / 64),
-            a1 / 4 * a2 * u + a2 * a2 * u / 30 + 29 * a2 * a2 * w / 120
-            + al2 * (a3 * a4 * u / 16 + a4 * a4 * u / 32 + 5 * a3 * a3 * w / 96))
-
-
-def _phase_drifts_13(u, w, a1, a2):
-    """Phase drifts (phi1, phi2) of the averaged 1:3 system at r1^2 = u,
-    r2^2 = w.
-
-    These are the second-order average of the symmetric system (alpha = 0);
-    the terms in the decaying coefficients a3, a4 are not part of this field.
-    """
-    return (5 * a1 * a1 * u / 12 + (a1 / 2 * a2 + a2 * a2 / 35) * w,
-            (a1 * a2 / 6 + a2 * a2 / 105) * u + 23 * a2 * a2 * w / 140)
-
-
-def _phase_drifts_11(u, w, al2, a1, a2, a3, a4):
-    """Phase drifts (phi1, phi2) and coupling k of the averaged 1:1 system at
-    r1^2 = u, r2^2 = w and alpha^2 = al2.
-
-    The symmetry-breaking terms are quadratic in (a3, a4), so they carry
-    alpha^2. The terms linear in alpha (products such as a1*a4) are not part
-    of this field.
-    """
-    cross, cross_al = a1 / 2 * a2 + a2 * a2 / 3, a3 / 2 * a4 + a4 * a4 / 3
-    return (5 * a1 * a1 * u / 12 + cross * w + al2 * (cross_al * w + 5 * a4 * a4 * u / 12),
-            cross * u + 5 * a2 * a2 * w / 12 + al2 * (5 * a3 * a3 * w / 12 + cross_al * u),
-            a1 * a2 / 12 - a2 / 2 * a2 + al2 * (a3 * a4 / 12 - a4 / 2 * a4))
+_phase_drifts_12 = _drift_function("_phase_drifts_12", ("u", "w", "al2", "a1", "a2", "a3", "a4"),
+                                   _DRIFTS_12, ("phi1", "phi2"))
+_phase_drifts_13 = _drift_function("_phase_drifts_13", ("u", "w", "a1", "a2"),
+                                   _DRIFTS_13, ("phi1", "phi2"))
+_phase_drifts_11 = _drift_function("_phase_drifts_11", ("u", "w", "al2", "a1", "a2", "a3", "a4"),
+                                   _DRIFTS_11, ("phi1", "phi2", "k"))
 
 
 def _is_exact(x) -> bool:
@@ -141,87 +143,103 @@ def _chi3_paper_coeffs(a1, a2):
             3 * a1 * a2 + Fraction(47, 140) * (a2 * a2))
 
 
-def _avg12_first_terms(x1, y1, x2, y2, tau, p: ModelParams):
-    """(x1', y1', x2', y2') of the first-order 1:2 field, which both 1:2
-    fields contain."""
-    kappa = 0.5 * p.epsilon * math.exp(-tau) * p.a4
-    return (kappa * (x1 * y2 - y1 * x2), -kappa * (x1 * x2 + y1 * y2),
-            0.5 * kappa * x1 * y1, -0.25 * kappa * (x1 * x1 - y1 * y1))
+def _averaged(params, body, rates, omega, what):
+    """The Equations of an averaged field on the regular slow-Cartesian state
+    [x1, y1, x2, y2, tau], tau' = delta, whose guard requires ``omega`` and
+    the exponential decay law."""
+    return Equations(
+        state=("x1", "y1", "x2", "y2", "tau"), rates=(*rates, "dtau"),
+        params=(*params, "omega", "epsilon", "delta", "alpha_kind"),
+        body=(*body, "dtau = delta"),
+        guard=(f"check_omega(omega, {omega!r}, {what!r})",
+               f"check_exponential(alpha_kind, {what!r})"))
 
 
-def avg12_first_cart(t, y, p: ModelParams):
-    """First-order averaged 1:2 field in regular slow-Cartesian coordinates.
+# The first-order 1:2 amplitude equations, which both 1:2 fields contain.
+_AMPLITUDES_12 = (
+    "kappa = 0.5 * epsilon * exp(-tau) * a4",
+    "fx1 = kappa * (x1 * y2 - y1 * x2)",
+    "fy1 = -kappa * (x1 * x2 + y1 * y2)",
+    "fx2 = 0.5 * kappa * x1 * y1",
+    "fy2 = -0.25 * kappa * (x1 * x1 - y1 * y1)")
 
-    With A1 = x1 + i*y1 = r1*exp(i*psi1) and A2 = x2 + i*y2 the field is
-    polynomial (A1' = -i*kappa*conj(A1)*A2, A2' = -i*kappa/4*A1^2 with
-    kappa = eps*exp(-tau)*a4/2), so trajectories pass smoothly through
-    normal-mode crossings where the polar chart degenerates. Like every
-    ``*_cart`` field it takes the state as a sequence of its five float
-    components and answers the tuple of their rates.
+# The squared amplitudes and eps^2, which the drifts read.
+_SQUARES = ("e2 = epsilon**2", "u = x1 * x1 + y1 * y1", "w = x2 * x2 + y2 * y2")
 
-    Conserves E0 = r1^2/2 + 2*r2^2 and I3 = a4*r1^2*r2*cos(chi), where
-    chi = 2*psi1 - psi2 is the slow angle; the drift of chi vanishes on the
-    resonance manifold r1^2 = 8*r2^2 (any chi) and at chi = +-pi/2.
-    """
-    x1, y1, x2, y2, tau = y
-    _require_system(p, 2.0, "the first-order averaged 1:2 system", tau)
-    return (*_avg12_first_terms(x1, y1, x2, y2, tau, p), p.delta)
+AVG12_FIRST = _averaged(("a4",), _AMPLITUDES_12, ("fx1", "fy1", "fx2", "fy2"), 2.0,
+                        "the first-order averaged 1:2 system")
 
+AVG12_SECOND = _averaged(
+    ("a1", "a2", "a3", "a4"),
+    (*_AMPLITUDES_12, *_SQUARES, "al2 = exp(-2.0 * tau)", *_DRIFTS_12,
+     "g1 = -e2 * phi1", "g2 = -e2 * phi2",
+     "dx1 = fx1 - g1 * y1", "dy1 = fy1 + g1 * x1", "dx2 = fx2 - g2 * y2", "dy2 = fy2 + g2 * x2"),
+    ("dx1", "dy1", "dx2", "dy2"), 2.0, "the second-order averaged 1:2 system")
 
-def avg12_second_cart(t, y, p: ModelParams):
-    """Second-order averaged 1:2 field in regular slow-Cartesian coordinates.
+AVG13 = _averaged(
+    ("a1", "a2"),
+    (*_SQUARES, *_DRIFTS_13, "g1 = -e2 * phi1", "g2 = -e2 * phi2",
+     "dx1 = -g1 * y1", "dy1 = g1 * x1", "dx2 = -g2 * y2", "dy2 = g2 * x2"),
+    ("dx1", "dy1", "dx2", "dy2"), 3.0, "the averaged 1:3 system")
 
-    The amplitude equations are those of first order; the epsilon^2 phase
-    drifts, whose decayed contributions carry exp(-2*tau), act as
-    amplitude-dependent rotations A_k' += i*phi_k*A_k, which keeps the field
-    polynomial. tau = inf gives the autonomous symmetric limit.
-    """
-    x1, y1, x2, y2, tau = y
-    _require_system(p, 2.0, "the second-order averaged 1:2 system", tau)
-    dx1, dy1, dx2, dy2 = _avg12_first_terms(x1, y1, x2, y2, tau, p)
-    e2 = p.epsilon**2
-    phi1, phi2 = _phase_drifts_12(x1 * x1 + y1 * y1, x2 * x2 + y2 * y2,
-                                  math.exp(-2.0 * tau), p.a1, p.a2, p.a3, p.a4)
-    phi1, phi2 = -e2 * phi1, -e2 * phi2
-    return dx1 - phi1 * y1, dy1 + phi1 * x1, dx2 - phi2 * y2, dy2 + phi2 * x2, p.delta
-
-
-def avg13_cart(t, y, p: ModelParams):
-    """Averaged 1:3 field in regular slow-Cartesian coordinates: the pure
-    rotations A_k' = i*phi_k*A_k, so the amplitudes are frozen at this
-    order."""
-    x1, y1, x2, y2, tau = y
-    _require_system(p, 3.0, "the averaged 1:3 system", tau)
-    e2 = p.epsilon**2
-    phi1, phi2 = _phase_drifts_13(x1 * x1 + y1 * y1, x2 * x2 + y2 * y2, p.a1, p.a2)
-    phi1, phi2 = -e2 * phi1, -e2 * phi2
-    return -phi1 * y1, phi1 * x1, -phi2 * y2, phi2 * x2, p.delta
+# z1 = c*conj(A1)*A2*A2 and z2 = c*A1*A1*conj(A2), c = eps^2*k, in real and
+# imaginary parts, rounded as Python's complex products round them
+AVG11 = _averaged(
+    ("a1", "a2", "a3", "a4"),
+    (*_SQUARES, "al2 = exp(-2.0 * tau)", *_DRIFTS_11,
+     "g1 = -e2 * phi1", "g2 = -e2 * phi2", "c = e2 * k",
+     "br = c * x1", "bi = -(c * y1)",
+     "cr = br * x2 - bi * y2", "ci = br * y2 + bi * x2",
+     "z1r = cr * x2 - ci * y2", "z1i = cr * y2 + ci * x2",
+     "fr = br * x1 - c * y1 * y1", "fi = br * y1 + c * y1 * x1",
+     "z2r = fr * x2 + fi * y2", "z2i = fi * x2 - fr * y2",
+     "dx1 = -(g1 * y1 + z1i)", "dy1 = g1 * x1 + z1r", "dx2 = -(g2 * y2 + z2i)",
+     "dy2 = g2 * x2 + z2r"),
+    ("dx1", "dy1", "dx2", "dy2"), 1.0, "the averaged 1:1 system")
 
 
-def avg11_cart(t, y, p: ModelParams):
-    """Second-order averaged 1:1 field in regular slow-Cartesian coordinates.
+avg12_first_cart = _rhs_function(AVG12_FIRST, "avg12_first_cart", """\
+First-order averaged 1:2 field in regular slow-Cartesian coordinates,
+generated from :data:`AVG12_FIRST`.
 
-    A1' = i*phi1*A1 + i*k*conj(A1)*A2^2 and A2' = i*phi2*A2 + i*k*A1^2*conj(A2);
-    chi = psi1 - psi2 is the slow angle. Conserves E0 = (r1^2 + r2^2)/2
-    exactly, decayed terms included. With a3 = a4 = 0 (or tau = inf) this is
-    the symmetric system, a Hamiltonian flow whose Hamiltonian is the second
-    invariant ``I3_11`` of :func:`cartesian_invariant`.
-    """
-    x1, y1, x2, y2, tau = y
-    _require_system(p, 1.0, "the averaged 1:1 system", tau)
-    e2 = p.epsilon**2
-    phi1, phi2, k = _phase_drifts_11(x1 * x1 + y1 * y1, x2 * x2 + y2 * y2,
-                                     math.exp(-2.0 * tau), p.a1, p.a2, p.a3, p.a4)
-    phi1, phi2, k = -e2 * phi1, -e2 * phi2, e2 * k
-    # z1 = k*conj(A1)*A2*A2 and z2 = k*A1*A1*conj(A2) in floats, rounded as
-    # Python's complex products round them; complex objects cost more here
-    br, bi = k * x1, -(k * y1)
-    cr, ci = br * x2 - bi * y2, br * y2 + bi * x2
-    z1r, z1i = cr * x2 - ci * y2, cr * y2 + ci * x2
-    fr, fi = br * x1 - k * y1 * y1, br * y1 + k * y1 * x1
-    z2r, z2i = fr * x2 + fi * y2, fi * x2 - fr * y2
-    return (-(phi1 * y1 + z1i), phi1 * x1 + z1r, -(phi2 * y2 + z2i), phi2 * x2 + z2r,
-            p.delta)
+With A1 = x1 + i*y1 = r1*exp(i*psi1) and A2 = x2 + i*y2 the field is
+polynomial (A1' = -i*kappa*conj(A1)*A2, A2' = -i*kappa/4*A1^2 with
+kappa = eps*exp(-tau)*a4/2), so trajectories pass smoothly through
+normal-mode crossings where the polar chart degenerates. Like every
+``*_cart`` field it takes the state as a sequence of its five components,
+floats or batch columns, and answers the tuple of their rates.
+
+Conserves E0 = r1^2/2 + 2*r2^2 and I3 = a4*r1^2*r2*cos(chi), where
+chi = 2*psi1 - psi2 is the slow angle; the drift of chi vanishes on the
+resonance manifold r1^2 = 8*r2^2 (any chi) and at chi = +-pi/2.
+""")
+
+avg12_second_cart = _rhs_function(AVG12_SECOND, "avg12_second_cart", """\
+Second-order averaged 1:2 field in regular slow-Cartesian coordinates,
+generated from :data:`AVG12_SECOND`.
+
+The amplitude equations are those of first order; the epsilon^2 phase
+drifts, whose decayed contributions carry exp(-2*tau), act as
+amplitude-dependent rotations A_k' += i*phi_k*A_k, which keeps the field
+polynomial. tau = inf gives the autonomous symmetric limit.
+""")
+
+avg13_cart = _rhs_function(AVG13, "avg13_cart", """\
+Averaged 1:3 field in regular slow-Cartesian coordinates, generated from
+:data:`AVG13`: the pure rotations A_k' = i*phi_k*A_k, so the amplitudes are
+frozen at this order.
+""")
+
+avg11_cart = _rhs_function(AVG11, "avg11_cart", """\
+Second-order averaged 1:1 field in regular slow-Cartesian coordinates,
+generated from :data:`AVG11`.
+
+A1' = i*phi1*A1 + i*k*conj(A1)*A2^2 and A2' = i*phi2*A2 + i*k*A1^2*conj(A2);
+chi = psi1 - psi2 is the slow angle. Conserves E0 = (r1^2 + r2^2)/2
+exactly, decayed terms included. With a3 = a4 = 0 (or tau = inf) this is
+the symmetric system, a Hamiltonian flow whose Hamiltonian is the second
+invariant ``I3_11`` of :func:`cartesian_invariant`.
+""")
 
 
 def polar_view(cart, t, y, p: ModelParams) -> np.ndarray:
@@ -264,7 +282,7 @@ def cartesian_invariant(name: str, states, p: ModelParams):
     """
     if name not in INVARIANT_NAMES:
         raise ValueError(f"unknown invariant {name!r}; know {INVARIANT_NAMES}")
-    _require_omega(p, _INVARIANT_OMEGA[name], name)
+    _check_omega(p.omega, _INVARIANT_OMEGA[name], name)
     if name in ("E0_12", "E0_11"):
         e1, e2 = mode_actions(states, p.omega)
         return e1 + e2

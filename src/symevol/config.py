@@ -105,7 +105,7 @@ _KEYS = {
               "alpha_kind": (str, ModelParams.alpha_kind)},
     "initial": {"t0": (float, IntegratorConfig.t0),
                 "q1": (float,), "v1": (float,), "q2": (float,), "v2": (float,)},
-    # retired: the method follows from the field; rk45 is accepted, as the
+    # retired: every field runs the Taylor method; rk45 is accepted, as the
     # benchmark's configs write it, and ignored
     "integrator": {"method": (str, "rk45"),
                    "rtol": (float, IntegratorConfig.rtol),
@@ -158,12 +158,12 @@ def build_initial(cfg: dict) -> CartesianState:
 
 def _integrator(cfg: dict, overrides: dict | None) -> dict:
     """The config's [integrator] settings but its method, a retired key that
-    accepts rk45 only and is ignored: the full model runs the Taylor method,
-    the averaged fields rk45."""
+    accepts rk45 only and is ignored: the full model and the averaged fields
+    all run the Taylor method."""
     values = _read(cfg, "integrator", overrides)
     if values.pop("method") != "rk45":
         raise ConfigError("[integrator] method is retired and accepts only rk45; "
-                          "the method follows from the field")
+                          "every field runs the Taylor method")
     return values
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .averaged import cartesian_invariant, polar_to_slow_cart, slow_cart_amplitudes
 from .integrate import MAX_GRID_POINTS, InlineRhs, IntegratorConfig, Trajectory, integrate
-from .model import FULL_EQUATIONS, CartesianState, ModelParams, full_rhs
+from .model import FULL_EQUATIONS, CartesianState, ModelParams
 from .resonance import averaged_system
 from .transforms import mode_actions, polar_coordinates, wrap_angle
 
@@ -76,16 +76,14 @@ def phase_series(traj: Trajectory, omega: float):
     return np.unwrap(psi1), np.unwrap(psi2)
 
 
-def full_field(p: ModelParams):
-    """The full system at p as :func:`integrate` takes it: an
-    :class:`InlineRhs`, from whose equations single runs and batches
-    generate their Taylor method. The record's call, ``full_rhs`` looked up
-    in this module at call time, serves callers that evaluate the field,
-    such as the fixed RK4 steps of ``order_check``; the Taylor runs make no
-    call, so a ``full_rhs`` rebound here (a tracer's counter, a test's spy)
-    sees none of theirs.
+def full_field(p: ModelParams) -> InlineRhs:
+    """The full system at p as :func:`integrate` takes it: the
+    :class:`InlineRhs` of :data:`symevol.model.FULL_EQUATIONS`, from whose
+    equations single runs and batches generate their Taylor method. The
+    record's call, ``full_rhs``, serves callers that evaluate the field, such
+    as the fixed RK4 steps of ``order_check``; the Taylor runs make no call.
     """
-    return InlineRhs(lambda t, y: full_rhs(t, y, p), FULL_EQUATIONS, FULL_EQUATIONS.bindings(p))
+    return FULL_EQUATIONS.at(p)
 
 
 def run_scenario(sc: ScenarioConfig) -> Trajectory:
@@ -160,7 +158,7 @@ def compare_full_vs_averaged(params: ModelParams, initial: CartesianState,
     :class:`IntegratorConfig` rejects. With epsilon = 0 a fixed default
     window is used and both systems coincide.
     """
-    resonance, avg_rhs = averaged_system(params.omega, resonance)
+    resonance, equations = averaged_system(params.omega, resonance)
     horizon = L / params.epsilon if params.epsilon > 0 else 50.0
     r1, psi1, r2, psi2 = polar_coordinates(initial.t, initial.as_array(), params.omega)
     if min(r1, r2) < _MIN_AMPLITUDE:
@@ -172,7 +170,7 @@ def compare_full_vs_averaged(params: ModelParams, initial: CartesianState,
     full = integrate(full_field(params), initial.as_array(), cfg)
     r1_full, r2_full = polar_amplitude_series(full, params.omega)
 
-    avg = integrate(lambda t, y: avg_rhs(t, y, params), polar_to_slow_cart(polar), cfg)
+    avg = integrate(equations.at(params), polar_to_slow_cart(polar), cfg)
     r1_avg, r2_avg = slow_cart_amplitudes(avg.states)
 
     w2 = params.omega**2

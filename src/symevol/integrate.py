@@ -1,44 +1,49 @@
 """Time stepper: a fixed-order Taylor method for a right-hand side given by
-its equations (:class:`InlineRhs`, which is how the full model always
-comes, ``experiments.full_field``), and adaptive Dormand-Prince 5(4)
-(``_TABLEAU``) for any other callable; :func:`order_check` takes classical
-RK4 steps of its own, in plain Python. The method follows from the form of
-the right-hand side; there is no method knob. The Taylor method lives in
-:mod:`symevol.taylor` and shares this module's stop rule, failures and
-stats.
+its equations, an :class:`InlineRhs` (every field the package integrates
+comes as one, made by :meth:`symevol.model.Equations.at`);
+:func:`order_check` takes classical RK4 steps of its own, in plain Python.
 
-The right-hand side takes a state as a tuple of its d components and answers
-with a sequence of d components. A component is a float in a single run, and
-an array with one entry per running row in a batch. A single run is one
-generated loop over Python floats: the attempt's straight-line statements,
-the step size, the sample test and the stop rule are written in place, and
-the state stays in locals across steps. A batch of independent initial
-states (``y0`` of shape (N, d)) holds the rows as columns of a (d, n) array;
-every row keeps its own time and step size, and its step is generated from
-the same description as the single run's: for Dormand-Prince, one emitter
-writes the stage and error sums of the single run's loop and of the batched
-step, which call the right-hand side at every stage (a batch once per stage
-for all rows). Both loops test finiteness on the new state and the last
-stage, take the step factor from libm's pow and share the controller.
+:class:`_TaylorEmitter` reads the equations' statements with ``ast`` and
+writes the recurrences of their Taylor coefficients, one coefficient at a
+time, as straight-line statements: locals of floats in the single run's loop
+(:data:`_TAYLOR_LOOP`), rows of arrays in the batched step, with the same
+operations in the same order, so a batch row equals its single run bit for
+bit. A batch writes each Cauchy sum of three terms or more as one
+``np.add.reduce`` over the rows of the products, which adds them in the
+single run's order from two columns on, so it never steps fewer than two
+columns (:meth:`_TaylorEmitter.dot`). The order p follows from rtol
+(:func:`_taylor_order`), and the step size from the last two coefficients,
+capped at a fraction of the series' estimated radius of convergence
+(:func:`_step_rule_lines`); there is no error test. The new state and the
+dense output (:func:`_taylor_fill`) are Horner's rule on the step's own
+polynomial. Each step takes one libm ``exp`` per ``exp`` of the equations,
+of its first coefficient (``math.exp``, in a batch ``model._exp``, mapped
+over the entries), and its step size from libm's ``pow`` (``**``, in a batch
+``math.pow`` mapped over the entries).
 
-So for either method a batch row equals the single-row run byte for byte.
-Neither single-row loop makes a numpy call, or a ``min``, ``max`` or other
-Python call, per step but on a step that holds a sample.
+A single run is one generated loop over Python floats: the attempt's
+straight-line statements, the step size, the sample test and the stop rule
+are written in place, and the state stays in locals across steps; it makes
+no numpy call, and no ``min``, ``max`` or other Python call, per step but on
+a step that holds a sample. A batch of independent initial states (``y0`` of
+shape (N, d)) holds the rows as columns of a (d, n) array; every row keeps
+its own time and step size. Both loops hold their accepted steps in a block,
+a single run only the steps that hold a sample, and fill the block's samples
+through :func:`_taylor_fill` once it holds a bounded number of row-steps (a
+batch) or samples (a single run), and at the end, so that the memory the
+fill holds stays bounded. The returned sample times are exactly the
+requested grid and never constrain the step size. Every sample gets the bits
+of its own evaluation, whatever the block. Integrations are deterministic:
+identical inputs produce bit-identical trajectories on one platform.
 
-Both loops hold their accepted steps in a block, a single run only the steps
-that hold a sample, and fill the block's samples through one numpy kernel
-per method (:func:`_hermite_fill`, Dormand-Prince's cubic Hermite
-interpolant, and ``taylor._taylor_fill``) once it holds a bounded number of
-row-steps (a batch) or samples (a single run), and at the end, so that the
-memory the fill holds stays bounded. The returned sample times are exactly
-the requested grid and never constrain the step size. Every sample gets the
-bits of its own evaluation, whatever the block. Integrations are
-deterministic: identical inputs produce bit-identical trajectories on one
-platform.
+References: A. Jorba and M. Zou, "A software package for the numerical
+integration of ODEs by means of high-order Taylor methods", Exp. Math. 14
+(2005); A. Abad et al., "TIDES", ACM TOMS 39 (2012).
 """
 
 from __future__ import annotations
 
+import ast
 import bisect
 import functools
 import itertools
@@ -48,45 +53,16 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .model import InlineRhs, _exp
+
 
 __all__ = ["IntegratorConfig", "Trajectory", "IntegrationError", "integrate",
            "order_check", "OrderEstimate", "MAX_GRID_POINTS", "InlineRhs"]
 
 
-class _Tableau(NamedTuple):
-    """Explicit Runge-Kutta tableau with an embedded error estimate: stage
-    s > 0 is the slope at t + c[s] h, y + h (a[s-1] @ k[:s]). The last row of
-    ``a`` holds the solution weights (first same as last), ``e`` the error
-    weights over every stage."""
-
-    c: np.ndarray
-    a: tuple
-    e: np.ndarray
-
-
-# Dormand & Prince 5(4), the method of a called right-hand side: the
-# fifth-order solution is propagated; the difference to the embedded
-# fourth-order one estimates the local error
-_TABLEAU = _Tableau(
-    c=np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]),
-    a=(np.array([1 / 5]),
-       np.array([3 / 40, 9 / 40]),
-       np.array([44 / 45, -56 / 15, 32 / 9]),
-       np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-       np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-       np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])),
-    e=np.array([35 / 384 - 5179 / 57600, 0.0, 500 / 1113 - 7571 / 16695,
-                125 / 192 - 393 / 640, -2187 / 6784 + 92097 / 339200,
-                11 / 84 - 187 / 2100, -1 / 40]))
-
-_MIN_FACTOR = 0.2
-_MAX_FACTOR = 5.0
-_SAFETY = 0.9
-
-# The stop rule both loops of both methods share: a run short of t_end stops
-# on a step below _STEP_FLOOR max(1, |t|), an underflow, or at the attempt
-# past _MAX_STREAK non-finite ones in a row, each of which retries with
-# _SHRINK of its step. One text, written with & and |, so that it is a bool
+# The stop rule both loops share: a run short of t_end stops on a step below
+# _STEP_FLOOR max(1, |t|), an underflow, or at the attempt past _MAX_STREAK
+# non-finite ones in a row, each of which retries with _SHRINK of its step. One text, written with & and |, so that it is a bool
 # on the single run's floats and one bool per row on the batch's columns.
 _STEP_FLOOR = 1e-14
 _MAX_STREAK = 40
@@ -102,8 +78,8 @@ MAX_GRID_POINTS = 10_000_000
 # count and horizon.
 _FILL_BLOCK = 4096
 
-# Smallest rtol: below it the error test asks for less than rounding can give
-# (scipy's solve_ivp uses the same floor).
+# Smallest rtol: below it the step's tolerance asks for less than rounding
+# can give (scipy's solve_ivp uses the same floor).
 _MIN_RTOL = 100 * np.finfo(float).eps
 
 
@@ -121,13 +97,13 @@ def _failure_text(message: str, t_last: float) -> str:
     return f"{message} (last good time t = {t_last:.6g})"
 
 
-# why an adaptive run stops, by whether its last attempt met non-finite values
+# why a run stops, by whether its last attempt met non-finite values
 _STOP = {False: ("step size underflow", "underflow"),
          True: ("non-finite values in right-hand side", "nonfinite")}
 
 
 # whether each batch row stops short of t_end; the single run's loop writes
-# the same rule into its source (_LOOP)
+# the same rule into its source (_TAYLOR_LOOP)
 _stops = eval(f"lambda t, h, streak, t_end: {_STOP_RULE}", {})
 
 
@@ -189,19 +165,6 @@ def _sample_grid(t0: float, t_end: float, dt: float) -> np.ndarray:
     return ts
 
 
-def _hermite(th, h, y0, y1, f0, f1):
-    """Cubic Hermite interpolant at the step fractions ``th`` (shape (m,)),
-    one sample per entry: ``h`` has shape (m,), the step's end states and
-    slopes (m, d); one output row of d values per sample. The only Hermite
-    formula, evaluated by :func:`_hermite_fill` for both loops. The
-    arithmetic is elementwise, so every sample gets the bits of a
-    one-sample evaluation, whatever the block it is filled in."""
-    th2 = th * th
-    th3 = th2 * th
-    return ((2 * th3 - 3 * th2 + 1)[:, None] * y0 + ((th3 - 2 * th2 + th) * h)[:, None] * f0
-            + (-2 * th3 + 3 * th2)[:, None] * y1 + ((th3 - th2) * h)[:, None] * f1)
-
-
 def _block_samples(idx, stop):
     """The samples a block of steps fills, step i those from ``idx[i]`` up
     to ``stop[i]``: for each sample, in step order, its step and its index."""
@@ -211,68 +174,25 @@ def _block_samples(idx, stop):
     return pair, idx[pair] + np.arange(len(pair)) - first[pair]
 
 
-def _hermite_fill(out, ts, rows, idx, stop, t0, h, y0, y1, f0, f1):
-    """Fill the samples of a block of m steps with each step's cubic Hermite
-    interpolant. Step i writes ``out[rows[i]]``, of shape (samples, d), at
-    the samples ``idx[i]`` up to ``stop[i]`` (those on (t0[i], t0[i] +
-    h[i]]). ``rows``, ``idx``, ``stop``, ``t0`` and ``h`` have shape (m,),
-    the end states and slopes (m, d). Both loops fill through it: a batch
-    into its (N, samples, d) output, a single run as row 0 of
-    ``out[None]``."""
-    pair, sample = _block_samples(idx, stop)
-    if len(pair):
-        hp = h[pair]
-        out[rows[pair], sample] = _hermite((ts[sample] - t0[pair]) / hp, hp, y0[pair],
-                                           y1[pair], f0[pair], f1[pair])
-
-
-def _row_rms(x):
-    """Root mean square over the d components, the first axis, of a (d,) or
-    (d, n) array."""
-    sq = x * x
-    acc = sq[0]
-    for j in range(1, len(x)):
-        acc = acc + sq[j]
-    return np.sqrt(acc / len(x))
-
-
-def _initial_step(y0, f0, rtol, atol, span):
-    """First trial step of a (d,) state or per column of a (d, n) batch; the
-    loops clamp each step to the time left."""
-    scale = atol + rtol * np.abs(y0)
-    d0 = _row_rms(y0 / scale)
-    d1 = _row_rms(f0 / scale)
-    return np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6 * span, 0.01 * d0 / d1)
-
-
-def integrate(rhs, y0, config: IntegratorConfig) -> Trajectory:
+def integrate(rhs: InlineRhs, y0, config: IntegratorConfig) -> Trajectory:
     """Integrate y' = rhs(t, y) over [config.t0, config.t_end] with dense
-    sampling.
+    sampling, by the Taylor method of order p = max(2, ceil(-ln(rtol) / 2)
+    + 1), 13 at the default rtol 1e-10, generated from the equations of
+    ``rhs``, an :class:`InlineRhs`; any other ``rhs`` raises TypeError. Its
+    steps take no error test, their size comes from the last two Taylor
+    coefficients, and the samples are the steps' own polynomials.
 
-    An :class:`InlineRhs` runs a Taylor method of order
-    p = max(2, ceil(-ln(rtol) / 2) + 1), 13 at the default rtol 1e-10,
-    generated from its equations; its steps take no error test, their size
-    comes from the last two Taylor coefficients, and the samples are the
-    steps' own polynomials. Any other ``rhs`` runs adaptive Dormand-Prince
-    5(4) with cubic Hermite samples.
-
-    ``rhs(t, y)`` gets the state ``y`` as a tuple of its d components and
-    returns a sequence of d components (a tuple, a list, an ndarray). For a
-    1-D ``y0`` of d values a component is a float and ``t`` is a float. For
-    a 2-D ``y0`` of shape (N, d), N independent rows run at once: a component
-    is an array of shape (n,) holding the n rows still running, ``t`` is the
-    array of their times, and the answer must have shape (d, n). ``rhs`` must
-    treat rows independently. An answer of another length or shape, or an
-    :class:`InlineRhs` whose equations have another number of components,
-    raises ValueError before any sample is written.
+    A 1-D ``y0`` of d values is one run. A 2-D ``y0`` of shape (N, d) runs N
+    independent rows at once. An :class:`InlineRhs` whose equations have
+    another number of components raises ValueError before any sample is
+    written.
 
     Each accepted step fills the samples after its start and at or before
     its end. A run short of t_end stops on step-size underflow (a step below
     1e-14 max(1, |t|)) or on persistent non-finite values (the attempt past
-    40 non-finite ones in a row), by one rule that both loops of both methods
-    read. A single run raises :class:`IntegrationError`; the exception
-    carries the last good (t, y), with y an ndarray. ``states`` has shape
-    (samples, d).
+    40 non-finite ones in a row), by one rule that both loops read. A single
+    run raises :class:`IntegrationError`; the exception carries the last
+    good (t, y), with y an ndarray. ``states`` has shape (samples, d).
 
     A batch keeps each row's own time and step size, and a row's result
     does not depend on the other rows. ``states`` has shape (N, samples, d).
@@ -280,13 +200,11 @@ def integrate(rhs, y0, config: IntegratorConfig) -> Trajectory:
     ``(row, message)``, with the message the single-row run would raise,
     and its samples past the last good time are NaN.
 
-    ``stats`` names the ``method`` (``"taylor"``, with its ``order``, or
-    ``"rk45"``), and counts the ``accepted`` steps, the ``rejected`` ones,
-    split into ``rejected_error`` (error test failed; always 0 for the Taylor
-    method, which has no error test) and ``rejected_nonfinite`` (non-finite
-    values met), and the ``rhs_evals``: for rk45 the first slope and every
-    stage past the first of every attempt, for the Taylor method one
-    evaluation of the coefficients' recurrence per attempt. ``h_min``,
+    ``stats`` names the ``method`` (``"taylor"``) and its ``order``, and
+    counts the ``accepted`` steps, the ``rejected`` ones, split into
+    ``rejected_error`` (always 0, as the method has no error test) and
+    ``rejected_nonfinite`` (non-finite values met), and the ``rhs_evals``,
+    one evaluation of the coefficients' recurrence per attempt. ``h_min``,
     ``h_max`` and ``h_final`` are the smallest, the largest and the last
     accepted step; the last ends at t_end. A batch gives the counts' totals
     over its rows and each step size's ``min``, ``median`` and ``max`` over
@@ -295,44 +213,22 @@ def integrate(rhs, y0, config: IntegratorConfig) -> Trajectory:
     run (NaN step sizes for a row that accepted no step). A batch row equals
     the single-row run of its state byte for byte.
     """
+    if not isinstance(rhs, InlineRhs):
+        raise TypeError(f"integrate takes an InlineRhs (Equations.at), got {type(rhs).__name__}")
     y0 = np.asarray(y0, dtype=float)
     if y0.ndim not in (1, 2) or y0.shape[-1] == 0:
         raise ValueError(f"y0 must have shape (d,) or (N, d) with d >= 1, got {y0.shape}")
     ts = _sample_grid(config.t0, config.t_end, config.sample_dt)
-    if isinstance(rhs, InlineRhs):
-        from . import taylor  # which imports this module's shared parts
-        run_single, run_rows = taylor.run_single, taylor.run_rows
-    else:
-        run_single, run_rows = _run_single, _run_rows
     if y0.ndim == 2:
         out = np.full((y0.shape[0], len(ts), y0.shape[1]), np.nan)
         out[:, 0] = y0
-        run = run_rows
+        run = _run_rows
     else:
         out = np.empty((len(ts), len(y0)))
         out[0] = y0
-        run = run_single
+        run = _run_single
     stats = run(rhs, y0, config, ts, out)
     return Trajectory(times=ts, states=out, stats=stats)
-
-
-def _run_single(rhs, y0, config, ts, out):
-    d = len(y0)
-    t0, t_end = config.t0, config.t_end
-    y = tuple(y0.tolist())
-    f = tuple(rhs(t0, y))  # the block may hold it past the rhs's next call
-    if len(f) != d:
-        raise ValueError(f"rhs returned {len(f)} values for a state of {d}")
-    run = _loop_function(d)
-    # the sample times, read as floats, and past the last one a time no step reaches
-    samples = memoryview(np.append(ts, math.inf))
-    with np.errstate(all="ignore"):  # non-finite values are tested once per step
-        h = float(_initial_step(y0, np.asarray(f, dtype=float), config.rtol, config.atol,
-                                t_end - t0))
-        accepted, rejected_error, rejected_nonfinite, *steps = run(
-            rhs, t0, h, y, f, t_end, t_end - t0, config.rtol, config.atol, samples, out, ts)
-    return _stats({"method": "rk45"}, accepted, rejected_error, rejected_nonfinite,
-                  _rk45_evals(accepted, rejected_error, rejected_nonfinite), *steps)
 
 
 def _failure(t, y, streak) -> IntegrationError:
@@ -342,38 +238,19 @@ def _failure(t, y, streak) -> IntegrationError:
     return IntegrationError(message, t, np.array(y, dtype=float), reason)
 
 
-def _fill_steps(out, ts, block):
-    """Fill the samples of the rk45 steps a single run holds in ``block``, a
-    flat list of 4 + 4d numbers per step: its first sample and the sample
-    past its last, t and h, then the d components each of y, y_new, f and
-    f_new."""
-    d = out.shape[1]
-    steps = np.fromiter(block, float, len(block)).reshape(-1, 4 + 4 * d)
-    idx, stop = steps[:, :2].T.astype(np.intp)
-    y0, y1, f0, f1 = (steps[:, i:i + d] for i in range(4, 4 + 4 * d, d))
-    _hermite_fill(out[None], ts, np.zeros(len(steps), dtype=np.intp), idx, stop,
-                  steps[:, 2], steps[:, 3], y0, y1, f0, f1)
-
-
 # the step sizes of Trajectory.stats: a batch gives their spread over its
 # rows, where it totals the counts
 _STEP_SIZES = ("h_min", "h_max", "h_final")
 
 
-def _rk45_evals(accepted, rejected_error, rejected_nonfinite):
-    """The rk45 right-hand-side evaluations: every attempt evaluates each
-    stage past the first slope, which the run evaluates once."""
-    return 1 + len(_TABLEAU.a) * (accepted + rejected_error + rejected_nonfinite)
-
-
-def _stats(method, accepted, rejected_error, rejected_nonfinite, rhs_evals,
-           h_min, h_max, h_final) -> dict:
-    """The stats of a run from its counters and step sizes, ints and floats
-    in a single run and arrays of one entry per row in a batch; ``method``
-    names the method and a Taylor method's order."""
-    return {**method, "accepted": accepted, "rejected": rejected_error + rejected_nonfinite,
-            "rejected_error": rejected_error, "rejected_nonfinite": rejected_nonfinite,
-            "rhs_evals": rhs_evals, "h_min": h_min, "h_max": h_max, "h_final": h_final}
+def _stats(p, accepted, rejected, h_min, h_max, h_final) -> dict:
+    """The stats of a run of order p from its counters and step sizes, ints
+    and floats in a single run and arrays of one entry per row in a batch.
+    Every rejected attempt met non-finite values, as the method has no error
+    test, and every attempt evaluates the recurrences once."""
+    return {"method": "taylor", "order": p, "accepted": accepted, "rejected": rejected,
+            "rejected_error": 0 * rejected, "rejected_nonfinite": rejected,
+            "rhs_evals": accepted + rejected, "h_min": h_min, "h_max": h_max, "h_final": h_final}
 
 
 def _batch_stats(rows: dict, failures) -> dict:
@@ -407,21 +284,6 @@ def _power(x, exponent):
     return np.fromiter(map(math.pow, x.tolist(), itertools.repeat(exponent)), float, x.size)
 
 
-def _error_power(err_norm):
-    """err_norm**-0.2 of every entry of an array by :func:`_power`, the rk45
-    step factor. An entry that is not positive, a zero or NaN error, gives
-    1.0: a zero error takes the largest factor and a non-finite step a
-    quarter of its size, so no row uses that entry."""
-    return _power(np.where(err_norm > 0.0, err_norm, 1.0), -0.2)
-
-
-def _weighted_source(weights, terms) -> str:
-    """A weighted sum as an expression: left to right, zero weights included.
-    Every stage and error sum of the single run's loop and of the batched
-    step is written by it."""
-    return "(" + " + ".join(f"{float(w)!r} * {x}" for w, x in zip(weights, terms)) + ")"
-
-
 def _sum_source(name, terms) -> list:
     """Statements summing ``terms`` into ``name`` left to right, 64 terms per
     statement, so that no expression nests too deep to compile."""
@@ -441,293 +303,630 @@ def _indented(lines, depth) -> list:
     return ["    " * depth + line for line in lines]
 
 
-class InlineRhs(NamedTuple):
-    """A right-hand side with its source text, from which both loops write a
-    Taylor method (:class:`symevol.taylor._TaylorEmitter`).
+def _failed_rows(rows, t, streak, failed) -> list:
+    """``(row, message)`` of every batch row that ``failed``, stopped short
+    of t_end by :data:`_STOP_RULE`, with the message its single run raises."""
+    return [(int(rows[i]), _failure_text(_STOP[bool(streak[i])][0], float(t[i])))
+            for i in np.flatnonzero(failed).tolist()]
 
-    ``call(t, y)`` is the right-hand side itself, and calling the record
-    calls it (the fixed RK4 steps of :func:`order_check` do); the Taylor
-    loops never do. ``equations`` is its source, as
-    :class:`symevol.model.Equations`: straight-line ``body`` statements that,
-    at the time ``t`` with the state components in the names ``state``,
-    assign their rates to the names ``rates``, each name once, and ``guard``
-    statements. The body's statements fall in two classes. Those that read
-    neither ``t`` nor a state name, directly or through an earlier
-    statement, run once per run, when the loop or the batched step is bound,
-    in the namespace that holds ``bindings``, and so does the guard, with
-    ``t`` the run's start time. Every other statement assigns a Taylor series
-    and may use only the constructs ``taylor._TaylorEmitter`` lists.
-    ``bindings`` holds every other name they read but ``exp``, which each
-    loop binds to libm's exp (``math.exp``, in a batch ``model._exp``). A
-    division by zero or an ``exp`` that overflows makes the attempt
-    non-finite in both loops.
 
-    The statements' names share the generated code's namespace, so they must
-    differ from its own: every name that starts with an underscore, ``t``
-    (the time), ``y``, ``h``, ``cap``, ``t_end``, ``t_new``, ``rtol``,
-    ``atol``, ``finite``, ``clamped``, ``inf``, ``exp``, ``isfinite``,
-    ``where``, ``power``, ``empty``, ``add_reduce`` and the names of the
-    single run's loop in ``taylor._TAYLOR_LOOP``.
+# The Taylor step size (_step_rule_lines): this fraction of the step at
+# which the last two terms reach the tolerance, and at most this fraction
+# of the estimated radius of convergence (Jorba & Zou, Exp. Math. 14, 2005,
+# take e^-2 for both; e^-2 alone takes about six times the steps at rtol
+# 1e-10 on the fig1 model)
+_TAYLOR_SAFETY = 0.8
+_RADIUS_FRACTION = math.exp(-2.0)
+
+
+def _taylor_order(rtol: float) -> int:
+    """The Taylor method's order at rtol, Jorba & Zou's p = ceil(-ln(rtol)/2)
+    + 1, and at least 2, as the step rule reads the last two coefficients:
+    13 at rtol 1e-10, 16 at 1e-13."""
+    return max(2, math.ceil(-math.log(rtol) / 2.0) + 1)
+
+
+def _assignment(statement):
+    """The target name and the expression node of ``statement``, an
+    assignment to one name; any other statement is a ValueError."""
+    body = ast.parse(statement).body
+    if len(body) != 1 or not isinstance(body[0], ast.Assign) or len(body[0].targets) != 1 \
+            or not isinstance(body[0].targets[0], ast.Name):
+        raise ValueError(f"not an assignment to one name: {statement!r}")
+    return body[0].targets[0].id, body[0].value
+
+
+def _reads(node) -> set:
+    """The names an expression node reads."""
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def _split_body(equations):
+    """The statements of ``equations.body`` in two parts, each in body order:
+    those that read neither ``t`` nor a state name, directly or through an
+    earlier statement, the same for the whole run, and the rest."""
+    fixed, rest = [], []
+    moving = {"t", *equations.state}
+    for statement in equations.body:
+        target, expression = _assignment(statement)
+        if _reads(expression) & moving:
+            rest.append(statement)
+            moving.add(target)
+        else:
+            fixed.append(statement)
+    return fixed, rest
+
+
+def _once_per_run(equations) -> list:
+    """The statements the generated loop or batched step runs when it is
+    bound, with ``t`` the run's start time: the body's statements that read
+    only the parameters, then the guard."""
+    return [*_split_body(equations)[0], *equations.guard]
+
+
+class _Series:
+    """A Taylor series in the step variable s, t = t_n + s, in the generated
+    code: its coefficients up to ``degree``, the higher ones known zeros,
+    coefficient k the expression ``expression(k)``. A stored series
+    (``name`` set) is written once per coefficient into its storage: the
+    locals ``_<name>_<k>`` in a single run, the rows ``_<name>[k]`` of an
+    array in a batch. Any other is written into the one expression that reads
+    it, so it takes no statement of its own."""
+
+    def __init__(self, degree, expression, name=None):
+        self.degree, self.expression, self.name = degree, expression, name
+        self.reads = 0  # coefficientwise readers: two or more need storage
+
+
+class _TaylorEmitter:
+    """The recurrences of the Taylor coefficients of the rates of
+    ``equations`` up to order p, as straight-line statements: on floats in
+    locals for a single run's loop, on the (n,) rows of arrays for a batched
+    step (``batch``). Both forms take the same operations in the same order,
+    so every entry of a batch gets the single run's bits.
+
+    Each name the body's statements assign from ``t`` or a state name,
+    directly or through an earlier statement, becomes a series; every other
+    name (a parameter, or a statement of the parameters only, which
+    :func:`_once_per_run` evaluates) stays a scalar, and so does every
+    subexpression of scalars. The emitter tracks each series' degree in s
+    (``t`` is linear, a product adds the degrees) and writes no product with
+    a known zero. The series other than the state take the coefficients up
+    to p - 1, all the rates need. The rules:
+
+    - ``+``, ``-`` and unary ``-``: coefficientwise;
+    - a scalar times a series, or a series over a scalar: a scaled series;
+    - a series times a series: the Cauchy product;
+    - anything over a series: the division recurrence;
+    - ``exp`` of a series: the exponential recurrence, which takes one
+      ``exp``, of the first coefficient;
+    - ``a if c else b`` with a scalar ``c``: both branches are written,
+      behind one ``if`` per coefficient.
+
+    Any other construct on a series raises ValueError, naming the statement.
+    A series is stored when a product or a recurrence reads its coefficients
+    (the batch sums long products over rows of its storage), when two
+    expressions read it, and when it is the state, a recurrence or a
+    conditional; the rest are written into their one reader.
     """
 
-    call: object
-    equations: object
-    bindings: dict
+    def __init__(self, equations, p: int, batch: bool):
+        self.p, self.batch = p, batch
+        self.ops = []  # in dependency order, each writing coefficient k: k -> statements
+        self.state = [_Series(p, None, f"y{j}") for j in range(len(equations.state))]
+        time = _Series(1, lambda k: "t" if k == 0 else "1.0")  # t_n + s
+        self.series = {"t": time, **dict(zip(equations.state, self.state))}
+        fixed, rest = _split_body(equations)
+        for statement in rest:
+            target, node = _assignment(statement)
+            try:
+                self.series[target] = self._convert(node)
+            except ValueError as exc:
+                raise ValueError(f"no Taylor recurrence for {statement!r}: {exc}") from None
+        scalars = {_assignment(statement)[0] for statement in fixed}
+        self.rates = []
+        for rate in equations.rates:
+            if rate not in self.series and rate not in scalars:
+                raise ValueError(f"no statement assigns the rate {rate!r}")
+            self.rates.append(self._read(self.series.get(rate, rate)))
+        self.storage = {}  # the name of every stored series but the state -> its degree
+        for op in self.ops:
+            op.store(self)
 
-    def __call__(self, t, y):
-        return self.call(t, y)
+    def lines(self) -> list:
+        """The statements of every coefficient: for k = 0, ..., p - 1, each
+        stored series' coefficient k, then each state component's
+        coefficient k + 1, its rate's coefficient k over k + 1. Coefficient 0
+        of the state is the state at the step's start."""
+        lines = []
+        for k in range(self.p):
+            for op in self.ops:
+                lines += op.lines(self, k)
+            for state, rate in zip(self.state, self.rates):
+                x = self.coef(rate, k)
+                lines.append(f"{self.coef(state, k + 1)} = {f'{x} / {k + 1}.0' if x else '0.0'}")
+        return lines
+
+    def coef(self, x, k):
+        """Coefficient k of x, a series or a scalar (a series of degree 0),
+        as an expression; None for a known zero."""
+        if isinstance(x, str):
+            return x if k == 0 else None
+        if k > x.degree:
+            return None
+        if x.name:
+            return f"_{x.name}[{k}]" if self.batch else f"_{x.name}_{k}"
+        value = x.expression(k)
+        return f"({value})" if " " in value else value
+
+    def dot(self, x, y, lo, hi, k) -> str:
+        """The sum of x_i y_(k-i) over i = lo, ..., hi, left to right; in a
+        batch, of three terms or more, as ``add_reduce`` (``np.add.reduce``)
+        of the (terms, n) products over axis 0. With n >= 2 columns numpy
+        adds the rows in that order, one column at a time; one column it
+        sums pairwise, so :func:`_run_rows` never steps fewer than two
+        (``test_add_reduce_adds_rows_in_order`` pins the order)."""
+        if self.batch and hi - lo >= 2:
+            end = k - hi - 1
+            return (f"add_reduce(_{x.name}[{lo}:{hi + 1}] * _{y.name}[{k - lo}:"
+                    f"{end if end >= 0 else ''}:-1], 0)")
+        return "(" + " + ".join(f"{self.coef(x, i)} * {self.coef(y, k - i)}"
+                                for i in range(lo, hi + 1)) + ")"
+
+    def _read(self, x, times=1):
+        """x, read coefficientwise ``times`` more times."""
+        if isinstance(x, _Series):
+            x.reads += times
+        return x
+
+    def _summed(self, x):
+        """x, which a product or a recurrence reads: stored, if an op writes
+        it (the time and the state have storage or need none)."""
+        return self._read(x, 2)
+
+    def _op(self, degree, out, expression, stored=False) -> _Series:
+        """A series of ``degree``, at most p - 1, whose coefficient k is the
+        expression ``expression(s, k)``, s the series itself; into the
+        storage of the conditional ``out``, if given. No statement where the
+        expression is None."""
+        series = _Series(min(degree, self.p - 1), None)
+        series.expression = functools.partial(expression, series)
+        self.ops.append(_Write(series, out, stored))
+        return series
+
+    def _into(self, x, out):
+        """x held in the storage of ``out``: x itself when ``out`` is None,
+        else a copy."""
+        if out is None:
+            return x
+        self._read(x)
+        return self._op(_degree(x), out, lambda s, k: self.coef(x, k))
+
+    def _convert(self, node, out=None):
+        """The scalar (an expression) or the series of an expression node,
+        appending the ops that write the series; into ``out`` if given."""
+        if not _reads(node) & self.series.keys():
+            return self._into(f"({ast.unparse(node)})", out)
+        if isinstance(node, ast.Name):
+            return self._into(self.series[node.id], out)
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            x = self._convert(node.operand)
+            if isinstance(node.op, ast.UAdd):
+                return self._into(x, out)
+            self._read(x)
+            return self._op(x.degree, out, lambda s, k: f"-{self.coef(x, k)}")
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult,
+                                                                ast.Div)):
+            return self._binary(node.op, self._convert(node.left), self._convert(node.right),
+                                out)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "exp" and len(node.args) == 1 and not node.keywords):
+            return self._exp(self._convert(node.args[0]), out)
+        if isinstance(node, ast.IfExp) and not _reads(node.test) & self.series.keys():
+            return self._if(f"({ast.unparse(node.test)})", node.body, node.orelse, out)
+        raise ValueError(f"{ast.unparse(node)!r} is not a construct the Taylor method writes")
+
+    def _binary(self, op, a, b, out) -> _Series:
+        da, db = _degree(a), _degree(b)
+        if isinstance(op, (ast.Add, ast.Sub)):
+            add = isinstance(op, ast.Add)
+            self._read(a), self._read(b)
+
+            def term(s, k):
+                x, y = self.coef(a, k), self.coef(b, k)
+                if x is None:
+                    return y if add else f"-{y}"
+                return x if y is None else f"{x} {'+' if add else '-'} {y}"
+            return self._op(max(da, db), out, term)
+        if isinstance(op, ast.Mult) and (isinstance(a, str) or isinstance(b, str)):
+            self._read(a), self._read(b)  # a scaled series
+            return self._op(max(da, db), out,
+                            lambda s, k: f"{_scale(a, self.coef(a, k))} * "
+                                         f"{_scale(b, self.coef(b, k))}")
+        if isinstance(op, ast.Mult):  # the Cauchy product
+            self._summed(a), self._summed(b)
+            return self._op(da + db, out,
+                            lambda s, k: self.dot(a, b, max(0, k - db), min(k, da), k))
+        if isinstance(b, str):
+            self._read(a)
+            return self._op(da, out, lambda s, k: f"{self.coef(a, k)} / {b}")
+
+        def quotient(s, k):  # a = s b, solved for s_k
+            x, b0 = self.coef(a, k), self.coef(b, 0)
+            if k == 0:
+                return f"{x} / {b0}"
+            rest = self.dot(b, s, 1, min(k, db), k)
+            return f"({x} - {rest}) / {b0}" if x else f"-{rest} / {b0}"
+        self._read(a), self._summed(b)
+        return self._op(self.p, out, quotient, stored=True)
+
+    def _exp(self, u, out) -> _Series:
+        # e' = u' e: k e_k is the sum of j u_j e_(k-j) over j = 1, ..., k
+        du = u.degree
+        self._read(u, 2)
+        v = self._summed(self._op(du, None, lambda s, k: f"{k}.0 * {self.coef(u, k)}"
+                                  if k else None))
+        return self._op(self.p, out, lambda s, k: f"exp({self.coef(u, 0)})" if k == 0
+                        else f"{self.dot(v, s, 1, min(k, du), k)} / {k}.0", stored=True)
+
+    def _if(self, test, body, orelse, out) -> _Series:
+        ops, branches = self.ops, []
+        series = _Series(0, None)
+        for node in (body, orelse):
+            self.ops = []
+            branches.append((self.ops, _degree(self._convert(node, series))))
+        self.ops = ops
+        series.degree = min(max(degree for _, degree in branches), self.p - 1)
+        self.ops.append(_Conditional(series, out, test, branches))
+        return series
 
 
-def _stage_lines(d: int) -> list:
-    """One rk45 attempt on d floats, as straight-line statements: from the
-    state in ``y<j>``, its slope in ``k0_<j>``, the time ``t`` and the step
-    ``h``, they assign the stages ``k<s>_<j>``, each a call of ``rhs``, the
-    new state ``z<j>``, whether every stage and the new state are finite
-    (``finite``) and the error norm (``err_norm``). Its sums are those of
-    :func:`_rows_step_code`, so a single run equals its batch row bit for bit.
+class _Write(NamedTuple):
+    """The op that writes ``series``: its statements, one per coefficient,
+    when the series is stored (into the storage of the conditional ``out``,
+    if given), none when its reader takes its expression."""
 
-    Finiteness is tested on the new state and the last stage only. The new
-    state's sum takes every other stage with its weight, zero weights
-    included, and 0·inf is NaN, so a non-finite earlier stage makes the new
-    state non-finite. The error norm's ``max(|y|, |z|)`` is written as
-    ``max``'s own rule, ``b if b > a else a``, which gives its result for
-    ±0.0 and NaN too, without the call.
-    """
-    c, a, e = _TABLEAU
-    comps = range(d)
+    series: _Series
+    out: _Series | None
+    stored: bool
+
+    def store(self, emitter):
+        series = self.series
+        if self.out is not None:
+            series.name = self.out.name
+        elif self.stored or series.reads > 1:
+            series.name = f"s{len(emitter.storage)}"
+        if series.name:
+            emitter.storage[series.name] = max(series.degree,
+                                               emitter.storage.get(series.name, 0))
+
+    def lines(self, emitter, k):
+        series = self.series
+        value = series.expression(k) if series.name and k <= series.degree else None
+        return [] if value is None else [f"{emitter.coef(series, k)} = {value}"]
+
+
+class _Conditional(NamedTuple):
+    """The op that writes the conditional ``series``, always stored: its
+    branches' ops behind one ``if test`` per coefficient, each writing into
+    the series' storage, and zeros past a branch's degree."""
+
+    series: _Series
+    out: _Series | None
+    test: str
+    branches: list
+
+    def store(self, emitter):
+        _Write(self.series, self.out, True).store(emitter)
+        for ops, _ in self.branches:
+            for op in ops:
+                op.store(emitter)
+
+    def lines(self, emitter, k):
+        if k > self.series.degree:
+            return []
+        written = []
+        for ops, degree in self.branches:
+            block = [line for op in ops for line in op.lines(emitter, k)]
+            if k > degree:  # a known zero of this branch
+                block.append(f"{emitter.coef(self.series, k)} = 0.0")
+            written.append(_indented(block or ["pass"], 1))
+        return [f"if {self.test}:", *written[0], "else:", *written[1]]
+
+
+def _degree(x) -> int:
+    """The degree of a series, 0 for a scalar."""
+    return 0 if isinstance(x, str) else x.degree
+
+
+def _scale(x, coefficient):
+    """The factor of a scaled series' coefficient: a scalar itself, or the
+    series' coefficient."""
+    return x if isinstance(x, str) else coefficient
+
+
+def _step_rule_lines(emitter, d: int, p: int) -> list:
+    """The step ``h`` of a Taylor attempt from its coefficients c_k: with
+    tol = atol + rtol ||y||, ||.|| the largest component's size, the step at
+    which each of the last two terms, ||c_k|| h^k for k = p - 1 and p, is
+    tol, times _TAYLOR_SAFETY; at most _RADIUS_FRACTION of the radius of
+    convergence each estimates, (||y|| / ||c_k||)^(1/k); at most ``cap``. A
+    zero norm bounds nothing, and so does a NaN one.
+
+    The norms' maxima and the clamps are conditional expressions, the
+    builtins' own rules (``where`` in a batch), so the single run makes no
+    ``min`` or ``max`` call, and the powers libm's: ``**`` on floats,
+    ``power`` per entry in a batch."""
+    def pick(condition, a, b):
+        return f"where({condition}, {a}, {b})" if emitter.batch else f"{a} if {condition} else {b}"
+
+    def power(x, exponent):
+        return f"power({x}, {exponent!r})" if emitter.batch else f"({x}) ** {exponent!r}"
+
     lines = []
-    for s, a_s in enumerate(a, 1):
-        for j in comps:
-            lines.append(f"z{j} = y{j} + h * "
-                         + _weighted_source(a_s, [f"k{r}_{j}" for r in range(s)]))
-        lines.append(f"{_names(f'k{s}_', d)} = rhs((t + {float(c[s])!r} * h), ({_names('z', d)}))")
-    # the last stage input is the solution (first same as last); a finite
-    # sum proves every value finite, and only a non-finite one is looked into
-    values = [f"k{len(a)}_{j}" for j in comps] + [f"z{j}" for j in comps]
-    lines += _sum_source("total", values)
-    lines.append(f"finite = isfinite(total) or all(map(isfinite, ({', '.join(values)},)))")
-    for j in comps:  # the error norm of _row_rms
-        lines += [f"ay{j} = abs(y{j})", f"az{j} = abs(z{j})",
-                  f"x{j} = h * {_weighted_source(e, [f'k{r}_{j}' for r in range(len(c))])}"
-                  f" / (atol + rtol * (az{j} if az{j} > ay{j} else ay{j}))"]
-    lines += _sum_source("sq", [f"x{j} * x{j}" for j in comps])
-    lines.append(f"err_norm = sqrt(sq / {d})")
+    for norm, k in (("_ny", 0), ("_na", p - 1), ("_nb", p)):
+        lines.append(f"{norm} = abs({emitter.coef(emitter.state[0], k)})")
+        for state in emitter.state[1:]:
+            lines += [f"_x = abs({emitter.coef(state, k)})",
+                      f"{norm} = {pick(f'_x > {norm}', '_x', norm)}"]
+    lines += ["_tol = atol + rtol * _ny", f"_ry = {pick('_ny > 0.0', '_ny', 'inf')}", "h = cap"]
+    for norm, k in (("_na", p - 1), ("_nb", p)):
+        for fraction, size in ((_TAYLOR_SAFETY, "_tol"), (_RADIUS_FRACTION, "_ry")):
+            bound = f"{fraction!r} * {power(f'{size} / {norm}', 1.0 / k)}"
+            lines += [f"_x = {pick(f'{norm} > 0.0', bound, 'inf')}",
+                      f"h = {pick('_x < h', '_x', 'h')}"]
     return lines
 
 
-# A single run's rk45 loop over floats, as _loop_code fills it in: the
-# attempt's statements, the controller, the sample test, the stop rule (the
-# text _STOP_RULE, which _stops reads too) and the step's bookkeeping, with
-# the state and the slope at its start (first same as last) in locals across
-# steps. It calls out only on a step that holds a sample (bisect_right, and
-# fill_steps once the block holds fill_block samples or the grid's last) and
-# at the end. The clamps are written as the builtins' own rules, the same
-# bits without a call per step. An accepted step has 0 < err_norm <= 1, so
-# its factor is at least the safety factor and needs no floor.
-_LOOP = """\
-def run(rhs, t, h, y, f, t_end, span, rtol, atol, samples, out, ts):
+# A single run's Taylor loop over floats, as _taylor_loop_code fills it in:
+# the attempt (the coefficients, the step rule, the clamp to t_end, the new
+# state by Horner's rule and its finiteness test), the sample test, the stop
+# rule (the text _STOP_RULE, which _stops reads too) and the step's
+# bookkeeping, with the state, coefficient 0, in locals across steps. A
+# non-finite attempt retries from the same state under a cap of a quarter of
+# its step. A division by zero or an exp above ~709.78 raises on floats where
+# the batch's arrays give inf or NaN: such an attempt is non-finite too, with
+# a zero step, as no step from its state is finite, so the stop rule ends the
+# run at the time its batch row stops, on non-finite values. It calls out
+# only on a step that holds a sample (bisect_right, and fill_steps once the
+# block holds fill_block samples or the grid's last) and at the end.
+_TAYLOR_LOOP = """\
+def run(t, y, t_end, rtol, atol, samples, out, ts):
     {y} = y
-    {k0} = f
     last_sample = len(ts)
     idx = 1
     t_next = samples[1]
-    accepted = rejected_error = rejected_nonfinite = streak = 0
-    h_min = inf
-    h_max = h_last = 0.0
+    accepted = rejected_nonfinite = streak = 0
+    h_min = cap = inf
+    h_max = 0.0
     block = []
     while t < t_end:
-        if h >= t_end - t:
-            h = t_end - t
-            t_new = t_end
-        else:
-            t_new = t + h
+        try:
 {attempt}
+        except (ZeroDivisionError, OverflowError):
+            finite = False
+            h = 0.0
         if not finite:
             streak += 1
             rejected_nonfinite += 1
             h *= {shrink!r}
-        elif err_norm <= 1.0:
+            cap = h
+        else:
             streak = 0
-            # most steps hold no sample: a step joins the block only when the
-            # next sample lies at or before its end. It joins in two parts:
-            # CPython 3.11 never reuses a freed tuple of 20 items, the length
-            # of one part at d = 4, and holds up to 2000 of them until a full
-            # collection
+            cap = inf
             if t_next <= t_new:
                 stop = bisect_right(samples, t_new, idx)
-                block += idx, stop, t, h
-                block += {y} {z} {k0} {k_last}
+                block += idx, stop, t
+                block += {coefficients}
                 idx = stop
                 t_next = samples[idx]
                 if idx == last_sample or idx - block[0] >= fill_block:
-                    fill_steps(out, ts, block)
+                    fill_steps(out, ts, block, {terms})
                     block = []
             t = t_new
 {advance}
             accepted += 1
             h_min = h if h < h_min else h_min
             h_max = h if h > h_max else h_max
-            h_last = h
-            if err_norm == 0.0:
-                h *= {max_factor!r}
-            else:
-                factor = {safety!r} * err_norm ** -0.2
-                h *= factor if factor < {max_factor!r} else {max_factor!r}
-            if span < h:
-                h = span
-        else:
-            streak = 0
-            rejected_error += 1
-            factor = {safety!r} * err_norm ** -0.2
-            h *= factor if factor > {min_factor!r} else {min_factor!r}
         if {stop_rule}:
             raise failure(t, ({y}), streak)
-    return accepted, rejected_error, rejected_nonfinite, h_min, h_max, h_last
+    return accepted, rejected_nonfinite, h_min, h_max, h
 """
 
 
 @functools.cache
-def _loop_code(d: int):
-    """A single run's whole rk45 loop on d floats, as compiled code:
-    :data:`_LOOP` around the attempt of :func:`_stage_lines`. ``run(rhs, t,
-    h, y, f, t_end, span, rtol, atol, samples, out, ts)`` integrates from t
-    with the first trial step h, the state ``y`` and its slope ``f`` as
-    sequences of d floats, fills ``out`` at the times ``ts`` (``samples`` is
-    ``ts`` and inf past it) and returns the counts of accepted,
-    error-rejected and non-finite attempts and the smallest, largest and
-    last accepted step, or raises :class:`IntegrationError`. Its controller
-    is that of :func:`_run_rows`, and its stop rule the text
-    :data:`_STOP_RULE` that ``_stops`` reads. Cached, one entry per
-    dimension: a loop compiled per run costs more than it saves."""
-    last = len(_TABLEAU.a)
-    code = _LOOP.format(
-        y=_names("y", d), z=_names("z", d), k0=_names("k0_", d), k_last=_names(f"k{last}_", d),
-        attempt="\n".join(_indented(_stage_lines(d), 2)),
-        advance="\n".join(_indented([*(f"y{j} = z{j}" for j in range(d)),
-                                     *(f"k0_{j} = k{last}_{j}" for j in range(d))], 3)),
-        safety=_SAFETY, min_factor=_MIN_FACTOR, max_factor=_MAX_FACTOR, shrink=_SHRINK,
-        stop_rule=_STOP_RULE)
-    return compile(code, "<loop>", "exec")
-
-
-def _loop_function(d: int):
-    """The rk45 loop of :func:`_loop_code`, bound. It reads ``_FILL_BLOCK``
-    when bound, and ``_hermite_fill`` at every fill."""
-    namespace = {"isfinite": math.isfinite, "sqrt": math.sqrt, "inf": math.inf,
-                 "bisect_right": bisect.bisect_right, "fill_steps": _fill_steps,
-                 "fill_block": _FILL_BLOCK, "failure": _failure}
-    exec(_loop_code(d), namespace)
-    return namespace["run"]
+def _taylor_loop_code(d: int, equations, p: int):
+    """A single run's whole Taylor loop of order p on d floats, as compiled
+    code: :func:`_once_per_run`, then :data:`_TAYLOR_LOOP`. ``run(t, y,
+    t_end, rtol, atol, samples, out, ts)`` integrates from t and the state
+    ``y``, a sequence of d floats, fills ``out`` at the times ``ts``
+    (``samples`` is ``ts`` and inf past it) and returns the counts of
+    accepted and non-finite attempts and the smallest, largest and last
+    accepted step, or raises :class:`IntegrationError`. Its new state is
+    the batch's, :func:`_taylor_step_code`, bit for bit. The code depends
+    on the source only, never on the values bound to its names, so it is
+    cached, one entry per dimension, source and order."""
+    emitter = _TaylorEmitter(equations, p, batch=False)
+    values = [f"_z{j}" for j in range(d)]
+    attempt = [*emitter.lines(), *_step_rule_lines(emitter, d, p),
+               "if h >= t_end - t:", "    h = t_end - t", "    t_new = t_end",
+               "else:", "    t_new = t + h"]
+    for j in range(d):  # Horner's rule
+        value = f"_y{j}_{p}"
+        for k in range(p - 1, -1, -1):
+            value = f"({value}) * h + _y{j}_{k}"
+        attempt.append(f"_z{j} = {value}")
+    # a finite sum proves every value finite, and only a non-finite one is
+    # looked into. A non-finite coefficient past the first (the state) makes
+    # the new state non-finite: Horner's rule takes it times h > 0, or times
+    # h = 0, which gives NaN
+    attempt += _sum_source("_total", values)
+    attempt.append(f"finite = isfinite(_total) or all(map(isfinite, ({', '.join(values)},)))")
+    code = _TAYLOR_LOOP.format(
+        y=" ".join(f"_y{j}_0," for j in range(d)), attempt="\n".join(_indented(attempt, 3)),
+        coefficients=" ".join(f"_y{j}_{k}," for k in range(p + 1) for j in range(d)),
+        terms=p + 1, advance="\n".join(_indented([f"_y{j}_0 = _z{j}" for j in range(d)], 3)),
+        shrink=_SHRINK, stop_rule=_STOP_RULE)
+    return compile("\n".join([*_once_per_run(equations), code]), "<taylor loop>", "exec")
 
 
 @functools.cache
-def _rows_step_code():
-    """One rk45 attempt over a batch, as compiled code: ``step(rhs, t, h, y,
-    f, rtol, atol)``, which takes ``y`` and ``f`` as (d, n) arrays, a column
-    per row, ``t`` and ``h`` as (n,) arrays, and returns the new state, the
-    slope there (the last stage), ``finite`` and the error norm, both per
-    row. One statement per stage sum, with the single run's sums; each stage
-    calls ``rhs``, and its answer passes :func:`_columns`."""
-    c, a, e = _TABLEAU
-    lines = ["def step(rhs, t, h, y, f, rtol, atol):",
-             "    k0 = f"]
-    for s, a_s in enumerate(a, 1):
-        lines += [f"    z = y + h * {_weighted_source(a_s, [f'k{r}' for r in range(s)])}",
-                  f"    k{s} = columns(rhs(t + {float(c[s])!r} * h, tuple(z)), y.shape)"]
-    lines += [f"    finite = isfinite(z).all(axis=0) & isfinite(k{len(a)}).all(axis=0)",
-              f"    x = h * {_weighted_source(e, [f'k{r}' for r in range(len(c))])}"
-              " / (atol + rtol * maximum(abs(y), abs(z)))",
-              f"    return z, k{len(a)}, finite, row_rms(x)"]
-    return compile("\n".join(lines), "<batch step>", "exec")
+def _taylor_step_code(d: int, equations, p: int):
+    """One Taylor attempt of order p over a batch, as compiled code:
+    :func:`_once_per_run`, then ``step(t, cap, y, t_end, rtol, atol)``,
+    which takes ``y`` as a (d, n) array, a column per row, and ``t`` and
+    ``cap`` as (n,) arrays, and returns the coefficients as a (p + 1, d, n)
+    array, the step, its end, the new state and whether the attempt is
+    finite, per row. The statements are the single run's, written by the
+    same emitter on the rows of arrays (the state's series are views of the
+    coefficient array), and Horner's rule runs over all components at once,
+    with the same operations per entry."""
+    emitter = _TaylorEmitter(equations, p, batch=True)
+    lines = ["def step(t, cap, y, t_end, rtol, atol):",
+             f"    _c = empty(({p + 1}, {d}, len(t)))",
+             "    _c[0] = y",
+             f"    {_names('_y', d)} = _c.transpose(1, 0, 2)",
+             *(f"    _{name} = empty(({degree + 1}, len(t)))"
+               for name, degree in emitter.storage.items()),
+             *_indented([*emitter.lines(), *_step_rule_lines(emitter, d, p)], 1),
+             "    clamped = h >= t_end - t",
+             "    h = where(clamped, t_end - t, h)",
+             "    t_new = where(clamped, t_end, t + h)",
+             f"    _z = _c[{p}] * h + _c[{p - 1}]",
+             *(f"    _z = _z * h + _c[{k}]" for k in range(p - 2, -1, -1)),
+             "    finite = isfinite(_z).all(axis=0)",
+             "    return _c, h, t_new, _z, finite"]
+    return compile("\n".join([*_once_per_run(equations), *lines]), "<taylor step>", "exec")
 
 
-def _rows_step_function():
-    """The batched rk45 step of :func:`_rows_step_code`, bound."""
-    namespace = {"columns": _columns, "isfinite": np.isfinite, "maximum": np.maximum,
-                 "row_rms": _row_rms}
-    exec(_rows_step_code(), namespace)
-    return namespace["step"]
+def _taylor_function(generate, name, rhs, d, p, t0, namespace):
+    """The function ``name`` of the code ``generate(d, equations, p)`` for
+    ``rhs``, an :class:`InlineRhs` of d components, on a run from t0, once
+    the code has run in ``namespace`` with the names of rhs's source and
+    ``t`` = t0: running it evaluates the source's parameter-only statements
+    once, and its guard at t0."""
+    equations = rhs.equations
+    if len(equations.state) != d or len(equations.rates) != d:
+        raise ValueError(f"rhs returns {len(equations.rates)} values of {len(equations.state)} "
+                         f"components for a state of {d}")
+    namespace.update(rhs.bindings, t=t0, inf=math.inf)
+    exec(generate(d, equations, p), namespace)
+    return namespace[name]
 
 
-def _columns(answer, shape):
-    """A batch rhs answer as a (d, n) array; another shape is a ValueError."""
-    k = np.asarray(answer, dtype=float)
-    if k.shape != shape:
-        raise ValueError(f"rhs returned values of shape {k.shape} for states of shape {shape}")
-    return k
+def _run_single(rhs, y0, config, ts, out):
+    """Integrate the (d,) state ``y0`` of ``rhs`` over ``config`` into
+    ``out``, the samples at ``ts``, and return the run's stats: the loop of
+    :func:`_taylor_loop_code`, bound."""
+    d, p = len(y0), _taylor_order(config.rtol)
+    run = _taylor_function(_taylor_loop_code, "run", rhs, d, p, config.t0,
+                           {"isfinite": math.isfinite, "exp": math.exp,
+                            "bisect_right": bisect.bisect_right,
+                            "fill_steps": _fill_taylor_steps, "fill_block": _FILL_BLOCK,
+                            "failure": _failure})
+    # the sample times, read as floats, and past the last one a time no step reaches
+    samples = memoryview(np.append(ts, math.inf))
+    with np.errstate(all="ignore"):  # the fill evaluates steps of any size
+        accepted, rejected, *steps = run(config.t0, tuple(y0.tolist()), config.t_end,
+                                         config.rtol, config.atol, samples, out, ts)
+    return _stats(p, accepted, rejected, *steps)
 
 
 def _run_rows(rhs, y0, config, ts, out):
-    step = _rows_step_function()
-    t0, t_end = config.t0, config.t_end
-    rtol, atol = config.rtol, config.atol
-    span = t_end - t0
-    n_rows = len(y0)
+    """Integrate the (N, d) rows ``y0`` of ``rhs`` over ``config`` into
+    ``out``, of shape (N, samples, d), and return the batch's stats: the
+    step of :func:`_taylor_step_code` over the running rows, with the single
+    run's bookkeeping per row. A last running row steps as two copies of its
+    column, whose sums numpy adds in order (:meth:`_TaylorEmitter.dot`)."""
+    n_rows, d = y0.shape
+    p = _taylor_order(config.rtol)
+    step = _taylor_function(_taylor_step_code, "step", rhs, d, p, config.t0,
+                            {"isfinite": np.isfinite, "exp": _exp, "where": np.where,
+                             "power": _power, "empty": np.empty,
+                             "add_reduce": np.add.reduce})
+    t_end, rtol, atol = config.t_end, config.rtol, config.atol
     accepted = np.zeros(n_rows, dtype=np.int64)
-    rejected_error = np.zeros(n_rows, dtype=np.int64)
-    rejected_nonfinite = np.zeros(n_rows, dtype=np.int64)
+    rejected = np.zeros(n_rows, dtype=np.int64)
     h_min, h_max, h_last = np.full(n_rows, math.inf), np.zeros(n_rows), np.full(n_rows, math.nan)
     failures = []
     # live rows only, one column each, compressed whenever rows finish or fail
     rows = np.arange(n_rows)
-    t = np.full(n_rows, float(t0))
+    t = np.full(n_rows, float(config.t0))
     y = y0.T.copy()
     idx = np.ones(n_rows, dtype=np.intp)
     streak = np.zeros(n_rows, dtype=np.int64)
-    # the steps whose samples are not filled yet: no array they hold is
-    # written in place afterwards, so they are held without a copy
+    cap = np.full(n_rows, math.inf)
+    # the steps whose samples are not filled yet, held without a copy
     block, held = [], 0
     with np.errstate(all="ignore"):
-        f = _columns(rhs(t, tuple(y)), y.shape)
-        h = _initial_step(y, f, rtol, atol, span)
         while rows.size:
-            clamped = h >= t_end - t
-            h = np.where(clamped, t_end - t, h)
-            y_new, f_new, finite, err_norm = step(rhs, t, h, y, f, rtol, atol)
-            ok = finite & (err_norm <= 1.0)
-            factor = _SAFETY * _error_power(err_norm)
-            # an accepted row has 0 < err_norm <= 1, so its factor needs no floor
-            grow = np.where(err_norm == 0.0, _MAX_FACTOR, np.minimum(_MAX_FACTOR, factor))
-            t_new = np.where(clamped, t_end, t + h)
+            if rows.size > 1:
+                coeffs, h, t_new, y_new, finite = step(t, cap, y, t_end, rtol, atol)
+            else:  # a last row steps as two copies of its column (see dot)
+                coeffs, h, t_new, y_new, finite = (
+                    v[..., :1] for v in step(t.repeat(2), cap.repeat(2), y.repeat(2, axis=1),
+                                             t_end, rtol, atol))
             stop = np.searchsorted(ts, t_new, side="right")
-            accepted[rows] += ok
-            h_min[rows] = np.where(ok & (h < h_min[rows]), h, h_min[rows])
-            h_max[rows] = np.where(ok & (h > h_max[rows]), h, h_max[rows])
-            h_last[rows] = np.where(ok, h, h_last[rows])
-            h_new = np.minimum(h * grow, span)
-            if not ok.all():
-                # a rejected row keeps its state with a smaller step, and fills no sample
-                rejected_error[rows] += finite & ~ok
-                rejected_nonfinite[rows] += ~finite
-                h_new = np.where(ok, h_new, np.where(finite, h * np.maximum(_MIN_FACTOR, factor),
-                                                     h * _SHRINK))
-                t_new, y_new, f_new, stop = (np.where(ok, new, old) for new, old in
-                                             ((t_new, t), (y_new, y), (f_new, f), (stop, idx)))
-            block.append((rows, idx, stop, t, h, y, y_new, f, f_new))
+            accepted[rows] += finite
+            h_min[rows] = np.where(finite & (h < h_min[rows]), h, h_min[rows])
+            h_max[rows] = np.where(finite & (h > h_max[rows]), h, h_max[rows])
+            h_last[rows] = np.where(finite, h, h_last[rows])
+            if not finite.all():
+                # a non-finite row keeps its state, fills no sample and
+                # retries under a cap of a quarter of its step
+                rejected[rows] += ~finite
+                h = np.where(finite, h, h * _SHRINK)
+                t_new, y_new, stop = (np.where(finite, new, old) for new, old in
+                                      ((t_new, t), (y_new, y), (stop, idx)))
+            cap = np.where(finite, math.inf, h)
+            block.append((rows, idx, stop, t, coeffs.transpose(2, 0, 1)))
             held += rows.size
-            h, t, y, f, idx = h_new, t_new, y_new, f_new, stop
+            t, y, idx = t_new, y_new, stop
             streak = np.where(finite, 0, streak + 1)
             failed = _stops(t, h, streak, t_end)
             failures += _failed_rows(rows, t, streak, failed)
             live = (t < t_end) & ~failed
             if not live.all():
-                rows, t, h, idx, streak = (v[live] for v in (rows, t, h, idx, streak))
-                y, f = y[:, live], f[:, live]
+                rows, t, idx, streak, cap = (v[live] for v in (rows, t, idx, streak, cap))
+                y = y[:, live]
             if held >= _FILL_BLOCK or not rows.size:
-                columns = list(zip(*block))
-                _hermite_fill(out, ts, *(np.concatenate(column) for column in columns[:5]),
-                              *(np.concatenate(column, axis=1).T for column in columns[5:]))
+                _taylor_fill(out, ts, *(np.concatenate(column) for column in zip(*block)))
                 block, held = [], 0
-    return _batch_stats(_stats({"method": "rk45"}, accepted, rejected_error, rejected_nonfinite,
-                               _rk45_evals(accepted, rejected_error, rejected_nonfinite),
-                               h_min, h_max, h_last), failures)
+    return _batch_stats(_stats(p, accepted, rejected, h_min, h_max, h_last), failures)
 
 
-def _failed_rows(rows, t, streak, failed) -> list:
-    """``(row, message)`` of every batch row that ``failed``, stopped short
-    of t_end by :data:`_STOP_RULE`, with the message its single run raises."""
-    return [(int(rows[i]), _failure_text(_STOP[bool(streak[i])][0], float(t[i])))
-            for i in np.flatnonzero(failed).tolist()]
+def _taylor_fill(out, ts, rows, idx, stop, t0, coeffs):
+    """Fill the samples of a block of m Taylor steps with each step's own
+    polynomial. Step i writes ``out[rows[i]]``, of shape (samples, d), at the
+    samples ``idx[i]`` up to ``stop[i]`` (those on (t0[i], t0[i] + h[i]]),
+    from its coefficients ``coeffs[i]``, of shape (p + 1, d): the value at
+    ``ts[j]`` is Horner's rule in s = ts[j] - t0[i], the rule each loop's
+    step takes for its new state. Each pass gathers one coefficient of every
+    sample's step with ``take`` and updates the values in place, so the
+    kernel holds (samples, d) arrays, never the block's coefficients once
+    per sample. Both loops fill through it: a batch into its (N, samples, d)
+    output, a single run as row 0 of ``out[None]``."""
+    pair, sample = _block_samples(idx, stop)
+    if len(pair):
+        s = (ts[sample] - t0[pair])[:, None]
+        c = coeffs.transpose(1, 0, 2)  # coefficient k of every step: c[k], (m, d)
+        value = c[-1].take(pair, 0)
+        for k in range(len(c) - 2, -1, -1):
+            value *= s
+            value += c[k].take(pair, 0)
+        out[rows[pair], sample] = value
+
+
+def _fill_taylor_steps(out, ts, block, terms):
+    """Fill the samples of the Taylor steps a single run holds in ``block``,
+    a flat list of 3 + terms d numbers per step: its first sample and the
+    sample past its last, its start t, then its ``terms`` coefficients, each
+    as its d components."""
+    d = out.shape[1]
+    steps = np.fromiter(block, float, len(block)).reshape(-1, 3 + terms * d)
+    idx, stop = steps[:, :2].T.astype(np.intp)
+    _taylor_fill(out[None], ts, np.zeros(len(steps), dtype=np.intp), idx, stop, steps[:, 2],
+                 steps[:, 3:].reshape(-1, terms, d))
 
 
 # Classical RK4, whose fixed steps order_check takes: each stage's time
@@ -767,9 +966,10 @@ class OrderEstimate:
     errors: tuple
 
 
-def order_check(rhs, y0, t0: float, t_end: float, steps) -> OrderEstimate:
-    """Measure the fixed-step RK4 convergence order on [t0, t_end] against
-    an adaptive reference solution at tight tolerance.
+def order_check(rhs: InlineRhs, y0, t0: float, t_end: float, steps) -> OrderEstimate:
+    """Measure the fixed-step RK4 convergence order of ``rhs``, whose steps
+    call it, on [t0, t_end] against the Taylor run of its equations at rtol
+    1e-13 and atol 1e-15.
 
     A nominal step h takes n = max(1, round(span/h)) steps of span/n, step i
     from t0 + i span/n, at most ``MAX_GRID_POINTS``; the fit and the report

@@ -35,6 +35,8 @@ __all__ = [
     "full_rhs",
     "Equations",
     "FULL_EQUATIONS",
+    "InlineRhs",
+    "DISSIPATIVE_EQUATIONS",
     "dissipative_rhs",
     "dissipative_to_cartesian",
     "cartesian_to_dissipative",
@@ -77,6 +79,24 @@ def _check_slow_time(tau):
     array, is >= 0."""
     if np.any(tau < 0.0) if isinstance(tau, np.ndarray) else tau < 0.0:
         raise ValueError("slow time tau must be >= 0")
+
+
+def _check_omega(omega, required, what):
+    """ValueError unless omega is the ``required`` one of ``what``."""
+    if omega != required:
+        raise ValueError(f"{what} applies to omega = {required:g}, params have omega = {omega:g}")
+
+
+def _check_exponential(alpha_kind, what):
+    """ValueError unless the decay law is exponential, the only one ``what``
+    exists for."""
+    if alpha_kind != "exponential":
+        raise ValueError(f"{what} exists for the exponential decay law only")
+
+
+# the functions a guard of an Equations text may call, bound by every evaluator
+_CHECKS = {"check_slow_time": _check_slow_time, "check_omega": _check_omega,
+           "check_exponential": _check_exponential}
 
 
 _decay = eval(f"lambda tau, exponential: {_DECAY_LAW}", {"exp": _exp})
@@ -175,19 +195,24 @@ class Equations(NamedTuple):
     they assign the rates of the components to the names ``rates``. Besides
     their own results they read the fields ``params`` of :class:`ModelParams`
     and libm's ``exp``, which each evaluator binds for its components: floats
-    (a single run) or arrays (a batch, and :func:`full_rhs` on arrays).
+    (a single run) or arrays (a batch, and a generated function on arrays).
     ``guard`` holds statements of ``t`` and the parameters that raise
-    ValueError where the field is not defined; :func:`full_rhs` runs them at
-    every call, a generated step once per run, at its start time, so what
-    they test must hold at every later time once it holds at one.
+    ValueError where the field is not defined, through the functions of
+    ``_CHECKS``; the field's generated function (:func:`_rhs_function`) runs
+    them at every call, a generated step once per run, at its start time, so
+    what they test must hold at every later time once it holds at one.
 
     The Taylor method of :mod:`symevol.integrate` sorts the statements in two
     classes: those that read neither ``t`` nor a state name, directly or
     through an earlier statement, run once per run; every other one assigns
     a Taylor series and may use only ``+``, ``-``, ``*``, ``/``, ``exp`` and
-    ``a if c else b`` with ``c`` of the first class. The generated code
-    reserves ``t``, every name that starts with an underscore and the names
-    that :class:`symevol.integrate.InlineRhs` lists.
+    ``a if c else b`` with ``c`` of the first class. The statements' names
+    share the generated code's namespace, so they must differ from its own:
+    every name that starts with an underscore, ``t`` (the time), ``y``,
+    ``h``, ``cap``, ``t_end``, ``t_new``, ``rtol``, ``atol``, ``finite``,
+    ``clamped``, ``inf``, ``exp``, ``isfinite``, ``where``, ``power``,
+    ``empty``, ``add_reduce`` and the names of the single run's loop in
+    ``integrate._TAYLOR_LOOP``.
     """
 
     state: tuple
@@ -199,12 +224,44 @@ class Equations(NamedTuple):
     def bindings(self, p: ModelParams) -> dict:
         """Every name the body and the guard read besides the state, ``t``,
         ``exp`` and the body's own results, bound at p."""
-        return {"check_slow_time": _check_slow_time,
-                **{name: getattr(p, name) for name in self.params}}
+        return {**_CHECKS, **{name: getattr(p, name) for name in self.params}}
+
+    def at(self, p: ModelParams) -> InlineRhs:
+        """The field at p as :func:`symevol.integrate.integrate` takes it: an
+        :class:`InlineRhs` whose call is the function :func:`_rhs_function`
+        generated from this text, the one constructor of every field the
+        package integrates."""
+        rhs = _FIELDS[self]
+        return InlineRhs(lambda t, y: rhs(t, y, p), self, self.bindings(p))
+
+
+class InlineRhs(NamedTuple):
+    """A right-hand side with its source text, from which both loops of
+    :func:`symevol.integrate.integrate` write a Taylor method
+    (``integrate._TaylorEmitter``); :meth:`Equations.at` makes one.
+
+    ``call(t, y)`` is the right-hand side itself, and calling the record
+    calls it (the fixed RK4 steps of ``integrate.order_check`` do); the
+    Taylor loops never do. ``equations`` is its source, an
+    :class:`Equations`. Its statements that read only the parameters run
+    once per run, when the loop or the batched step is bound, in the
+    namespace that holds ``bindings``, and so does the guard, with ``t`` the
+    run's start time. ``bindings`` holds every name they read but ``exp``,
+    which each loop binds to libm's exp (``math.exp``, in a batch
+    :func:`_exp`). A division by zero or an ``exp`` that overflows makes the
+    attempt non-finite in both loops.
+    """
+
+    call: object
+    equations: Equations
+    bindings: dict
+
+    def __call__(self, t, y):
+        return self.call(t, y)
 
 
 # The full equations of motion. ``full_rhs`` is generated from them, and so is
-# the Taylor method of the single-run and batched steps (integrate.InlineRhs).
+# the Taylor method of the single-run and batched steps (InlineRhs).
 # The factors that read only the parameters are statements of their own, so
 # that the steps evaluate them once per run, and the three quadratic products
 # of the coordinates are too, so that the Taylor method takes five Cauchy
@@ -231,19 +288,25 @@ FULL_EQUATIONS = Equations(
           " + al * (epsilon * (a3 * q2q2 + a4 * q1q1)))"),
     guard=("check_slow_time(delta * t)",))
 
+# the function generated from each Equations text, which Equations.at calls
+_FIELDS = {}
+
 
 def _rhs_function(equations: Equations, name: str, doc: str):
     """``name(t, y, p)``: the rates of ``equations`` at the state ``y``, a
-    sequence of its components, and the parameters p."""
+    sequence of its components, and the parameters p. The arithmetic is
+    elementwise, so on arrays every entry equals the call on floats bit for
+    bit."""
     lines = [f"def {name}(t, y, p):",
              f"    {', '.join(equations.state)} = y",
              *(f"    {param} = p.{param}" for param in equations.params),
              *(f"    {statement}" for statement in (*equations.guard, *equations.body)),
              f"    return {', '.join(equations.rates)}"]
-    namespace = {"exp": _exp, "check_slow_time": _check_slow_time, "__name__": __name__}
+    namespace = {"exp": _exp, **_CHECKS, "__name__": __name__}
     exec("\n".join(lines), namespace)
     function = namespace[name]
     function.__doc__ = doc
+    _FIELDS[equations] = function
     return function
 
 
@@ -259,27 +322,31 @@ call on floats bit for bit.
 """)
 
 
-def dissipative_rhs(t, y, p: ModelParams):
-    """Autonomous damped form of the intermediate system, z = exp(-delta*t)*q.
+# The autonomous damped form of the intermediate system, from which
+# ``dissipative_rhs`` and its Taylor method are generated.
+DISSIPATIVE_EQUATIONS = Equations(
+    state=("z1", "w1", "z2", "w2"),
+    rates=("w1", "dw1", "w2", "dw2"),
+    params=("a3", "a4", "omega", "epsilon", "delta", "alpha_kind"),
+    body=("dw1 = -z1 - 2.0 * delta * w1 - delta * delta * z1 + epsilon * 2.0 * a4 * z1 * z2",
+          "dw2 = (-omega**2 * z2 - 2.0 * delta * w2 - delta * delta * z2"
+          " + epsilon * (a3 * z2 * z2 + a4 * z1 * z1))"),
+    guard=("check_exponential(alpha_kind, 'the dissipative form')",))
 
-    The intermediate system is :func:`full_rhs` at ``p.replace(a1=0.0,
-    a2=0.0)``: the symmetric cubic terms removed, so the plane q1 = v1 = 0
-    is invariant. Valid for the exponential decay law only; the homogeneity of the cubic
-    terms turns the explicit time dependence into linear friction 2*delta:
+dissipative_rhs = _rhs_function(DISSIPATIVE_EQUATIONS, "dissipative_rhs", """\
+Autonomous damped form of the intermediate system, z = exp(-delta*t)*q,
+generated from :data:`DISSIPATIVE_EQUATIONS`.
 
-        z1'' + z1         = -2*delta*z1' - delta^2*z1 + eps*2*a4*z1*z2
-        z2'' + omega^2*z2 = -2*delta*z2' - delta^2*z2 + eps*(a3*z2^2 + a4*z1^2)
+The intermediate system is :func:`full_rhs` at ``p.replace(a1=0.0,
+a2=0.0)``: the symmetric cubic terms removed, so the plane q1 = v1 = 0
+is invariant. Valid for the exponential decay law only; the homogeneity of the cubic
+terms turns the explicit time dependence into linear friction 2*delta:
 
-    Takes and answers states as :func:`full_rhs`.
-    """
-    if p.alpha_kind != "exponential":
-        raise ValueError("dissipative form only exists for the exponential decay law")
-    z1, w1, z2, w2 = y
-    d = p.delta
-    e = p.epsilon
-    dw1 = -z1 - 2.0 * d * w1 - d * d * z1 + e * 2.0 * p.a4 * z1 * z2
-    dw2 = -p.omega**2 * z2 - 2.0 * d * w2 - d * d * z2 + e * (p.a3 * z2 * z2 + p.a4 * z1 * z1)
-    return w1, dw1, w2, dw2
+    z1'' + z1         = -2*delta*z1' - delta^2*z1 + eps*2*a4*z1*z2
+    z2'' + omega^2*z2 = -2*delta*z2' - delta^2*z2 + eps*(a3*z2^2 + a4*z1^2)
+
+Takes and answers states as :func:`full_rhs`.
+""")
 
 
 def dissipative_to_cartesian(t, z, delta):

@@ -20,8 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .averaged import (_chi2_coeffs, _chi3_paper_coeffs, _exact_or_float, _phase_drifts_11,
-                       avg11_cart, avg12_first_cart, avg12_second_cart, avg13_cart,
+from .averaged import (AVG11, AVG12_FIRST, AVG12_SECOND, AVG13, _chi2_coeffs,
+                       _chi3_paper_coeffs, _exact_or_float, _phase_drifts_11,
                        polar_to_slow_cart, slow_cart_amplitudes)
 from .integrate import IntegratorConfig, integrate
 from .model import ModelParams
@@ -222,7 +222,7 @@ def _orbit_ratio(params, cos2chi):
 def _integrate_avg11(y0_polar, params, horizon):
     """The averaged 1:1 flow from polar data, run in the regular chart."""
     cfg = IntegratorConfig(t_end=horizon, sample_dt=horizon / 2000.0, rtol=1e-8, atol=1e-10)
-    return integrate(lambda t, y: avg11_cart(t, y, params), polar_to_slow_cart(y0_polar), cfg)
+    return integrate(AVG11.at(params), polar_to_slow_cart(y0_polar), cfg)
 
 
 _GROWN = 30.0
@@ -334,7 +334,8 @@ def _report_13(a1, a2, e0) -> dict:
 class Resonance:
     """What the package knows about one resonance omega:1.
 
-    ``systems`` maps each averaged-system name to its field in the regular
+    ``systems`` maps each averaged-system name to the
+    :class:`symevol.model.Equations` text of its field in the regular
     slow-Cartesian chart; ``report(a1, a2, e0)`` builds the ``resonance``
     command's JSON body.
     """
@@ -345,10 +346,9 @@ class Resonance:
 
 
 RESONANCES = {
-    1.0: Resonance({"11": avg11_cart}, "11", _report_11),
-    2.0: Resonance({"12-first": avg12_first_cart, "12-second": avg12_second_cart},
-                   "12-first", _report_12),
-    3.0: Resonance({"13": avg13_cart}, "13", _report_13),
+    1.0: Resonance({"11": AVG11}, "11", _report_11),
+    2.0: Resonance({"12-first": AVG12_FIRST, "12-second": AVG12_SECOND}, "12-first", _report_12),
+    3.0: Resonance({"13": AVG13}, "13", _report_13),
 }
 
 SYSTEM_OMEGA = {name: omega for omega, entry in RESONANCES.items() for name in entry.systems}
@@ -364,7 +364,7 @@ def resonance_for(omega: float) -> Resonance:
 
 
 def averaged_system(omega: float, name: str | None = None):
-    """(name, field) of the averaged system ``name`` of omega; an omitted
+    """(name, equations) of the averaged system ``name`` of omega; an omitted
     name means omega's default system. ValueError when omega has no entry
     or the name is not one of omega's systems."""
     entry = resonance_for(omega)

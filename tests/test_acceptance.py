@@ -12,16 +12,15 @@ import numpy as np
 import pytest
 
 from conftest import fig_initial_state, fig_params
-from symevol.averaged import (average_slow_field, avg11_cart, avg12_first_cart,
+from symevol.averaged import (AVG12_FIRST, average_slow_field, avg11_cart, avg12_first_cart,
                               cartesian_invariant, polar_view)
 from symevol.cli import main as cli_main
 from symevol.config import build_scenario, load_config, preset_path
 from symevol.experiments import (full_field, polar_amplitude_series, run_scenario,
                                  stabilization_time)
 from symevol.integrate import IntegratorConfig, integrate, order_check
-from symevol.model import (CartesianState, ModelParams,
-                           cartesian_to_dissipative, dissipative_rhs,
-                           dissipative_to_cartesian, eval_hamiltonian)
+from symevol.model import (DISSIPATIVE_EQUATIONS, CartesianState, ModelParams,
+                           cartesian_to_dissipative, dissipative_to_cartesian, eval_hamiltonian)
 from symevol.resonance import (classify_11, locate_12_second, locate_13,
                                verify_stability_numerically)
 from symevol.transforms import mode_actions
@@ -118,8 +117,7 @@ def test_criterion_04_averaged_vs_full_error_scaling(ladder_trajectories):
         polar = [r1, wrap_angle(psi1), r2, wrap_angle(psi2), p.delta * ic.t]
         cfg = IntegratorConfig(t_end=5.0 / eps, sample_dt=0.05,
                                rtol=1e-10, atol=1e-12)
-        avg = integrate(lambda t, y: avg12_first_cart(t, y, p),
-                        polar_to_slow_cart(polar), cfg)
+        avg = integrate(AVG12_FIRST.at(p), polar_to_slow_cart(polar), cfg)
         r1_avg, r2_avg = slow_cart_amplitudes(avg.states)
         sups.append(max(float(np.max(np.abs(r1_full - r1_avg))),
                         float(np.max(np.abs(r2_full - r2_avg)))))
@@ -252,7 +250,7 @@ def test_criterion_10_infrastructure(tmp_path):
     p_int = pz.replace(a1=0.0, a2=0.0)  # the intermediate system
     direct = integrate(full_field(p_int), y0s, cfg_z)
     z0 = cartesian_to_dissipative(0.0, y0s, pz.delta)
-    damped = integrate(lambda t, y: dissipative_rhs(t, y, pz), z0, cfg_z)
+    damped = integrate(DISSIPATIVE_EQUATIONS.at(pz), z0, cfg_z)
     zerr = float(np.max(np.abs(dissipative_to_cartesian(damped.times, damped.states,
                                                         pz.delta) - direct.states)))
     ok &= zerr < 1e-6

@@ -1,4 +1,3 @@
-import importlib
 import math
 from fractions import Fraction
 
@@ -6,7 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import random_polar
-from symevol.averaged import (ZeroAmplitudeError, _chi2_coeffs, _chi3_paper_coeffs,
+from symevol.averaged import (AVG11, AVG12_FIRST, AVG12_SECOND, AVG13, ZeroAmplitudeError,
+                              _chi2_coeffs, _chi3_paper_coeffs,
                               _phase_drifts_13, average_slow_field, avg11_cart,
                               avg12_first_cart, avg12_second_cart, avg13_cart,
                               cartesian_invariant, polar_to_slow_cart, polar_view,
@@ -366,7 +366,7 @@ def test_i3_11_conserved_by_the_symmetric_flow():
     cfg = IntegratorConfig(t_end=6000.0, sample_dt=6.0, rtol=1e-10, atol=1e-12)
     for a1, a2 in ((1.0, 1.0), (0.3, -0.8), (-1.2, 0.5)):
         p = ModelParams(a1, a2, 0.0, 0.0, omega=1.0, epsilon=0.1, n=2)
-        x1, y1, x2, y2 = integrate(lambda t, y: avg11_cart(t, y, p), y0, cfg).states[:, :4].T
+        x1, y1, x2, y2 = integrate(AVG11.at(p), y0, cfg).states[:, :4].T
         # the chart at t = 0: q = x, v = -y
         i3 = cartesian_invariant("I3_11", np.stack([x1, -y1, x2, -y2], axis=-1), p)
         cos2chi_term = (x1 * x2 + y1 * y2) ** 2 - (x1 * y2 - y1 * x2) ** 2
@@ -410,23 +410,24 @@ def test_slow_cart_chart_consistent_with_polar(params12, p11, p13, rng):
             assert type(d_cart) is tuple and d_tuple == d_cart
 
 
-def test_slow_cart_fields_reject_batch_columns(params12, p11, p13, monkeypatch):
-    # the fields take five floats: a batched run stops at its first rhs call
-    # with one ValueError, before any sample is written (the batch writes its
-    # samples through _hermite_fill, as the valid run at the end shows)
-    integrate_module = importlib.import_module("symevol.integrate")
-    fills = []
-    monkeypatch.setattr(integrate_module, "_hermite_fill", lambda *args: fills.append(args))
-    y0 = np.array([polar_to_slow_cart(np.array([0.5, 0.3, 0.4, -0.2, 0.0])),
+def test_slow_cart_fields_take_batch_columns(params12, p11, p13):
+    # a field generated from its text takes batch columns: its call gives
+    # every entry the bits of the call on floats, and a batch row of its
+    # Taylor run equals the single run byte for byte
+    y0 = np.array([polar_to_slow_cart(np.array([0.5, 0.3, 0.4, -0.2, 0.3])),
                    polar_to_slow_cart(np.array([0.4, 0.1, 0.5, 0.7, 0.0]))])
-    cfg = IntegratorConfig(t_end=1.0, sample_dt=0.5)
-    for rhs_cart, p in ((avg12_first_cart, params12), (avg12_second_cart, params12),
-                        (avg13_cart, p13), (avg11_cart, p11)):
-        with pytest.raises(ValueError, match="take a state of five floats"):
-            integrate(lambda t, y: rhs_cart(t, y, p), y0, cfg)
-    assert fills == []
-    integrate(lambda t, y: [-v for v in y], y0, cfg)
-    assert len(fills) == 1
+    cfg = IntegratorConfig(t_end=50.0, sample_dt=0.5)
+    for equations, rhs_cart, p in ((AVG12_FIRST, avg12_first_cart, params12),
+                                   (AVG12_SECOND, avg12_second_cart, params12),
+                                   (AVG13, avg13_cart, p13), (AVG11, avg11_cart, p11)):
+        columns = rhs_cart(0.0, tuple(y0.T), p)
+        batch = integrate(equations.at(p), y0, cfg)
+        assert batch.stats["failures"] == []
+        for i, row in enumerate(y0):
+            single = rhs_cart(0.0, tuple(row.tolist()), p)
+            assert [column[i] for column in columns[:4]] == list(single[:4])
+            run = integrate(equations.at(p), row, cfg)
+            assert np.array_equal(batch.states[i], run.states)
 
 
 def test_slow_cart_chart_crosses_normal_mode(params12):
@@ -435,12 +436,12 @@ def test_slow_cart_chart_crosses_normal_mode(params12):
     # the unstable q2 mode (a1 = 0) brings r2 close to zero.
     # The regular chart passes while conserving the quadratic integral.
     p11 = ModelParams(0.0, 1.0, 0.0, 0.0, omega=1.0, epsilon=0.1, n=2)
-    cases = ((avg12_first_cart, params12, [0.5, -math.pi / 2, 0.25, -math.pi / 2, 0.0],
+    cases = ((AVG12_FIRST, params12, [0.5, -math.pi / 2, 0.25, -math.pi / 2, 0.0],
               60.0, (0.5, 2.0)),
-             (avg11_cart, p11, [0.9, 1.18, 0.3, 0.0, 0.0], 2500.0, (0.5, 0.5)))
-    for rhs, p, y0, horizon, (c1, c2) in cases:
+             (AVG11, p11, [0.9, 1.18, 0.3, 0.0, 0.0], 2500.0, (0.5, 0.5)))
+    for equations, p, y0, horizon, (c1, c2) in cases:
         cfg = IntegratorConfig(t_end=horizon, sample_dt=0.1, rtol=1e-11, atol=1e-13)
-        traj = integrate(lambda t, y: rhs(t, y, p), polar_to_slow_cart(np.array(y0)), cfg)
+        traj = integrate(equations.at(p), polar_to_slow_cart(np.array(y0)), cfg)
         r1, r2 = slow_cart_amplitudes(traj.states)
         e0 = c1 * r1**2 + c2 * r2**2
         assert r2[0] >= 0.25 and np.min(r2) < 0.02  # passes near the mode

@@ -204,7 +204,7 @@ def test_simulate_malformed_config(tmp_path):
     assert main(["simulate", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert main(["simulate", str(tmp_path / "missing.ini"),
                  "--out", str(tmp_path / "o")]) == 2
-    rk4 = tmp_path / "rk4.ini"  # only rk45 runs; rk4 must not silently run rk45
+    rk4 = tmp_path / "rk4.ini"  # the retired key accepts only rk45; rk4 must not run silently
     rk4.write_text(SMALL_CONFIG.replace("[integrator]", "[integrator]\nmethod = rk4"))
     assert main(["simulate", str(rk4), "--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
@@ -316,14 +316,22 @@ def test_loose_atol_stays_on_the_solution(tmp_path):
     # at atol 1e300 the Taylor step's tolerance bounds nothing, but the cap
     # at e^-2 of the series' estimated radius of convergence keeps every
     # step where the series converges: the run stays on the default run's
-    # solution (without the cap it takes one step of 10 and ends near 1e8)
-    runs = []
+    # solution (without the cap it takes one step of 10 and ends near 1e8).
+    # So does compare, whose averaged run is a Taylor run too: each value of
+    # compare.csv moves by at most 2.8e-13 (measured), where an rk45 averaged
+    # run at atol 1e300 moved sup_r1 by 6.6e-7
+    runs, tables = [], []
     for extra in ([], ["--atol", "1e300"]):
         out = tmp_path / f"atol{len(runs)}"
         assert main(["simulate", "fig1", "--horizon", "10", "--out", str(out), *extra]) == 0
         runs.append(np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1))
+        out = tmp_path / f"cmp{len(tables)}"
+        assert main(["compare", "fig1", "--eps-list", "0.1", "--out", str(out), *extra]) == 0
+        tables.append(np.loadtxt(out / "compare.csv", delimiter=",", skiprows=1))
     assert runs[0].shape == runs[1].shape == (41, 7)
     assert np.max(np.abs(runs[1] - runs[0])) < 1e-6
+    assert tables[0].shape == tables[1].shape == (5,)
+    assert np.max(np.abs(tables[1] - tables[0])) < 1e-11
 
 
 def test_compare_table_and_exponent(small_config, tmp_path, capsys):
@@ -566,7 +574,7 @@ def test_every_run_command_writes_integrator_stats(small_config, tmp_path):
     # method, the step counts and the smallest, largest and last step of its
     # run, of its ensemble's rows (their spread over the rows), and of both
     # runs of every compare rung, which each equal the run made on its own.
-    # The full model runs the Taylor method, compare's averaged field rk45
+    # The full model and compare's averaged field both run the Taylor method
     keys = {"method", "accepted", "rejected", "rejected_error", "rejected_nonfinite",
             "rhs_evals", "h_min", "h_max", "h_final"}
     runs = {"simulate": ["simulate", str(small_config)],
@@ -593,11 +601,11 @@ def test_every_run_command_writes_integrator_stats(small_config, tmp_path):
         assert set(rung) == {"epsilon", "full", "averaged"}
         res = compare_full_vs_averaged(params, initial, **settings)
         assert rung["full"] == res.full_stats and rung["averaged"] == res.averaged_stats
-        assert set(rung["full"]) == keys | {"order"} and set(rung["averaged"]) == keys
-        assert (rung["full"]["method"], rung["averaged"]["method"]) == ("taylor", "rk45")
+        assert set(rung["full"]) == set(rung["averaged"]) == keys | {"order"}
+        assert (rung["full"]["method"], rung["averaged"]["method"]) == ("taylor", "taylor")
         assert rung["full"]["accepted"] > 0 and rung["averaged"]["accepted"] > 0
-        assert rung["averaged"]["rhs_evals"] == 1 + 6 * (rung["averaged"]["accepted"]
-                                                         + rung["averaged"]["rejected"])
+        assert rung["averaged"]["rhs_evals"] == (rung["averaged"]["accepted"]
+                                                 + rung["averaged"]["rejected"])
 
 
 def test_ensemble_manifest_lists_failed_particles(tmp_path):

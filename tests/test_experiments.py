@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-import symevol.experiments as experiments_module
-from conftest import fig_initial_state, fig_params
+import symevol.model as model_module
+from conftest import fig_initial_state, fig_params, rk4_steps
 from symevol.experiments import (EnsembleSpec, ScenarioConfig, _draw_initial,
                                  _histogram_series, compare_full_vs_averaged, full_field,
                                  invariant_drift, phase_series, polar_amplitude_series,
@@ -14,7 +15,7 @@ from symevol.averaged import INVARIANT_NAMES, cartesian_invariant
 from symevol.config import ConfigError, build_scenario, load_config, preset_path
 from symevol.integrate import (MAX_GRID_POINTS, InlineRhs, IntegrationError, IntegratorConfig,
                                integrate, order_check)
-from symevol.taylor import _split_body
+from symevol.integrate import _split_body
 from symevol.model import (ALPHA_KINDS, FULL_EQUATIONS, CartesianState, ModelParams, alpha,
                            full_rhs)
 from symevol.resonance import RESONANCES
@@ -27,21 +28,25 @@ def _scenario(params, initial, horizon, sample_dt=0.25, **settings):
     return ScenarioConfig(params, initial, grid)
 
 
-def _called(p):
-    """The full system at p as a plain callable: every stage calls full_rhs."""
-    return lambda t, y: full_rhs(t, y, p)
+def _dop853(p, y0, times):
+    """The states at ``times`` of the full system at p from y0 at times[0],
+    by scipy's DOP853 at rtol 1e-13 calling full_rhs at every stage."""
+    ref = solve_ivp(lambda t, y: full_rhs(t, y, p), (times[0], times[-1]), y0,
+                    method="DOP853", rtol=1e-13, atol=1e-15, t_eval=times)
+    assert ref.success
+    return ref.y.T
 
 
 @pytest.mark.parametrize("kind", ALPHA_KINDS)
 @pytest.mark.parametrize("name", ["fig1", "fig2"])
 def test_inlined_stage_equals_the_called_field(name, kind):
     # run_scenario and a batch run the Taylor method generated from the
-    # model's equations, and calling full_rhs at every stage runs rk45: both
-    # give the same solution to well within the tolerance, from the preset's
+    # model's equations, and DOP853 calls full_rhs at every stage: both give
+    # the same solution to well within the tolerance, from the preset's
     # start, from t0 = 2.5, with negative coefficients and with coefficients
     # whose products round. A Taylor batch row equals its single run bit for
-    # bit. An order check, whose rk4 steps call the field, measures the same
-    # errors against either reference
+    # bit. An order check, whose rk4 steps call the field, measures the
+    # errors its rk4 steps make against the DOP853 reference
     base = build_scenario(load_config(preset_path(name)), {"horizon": 20.0})
     p = base.params.replace(alpha_kind=kind)
     for params, initial in ((p, base.initial), (p, dataclasses.replace(base.initial, t=2.5)),
@@ -50,10 +55,9 @@ def test_inlined_stage_equals_the_called_field(name, kind):
         sc = _scenario(params, initial, 20.0)
         assert isinstance(full_field(params), InlineRhs)
         taylor = run_scenario(sc)
-        called = integrate(_called(params), initial.as_array(), sc.integrator)
-        assert np.max(np.abs(taylor.states - called.states)) < 1e-8
-        assert (taylor.stats["method"], called.stats["method"]) == ("taylor", "rk45")
-        assert 50 < taylor.stats["accepted"] < called.stats["accepted"] / 5
+        assert np.max(np.abs(taylor.states - _dop853(params, initial.as_array(),
+                                                     taylor.times))) < 1e-8
+        assert taylor.stats["method"] == "taylor" and taylor.stats["accepted"] > 50
         rows = initial.as_array() + np.array([[0.0] * 4, [0.05, -0.1, 0.1, 0.0],
                                               [-0.1, 0.2, 0.0, -0.3]])
         batch = integrate(full_field(params), rows, sc.integrator)
@@ -62,12 +66,14 @@ def test_inlined_stage_equals_the_called_field(name, kind):
             single = integrate(full_field(params), rows[i], sc.integrator)
             assert np.array_equal(batch.states[i], single.states)
             assert single.stats["accepted"] == batch.stats["row_accepted"][i]
-        assert np.max(np.abs(batch.states - integrate(_called(params), rows,
-                                                      sc.integrator).states)) < 1e-8
+            assert np.max(np.abs(batch.states[i] - _dop853(params, rows[i],
+                                                           batch.times))) < 1e-8
     y0, steps = base.initial.as_array(), [0.2, 0.1, 0.05]
-    inlined, called = (order_check(rhs, y0, 0.0, 5.0, steps) for rhs in (full_field(p), _called(p)))
-    np.testing.assert_allclose(inlined.errors, called.errors, rtol=1e-6)
-    assert inlined.order == pytest.approx(called.order, abs=1e-6)
+    estimate = order_check(full_field(p), y0, 0.0, 5.0, steps)
+    end = _dop853(p, y0, np.array([0.0, 5.0]))[-1]
+    errors = [np.max(np.abs(rk4_steps(lambda t, y: full_rhs(t, y, p), y0, 0.0, h,
+                                      round(5.0 / h))[-1] - end)) for h in steps]
+    np.testing.assert_allclose(estimate.errors, errors, rtol=1e-6)
 
 
 @pytest.mark.parametrize("kind", ALPHA_KINDS)
@@ -78,7 +84,7 @@ def test_inlined_stage_rejects_negative_slow_time(kind):
     with pytest.raises(ValueError, match="slow time tau must be >= 0"):
         run_scenario(sc)
     with pytest.raises(ValueError, match="slow time tau must be >= 0"):
-        integrate(_called(p), start.as_array(), sc.integrator)
+        full_rhs(start.t, start.as_array(), p)
     # the inlined loops test the slow time themselves: past a first slope
     # that does not, the guard raises when the single run's loop or the
     # batch's step is bound, at the run's start time
@@ -90,12 +96,11 @@ def test_inlined_stage_rejects_negative_slow_time(kind):
 
 
 def test_rebound_full_rhs_sees_only_first_slopes(monkeypatch):
-    # full_field is the model's InlineRhs whatever full_rhs is bound to in
-    # experiments, and its Taylor runs evaluate the equations' recurrences,
-    # never the field, so a rebound full_rhs (a tracer's counter, a spy)
-    # sees no call from a single run, a comparison's full run or an
-    # ensemble, and the runs keep their bits; an order check's rk4 steps do
-    # call it
+    # full_field is the model's InlineRhs whatever function its call is
+    # bound to, and its Taylor runs evaluate the equations' recurrences,
+    # never the field, so a rebound full_rhs (a spy) sees no call from a
+    # single run, a comparison's full run or an ensemble, and the runs keep
+    # their bits; an order check's rk4 steps do call it
     p, initial = fig_params(2), fig_initial_state()
     sc = _scenario(p, initial, 20.0)
     inlined, compared = run_scenario(sc), compare_full_vs_averaged(p, initial)
@@ -107,7 +112,7 @@ def test_rebound_full_rhs_sees_only_first_slopes(monkeypatch):
         calls.append(t)
         return full_rhs(t, y, params)
 
-    monkeypatch.setattr(experiments_module, "full_rhs", spy)
+    monkeypatch.setitem(model_module._FIELDS, FULL_EQUATIONS, spy)
     assert isinstance(full_field(p), InlineRhs)
     traj = run_scenario(sc)
     assert np.array_equal(traj.states, inlined.states) and traj.stats == inlined.stats
@@ -360,15 +365,11 @@ def test_invariant_drift_conservative_case():
 
 
 def test_invariant_drift_scales_with_epsilon():
-    from symevol.integrate import IntegratorConfig, integrate
-    from symevol.model import full_rhs
-
     drifts = []
     for eps in (0.1, 0.05):
         p = fig_params(2, epsilon=eps)
         cfg = IntegratorConfig(t_end=1.0 / eps, sample_dt=0.05, rtol=1e-10, atol=1e-12)
-        traj = integrate(lambda t, y: full_rhs(t, y, p),
-                         fig_initial_state().as_array(), cfg)
+        traj = integrate(full_field(p), fig_initial_state().as_array(), cfg)
         reports = {r.name: r for r in invariant_drift(traj, ("E0_12", "I3_12"), p)}
         assert reports["E0_12"].normalized_drift < 0.5
         drifts.append((reports["E0_12"].max_drift, reports["I3_12"].max_drift))
@@ -388,8 +389,7 @@ def test_i3_11_is_an_adiabatic_invariant_of_the_full_run():
     for eps in (0.1, 0.05):
         p = ModelParams(1.0, 1.0, 0.0, 0.0, omega=1.0, epsilon=eps, n=2)
         cfg = IntegratorConfig(t_end=8.0 / eps**2, sample_dt=0.25, rtol=1e-8, atol=1e-10)
-        traj = integrate(lambda t, y: full_rhs(t, y, p),
-                         np.array([-0.135, -0.395, 0.129, 0.427]), cfg)
+        traj = integrate(full_field(p), np.array([-0.135, -0.395, 0.129, 0.427]), cfg)
         e0, i3 = invariant_drift(traj, ("E0_11", "I3_11"), p)
         assert e0.normalized_drift < 0.5
         e1 = mode_actions(traj.states, 1.0)[0]  # r1^2/2
@@ -484,7 +484,7 @@ def test_ensemble_records_failures_without_aborting():
     scalar = []
     for i in range(12):
         try:
-            integrate(lambda t, y: full_rhs(t, y, p), _draw_initial(samplers, 5, i), cfg)
+            integrate(full_field(p), _draw_initial(samplers, 5, i), cfg)
         except IntegrationError as exc:
             scalar.append((i, str(exc)))
     assert rep.failures == scalar

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from symevol.integrate import IntegratorConfig, integrate
-from symevol.model import (CartesianState, ModelParams, alpha,
-                           cartesian_to_dissipative, dissipative_rhs,
+from symevol.model import (DISSIPATIVE_EQUATIONS, FULL_EQUATIONS, CartesianState, ModelParams,
+                           alpha, cartesian_to_dissipative, dissipative_rhs,
                            dissipative_to_cartesian, eval_hamiltonian, full_rhs)
 
 
@@ -175,7 +175,7 @@ def test_frozen_time_energy_conservation():
     p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.1, n=2, delta=0.0)
     y0 = np.array([0.0, 0.5, 0.0, 0.5])
     cfg = IntegratorConfig(t_end=100.0, sample_dt=0.5, rtol=1e-10, atol=1e-12)
-    traj = integrate(lambda t, y: full_rhs(t, y, p), y0, cfg)
+    traj = integrate(FULL_EQUATIONS.at(p), y0, cfg)
     h = np.array([eval_hamiltonian(t, s, p) for t, s in zip(traj.times, traj.states)])
     assert np.max(np.abs(h - h[0])) < 1e-8
 
@@ -186,8 +186,8 @@ def test_discrete_symmetry_reflection():
     y0 = np.array([0.3, 0.5, 0.2, -0.4])
     y0_ref = y0 * np.array([1.0, 1.0, -1.0, -1.0])
     cfg = IntegratorConfig(t_end=60.0, sample_dt=0.25, rtol=1e-10, atol=1e-12)
-    a = integrate(lambda t, y: full_rhs(t, y, p), y0, cfg)
-    b = integrate(lambda t, y: full_rhs(t, y, p), y0_ref, cfg)
+    a = integrate(FULL_EQUATIONS.at(p), y0, cfg)
+    b = integrate(FULL_EQUATIONS.at(p), y0_ref, cfg)
     flipped = b.states * np.array([1.0, 1.0, -1.0, -1.0])
     assert np.max(np.abs(a.states - flipped)) < 1e-12
 
@@ -196,9 +196,9 @@ def test_dissipative_transform_equivalence(params12):
     y0 = np.array([0.1, 0.5, -0.2, 0.4])
     cfg = IntegratorConfig(t_end=200.0, sample_dt=1.0, rtol=1e-10, atol=1e-12)
     intermediate = params12.replace(a1=0.0, a2=0.0)
-    direct = integrate(lambda t, y: full_rhs(t, y, intermediate), y0, cfg)
+    direct = integrate(FULL_EQUATIONS.at(intermediate), y0, cfg)
     z0 = cartesian_to_dissipative(0.0, y0, params12.delta)
-    damped = integrate(lambda t, y: dissipative_rhs(t, y, params12), z0, cfg)
+    damped = integrate(DISSIPATIVE_EQUATIONS.at(params12), z0, cfg)
     mapped = dissipative_to_cartesian(damped.times, damped.states, params12.delta)
     assert np.max(np.abs(mapped - direct.states)) < 1e-7
 

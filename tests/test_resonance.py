@@ -17,11 +17,11 @@ def test_resonance_table_consistency():
         assert entry.default_system in entry.systems
         p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=omega, epsilon=0.1, n=2)
         others = [p.replace(omega=w) for w in RESONANCES if w != omega]
-        for field in entry.systems.values():
-            assert np.all(np.isfinite(field(0.0, slow, p)))
+        for equations in entry.systems.values():
+            assert np.all(np.isfinite(equations.at(p)(0.0, slow)))
             for q in others:
                 with pytest.raises(ValueError):
-                    field(0.0, slow, q)
+                    equations.at(q)(0.0, slow)
 
 
 def test_report_values_are_normal_floats_or_zero():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from symevol.integrate import IntegratorConfig, integrate
-from symevol.model import CartesianState, ModelParams, full_rhs
+from symevol.model import FULL_EQUATIONS, CartesianState, ModelParams
 from symevol.transforms import (combination_angle, mode_actions, polar_coordinates,
                                 polar_to_cart, slow_rhs, wrap_angle)
 
@@ -133,6 +134,15 @@ def test_combination_angles():
         combination_angle("chi99", 0.0, 0.0)
 
 
+def _dop853(rhs, y0, times):
+    """The states of a DOP853 run at rtol 1e-13 at ``times``: the polar
+    fields call sin and cos, which no Equations text writes."""
+    ref = solve_ivp(rhs, (times[0], times[-1]), y0, method="DOP853", rtol=1e-13, atol=1e-15,
+                    t_eval=times)
+    assert ref.success
+    return ref.y.T
+
+
 def test_transformed_flow_matches_intermediate_system():
     # y' = eps*f2, with f2 the (a3, a4) part of the polar system at eps = 1,
     # is the polar form of the system without the symmetric cubic terms;
@@ -148,20 +158,18 @@ def test_transformed_flow_matches_intermediate_system():
         out[:4] = p.epsilon * slow_rhs(t, np.append(y[:4], 0.0), pasym)[:4]
         return out
 
-    polar_traj = integrate(yflow, np.array(pol), cfg)
     intermediate = p.replace(a1=0.0, a2=0.0)
-    cart_traj = integrate(lambda t, y: full_rhs(t, y, intermediate), ic.as_array(), cfg)
-    mapped = polar_to_cart(polar_traj.times, polar_traj.states, p.omega)
+    cart_traj = integrate(FULL_EQUATIONS.at(intermediate), ic.as_array(), cfg)
+    polar_states = _dop853(yflow, np.array(pol), cart_traj.times)
+    mapped = polar_to_cart(cart_traj.times, polar_states, p.omega)
     assert np.max(np.abs(mapped - cart_traj.states)) < 1e-7
 
 
 def test_slow_rhs_equivalent_to_full_system(params12):
-    from symevol.model import full_rhs
-
     ic = CartesianState(0.0, 0.1, 0.5, -0.2, 0.4)
     pol = [*polar_coordinates(ic.t, ic.as_array(), params12.omega), params12.delta * ic.t]
     cfg = IntegratorConfig(t_end=50.0, sample_dt=0.5, rtol=1e-11, atol=1e-13)
-    cart = integrate(lambda t, y: full_rhs(t, y, params12), ic.as_array(), cfg)
-    polar = integrate(lambda t, y: slow_rhs(t, y, params12), np.array(pol), cfg)
-    mapped = polar_to_cart(polar.times, polar.states, params12.omega)
+    cart = integrate(FULL_EQUATIONS.at(params12), ic.as_array(), cfg)
+    polar = _dop853(lambda t, y: slow_rhs(t, y, params12), np.array(pol), cart.times)
+    mapped = polar_to_cart(cart.times, polar, params12.omega)
     assert np.max(np.abs(mapped - cart.states)) < 1e-7
