@@ -36,7 +36,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-_CSV_CHUNK = 1024  # rows per write: memory for the text stays fixed as the series grows
+_CSV_CHUNK = 1024  # rows (samples) per write: memory for the text stays fixed as they grow
 
 
 def _words(byte_rows):
@@ -169,6 +169,74 @@ def _write_csv(path: Path, header, columns):
                 [np.asarray(c[start:start + _CSV_CHUNK], dtype=float) for c in columns])))
 
 
+def _json_floats(values):
+    """The bytes of ``json.dumps`` of ``values`` as a list of floats (each
+    written as its shortest ``repr``), made in blocks of ``_CSV_CHUNK``."""
+    values = np.asarray(values, dtype=float)
+    yield b"["
+    for start in range(0, len(values), _CSV_CHUNK):
+        text = json.dumps(values[start:start + _CSV_CHUNK].tolist())[1:-1]
+        yield (", " + text if start else text).encode()
+    yield b"]"
+
+
+def _json_count_rows(block, last):
+    """The rows of a (rows, cols) block of non-negative integers, cols >= 1,
+    as ``json.dumps`` writes them inside a list of lists: ``1, 20], [0, 3], [``,
+    or ``1, 20], [0, 3]]`` for the ``last`` block.
+
+    Each count takes a slot of ``width + 2`` bytes: its digits right-aligned,
+    then ", " (or "]," after a row's last count); one more slot per row
+    holds the " [" that opens the next row. The digits come from
+    floor division by 10, one pass per digit position, and the NUL padding
+    goes in one pass before the bytes are returned."""
+    rows, cols = block.shape
+    top = block.max()
+    width = len(str(top))
+    row = np.zeros((cols + 1, width + 2), np.uint8)
+    row[:-2, width:] = np.frombuffer(b", ", np.uint8)
+    row[-2, width:] = np.frombuffer(b"],", np.uint8)
+    row[-1, :2] = np.frombuffer(b" [", np.uint8)
+    slot = np.repeat(row[None], rows, axis=0)
+    rest = block.astype(np.min_scalar_type(top))
+    for k in range(width):  # the k-th digit from the right, NUL where it leads with a zero
+        quotient = rest // 10
+        digit = rest - quotient * 10 + 48
+        if k:
+            digit *= rest > 0
+        slot[:, :cols, width - 1 - k] = digit
+        rest = quotient
+    if last:
+        slot[-1, -2, width:] = np.frombuffer(b"]]", np.uint8)
+        slot[-1, -1] = 0
+    return slot.tobytes().translate(None, b"\0")
+
+
+def _json_counts(counts):
+    """The bytes of ``json.dumps(counts.tolist())`` for a (samples, bins)
+    array of non-negative integers, made in blocks of ``_CSV_CHUNK`` samples."""
+    samples = len(counts)
+    if samples == 0:
+        yield b"[]"
+        return
+    yield b"[["
+    for start in range(0, samples, _CSV_CHUNK):
+        yield _json_count_rows(counts[start:start + _CSV_CHUNK], start + _CSV_CHUNK >= samples)
+
+
+def _write_histograms(path: Path, arrays):
+    """Write ``arrays``, a dict of 1-D float arrays and 2-D arrays of counts,
+    as the bytes of ``json.dumps({k: v.tolist()}, sort_keys=True) + "\\n"``,
+    one block of samples at a time."""
+    with open(path, "wb") as fh:
+        fh.write(b"{")
+        for k, key in enumerate(sorted(arrays)):
+            value = arrays[key]
+            fh.write(b'%s"%s": ' % (b", " if k else b"", key.encode()))
+            fh.writelines(_json_counts(value) if np.ndim(value) == 2 else _json_floats(value))
+        fh.write(b"}\n")
+
+
 def _make_outdir(path: str) -> Path:
     """Create the output directory and its parents, or raise ConfigError."""
     try:
@@ -275,6 +343,16 @@ def _cmd_resonance(args) -> int:
     return EXIT_OK
 
 
+def _failure_reasons(failures):
+    """How many particles stopped for each reason: each failure message
+    without its "(last good time t = ...)" suffix, mapped to its count."""
+    reasons = {}
+    for _, message in failures:
+        reason = message.split(" (last good time t = ")[0]
+        reasons[reason] = reasons.get(reason, 0) + 1
+    return reasons
+
+
 def _cmd_ensemble(args) -> int:
     cfg = load_config(resolve_config_path(args.config))
     spec = build_ensemble(cfg, vars(args))
@@ -288,18 +366,17 @@ def _cmd_ensemble(args) -> int:
                [report.times, report.mean_v1, report.disp_v1, report.mean_v2,
                 report.disp_v2, report.mean_E1, report.mean_E2])
     hist_path = outdir / "histograms.json"
-    hist_path.write_text(json.dumps({
-        "times": [float(t) for t in report.times],
-        "v1_edges": [float(x) for x in report.hist_edges_v1],
-        "v2_edges": [float(x) for x in report.hist_edges_v2],
-        "v1_counts": report.hist_v1.tolist(),
-        "v2_counts": report.hist_v2.tolist(),
-    }, sort_keys=True) + "\n")
+    _write_histograms(hist_path, {"times": report.times,
+                                  "v1_edges": report.hist_edges_v1,
+                                  "v2_edges": report.hist_edges_v2,
+                                  "v1_counts": report.hist_v1,
+                                  "v2_counts": report.hist_v2})
     _write_manifest(outdir, "ensemble", digest,
                     [moments_path.name, hist_path.name], seed=spec.seed,
                     wall_time=time.perf_counter() - start,
                     extra={"count": spec.count, "failures": len(report.failures),
                            "failed_particles": [[i, message] for i, message in report.failures],
+                           "failure_reasons": _failure_reasons(report.failures),
                            "integrator_stats": report.stats})
     print(f"ensemble done: {report.count}/{spec.count} particles, "
           f"{len(report.failures)} failures")

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from symevol.cli import _write_csv, main
+from symevol.cli import _CSV_CHUNK, _json_counts, _write_csv, _write_histograms, main
 from symevol.experiments import compare_full_vs_averaged
 from symevol.config import (_KEYS, ConfigError, build_compare, build_ensemble, build_scenario,
                             load_config, preset_path, resolve_config_path, run_digest)
@@ -554,7 +554,7 @@ def test_ensemble_outputs_and_determinism(tmp_path):
     manifest = json.loads((out1 / "manifest.json").read_text())
     assert manifest["seed"] == 42
     assert manifest["failures"] == 0
-    assert manifest["failed_particles"] == []
+    assert manifest["failed_particles"] == [] and manifest["failure_reasons"] == {}
     stats = manifest["integrator_stats"]
     assert set(stats) == {"method", "order", "accepted", "rejected", "rejected_error",
                           "rejected_nonfinite", "rhs_evals", "h_min", "h_max", "h_final",
@@ -624,6 +624,11 @@ def test_ensemble_manifest_lists_failed_particles(tmp_path):
     assert manifest["failures"] == len(failed) > 0
     assert [i for i, _ in failed] == sorted({i for i, _ in failed})
     assert all(0 <= i < 12 and "(last good time t = " in message for i, message in failed)
+    # the reasons, each message without its last good time, count every failure once
+    reasons = manifest["failure_reasons"]
+    assert sum(reasons.values()) == manifest["failures"]
+    assert reasons == {reason: sum(message.startswith(reason + " (last good time t = ")
+                                   for _, message in failed) for reason in reasons}
     # when every particle fails, no statistics exist: a numerical failure;
     # from q1 = 1.5 up every particle of this ensemble escapes
     cfg.write_text(text.replace("q1 = uniform 0 3.2", "q1 = uniform 2 3.2"))
@@ -1052,9 +1057,55 @@ def test_ensemble_outputs_match_reference_writers(tmp_path):
                           [report.times, report.mean_v1, report.disp_v1, report.mean_v2,
                            report.disp_v2, report.mean_E1, report.mean_E2])
     assert (out / "moments.csv").read_bytes() == (tmp_path / "moments_ref.csv").read_bytes()
-    hist = json.loads((out / "histograms.json").read_text())
-    assert hist["v1_counts"] == report.hist_v1.tolist()
-    assert hist["v2_counts"] == report.hist_v2.tolist()
+    hist = json.dumps({"times": [float(t) for t in report.times],
+                       "v1_edges": [float(x) for x in report.hist_edges_v1],
+                       "v2_edges": [float(x) for x in report.hist_edges_v2],
+                       "v1_counts": report.hist_v1.tolist(),
+                       "v2_counts": report.hist_v2.tolist()}, sort_keys=True) + "\n"
+    assert (out / "histograms.json").read_bytes() == hist.encode()
+
+
+_WIDTHS = [0, 9, 10, 99, 100, 999, 1000, 12345]  # every digit-width boundary up to 5 digits
+
+
+@pytest.mark.parametrize("counts", [
+    np.array([_WIDTHS]),
+    np.array([_WIDTHS[::-1], np.roll(_WIDTHS, 3)]),
+    np.zeros((3, 64), dtype=np.int64),
+    np.array([[7], [0], [12345]]),
+    np.zeros((0, 64), dtype=np.int64),
+    np.array([[1, 2, 3]]),
+    *(np.resize(np.array(_WIDTHS), (rows, 64)) for rows in (_CSV_CHUNK - 1, _CSV_CHUNK,
+                                                            _CSV_CHUNK + 1)),
+], ids=["widths", "mixed", "zeros", "one-column", "no-rows", "one-row",
+        "chunk-1", "chunk", "chunk+1"])
+def test_json_counts_match_json_dumps(counts):
+    assert b"".join(_json_counts(counts)) == json.dumps(counts.tolist()).encode()
+
+
+def _write_histograms_peak(path, samples):
+    """tracemalloc's peak while _write_histograms writes `samples` samples
+    of two 64-bin count arrays (counts of up to 3 digits), the times and
+    the edges."""
+    rng = np.random.default_rng(samples)
+    arrays = {"times": np.arange(samples) * 0.01, "v1_edges": np.linspace(-1.5, 1.5, 65),
+              "v2_edges": np.linspace(-1.2, 1.2, 65),
+              "v1_counts": rng.integers(0, 1000, (samples, 64)),
+              "v2_counts": rng.integers(0, 1000, (samples, 64))}
+    tracemalloc.start()
+    try:
+        _write_histograms(path, arrays)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_histograms_memory_stays_fixed_as_samples_grow(tmp_path):
+    # the text is made and written in blocks of samples: measured, both
+    # sizes peak at about 1.27 MB and differ by under 2 KB, so 64 KB is margin
+    small = _write_histograms_peak(tmp_path / "small.json", 2_500)
+    large = _write_histograms_peak(tmp_path / "large.json", 10_000)
+    assert large <= small + 64 * 1024, (small, large)
 
 
 def test_order_check_cli(capsys):
