@@ -26,7 +26,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .model import Equations, ModelParams, _check_omega, _rhs_function
+from .model import (Equations, ModelParams, _check_omega, _compiled_on_first_call,
+                    _rhs_function)
 from .transforms import mode_actions, slow_rhs
 
 __all__ = [
@@ -89,12 +90,10 @@ _DRIFTS_11 = (
 
 def _drift_function(name, args, statements, results):
     """``name(*args)``: the values ``results`` of the drift ``statements``,
-    on floats, arrays or Fractions alike."""
+    on floats, arrays or Fractions alike, compiled on its first call."""
     lines = [f"def {name}({', '.join(args)}):", *(f"    {s}" for s in statements),
              f"    return {', '.join(results)}"]
-    namespace = {}
-    exec("\n".join(lines), namespace)
-    return namespace[name]
+    return _compiled_on_first_call(name, lines, {})
 
 
 _phase_drifts_12 = _drift_function("_phase_drifts_12", ("u", "w", "al2", "a1", "a2", "a3", "a4"),

@@ -222,8 +222,9 @@ class EnsembleSpec:
     with finite numbers, lo <= hi, a finite hi - lo and sigma >= 0. A
     coordinate left out is fixed at its value in ``scenario.initial``; after
     construction ``samplers`` holds all four.
-    Sampling uses a counter-based generator keyed by (seed, particle index),
-    so the draw for particle i never depends on the other particles. All
+    Sampling uses a counter-based generator keyed by (seed, particle index):
+    one Philox per run, re-keyed for each particle, so the draw for particle
+    i never depends on the other particles. All
     particles' samples together, ``count * (t_end - t0) / sample_dt``, may
     not exceed ``MAX_GRID_POINTS``; the generator's key takes a seed in
     [0, 2**64).
@@ -279,19 +280,33 @@ class DistributionReport:
     stats: dict = field(default_factory=dict)
 
 
-def _draw_initial(samplers: dict, seed: int, index: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, index],
-                                                            dtype=np.uint64)))
-    out = np.empty(4)
-    for k, coord in enumerate(_COORDS):
-        kind, *values = samplers[coord]
-        out[k] = _SAMPLERS[kind][1](rng, *values)
+def _draw_initial(samplers: dict, seed: int, particles) -> np.ndarray:
+    """The initial states of the ``particles``, a sequence of indices, one
+    row each: particle i's draws, in the order of ``_COORDS``, from Philox
+    keyed by (seed, i). One generator serves them all, re-keyed for each
+    particle to the state a fresh ``Generator(Philox(key=[seed, i]))``
+    starts in, so the draws are that generator's. It is built here, not at
+    import: ``numpy.random`` loads on the first ensemble, and a run of
+    another command never loads it."""
+    philox = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    rng = np.random.Generator(philox)
+    # the fresh state: counter 0 and an empty buffer (buffer_pos 4, has_uint32 0)
+    state = philox.state
+    key = state["state"]["key"]
+    draws = [(_SAMPLERS[kind][1], values) for kind, *values in map(samplers.get, _COORDS)]
+    out = np.empty((len(particles), 4))
+    for row, index in enumerate(particles):
+        key[1] = index
+        philox.state = state
+        out[row] = [draw(rng, *values) for draw, values in draws]
     return out
 
 
 def run_ensemble(spec: EnsembleSpec) -> DistributionReport:
-    """Integrate every particle in one batched run and reduce to per-time
-    stats.
+    """Draw every particle's initial state from one generator, re-keyed
+    per particle, integrate them in one batched run and reduce to per-time
+    stats. The reduction reads the run's (count, samples, 4) cube in place,
+    and a copy of the completed particles' rows only when one failed.
 
     Histogram bins are fixed: ``_HISTOGRAM_BINS`` (64) uniform bins spanning
     three times the ensemble's initial rms velocity (per component, about
@@ -306,12 +321,12 @@ def run_ensemble(spec: EnsembleSpec) -> DistributionReport:
     """
     sc = spec.scenario
     p = sc.params
-    y0 = np.array([_draw_initial(spec.samplers, spec.seed, i) for i in range(spec.count)])
+    y0 = _draw_initial(spec.samplers, spec.seed, range(spec.count))
     traj = integrate(full_field(p), y0, sc.integrator)
     failures = traj.stats["failures"]
     ok = np.ones(spec.count, dtype=bool)
     ok[[i for i, _ in failures]] = False
-    good = traj.states[ok]
+    good = traj.states[ok] if failures else traj.states
     if good.shape[0] == 0:
         row, message = failures[0]
         raise EnsembleFailure(f"every particle integration failed; particle {row}: {message}")

@@ -902,19 +902,23 @@ def _taylor_fill(out, ts, rows, idx, stop, t0, coeffs):
     from its coefficients ``coeffs[i]``, of shape (p + 1, d): the value at
     ``ts[j]`` is Horner's rule in s = ts[j] - t0[i], the rule each loop's
     step takes for its new state. Each pass gathers one coefficient of every
-    sample's step with ``take`` and updates the values in place, so the
-    kernel holds (samples, d) arrays, never the block's coefficients once
-    per sample. Both loops fill through it: a batch into its (N, samples, d)
-    output, a single run as row 0 of ``out[None]``."""
+    sample's step with ``take`` and updates the values in place, times s
+    laid out as the values are, one copy per component, so that no pass
+    broadcasts it; the kernel holds (samples, d) arrays, never the block's
+    coefficients once per sample. The values go into ``out``, which is
+    C-contiguous, through one flat index of their (row, sample) pairs. Both
+    loops fill through it: a batch into its (N, samples, d) output, a single
+    run as row 0 of ``out[None]``."""
     pair, sample = _block_samples(idx, stop)
     if len(pair):
-        s = (ts[sample] - t0[pair])[:, None]
+        samples, d = out.shape[1:]
+        s = (ts[sample] - t0[pair]).repeat(d).reshape(-1, d)
         c = coeffs.transpose(1, 0, 2)  # coefficient k of every step: c[k], (m, d)
         value = c[-1].take(pair, 0)
         for k in range(len(c) - 2, -1, -1):
             value *= s
             value += c[k].take(pair, 0)
-        out[rows[pair], sample] = value
+        out.reshape(-1, d)[rows[pair] * samples + sample] = value
 
 
 def _fill_taylor_steps(out, ts, block, terms):

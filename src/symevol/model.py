@@ -288,24 +288,43 @@ FULL_EQUATIONS = Equations(
           " + al * (epsilon * (a3 * q2q2 + a4 * q1q1)))"),
     guard=("check_slow_time(delta * t)",))
 
+
+def _compiled_on_first_call(name: str, lines, namespace: dict, doc=None):
+    """The function ``name`` that the source ``lines`` define, run in
+    ``namespace``, under a function of that name and docstring ``doc`` that
+    compiles the source on its first call and then calls it: a module that
+    generates functions pays for none at import, and a run that never calls
+    one never compiles it."""
+    compiled = None
+
+    def function(*args, **kwargs):
+        nonlocal compiled
+        if compiled is None:
+            exec("\n".join(lines), namespace)
+            compiled = namespace[name]
+        return compiled(*args, **kwargs)
+
+    function.__name__ = function.__qualname__ = name
+    function.__doc__ = doc
+    return function
+
+
 # the function generated from each Equations text, which Equations.at calls
 _FIELDS = {}
 
 
 def _rhs_function(equations: Equations, name: str, doc: str):
     """``name(t, y, p)``: the rates of ``equations`` at the state ``y``, a
-    sequence of its components, and the parameters p. The arithmetic is
-    elementwise, so on arrays every entry equals the call on floats bit for
-    bit."""
+    sequence of its components, and the parameters p, compiled on its first
+    call. The arithmetic is elementwise, so on arrays every entry equals the
+    call on floats bit for bit."""
     lines = [f"def {name}(t, y, p):",
              f"    {', '.join(equations.state)} = y",
              *(f"    {param} = p.{param}" for param in equations.params),
              *(f"    {statement}" for statement in (*equations.guard, *equations.body)),
              f"    return {', '.join(equations.rates)}"]
-    namespace = {"exp": _exp, **_CHECKS, "__name__": __name__}
-    exec("\n".join(lines), namespace)
-    function = namespace[name]
-    function.__doc__ = doc
+    function = _compiled_on_first_call(name, lines, {"exp": _exp, **_CHECKS,
+                                                     "__name__": __name__}, doc)
     _FIELDS[equations] = function
     return function
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import symevol.model as model_module
@@ -445,6 +447,35 @@ def test_ensemble_spec_fixes_left_out_coordinates_at_the_initial_state():
     assert rep.mean_v2[0] == 0.5 and rep.disp_v2[0] == 0.0
 
 
+_FINITE = st.floats(-1e3, 1e3)
+_SAMPLER = st.one_of(
+    st.tuples(st.just("fixed"), _FINITE),
+    st.builds(lambda lo, width: ("uniform", lo, lo + width), _FINITE, st.floats(0.0, 1e3)),
+    st.tuples(st.just("normal"), _FINITE, st.floats(0.0, 1e3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1),
+       particles=st.lists(st.integers(0, 10**6), min_size=1, max_size=6),
+       samplers=st.fixed_dictionaries({coord: _SAMPLER for coord in ("q1", "v1", "q2", "v2")}))
+@example(seed=2**64 - 1, particles=[10**6, 0, 10**6],
+         samplers={"q1": ("fixed", 0.0), "v1": ("normal", 0.5, 0.05),
+                   "q2": ("uniform", -1.0, 1.0), "v2": ("normal", 0.0, 1.0)})
+def test_ensemble_draws_equal_fresh_generators_per_particle(seed, particles, samplers):
+    # one Philox re-keyed per particle draws, for each particle in any order
+    # and repeated, what a fresh Generator(Philox(key=[seed, index])) draws,
+    # coordinate by coordinate in the order q1, v1, q2, v2
+    drawn = _draw_initial(samplers, seed, particles)
+    for row, index in zip(drawn, particles):
+        fresh = np.random.Generator(np.random.Philox(key=np.array([seed, index],
+                                                                  dtype=np.uint64)))
+        expected = []
+        for coord in ("q1", "v1", "q2", "v2"):
+            kind, *values = samplers[coord]
+            expected.append(values[0] if kind == "fixed" else getattr(fresh, kind)(*values))
+        assert np.array_equal(row, expected), (index, row, expected)
+
+
 def _assert_same_report(a, b):
     for name, value in vars(a).items():
         other = getattr(b, name)
@@ -484,7 +515,7 @@ def test_ensemble_records_failures_without_aborting():
     scalar = []
     for i in range(12):
         try:
-            integrate(full_field(p), _draw_initial(samplers, 5, i), cfg)
+            integrate(full_field(p), _draw_initial(samplers, 5, [i])[0], cfg)
         except IntegrationError as exc:
             scalar.append((i, str(exc)))
     assert rep.failures == scalar

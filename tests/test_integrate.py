@@ -747,22 +747,26 @@ def test_add_reduce_adds_rows_in_order(n):
     assert "add_reduce" in step.co_names and "cumsum" not in step.co_names
 
 
-def _horner_block(d, terms):
-    """A block of five Taylor steps of d components and ``terms``
-    coefficients on a sorted random grid ts, holding 0, 1 and many samples:
-    ts, the steps' rows, first samples, stops, start times and
-    coefficients, and the per-sample reference of two rows, Horner's rule in
-    plain Python per sample and component, with the samples it writes."""
+# (row, first sample, stop) of five steps of two rows, holding 0, 1 and many samples
+_MIXED_STEPS = ((1, 10, 10), (0, 10, 11), (1, 20, 250), (0, 20, 390), (1, 300, 301))
+
+
+def _horner_block(d, terms, steps=_MIXED_STEPS, samples=400):
+    """A block of Taylor ``steps``, each (row, first sample, stop), of d
+    components and ``terms`` coefficients on a sorted random grid ts of
+    ``samples`` times: ts, the steps' rows, first samples, stops, start
+    times and coefficients, and the per-sample reference of the rows up to
+    the largest, Horner's rule in plain Python per sample and component,
+    with the samples it writes."""
     rng = np.random.default_rng(d * terms)
-    ts = np.sort(rng.uniform(0.0, 10.0, 400))
-    # (row, first sample, stop): t0 lies just before the first sample
-    steps = [(1, 10, 10), (0, 10, 11), (1, 20, 250), (0, 20, 390), (1, 300, 301)]
+    ts = np.sort(rng.uniform(0.0, 10.0, samples))
     rows, idx, stop = (np.array(column, dtype=np.intp) for column in zip(*steps))
+    # t0 lies just before the first sample
     t0 = ts[idx] - rng.uniform(1e-9, 1e-3, len(steps))
     coeffs = rng.normal(size=(len(steps), terms, d)) * 10.0 ** rng.uniform(
         -3.0, 3.0, (len(steps), terms, 1))
-    ref = np.zeros((2, len(ts), d))
-    written = np.zeros((2, len(ts)), dtype=bool)
+    ref = np.zeros((rows.max() + 1, len(ts), d))
+    written = np.zeros(ref.shape[:2], dtype=bool)
     for i, (row, first, end) in enumerate(steps):
         for j in range(first, end):
             s = float(ts[j]) - float(t0[i])
@@ -779,13 +783,24 @@ def _horner_block(d, terms):
 def test_taylor_fill_matches_per_sample_horner_bitwise(d):
     # the Taylor fill of a batch's block of row-steps (_taylor_fill) writes
     # each step's samples with the bits of Horner's rule in plain Python,
-    # per sample and component, and no other sample
-    for terms in (3, 17):
-        ts, rows, idx, stop, t0, coeffs, ref, written = _horner_block(d, terms)
-        batch = np.zeros_like(ref)
-        integrate_module._taylor_fill(batch, ts, rows, idx, stop, t0, coeffs)
-        assert np.array_equal(batch, ref)
-        assert np.array_equal(batch.any(axis=2), written)
+    # per sample and component, and no other sample: in a block of steps
+    # holding 0, 1 and many samples; of steps holding hundreds of samples
+    # each, as a dense run's; of steps holding one sample each, as fig1's;
+    # and of six rows, steps of the same row not next to each other, written
+    # out of row order into the (6, samples, d) output, as a batch's
+    blocks = {"mixed": (_MIXED_STEPS, 400),
+              "hundreds": (((0, 0, 300), (0, 300, 700), (0, 700, 1000)), 1000),
+              "ones": (tuple((0, j, j + 1) for j in range(80)), 80),
+              "rows out of order": (((3, 0, 5), (0, 0, 2), (5, 5, 40), (2, 0, 1), (0, 2, 30),
+                                     (4, 0, 40), (1, 3, 9), (3, 5, 40), (2, 1, 1)), 40)}
+    for name, (steps, samples) in blocks.items():
+        for terms in (3, 17):
+            ts, rows, idx, stop, t0, coeffs, ref, written = _horner_block(d, terms, steps,
+                                                                          samples)
+            batch = np.zeros_like(ref)
+            integrate_module._taylor_fill(batch, ts, rows, idx, stop, t0, coeffs)
+            assert np.array_equal(batch, ref), (name, terms)
+            assert np.array_equal(batch.any(axis=2), written), (name, terms)
 
 
 @pytest.mark.parametrize("d", [1, 4, 5, 70])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import symevol.model as model_module
 from symevol.integrate import IntegratorConfig, integrate
 from symevol.model import (DISSIPATIVE_EQUATIONS, FULL_EQUATIONS, CartesianState, ModelParams,
                            alpha, cartesian_to_dissipative, dissipative_rhs,
@@ -213,3 +214,18 @@ def test_dissipative_map_round_trip(rng):
 def test_state_validation():
     with pytest.raises(ValueError):
         CartesianState(0.0, math.nan, 0.0, 0.0, 0.0)
+
+
+def test_generated_functions_compile_on_first_call():
+    # a generated function keeps its name and docstring, and runs its
+    # source only when first called, so importing the package compiles
+    # none; the calls after the first reuse the compiled function
+    namespace = {}
+    double = model_module._compiled_on_first_call(
+        "double", ["def double(x):", "    return 2 * x"], namespace, "Twice x.")
+    assert (double.__name__, double.__doc__) == ("double", "Twice x.") and namespace == {}
+    assert double(3) == 6 and "double" in namespace
+    del namespace["double"]
+    assert double(4) == 8 and "double" not in namespace  # no second compile
+    assert (full_rhs.__name__, dissipative_rhs.__name__) == ("full_rhs", "dissipative_rhs")
+    assert full_rhs.__doc__.startswith("Right-hand side of the full equations")

@@ -1,6 +1,8 @@
 import ast
 import importlib
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +47,13 @@ def test_every_top_level_name_is_reached():
     acceptance = Path(__file__).with_name("test_acceptance.py")
     reached = set().union(*(_identifiers(p) for p in [*sources, acceptance]))
     assert [n for n in symevol.__all__ if n != "__version__" and n not in reached] == []
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # numpy.random costs milliseconds and about 2 MB to load, so only an
+    # ensemble loads it, when it draws; a fresh interpreter that imports the
+    # command line has not
+    probe = "import sys, symevol.cli; print('numpy.random' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True)
+    assert run.stdout == "False\n"

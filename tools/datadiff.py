@@ -151,6 +151,8 @@ COMMANDS = {
     "compare-13": ["compare", "w3.ini", "--eps-list", "0.1,0.05"],
     "ensemble-seed0": ["ensemble", "ens.ini", "--seed", "0"],
     "ensemble-seed8": ["ensemble", "ens.ini", "--seed", "8"],
+    # the largest seed the generator's uint64 key takes
+    "ensemble-seed-max": ["ensemble", "ens.ini", "--seed", "18446744073709551615"],
     "ensemble-polynomial": ["ensemble", "ens-poly.ini", "--seed", "0"],
     "ensemble-failing": ["ensemble", "ens-fail.ini", "--horizon", "30"],
     "resonance-1": ["resonance", "--omega", "1"],
