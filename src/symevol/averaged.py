@@ -26,13 +26,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .model import (Equations, ModelParams, _check_omega, _compiled_on_first_call,
-                    _rhs_function)
-from .transforms import mode_actions, slow_rhs
+from .model import Equations, ModelParams, _compiled_on_first_call, _rhs_function
+from .transforms import slow_rhs
 
 __all__ = [
     "ZeroAmplitudeError",
-    "INVARIANT_NAMES",
     "avg12_first_cart",
     "avg12_second_cart",
     "avg13_cart",
@@ -44,13 +42,9 @@ __all__ = [
     "polar_view",
     "polar_to_slow_cart",
     "slow_cart_amplitudes",
-    "cartesian_invariant",
     "average_slow_field",
     "second_order_average",
 ]
-
-_INVARIANT_OMEGA = {"E0_12": 2.0, "I3_12": 2.0, "E0_11": 1.0, "I3_11": 1.0}
-INVARIANT_NAMES = tuple(_INVARIANT_OMEGA)
 
 
 class ZeroAmplitudeError(ValueError):
@@ -113,15 +107,6 @@ def _exact_or_float(*xs) -> tuple:
     neither), else as floats."""
     kind = Fraction if all(map(_is_exact, xs)) else float
     return tuple(map(kind, xs))
-
-
-def _chi2_coeffs(a1, a2):
-    """(c_u, c_w) of the chi2 drift eps^2*(c_u*r1^2 + c_w*r2^2), which is
-    4*psi1' - 2*psi2' of the second-order 1:2 field at alpha = 0; exact for
-    integer or Fraction coefficients."""
-    a1, a2, zero = _exact_or_float(a1, a2, 0)
-    drifts = (_phase_drifts_12(u, w, zero, a1, a2, zero, zero) for u, w in ((1, zero), (zero, 1)))
-    return tuple(2 * phi2 - 4 * phi1 for phi1, phi2 in drifts)
 
 
 def _chi3_paper_coeffs(a1, a2):
@@ -237,7 +222,7 @@ A1' = i*phi1*A1 + i*k*conj(A1)*A2^2 and A2' = i*phi2*A2 + i*k*A1^2*conj(A2);
 chi = psi1 - psi2 is the slow angle. Conserves E0 = (r1^2 + r2^2)/2
 exactly, decayed terms included. With a3 = a4 = 0 (or tau = inf) this is
 the symmetric system, a Hamiltonian flow whose Hamiltonian is the second
-invariant ``I3_11`` of :func:`cartesian_invariant`.
+invariant ``I3_11`` of :func:`symevol.resonance.cartesian_invariant`.
 """)
 
 
@@ -267,31 +252,6 @@ def slow_cart_amplitudes(states: np.ndarray):
     states = np.asarray(states, dtype=float)
     return (np.hypot(states[..., 0], states[..., 1]),
             np.hypot(states[..., 2], states[..., 3]))
-
-
-def cartesian_invariant(name: str, states, p: ModelParams):
-    """Conserved quantity of the averaged flows in the original variables,
-    vectorized over (..., 4) states ordered [q1, v1, q2, v2].
-
-    E0 is the sum of the mode actions. ``I3_11`` is the Hamiltonian of
-    :func:`avg11_cart` at alpha = 0 without its factor eps^2,
-    k*r1^2*r2^2*cos(2*chi) - (r1^2*phi1 + r2^2*phi2)/2 with (phi1, phi2, k)
-    of :func:`_phase_drifts_11`; the coupling k multiplies rather than
-    divides, so the invariant stays defined at k = 0.
-    """
-    if name not in INVARIANT_NAMES:
-        raise ValueError(f"unknown invariant {name!r}; know {INVARIANT_NAMES}")
-    _check_omega(p.omega, _INVARIANT_OMEGA[name], name)
-    if name in ("E0_12", "E0_11"):
-        e1, e2 = mode_actions(states, p.omega)
-        return e1 + e2
-    q1, v1, q2, v2 = np.moveaxis(np.asarray(states, dtype=float), -1, 0)
-    if name == "I3_12":
-        return p.a4 * ((q1 * q1 - v1 * v1) * q2 + q1 * v1 * v2)
-    u, w = q1 * q1 + v1 * v1, q2 * q2 + v2 * v2
-    phi1, phi2, k = _phase_drifts_11(u, w, 0.0, p.a1, p.a2, 0.0, 0.0)
-    return (k * ((q1 * q2 + v1 * v2) ** 2 - (q1 * v2 - v1 * q2) ** 2)
-            - (u * phi1 + w * phi2) / 2)
 
 
 @functools.cache

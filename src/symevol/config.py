@@ -105,10 +105,7 @@ _KEYS = {
               "alpha_kind": (str, ModelParams.alpha_kind)},
     "initial": {"t0": (float, IntegratorConfig.t0),
                 "q1": (float,), "v1": (float,), "q2": (float,), "v2": (float,)},
-    # retired: every field runs the Taylor method; rk45 is accepted, as the
-    # benchmark's configs write it, and ignored
-    "integrator": {"method": (str, "rk45"),
-                   "rtol": (float, IntegratorConfig.rtol),
+    "integrator": {"rtol": (float, IntegratorConfig.rtol),
                    "atol": (float, IntegratorConfig.atol), "sample_dt": (float, 0.25)},
     "scenario": {"horizon": (float,), "label": (str, ScenarioConfig.label)},
     "ensemble": {"count": (int,), "seed": (int, 0),
@@ -156,22 +153,11 @@ def build_initial(cfg: dict) -> CartesianState:
     return initial
 
 
-def _integrator(cfg: dict, overrides: dict | None) -> dict:
-    """The config's [integrator] settings but its method, a retired key that
-    accepts rk45 only and is ignored: the full model and the averaged fields
-    all run the Taylor method."""
-    values = _read(cfg, "integrator", overrides)
-    if values.pop("method") != "rk45":
-        raise ConfigError("[integrator] method is retired and accepts only rk45; "
-                          "every field runs the Taylor method")
-    return values
-
-
 def build_scenario(cfg: dict, overrides: dict | None = None) -> ScenarioConfig:
     """The run a config describes; an override that is not None wins."""
     params, initial = build_params(cfg), build_initial(cfg)
     scenario = _read(cfg, "scenario", overrides)
-    integrator = _integrator(cfg, overrides)
+    integrator = _read(cfg, "integrator", overrides)
     try:
         grid = IntegratorConfig(t0=initial.t, t_end=initial.t + scenario["horizon"],
                                 **integrator)
@@ -193,7 +179,7 @@ def build_compare(cfg: dict, overrides: dict | None = None):
         resonance = averaged_system(params.omega, settings["resonance"])[0]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    integrator = _integrator(cfg, overrides)
+    integrator = _read(cfg, "integrator", overrides)
     return (tuple(params.replace(epsilon=eps, delta=None) for eps in settings["eps_list"]),
             build_initial(cfg),
             {"rtol": integrator["rtol"], "atol": integrator["atol"],

@@ -15,10 +15,11 @@ from numbers import Real
 
 import numpy as np
 
-from .averaged import cartesian_invariant, polar_to_slow_cart, slow_cart_amplitudes
-from .integrate import MAX_GRID_POINTS, InlineRhs, IntegratorConfig, Trajectory, integrate
+from .averaged import polar_to_slow_cart, slow_cart_amplitudes
+from .integrate import (MAX_GRID_POINTS, InlineRhs, IntegratorConfig, Trajectory, _grid_steps,
+                        integrate)
 from .model import FULL_EQUATIONS, CartesianState, ModelParams
-from .resonance import averaged_system
+from .resonance import averaged_system, cartesian_invariant
 from .transforms import mode_actions, polar_coordinates, wrap_angle
 
 __all__ = [
@@ -225,9 +226,9 @@ class EnsembleSpec:
     Sampling uses a counter-based generator keyed by (seed, particle index):
     one Philox per run, re-keyed for each particle, so the draw for particle
     i never depends on the other particles. All
-    particles' samples together, ``count * (t_end - t0) / sample_dt``, may
-    not exceed ``MAX_GRID_POINTS``; the generator's key takes a seed in
-    [0, 2**64).
+    particles' sample intervals together, ``count`` times the intervals of
+    each particle's grid (at least one), may not exceed
+    ``MAX_GRID_POINTS``; the generator's key takes a seed in [0, 2**64).
     """
 
     scenario: ScenarioConfig
@@ -241,9 +242,10 @@ class EnsembleSpec:
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         grid = self.scenario.integrator
-        samples = (grid.t_end - grid.t0) / grid.sample_dt
+        n, short = _grid_steps(grid.t0, grid.t_end, grid.sample_dt)
+        samples = max(1, n + short)
         if self.count * samples > MAX_GRID_POINTS:
-            raise ValueError(f"{self.count} particles of {samples:.6g} "
+            raise ValueError(f"{self.count} particles of {samples} "
                              f"samples give over {MAX_GRID_POINTS} samples")
         initial = self.scenario.initial
         samplers = {coord: self.samplers.get(coord, ("fixed", getattr(initial, coord)))

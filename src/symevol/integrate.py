@@ -151,14 +151,19 @@ class Trajectory:
         return len(self.times)
 
 
-def _sample_grid(t0: float, t_end: float, dt: float) -> np.ndarray:
+def _grid_steps(t0: float, t_end: float, dt: float) -> tuple[int, bool]:
+    """(n, short): the whole steps of dt of the sample grid of [t0, t_end], and
+    whether t_end lies beyond rounding (relative, and a few ulps) of t0 + n*dt."""
     span = t_end - t0
     n = int(math.floor(span / dt + 1e-9))
+    return n, t0 + dt * n < t_end - max(1e-12 * span, 4.0 * math.ulp(t_end))
+
+
+def _sample_grid(t0: float, t_end: float, dt: float) -> np.ndarray:
+    n, short = _grid_steps(t0, t_end, dt)
     ts = t0 + dt * np.arange(n + 1)
     ts[0] = t0
-    # the last grid point stands for t_end only when it lies within rounding
-    # of it: a tolerance relative to the span, and at least a few ulps
-    if ts[-1] < t_end - max(1e-12 * span, 4.0 * math.ulp(t_end)):
+    if short:
         ts = np.append(ts, t_end)
     else:
         ts[-1] = min(ts[-1], t_end)

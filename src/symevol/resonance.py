@@ -20,12 +20,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .averaged import (AVG11, AVG12_FIRST, AVG12_SECOND, AVG13, _chi2_coeffs,
-                       _chi3_paper_coeffs, _exact_or_float, _phase_drifts_11,
+from .averaged import (AVG11, AVG12_FIRST, AVG12_SECOND, AVG13, _chi3_paper_coeffs,
+                       _exact_or_float, _phase_drifts_11, _phase_drifts_12,
                        polar_to_slow_cart, slow_cart_amplitudes)
 from .integrate import IntegratorConfig, integrate
 from .model import ModelParams
-from .transforms import wrap_angle
+from .transforms import mode_actions, wrap_angle
 
 __all__ = [
     "Resonance",
@@ -33,6 +33,8 @@ __all__ = [
     "SYSTEM_OMEGA",
     "resonance_for",
     "averaged_system",
+    "cartesian_invariant",
+    "combination_angle",
     "ResonanceManifold",
     "StabilityReport",
     "locate_12_first",
@@ -108,6 +110,15 @@ def _drift_zero(c_u, c_w):
     if c_u != 0 and c_w != 0 and (c_u > 0) != (c_w > 0):
         return -c_w / c_u, False
     return None, False
+
+
+def _chi2_coeffs(a1, a2):
+    """(c_u, c_w) of the chi2 drift eps^2*(c_u*r1^2 + c_w*r2^2) of the
+    second-order 1:2 field at alpha = 0; exact for integer or Fraction coefficients."""
+    m1, m2 = RESONANCES[2.0].angles["chi2"]
+    a1, a2, zero = _exact_or_float(a1, a2, 0)
+    drifts = (_phase_drifts_12(u, w, zero, a1, a2, zero, zero) for u, w in ((1, zero), (zero, 1)))
+    return tuple(-(m1 * phi1 + m2 * phi2) for phi1, phi2 in drifts)
 
 
 def locate_12_second(a1, a2) -> ResonanceManifold:
@@ -213,8 +224,9 @@ def _orbit_ratio(params, cos2chi):
     cos(2*chi) = +-1, or None: the zero of the chi drift, which is linear in
     (r1^2, r2^2), here without its factor eps^2."""
     def chi_drift(u, w):
+        m1, m2 = RESONANCES[1.0].angles["chi11"]
         phi1, phi2, k = _phase_drifts_11(u, w, 0.0, params.a1, params.a2, params.a3, params.a4)
-        return phi2 - phi1 + k * (w - u) * cos2chi
+        return -(m1 * phi1 + m2 * phi2) + k * (w - u) * cos2chi
 
     return _drift_zero(chi_drift(1.0, 0.0), chi_drift(0.0, 1.0))[0]
 
@@ -330,25 +342,53 @@ def _report_13(a1, a2, e0) -> dict:
     return {"resonance_13": _manifold_json(locate_13(a1, a2))}
 
 
+def _energy(states, p: ModelParams):
+    """E0, the sum of the mode actions."""
+    return sum(mode_actions(states, p.omega))
+
+
+def _i3_12(states, p: ModelParams):
+    """I3 = a4*r1^2*r2*cos(chi12) of the first-order 1:2 flow."""
+    q1, v1, q2, v2 = np.moveaxis(np.asarray(states, dtype=float), -1, 0)
+    return p.a4 * ((q1 * q1 - v1 * v1) * q2 + q1 * v1 * v2)
+
+
+def _i3_11(states, p: ModelParams):
+    """The Hamiltonian of avg11_cart at alpha = 0 without its eps^2,
+    k*r1^2*r2^2*cos(2*chi11) - (r1^2*phi1 + r2^2*phi2)/2 with the 1:1 drifts;
+    k multiplies rather than divides, so the invariant is defined at k = 0."""
+    q1, v1, q2, v2 = np.moveaxis(np.asarray(states, dtype=float), -1, 0)
+    u, w = q1 * q1 + v1 * v1, q2 * q2 + v2 * v2
+    phi1, phi2, k = _phase_drifts_11(u, w, 0.0, p.a1, p.a2, 0.0, 0.0)
+    return k * ((q1 * q2 + v1 * v2) ** 2 - (q1 * v2 - v1 * q2) ** 2) - (u * phi1 + w * phi2) / 2
+
+
 @dataclass(frozen=True)
 class Resonance:
     """What the package knows about one resonance omega:1.
 
     ``systems`` maps each averaged-system name to the
     :class:`symevol.model.Equations` text of its field in the regular
-    slow-Cartesian chart; ``report(a1, a2, e0)`` builds the ``resonance``
-    command's JSON body.
+    slow-Cartesian chart; ``invariants`` each adiabatic invariant's name to
+    its function ``f(states, p)`` of (..., 4) states [q1, v1, q2, v2];
+    ``angles`` each slow angle m1*psi1 + m2*psi2 to (m1, m2);
+    ``report(a1, a2, e0)`` builds the ``resonance`` command's JSON body.
     """
 
     systems: dict
     default_system: str
+    invariants: dict
+    angles: dict
     report: Callable[..., dict]
 
 
 RESONANCES = {
-    1.0: Resonance({"11": AVG11}, "11", _report_11),
-    2.0: Resonance({"12-first": AVG12_FIRST, "12-second": AVG12_SECOND}, "12-first", _report_12),
-    3.0: Resonance({"13": AVG13}, "13", _report_13),
+    1.0: Resonance({"11": AVG11}, "11", {"E0_11": _energy, "I3_11": _i3_11},
+                   {"chi11": (1, -1)}, _report_11),
+    2.0: Resonance({"12-first": AVG12_FIRST, "12-second": AVG12_SECOND}, "12-first",
+                   {"E0_12": _energy, "I3_12": _i3_12}, {"chi12": (2, -1), "chi2": (4, -2)},
+                   _report_12),
+    3.0: Resonance({"13": AVG13}, "13", {}, {"chi3": (6, -2)}, _report_13),
 }
 
 SYSTEM_OMEGA = {name: omega for omega, entry in RESONANCES.items() for name in entry.systems}
@@ -374,3 +414,22 @@ def averaged_system(omega: float, name: str | None = None):
     if name not in entry.systems:
         raise ValueError(f"resonance {name!r} needs omega = {SYSTEM_OMEGA[name]:g}")
     return name, entry.systems[name]
+
+
+def cartesian_invariant(name: str, states, p: ModelParams):
+    """The adiabatic invariant ``name`` of p.omega's record at (..., 4)
+    states [q1, v1, q2, v2]; ValueError when that record has no such one."""
+    invariants = resonance_for(p.omega).invariants
+    if name not in invariants:
+        raise ValueError(f"omega = {p.omega:g} has no invariant {name!r}; "
+                         f"its invariants: {', '.join(invariants) or 'none'}")
+    return invariants[name](states, p)
+
+
+def combination_angle(kind: str, psi1, psi2):
+    """The slow angle ``kind`` of a record, m1*psi1 + m2*psi2, wrapped to (-pi, pi]."""
+    for entry in RESONANCES.values():
+        if kind in entry.angles:
+            m1, m2 = entry.angles[kind]
+            return wrap_angle(m1 * np.asarray(psi1) + m2 * np.asarray(psi2))
+    raise ValueError(f"unknown combination angle kind {kind!r}")

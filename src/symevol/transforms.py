@@ -1,5 +1,4 @@
-"""Amplitude/phase coordinates, actions, combination angles and the polar
-equations of motion.
+"""Amplitude/phase coordinates, actions and the polar equations of motion.
 
 The co-rotating polar chart used throughout is
 
@@ -25,26 +24,14 @@ from .model import ModelParams, alpha
 
 __all__ = [
     "TWO_PI",
-    "COMBINATION_COEFFS",
     "wrap_angle",
     "polar_coordinates",
     "polar_to_cart",
     "mode_actions",
-    "combination_angle",
     "slow_rhs",
 ]
 
 TWO_PI = 2.0 * math.pi
-
-# psi1/psi2 multipliers of the slow angles used at the 1:2, 1:2 second
-# order, 1:3 and 1:1 resonances.
-COMBINATION_COEFFS = {
-    "chi12": (2, -1),
-    "chi2": (4, -2),
-    "chi3": (6, -2),
-    "chi11": (1, -1),
-}
-
 
 def wrap_angle(x):
     """Wrap angle(s) to the interval (-pi, pi]."""
@@ -85,15 +72,6 @@ def mode_actions(states, omega: float):
     ordered [q1, v1, q2, v2]."""
     q1, v1, q2, v2 = np.moveaxis(np.asarray(states, dtype=float), -1, 0)
     return 0.5 * (v1**2 + q1**2), 0.5 * (v2**2 + omega**2 * q2**2)
-
-
-def combination_angle(kind: str, psi1, psi2):
-    """Resonant combination of the slow phases, wrapped to (-pi, pi]."""
-    try:
-        m1, m2 = COMBINATION_COEFFS[kind]
-    except KeyError:
-        raise ValueError(f"unknown combination angle kind {kind!r}") from None
-    return wrap_angle(m1 * np.asarray(psi1) + m2 * np.asarray(psi2))
 
 
 def slow_rhs(t, y, p: ModelParams) -> np.ndarray:

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import fig_initial_state, fig_params
 from symevol.averaged import (AVG12_FIRST, average_slow_field, avg11_cart, avg12_first_cart,
-                              cartesian_invariant, polar_view)
+                              polar_view)
 from symevol.cli import main as cli_main
 from symevol.config import build_scenario, load_config, preset_path
 from symevol.experiments import (full_field, polar_amplitude_series, run_scenario,
@@ -21,7 +21,7 @@ from symevol.experiments import (full_field, polar_amplitude_series, run_scenari
 from symevol.integrate import IntegratorConfig, integrate, order_check
 from symevol.model import (DISSIPATIVE_EQUATIONS, CartesianState, ModelParams,
                            cartesian_to_dissipative, dissipative_to_cartesian, eval_hamiltonian)
-from symevol.resonance import (classify_11, locate_12_second, locate_13,
+from symevol.resonance import (cartesian_invariant, classify_11, locate_12_second, locate_13,
                                verify_stability_numerically)
 from symevol.transforms import mode_actions
 

@@ -6,13 +6,13 @@ import pytest
 
 from conftest import random_polar
 from symevol.averaged import (AVG11, AVG12_FIRST, AVG12_SECOND, AVG13, ZeroAmplitudeError,
-                              _chi2_coeffs, _chi3_paper_coeffs,
-                              _phase_drifts_13, average_slow_field, avg11_cart,
-                              avg12_first_cart, avg12_second_cart, avg13_cart,
-                              cartesian_invariant, polar_to_slow_cart, polar_view,
-                              second_order_average, slow_cart_amplitudes)
+                              _chi3_paper_coeffs, _phase_drifts_13, average_slow_field,
+                              avg11_cart, avg12_first_cart, avg12_second_cart, avg13_cart,
+                              polar_to_slow_cart, polar_view, second_order_average,
+                              slow_cart_amplitudes)
 from symevol.integrate import IntegratorConfig, integrate
 from symevol.model import ModelParams
+from symevol.resonance import RESONANCES, _chi2_coeffs, cartesian_invariant
 from symevol.transforms import polar_to_cart
 
 
@@ -353,6 +353,12 @@ def test_invariant_name_and_omega_validation(params12, p11):
         cartesian_invariant("E0_12", st, p11)
     with pytest.raises(ValueError):
         cartesian_invariant("E0_11", st, params12)
+    # every record's invariant works at its own omega only, and at no untabulated one
+    for omega, name in ((w, name) for w, entry in RESONANCES.items() for name in entry.invariants):
+        assert np.isfinite(cartesian_invariant(name, st, params12.replace(omega=omega)))
+        for other in (w for w in (*RESONANCES, 1.5) if w != omega):
+            with pytest.raises(ValueError, match=f"omega = {other:g}"):
+                cartesian_invariant(name, st, params12.replace(omega=other))
 
 
 # ----------------------------------------------------------- I3_11 closed form

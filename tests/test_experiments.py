@@ -13,15 +13,14 @@ from symevol.experiments import (EnsembleSpec, ScenarioConfig, _draw_initial,
                                  _histogram_series, compare_full_vs_averaged, full_field,
                                  invariant_drift, phase_series, polar_amplitude_series,
                                  run_ensemble, run_scenario, stabilization_time)
-from symevol.averaged import INVARIANT_NAMES, cartesian_invariant
 from symevol.config import ConfigError, build_scenario, load_config, preset_path
 from symevol.integrate import (MAX_GRID_POINTS, InlineRhs, IntegrationError, IntegratorConfig,
                                integrate, order_check)
 from symevol.integrate import _split_body
 from symevol.model import (ALPHA_KINDS, FULL_EQUATIONS, CartesianState, ModelParams, alpha,
                            full_rhs)
-from symevol.resonance import RESONANCES
-from symevol.transforms import COMBINATION_COEFFS, mode_actions, polar_coordinates, wrap_angle
+from symevol.resonance import RESONANCES, cartesian_invariant
+from symevol.transforms import mode_actions, polar_coordinates, wrap_angle
 
 
 def _scenario(params, initial, horizon, sample_dt=0.25, **settings):
@@ -223,7 +222,7 @@ def test_run_scenario_invariants_and_angles():
     assert cartesian_invariant("E0_12", traj.states, p)[0] == pytest.approx(0.25)
     assert cartesian_invariant("I3_12", traj.states, p)[0] == pytest.approx(0.0, abs=1e-15)
     psi1, psi2 = phase_series(traj, p.omega)
-    m1, m2 = COMBINATION_COEFFS["chi12"]
+    m1, m2 = RESONANCES[2.0].angles["chi12"]
     chi = m1 * psi1 + m2 * psi2
     # continuous lift: no 2*pi jumps between samples
     assert np.max(np.abs(np.diff(chi))) < 1.0
@@ -272,7 +271,7 @@ def test_run_scenario_untabulated_omega_omits_chi_and_invariants():
     psi1, psi2 = phase_series(traj, p.omega)
     assert psi1.shape == psi2.shape == traj.times.shape
     assert p.omega not in RESONANCES
-    for name in INVARIANT_NAMES:
+    for name in (name for entry in RESONANCES.values() for name in entry.invariants):
         with pytest.raises(ValueError, match="omega = 1.5"):
             cartesian_invariant(name, traj.states, p)
 
@@ -401,8 +400,8 @@ def test_i3_11_is_an_adiabatic_invariant_of_the_full_run():
     assert not 1.5 <= r1_coarse / r1_fine <= 2.8
 
 
-def _small_ensemble(count=16, horizon=10.0, samplers=None, seed=7, params=None):
-    sc = _scenario(params or fig_params(2), fig_initial_state(), horizon, sample_dt=0.5,
+def _small_ensemble(count=16, horizon=10.0, samplers=None, seed=7, params=None, sample_dt=0.5):
+    sc = _scenario(params or fig_params(2), fig_initial_state(), horizon, sample_dt=sample_dt,
                    rtol=1e-8, atol=1e-10)
     return EnsembleSpec(scenario=sc, samplers=samplers or {
         "q1": ("fixed", 0.0), "v1": ("normal", 0.5, 0.05),
@@ -417,6 +416,12 @@ def test_ensemble_spec_sample_ceiling():
     for count in (0, MAX_GRID_POINTS // 20 + 1, 10**15):
         with pytest.raises(ValueError):
             _small_ensemble(count=count)
+    # a last short interval counts as a whole one, and a particle holds at least one
+    for horizon, sample_dt, intervals in ((10.0, 3.0, 4), (1.0, 100.0, 1)):
+        most = MAX_GRID_POINTS // intervals
+        assert _small_ensemble(most, horizon, sample_dt=sample_dt).count == most
+        with pytest.raises(ValueError, match="samples give over"):
+            _small_ensemble(most + 1, horizon, sample_dt=sample_dt)
 
 
 @pytest.mark.parametrize("spec", [("uniform", 0.0), ("normal", 0.5, -1.0), ("fixed", math.nan),

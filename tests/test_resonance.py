@@ -5,9 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from symevol.averaged import _chi2_coeffs, _chi3_paper_coeffs
+from symevol.averaged import _chi3_paper_coeffs
 from symevol.model import ModelParams
-from symevol.resonance import (RESONANCES, _to_float, classify_11, locate_12_first,
+from symevol.resonance import (RESONANCES, _chi2_coeffs, _to_float, classify_11, locate_12_first,
                                locate_12_second, locate_13, verify_stability_numerically)
 
 

@@ -8,8 +8,8 @@ from scipy.integrate import solve_ivp
 
 from symevol.integrate import IntegratorConfig, integrate
 from symevol.model import FULL_EQUATIONS, CartesianState, ModelParams
-from symevol.transforms import (combination_angle, mode_actions, polar_coordinates,
-                                polar_to_cart, slow_rhs, wrap_angle)
+from symevol.resonance import combination_angle
+from symevol.transforms import mode_actions, polar_coordinates, polar_to_cart, slow_rhs, wrap_angle
 
 TWO_PI = 2.0 * math.pi
 

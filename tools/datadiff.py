@@ -66,7 +66,6 @@ q2 = 0
 v2 = 0.5
 
 [integrator]
-method = rk45
 rtol = 1e-10
 atol = 1e-12
 sample_dt = 0.01
