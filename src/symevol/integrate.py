@@ -60,17 +60,15 @@ __all__ = ["IntegratorConfig", "Trajectory", "IntegrationError", "integrate",
            "order_check", "OrderEstimate", "MAX_GRID_POINTS", "InlineRhs"]
 
 
-# The stop rule both loops share: a run short of t_end stops on a step below
-# _STEP_FLOOR max(1, |t|), an underflow, or at the attempt past _MAX_STREAK
-# non-finite ones in a row, each of which retries with _SHRINK of its step. One text, written with & and |, so that it is a bool
-# on the single run's floats and one bool per row on the batch's columns.
+# The underflow rule both loops share: a run short of t_end stops on a step
+# below _STEP_FLOOR max(1, |t|). One text, written with & and |, so that it is
+# a bool on the single run's floats and one bool per row on the batch's
+# columns. A non-finite attempt stops its run as well.
 _STEP_FLOOR = 1e-14
-_MAX_STREAK = 40
-_SHRINK = 0.25
-_STOP_RULE = (f"(t < t_end) & ((h < {_STEP_FLOOR!r}) | (h < {_STEP_FLOOR!r} * abs(t))"
-              f" | (streak > {_MAX_STREAK!r}))")
+_STOP_RULE = f"(t < t_end) & ((h < {_STEP_FLOOR!r}) | (h < {_STEP_FLOOR!r} * abs(t)))"
 
-# Most points a uniform time grid (output samples or fixed steps) may have: 320 MB of 4-vectors.
+# Most intervals a uniform time grid (of output samples or of fixed steps) may
+# have: 320 MB of 4-vectors.
 MAX_GRID_POINTS = 10_000_000
 
 # Most row-steps a batch, and most samples a single run, hold before they fill
@@ -102,9 +100,9 @@ _STOP = {False: ("step size underflow", "underflow"),
          True: ("non-finite values in right-hand side", "nonfinite")}
 
 
-# whether each batch row stops short of t_end; the single run's loop writes
-# the same rule into its source (_TAYLOR_LOOP)
-_stops = eval(f"lambda t, h, streak, t_end: {_STOP_RULE}", {})
+# whether each batch row's step underflows short of t_end; the single run's
+# loop writes the same rule into its source (_TAYLOR_LOOP)
+_stops = eval(f"lambda t, h, t_end: {_STOP_RULE}", {})
 
 
 @dataclass(frozen=True)
@@ -112,9 +110,10 @@ class IntegratorConfig:
     """Tolerances and time grid of one run.
 
     The run covers [t0, t_end]; samples are produced every ``sample_dt``
-    starting from t0 (the end time is always included). The samples may not
-    number more than ``MAX_GRID_POINTS``, and ``rtol`` may not be below 100
-    machine epsilons.
+    starting from t0 (the end time is always included). The sample grid may
+    not have more than ``MAX_GRID_POINTS`` intervals, counted as the grid
+    is made (:func:`_grid_steps`, a last short interval a whole one), and
+    ``rtol`` may not be below 100 machine epsilons.
     """
 
     t_end: float
@@ -133,7 +132,9 @@ class IntegratorConfig:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.rtol < _MIN_RTOL:
             raise ValueError(f"rtol must be at least 100*eps = {_MIN_RTOL:.3g}, got {self.rtol!r}")
-        if (self.t_end - self.t0) / self.sample_dt > MAX_GRID_POINTS:
+        # a grid too fine to count is over the ceiling too
+        if not (self.t_end - self.t0) / self.sample_dt < math.inf \
+                or sum(_grid_steps(self.t0, self.t_end, self.sample_dt)) > MAX_GRID_POINTS:
             raise ValueError(f"[{self.t0:g}, {self.t_end:g}] at sample_dt {self.sample_dt!r} "
                              f"gives over {MAX_GRID_POINTS} samples")
 
@@ -194,8 +195,8 @@ def integrate(rhs: InlineRhs, y0, config: IntegratorConfig) -> Trajectory:
 
     Each accepted step fills the samples after its start and at or before
     its end. A run short of t_end stops on step-size underflow (a step below
-    1e-14 max(1, |t|)) or on persistent non-finite values (the attempt past
-    40 non-finite ones in a row), by one rule that both loops read. A single
+    1e-14 max(1, |t|)), by one rule that both loops read, or on non-finite
+    values, at its first attempt whose new state is not finite. A single
     run raises :class:`IntegrationError`; the exception carries the last
     good (t, y), with y an ndarray. ``states`` has shape (samples, d).
 
@@ -208,15 +209,16 @@ def integrate(rhs: InlineRhs, y0, config: IntegratorConfig) -> Trajectory:
     ``stats`` names the ``method`` (``"taylor"``) and its ``order``, and
     counts the ``accepted`` steps, the ``rejected`` ones, split into
     ``rejected_error`` (always 0, as the method has no error test) and
-    ``rejected_nonfinite`` (non-finite values met), and the ``rhs_evals``,
-    one evaluation of the coefficients' recurrence per attempt. ``h_min``,
-    ``h_max`` and ``h_final`` are the smallest, the largest and the last
-    accepted step; the last ends at t_end. A batch gives the counts' totals
-    over its rows and each step size's ``min``, ``median`` and ``max`` over
-    the rows that accepted a step (None if none did), and, under the same
-    names prefixed ``row_``, one value per row, each that of the single-row
-    run (NaN step sizes for a row that accepted no step). A batch row equals
-    the single-row run of its state byte for byte.
+    ``rejected_nonfinite`` (1 for a row stopped by non-finite values, else
+    0), and the ``rhs_evals``, one evaluation of the coefficients'
+    recurrence per attempt. ``h_min``, ``h_max`` and ``h_final`` are the
+    smallest, the largest and the last accepted step; the last ends at
+    t_end. A batch gives the counts' totals over its rows and each step
+    size's ``min``, ``median`` and ``max`` over the rows that accepted a
+    step (None if none did), and, under the same names prefixed ``row_``,
+    one value per row, each that of the single-row run (NaN step sizes for
+    a row that accepted no step). A batch row equals the single-row run of
+    its state byte for byte.
     """
     if not isinstance(rhs, InlineRhs):
         raise TypeError(f"integrate takes an InlineRhs (Equations.at), got {type(rhs).__name__}")
@@ -236,10 +238,10 @@ def integrate(rhs: InlineRhs, y0, config: IntegratorConfig) -> Trajectory:
     return Trajectory(times=ts, states=out, stats=stats)
 
 
-def _failure(t, y, streak) -> IntegrationError:
-    """The error of a single run that stops short at t, in the state y: its
-    last attempt met non-finite values when ``streak`` > 0."""
-    message, reason = _STOP[streak > 0]
+def _failure(t, y, finite) -> IntegrationError:
+    """The error of a single run that stops short at t, in the state y, by
+    whether its last attempt was ``finite``."""
+    message, reason = _STOP[not finite]
     return IntegrationError(message, t, np.array(y, dtype=float), reason)
 
 
@@ -308,10 +310,11 @@ def _indented(lines, depth) -> list:
     return ["    " * depth + line for line in lines]
 
 
-def _failed_rows(rows, t, streak, failed) -> list:
+def _failed_rows(rows, t, finite, failed) -> list:
     """``(row, message)`` of every batch row that ``failed``, stopped short
-    of t_end by :data:`_STOP_RULE`, with the message its single run raises."""
-    return [(int(rows[i]), _failure_text(_STOP[bool(streak[i])][0], float(t[i])))
+    of t_end by :data:`_STOP_RULE` or by an attempt that was not ``finite``,
+    with the message its single run raises."""
+    return [(int(rows[i]), _failure_text(_STOP[not finite[i]][0], float(t[i])))
             for i in np.flatnonzero(failed).tolist()]
 
 
@@ -655,8 +658,8 @@ def _step_rule_lines(emitter, d: int, p: int) -> list:
     tol = atol + rtol ||y||, ||.|| the largest component's size, the step at
     which each of the last two terms, ||c_k|| h^k for k = p - 1 and p, is
     tol, times _TAYLOR_SAFETY; at most _RADIUS_FRACTION of the radius of
-    convergence each estimates, (||y|| / ||c_k||)^(1/k); at most ``cap``. A
-    zero norm bounds nothing, and so does a NaN one.
+    convergence each estimates, (||y|| / ||c_k||)^(1/k). A zero norm bounds
+    nothing, and so does a NaN one.
 
     The norms' maxima and the clamps are conditional expressions, the
     builtins' own rules (``where`` in a batch), so the single run makes no
@@ -674,7 +677,7 @@ def _step_rule_lines(emitter, d: int, p: int) -> list:
         for state in emitter.state[1:]:
             lines += [f"_x = abs({emitter.coef(state, k)})",
                       f"{norm} = {pick(f'_x > {norm}', '_x', norm)}"]
-    lines += ["_tol = atol + rtol * _ny", f"_ry = {pick('_ny > 0.0', '_ny', 'inf')}", "h = cap"]
+    lines += ["_tol = atol + rtol * _ny", f"_ry = {pick('_ny > 0.0', '_ny', 'inf')}", "h = inf"]
     for norm, k in (("_na", p - 1), ("_nb", p)):
         for fraction, size in ((_TAYLOR_SAFETY, "_tol"), (_RADIUS_FRACTION, "_ry")):
             bound = f"{fraction!r} * {power(f'{size} / {norm}', 1.0 / k)}"
@@ -688,21 +691,21 @@ def _step_rule_lines(emitter, d: int, p: int) -> list:
 # state by Horner's rule and its finiteness test), the sample test, the stop
 # rule (the text _STOP_RULE, which _stops reads too) and the step's
 # bookkeeping, with the state, coefficient 0, in locals across steps. A
-# non-finite attempt retries from the same state under a cap of a quarter of
-# its step. A division by zero or an exp above ~709.78 raises on floats where
-# the batch's arrays give inf or NaN: such an attempt is non-finite too, with
-# a zero step, as no step from its state is finite, so the stop rule ends the
-# run at the time its batch row stops, on non-finite values. It calls out
-# only on a step that holds a sample (bisect_right, and fill_steps once the
-# block holds fill_block samples or the grid's last) and at the end.
+# non-finite attempt ends the run at its start: the attempt's coefficients
+# depend on that state alone, so no step from it is finite. A division by
+# zero or an exp above ~709.78 raises on floats where the batch's arrays give
+# inf or NaN: such an attempt is non-finite too, so the run stops at the time
+# its batch row stops, on non-finite values. It calls out only on a step that
+# holds a sample (bisect_right, and fill_steps once the block holds
+# fill_block samples or the grid's last) and at the end.
 _TAYLOR_LOOP = """\
 def run(t, y, t_end, rtol, atol, samples, out, ts):
     {y} = y
     last_sample = len(ts)
     idx = 1
     t_next = samples[1]
-    accepted = rejected_nonfinite = streak = 0
-    h_min = cap = inf
+    accepted = 0
+    h_min = inf
     h_max = 0.0
     block = []
     while t < t_end:
@@ -710,32 +713,27 @@ def run(t, y, t_end, rtol, atol, samples, out, ts):
 {attempt}
         except (ZeroDivisionError, OverflowError):
             finite = False
-            h = 0.0
         if not finite:
-            streak += 1
-            rejected_nonfinite += 1
-            h *= {shrink!r}
-            cap = h
-        else:
-            streak = 0
-            cap = inf
-            if t_next <= t_new:
-                stop = bisect_right(samples, t_new, idx)
-                block += idx, stop, t
-                block += {coefficients}
-                idx = stop
-                t_next = samples[idx]
-                if idx == last_sample or idx - block[0] >= fill_block:
-                    fill_steps(out, ts, block, {terms})
-                    block = []
-            t = t_new
+            break
+        if t_next <= t_new:
+            stop = bisect_right(samples, t_new, idx)
+            block += idx, stop, t
+            block += {coefficients}
+            idx = stop
+            t_next = samples[idx]
+            if idx == last_sample or idx - block[0] >= fill_block:
+                fill_steps(out, ts, block, {terms})
+                block = []
+        t = t_new
 {advance}
-            accepted += 1
-            h_min = h if h < h_min else h_min
-            h_max = h if h > h_max else h_max
+        accepted += 1
+        h_min = h if h < h_min else h_min
+        h_max = h if h > h_max else h_max
         if {stop_rule}:
-            raise failure(t, ({y}), streak)
-    return accepted, rejected_nonfinite, h_min, h_max, h
+            break
+    if t < t_end:
+        raise failure(t, ({y}), finite)
+    return accepted, h_min, h_max, h
 """
 
 
@@ -746,11 +744,11 @@ def _taylor_loop_code(d: int, equations, p: int):
     t_end, rtol, atol, samples, out, ts)`` integrates from t and the state
     ``y``, a sequence of d floats, fills ``out`` at the times ``ts``
     (``samples`` is ``ts`` and inf past it) and returns the counts of
-    accepted and non-finite attempts and the smallest, largest and last
-    accepted step, or raises :class:`IntegrationError`. Its new state is
-    the batch's, :func:`_taylor_step_code`, bit for bit. The code depends
-    on the source only, never on the values bound to its names, so it is
-    cached, one entry per dimension, source and order."""
+    accepted steps and the smallest, largest and last accepted step, or
+    raises :class:`IntegrationError`. Its new state is the batch's,
+    :func:`_taylor_step_code`, bit for bit. The code depends on the source
+    only, never on the values bound to its names, so it is cached, one
+    entry per dimension, source and order."""
     emitter = _TaylorEmitter(equations, p, batch=False)
     values = [f"_z{j}" for j in range(d)]
     attempt = [*emitter.lines(), *_step_rule_lines(emitter, d, p),
@@ -770,24 +768,23 @@ def _taylor_loop_code(d: int, equations, p: int):
     code = _TAYLOR_LOOP.format(
         y=" ".join(f"_y{j}_0," for j in range(d)), attempt="\n".join(_indented(attempt, 3)),
         coefficients=" ".join(f"_y{j}_{k}," for k in range(p + 1) for j in range(d)),
-        terms=p + 1, advance="\n".join(_indented([f"_y{j}_0 = _z{j}" for j in range(d)], 3)),
-        shrink=_SHRINK, stop_rule=_STOP_RULE)
+        terms=p + 1, advance="\n".join(_indented([f"_y{j}_0 = _z{j}" for j in range(d)], 2)),
+        stop_rule=_STOP_RULE)
     return compile("\n".join([*_once_per_run(equations), code]), "<taylor loop>", "exec")
 
 
 @functools.cache
 def _taylor_step_code(d: int, equations, p: int):
     """One Taylor attempt of order p over a batch, as compiled code:
-    :func:`_once_per_run`, then ``step(t, cap, y, t_end, rtol, atol)``,
-    which takes ``y`` as a (d, n) array, a column per row, and ``t`` and
-    ``cap`` as (n,) arrays, and returns the coefficients as a (p + 1, d, n)
-    array, the step, its end, the new state and whether the attempt is
-    finite, per row. The statements are the single run's, written by the
+    :func:`_once_per_run`, then ``step(t, y, t_end, rtol, atol)``, which
+    takes ``y`` as a (d, n) array, a column per row, and ``t`` as an (n,)
+    array, and returns the coefficients as a (p + 1, d, n) array, the step,
+    its end, the new state and whether the attempt is finite, per row. The statements are the single run's, written by the
     same emitter on the rows of arrays (the state's series are views of the
     coefficient array), and Horner's rule runs over all components at once,
     with the same operations per entry."""
     emitter = _TaylorEmitter(equations, p, batch=True)
-    lines = ["def step(t, cap, y, t_end, rtol, atol):",
+    lines = ["def step(t, y, t_end, rtol, atol):",
              f"    _c = empty(({p + 1}, {d}, len(t)))",
              "    _c[0] = y",
              f"    {_names('_y', d)} = _c.transpose(1, 0, 2)",
@@ -832,9 +829,9 @@ def _run_single(rhs, y0, config, ts, out):
     # the sample times, read as floats, and past the last one a time no step reaches
     samples = memoryview(np.append(ts, math.inf))
     with np.errstate(all="ignore"):  # the fill evaluates steps of any size
-        accepted, rejected, *steps = run(config.t0, tuple(y0.tolist()), config.t_end,
-                                         config.rtol, config.atol, samples, out, ts)
-    return _stats(p, accepted, rejected, *steps)
+        accepted, *steps = run(config.t0, tuple(y0.tolist()), config.t_end,
+                               config.rtol, config.atol, samples, out, ts)
+    return _stats(p, accepted, 0, *steps)
 
 
 def _run_rows(rhs, y0, config, ts, out):
@@ -859,40 +856,33 @@ def _run_rows(rhs, y0, config, ts, out):
     t = np.full(n_rows, float(config.t0))
     y = y0.T.copy()
     idx = np.ones(n_rows, dtype=np.intp)
-    streak = np.zeros(n_rows, dtype=np.int64)
-    cap = np.full(n_rows, math.inf)
     # the steps whose samples are not filled yet, held without a copy
     block, held = [], 0
     with np.errstate(all="ignore"):
         while rows.size:
             if rows.size > 1:
-                coeffs, h, t_new, y_new, finite = step(t, cap, y, t_end, rtol, atol)
+                coeffs, h, t_new, y_new, finite = step(t, y, t_end, rtol, atol)
             else:  # a last row steps as two copies of its column (see dot)
                 coeffs, h, t_new, y_new, finite = (
-                    v[..., :1] for v in step(t.repeat(2), cap.repeat(2), y.repeat(2, axis=1),
-                                             t_end, rtol, atol))
+                    v[..., :1] for v in step(t.repeat(2), y.repeat(2, axis=1), t_end, rtol, atol))
             stop = np.searchsorted(ts, t_new, side="right")
             accepted[rows] += finite
             h_min[rows] = np.where(finite & (h < h_min[rows]), h, h_min[rows])
             h_max[rows] = np.where(finite & (h > h_max[rows]), h, h_max[rows])
             h_last[rows] = np.where(finite, h, h_last[rows])
+            failed = _stops(t_new, h, t_end)
             if not finite.all():
-                # a non-finite row keeps its state, fills no sample and
-                # retries under a cap of a quarter of its step
+                # a non-finite row stops at its start and fills no sample
                 rejected[rows] += ~finite
-                h = np.where(finite, h, h * _SHRINK)
-                t_new, y_new, stop = (np.where(finite, new, old) for new, old in
-                                      ((t_new, t), (y_new, y), (stop, idx)))
-            cap = np.where(finite, math.inf, h)
+                failed |= ~finite
+                t_new, stop = np.where(finite, t_new, t), np.where(finite, stop, idx)
             block.append((rows, idx, stop, t, coeffs.transpose(2, 0, 1)))
             held += rows.size
             t, y, idx = t_new, y_new, stop
-            streak = np.where(finite, 0, streak + 1)
-            failed = _stops(t, h, streak, t_end)
-            failures += _failed_rows(rows, t, streak, failed)
+            failures += _failed_rows(rows, t, finite, failed)
             live = (t < t_end) & ~failed
             if not live.all():
-                rows, t, idx, streak, cap = (v[live] for v in (rows, t, idx, streak, cap))
+                rows, t, idx = (v[live] for v in (rows, t, idx))
                 y = y[:, live]
             if held >= _FILL_BLOCK or not rows.size:
                 _taylor_fill(out, ts, *(np.concatenate(column) for column in zip(*block)))

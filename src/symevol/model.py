@@ -209,7 +209,7 @@ class Equations(NamedTuple):
     ``a if c else b`` with ``c`` of the first class. The statements' names
     share the generated code's namespace, so they must differ from its own:
     every name that starts with an underscore, ``t`` (the time), ``y``,
-    ``h``, ``cap``, ``t_end``, ``t_new``, ``rtol``, ``atol``, ``finite``,
+    ``h``, ``t_end``, ``t_new``, ``rtol``, ``atol``, ``finite``,
     ``clamped``, ``inf``, ``exp``, ``isfinite``, ``where``, ``power``,
     ``empty``, ``add_reduce`` and the names of the single run's loop in
     ``integrate._TAYLOR_LOOP``.

@@ -303,8 +303,8 @@ def verify_stability_numerically(report: StabilityReport, E0: float, epsilon: fl
     y0 = np.array([r1, chi_star + _PERTURBATION, r2, 0.0, 0.0])
     x1, y1, x2, y2 = _integrate_avg11(y0, params, horizon).states[:, :4].T
     dr = (np.hypot(x1, y1) - r1_star) / radius
-    # chi = psi1 - psi2 is the angle of A1*conj(A2)
-    dchi = wrap_angle(np.arctan2(y1 * x2 - x1 * y2, x1 * x2 + y1 * y2) - chi_star)
+    chi = combination_angle("chi11", np.arctan2(y1, x1), np.arctan2(y2, x2))
+    dchi = wrap_angle(chi - chi_star)
     dev = np.hypot(dr, dchi)
     growth = float(np.max(dev) / max(dev[0], 1e-300))
     return _growth_verdict(growth, report.stable)

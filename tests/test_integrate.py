@@ -48,13 +48,21 @@ def test_config_validation():
            {"t0": math.nan}, {"t0": -math.inf}, {"t0": 10.0}, {"t0": 11.0}, {"t_end": -5.0},
            # below the rtol floor of 100 machine epsilons
            {"rtol": 50 * np.finfo(float).eps},
-           # over MAX_GRID_POINTS samples, counted on construction
-           {"t_end": 1e8, "sample_dt": 1e-3}]
+           # over MAX_GRID_POINTS sample intervals, counted on construction,
+           # also where the span overflows or the grid is too fine to count
+           {"t_end": 1e8, "sample_dt": 1e-3}, {"t0": -1e308, "t_end": 1e308},
+           {"sample_dt": 5e-324}]
     for settings in bad:
         with pytest.raises(ValueError):
             IntegratorConfig(**{"t_end": 10.0, "sample_dt": 0.1, **settings})
     assert IntegratorConfig(t0=-8.0, t_end=-5.0, sample_dt=0.1).t_end == -5.0
     assert IntegratorConfig(t0=5.0, t_end=5.0 + MAX_GRID_POINTS * 0.5, sample_dt=0.5).t0 == 5.0
+    # the ceiling counts the intervals of the grid the run samples: here the
+    # span over sample_dt reads 10000000.000000002, and the grid has exactly
+    # MAX_GRID_POINTS intervals
+    edge = IntegratorConfig(t_end=1344508.0768799, sample_dt=0.13445080768798998)
+    assert len(integrate_module._sample_grid(0.0, edge.t_end, edge.sample_dt)) \
+        == MAX_GRID_POINTS + 1
     assert IntegratorConfig(t_end=1.0, sample_dt=0.5, rtol=100 * np.finfo(float).eps).rtol > 0.0
     # integrate runs one method, and fixed RK4 steps are order_check's
     assert not {"step", "method"} & set(vars(IntegratorConfig(t_end=1.0, sample_dt=0.5)))
@@ -640,15 +648,16 @@ def test_overflowing_finiteness_sum_is_not_a_non_finite_step():
     assert np.array_equal(batch.states[0], single.states)
 
 
-def test_non_finite_streak_limit():
-    # y' = NaN: every attempt meets NaN, its NaN norms bound no step, and it
-    # retries with a quarter of its step, from the span. The 41st non-finite
-    # attempt in a row stops the run while its step, 1e17 / 4**41 = 2e-8, is
-    # still above the step floor of 1e-14
+def test_one_non_finite_attempt_stops_the_run():
+    # y' = NaN: the first attempt meets NaN, and its NaN norms bound no step.
+    # An attempt's coefficients depend on its start state alone, so no step
+    # from that state is finite: the one attempt stops the run at t0, on
+    # non-finite values, over a span whose step is far above the step floor
     cfg = IntegratorConfig(t_end=1e17, sample_dt=1e16)
     batch = integrate(_nan_field(), np.array([[1.0, 0.0]]), cfg)
-    assert batch.stats["row_rejected_nonfinite"].tolist() == [41]
-    assert batch.stats["row_rhs_evals"].tolist() == [41]
+    assert batch.stats["row_rejected_nonfinite"].tolist() == [1]
+    assert batch.stats["row_rhs_evals"].tolist() == [1]
+    assert batch.stats["row_accepted"].tolist() == [0]
     with pytest.raises(IntegrationError) as err:
         integrate(_nan_field(), np.array([1.0, 0.0]), cfg)
     assert err.value.reason == "nonfinite" and err.value.t_last == 0.0
@@ -869,24 +878,33 @@ def test_taylor_non_finite_coefficients_count_as_non_finite_attempt():
     # step rule gives a zero step, and Horner's rule gives NaN (inf times
     # zero), so the one attempt is non-finite and the run stops at t0 on
     # non-finite values, its batch row beside a quiet one too. In the full
-    # model from q1 = 1e200 the coefficients are NaN, which bound no step:
-    # the attempts retry with a quarter of their step until it is below the
-    # step floor, and the run stops on non-finite values as well
+    # model from q1 = 1e200 the coefficients are NaN, which bound no step,
+    # and the run stops at t0 on its one attempt as well. y' = y from 1e300
+    # steps until its next state would leave the float range, and stops at
+    # the last good state, at t = 18.63, where the solution reaches 1.2e308
     p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.1, n=2)
     body = ("d1 = u1 * u1", "d2 = u2", "d3 = u3", "d4 = u4", "d5 = u5")
     quiet = [0.0, 0.5, 0.0, 0.5, 0.0]
     cfg = IntegratorConfig(t0=1.0, t_end=5.0, sample_dt=1.0)
-    for rhs, y0, attempts in ((_test_field(body), np.array([1e200, 0.0, 0.0, 0.0, 0.0]), 1),
-                              (_inline(p), np.array([1e200, 0.0, 0.0, 0.0]), 25)):
+    grown = IntegratorConfig(t_end=30.0, sample_dt=1.0)
+    for rhs, y0, run in ((_test_field(body), np.array([1e200, 0.0, 0.0, 0.0, 0.0]), cfg),
+                         (_inline(p), np.array([1e200, 0.0, 0.0, 0.0]), cfg),
+                         (_field(("x",), ("dx = x",)), np.array([1e300]), grown)):
         with pytest.raises(IntegrationError) as err:
-            integrate(rhs, y0, cfg)
-        assert err.value.reason == "nonfinite" and err.value.t_last == 1.0
-        assert np.array_equal(err.value.y_last, y0)
-        batch = integrate(rhs, np.array([y0, quiet[:len(y0)]]), cfg)
+            integrate(rhs, y0, run)
+        assert err.value.reason == "nonfinite" and np.isfinite(err.value.y_last).all()
+        if run is cfg:
+            assert err.value.t_last == 1.0 and np.array_equal(err.value.y_last, y0)
+        else:
+            assert 18.63 < err.value.t_last < 18.64 and err.value.y_last[0] > 1e308
+        batch = integrate(rhs, np.array([y0, quiet[:len(y0)]]), run)
         assert batch.stats["failures"] == [(0, str(err.value))]
-        assert batch.stats["row_rejected_nonfinite"].tolist() == [attempts, 0]
+        assert batch.stats["row_rejected_nonfinite"].tolist() == [1, 0]
         assert batch.stats["row_rejected_error"].tolist() == [0, 0]
-        assert np.isnan(batch.states[0, 1:]).all() and np.isfinite(batch.states[1]).all()
+        # the row holds finite samples up to its last good time, NaN past it
+        good = batch.times <= err.value.t_last
+        assert np.isfinite(batch.states[0, good]).all()
+        assert np.isnan(batch.states[0, ~good]).all() and np.isfinite(batch.states[1]).all()
 
 
 def test_taylor_division_by_zero_and_exp_overflow_are_non_finite_attempts():

@@ -133,7 +133,10 @@ CONFIGS = {"w1.ini": _W1, "w3.ini": _W3, "ens.ini": _ENSEMBLE,
            # underflows before horizon 30 (exit 3, the last good time on stderr)
            "sim-fail.ini": (_SIMULATE.replace("q1 = 0\n", "q1 = 5\n").replace("v1 = 0.5", "v1 = 0.1")
                             .replace("q2 = 0\n", "q2 = 0.1\n").replace("v2 = 0.5", "v2 = 0.1")
-                            .replace("horizon = 50", "horizon = 30"))}
+                            .replace("horizon = 50", "horizon = 30")),
+           # a single run that fails on non-finite values: from q1 = 1e200 the
+           # first attempt's coefficients are NaN (exit 3 at t = 0)
+           "sim-nonfinite.ini": _SIMULATE.replace("q1 = 0\n", "q1 = 1e200\n")}
 
 # name: arguments after ``python -m symevol``; ``--out`` is added to commands that take it
 COMMANDS = {
@@ -142,6 +145,7 @@ COMMANDS = {
     "simulate-polynomial": ["simulate", "sim-poly.ini"],
     "simulate-t0": ["simulate", "sim-t0.ini"],
     "simulate-failing": ["simulate", "sim-fail.ini"],
+    "simulate-nonfinite": ["simulate", "sim-nonfinite.ini"],
     "reproduce-fig1": ["reproduce-figure", "--which", "fig1", "--horizon", "50"],
     "reproduce-fig2": ["reproduce-figure", "--which", "fig2", "--horizon", "50"],
     "compare-11": ["compare", "w1.ini", "--eps-list", "0.1,0.05"],
