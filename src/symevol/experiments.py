@@ -243,10 +243,10 @@ class EnsembleSpec:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         grid = self.scenario.integrator
         n, short = _grid_steps(grid.t0, grid.t_end, grid.sample_dt)
-        samples = max(1, n + short)
-        if self.count * samples > MAX_GRID_POINTS:
-            raise ValueError(f"{self.count} particles of {samples} "
-                             f"samples give over {MAX_GRID_POINTS} samples")
+        intervals = max(1, n + short)
+        if self.count * intervals > MAX_GRID_POINTS:
+            raise ValueError(f"{self.count} particles of {intervals} sample "
+                             f"intervals give over {MAX_GRID_POINTS} sample intervals")
         initial = self.scenario.initial
         samplers = {coord: self.samplers.get(coord, ("fixed", getattr(initial, coord)))
                     for coord in _COORDS}

@@ -8,10 +8,13 @@ writes the recurrences of their Taylor coefficients, one coefficient at a
 time, as straight-line statements: locals of floats in the single run's loop
 (:data:`_TAYLOR_LOOP`), rows of arrays in the batched step, with the same
 operations in the same order, so a batch row equals its single run bit for
-bit. A batch writes each Cauchy sum of three terms or more as one
-``np.add.reduce`` over the rows of the products, which adds them in the
-single run's order from two columns on, so it never steps fewer than two
-columns (:meth:`_TaylorEmitter.dot`). The order p follows from rtol
+bit. A series times itself sums each symmetric pair once (the square rule of
+Jorba & Zou and of TIDES), and the subexpressions of the parameters alone run
+once per run, under names of their own. A batch writes each Cauchy sum, and
+each half of a square, of three terms or more as one ``np.add.reduce`` over
+the rows of the products, which adds them in the single run's order from two
+columns on, so it never steps fewer than two columns
+(:meth:`_TaylorEmitter.dot`). The order p follows from rtol
 (:func:`_taylor_order`), and the step size from the last two coefficients,
 capped at a fraction of the series' estimated radius of convergence
 (:func:`_step_rule_lines`); there is no error test. The new state and the
@@ -24,10 +27,10 @@ over the entries), and its step size from libm's ``pow`` (``**``, in a batch
 A single run is one generated loop over Python floats: the attempt's
 straight-line statements, the step size, the sample test and the stop rule
 are written in place, and the state stays in locals across steps; it makes
-no numpy call, and no ``min``, ``max`` or other Python call, per step but on
-a step that holds a sample. A batch of independent initial states (``y0`` of
-shape (N, d)) holds the rows as columns of a (d, n) array; every row keeps
-its own time and step size. Both loops hold their accepted steps in a block,
+no numpy call, and no ``abs``, ``min``, ``max``, ``isfinite`` or other Python
+call, per step but on a step that holds a sample. A batch of independent
+initial states (``y0`` of shape (N, d)) holds the rows as columns of a (d, n)
+array; every row keeps its own time and step size. Both loops hold their accepted steps in a block,
 a single run only the steps that hold a sample, and fill the block's samples
 through :func:`_taylor_fill` once it holds a bounded number of row-steps (a
 batch) or samples (a single run), and at the end, so that the memory the
@@ -136,7 +139,7 @@ class IntegratorConfig:
         if not (self.t_end - self.t0) / self.sample_dt < math.inf \
                 or sum(_grid_steps(self.t0, self.t_end, self.sample_dt)) > MAX_GRID_POINTS:
             raise ValueError(f"[{self.t0:g}, {self.t_end:g}] at sample_dt {self.sample_dt!r} "
-                             f"gives over {MAX_GRID_POINTS} samples")
+                             f"gives over {MAX_GRID_POINTS} sample intervals")
 
 
 @dataclass
@@ -365,13 +368,6 @@ def _split_body(equations):
     return fixed, rest
 
 
-def _once_per_run(equations) -> list:
-    """The statements the generated loop or batched step runs when it is
-    bound, with ``t`` the run's start time: the body's statements that read
-    only the parameters, then the guard."""
-    return [*_split_body(equations)[0], *equations.guard]
-
-
 class _Series:
     """A Taylor series in the step variable s, t = t_n + s, in the generated
     code: its coefficients up to ``degree``, the higher ones known zeros,
@@ -395,16 +391,25 @@ class _TaylorEmitter:
 
     Each name the body's statements assign from ``t`` or a state name,
     directly or through an earlier statement, becomes a series; every other
-    name (a parameter, or a statement of the parameters only, which
-    :func:`_once_per_run` evaluates) stays a scalar, and so does every
-    subexpression of scalars. The emitter tracks each series' degree in s
-    (``t`` is linear, a product adds the degrees) and writes no product with
-    a known zero. The series other than the state take the coefficients up
-    to p - 1, all the rates need. The rules:
+    name (a parameter, or a statement of the parameters only) stays a
+    scalar, and so does every subexpression of scalars. A scalar
+    subexpression of a series' statement, other than a name or an
+    expression of constants, runs once per run, as the statement ``_f<i> =
+    <text>`` of :attr:`once_per_run` (one per distinct text), so ``epsilon *
+    a1 * q1q1`` multiplies each coefficient once by ``_f0 = epsilon * a1``;
+    one that raises (a division by zero, say) raises when the run is bound,
+    as a statement of the parameters does, even in a conditional's branch.
+    The emitter tracks each series' degree in s (``t`` is linear, a product
+    adds the degrees) and writes no product with a known zero, and no
+    literal factor or divisor 1.0, which leaves the other operand exact. The
+    series other than the state take the coefficients up to p - 1, all the
+    rates need. The rules:
 
     - ``+``, ``-`` and unary ``-``: coefficientwise;
     - a scalar times a series, or a series over a scalar: a scaled series;
-    - a series times a series: the Cauchy product;
+    - a series times a series: the Cauchy product, and a series times
+      itself the square, which sums each symmetric pair once
+      (:meth:`square`);
     - anything over a series: the division recurrence;
     - ``exp`` of a series: the exponential recurrence, which takes one
       ``exp``, of the first coefficient;
@@ -421,6 +426,7 @@ class _TaylorEmitter:
     def __init__(self, equations, p: int, batch: bool):
         self.p, self.batch = p, batch
         self.ops = []  # in dependency order, each writing coefficient k: k -> statements
+        self.hoisted = {}  # the text of each scalar subexpression run once per run -> its name
         self.state = [_Series(p, None, f"y{j}") for j in range(len(equations.state))]
         time = _Series(1, lambda k: "t" if k == 0 else "1.0")  # t_n + s
         self.series = {"t": time, **dict(zip(equations.state, self.state))}
@@ -440,6 +446,11 @@ class _TaylorEmitter:
         self.storage = {}  # the name of every stored series but the state -> its degree
         for op in self.ops:
             op.store(self)
+        # what the generated loop or batched step runs when it is bound, with
+        # ``t`` the run's start time: the body's statements that read only the
+        # parameters, the guard, then the hoisted scalars
+        self.once_per_run = [*fixed, *equations.guard,
+                             *(f"{name} = {text}" for text, name in self.hoisted.items())]
 
     def lines(self) -> list:
         """The statements of every coefficient: for k = 0, ..., p - 1, each
@@ -452,7 +463,8 @@ class _TaylorEmitter:
                 lines += op.lines(self, k)
             for state, rate in zip(self.state, self.rates):
                 x = self.coef(rate, k)
-                lines.append(f"{self.coef(state, k + 1)} = {f'{x} / {k + 1}.0' if x else '0.0'}")
+                value = _over(x, f"{k + 1}.0") if x else "0.0"
+                lines.append(f"{self.coef(state, k + 1)} = {value}")
         return lines
 
     def coef(self, x, k):
@@ -478,8 +490,23 @@ class _TaylorEmitter:
             end = k - hi - 1
             return (f"add_reduce(_{x.name}[{lo}:{hi + 1}] * _{y.name}[{k - lo}:"
                     f"{end if end >= 0 else ''}:-1], 0)")
-        return "(" + " + ".join(f"{self.coef(x, i)} * {self.coef(y, k - i)}"
+        return "(" + " + ".join(_times(self.coef(x, i), self.coef(y, k - i))
                                 for i in range(lo, hi + 1)) + ")"
+
+    def square(self, x, lo, k) -> str:
+        """Coefficient k of x times itself, the sum of x_i x_(k-i) over i =
+        lo, ..., k - lo, with each symmetric pair summed once (Jorba & Zou;
+        TIDES): 2.0 times the half below k/2 (:meth:`dot`, so a batch sums
+        three terms or more with ``add_reduce``), then plus x_(k/2)^2 when k
+        is even. A batch row takes the single run's operations in this
+        order."""
+        terms = []
+        if lo <= (k - 1) // 2:
+            terms.append(f"2.0 * {self.dot(x, x, lo, (k - 1) // 2, k)}")
+        if k % 2 == 0:
+            middle = self.coef(x, k // 2)
+            terms.append(_times(middle, middle))
+        return " + ".join(terms)
 
     def _read(self, x, times=1):
         """x, read coefficientwise ``times`` more times."""
@@ -510,11 +537,23 @@ class _TaylorEmitter:
         self._read(x)
         return self._op(_degree(x), out, lambda s, k: self.coef(x, k))
 
+    def _scalar(self, node) -> str:
+        """The expression the generated code reads for a scalar node: a name
+        or a constant as written, an expression of constants, which the
+        compiler folds, in place, and any other the name of its statement in
+        :attr:`once_per_run`."""
+        text = ast.unparse(node)
+        if isinstance(node, (ast.Name, ast.Constant)):
+            return text
+        if not _reads(node):
+            return f"({text})"
+        return self.hoisted.setdefault(text, f"_f{len(self.hoisted)}")
+
     def _convert(self, node, out=None):
         """The scalar (an expression) or the series of an expression node,
         appending the ops that write the series; into ``out`` if given."""
         if not _reads(node) & self.series.keys():
-            return self._into(f"({ast.unparse(node)})", out)
+            return self._into(self._scalar(node), out)
         if isinstance(node, ast.Name):
             return self._into(self.series[node.id], out)
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
@@ -531,7 +570,7 @@ class _TaylorEmitter:
                 and node.func.id == "exp" and len(node.args) == 1 and not node.keywords):
             return self._exp(self._convert(node.args[0]), out)
         if isinstance(node, ast.IfExp) and not _reads(node.test) & self.series.keys():
-            return self._if(f"({ast.unparse(node.test)})", node.body, node.orelse, out)
+            return self._if(self._scalar(node.test), node.body, node.orelse, out)
         raise ValueError(f"{ast.unparse(node)!r} is not a construct the Taylor method writes")
 
     def _binary(self, op, a, b, out) -> _Series:
@@ -549,22 +588,25 @@ class _TaylorEmitter:
         if isinstance(op, ast.Mult) and (isinstance(a, str) or isinstance(b, str)):
             self._read(a), self._read(b)  # a scaled series
             return self._op(max(da, db), out,
-                            lambda s, k: f"{_scale(a, self.coef(a, k))} * "
-                                         f"{_scale(b, self.coef(b, k))}")
+                            lambda s, k: _times(_scale(a, self.coef(a, k)),
+                                                _scale(b, self.coef(b, k))))
+        if isinstance(op, ast.Mult) and a is b:  # the square
+            self._summed(a)
+            return self._op(2 * da, out, lambda s, k: self.square(a, max(0, k - da), k))
         if isinstance(op, ast.Mult):  # the Cauchy product
             self._summed(a), self._summed(b)
             return self._op(da + db, out,
                             lambda s, k: self.dot(a, b, max(0, k - db), min(k, da), k))
         if isinstance(b, str):
             self._read(a)
-            return self._op(da, out, lambda s, k: f"{self.coef(a, k)} / {b}")
+            return self._op(da, out, lambda s, k: _over(self.coef(a, k), b))
 
         def quotient(s, k):  # a = s b, solved for s_k
             x, b0 = self.coef(a, k), self.coef(b, 0)
             if k == 0:
-                return f"{x} / {b0}"
+                return _over(x, b0)
             rest = self.dot(b, s, 1, min(k, db), k)
-            return f"({x} - {rest}) / {b0}" if x else f"-{rest} / {b0}"
+            return _over(f"({x} - {rest})" if x else f"-{rest}", b0)
         self._read(a), self._summed(b)
         return self._op(self.p, out, quotient, stored=True)
 
@@ -572,10 +614,10 @@ class _TaylorEmitter:
         # e' = u' e: k e_k is the sum of j u_j e_(k-j) over j = 1, ..., k
         du = u.degree
         self._read(u, 2)
-        v = self._summed(self._op(du, None, lambda s, k: f"{k}.0 * {self.coef(u, k)}"
+        v = self._summed(self._op(du, None, lambda s, k: _times(f"{k}.0", self.coef(u, k))
                                   if k else None))
         return self._op(self.p, out, lambda s, k: f"exp({self.coef(u, 0)})" if k == 0
-                        else f"{self.dot(v, s, 1, min(k, du), k)} / {k}.0", stored=True)
+                        else _over(self.dot(v, s, 1, min(k, du), k), f"{k}.0"), stored=True)
 
     def _if(self, test, body, orelse, out) -> _Series:
         ops, branches = self.ops, []
@@ -653,6 +695,18 @@ def _scale(x, coefficient):
     return x if isinstance(x, str) else coefficient
 
 
+def _times(a, b) -> str:
+    """The product of the expressions a and b, without a literal factor 1.0,
+    by which the product is the other factor exactly."""
+    return b if a == "1.0" else a if b == "1.0" else f"{a} * {b}"
+
+
+def _over(a, b) -> str:
+    """The quotient of the expressions a and b, without a literal divisor
+    1.0, by which the quotient is a exactly."""
+    return a if b == "1.0" else f"{a} / {b}"
+
+
 def _step_rule_lines(emitter, d: int, p: int) -> list:
     """The step ``h`` of a Taylor attempt from its coefficients c_k: with
     tol = atol + rtol ||y||, ||.|| the largest component's size, the step at
@@ -661,21 +715,26 @@ def _step_rule_lines(emitter, d: int, p: int) -> list:
     convergence each estimates, (||y|| / ||c_k||)^(1/k). A zero norm bounds
     nothing, and so does a NaN one.
 
-    The norms' maxima and the clamps are conditional expressions, the
-    builtins' own rules (``where`` in a batch), so the single run makes no
-    ``min`` or ``max`` call, and the powers libm's: ``**`` on floats,
-    ``power`` per entry in a batch."""
+    The sizes, the norms' maxima and the clamps are conditional expressions,
+    the builtins' own rules (``abs`` and ``where`` in a batch), so the single
+    run makes no ``abs``, ``min`` or ``max`` call, and the powers libm's:
+    ``**`` on floats, ``power`` per entry in a batch. A size of -0.0 or -NaN,
+    where ``abs`` gives 0.0 or NaN, leaves h as it is: a zero or NaN norm
+    bounds nothing whatever its sign, and adds nothing to tol."""
     def pick(condition, a, b):
         return f"where({condition}, {a}, {b})" if emitter.batch else f"{a} if {condition} else {b}"
+
+    def size(x):
+        return f"abs({x})" if emitter.batch else pick(f"{x} >= 0.0", x, f"-{x}")
 
     def power(x, exponent):
         return f"power({x}, {exponent!r})" if emitter.batch else f"({x}) ** {exponent!r}"
 
     lines = []
     for norm, k in (("_ny", 0), ("_na", p - 1), ("_nb", p)):
-        lines.append(f"{norm} = abs({emitter.coef(emitter.state[0], k)})")
+        lines.append(f"{norm} = {size(emitter.coef(emitter.state[0], k))}")
         for state in emitter.state[1:]:
-            lines += [f"_x = abs({emitter.coef(state, k)})",
+            lines += [f"_x = {size(emitter.coef(state, k))}",
                       f"{norm} = {pick(f'_x > {norm}', '_x', norm)}"]
     lines += ["_tol = atol + rtol * _ny", f"_ry = {pick('_ny > 0.0', '_ny', 'inf')}", "h = inf"]
     for norm, k in (("_na", p - 1), ("_nb", p)):
@@ -695,9 +754,10 @@ def _step_rule_lines(emitter, d: int, p: int) -> list:
 # depend on that state alone, so no step from it is finite. A division by
 # zero or an exp above ~709.78 raises on floats where the batch's arrays give
 # inf or NaN: such an attempt is non-finite too, so the run stops at the time
-# its batch row stops, on non-finite values. It calls out only on a step that
-# holds a sample (bisect_right, and fill_steps once the block holds
-# fill_block samples or the grid's last) and at the end.
+# its batch row stops, on non-finite values. An attempt calls nothing but
+# exp (the equations' own) and libm's pow (**), and the loop calls out only on
+# a step that holds a sample (bisect_right, and fill_steps once the block
+# holds fill_block samples or the grid's last) and at the end.
 _TAYLOR_LOOP = """\
 def run(t, y, t_end, rtol, atol, samples, out, ts):
     {y} = y
@@ -737,18 +797,15 @@ def run(t, y, t_end, rtol, atol, samples, out, ts):
 """
 
 
-@functools.cache
-def _taylor_loop_code(d: int, equations, p: int):
-    """A single run's whole Taylor loop of order p on d floats, as compiled
-    code: :func:`_once_per_run`, then :data:`_TAYLOR_LOOP`. ``run(t, y,
-    t_end, rtol, atol, samples, out, ts)`` integrates from t and the state
-    ``y``, a sequence of d floats, fills ``out`` at the times ``ts``
-    (``samples`` is ``ts`` and inf past it) and returns the counts of
-    accepted steps and the smallest, largest and last accepted step, or
-    raises :class:`IntegrationError`. Its new state is the batch's,
-    :func:`_taylor_step_code`, bit for bit. The code depends on the source
-    only, never on the values bound to its names, so it is cached, one
-    entry per dimension, source and order."""
+def _taylor_loop_source(d: int, equations, p: int) -> str:
+    """A single run's whole Taylor loop of order p on d floats, as source
+    text: the emitter's ``once_per_run`` statements, then
+    :data:`_TAYLOR_LOOP`. ``run(t, y, t_end, rtol, atol, samples, out, ts)``
+    integrates from t and the state ``y``, a sequence of d floats, fills
+    ``out`` at the times ``ts`` (``samples`` is ``ts`` and inf past it) and
+    returns the counts of accepted steps and the smallest, largest and last
+    accepted step, or raises :class:`IntegrationError`. Its new state is the
+    batch's, :func:`_taylor_step_code`, bit for bit."""
     emitter = _TaylorEmitter(equations, p, batch=False)
     values = [f"_z{j}" for j in range(d)]
     attempt = [*emitter.lines(), *_step_rule_lines(emitter, d, p),
@@ -759,30 +816,41 @@ def _taylor_loop_code(d: int, equations, p: int):
         for k in range(p - 1, -1, -1):
             value = f"({value}) * h + _y{j}_{k}"
         attempt.append(f"_z{j} = {value}")
-    # a finite sum proves every value finite, and only a non-finite one is
-    # looked into. A non-finite coefficient past the first (the state) makes
-    # the new state non-finite: Horner's rule takes it times h > 0, or times
-    # h = 0, which gives NaN
+    # a finite sum proves every value finite (x - x is 0.0 for a finite x and
+    # NaN for inf or NaN), and only a non-finite one is looked into. A
+    # non-finite coefficient past the first (the state) makes the new state
+    # non-finite: Horner's rule takes it times h > 0, or times h = 0, which
+    # gives NaN
     attempt += _sum_source("_total", values)
-    attempt.append(f"finite = isfinite(_total) or all(map(isfinite, ({', '.join(values)},)))")
+    attempt.append(f"finite = _total - _total == 0.0 "
+                   f"or all(map(isfinite, ({', '.join(values)},)))")
     code = _TAYLOR_LOOP.format(
         y=" ".join(f"_y{j}_0," for j in range(d)), attempt="\n".join(_indented(attempt, 3)),
         coefficients=" ".join(f"_y{j}_{k}," for k in range(p + 1) for j in range(d)),
         terms=p + 1, advance="\n".join(_indented([f"_y{j}_0 = _z{j}" for j in range(d)], 2)),
         stop_rule=_STOP_RULE)
-    return compile("\n".join([*_once_per_run(equations), code]), "<taylor loop>", "exec")
+    return "\n".join([*emitter.once_per_run, code])
+
+
+@functools.cache
+def _taylor_loop_code(d: int, equations, p: int):
+    """:func:`_taylor_loop_source`, compiled. The code depends on the source
+    only, never on the values bound to its names, so it is cached, one
+    entry per dimension, source and order."""
+    return compile(_taylor_loop_source(d, equations, p), "<taylor loop>", "exec")
 
 
 @functools.cache
 def _taylor_step_code(d: int, equations, p: int):
-    """One Taylor attempt of order p over a batch, as compiled code:
-    :func:`_once_per_run`, then ``step(t, y, t_end, rtol, atol)``, which
-    takes ``y`` as a (d, n) array, a column per row, and ``t`` as an (n,)
-    array, and returns the coefficients as a (p + 1, d, n) array, the step,
-    its end, the new state and whether the attempt is finite, per row. The statements are the single run's, written by the
-    same emitter on the rows of arrays (the state's series are views of the
-    coefficient array), and Horner's rule runs over all components at once,
-    with the same operations per entry."""
+    """One Taylor attempt of order p over a batch, as compiled code: the
+    emitter's ``once_per_run`` statements, then ``step(t, y, t_end, rtol,
+    atol)``, which takes ``y`` as a (d, n) array, a column per row, and ``t``
+    as an (n,) array, and returns the coefficients as a (p + 1, d, n) array,
+    the step, its end, the new state and whether the attempt is finite, per
+    row. The statements are the single run's, written by the same emitter on
+    the rows of arrays (the state's series are views of the coefficient
+    array), and Horner's rule runs over all components at once, with the same
+    operations per entry."""
     emitter = _TaylorEmitter(equations, p, batch=True)
     lines = ["def step(t, y, t_end, rtol, atol):",
              f"    _c = empty(({p + 1}, {d}, len(t)))",
@@ -798,7 +866,7 @@ def _taylor_step_code(d: int, equations, p: int):
              *(f"    _z = _z * h + _c[{k}]" for k in range(p - 2, -1, -1)),
              "    finite = isfinite(_z).all(axis=0)",
              "    return _c, h, t_new, _z, finite"]
-    return compile("\n".join([*_once_per_run(equations), *lines]), "<taylor step>", "exec")
+    return compile("\n".join([*emitter.once_per_run, *lines]), "<taylor step>", "exec")
 
 
 def _taylor_function(generate, name, rhs, d, p, t0, namespace):
@@ -806,7 +874,8 @@ def _taylor_function(generate, name, rhs, d, p, t0, namespace):
     ``rhs``, an :class:`InlineRhs` of d components, on a run from t0, once
     the code has run in ``namespace`` with the names of rhs's source and
     ``t`` = t0: running it evaluates the source's parameter-only statements
-    once, and its guard at t0."""
+    and the emitter's hoisted subexpressions of the parameters once, and its
+    guard at t0."""
     equations = rhs.equations
     if len(equations.state) != d or len(equations.rates) != d:
         raise ValueError(f"rhs returns {len(equations.rates)} values of {len(equations.state)} "

@@ -206,7 +206,10 @@ class Equations(NamedTuple):
     classes: those that read neither ``t`` nor a state name, directly or
     through an earlier statement, run once per run; every other one assigns
     a Taylor series and may use only ``+``, ``-``, ``*``, ``/``, ``exp`` and
-    ``a if c else b`` with ``c`` of the first class. The statements' names
+    ``a if c else b`` with ``c`` of the first class. Its subexpressions of
+    the parameters alone (``epsilon * a1`` in ``epsilon * a1 * q1q1``) run
+    once per run too, so a text may write them where the physics has them.
+    The statements' names
     share the generated code's namespace, so they must differ from its own:
     every name that starts with an underscore, ``t`` (the time), ``y``,
     ``h``, ``t_end``, ``t_new``, ``rtol``, ``atol``, ``finite``,
@@ -243,13 +246,14 @@ class InlineRhs(NamedTuple):
     ``call(t, y)`` is the right-hand side itself, and calling the record
     calls it (the fixed RK4 steps of ``integrate.order_check`` do); the
     Taylor loops never do. ``equations`` is its source, an
-    :class:`Equations`. Its statements that read only the parameters run
-    once per run, when the loop or the batched step is bound, in the
-    namespace that holds ``bindings``, and so does the guard, with ``t`` the
-    run's start time. ``bindings`` holds every name they read but ``exp``,
-    which each loop binds to libm's exp (``math.exp``, in a batch
-    :func:`_exp`). A division by zero or an ``exp`` that overflows makes the
-    attempt non-finite in both loops.
+    :class:`Equations`. Its statements that read only the parameters, and
+    the subexpressions of the parameters alone in the others, run once per
+    run, when the loop or the batched step is bound, in the namespace that
+    holds ``bindings``, and so does the guard, with ``t`` the run's start
+    time. ``bindings`` holds every name they read but ``exp``, which each
+    loop binds to libm's exp (``math.exp``, in a batch :func:`_exp`). A
+    division by zero or an ``exp`` that overflows in a series' recurrence
+    makes the attempt non-finite in both loops.
     """
 
     call: object
@@ -261,31 +265,30 @@ class InlineRhs(NamedTuple):
 
 
 # The full equations of motion. ``full_rhs`` is generated from them, and so is
-# the Taylor method of the single-run and batched steps (InlineRhs).
-# The factors that read only the parameters are statements of their own, so
-# that the steps evaluate them once per run, and the three quadratic products
-# of the coordinates are too, so that the Taylor method takes five Cauchy
-# products per coefficient: these three and the decay factor's two. The slow
-# time only grows along a run, so the guard holds at every stage once it
-# holds at the start.
+# the Taylor method of the single-run and batched steps (InlineRhs), whose
+# emitter evaluates each subexpression of the parameters alone (``epsilon *
+# a1``, ``-omega**2``, ``epsilon * 2.0 * a4``, ...) once per run, so the text
+# writes the physics as it is. The three quadratic products of the coordinates are
+# statements of their own, so that the Taylor method takes five products per
+# coefficient: the squares q1q1 and q2q2, which sum each symmetric pair once,
+# the Cauchy product q1q2 and the decay factor's two. The slow time only grows
+# along a run, so the guard holds at every stage once it holds at the start.
 FULL_EQUATIONS = Equations(
     state=("q1", "v1", "q2", "v2"),
     rates=("dq1", "dv1", "dq2", "dv2"),
     params=("a1", "a2", "a3", "a4", "omega", "epsilon", "delta", "alpha_kind"),
-    body=("minus_omega_sq = -omega**2",
-          "eps_2a2 = epsilon * 2.0 * a2",
-          "eps_2a4 = epsilon * 2.0 * a4",
-          "exponential = alpha_kind == 'exponential'",
+    body=("exponential = alpha_kind == 'exponential'",
           "tau = delta * t",
           f"al = {_DECAY_LAW}",
           "q1q1 = q1 * q1",
           "q2q2 = q2 * q2",
           "q1q2 = q1 * q2",
           "dq1 = v1",
-          "dv1 = -q1 + epsilon * (a1 * q1q1 + a2 * q2q2) + al * (eps_2a4 * q1q2)",
+          "dv1 = -q1 + epsilon * a1 * q1q1 + epsilon * a2 * q2q2"
+          " + al * (epsilon * 2.0 * a4 * q1q2)",
           "dq2 = v2",
-          "dv2 = (minus_omega_sq * q2 + eps_2a2 * q1q2"
-          " + al * (epsilon * (a3 * q2q2 + a4 * q1q1)))"),
+          "dv2 = (-omega**2 * q2 + epsilon * 2.0 * a2 * q1q2"
+          " + al * (epsilon * a3 * q2q2 + epsilon * a4 * q1q1))"),
     guard=("check_slow_time(delta * t)",))
 
 

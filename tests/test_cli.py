@@ -254,14 +254,14 @@ def test_bad_run_settings_exit_2_before_any_output(small_config, tmp_path):
                                 "--out", str(out)])
         assert code == 2 and len(lines) == 1 and lines[0].startswith("config error: "), eps_list
         assert not out.exists(), eps_list
-    # grids over the sample ceiling: a compare window of 10^10 samples, and
-    # 6 particles of 2*10^6 samples each
+    # grids over the ceiling of sample intervals: a compare window of 10^10
+    # intervals, and 6 particles of 2*10^6 intervals each
     for argv in (["compare", str(small_config), "--window", "1e9", "--eps-list", "1"],
                  ["ensemble", str(_ensemble_config(tmp_path)), "--horizon", "20000",
                   "--sample-dt", "0.01"]):
         out = tmp_path / "huge"
         code, lines = _run_cli([*argv, "--out", str(out)])
-        assert code == 2 and len(lines) == 1 and "over 10000000 samples" in lines[0], argv
+        assert code == 2 and len(lines) == 1 and "over 10000000 sample intervals" in lines[0], argv
         assert not out.exists(), argv
 
 

@@ -16,7 +16,7 @@ from symevol.experiments import (EnsembleSpec, ScenarioConfig, _draw_initial,
 from symevol.config import ConfigError, build_scenario, load_config, preset_path
 from symevol.integrate import (MAX_GRID_POINTS, InlineRhs, IntegrationError, IntegratorConfig,
                                integrate, order_check)
-from symevol.integrate import _split_body
+from symevol.integrate import _TaylorEmitter, _split_body
 from symevol.model import (ALPHA_KINDS, FULL_EQUATIONS, CartesianState, ModelParams, alpha,
                            full_rhs)
 from symevol.resonance import RESONANCES, cartesian_invariant
@@ -125,13 +125,15 @@ def test_rebound_full_rhs_sees_only_first_slopes(monkeypatch):
 
 
 def test_split_body_sorts_the_full_equations():
-    # four statements read only the parameters, the law's flag among them,
-    # and run once per run; the rest read the time or the state and become
-    # Taylor series: the slow time, the decay law written as its text, with
-    # no call of alpha, the three quadratic products and the four rates
+    # one statement reads only the parameters, the law's flag, and runs once
+    # per run; the rest read the time or the state and become Taylor series:
+    # the slow time, the decay law written as its text, with no call of
+    # alpha, the three quadratic products and the four rates. The rates'
+    # products of parameters run once per run too, after the guard, as the
+    # emitter's statements of their own, one per distinct text, in a single
+    # run and in a batch alike
     fixed, rest = _split_body(FULL_EQUATIONS)
-    assert fixed == ["minus_omega_sq = -omega**2", "eps_2a2 = epsilon * 2.0 * a2",
-                     "eps_2a4 = epsilon * 2.0 * a4", "exponential = alpha_kind == 'exponential'"]
+    assert fixed == ["exponential = alpha_kind == 'exponential'"]
     assert rest[:2] == ["tau = delta * t",
                         "al = exp(-tau) if exponential else 1.0 / (1.0 + tau)"]
     assert [statement.split(" =")[0] for statement in rest[2:]] == [
@@ -139,6 +141,11 @@ def test_split_body_sorts_the_full_equations():
     assert fixed + rest == list(FULL_EQUATIONS.body)
     assert not any("alpha(" in statement for statement in FULL_EQUATIONS.body)
     assert FULL_EQUATIONS.guard == ("check_slow_time(delta * t)",)
+    for batch in (False, True):
+        assert _TaylorEmitter(FULL_EQUATIONS, 13, batch).once_per_run == [
+            *fixed, *FULL_EQUATIONS.guard, "_f0 = epsilon * a1", "_f1 = epsilon * a2",
+            "_f2 = epsilon * 2.0 * a4", "_f3 = -omega ** 2", "_f4 = epsilon * 2.0 * a2",
+            "_f5 = epsilon * a3", "_f6 = epsilon * a4"]
 
 
 def test_parameter_statements_once_per_integrate_call():
@@ -170,10 +177,14 @@ def test_parameter_statements_once_per_integrate_call():
 def test_inlined_alpha_once_per_attempt():
     # the decay law, written into the Taylor recurrences as its text, runs
     # once per attempt: the slow time's two coefficients, delta * t and
-    # delta * 1.0, then the law's series from one exp (or one division) of
-    # the first. Each run also takes the slow time once more, for its guard
-    # at t0. A delta that counts its products counts these, under either law,
-    # in a single run and in a batch, where an attempt covers every row
+    # delta itself (no product by 1.0), then the law's series from one exp
+    # (or one division) of the first. Each run also takes the slow time once
+    # more, for its guard at t0. A delta that counts its products counts one
+    # per attempt, at the attempt's start time, under either law, in a
+    # single run and in a batch, where an attempt covers every row. In a
+    # single run under the polynomial law, the slow time's coefficient 1,
+    # delta itself, also multiplies the law's coefficients 0 to p - 2 in its
+    # division recurrence
     times = []
 
     class CountedDelta(float):
@@ -191,15 +202,17 @@ def test_inlined_alpha_once_per_attempt():
         sc = _scenario(p, initial, 20.0)
         runs = [integrate(rhs, y0, sc.integrator) for rhs in (spy, field)]
         assert np.array_equal(runs[0].states, runs[1].states) and runs[0].stats == runs[1].stats
-        assert times[0] == initial.t and times[2::2] == [1.0] * runs[0].stats["rhs_evals"]
-        assert len(times) == 1 + 2 * runs[0].stats["rhs_evals"]
+        per = 1 if kind == "exponential" else runs[0].stats["order"]
+        starts = times[1::per]
+        assert times[:2] == [initial.t, initial.t] and starts == sorted(set(starts))
+        assert len(times) == 1 + per * runs[0].stats["rhs_evals"]
         times.clear()
         rows = np.array([y0, y0 * 1.1, y0 * 0.9])
         batch, plain = (integrate(rhs, rows, sc.integrator) for rhs in (spy, field))
         assert np.array_equal(batch.states, plain.states)
         attempts = max(batch.stats["row_rhs_evals"])
-        assert times[0] == initial.t and len(times) == 1 + 2 * attempts
-        assert all(t.shape == (3,) for t in times[1::2][:10])
+        assert times[0] == initial.t and len(times) == 1 + attempts
+        assert all(t.shape == (3,) for t in times[1:10])
 
 
 def test_run_scenario_fig1_initial_actions():
@@ -353,7 +366,7 @@ def test_compare_rejects_bad_inputs():
         compare_full_vs_averaged(p, fig_initial_state())
     with pytest.raises(ValueError, match="needs omega"):
         compare_full_vs_averaged(fig_params(2), fig_initial_state(), resonance="13")
-    with pytest.raises(ValueError, match="samples"):  # 10^10 samples, before any run
+    with pytest.raises(ValueError, match="sample intervals"):  # 10^10 of them, before any run
         compare_full_vs_averaged(fig_params(2), fig_initial_state(), L=1e8)
 
 
@@ -420,7 +433,7 @@ def test_ensemble_spec_sample_ceiling():
     for horizon, sample_dt, intervals in ((10.0, 3.0, 4), (1.0, 100.0, 1)):
         most = MAX_GRID_POINTS // intervals
         assert _small_ensemble(most, horizon, sample_dt=sample_dt).count == most
-        with pytest.raises(ValueError, match="samples give over"):
+        with pytest.raises(ValueError, match="intervals give over 10000000 sample intervals"):
             _small_ensemble(most + 1, horizon, sample_dt=sample_dt)
 
 

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import math
 import re
@@ -998,3 +999,97 @@ def test_taylor_emitter_rejects_other_constructs():
         integrate(_test_field(good[2:]), np.ones(5), cfg)
     with pytest.raises(ValueError):  # five equations for a state of four
         integrate(_test_field(good), np.ones(4), cfg)
+
+
+def test_square_rule_equals_the_cauchy_product():
+    # a series times itself sums each symmetric pair once: 2.0 times the half
+    # below k/2, then plus the middle term x_(k/2)^2, where the Cauchy
+    # product sums every pair. On small integers every product and sum is
+    # exact, so coefficient k equals the Cauchy sum exactly, at every order
+    # p = 2..16, for a series of degree p (a state's) and of lower degrees,
+    # whose sums start past x_0 from k = degree + 1 on, in the single run's
+    # form and the batch's, which sums a half of three terms or more with
+    # add_reduce. On random floats, where the order of the sums shows, each
+    # batch column has the single run's bits
+    rng = np.random.default_rng(3)
+    for p in range(2, 17):
+        single, batch = (integrate_module._TaylorEmitter(FULL_EQUATIONS, p, form)
+                         for form in (False, True))
+        for degree in sorted({1, 2, p // 2, p}):
+            x = integrate_module._Series(degree, None, "x")
+            squares = [emitter._binary(ast.Mult(), x, x, None) for emitter in (single, batch)]
+            assert squares[0].degree == min(2 * degree, p - 1)
+            ints = rng.integers(-99, 100, (degree + 1, 3)).astype(float)
+            floats = rng.normal(size=(degree + 1, 3)) * 10.0 ** rng.uniform(-6, 6, (degree + 1, 3))
+            for k in range(squares[0].degree + 1):
+                lo = max(0, k - degree)
+                half = (k + 1) // 2 - lo  # the pairs summed once
+                text = squares[1].expression(k)
+                assert ("add_reduce" in text) == (half >= 3) and text.count("2.0 *") == (half > 0)
+                for values in (ints, floats):
+                    rows = eval(text, {"_x": values, "add_reduce": np.add.reduce})
+                    for j in range(3):
+                        value = eval(squares[0].expression(k),
+                                     {f"_x_{i}": values[i, j] for i in range(degree + 1)})
+                        assert value == rows[j], (p, degree, k, j)
+                        if values is ints:
+                            assert value == sum(int(values[i, j]) * int(values[k - i, j])
+                                                for i in range(lo, k - lo + 1)), (p, degree, k)
+
+
+def _loop_attempt(equations, d, p):
+    """The statements of the single run's attempt, the ``try`` body of its
+    generated loop, parsed."""
+    tree = ast.parse(integrate_module._taylor_loop_source(d, equations, p))
+    run = next(node for node in tree.body if isinstance(node, ast.FunctionDef))
+    return next(node for node in ast.walk(run) if isinstance(node, ast.Try)).body
+
+
+def test_full_equations_attempt_operation_counts():
+    # the Taylor recurrences of one attempt of FULL_EQUATIONS at p = 13, both
+    # branches of the decay law included, as the single run's loop holds
+    # them: 511 multiplies and 385 adds or subtracts. Summing both pairs of
+    # the squares q1q1 and q2q2, multiplying epsilon into every coefficient
+    # and writing products and quotients by 1.0 took 599 and 469
+    text = "\n".join(integrate_module._TaylorEmitter(FULL_EQUATIONS, 13, batch=False).lines())
+    recurrences = ast.parse(text).body
+    attempt = _loop_attempt(FULL_EQUATIONS, 4, 13)
+    assert list(map(ast.dump, attempt[:len(recurrences)])) == list(map(ast.dump, recurrences))
+    nodes = [node for statement in recurrences for node in ast.walk(statement)]
+
+    def count(*ops):
+        return sum(isinstance(node, ast.BinOp) and isinstance(node.op, ops) for node in nodes)
+    assert (count(ast.Mult), count(ast.Add, ast.Sub)) == (511, 385)
+    assert not re.search(r"\* 1\.0\b|\b1\.0 \*|/ 1\.0\b", text)
+
+
+def test_single_run_attempt_calls_only_exp_and_the_finiteness_fallback():
+    # a single run's attempt calls nothing per step but the equations' exp:
+    # its norms are conditional expressions, not abs, its powers are **,
+    # and its finiteness test is _total - _total == 0.0, with the per-value
+    # test all(map(isfinite, ...)) only for a non-finite sum. So for every
+    # field the package generates, and at the lowest, the default and a
+    # high order
+    importlib.import_module("symevol.averaged")
+    fields = list(model_module._FIELDS)
+    assert FULL_EQUATIONS in fields and len(fields) > 2
+    for equations in fields:
+        exps = sum(isinstance(node, ast.Call) and ast.unparse(node.func) == "exp"
+                   for statement in equations.body for node in ast.walk(ast.parse(statement)))
+        for p in (2, 13, 16):
+            calls = [node for statement in _loop_attempt(equations, len(equations.state), p)
+                     for node in ast.walk(statement) if isinstance(node, ast.Call)]
+            names = sorted(ast.unparse(call.func) for call in calls)
+            assert names == sorted(["all", "map", *["exp"] * exps]), (equations.rates, p)
+            fallback = next(call for call in calls if ast.unparse(call.func) == "all")
+            assert ast.unparse(fallback).startswith("all(map(isfinite, (_z0,")
+    # a zero norm bounds nothing whatever its sign, so negative zeros step
+    # as the batch's abs does: a batch row equals its single run
+    p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.1, n=2)
+    cfg = IntegratorConfig(t_end=5.0, sample_dt=0.5)
+    rows = np.array([[-0.0] * 4, [-0.0, 0.5, -0.0, -0.5], [0.0, -0.0, 0.0, 0.5]])
+    batch = integrate(_inline(p), rows, cfg)
+    for i, row in enumerate(rows):
+        single = integrate(_inline(p), row, cfg)
+        assert np.array_equal(single.states, batch.states[i])
+        assert single.stats["h_min"] == batch.stats["row_h_min"][i]
