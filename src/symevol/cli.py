@@ -74,10 +74,31 @@ _SUFFIX = _words(np.where(_E[:, None] < -4, np.frombuffer(b"e-00\0\0\0\0", np.ui
                           + (_BYTE[:8] == 3) * -_E[:, None], 0))[0]
 
 
-def _significands(v):
+class _CsvBuffers:
+    """The working memory of ``_csv_lines`` for blocks of up to ``rows`` rows
+    of ``cols`` values, made once per file and reused by every block, so that
+    a long file does not fault in fresh pages for each block. ``f``, ``i``
+    and ``u`` are one pool of eleven rows of ``rows * cols`` 8-byte words, read
+    as float64, int64 and uint64; each step of a block writes into a row."""
+
+    def __init__(self, rows, cols):
+        self.values = np.empty((rows, cols))
+        self.f = np.empty((11, rows * cols))
+        self.i, self.u = self.f.view(np.int64), self.f.view(np.uint64)
+        self.mask = np.empty((3, rows * cols), bool)
+        self.text = bytearray(32 * rows * cols)  # the slots, which translate reads in place
+        self.slot = np.frombuffer(self.text, "<u8").reshape(rows, cols, 4)
+        self.ends = np.full(cols, ord(",") << 32, np.uint64)  # each column's separator
+        self.ends[-1] = 0x0A0D << 32  # "\r\n"
+
+
+def _significands(v, buf):
     """For each value: whether its 17 significant digits are found here, the
-    index E + 6 of its decimal exponent E (6 where not) and the digits as an
-    integer.
+    index E + 6 of its decimal exponent E and the digits as an integer. They
+    are mask 0 and int rows 2 and 0 of ``buf``; rows 0-6 and mask 1 are
+    overwritten. Where the digits are not found, the index and the digits
+    are finite, and the tables' lookups clip the index into range; the
+    slot's bytes before its separator are overwritten by ``%.17g``.
 
     That holds for 1e-6 <= |v| < 1e16. The digits are round(|v| 10**k),
     k = 16 - E <= 22. 10**k is an exact double, and Dekker's product gives
@@ -85,88 +106,125 @@ def _significands(v):
     rounding lo half to even rounds hi + lo as ``%.17g`` does. A log10 off by
     one at a power of ten leaves hi outside (1e16, 1e17): not found here.
     """
-    a = np.abs(v)
-    fast = (a >= 1e-6) & (a < 1e16)
-    a = np.where(fast, a, 1.0)  # no log10 of 0, nan or inf
-    e = np.floor(np.log10(a)).astype(np.intp)
-    k = np.minimum(16 - e, 22)
-    hi = a * _POW10.take(k)
-    c = _SPLIT * a
-    a_hi = c - (c - a)
-    a_lo = a - a_hi
-    p_hi, p_lo = _POW10_HI.take(k), _POW10_LO.take(k)
-    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
-    fast &= (hi > 1e16) & (hi < 1e17)
-    sig = np.where(fast, hi, 1e16).astype(np.int64) + np.rint(lo).astype(np.int64)
-    return fast, np.where(fast, e, 0) + 6, sig
+    f, i = buf.f[:, :len(v)], buf.i[:, :len(v)]
+    fast, other = buf.mask[:2, :len(v)]
+    a, hi, e, k, c, p_hi, p_lo, lo = f[0], f[1], i[2], i[3], f[3], f[4], f[5], f[6]
+    np.abs(v, out=a)
+    np.greater_equal(a, 1e-6, out=fast)
+    fast &= np.less(a, 1e16, out=other)
+    np.putmask(a, np.logical_not(fast, out=other), 1.0)  # no log10 of 0, nan or inf
+    np.floor(np.log10(a, out=hi), out=e, casting="unsafe")
+    np.minimum(np.subtract(16, e, out=k), 22, out=k)
+    np.multiply(a, _POW10.take(k, out=lo, mode="clip"), out=hi)
+    _POW10_HI.take(k, out=p_hi, mode="clip")
+    _POW10_LO.take(k, out=p_lo, mode="clip")
+    np.multiply(_SPLIT, a, out=c)  # into k's row: the lookups by k are done
+    a_hi = np.subtract(c, np.subtract(c, a, out=lo), out=c)
+    a_lo = np.subtract(a, a_hi, out=a)
+    np.multiply(a_hi, p_hi, out=lo)
+    lo -= hi
+    lo += np.multiply(a_hi, p_lo, out=a_hi)
+    lo += np.multiply(a_lo, p_hi, out=p_hi)
+    lo += np.multiply(a_lo, p_lo, out=p_lo)
+    fast &= np.greater(hi, 1e16, out=other)
+    fast &= np.less(hi, 1e17, out=other)
+    sig = i[0]  # a_lo's row
+    np.copyto(sig, hi, casting="unsafe")
+    sig += np.rint(lo, out=i[3], casting="unsafe")
+    e += 6
+    return fast, e, sig
 
 
-def _eight_digits(n):
+def _eight_digits(n, text, zeros, high, mask):
     """The 8 digits of each n < 10**8 as ASCII bytes in a word, first digit
-    lowest, and the count of its trailing zero digits."""
-    high = n // 10 ** 4
-    low = n - high * 10 ** 4
-    zeros = _GROUP_ZEROS.take(low)
-    zeros += (zeros == 4) * _GROUP_ZEROS.take(high)
-    return _GROUP_TEXT.take(high) | _GROUP_TEXT.take(low) << 32, zeros
+    lowest, into ``text``, and the count of its trailing zero digits into
+    ``zeros``; n, ``high`` and ``mask`` are overwritten."""
+    np.floor_divide(n, 10 ** 4, out=high)
+    low = np.subtract(n, np.multiply(high, 10 ** 4, out=zeros), out=n)
+    _GROUP_ZEROS.take(low, out=zeros, mode="clip")
+    text = text.view(np.uint64)
+    np.left_shift(_GROUP_TEXT.take(low, out=text, mode="clip"), 32, out=text)
+    text |= _GROUP_TEXT.take(high, out=n.view(np.uint64), mode="clip")
+    zeros += np.multiply(_GROUP_ZEROS.take(high, out=n, mode="clip"),
+                         np.equal(zeros, 4, out=mask), out=n)
 
 
-def _digit_words(v):
-    """``_significands`` of v, with the digits and the dot of each value as
-    words 0-2 of its slot (see the tables above): trailing zeros after the
-    dot dropped, and the dot too when no digit follows it."""
-    fast, i, sig = _significands(v)
-    q = _BEFORE_DOT.take(i)
-    lead = sig // 10 ** 16
-    w0 = (lead.astype(np.uint64) + 48) << 56
-    sig -= lead * 10 ** 16
-    first = sig // 10 ** 8
-    w1, zeros1 = _eight_digits(first)
-    w2, zeros2 = _eight_digits(sig - first * 10 ** 8)
-    t = np.maximum(17 - zeros2 - (zeros2 == 8) * zeros1, q)  # the digits written
-    w1 &= _KEEP[1].take(t)
-    w2 &= _KEEP[2].take(t)
+def _digit_words(sig, i, buf, out):
+    """The digits and the dot of each value whose ``_significands`` are
+    ``sig`` and ``i`` (int rows 0 and 2 of ``buf``), as words 0-2 of its
+    slot (see the tables above), into ``out``, a (3, values) view of the
+    slots: trailing zeros after the dot dropped, and the dot too when no
+    digit follows it. Rows 0, 1 and 3-10 and masks 1 and 2 of ``buf`` are
+    overwritten."""
+    n, u = buf.i[:, :len(sig)], buf.u[:, :len(sig)]
+    mask = buf.mask[1:, :len(sig)]
+    w = u[8:11]
+    lead = np.floor_divide(sig, 10 ** 16, out=n[3])
+    np.left_shift(np.add(lead, 48, out=n[8]).view(np.uint64), 56, out=w[0])
+    sig -= np.multiply(lead, 10 ** 16, out=lead)
+    halves, zeros = n[3:5], n[5:7]  # the next 8 digits, and the last 8
+    np.floor_divide(sig, 10 ** 8, out=halves[0])
+    np.subtract(sig, np.multiply(halves[0], 10 ** 8, out=halves[1]), out=halves[1])
+    _eight_digits(halves, n[9:11], zeros, n[0:2], mask)
+    q = _BEFORE_DOT.take(i, out=n[0], mode="clip")
+    t = zeros[1]  # the digits written: 17 less the trailing zeros, at least q
+    zeros[0] *= np.equal(zeros[1], 8, out=mask[0])
+    np.subtract(17, zeros[1], out=t)
+    t -= zeros[0]
+    np.maximum(t, q, out=t)
+    w[1:] &= _KEEP[1:].take(t, axis=1, out=u[3:5], mode="clip")
     # the q digits before the dot move one byte down, across a word's end too
-    l0, l1, l2 = w0 & _KEEP[0].take(q), w1 & _KEEP[1].take(q), w2 & _KEEP[2].take(q)
-    dot = np.where(t > q, q, 0)  # no dot before nothing, nor after "0."
-    return fast, i, ((w0 ^ l0) | l0 >> 8 | l1 << 56 | _DOT[0].take(dot),
-                     (w1 ^ l1) | l1 >> 8 | l2 << 56 | _DOT[1].take(dot),
-                     (w2 ^ l2) | l2 >> 8 | _DOT[2].take(dot))
+    low = _KEEP.take(q, axis=1, out=u[3:6], mode="clip")
+    dot = q
+    dot *= np.greater(t, q, out=mask[0])  # no dot before nothing, nor after "0."
+    low &= w
+    w ^= low
+    w[:2] |= np.left_shift(low[1:], 56, out=u[6:8])
+    w |= np.right_shift(low, 8, out=low)
+    np.bitwise_or(w, _DOT.take(dot, axis=1, out=low, mode="clip"), out=out)
 
 
-def _csv_lines(block):
-    """The CSV lines of a (rows, cols) float64 block: every value as the bytes
-    of ``"%.17g" % v``, comma separated, each line ended by CRLF. A value whose
-    digits ``_significands`` does not find (zeros, subnormals, nan, inf, the
-    range outside) is formatted by ``%.17g`` itself."""
+def _csv_lines(block, buf):
+    """The CSV lines of a (rows, cols) float64 block, a view of
+    ``buf.values``: every value as the bytes of ``"%.17g" % v``, comma
+    separated, each line ended by CRLF. A value whose digits
+    ``_significands`` does not find (zeros, subnormals, nan, inf, the range
+    outside) is formatted by ``%.17g`` itself."""
     rows, cols = block.shape
     v = block.ravel()
-    fast, i, digits = _digit_words(v)  # its helpers' temporaries go when they return
-    slot = np.empty((rows, cols, 4), "<u8")
+    fast, i, sig = _significands(v, buf)
+    slot = buf.slot[:rows]
     words = slot.reshape(-1, 4)
-    words[:, 0] = digits[0] | _SIGN_PREFIX.take(i + 22 * (v < 0))
-    words[:, 1] = digits[1]
-    words[:, 2] = digits[2]
-    words[:, 3] = _SUFFIX.take(i)
-    slot[:, :-1, 3] |= ord(",") << 32
-    slot[:, -1, 3] |= 0x0A0D << 32  # "\r\n"
-    slow = np.flatnonzero(~fast)
-    text = np.array([b"%.17g" % x for x in v[slow].tolist()], dtype="S24")
-    words.view(np.uint8)[slow, :24] = text.view(np.uint8).reshape(-1, 24)
-    return slot.tobytes().translate(None, b"\0")
+    scratch, negative = buf.u[1, :len(v)], buf.mask[1, :len(v)]
+    np.bitwise_or(_SUFFIX.take(i, out=scratch, mode="clip").reshape(rows, cols), buf.ends,
+                  out=slot[:, :, 3])
+    _digit_words(sig, i, buf, words[:, :3].T)
+    i += np.multiply(np.less(v, 0, out=negative), 22, out=buf.i[1, :len(v)])
+    words[:, 0] |= _SIGN_PREFIX.take(i, out=scratch, mode="clip")
+    if not fast.all():
+        slow = np.flatnonzero(np.logical_not(fast, out=negative))
+        text = np.array([b"%.17g" % x for x in v[slow].tolist()], dtype="S28")
+        words.view(np.uint8)[slow, :28] = text.view(np.uint8).reshape(-1, 28)  # all but "," or "\r\n"
+    buf.slot[rows:] = 0  # a short last block's unused slots: NUL, so the text leaves them out
+    return buf.text.translate(None, b"\0")
 
 
 def _write_csv(path: Path, header, columns):
     """Write equal-length columns (arrays or sequences of floats) as CSV: a
     header line, then one row per sample with every value as ``%.17g``, comma
     separated, CRLF line ends, nothing quoted (the bytes ``csv.writer`` gives
-    for these rows). Each block of ``_CSV_CHUNK`` rows is stacked as float64,
-    formatted by ``_csv_lines`` and written as bytes."""
+    for these rows). Each block of ``_CSV_CHUNK`` rows is copied as float64
+    into one ``_CsvBuffers`` made for the file, formatted by ``_csv_lines``
+    and written as bytes."""
+    rows = len(columns[0])
+    buf = _CsvBuffers(min(rows, _CSV_CHUNK), len(columns))
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
-        for start in range(0, len(columns[0]), _CSV_CHUNK):
-            fh.write(_csv_lines(np.column_stack(
-                [np.asarray(c[start:start + _CSV_CHUNK], dtype=float) for c in columns])))
+        for start in range(0, rows, _CSV_CHUNK):
+            block = buf.values[:min(_CSV_CHUNK, rows - start)]
+            for k, c in enumerate(columns):
+                block[:, k] = c[start:start + _CSV_CHUNK]
+            fh.write(_csv_lines(block, buf))
 
 
 def _json_floats(values):

@@ -51,6 +51,7 @@ import bisect
 import functools
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -220,7 +221,9 @@ def integrate(rhs: InlineRhs, y0, config: IntegratorConfig) -> Trajectory:
     size's ``min``, ``median`` and ``max`` over the rows that accepted a
     step (None if none did), and, under the same names prefixed ``row_``,
     one value per row, each that of the single-row run (NaN step sizes for
-    a row that accepted no step). A batch row equals the single-row run of
+    a row that accepted no step). ``row_t_last`` holds each row's last good
+    time: t_end for a row that completed, else the ``t_last`` its single
+    run's IntegrationError carries. A batch row equals the single-row run of
     its state byte for byte.
     """
     if not isinstance(rhs, InlineRhs):
@@ -313,12 +316,16 @@ def _indented(lines, depth) -> list:
     return ["    " * depth + line for line in lines]
 
 
-def _failed_rows(rows, t, finite, failed) -> list:
+def _failed_rows(rows, t, finite, failed, t_last) -> list:
     """``(row, message)`` of every batch row that ``failed``, stopped short
     of t_end by :data:`_STOP_RULE` or by an attempt that was not ``finite``,
-    with the message its single run raises."""
-    return [(int(rows[i]), _failure_text(_STOP[not finite[i]][0], float(t[i])))
-            for i in np.flatnonzero(failed).tolist()]
+    with the message its single run raises; the row's stop time goes into
+    its entry of ``t_last``."""
+    failures = []
+    for i in np.flatnonzero(failed).tolist():
+        t_last[rows[i]] = t[i]
+        failures.append((int(rows[i]), _failure_text(_STOP[not finite[i]][0], float(t[i]))))
+    return failures
 
 
 # The Taylor step size (_step_rule_lines): this fraction of the step at
@@ -380,6 +387,11 @@ class _Series:
     def __init__(self, degree, expression, name=None):
         self.degree, self.expression, self.name = degree, expression, name
         self.reads = 0  # coefficientwise readers: two or more need storage
+        self.copies = {}  # k -> the other series' coefficient that coefficient k is
+
+
+# a stored coefficient of a series, as the generated code reads it
+_COEFFICIENT = re.compile(r"_[sy]\d+(_\d+|\[\d+\])")
 
 
 class _TaylorEmitter:
@@ -420,7 +432,10 @@ class _TaylorEmitter:
     A series is stored when a product or a recurrence reads its coefficients
     (the batch sums long products over rows of its storage), when two
     expressions read it, and when it is the state, a recurrence or a
-    conditional; the rest are written into their one reader.
+    conditional; the rest are written into their one reader. A stored
+    series' coefficient that is only another's stored coefficient (``-tau``'s
+    k = 1 term in ``exp(-tau)``'s recurrence, ``1.0 + tau``'s) is not
+    written: its readers read the other.
     """
 
     def __init__(self, equations, p: int, batch: bool):
@@ -474,9 +489,9 @@ class _TaylorEmitter:
             return x if k == 0 else None
         if k > x.degree:
             return None
-        if x.name:
+        if x.name and k not in x.copies:
             return f"_{x.name}[{k}]" if self.batch else f"_{x.name}_{k}"
-        value = x.expression(k)
+        value = x.copies.get(k) or x.expression(k)
         return f"({value})" if " " in value else value
 
     def dot(self, x, y, lo, hi, k) -> str:
@@ -485,8 +500,10 @@ class _TaylorEmitter:
         of the (terms, n) products over axis 0. With n >= 2 columns numpy
         adds the rows in that order, one column at a time; one column it
         sums pairwise, so :func:`_run_rows` never steps fewer than two
-        (``test_add_reduce_adds_rows_in_order`` pins the order)."""
-        if self.batch and hi - lo >= 2:
+        (``test_add_reduce_adds_rows_in_order`` pins the order). A series
+        with a coefficient in another's storage (``copies``) has no rows to
+        slice; its sums are written out, in the same order."""
+        if self.batch and hi - lo >= 2 and not (x.copies or y.copies):
             end = k - hi - 1
             return (f"add_reduce(_{x.name}[{lo}:{hi + 1}] * _{y.name}[{k - lo}:"
                     f"{end if end >= 0 else ''}:-1], 0)")
@@ -634,7 +651,10 @@ class _TaylorEmitter:
 class _Write(NamedTuple):
     """The op that writes ``series``: its statements, one per coefficient,
     when the series is stored (into the storage of the conditional ``out``,
-    if given), none when its reader takes its expression."""
+    if given), none when its reader takes its expression. A coefficient of
+    an expression read twice that is only another's stored coefficient goes
+    to ``copies``, not into storage; a series of such coefficients only is
+    not stored at all."""
 
     series: _Series
     out: _Series | None
@@ -644,15 +664,22 @@ class _Write(NamedTuple):
         series = self.series
         if self.out is not None:
             series.name = self.out.name
-        elif self.stored or series.reads > 1:
+        elif self.stored:
             series.name = f"s{len(emitter.storage)}"
+        elif series.reads > 1:
+            values = [series.expression(k) for k in range(series.degree + 1)]
+            series.copies = {k: value for k, value in enumerate(values)
+                             if value and _COEFFICIENT.fullmatch(value)}
+            if any(value and k not in series.copies for k, value in enumerate(values)):
+                series.name = f"s{len(emitter.storage)}"
         if series.name:
             emitter.storage[series.name] = max(series.degree,
                                                emitter.storage.get(series.name, 0))
 
     def lines(self, emitter, k):
         series = self.series
-        value = series.expression(k) if series.name and k <= series.degree else None
+        written = series.name and k <= series.degree and k not in series.copies
+        value = series.expression(k) if written else None
         return [] if value is None else [f"{emitter.coef(series, k)} = {value}"]
 
 
@@ -840,9 +867,8 @@ def _taylor_loop_code(d: int, equations, p: int):
     return compile(_taylor_loop_source(d, equations, p), "<taylor loop>", "exec")
 
 
-@functools.cache
-def _taylor_step_code(d: int, equations, p: int):
-    """One Taylor attempt of order p over a batch, as compiled code: the
+def _taylor_step_source(d: int, equations, p: int) -> str:
+    """One Taylor attempt of order p over a batch, as source text: the
     emitter's ``once_per_run`` statements, then ``step(t, y, t_end, rtol,
     atol)``, which takes ``y`` as a (d, n) array, a column per row, and ``t``
     as an (n,) array, and returns the coefficients as a (p + 1, d, n) array,
@@ -866,7 +892,13 @@ def _taylor_step_code(d: int, equations, p: int):
              *(f"    _z = _z * h + _c[{k}]" for k in range(p - 2, -1, -1)),
              "    finite = isfinite(_z).all(axis=0)",
              "    return _c, h, t_new, _z, finite"]
-    return compile("\n".join([*emitter.once_per_run, *lines]), "<taylor step>", "exec")
+    return "\n".join([*emitter.once_per_run, *lines])
+
+
+@functools.cache
+def _taylor_step_code(d: int, equations, p: int):
+    """:func:`_taylor_step_source`, compiled, and cached as the loop's is."""
+    return compile(_taylor_step_source(d, equations, p), "<taylor step>", "exec")
 
 
 def _taylor_function(generate, name, rhs, d, p, t0, namespace):
@@ -919,7 +951,7 @@ def _run_rows(rhs, y0, config, ts, out):
     accepted = np.zeros(n_rows, dtype=np.int64)
     rejected = np.zeros(n_rows, dtype=np.int64)
     h_min, h_max, h_last = np.full(n_rows, math.inf), np.zeros(n_rows), np.full(n_rows, math.nan)
-    failures = []
+    failures, t_last = [], np.full(n_rows, float(t_end))
     # live rows only, one column each, compressed whenever rows finish or fail
     rows = np.arange(n_rows)
     t = np.full(n_rows, float(config.t0))
@@ -948,7 +980,7 @@ def _run_rows(rhs, y0, config, ts, out):
             block.append((rows, idx, stop, t, coeffs.transpose(2, 0, 1)))
             held += rows.size
             t, y, idx = t_new, y_new, stop
-            failures += _failed_rows(rows, t, finite, failed)
+            failures += _failed_rows(rows, t, finite, failed, t_last)
             live = (t < t_end) & ~failed
             if not live.all():
                 rows, t, idx = (v[live] for v in (rows, t, idx))
@@ -956,7 +988,8 @@ def _run_rows(rhs, y0, config, ts, out):
             if held >= _FILL_BLOCK or not rows.size:
                 _taylor_fill(out, ts, *(np.concatenate(column) for column in zip(*block)))
                 block, held = [], 0
-    return _batch_stats(_stats(p, accepted, rejected, h_min, h_max, h_last), failures)
+    return {**_batch_stats(_stats(p, accepted, rejected, h_min, h_max, h_last), failures),
+            "row_t_last": t_last}
 
 
 def _taylor_fill(out, ts, rows, idx, stop, t0, coeffs):

@@ -1026,6 +1026,27 @@ def test_write_csv_pinned_values():
                           "1000000000000000.8,-1000000000000000.8", "nan,nan", "-0,0"]
 
 
+# values no numpy block formats: %.17g writes each slot, from its sign to its separator
+FALLBACK_VALUES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300]
+
+
+@pytest.mark.parametrize("fallback_first", [True, False])
+def test_write_csv_reused_buffers_keep_no_stale_bytes(fallback_first):
+    # one set of block buffers serves every block of a file: a first block of
+    # fallback values only and later blocks of values the numpy path formats
+    # only (1e-6 <= |v| < 1e16: prefixes, suffixes, 17 digits, any sign), or
+    # the other way round, with the last block short
+    rng = np.random.default_rng(39)
+    rows, cols = 2 * _CSV_CHUNK + 7, 3
+    in_range = (rng.choice([-1.0, 1.0], (rows, cols))
+                * np.clip(10.0 ** rng.uniform(-6.0, 16.0, (rows, cols)), 1e-6, 9.999e15))
+    fallback = np.resize(np.array(FALLBACK_VALUES), (rows, cols))
+    first, later = (fallback, in_range) if fallback_first else (in_range, fallback)
+    table = np.concatenate([first[:_CSV_CHUNK], later[_CSV_CHUNK:]])
+    fast, ref = _csv_bytes(list(table.T))
+    assert fast == ref
+
+
 def _write_csv_peak(path, rows):
     """tracemalloc's peak while _write_csv writes `rows` rows of 7 columns."""
     columns = [np.arange(rows) * 0.001, *np.random.default_rng(rows).normal(size=(6, rows))]

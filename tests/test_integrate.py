@@ -902,6 +902,8 @@ def test_taylor_non_finite_coefficients_count_as_non_finite_attempt():
         assert batch.stats["failures"] == [(0, str(err.value))]
         assert batch.stats["row_rejected_nonfinite"].tolist() == [1, 0]
         assert batch.stats["row_rejected_error"].tolist() == [0, 0]
+        # the row's last good time is the single run's float, not its %.6g in the message
+        assert batch.stats["row_t_last"].tolist() == [err.value.t_last, run.t_end]
         # the row holds finite samples up to its last good time, NaN past it
         good = batch.times <= err.value.t_last
         assert np.isfinite(batch.states[0, good]).all()
@@ -1093,3 +1095,51 @@ def test_single_run_attempt_calls_only_exp_and_the_finiteness_fallback():
         single = integrate(_inline(p), row, cfg)
         assert np.array_equal(single.states, batch.states[i])
         assert single.stats["h_min"] == batch.stats["row_h_min"][i]
+
+
+def test_attempt_reads_a_copied_coefficient_where_it_is_stored(monkeypatch):
+    # -tau's k = 1 term, which exp(-tau)'s recurrence reads, and 1.0 + tau's
+    # are each only another series' coefficient: no statement copies them, in
+    # the single run's loop or in the batched step, and reading them where
+    # they are stored moves no bit of a run of either decay law, one or a batch
+    copy = re.compile(r"\s*_s\d+(_\d+|\[\d+\]) = _[sy]\d+(_\d+|\[\d+\])")  # the state's are its own
+
+    def copies():
+        return [line for source in (integrate_module._taylor_loop_source(4, FULL_EQUATIONS, 13),
+                                    integrate_module._taylor_step_source(4, FULL_EQUATIONS, 13))
+                for line in source.splitlines() if copy.fullmatch(line)]
+
+    def runs():
+        cfg = IntegratorConfig(t_end=40.0, sample_dt=0.25)
+        y0 = np.array([0.0, 0.5, 0.0, 0.5])
+        return [integrate(_inline(ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.1,
+                                              alpha_kind=law)), y, cfg).states
+                for law in ("exponential", "polynomial") for y in (y0, np.array([y0, 2 * y0]))]
+
+    assert copies() == []
+    stored = runs()
+    monkeypatch.setattr(integrate_module, "_COEFFICIENT", re.compile("(?!)"))
+    caches = (integrate_module._taylor_loop_code, integrate_module._taylor_step_code)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        assert len(copies()) == 4  # each law's copy, in the loop and in the step
+        copied = runs()
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    for a, b in zip(stored, copied):
+        assert np.array_equal(a, b)
+
+
+def test_batch_writes_out_the_sums_of_a_series_with_copied_coefficients():
+    # u = 1.0 + x copies x's coefficients past the first, so u has no rows of
+    # its own to slice where u * u sums three terms or more: the batch writes
+    # those sums term by term, and its rows keep their single runs' bits
+    rhs = _field(("x",), ("u = 1.0 + x", "dx = -0.5 * (u * u)"))
+    cfg = IntegratorConfig(t_end=3.0, sample_dt=0.5)
+    y0 = np.array([[0.5], [0.25]])
+    assert "add_reduce(_s0" not in integrate_module._taylor_step_source(1, rhs.equations, 13)
+    batch = integrate(rhs, y0, cfg)
+    for i in range(2):
+        assert np.array_equal(integrate(rhs, y0[i], cfg).states, batch.states[i])
