@@ -12,6 +12,7 @@ fails writes nothing, not even its ``--out`` directory.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -461,7 +462,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on the first :func:`main` call of a
+    process, not at import, and reused by every later one: parsing reads
+    it and changes nothing in it."""
     parser = _Parser(
         prog="symevol",
         description="Simulation laboratory for a two degrees-of-freedom cubic "
@@ -534,8 +539,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         with np.errstate(all="ignore"):  # integrators report non-finite values once
             return args.func(args)

@@ -79,12 +79,13 @@ def phase_series(traj: Trajectory, omega: float):
 
 def full_field(p: ModelParams) -> InlineRhs:
     """The full system at p as :func:`integrate` takes it: the
-    :class:`InlineRhs` of :data:`symevol.model.FULL_EQUATIONS`, from whose
-    equations single runs and batches generate their Taylor method. The
-    record's call, ``full_rhs``, serves callers that evaluate the field, such
-    as the fixed RK4 steps of ``order_check``; the Taylor runs make no call.
+    :class:`InlineRhs` of the text of p's decay law in
+    :data:`symevol.model.FULL_EQUATIONS`, from whose equations single runs
+    and batches generate their Taylor method. The record's call, the text's
+    ``full_rhs``, serves callers that evaluate the field, such as the fixed
+    RK4 steps of ``order_check``; the Taylor runs make no call.
     """
-    return FULL_EQUATIONS.at(p)
+    return FULL_EQUATIONS[p.alpha_kind].at(p)
 
 
 def run_scenario(sc: ScenarioConfig) -> Trajectory:

@@ -53,7 +53,6 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -359,22 +358,6 @@ def _reads(node) -> set:
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
 
 
-def _split_body(equations):
-    """The statements of ``equations.body`` in two parts, each in body order:
-    those that read neither ``t`` nor a state name, directly or through an
-    earlier statement, the same for the whole run, and the rest."""
-    fixed, rest = [], []
-    moving = {"t", *equations.state}
-    for statement in equations.body:
-        target, expression = _assignment(statement)
-        if _reads(expression) & moving:
-            rest.append(statement)
-            moving.add(target)
-        else:
-            fixed.append(statement)
-    return fixed, rest
-
-
 class _Series:
     """A Taylor series in the step variable s, t = t_n + s, in the generated
     code: its coefficients up to ``degree``, the higher ones known zeros,
@@ -382,12 +365,37 @@ class _Series:
     (``name`` set) is written once per coefficient into its storage: the
     locals ``_<name>_<k>`` in a single run, the rows ``_<name>[k]`` of an
     array in a batch. Any other is written into the one expression that reads
-    it, so it takes no statement of its own."""
+    it, so it takes no statement of its own. A series an emitter writes (one
+    of its ``ops``) names its storage in :meth:`store`, once every reader is
+    known; a ``stored`` one, a recurrence, which reads its own coefficients,
+    always has storage."""
 
-    def __init__(self, degree, expression, name=None):
-        self.degree, self.expression, self.name = degree, expression, name
+    def __init__(self, degree, expression, name=None, stored=False):
+        self.degree, self.expression, self.name, self.stored = degree, expression, name, stored
         self.reads = 0  # coefficientwise readers: two or more need storage
         self.copies = {}  # k -> the other series' coefficient that coefficient k is
+
+    def store(self, emitter):
+        """Name this series' storage in ``emitter.storage``, if it takes any:
+        a coefficient of a series read twice or more that is only another's
+        stored coefficient goes to ``copies``, not into storage, and a series
+        of such coefficients only takes none."""
+        if self.stored:
+            self.name = f"s{len(emitter.storage)}"
+        elif self.reads > 1:
+            values = [self.expression(k) for k in range(self.degree + 1)]
+            self.copies = {k: value for k, value in enumerate(values)
+                           if value and _COEFFICIENT.fullmatch(value)}
+            if any(value and k not in self.copies for k, value in enumerate(values)):
+                self.name = f"s{len(emitter.storage)}"
+        if self.name:
+            emitter.storage[self.name] = self.degree
+
+    def lines(self, emitter, k):
+        """The statement that writes coefficient k into storage, if any."""
+        written = self.name and k <= self.degree and k not in self.copies
+        value = self.expression(k) if written else None
+        return [] if value is None else [f"{emitter.coef(self, k)} = {value}"]
 
 
 # a stored coefficient of a series, as the generated code reads it
@@ -403,19 +411,18 @@ class _TaylorEmitter:
 
     Each name the body's statements assign from ``t`` or a state name,
     directly or through an earlier statement, becomes a series; every other
-    name (a parameter, or a statement of the parameters only) stays a
-    scalar, and so does every subexpression of scalars. A scalar
-    subexpression of a series' statement, other than a name or an
-    expression of constants, runs once per run, as the statement ``_f<i> =
-    <text>`` of :attr:`once_per_run` (one per distinct text), so ``epsilon *
-    a1 * q1q1`` multiplies each coefficient once by ``_f0 = epsilon * a1``;
-    one that raises (a division by zero, say) raises when the run is bound,
-    as a statement of the parameters does, even in a conditional's branch.
-    The emitter tracks each series' degree in s (``t`` is linear, a product
-    adds the degrees) and writes no product with a known zero, and no
-    literal factor or divisor 1.0, which leaves the other operand exact. The
-    series other than the state take the coefficients up to p - 1, all the
-    rates need. The rules:
+    statement reads the parameters only, stays a scalar and runs once per
+    run, in body order, as one of :attr:`once_per_run`. So does every
+    subexpression of scalars in a series' statement, other than a name or an
+    expression of constants, as the statement ``_f<i> = <text>`` (one per
+    distinct text), so ``epsilon * a1 * q1q1`` multiplies each coefficient
+    once by ``_f0 = epsilon * a1``; one that raises (a division by zero, say)
+    raises when the run is bound, as a statement of the parameters does. The
+    emitter tracks each series' degree in s (``t`` is linear, a product adds
+    the degrees) and writes no product with a known zero, and no literal
+    factor or divisor 1.0, which leaves the other operand exact. The series
+    other than the state take the coefficients up to p - 1, all the rates
+    need. The rules:
 
     - ``+``, ``-`` and unary ``-``: coefficientwise;
     - a scalar times a series, or a series over a scalar: a scaled series;
@@ -424,43 +431,43 @@ class _TaylorEmitter:
       (:meth:`square`);
     - anything over a series: the division recurrence;
     - ``exp`` of a series: the exponential recurrence, which takes one
-      ``exp``, of the first coefficient;
-    - ``a if c else b`` with a scalar ``c``: both branches are written,
-      behind one ``if`` per coefficient.
+      ``exp``, of the first coefficient.
 
     Any other construct on a series raises ValueError, naming the statement.
     A series is stored when a product or a recurrence reads its coefficients
     (the batch sums long products over rows of its storage), when two
-    expressions read it, and when it is the state, a recurrence or a
-    conditional; the rest are written into their one reader. A stored
-    series' coefficient that is only another's stored coefficient (``-tau``'s
-    k = 1 term in ``exp(-tau)``'s recurrence, ``1.0 + tau``'s) is not
-    written: its readers read the other.
+    expressions read it, and when it is the state or a recurrence; the rest
+    are written into their one reader. A stored series' coefficient that is
+    only another's stored coefficient (``-tau``'s k = 1 term in
+    ``exp(-tau)``'s recurrence) is not written: its readers read the other.
     """
 
     def __init__(self, equations, p: int, batch: bool):
         self.p, self.batch = p, batch
-        self.ops = []  # in dependency order, each writing coefficient k: k -> statements
+        self.ops = []  # the series written, in dependency order
         self.hoisted = {}  # the text of each scalar subexpression run once per run -> its name
         self.state = [_Series(p, None, f"y{j}") for j in range(len(equations.state))]
         time = _Series(1, lambda k: "t" if k == 0 else "1.0")  # t_n + s
         self.series = {"t": time, **dict(zip(equations.state, self.state))}
-        fixed, rest = _split_body(equations)
-        for statement in rest:
+        fixed, scalars = [], set()  # the statements of the parameters only, and their names
+        for statement in equations.body:
             target, node = _assignment(statement)
+            if not _reads(node) & self.series.keys():
+                fixed.append(statement)
+                scalars.add(target)
+                continue
             try:
                 self.series[target] = self._convert(node)
             except ValueError as exc:
                 raise ValueError(f"no Taylor recurrence for {statement!r}: {exc}") from None
-        scalars = {_assignment(statement)[0] for statement in fixed}
         self.rates = []
         for rate in equations.rates:
             if rate not in self.series and rate not in scalars:
                 raise ValueError(f"no statement assigns the rate {rate!r}")
             self.rates.append(self._read(self.series.get(rate, rate)))
         self.storage = {}  # the name of every stored series but the state -> its degree
-        for op in self.ops:
-            op.store(self)
+        for series in self.ops:
+            series.store(self)
         # what the generated loop or batched step runs when it is bound, with
         # ``t`` the run's start time: the body's statements that read only the
         # parameters, the guard, then the hoisted scalars
@@ -474,8 +481,8 @@ class _TaylorEmitter:
         of the state is the state at the step's start."""
         lines = []
         for k in range(self.p):
-            for op in self.ops:
-                lines += op.lines(self, k)
+            for series in self.ops:
+                lines += series.lines(self, k)
             for state, rate in zip(self.state, self.rates):
                 x = self.coef(rate, k)
                 value = _over(x, f"{k + 1}.0") if x else "0.0"
@@ -536,23 +543,14 @@ class _TaylorEmitter:
         it (the time and the state have storage or need none)."""
         return self._read(x, 2)
 
-    def _op(self, degree, out, expression, stored=False) -> _Series:
+    def _op(self, degree, expression, stored=False) -> _Series:
         """A series of ``degree``, at most p - 1, whose coefficient k is the
-        expression ``expression(s, k)``, s the series itself; into the
-        storage of the conditional ``out``, if given. No statement where the
-        expression is None."""
-        series = _Series(min(degree, self.p - 1), None)
+        expression ``expression(s, k)``, s the series itself. No statement
+        where the expression is None."""
+        series = _Series(min(degree, self.p - 1), None, stored=stored)
         series.expression = functools.partial(expression, series)
-        self.ops.append(_Write(series, out, stored))
+        self.ops.append(series)
         return series
-
-    def _into(self, x, out):
-        """x held in the storage of ``out``: x itself when ``out`` is None,
-        else a copy."""
-        if out is None:
-            return x
-        self._read(x)
-        return self._op(_degree(x), out, lambda s, k: self.coef(x, k))
 
     def _scalar(self, node) -> str:
         """The expression the generated code reads for a scalar node: a name
@@ -566,31 +564,28 @@ class _TaylorEmitter:
             return f"({text})"
         return self.hoisted.setdefault(text, f"_f{len(self.hoisted)}")
 
-    def _convert(self, node, out=None):
+    def _convert(self, node):
         """The scalar (an expression) or the series of an expression node,
-        appending the ops that write the series; into ``out`` if given."""
+        appending the ops that write the series."""
         if not _reads(node) & self.series.keys():
-            return self._into(self._scalar(node), out)
+            return self._scalar(node)
         if isinstance(node, ast.Name):
-            return self._into(self.series[node.id], out)
+            return self.series[node.id]
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
             x = self._convert(node.operand)
             if isinstance(node.op, ast.UAdd):
-                return self._into(x, out)
+                return x
             self._read(x)
-            return self._op(x.degree, out, lambda s, k: f"-{self.coef(x, k)}")
+            return self._op(x.degree, lambda s, k: f"-{self.coef(x, k)}")
         if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult,
                                                                 ast.Div)):
-            return self._binary(node.op, self._convert(node.left), self._convert(node.right),
-                                out)
+            return self._binary(node.op, self._convert(node.left), self._convert(node.right))
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id == "exp" and len(node.args) == 1 and not node.keywords):
-            return self._exp(self._convert(node.args[0]), out)
-        if isinstance(node, ast.IfExp) and not _reads(node.test) & self.series.keys():
-            return self._if(self._scalar(node.test), node.body, node.orelse, out)
+            return self._exp(self._convert(node.args[0]))
         raise ValueError(f"{ast.unparse(node)!r} is not a construct the Taylor method writes")
 
-    def _binary(self, op, a, b, out) -> _Series:
+    def _binary(self, op, a, b) -> _Series:
         da, db = _degree(a), _degree(b)
         if isinstance(op, (ast.Add, ast.Sub)):
             add = isinstance(op, ast.Add)
@@ -601,22 +596,20 @@ class _TaylorEmitter:
                 if x is None:
                     return y if add else f"-{y}"
                 return x if y is None else f"{x} {'+' if add else '-'} {y}"
-            return self._op(max(da, db), out, term)
+            return self._op(max(da, db), term)
         if isinstance(op, ast.Mult) and (isinstance(a, str) or isinstance(b, str)):
             self._read(a), self._read(b)  # a scaled series
-            return self._op(max(da, db), out,
-                            lambda s, k: _times(_scale(a, self.coef(a, k)),
-                                                _scale(b, self.coef(b, k))))
+            return self._op(max(da, db), lambda s, k: _times(_scale(a, self.coef(a, k)),
+                                                             _scale(b, self.coef(b, k))))
         if isinstance(op, ast.Mult) and a is b:  # the square
             self._summed(a)
-            return self._op(2 * da, out, lambda s, k: self.square(a, max(0, k - da), k))
+            return self._op(2 * da, lambda s, k: self.square(a, max(0, k - da), k))
         if isinstance(op, ast.Mult):  # the Cauchy product
             self._summed(a), self._summed(b)
-            return self._op(da + db, out,
-                            lambda s, k: self.dot(a, b, max(0, k - db), min(k, da), k))
+            return self._op(da + db, lambda s, k: self.dot(a, b, max(0, k - db), min(k, da), k))
         if isinstance(b, str):
             self._read(a)
-            return self._op(da, out, lambda s, k: _over(self.coef(a, k), b))
+            return self._op(da, lambda s, k: _over(self.coef(a, k), b))
 
         def quotient(s, k):  # a = s b, solved for s_k
             x, b0 = self.coef(a, k), self.coef(b, 0)
@@ -625,90 +618,16 @@ class _TaylorEmitter:
             rest = self.dot(b, s, 1, min(k, db), k)
             return _over(f"({x} - {rest})" if x else f"-{rest}", b0)
         self._read(a), self._summed(b)
-        return self._op(self.p, out, quotient, stored=True)
+        return self._op(self.p, quotient, stored=True)
 
-    def _exp(self, u, out) -> _Series:
+    def _exp(self, u) -> _Series:
         # e' = u' e: k e_k is the sum of j u_j e_(k-j) over j = 1, ..., k
         du = u.degree
         self._read(u, 2)
-        v = self._summed(self._op(du, None, lambda s, k: _times(f"{k}.0", self.coef(u, k))
+        v = self._summed(self._op(du, lambda s, k: _times(f"{k}.0", self.coef(u, k))
                                   if k else None))
-        return self._op(self.p, out, lambda s, k: f"exp({self.coef(u, 0)})" if k == 0
+        return self._op(self.p, lambda s, k: f"exp({self.coef(u, 0)})" if k == 0
                         else _over(self.dot(v, s, 1, min(k, du), k), f"{k}.0"), stored=True)
-
-    def _if(self, test, body, orelse, out) -> _Series:
-        ops, branches = self.ops, []
-        series = _Series(0, None)
-        for node in (body, orelse):
-            self.ops = []
-            branches.append((self.ops, _degree(self._convert(node, series))))
-        self.ops = ops
-        series.degree = min(max(degree for _, degree in branches), self.p - 1)
-        self.ops.append(_Conditional(series, out, test, branches))
-        return series
-
-
-class _Write(NamedTuple):
-    """The op that writes ``series``: its statements, one per coefficient,
-    when the series is stored (into the storage of the conditional ``out``,
-    if given), none when its reader takes its expression. A coefficient of
-    an expression read twice that is only another's stored coefficient goes
-    to ``copies``, not into storage; a series of such coefficients only is
-    not stored at all."""
-
-    series: _Series
-    out: _Series | None
-    stored: bool
-
-    def store(self, emitter):
-        series = self.series
-        if self.out is not None:
-            series.name = self.out.name
-        elif self.stored:
-            series.name = f"s{len(emitter.storage)}"
-        elif series.reads > 1:
-            values = [series.expression(k) for k in range(series.degree + 1)]
-            series.copies = {k: value for k, value in enumerate(values)
-                             if value and _COEFFICIENT.fullmatch(value)}
-            if any(value and k not in series.copies for k, value in enumerate(values)):
-                series.name = f"s{len(emitter.storage)}"
-        if series.name:
-            emitter.storage[series.name] = max(series.degree,
-                                               emitter.storage.get(series.name, 0))
-
-    def lines(self, emitter, k):
-        series = self.series
-        written = series.name and k <= series.degree and k not in series.copies
-        value = series.expression(k) if written else None
-        return [] if value is None else [f"{emitter.coef(series, k)} = {value}"]
-
-
-class _Conditional(NamedTuple):
-    """The op that writes the conditional ``series``, always stored: its
-    branches' ops behind one ``if test`` per coefficient, each writing into
-    the series' storage, and zeros past a branch's degree."""
-
-    series: _Series
-    out: _Series | None
-    test: str
-    branches: list
-
-    def store(self, emitter):
-        _Write(self.series, self.out, True).store(emitter)
-        for ops, _ in self.branches:
-            for op in ops:
-                op.store(emitter)
-
-    def lines(self, emitter, k):
-        if k > self.series.degree:
-            return []
-        written = []
-        for ops, degree in self.branches:
-            block = [line for op in ops for line in op.lines(emitter, k)]
-            if k > degree:  # a known zero of this branch
-                block.append(f"{emitter.coef(self.series, k)} = 0.0")
-            written.append(_indented(block or ["pass"], 1))
-        return [f"if {self.test}:", *written[0], "else:", *written[1]]
 
 
 def _degree(x) -> int:

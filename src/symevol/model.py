@@ -42,13 +42,14 @@ __all__ = [
     "cartesian_to_dissipative",
 ]
 
-ALPHA_KINDS = ("exponential", "polynomial")
+# Each decay law at the slow time tau, written once: alpha evaluates its text,
+# and FULL_EQUATIONS writes it into the equations of its law, from which
+# full_rhs and the Taylor recurrences of the generated steps come, so that no
+# step calls alpha. ``exp`` is libm's exp: of a float, or of every entry of an
+# array.
+_DECAY_LAWS = {"exponential": "exp(-tau)", "polynomial": "1.0 / (1.0 + tau)"}
 
-# The decay laws of ALPHA_KINDS at the slow time tau, written once: alpha
-# evaluates this text, and FULL_EQUATIONS writes it into full_rhs and into the
-# Taylor recurrences of the generated steps, so that no step calls alpha.
-# ``exp`` is libm's exp: of a float, or of every entry of an array.
-_DECAY_LAW = "exp(-tau) if exponential else 1.0 / (1.0 + tau)"
+ALPHA_KINDS = tuple(_DECAY_LAWS)
 
 
 def _exp(x):
@@ -99,7 +100,7 @@ _CHECKS = {"check_slow_time": _check_slow_time, "check_omega": _check_omega,
            "check_exponential": _check_exponential}
 
 
-_decay = eval(f"lambda tau, exponential: {_DECAY_LAW}", {"exp": _exp})
+_decay = {kind: eval(f"lambda tau: {law}", {"exp": _exp}) for kind, law in _DECAY_LAWS.items()}
 
 
 def alpha(tau, kind="exponential"):
@@ -114,7 +115,7 @@ def alpha(tau, kind="exponential"):
     if kind not in ALPHA_KINDS:
         raise ValueError(f"unknown alpha kind {kind!r}")
     _check_slow_time(tau)
-    return _decay(tau, kind == "exponential")
+    return _decay[kind](tau)
 
 
 @dataclass(frozen=True)
@@ -205,17 +206,17 @@ class Equations(NamedTuple):
     The Taylor method of :mod:`symevol.integrate` sorts the statements in two
     classes: those that read neither ``t`` nor a state name, directly or
     through an earlier statement, run once per run; every other one assigns
-    a Taylor series and may use only ``+``, ``-``, ``*``, ``/``, ``exp`` and
-    ``a if c else b`` with ``c`` of the first class. Its subexpressions of
-    the parameters alone (``epsilon * a1`` in ``epsilon * a1 * q1q1``) run
-    once per run too, so a text may write them where the physics has them.
-    The statements' names
-    share the generated code's namespace, so they must differ from its own:
-    every name that starts with an underscore, ``t`` (the time), ``y``,
-    ``h``, ``t_end``, ``t_new``, ``rtol``, ``atol``, ``finite``,
-    ``clamped``, ``inf``, ``exp``, ``isfinite``, ``where``, ``power``,
-    ``empty``, ``add_reduce`` and the names of the single run's loop in
-    ``integrate._TAYLOR_LOOP``.
+    a Taylor series and may use only ``+``, ``-``, ``*``, ``/`` and ``exp``.
+    Its subexpressions of the parameters alone (``epsilon * a1`` in
+    ``epsilon * a1 * q1q1``) run once per run too, so a text may write them
+    where the physics has them. A choice of model that the code would branch
+    on, such as the decay law, is a text of its own (:data:`FULL_EQUATIONS`).
+    The statements' names share the generated code's namespace, so they
+    must differ from its own: every name that starts with an underscore,
+    ``t`` (the time), ``y``, ``h``, ``t_end``, ``t_new``, ``rtol``,
+    ``atol``, ``finite``, ``clamped``, ``inf``, ``exp``, ``isfinite``,
+    ``where``, ``power``, ``empty``, ``add_reduce`` and the names of the
+    single run's loop in ``integrate._TAYLOR_LOOP``.
     """
 
     state: tuple
@@ -264,22 +265,24 @@ class InlineRhs(NamedTuple):
         return self.call(t, y)
 
 
-# The full equations of motion. ``full_rhs`` is generated from them, and so is
-# the Taylor method of the single-run and batched steps (InlineRhs), whose
-# emitter evaluates each subexpression of the parameters alone (``epsilon *
-# a1``, ``-omega**2``, ``epsilon * 2.0 * a4``, ...) once per run, so the text
-# writes the physics as it is. The three quadratic products of the coordinates are
-# statements of their own, so that the Taylor method takes five products per
-# coefficient: the squares q1q1 and q2q2, which sum each symmetric pair once,
-# the Cauchy product q1q2 and the decay factor's two. The slow time only grows
-# along a run, so the guard holds at every stage once it holds at the start.
-FULL_EQUATIONS = Equations(
+# The full equations of motion, one text per decay law, which differ only in
+# the statement of the decay factor ``al``: the law is a choice of model, fixed
+# for a run, so the generated code is the law's own and is cached by its text.
+# ``full_rhs`` is generated from them, and so is the Taylor method of the
+# single-run and batched steps (InlineRhs), whose emitter evaluates each
+# subexpression of the parameters alone (``epsilon * a1``, ``-omega**2``,
+# ``epsilon * 2.0 * a4``, ...) once per run, so the text writes the physics as
+# it is. The three quadratic products of the coordinates are statements of
+# their own, so that the Taylor method takes five products per coefficient: the
+# squares q1q1 and q2q2, which sum each symmetric pair once, the Cauchy product
+# q1q2 and the decay factor's two. The slow time only grows along a run, so the
+# guard holds at every stage once it holds at the start.
+FULL_EQUATIONS = {kind: Equations(
     state=("q1", "v1", "q2", "v2"),
     rates=("dq1", "dv1", "dq2", "dv2"),
-    params=("a1", "a2", "a3", "a4", "omega", "epsilon", "delta", "alpha_kind"),
-    body=("exponential = alpha_kind == 'exponential'",
-          "tau = delta * t",
-          f"al = {_DECAY_LAW}",
+    params=("a1", "a2", "a3", "a4", "omega", "epsilon", "delta"),
+    body=("tau = delta * t",
+          f"al = {law}",
           "q1q1 = q1 * q1",
           "q2q2 = q2 * q2",
           "q1q2 = q1 * q2",
@@ -289,7 +292,7 @@ FULL_EQUATIONS = Equations(
           "dq2 = v2",
           "dv2 = (-omega**2 * q2 + epsilon * 2.0 * a2 * q1q2"
           " + al * (epsilon * a3 * q2q2 + epsilon * a4 * q1q1))"),
-    guard=("check_slow_time(delta * t)",))
+    guard=("check_slow_time(delta * t)",)) for kind, law in _DECAY_LAWS.items()}
 
 
 def _compiled_on_first_call(name: str, lines, namespace: dict, doc=None):
@@ -332,9 +335,12 @@ def _rhs_function(equations: Equations, name: str, doc: str):
     return function
 
 
-full_rhs = _rhs_function(FULL_EQUATIONS, "full_rhs", """\
-Right-hand side of the full equations of motion, generated from
-:data:`FULL_EQUATIONS`.
+full_rhs = _compiled_on_first_call(
+    "full_rhs", ["def full_rhs(t, y, p):", "    return laws[p.alpha_kind](t, y, p)"],
+    {"laws": {kind: _rhs_function(equations, "full_rhs", None)
+              for kind, equations in FULL_EQUATIONS.items()}}, """\
+Right-hand side of the full equations of motion: the function generated from
+the text of ``p.alpha_kind``'s decay law in :data:`FULL_EQUATIONS`.
 
 ``y`` is the state as a sequence of its four components (q1, v1, q2, v2)
 and the answer is the tuple of their rates. A component is a float, or an

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import symevol.cli as cli
 from symevol.cli import _CSV_CHUNK, _json_counts, _write_csv, _write_histograms, main
 from symevol.experiments import compare_full_vs_averaged
 from symevol.config import (_KEYS, ConfigError, build_compare, build_ensemble, build_scenario,
@@ -896,6 +897,44 @@ def test_reproduce_figure_is_simulate_of_preset(tmp_path, which, flags):
     fig_run, sim_run = (json.loads((out / "manifest.json").read_text()) for out in (fig, sim))
     for key in ("integrator_stats", "samples"):
         assert fig_run[key] == sim_run[key]
+
+
+def test_main_builds_its_parser_once_per_process(tmp_path):
+    # importing the command line builds no parser; main builds it on its
+    # first call and every later call reuses it. simulate, reproduce-figure
+    # and simulate again in one process each write the bytes of a lone run
+    # in a fresh interpreter, and the figure's --which does not carry over
+    # into the simulate after it, which writes trajectory.csv again
+    probe = "import symevol.cli as c; print(c._build_parser.cache_info().currsize)"
+    assert subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True).stdout == "0\n"
+    simulate = (["simulate", "fig1", "--horizon", "5"], "trajectory.csv")
+    figure = (["reproduce-figure", "--which", "fig1", "--horizon", "5"], "fig1.csv")
+
+    def run(argv, out, lone):
+        if lone:
+            return subprocess.run([sys.executable, "-m", "symevol", *argv, "--out", str(out)],
+                                  capture_output=True, check=True).stdout
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main([*argv, "--out", str(out)]) == 0
+        return stdout.getvalue().encode()
+
+    def outputs(out, stdout):
+        manifest = json.loads((out / "manifest.json").read_text())
+        del manifest["wall_time_s"]
+        files = {path.name: path.read_bytes() for path in out.iterdir()}
+        return stdout, manifest, {name: data for name, data in files.items()
+                                  if name != "manifest.json"}
+
+    lone = {name: outputs(tmp_path / name, run(argv, tmp_path / name, True))
+            for argv, name in (simulate, figure)}
+    cli._build_parser.cache_clear()
+    for k, (argv, name) in enumerate((simulate, figure, simulate)):
+        out = tmp_path / f"in{k}"
+        assert outputs(out, run(argv, out, False)) == lone[name]
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_reproduce_figure_reads_bundled_preset_not_working_directory(tmp_path, monkeypatch):

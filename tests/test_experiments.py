@@ -9,6 +9,7 @@ from scipy.integrate import solve_ivp
 
 import symevol.model as model_module
 from conftest import fig_initial_state, fig_params, rk4_steps
+from symevol.averaged import AVG11
 from symevol.experiments import (EnsembleSpec, ScenarioConfig, _draw_initial,
                                  _histogram_series, compare_full_vs_averaged, full_field,
                                  invariant_drift, phase_series, polar_amplitude_series,
@@ -16,7 +17,7 @@ from symevol.experiments import (EnsembleSpec, ScenarioConfig, _draw_initial,
 from symevol.config import ConfigError, build_scenario, load_config, preset_path
 from symevol.integrate import (MAX_GRID_POINTS, InlineRhs, IntegrationError, IntegratorConfig,
                                integrate, order_check)
-from symevol.integrate import _TaylorEmitter, _split_body
+from symevol.integrate import _TaylorEmitter
 from symevol.model import (ALPHA_KINDS, FULL_EQUATIONS, CartesianState, ModelParams, alpha,
                            full_rhs)
 from symevol.resonance import RESONANCES, cartesian_invariant
@@ -113,7 +114,7 @@ def test_rebound_full_rhs_sees_only_first_slopes(monkeypatch):
         calls.append(t)
         return full_rhs(t, y, params)
 
-    monkeypatch.setitem(model_module._FIELDS, FULL_EQUATIONS, spy)
+    monkeypatch.setitem(model_module._FIELDS, FULL_EQUATIONS[p.alpha_kind], spy)
     assert isinstance(full_field(p), InlineRhs)
     traj = run_scenario(sc)
     assert np.array_equal(traj.states, inlined.states) and traj.stats == inlined.stats
@@ -124,28 +125,31 @@ def test_rebound_full_rhs_sees_only_first_slopes(monkeypatch):
     assert len(calls) == 1 + 4 * (2 + 4 + 8)  # the first slope, then four stages per step
 
 
-def test_split_body_sorts_the_full_equations():
-    # one statement reads only the parameters, the law's flag, and runs once
-    # per run; the rest read the time or the state and become Taylor series:
-    # the slow time, the decay law written as its text, with no call of
-    # alpha, the three quadratic products and the four rates. The rates'
-    # products of parameters run once per run too, after the guard, as the
-    # emitter's statements of their own, one per distinct text, in a single
-    # run and in a batch alike
-    fixed, rest = _split_body(FULL_EQUATIONS)
-    assert fixed == ["exponential = alpha_kind == 'exponential'"]
-    assert rest[:2] == ["tau = delta * t",
-                        "al = exp(-tau) if exponential else 1.0 / (1.0 + tau)"]
-    assert [statement.split(" =")[0] for statement in rest[2:]] == [
-        "q1q1", "q2q2", "q1q2", *FULL_EQUATIONS.rates]
-    assert fixed + rest == list(FULL_EQUATIONS.body)
-    assert not any("alpha(" in statement for statement in FULL_EQUATIONS.body)
-    assert FULL_EQUATIONS.guard == ("check_slow_time(delta * t)",)
+def test_once_per_run_holds_the_parameter_statements_in_body_order():
+    # a statement that reads no series, the parameters only, runs once per
+    # run, in body order, before the guard; the rates' products of
+    # parameters follow it as the emitter's statements of their own, one per
+    # distinct text, in a single run and in a batch alike. Each decay law is
+    # a text of its own, which differs from the other only in the decay
+    # factor's statement, written as the law's text with no call of alpha,
+    # and has no statement of the parameters only. AVG11 has four, its eps^2,
+    # its two coefficient sums and the rate of tau
+    exponential, polynomial = FULL_EQUATIONS.values()
+    assert exponential.body[1] == "al = exp(-tau)"
+    assert polynomial == exponential._replace(
+        body=(exponential.body[0], "al = 1.0 / (1.0 + tau)", *exponential.body[2:]))
+    for text in (exponential, polynomial):
+        assert not any("alpha(" in statement for statement in text.body)
+        assert text.guard == ("check_slow_time(delta * t)",)
+        for batch in (False, True):
+            assert _TaylorEmitter(text, 13, batch).once_per_run == [
+                *text.guard, "_f0 = epsilon * a1", "_f1 = epsilon * a2",
+                "_f2 = epsilon * 2.0 * a4", "_f3 = -omega ** 2", "_f4 = epsilon * 2.0 * a2",
+                "_f5 = epsilon * a3", "_f6 = epsilon * a4"]
     for batch in (False, True):
-        assert _TaylorEmitter(FULL_EQUATIONS, 13, batch).once_per_run == [
-            *fixed, *FULL_EQUATIONS.guard, "_f0 = epsilon * a1", "_f1 = epsilon * a2",
-            "_f2 = epsilon * 2.0 * a4", "_f3 = -omega ** 2", "_f4 = epsilon * 2.0 * a2",
-            "_f5 = epsilon * a3", "_f6 = epsilon * a4"]
+        assert _TaylorEmitter(AVG11, 13, batch).once_per_run[:6] == [
+            "e2 = epsilon**2", "cross = a1 / 2 * a2 + a2 * a2 / 3",
+            "cross_al = a3 / 2 * a4 + a4 * a4 / 3", "dtau = delta", *AVG11.guard]
 
 
 def test_parameter_statements_once_per_integrate_call():

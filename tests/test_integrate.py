@@ -39,7 +39,7 @@ HARMONIC = _field(("x", "v"), ("dx = v", "dv = -x"))
 def _inline(p):
     """The full model at p as experiments.full_field gives it: an InlineRhs,
     which runs the Taylor method."""
-    return FULL_EQUATIONS.at(p)
+    return FULL_EQUATIONS[p.alpha_kind].at(p)
 
 
 def test_config_validation():
@@ -520,17 +520,20 @@ def test_single_run_makes_no_numpy_call_per_step(monkeypatch):
 def test_single_run_makes_no_min_or_max_call_per_step(inline):
     # the generated loop writes the step clamps, the step rule, the stop
     # rule's text and the norms' max in place, and its Taylor recurrences
-    # the decay law: it names none of the builtins min and max, alpha,
-    # _stops or _power, and neither does the single run. order_check's rk4
-    # step, which calls the field, names none of them either
-    code = integrate_module._taylor_loop_code(4, FULL_EQUATIONS, 13)
-    run = next(const for const in code.co_consts if isinstance(const, types.CodeType))
-    codes = ((integrate_module._rk4_step.__code__,) if not inline
-             else (run, integrate_module._run_single.__code__))
-    for code in codes:
-        assert not {"min", "max", "alpha", "_stops", "_power"} & set(
-            code.co_names), code.co_name
-    assert "exp" in run.co_names and "rhs" not in run.co_varnames
+    # the decay law of its text: it names none of the builtins min and max,
+    # alpha, _stops or _power, and neither does the single run, under either
+    # law. order_check's rk4 step, which calls the field, names none of them
+    # either
+    for law, equations in FULL_EQUATIONS.items():
+        code = integrate_module._taylor_loop_code(4, equations, 13)
+        run = next(const for const in code.co_consts if isinstance(const, types.CodeType))
+        codes = ((integrate_module._rk4_step.__code__,) if not inline
+                 else (run, integrate_module._run_single.__code__))
+        for code in codes:
+            assert not {"min", "max", "alpha", "_stops", "_power"} & set(
+                code.co_names), code.co_name
+        assert ("exp" in run.co_names) == (law == "exponential")
+        assert "rhs" not in run.co_varnames
     assert "rhs" in integrate_module._rk4_step.__code__.co_varnames
 
 
@@ -752,7 +755,7 @@ def test_add_reduce_adds_rows_in_order(n):
                 reordered += backward != forward
     assert reordered > 0
     # the batched step sums this way, and no more with cumsum
-    code = integrate_module._taylor_step_code(4, FULL_EQUATIONS, 16)
+    code = integrate_module._taylor_step_code(4, FULL_EQUATIONS["exponential"], 16)
     step = next(const for const in code.co_consts if isinstance(const, types.CodeType))
     assert "add_reduce" in step.co_names and "cumsum" not in step.co_names
 
@@ -948,52 +951,55 @@ def test_taylor_division_by_zero_and_exp_overflow_are_non_finite_attempts():
         model_module._exp(710.0)
 
 
-def _test_field(body, flag=True):
-    """An InlineRhs of five components from ``body``, with the parameters k
-    = 1 and ``flag``; its call is never made."""
+def _test_field(body):
+    """An InlineRhs of five components from ``body``, with the parameter k
+    = 1; its call is never made."""
     def never(t, y):
         raise AssertionError("the Taylor method calls no right-hand side")
 
     equations = Equations(state=("u1", "u2", "u3", "u4", "u5"),
-                          rates=("d1", "d2", "d3", "d4", "d5"), params=("k", "flag"),
+                          rates=("d1", "d2", "d3", "d4", "d5"), params=("k",),
                           body=body, guard=())
-    return InlineRhs(never, equations, {"k": 1.0, "flag": flag})
+    return InlineRhs(never, equations, {"k": 1.0})
 
 
 def test_taylor_emitter_rules_reach_exact_solutions():
     # each rule of the emitter on a field with a known solution, from
     # (1, 0, 0, 1, 0) over [0, 3]: the Cauchy product under unary minus
     # (u1 = 1/(1+t)), exp of a state (u2 = ln(1+t)), a scalar over a series
-    # of t and a series over a series (u3 = ln(1+t), u4 = 1+t or, with flag
-    # false, e^(2t)), a conditional on a parameter, and a rate of the
-    # parameters alone (u5 = 2t); a batch row equals its single run
-    body = ("two = 2.0 * k",
-            "d1 = -(u1 * u1)",
-            "d2 = exp(-u2)",
-            "d3 = 1.0 / (1.0 + t)",
-            "d4 = u4 / (1.0 + t) if flag else two * u4",
-            "d5 = two")
+    # of t and a series over a series (u3 = ln(1+t), u4 = 1+t), or in a
+    # second body a scalar of the parameters times a series (u4 = e^(2t)),
+    # and a rate of the parameters alone (u5 = 2t); a batch row equals its
+    # single run
     cfg = IntegratorConfig(t_end=3.0, sample_dt=0.25)
     y0 = np.array([1.0, 0.0, 0.0, 1.0, 0.0])
-    for flag, u4 in ((True, lambda t: 1.0 + t), (False, lambda t: np.exp(2.0 * t))):
-        traj = integrate(_test_field(body, flag), y0, cfg)
+    for d4, u4 in (("d4 = u4 / (1.0 + t)", lambda t: 1.0 + t),
+                   ("d4 = two * u4", lambda t: np.exp(2.0 * t))):
+        body = ("two = 2.0 * k", "d1 = -(u1 * u1)", "d2 = exp(-u2)", "d3 = 1.0 / (1.0 + t)", d4,
+                "d5 = two")
+        traj = integrate(_test_field(body), y0, cfg)
         t = traj.times
         exact = np.column_stack([1.0 / (1.0 + t), np.log1p(t), np.log1p(t), u4(t), 2.0 * t])
         assert np.max(np.abs(traj.states - exact) / (1.0 + np.abs(exact))) < 1e-9
-        batch = integrate(_test_field(body, flag), np.array([y0, y0 * 0.5]), cfg)
+        batch = integrate(_test_field(body), np.array([y0, y0 * 0.5]), cfg)
         assert np.array_equal(batch.states[0], traj.states)
 
 
 def test_taylor_emitter_rejects_other_constructs():
     # a construct the emitter has no recurrence for, on a series, is a
     # ValueError at generation that names the statement; so is a rate that
-    # no statement assigns. Constructs on parameters alone run as written
+    # no statement assigns. A conditional series is one, whatever its test
+    # reads: a choice of model is a text of its own. Constructs on parameters
+    # alone run as written
     good = ("two = 2.0 * k ** 2", "d1 = u1", "d2 = u2", "d3 = u3", "d4 = u4", "d5 = two")
     cfg = IntegratorConfig(t_end=1.0, sample_dt=0.5)
     assert integrate(_test_field(good), np.ones(5), cfg).states[-1, 4] == 3.0
     for statement in ("d1 = u1 ** 2", "d1 = u1 if u1 > 0.0 else -u1", "d1 = abs(u1)",
-                      "d1 = exp(u1, 2.0)", "d1 = u1 // 2.0"):
-        field = _test_field((statement, *good[2:]))
+                      "d1 = exp(u1, 2.0)", "d1 = u1 // 2.0",
+                      "d4 = u4 / (1.0 + t) if flag else two * u4"):
+        target = statement.split(" =")[0]
+        field = _test_field(tuple(statement if line.startswith(f"{target} =") else line
+                                  for line in good))
         for y0 in (np.ones(5), np.ones((2, 5))):
             with pytest.raises(ValueError, match=re.escape(repr(statement))):
                 integrate(field, y0, cfg)
@@ -1015,11 +1021,11 @@ def test_square_rule_equals_the_cauchy_product():
     # batch column has the single run's bits
     rng = np.random.default_rng(3)
     for p in range(2, 17):
-        single, batch = (integrate_module._TaylorEmitter(FULL_EQUATIONS, p, form)
+        single, batch = (integrate_module._TaylorEmitter(FULL_EQUATIONS["exponential"], p, form)
                          for form in (False, True))
         for degree in sorted({1, 2, p // 2, p}):
             x = integrate_module._Series(degree, None, "x")
-            squares = [emitter._binary(ast.Mult(), x, x, None) for emitter in (single, batch)]
+            squares = [emitter._binary(ast.Mult(), x, x) for emitter in (single, batch)]
             assert squares[0].degree == min(2 * degree, p - 1)
             ints = rng.integers(-99, 100, (degree + 1, 3)).astype(float)
             floats = rng.normal(size=(degree + 1, 3)) * 10.0 ** rng.uniform(-6, 6, (degree + 1, 3))
@@ -1048,21 +1054,32 @@ def _loop_attempt(equations, d, p):
 
 
 def test_full_equations_attempt_operation_counts():
-    # the Taylor recurrences of one attempt of FULL_EQUATIONS at p = 13, both
-    # branches of the decay law included, as the single run's loop holds
-    # them: 511 multiplies and 385 adds or subtracts. Summing both pairs of
-    # the squares q1q1 and q2q2, multiplying epsilon into every coefficient
-    # and writing products and quotients by 1.0 took 599 and 469
-    text = "\n".join(integrate_module._TaylorEmitter(FULL_EQUATIONS, 13, batch=False).lines())
-    recurrences = ast.parse(text).body
-    attempt = _loop_attempt(FULL_EQUATIONS, 4, 13)
-    assert list(map(ast.dump, attempt[:len(recurrences)])) == list(map(ast.dump, recurrences))
-    nodes = [node for statement in recurrences for node in ast.walk(statement)]
+    # the Taylor recurrences of one attempt of each FULL_EQUATIONS text at
+    # p = 13, as the single run's loop holds them: 499 multiplies under
+    # either decay law, and 384 adds or subtracts under the exponential law,
+    # 385 under the polynomial one. Summing both pairs of the squares q1q1
+    # and q2q2, multiplying epsilon into every coefficient and writing
+    # products and quotients by 1.0 took 599 and 469, on one text of both
+    # laws; that text's conditional decay factor took 511 and 385. No
+    # attempt branches on the law: the single run's one ``if`` is the clamp
+    # to t_end, and the batched step has none
+    counts = {}
+    for law, equations in FULL_EQUATIONS.items():
+        text = "\n".join(integrate_module._TaylorEmitter(equations, 13, batch=False).lines())
+        recurrences = ast.parse(text).body
+        attempt = _loop_attempt(equations, 4, 13)
+        assert list(map(ast.dump, attempt[:len(recurrences)])) == list(map(ast.dump, recurrences))
+        nodes = [node for statement in recurrences for node in ast.walk(statement)]
 
-    def count(*ops):
-        return sum(isinstance(node, ast.BinOp) and isinstance(node.op, ops) for node in nodes)
-    assert (count(ast.Mult), count(ast.Add, ast.Sub)) == (511, 385)
-    assert not re.search(r"\* 1\.0\b|\b1\.0 \*|/ 1\.0\b", text)
+        def count(*ops):
+            return sum(isinstance(node, ast.BinOp) and isinstance(node.op, ops) for node in nodes)
+        counts[law] = count(ast.Mult), count(ast.Add, ast.Sub)
+        assert not re.search(r"\* 1\.0\b|\b1\.0 \*|/ 1\.0\b", text)
+        assert [ast.unparse(node.test) for statement in attempt for node in ast.walk(statement)
+                if isinstance(node, ast.If)] == ["h >= t_end - t"]
+        step = ast.parse(integrate_module._taylor_step_source(4, equations, 13))
+        assert not any(isinstance(node, ast.If) for node in ast.walk(step))
+    assert counts == {"exponential": (499, 384), "polynomial": (499, 385)}
 
 
 def test_single_run_attempt_calls_only_exp_and_the_finiteness_fallback():
@@ -1074,7 +1091,7 @@ def test_single_run_attempt_calls_only_exp_and_the_finiteness_fallback():
     # high order
     importlib.import_module("symevol.averaged")
     fields = list(model_module._FIELDS)
-    assert FULL_EQUATIONS in fields and len(fields) > 2
+    assert set(FULL_EQUATIONS.values()) < set(fields)
     for equations in fields:
         exps = sum(isinstance(node, ast.Call) and ast.unparse(node.func) == "exp"
                    for statement in equations.body for node in ast.walk(ast.parse(statement)))
@@ -1098,15 +1115,17 @@ def test_single_run_attempt_calls_only_exp_and_the_finiteness_fallback():
 
 
 def test_attempt_reads_a_copied_coefficient_where_it_is_stored(monkeypatch):
-    # -tau's k = 1 term, which exp(-tau)'s recurrence reads, and 1.0 + tau's
-    # are each only another series' coefficient: no statement copies them, in
-    # the single run's loop or in the batched step, and reading them where
-    # they are stored moves no bit of a run of either decay law, one or a batch
+    # -tau's k = 1 term, which exp(-tau)'s recurrence reads, is only another
+    # series' coefficient: no statement copies it, in the single run's loop or
+    # in the batched step, and reading it where it is stored moves no bit of
+    # a run of either decay law, one or a batch. The polynomial law's text
+    # reads tau once, in 1.0 + tau, so tau is not stored and has no copy
     copy = re.compile(r"\s*_s\d+(_\d+|\[\d+\]) = _[sy]\d+(_\d+|\[\d+\])")  # the state's are its own
 
     def copies():
-        return [line for source in (integrate_module._taylor_loop_source(4, FULL_EQUATIONS, 13),
-                                    integrate_module._taylor_step_source(4, FULL_EQUATIONS, 13))
+        return [line for equations in FULL_EQUATIONS.values()
+                for source in (integrate_module._taylor_loop_source(4, equations, 13),
+                               integrate_module._taylor_step_source(4, equations, 13))
                 for line in source.splitlines() if copy.fullmatch(line)]
 
     def runs():
@@ -1123,7 +1142,7 @@ def test_attempt_reads_a_copied_coefficient_where_it_is_stored(monkeypatch):
     for cache in caches:
         cache.cache_clear()
     try:
-        assert len(copies()) == 4  # each law's copy, in the loop and in the step
+        assert len(copies()) == 2  # the exponential law's, in the loop and in the step
         copied = runs()
     finally:
         for cache in caches:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import symevol.model as model_module
+from symevol.experiments import full_field
 from symevol.integrate import IntegratorConfig, integrate
-from symevol.model import (DISSIPATIVE_EQUATIONS, FULL_EQUATIONS, CartesianState, ModelParams,
+from symevol.model import (DISSIPATIVE_EQUATIONS, CartesianState, ModelParams,
                            alpha, cartesian_to_dissipative, dissipative_rhs,
                            dissipative_to_cartesian, eval_hamiltonian, full_rhs)
 
@@ -176,7 +177,7 @@ def test_frozen_time_energy_conservation():
     p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.1, n=2, delta=0.0)
     y0 = np.array([0.0, 0.5, 0.0, 0.5])
     cfg = IntegratorConfig(t_end=100.0, sample_dt=0.5, rtol=1e-10, atol=1e-12)
-    traj = integrate(FULL_EQUATIONS.at(p), y0, cfg)
+    traj = integrate(full_field(p), y0, cfg)
     h = np.array([eval_hamiltonian(t, s, p) for t, s in zip(traj.times, traj.states)])
     assert np.max(np.abs(h - h[0])) < 1e-8
 
@@ -187,8 +188,8 @@ def test_discrete_symmetry_reflection():
     y0 = np.array([0.3, 0.5, 0.2, -0.4])
     y0_ref = y0 * np.array([1.0, 1.0, -1.0, -1.0])
     cfg = IntegratorConfig(t_end=60.0, sample_dt=0.25, rtol=1e-10, atol=1e-12)
-    a = integrate(FULL_EQUATIONS.at(p), y0, cfg)
-    b = integrate(FULL_EQUATIONS.at(p), y0_ref, cfg)
+    a = integrate(full_field(p), y0, cfg)
+    b = integrate(full_field(p), y0_ref, cfg)
     flipped = b.states * np.array([1.0, 1.0, -1.0, -1.0])
     assert np.max(np.abs(a.states - flipped)) < 1e-12
 
@@ -197,7 +198,7 @@ def test_dissipative_transform_equivalence(params12):
     y0 = np.array([0.1, 0.5, -0.2, 0.4])
     cfg = IntegratorConfig(t_end=200.0, sample_dt=1.0, rtol=1e-10, atol=1e-12)
     intermediate = params12.replace(a1=0.0, a2=0.0)
-    direct = integrate(FULL_EQUATIONS.at(intermediate), y0, cfg)
+    direct = integrate(full_field(intermediate), y0, cfg)
     z0 = cartesian_to_dissipative(0.0, y0, params12.delta)
     damped = integrate(DISSIPATIVE_EQUATIONS.at(params12), z0, cfg)
     mapped = dissipative_to_cartesian(damped.times, damped.states, params12.delta)

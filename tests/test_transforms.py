@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from symevol.experiments import full_field
 from symevol.integrate import IntegratorConfig, integrate
-from symevol.model import FULL_EQUATIONS, CartesianState, ModelParams
+from symevol.model import CartesianState, ModelParams
 from symevol.resonance import combination_angle
 from symevol.transforms import mode_actions, polar_coordinates, polar_to_cart, slow_rhs, wrap_angle
 
@@ -159,7 +160,7 @@ def test_transformed_flow_matches_intermediate_system():
         return out
 
     intermediate = p.replace(a1=0.0, a2=0.0)
-    cart_traj = integrate(FULL_EQUATIONS.at(intermediate), ic.as_array(), cfg)
+    cart_traj = integrate(full_field(intermediate), ic.as_array(), cfg)
     polar_states = _dop853(yflow, np.array(pol), cart_traj.times)
     mapped = polar_to_cart(cart_traj.times, polar_states, p.omega)
     assert np.max(np.abs(mapped - cart_traj.states)) < 1e-7
@@ -169,7 +170,7 @@ def test_slow_rhs_equivalent_to_full_system(params12):
     ic = CartesianState(0.0, 0.1, 0.5, -0.2, 0.4)
     pol = [*polar_coordinates(ic.t, ic.as_array(), params12.omega), params12.delta * ic.t]
     cfg = IntegratorConfig(t_end=50.0, sample_dt=0.5, rtol=1e-11, atol=1e-13)
-    cart = integrate(FULL_EQUATIONS.at(params12), ic.as_array(), cfg)
+    cart = integrate(full_field(params12), ic.as_array(), cfg)
     polar = _dop853(lambda t, y: slow_rhs(t, y, params12), np.array(pol), cart.times)
     mapped = polar_to_cart(cart.times, polar, params12.omega)
     assert np.max(np.abs(mapped - cart.states)) < 1e-7
