@@ -6,15 +6,18 @@ comes as one, made by :meth:`symevol.model.Equations.at`);
 :class:`_TaylorEmitter` reads the equations' statements with ``ast`` and
 writes the recurrences of their Taylor coefficients, one coefficient at a
 time, as straight-line statements: locals of floats in the single run's loop
-(:data:`_TAYLOR_LOOP`), rows of arrays in the batched step, with the same
-operations in the same order, so a batch row equals its single run bit for
-bit. A series times itself sums each symmetric pair once (the square rule of
-Jorba & Zou and of TIDES), and the subexpressions of the parameters alone run
-once per run, under names of their own. A batch writes each Cauchy sum, and
-each half of a square, of three terms or more as one ``np.add.reduce`` over
-the rows of the products, which adds them in the single run's order from two
-columns on, so it never steps fewer than two columns
-(:meth:`_TaylorEmitter.dot`). The order p follows from rtol
+(:data:`_TAYLOR_LOOP`), rows in the batched step, with the same operations in
+the same order, so a batch row equals its single run bit for bit. A series
+times itself sums each symmetric pair once (the square rule of Jorba & Zou
+and of TIDES), and the subexpressions of the parameters alone run once per
+run, under names of their own. The batched step (:class:`_BatchStep`) makes
+one numpy call per group of like operations of an order whose operands are
+ready, an op after every op it reads, on views of one buffer of rows that
+it allocates and views once per row count: its Cauchy sums, and the halves
+of its squares, of three terms or more are ``np.add.reduce`` over axis 0 of
+their products, one or several sums of equal length at once, which adds them
+in the single run's order from two columns on, so it never steps fewer than
+two columns (:meth:`_TaylorEmitter.dot`). The order p follows from rtol
 (:func:`_taylor_order`), and the step size from the last two coefficients,
 capped at a fraction of the series' estimated radius of convergence
 (:func:`_step_rule_lines`); there is no error test. The new state and the
@@ -30,8 +33,10 @@ are written in place, and the state stays in locals across steps; it makes
 no numpy call, and no ``abs``, ``min``, ``max``, ``isfinite`` or other Python
 call, per step but on a step that holds a sample. A batch of independent
 initial states (``y0`` of shape (N, d)) holds the rows as columns of a (d, n)
-array; every row keeps its own time and step size. Both loops hold their accepted steps in a block,
-a single run only the steps that hold a sample, and fill the block's samples
+array; every row keeps its own time and step size. Both loops hold their
+accepted steps in a block, a batch each with a copy of its coefficients,
+which the step's next call overwrites, and a single run only the steps that
+hold a sample, as floats; they fill the block's samples
 through :func:`_taylor_fill` once it holds a bounded number of row-steps (a
 batch) or samples (a single run), and at the end, so that the memory the
 fill holds stays bounded. The returned sample times are exactly the
@@ -48,6 +53,7 @@ from __future__ import annotations
 
 import ast
 import bisect
+import collections
 import functools
 import itertools
 import math
@@ -293,7 +299,8 @@ def _power(x, exponent):
     mapped over the entries, so that a batch row takes the bits of the single
     run's ``**`` on a float (numpy's power differs from libm's in the last
     bit of ~5 % of inputs)."""
-    return np.fromiter(map(math.pow, x.tolist(), itertools.repeat(exponent)), float, x.size)
+    values = map(math.pow, x.ravel().tolist(), itertools.repeat(exponent))
+    return np.fromiter(values, float, x.size).reshape(x.shape)
 
 
 def _sum_source(name, terms) -> list:
@@ -303,11 +310,6 @@ def _sum_source(name, terms) -> list:
     for i in range(64, len(terms), 64):
         lines.append(f"{name} = {name} + {' + '.join(terms[i:i + 64])}")
     return lines
-
-
-def _names(prefix, d) -> str:
-    """``prefix0, ..., prefix<d-1>,``: d names as a tuple's items."""
-    return " ".join(f"{prefix}{j}," for j in range(d))
 
 
 def _indented(lines, depth) -> list:
@@ -406,8 +408,9 @@ class _TaylorEmitter:
     """The recurrences of the Taylor coefficients of the rates of
     ``equations`` up to order p, as straight-line statements: on floats in
     locals for a single run's loop, on the (n,) rows of arrays for a batched
-    step (``batch``). Both forms take the same operations in the same order,
-    so every entry of a batch gets the single run's bits.
+    step (``batch``), which :class:`_BatchStep` parses into grouped numpy
+    calls. Both forms take the same operations in the same order, so every
+    entry of a batch gets the single run's bits.
 
     Each name the body's statements assign from ``t`` or a state name,
     directly or through an earlier statement, becomes a series; every other
@@ -475,18 +478,22 @@ class _TaylorEmitter:
                              *(f"{name} = {text}" for text, name in self.hoisted.items())]
 
     def lines(self) -> list:
-        """The statements of every coefficient: for k = 0, ..., p - 1, each
-        stored series' coefficient k, then each state component's
-        coefficient k + 1, its rate's coefficient k over k + 1. Coefficient 0
-        of the state is the state at the step's start."""
+        """The statements of every coefficient, order by order
+        (:meth:`order`)."""
+        return [line for k in range(self.p) for line in self.order(k)]
+
+    def order(self, k) -> list:
+        """The statements of order k: each stored series' coefficient k,
+        then each state component's coefficient k + 1, its rate's
+        coefficient k over k + 1. Coefficient 0 of the state is the state at
+        the step's start."""
         lines = []
-        for k in range(self.p):
-            for series in self.ops:
-                lines += series.lines(self, k)
-            for state, rate in zip(self.state, self.rates):
-                x = self.coef(rate, k)
-                value = _over(x, f"{k + 1}.0") if x else "0.0"
-                lines.append(f"{self.coef(state, k + 1)} = {value}")
+        for series in self.ops:
+            lines += series.lines(self, k)
+        for state, rate in zip(self.state, self.rates):
+            x = self.coef(rate, k)
+            value = _over(x, f"{k + 1}.0") if x else "0.0"
+            lines.append(f"{self.coef(state, k + 1)} = {value}")
         return lines
 
     def coef(self, x, k):
@@ -504,9 +511,12 @@ class _TaylorEmitter:
     def dot(self, x, y, lo, hi, k) -> str:
         """The sum of x_i y_(k-i) over i = lo, ..., hi, left to right; in a
         batch, of three terms or more, as ``add_reduce`` (``np.add.reduce``)
-        of the (terms, n) products over axis 0. With n >= 2 columns numpy
-        adds the rows in that order, one column at a time; one column it
-        sums pairwise, so :func:`_run_rows` never steps fewer than two
+        of the products over axis 0, which the batched step runs on the
+        (terms, n) products of one sum or the (terms, S, n) products of S
+        sums of equal length (:class:`_BatchStep`). With n >= 2 columns
+        numpy adds the terms in that order, for every entry, and so it does
+        on one column for S >= 2 sums; one sum on one column it adds
+        pairwise, so :func:`_run_rows` never binds fewer than two columns
         (``test_add_reduce_adds_rows_in_order`` pins the order). A series
         with a coefficient in another's storage (``copies``) has no rows to
         slice; its sums are written out, in the same order."""
@@ -654,27 +664,27 @@ def _over(a, b) -> str:
 
 
 def _step_rule_lines(emitter, d: int, p: int) -> list:
-    """The step ``h`` of a Taylor attempt from its coefficients c_k: with
-    tol = atol + rtol ||y||, ||.|| the largest component's size, the step at
-    which each of the last two terms, ||c_k|| h^k for k = p - 1 and p, is
-    tol, times _TAYLOR_SAFETY; at most _RADIUS_FRACTION of the radius of
-    convergence each estimates, (||y|| / ||c_k||)^(1/k). A zero norm bounds
-    nothing, and so does a NaN one.
+    """The step ``h`` of a single run's Taylor attempt from its coefficients
+    c_k: with tol = atol + rtol ||y||, ||.|| the largest component's size,
+    the step at which each of the last two terms, ||c_k|| h^k for k = p - 1
+    and p, is tol, times _TAYLOR_SAFETY; at most _RADIUS_FRACTION of the
+    radius of convergence each estimates, (||y|| / ||c_k||)^(1/k). A zero
+    norm bounds nothing, and so does a NaN one. The batched step takes the
+    same rule on its arrays (:func:`_batch_rule`).
 
     The sizes, the norms' maxima and the clamps are conditional expressions,
-    the builtins' own rules (``abs`` and ``where`` in a batch), so the single
-    run makes no ``abs``, ``min`` or ``max`` call, and the powers libm's:
-    ``**`` on floats, ``power`` per entry in a batch. A size of -0.0 or -NaN,
-    where ``abs`` gives 0.0 or NaN, leaves h as it is: a zero or NaN norm
-    bounds nothing whatever its sign, and adds nothing to tol."""
+    the builtins' own rules, so the run makes no ``abs``, ``min`` or ``max``
+    call, and the powers libm's ``**``. A size of -0.0 or -NaN, where
+    ``abs`` gives 0.0 or NaN, leaves h as it is: a zero or NaN norm bounds
+    nothing whatever its sign, and adds nothing to tol."""
     def pick(condition, a, b):
-        return f"where({condition}, {a}, {b})" if emitter.batch else f"{a} if {condition} else {b}"
+        return f"{a} if {condition} else {b}"
 
     def size(x):
-        return f"abs({x})" if emitter.batch else pick(f"{x} >= 0.0", x, f"-{x}")
+        return pick(f"{x} >= 0.0", x, f"-{x}")
 
     def power(x, exponent):
-        return f"power({x}, {exponent!r})" if emitter.batch else f"({x}) ** {exponent!r}"
+        return f"({x}) ** {exponent!r}"
 
     lines = []
     for norm, k in (("_ny", 0), ("_na", p - 1), ("_nb", p)):
@@ -786,32 +796,433 @@ def _taylor_loop_code(d: int, equations, p: int):
     return compile(_taylor_loop_source(d, equations, p), "<taylor loop>", "exec")
 
 
+# the ufunc, as the batched step names it, of each operator of a statement
+_UFUNCS = {ast.Add: "_add", ast.Sub: "_subtract", ast.Mult: "_multiply", ast.Div: "_divide",
+           ast.USub: "_negative"}
+
+
+class _Op:
+    """One operation of a batched step's order on rows of its buffer:
+    ``kind`` (a ufunc's name in the step, ``dot``, ``exp`` or ``copy``) of
+    ``args``, each a row, another op or a scalar's text (a dot's are the
+    columns of its two series and its first and last term), after the ops
+    it ``reads``. It writes ``row``: a statement's target (``top``), a row
+    laid out beside its like ops' (:meth:`_BatchStep.place`), or one the
+    schedule gives it."""
+
+    def __init__(self, kind, args, reads):
+        self.kind, self.args, self.reads = kind, args, reads
+        self.row, self.top = None, False
+
+    def signature(self):
+        """What ops must share to run as one call: a dot its terms, any
+        other op its kind and which of its arguments are scalars; and
+        whether its row is set before the schedule."""
+        if self.kind == "dot":
+            return "dot", *self.args[2:], self.row is not None
+        return self.kind, tuple(isinstance(arg, str) for arg in self.args), self.row is not None
+
+
+def _like(op):
+    """What like ops share: an op's signature, but for whether its row is
+    set, and what each of its arguments is (a row, an op or a scalar)."""
+    return *op.signature()[:-1], *(type(arg).__name__ for arg in op.args)
+
+
+def _shape(op):
+    """An op's whole tree, as :func:`_like` sees each of its ops."""
+    return _like(op), *(_shape(arg) for arg in op.args if isinstance(arg, _Op))
+
+
+def _chains(columns, follows) -> list:
+    """The ``columns`` in an order that puts column b right after column a
+    for as many of the pairs (a, b) that ``follows`` counts as it can, the
+    most frequent first: each column gets at most one next and one previous,
+    and no chain closes on itself; the chains in the order of their first
+    columns."""
+    columns, after, before = set(columns), {}, {}
+    for (a, b), _ in follows.most_common():
+        if a in columns and b in columns and a not in after and b not in before:
+            end = b
+            while end in after:
+                end = after[end]
+            if end != a:
+                after[a], before[b] = b, a
+    order = []
+    for column in sorted(columns - before.keys()):
+        order.append(column)
+        while order[-1] in after:
+            order.append(after[order[-1]])
+    return order
+
+
+def _evenly(values) -> bool:
+    """Whether the ints ``values`` are evenly spaced (all equal included), so
+    that one slice views them."""
+    return all(b - a == values[1] - values[0] for a, b in zip(values, values[1:]))
+
+
+class _BatchStep:
+    """The source of a batched Taylor step (:func:`_taylor_step_source`).
+
+    Every row the step writes is a row of one buffer, ``_w``, of shape
+    (rows, n): first coefficient k of every stored series, row k R + c for
+    the series of column c (the state's d components, then the emitter's
+    stored series, R columns), viewed as ``_a`` of shape (p + 1, R, n); then
+    the time; then the intermediate values of an order, which every order
+    reuses. Each statement of an order (:meth:`_TaylorEmitter.order`) is
+    parsed into ops (:meth:`lower`), one per operator, ``exp`` and
+    ``add_reduce``, so each entry takes the statement's operations in its
+    order. The ops are grouped (:meth:`schedule`), each group one numpy call
+    on views of the buffer, bound once, when the step is bound to a row
+    count; a statement that writes a scalar runs once, then. A group's rows
+    must be consecutive, as a strided view costs numpy more than the calls
+    it saves, so the columns and the intermediate rows are laid out for the
+    groups: the columns that like ops read side by side are neighbours
+    (:meth:`neighbours`), and so are the rows of like operands of like ops
+    (:meth:`place`).
+    """
+
+    def __init__(self, emitter, d, p):
+        self.emitter, self.d, self.p = emitter, d, p
+        names = [f"_y{j}" for j in range(d)] + [f"_{name}" for name in emitter.storage]
+        self.width = len(names)
+        self.time = (p + 1) * self.width
+        # the columns that like ops read side by side (neighbours) are put
+        # next to each other, the state's among the state's and the other
+        # series' among theirs (_chains)
+        self.columns, self.fills = {name: j for j, name in enumerate(names)}, []
+        follows = self.neighbours()
+        order = _chains(range(d), follows) + _chains(range(d, self.width), follows)
+        self.columns = {names[c]: j for j, c in enumerate(order)}
+        self.size = self.time + 1  # the buffer's rows: past the intermediates of every order
+        self.products = 0  # the rows of the largest dot group's products
+        self.views, self.constants, self.fills = {}, {}, []
+
+    def neighbours(self) -> collections.Counter:
+        """How often like targets of one order, in statement order, and the
+        rows that they, and their like operands in turn, read at one place
+        are in column a and then column b (a dot's, its series' columns)."""
+        follows = collections.Counter()
+
+        def pairs(members):
+            if members[0].top:
+                follows.update(zip((op.row % self.width for op in members[:-1]),
+                                   (op.row % self.width for op in members[1:])))
+            for i in range(2 if members[0].kind == "dot" else len(members[0].args)):
+                args = [op.args[i] for op in members]
+                if members[0].kind == "dot":
+                    follows.update((a, b) for a, b in zip(args, args[1:]) if a != b)
+                elif all(isinstance(arg, int) and arg < self.time for arg in args):
+                    follows.update((a % self.width, b % self.width)
+                                   for a, b in zip(args, args[1:]) if a != b)
+                elif all(isinstance(arg, _Op) for arg in args) and len(set(map(_like, args))) == 1:
+                    pairs(args)
+
+        for k in range(self.p):
+            runs = {}
+            for op in self.lower(k):
+                if op.top:
+                    runs.setdefault((_like(op), op.row % self.width < self.d), []).append(op)
+            for run in runs.values():
+                # targets whose whole statements are alike pair among
+                # themselves, if any are
+                shapes = {}
+                for op in run:
+                    shapes.setdefault(_shape(op), []).append(op)
+                alike = [members for members in shapes.values() if len(members) > 1]
+                for members in alike or [run]:
+                    if len(members) > 1:
+                        pairs(members)
+        return follows
+
+    def operands(self, group) -> list:
+        """The rows of each operand of a group's members, and of the targets
+        it writes, each a list in member order; a dot's series' columns."""
+        first = group[0]
+        if first.kind == "dot":
+            rows = [[op.args[i] for op in group] for i in (0, 1)]
+        else:
+            rows = [[op.args[i] if isinstance(op.args[i], int) else op.args[i].row
+                     for op in group]
+                    for i, arg in enumerate(first.args) if not isinstance(arg, str)]
+        return rows + [[op.row for op in group]] if first.row is not None else rows
+
+    def view(self, text) -> str:
+        """The name the step reads the view ``text`` of the buffer by."""
+        return self.views.setdefault(text, f"_v{len(self.views)}")
+
+    def rows(self, rows) -> str:
+        """The view of the evenly spaced ``rows`` of the buffer: one row,
+        read by every member of a group when they are all the same."""
+        step = rows[1] - rows[0] if len(rows) > 1 else 0
+        if step == 0:
+            return self.view(f"_w[{rows[0]}]")
+        stop = rows[0] + step * len(rows)
+        return self.view(f"_w[{rows[0]}:{stop if stop >= 0 else ''}"
+                         f"{f':{step}' if step != 1 else ''}]")
+
+    def terms(self, columns, first, last) -> str:
+        """The view of coefficients first, ..., last (either way) of the
+        series in the evenly spaced ``columns``: (terms, n) for one series,
+        (terms, 1, n) for one read by every member, else (terms, S, n)."""
+        down = last < first
+        stop = last - 1 if down else last + 1
+        span = f"{first}:{stop if stop >= 0 else ''}{':-1' if down else ''}"
+        step = columns[1] - columns[0] if len(columns) > 1 else 0
+        if len(columns) == 1:
+            return self.view(f"_a[{span}, {columns[0]}]")
+        if step == 0:
+            return self.view(f"_a[{span}, {columns[0]}, None]")
+        stop = columns[0] + step * len(columns)
+        return self.view(f"_a[{span}, {columns[0]}:{stop if stop >= 0 else ''}:{step}]")
+
+    def scalar(self, texts) -> str:
+        """The name of the scalars ``texts`` of a group's members, bound
+        once: a 0-d array if they are one, else one row of each."""
+        if len(set(texts)) == 1:
+            text = f"_array({texts[0]}, float)"
+        else:
+            text = f"_array([{', '.join(texts)}], float)[:, None].repeat(_n, 1)"
+        return self.constants.setdefault(text, f"_k{len(self.constants)}")
+
+    def lower(self, k) -> list:
+        """The ops of order k in statement order, each operator's after its
+        operands'; a statement that writes a scalar goes to ``fills``."""
+        ops, writers = [], {}
+
+        def op(kind, args, reads=None):  # reads: the rows it reads, if not its args
+            if reads is None:
+                reads = [arg for arg in args if isinstance(arg, int)]
+            new = _Op(kind, args, {writers[row] for row in reads if row in writers}
+                      | {arg for arg in args if isinstance(arg, _Op)})
+            ops.append(new)
+            return new
+
+        def row(node):  # coefficient node.slice of the series node.value
+            return node.slice.value * self.width + self.columns[node.value.id]
+
+        def value(node):
+            if not any(isinstance(n, ast.Subscript) or (isinstance(n, ast.Name) and n.id == "t")
+                       for n in ast.walk(node)):
+                return ast.unparse(node)
+            if isinstance(node, ast.Name):
+                return self.time
+            if isinstance(node, ast.Subscript):
+                return row(node)
+            if isinstance(node, ast.Call) and node.func.id == "add_reduce":
+                x, y = node.args[0].left, node.args[0].right
+                lo, hi = x.slice.lower.value, x.slice.upper.value - 1
+                cx, cy = self.columns[x.value.id], self.columns[y.value.id]
+                return op("dot", [cx, cy, lo, hi],
+                          [j * self.width + c for i in range(lo, hi + 1)
+                           for j, c in ((i, cx), (k - i, cy))])
+            if isinstance(node, ast.Call):
+                return op("exp", [value(node.args[0])])
+            operands = [node.operand] if isinstance(node, ast.UnaryOp) else [node.left, node.right]
+            return op(_UFUNCS[type(node.op)], list(map(value, operands)))
+
+        for statement in self.emitter.order(k):
+            assign = ast.parse(statement).body[0]
+            target, result = row(assign.targets[0]), value(assign.value)
+            if isinstance(result, str):
+                self.fills.append(f"_w[{target}] = {result}")
+                continue
+            if isinstance(result, int):
+                result = op("copy", [result])
+            result.row, result.top = target, True
+            writers[target] = result
+        return ops
+
+    def place(self, ops) -> int:
+        """Lay out the rows of the ops that like ops read side by side, and
+        return the first row past them. The operands at one place of a run
+        of like ops whose targets are consecutive rows, when they are ops
+        with no row yet, one per member, get consecutive rows, in member
+        order, so that the run reads them through one view; and so, in
+        turn, do the operands of such operands when they are like ops."""
+        free = self.time + 1
+
+        def lay(members):
+            nonlocal free
+            for i in range(len(members[0].args)):
+                args = [op.args[i] for op in members]
+                if all(isinstance(arg, _Op) and arg.row is None for arg in args) \
+                        and len(set(map(id, args))) == len(args):
+                    for arg in args:
+                        arg.row, free = free, free + 1
+                    if len(set(map(_like, args))) == 1:
+                        lay(args)
+
+        runs = {}
+        for op in sorted((op for op in ops if op.top), key=lambda op: op.row):
+            run = runs.setdefault(_like(op), [[]])
+            if run[-1] and op.row != run[-1][-1].row + 1:
+                run.append([])
+            run[-1].append(op)
+        for members in (run for key in runs for run in runs[key] if len(run) > 1):
+            lay(members)
+        return free
+
+    def schedule(self, ops) -> list:
+        """The ops of one order as groups of like ops (one signature), each
+        one numpy call, in an order that keeps every op after the ops it
+        reads. Of the signatures with members ready, the first one whose
+        members are all ready goes next, else the one with the most ready
+        members; its ready members, by row or else by the rows they read,
+        split into the longest runs whose rows one view each can hold
+        (:meth:`fits`). An op with no row takes the next free one."""
+        pending, done, groups = list(ops), set(), []
+        free = self.place(ops)
+        while pending:
+            buckets = {}
+            for op in pending:
+                if op.reads <= done:
+                    buckets.setdefault(op.signature(), []).append(op)
+            left = collections.Counter(op.signature() for op in pending)
+            complete = [key for key, members in buckets.items() if len(members) == left[key]]
+            members = buckets[complete[0] if complete
+                              else max(buckets, key=lambda key: len(buckets[key]))]
+            members.sort(key=lambda op: [op.row] if op.row is not None
+                         else list(zip(*self.operands([op]))))
+            parts = [[]]
+            for op in members:
+                if parts[-1] and not self.fits(parts[-1] + [op]):
+                    parts.append([])
+                parts[-1].append(op)
+            for part in parts:
+                for op in part:
+                    if op.row is None:
+                        op.row, free = free, free + 1
+                groups.append(part)
+            done.update(members)
+            pending = [op for op in pending if op not in done]
+        self.size = max(self.size, free)
+        return groups
+
+    def fits(self, group) -> bool:
+        """Whether one view each can hold the group's rows, each a block of
+        consecutive rows, on which numpy's loop runs as fast as on one row
+        (a dot's series' columns need only be evenly spaced): every
+        operand's, and the targets it writes."""
+        if group[0].kind == "dot":
+            return all(map(_evenly, self.operands(group)))
+        return all(rows == list(range(rows[0], rows[0] + len(rows)))
+                   for rows in self.operands(group))
+
+    def call(self, group, k) -> list:
+        """The statements of one group: its numpy call on views."""
+        first, size = group[0], len(group)
+        out = self.rows([op.row for op in group])
+        if first.kind == "dot":
+            lo, hi = first.args[2:]
+            x = self.terms([op.args[0] for op in group], lo, hi)
+            y = self.terms([op.args[1] for op in group], k - lo, k - hi)
+            terms = hi - lo + 1
+            self.products = max(self.products, terms * size)
+            products = self.view(f"_pr[:{terms}]" if size == 1
+                                 else f"_pr[:{terms * size}].reshape({terms}, {size}, _n)")
+            return [f"_multiply({x}, {y}, {products})", f"_add_reduce({products}, 0, None, {out})"]
+        args = [self.scalar([op.args[i] for op in group]) if isinstance(arg, str)
+                else self.rows([op.args[i] if isinstance(op.args[i], int) else op.args[i].row
+                                for op in group])
+                for i, arg in enumerate(first.args)]
+        if first.kind == "copy":
+            return [f"_copyto({out}, {args[0]})"]
+        if first.kind == "exp":
+            return [f"_copyto({out}, exp({args[0]}))"]
+        return [f"{first.kind}({', '.join(args)}, {out})"]
+
+    def source(self) -> str:
+        """The step's text: each order's groups, the step rule, the clamp
+        and Horner's rule, in ``step``, and the buffers and views they read
+        in ``bind``; ``_state_columns`` holds each state component's
+        column."""
+        d, p, emitter = self.d, self.p, self.emitter
+        body = []
+        for k in range(p):
+            for group in self.schedule(self.lower(k)):
+                body += self.call(group, k)
+        horner = [self.view(f"_a[{k}, :{d}]") for k in range(p + 1)]
+        column = [self.columns[f"_y{j}"] for j in range(d)]  # each state component's
+        rule_buffers, rule = _batch_rule(d, p, horner, column)
+        step = ["_t[:_m] = t", f"{horner[0]}[:, :_m] = y", *body, *rule,
+                f"_multiply({horner[p]}, _hd, _z)", f"_add(_z, {horner[p - 1]}, _z)",
+                *(line for k in range(p - 2, -1, -1)
+                  for line in ("_multiply(_z, _hd, _z)", f"_add(_z, {horner[k]}, _z)")),
+                "_isfinite(_z, _fz)",
+                "return _c[:, :, :_m].copy(), _h[:_m], _tn[:_m].copy(), _z[:, :_m], "
+                "_fz[:, :_m].all(0)"]
+        bind = [f"_w = _zeros(({self.size}, _n))",
+                f"_a = _w[:{self.time}].reshape({p + 1}, {self.width}, _n)",
+                f"_c = _a[:, :{d}]",
+                f"_t = _w[{self.time}]",
+                f"_pr = _empty(({max(self.products, 1)}, _n))",
+                *(f"{name} = {text}" for text, name in self.views.items()),
+                *(f"{name} = {text}" for text, name in self.constants.items()),
+                *self.fills, *rule_buffers]
+        return "\n".join([*emitter.once_per_run, f"_state_columns = {column}", "def bind(_n):",
+                          *_indented(bind, 1),
+                          "    def step(t, y, t_end, rtol, atol):",
+                          "        _m = len(t)",
+                          *_indented(step, 2),
+                          "    return step"])
+
+
+def _batch_rule(d, p, coefficients, column) -> tuple:
+    """The step rule of :func:`_step_rule_lines`, the clamp to t_end and h
+    per component, on the batched step's buffers, in fewer calls: the sizes
+    of coefficients 0, p - 1 and p at once, the three norms' running maxima
+    (``_ny``, ``_na``, ``_nb``) at once, one component at a time, and each
+    norm's pair of bounds (tol and the radius) with one ``_power``. The
+    single run's ``where`` that makes the bound of a norm that is not
+    positive inf goes: such a bound is inf (a zero norm, as tol and the
+    radius are positive) or NaN (a NaN norm), and h is the least bound by
+    ``fmin`` from inf, which skips a NaN one, so neither moves h, as the
+    single run's inf does not. The lines that bind the buffers, then the
+    step's; ``coefficients`` names the view of each coefficient's
+    components, and ``column`` holds each component's column: the norms
+    take the components in their order, as the single run's do."""
+    bind = [f"_sz = _empty((3, {d}, _n))", "_sz0 = _sz[0]", "_sz12 = _sz[1:]",
+            *(f"_sz_{j} = _sz[:, {column[j]}]" for j in range(d)),
+            f"_cq = _a[{p - 1}:, :{d}]",
+            "_nrm = _empty((3, _n))", "_ny = _nrm[0]", "_nab = _nrm[1:, None]",
+            "_gt = _empty((3, _n), bool)", "_pos = _empty(_n, bool)",
+            "_size = _empty((2, _n))", "_tol, _ry = _size",
+            "_ratio = _empty((2, 2, _n))", "_ratio0, _ratio1 = _ratio",
+            f"_frac = _array({[_TAYLOR_SAFETY, _RADIUS_FRACTION]!r}, float)[:, None].repeat(_n, 1)",
+            "_bound = _empty((2, 2, _n))", "_bound0, _bound1 = _bound",
+            "_h, _dt, _tn = _empty((3, _n))", "_clamped = _empty(_n, bool)",
+            f"_hd, _z = _empty((2, {d}, _n))", f"_fz = _empty(({d}, _n), bool)"]
+    step = [f"_absolute({coefficients[0]}, _sz0)", "_absolute(_cq, _sz12)",
+            "_copyto(_nrm, _sz_0)"]
+    for j in range(1, d):
+        step += [f"_greater(_sz_{j}, _nrm, _gt)", f"_copyto(_nrm, _sz_{j}, where=_gt)"]
+    step += ["_multiply(rtol, _ny, _tol)", "_add(atol, _tol, _tol)",
+             "_greater(_ny, 0.0, _pos)", "_copyto(_ry, inf)", "_copyto(_ry, _ny, where=_pos)",
+             "_divide(_size, _nab, _ratio)",
+             f"_multiply(_frac, _power(_ratio0, {1.0 / (p - 1)!r}), _bound0)",
+             f"_multiply(_frac, _power(_ratio1, {1.0 / p!r}), _bound1)",
+             "_fmin_reduce(_bound, (0, 1), None, _h, initial=inf)",
+             "_subtract(t_end, _t, _dt)", "_greater_equal(_h, _dt, _clamped)",
+             "_copyto(_h, _dt, where=_clamped)", "_add(_t, _h, _tn)",
+             "_copyto(_tn, t_end, where=_clamped)", "_copyto(_hd, _h)"]
+    return bind, step
+
+
 def _taylor_step_source(d: int, equations, p: int) -> str:
-    """One Taylor attempt of order p over a batch, as source text: the
-    emitter's ``once_per_run`` statements, then ``step(t, y, t_end, rtol,
-    atol)``, which takes ``y`` as a (d, n) array, a column per row, and ``t``
-    as an (n,) array, and returns the coefficients as a (p + 1, d, n) array,
-    the step, its end, the new state and whether the attempt is finite, per
-    row. The statements are the single run's, written by the same emitter on
-    the rows of arrays (the state's series are views of the coefficient
-    array), and Horner's rule runs over all components at once, with the same
-    operations per entry."""
-    emitter = _TaylorEmitter(equations, p, batch=True)
-    lines = ["def step(t, y, t_end, rtol, atol):",
-             f"    _c = empty(({p + 1}, {d}, len(t)))",
-             "    _c[0] = y",
-             f"    {_names('_y', d)} = _c.transpose(1, 0, 2)",
-             *(f"    _{name} = empty(({degree + 1}, len(t)))"
-               for name, degree in emitter.storage.items()),
-             *_indented([*emitter.lines(), *_step_rule_lines(emitter, d, p)], 1),
-             "    clamped = h >= t_end - t",
-             "    h = where(clamped, t_end - t, h)",
-             "    t_new = where(clamped, t_end, t + h)",
-             f"    _z = _c[{p}] * h + _c[{p - 1}]",
-             *(f"    _z = _z * h + _c[{k}]" for k in range(p - 2, -1, -1)),
-             "    finite = isfinite(_z).all(axis=0)",
-             "    return _c, h, t_new, _z, finite"]
-    return "\n".join([*emitter.once_per_run, *lines])
+    """A batched Taylor attempt of order p, as source text: the emitter's
+    ``once_per_run`` statements, then ``bind(n)``, which allocates the
+    step's buffers for n columns (:class:`_BatchStep`) and returns
+    ``step(t, y, t_end, rtol, atol)``. That takes ``y`` as a (d, m) array, a
+    column per row, and ``t`` as an (m,) array, m <= n, and returns the
+    coefficients as a (p + 1, d, m) array, the step, its end, the new state
+    and whether the attempt is finite, per row; the coefficients and the new
+    state are views of the buffers, which its next call overwrites. The
+    statements are the single run's, written by the same emitter on rows,
+    and each row gets the single run's operations in its order, so its bits;
+    Horner's rule runs over all components at once."""
+    return _BatchStep(_TaylorEmitter(equations, p, batch=True), d, p).source()
 
 
 @functools.cache
@@ -858,54 +1269,81 @@ def _run_rows(rhs, y0, config, ts, out):
     """Integrate the (N, d) rows ``y0`` of ``rhs`` over ``config`` into
     ``out``, of shape (N, samples, d), and return the batch's stats: the
     step of :func:`_taylor_step_code` over the running rows, with the single
-    run's bookkeeping per row. A last running row steps as two copies of its
-    column, whose sums numpy adds in order (:meth:`_TaylorEmitter.dot`)."""
+    run's bookkeeping per row: each running row's counts and step sizes are
+    kept beside it and go to the per-row arrays as it leaves. The step's
+    buffers have a column for each running row, and at least two: numpy
+    adds the terms of a sum in order over two columns or more
+    (:meth:`_TaylorEmitter.dot`), so a last running row steps beside a
+    stale column. They are bound again, with a column per row, when the
+    running rows outgrow them or fill half of them or fewer, so a batch
+    binds them a few times at most, and a column past the running rows
+    only repeats a stale attempt, which no row reads. The step's columns
+    hold the state's components in its own order (``_state_columns``), and
+    the fill puts them back in the state's."""
     n_rows, d = y0.shape
     p = _taylor_order(config.rtol)
-    step = _taylor_function(_taylor_step_code, "step", rhs, d, p, config.t0,
-                            {"isfinite": np.isfinite, "exp": _exp, "where": np.where,
-                             "power": _power, "empty": np.empty,
-                             "add_reduce": np.add.reduce})
+    namespace = {
+        "exp": _exp, "inf": math.inf, "_power": _power, "_zeros": np.zeros,
+        "_empty": np.empty, "_array": np.array, "_copyto": np.copyto, "_add": np.add,
+        "_subtract": np.subtract, "_multiply": np.multiply, "_divide": np.divide,
+        "_negative": np.negative, "_absolute": np.absolute, "_greater": np.greater,
+        "_greater_equal": np.greater_equal, "_isfinite": np.isfinite,
+        "_add_reduce": np.add.reduce, "_fmin_reduce": np.fmin.reduce}
+    bind = _taylor_function(_taylor_step_code, "bind", rhs, d, p, config.t0, namespace)
+    columns = namespace["_state_columns"]
     t_end, rtol, atol = config.t_end, config.rtol, config.atol
     accepted = np.zeros(n_rows, dtype=np.int64)
     rejected = np.zeros(n_rows, dtype=np.int64)
     h_min, h_max, h_last = np.full(n_rows, math.inf), np.zeros(n_rows), np.full(n_rows, math.nan)
     failures, t_last = [], np.full(n_rows, float(t_end))
-    # live rows only, one column each, compressed whenever rows finish or fail
+    # live rows only, one column each, with their counts and step sizes,
+    # compressed whenever rows finish or fail; a row's go to the per-row
+    # arrays as it leaves
     rows = np.arange(n_rows)
     t = np.full(n_rows, float(config.t0))
-    y = y0.T.copy()
+    y = np.empty((d, n_rows))  # the state's components in the step's columns
+    y[columns] = y0.T
     idx = np.ones(n_rows, dtype=np.intp)
-    # the steps whose samples are not filled yet, held without a copy
+    live_accepted = np.zeros(n_rows, dtype=np.int64)
+    live_h = [h_min.copy(), h_max.copy(), h_last.copy()]
+    # the steps whose samples are not filled yet, each with its own copy of
+    # the coefficients, which the step's next call overwrites
     block, held = [], 0
+    step, width = None, 0
     with np.errstate(all="ignore"):
         while rows.size:
-            if rows.size > 1:
-                coeffs, h, t_new, y_new, finite = step(t, y, t_end, rtol, atol)
-            else:  # a last row steps as two copies of its column (see dot)
-                coeffs, h, t_new, y_new, finite = (
-                    v[..., :1] for v in step(t.repeat(2), y.repeat(2, axis=1), t_end, rtol, atol))
+            if not width // 2 < max(rows.size, 2) <= width:
+                width = max(rows.size, 2)
+                step = bind(width)
+            coeffs, h, t_new, y_new, finite = step(t, y, t_end, rtol, atol)
             stop = np.searchsorted(ts, t_new, side="right")
-            accepted[rows] += finite
-            h_min[rows] = np.where(finite & (h < h_min[rows]), h, h_min[rows])
-            h_max[rows] = np.where(finite & (h > h_max[rows]), h, h_max[rows])
-            h_last[rows] = np.where(finite, h, h_last[rows])
+            live_accepted += finite
+            np.minimum(live_h[0], h, out=live_h[0], where=finite)
+            np.maximum(live_h[1], h, out=live_h[1], where=finite)
+            np.copyto(live_h[2], h, where=finite)
             failed = _stops(t_new, h, t_end)
             if not finite.all():
                 # a non-finite row stops at its start and fills no sample
-                rejected[rows] += ~finite
                 failed |= ~finite
                 t_new, stop = np.where(finite, t_new, t), np.where(finite, stop, idx)
-            block.append((rows, idx, stop, t, coeffs.transpose(2, 0, 1)))
+            block.append((rows, idx, stop, t, coeffs))
             held += rows.size
             t, y, idx = t_new, y_new, stop
-            failures += _failed_rows(rows, t, finite, failed, t_last)
             live = (t < t_end) & ~failed
             if not live.all():
-                rows, t, idx = (v[live] for v in (rows, t, idx))
+                failures += _failed_rows(rows, t, finite, failed, t_last)
+                gone = ~live
+                leaving = rows[gone]
+                accepted[leaving], rejected[leaving] = live_accepted[gone], ~finite[gone]
+                for per_row, value in zip((h_min, h_max, h_last), live_h):
+                    per_row[leaving] = value[gone]
+                rows, t, idx, live_accepted = (v[live] for v in (rows, t, idx, live_accepted))
+                live_h = [value[live] for value in live_h]
                 y = y[:, live]
             if held >= _FILL_BLOCK or not rows.size:
-                _taylor_fill(out, ts, *(np.concatenate(column) for column in zip(*block)))
+                *steps, coeffs = zip(*block)
+                coeffs = np.concatenate(coeffs, axis=2).transpose(2, 0, 1)[..., columns]
+                _taylor_fill(out, ts, *map(np.concatenate, steps), coeffs)
                 block, held = [], 0
     return {**_batch_stats(_stats(p, accepted, rejected, h_min, h_max, h_last), failures),
             "row_t_last": t_last}

@@ -214,9 +214,9 @@ class Equations(NamedTuple):
     The statements' names share the generated code's namespace, so they
     must differ from its own: every name that starts with an underscore,
     ``t`` (the time), ``y``, ``h``, ``t_end``, ``t_new``, ``rtol``,
-    ``atol``, ``finite``, ``clamped``, ``inf``, ``exp``, ``isfinite``,
-    ``where``, ``power``, ``empty``, ``add_reduce`` and the names of the
-    single run's loop in ``integrate._TAYLOR_LOOP``.
+    ``atol``, ``finite``, ``inf``, ``exp``, ``isfinite``, the batched
+    step's ``bind`` and ``step``, and the names of the single run's loop in
+    ``integrate._TAYLOR_LOOP``.
     """
 
     state: tuple

@@ -17,7 +17,7 @@ from symevol.experiments import (EnsembleSpec, ScenarioConfig, _draw_initial,
 from symevol.config import ConfigError, build_scenario, load_config, preset_path
 from symevol.integrate import (MAX_GRID_POINTS, InlineRhs, IntegrationError, IntegratorConfig,
                                integrate, order_check)
-from symevol.integrate import _TaylorEmitter
+from symevol.integrate import _BatchStep, _TaylorEmitter
 from symevol.model import (ALPHA_KINDS, FULL_EQUATIONS, CartesianState, ModelParams, alpha,
                            full_rhs)
 from symevol.resonance import RESONANCES, cartesian_invariant
@@ -185,10 +185,11 @@ def test_inlined_alpha_once_per_attempt():
     # (or one division) of the first. Each run also takes the slow time once
     # more, for its guard at t0. A delta that counts its products counts one
     # per attempt, at the attempt's start time, under either law, in a
-    # single run and in a batch, where an attempt covers every row. In a
-    # single run under the polynomial law, the slow time's coefficient 1,
-    # delta itself, also multiplies the law's coefficients 0 to p - 2 in its
-    # division recurrence
+    # single run. In a batch an attempt covers every row: its step reads the
+    # times once per attempt, in one numpy product of delta and every row's
+    # time, which does not call delta's __mul__. In a single run under the
+    # polynomial law, the slow time's coefficient 1, delta itself, also
+    # multiplies the law's coefficients 0 to p - 2 in its division recurrence
     times = []
 
     class CountedDelta(float):
@@ -213,10 +214,12 @@ def test_inlined_alpha_once_per_attempt():
         times.clear()
         rows = np.array([y0, y0 * 1.1, y0 * 0.9])
         batch, plain = (integrate(rhs, rows, sc.integrator) for rhs in (spy, field))
-        assert np.array_equal(batch.states, plain.states)
-        attempts = max(batch.stats["row_rhs_evals"])
-        assert times[0] == initial.t and len(times) == 1 + attempts
-        assert all(t.shape == (3,) for t in times[1:10])
+        assert np.array_equal(batch.states, plain.states) and times == [initial.t]
+        stepper = _BatchStep(_TaylorEmitter(field.equations, runs[0].stats["order"], True), 4,
+                             runs[0].stats["order"])
+        reads = [(k, op.kind, op.args) for k in range(stepper.p) for op in stepper.lower(k)
+                 if stepper.time in op.args]
+        assert reads == [(0, "_multiply", ["delta", stepper.time])]
 
 
 def test_run_scenario_fig1_initial_actions():

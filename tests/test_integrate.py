@@ -10,7 +10,7 @@ import pytest
 from conftest import rk4_steps
 from symevol.integrate import (MAX_GRID_POINTS, InlineRhs, IntegrationError, IntegratorConfig,
                                Trajectory, integrate, order_check)
-from symevol.model import FULL_EQUATIONS, Equations, ModelParams, full_rhs
+from symevol.model import DISSIPATIVE_EQUATIONS, FULL_EQUATIONS, Equations, ModelParams, full_rhs
 
 
 # the package re-exports the function ``integrate`` under the module's name
@@ -719,45 +719,115 @@ def test_taylor_batch_rows_equal_single_runs(kind, monkeypatch):
     assert _step_starts(monkeypatch, rhs, y0[0], cfg)[:2] == [2.5, first_end]
 
 
-@pytest.mark.parametrize("n", [2, 3, 32, 1024])
+def test_dissipative_batch_rows_equal_single_runs():
+    # the damped text writes its products inline (epsilon * 2.0 * a4 * z1 *
+    # z2, a4 * z1 * z1) and reads the rates w1 and w2 as state components, so
+    # the batched step groups operands of other shapes than the full texts':
+    # every row of a batch of one, two or three rows is its single run byte
+    # for byte, samples, counts and step sizes, at the default order and at
+    # p = 16, where the last live row runs alone for several steps
+    p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.3, n=1)
+    rhs = DISSIPATIVE_EQUATIONS.at(p)
+    # the first row, five times the second, takes 14 steps more
+    z0 = np.array([[0.25, 2.5, 0.15, 2.5], [0.05, 0.5, 0.03, 0.5], [0.0, 0.52, 1e-3, 0.45]])
+    for rtol in (1e-10, 1e-13):
+        cfg = IntegratorConfig(t_end=30.0, sample_dt=0.25, rtol=rtol)
+        for rows in (z0[:1], z0[:2], z0):
+            batch = integrate(rhs, rows, cfg)
+            assert batch.stats["failures"] == []
+            for i, row in enumerate(rows):
+                single = integrate(rhs, row, cfg)
+                assert np.array_equal(single.states, batch.states[i])
+                for key in ("accepted", "rejected", "rhs_evals", "h_min", "h_max", "h_final"):
+                    assert single.stats[key] == batch.stats[f"row_{key}"][i]
+        attempts = sorted(batch.stats["row_rhs_evals"].tolist())
+        assert attempts[-1] - attempts[-2] >= 5
+
+
+@pytest.mark.parametrize("rtol", [0.1, 1e-3, 1e-13])
+def test_every_field_batch_rows_equal_single_runs(rtol):
+    # the batched step lays out and groups the operations of each text in
+    # its own way (its columns, the rows of its intermediate values, the
+    # groups of each order), so every field the package generates is
+    # checked, at p = 3, 5 and 16 (p = 13 is the other tests'): each row of
+    # a batch of three is its single run byte for byte
+    averaged = importlib.import_module("symevol.averaged")
+    fields = [*FULL_EQUATIONS.values(), DISSIPATIVE_EQUATIONS, averaged.AVG12_FIRST,
+              averaged.AVG12_SECOND, averaged.AVG13, averaged.AVG11]
+    rng = np.random.default_rng(8)
+    cfg = IntegratorConfig(t_end=6.0, sample_dt=0.5, rtol=rtol)
+    for equations in fields:
+        omega = next((float(guard.split(", ")[1]) for guard in equations.guard
+                      if guard.startswith("check_omega")), 2.0)
+        p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=omega, epsilon=0.1, n=2)
+        d = len(equations.state)
+        rows = rng.uniform(0.2, 0.6, (3, d))
+        batch = integrate(equations.at(p), rows, cfg)
+        assert batch.stats["failures"] == []
+        for i, row in enumerate(rows):
+            single = integrate(equations.at(p), row, cfg)
+            assert np.array_equal(single.states, batch.states[i]), (equations.rates, rtol)
+            assert single.stats["h_min"] == batch.stats["row_h_min"][i]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 32, 1024])
 def test_add_reduce_adds_rows_in_order(n):
-    # the batch writes each Cauchy sum of three terms or more as
-    # np.add.reduce over axis 0 of the (terms, n) products of two series'
-    # rows, one of them reversed, and relies on numpy adding the rows one
-    # after another, in every column, as the single run's sum does. Up to
-    # 17 terms (p = 16 at rtol 1e-13), on terms of mixed signs from 1e-8 to
-    # 1e8, whose sums move with the order: a numpy that adds in another
-    # order fails here
+    # the batch writes each Cauchy sum of three terms or more, and each half
+    # of a square, as np.add.reduce over axis 0, into rows of its buffer, of
+    # the products of two series' coefficients, one of them reversed: the
+    # (terms, n) products of one sum, or the (terms, S, n) products of S sums
+    # of equal length. It relies on numpy adding the terms one after
+    # another, in every entry, as the single run's sum does. Up to 17 terms
+    # (p = 16 at rtol 1e-13), on terms of mixed signs from 1e-8 to 1e8, whose
+    # sums move with the order, on the step's own views of its coefficients:
+    # columns side by side, evenly spaced, or one column read by every sum.
+    # So it does from two columns on, and on one column for S >= 2 sums; one
+    # sum on one column numpy adds pairwise. A group of one sum stays (the
+    # emitter writes them), so a last running row still steps beside a
+    # second column (_run_rows)
     rng = np.random.default_rng(n)
-    size = 18
 
     def draw(shape):
         return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
 
-    # a stored series (its own rows) and a state series (a view of the
-    # coefficient array, as the batched step holds it)
-    x, y = draw((size, n)), draw((size, 4, n))[:, 1]
-    reordered = 0
-    for terms in range(3, size):
-        for lo in (0, 1):
-            hi = lo + terms - 1
-            k = lo + hi
-            products = x[lo:hi + 1] * y[k - lo:lo - 1 if lo else None:-1]
-            sums = np.add.reduce(products, 0)
-            for j in range(n):
-                column = [x[i, j] * y[k - i, j] for i in range(lo, hi + 1)]
-                forward = backward = 0.0
-                for term in column:
-                    forward += term
-                for term in reversed(column):
-                    backward += term
-                assert sums[j] == forward, (terms, lo, j)
-                reordered += backward != forward
-    assert reordered > 0
+    p = 16
+    stepper = integrate_module._BatchStep(
+        integrate_module._TaylorEmitter(FULL_EQUATIONS["exponential"], p, batch=True), 4, p)
+    names = {"_a": draw((p + 1, stepper.width, n))}
+
+    def view(name):  # a view the step binds, by its name
+        return eval(next(text for text, key in stepper.views.items() if key == name), names)
+
+    out, products = np.empty((3, n)), np.empty(((p + 1) * 3, n))
+    reordered = pairwise = 0
+    for size, columns in ((1, [[2], [5]]), (2, [[0, 1], [9, 10]]), (2, [[5, 5], [0, 2]]),
+                          (3, [[1, 2, 3], [4, 6, 8]])):
+        for terms in range(3, p + 2):
+            for lo in (0, 1)[:p + 2 - terms]:
+                hi = lo + terms - 1
+                k = lo + hi
+                x = view(stepper.terms(columns[0], lo, hi))
+                y = view(stepper.terms(columns[1], k - lo, k - hi))
+                shape = (terms, size, n) if size > 1 else (terms, n)
+                held = products[:terms * size].reshape(shape)
+                np.multiply(x, y, held)
+                sums = out[:size] if size > 1 else out[0]
+                np.add.reduce(held, 0, None, sums)
+                forward, backward = held[0].copy(), held[-1].copy()
+                for i in range(1, terms):
+                    forward += held[i]
+                    backward += held[-1 - i]
+                reordered += np.count_nonzero(backward != forward)
+                if size == 1 and n == 1:
+                    pairwise += sums[0] != forward[0]
+                else:
+                    assert np.array_equal(sums, forward), (size, terms, lo)
+    assert reordered > 0 and (pairwise > 0) == (n == 1)
     # the batched step sums this way, and no more with cumsum
     code = integrate_module._taylor_step_code(4, FULL_EQUATIONS["exponential"], 16)
-    step = next(const for const in code.co_consts if isinstance(const, types.CodeType))
-    assert "add_reduce" in step.co_names and "cumsum" not in step.co_names
+    bind = next(const for const in code.co_consts if isinstance(const, types.CodeType))
+    step = next(const for const in bind.co_consts if isinstance(const, types.CodeType))
+    assert "_add_reduce" in step.co_names and "cumsum" not in step.co_names
 
 
 # (row, first sample, stop) of five steps of two rows, holding 0, 1 and many samples
@@ -1063,7 +1133,7 @@ def test_full_equations_attempt_operation_counts():
     # laws; that text's conditional decay factor took 511 and 385. No
     # attempt branches on the law: the single run's one ``if`` is the clamp
     # to t_end, and the batched step has none
-    counts = {}
+    counts, batch = {}, {}
     for law, equations in FULL_EQUATIONS.items():
         text = "\n".join(integrate_module._TaylorEmitter(equations, 13, batch=False).lines())
         recurrences = ast.parse(text).body
@@ -1079,7 +1149,21 @@ def test_full_equations_attempt_operation_counts():
                 if isinstance(node, ast.If)] == ["h >= t_end - t"]
         step = ast.parse(integrate_module._taylor_step_source(4, equations, 13))
         assert not any(isinstance(node, ast.If) for node in ast.walk(step))
+        step = next(node for node in ast.walk(step)
+                    if isinstance(node, ast.FunctionDef) and node.name == "step")
+        nodes = list(ast.walk(step))
+        calls = [node for node in nodes if isinstance(node, ast.Call)]
+        batch[law] = (len(calls), sum(isinstance(node, ast.BinOp) for node in nodes),
+                      sum(isinstance(node, ast.Subscript) for node in nodes),
+                      sum(ast.unparse(call.func) == "_add_reduce" for call in calls))
     assert counts == {"exponential": (499, 384), "polynomial": (499, 385)}
+    # the batched step's calls, operators, subscripts and add_reduce per
+    # attempt: one numpy call per group of like operations of an order, on
+    # views bound once per row count. The step that wrote each statement on
+    # the rows of arrays took 105 calls, 407 operators (each a numpy call,
+    # with 64 unary ones), 482 subscripts and 49 add_reduce under the
+    # exponential law, and 104, 410 (74), 494 and 49 under the polynomial one
+    assert batch == {"exponential": (345, 0, 7, 30), "polynomial": (357, 0, 7, 30)}
 
 
 def test_single_run_attempt_calls_only_exp_and_the_finiteness_fallback():
@@ -1117,16 +1201,24 @@ def test_single_run_attempt_calls_only_exp_and_the_finiteness_fallback():
 def test_attempt_reads_a_copied_coefficient_where_it_is_stored(monkeypatch):
     # -tau's k = 1 term, which exp(-tau)'s recurrence reads, is only another
     # series' coefficient: no statement copies it, in the single run's loop or
-    # in the batched step, and reading it where it is stored moves no bit of
-    # a run of either decay law, one or a batch. The polynomial law's text
-    # reads tau once, in 1.0 + tau, so tau is not stored and has no copy
+    # in the batched step (whose statements are the emitter's, each copy one
+    # copy op), and reading it where it is stored moves no bit of a run of
+    # either decay law, one or a batch. The polynomial law's text reads tau
+    # once, in 1.0 + tau, so tau is not stored and has no copy
     copy = re.compile(r"\s*_s\d+(_\d+|\[\d+\]) = _[sy]\d+(_\d+|\[\d+\])")  # the state's are its own
 
     def copies():
         return [line for equations in FULL_EQUATIONS.values()
                 for source in (integrate_module._taylor_loop_source(4, equations, 13),
-                               integrate_module._taylor_step_source(4, equations, 13))
+                               "\n".join(integrate_module._TaylorEmitter(equations, 13,
+                                                                          True).lines()))
                 for line in source.splitlines() if copy.fullmatch(line)]
+
+    def copy_ops():  # the batched step's copies into a series other than the state
+        stepper = integrate_module._BatchStep(
+            integrate_module._TaylorEmitter(FULL_EQUATIONS["exponential"], 13, True), 4, 13)
+        return [op for k in range(13) for op in stepper.lower(k)
+                if op.kind == "copy" and op.row % stepper.width >= 4]
 
     def runs():
         cfg = IntegratorConfig(t_end=40.0, sample_dt=0.25)
@@ -1135,7 +1227,7 @@ def test_attempt_reads_a_copied_coefficient_where_it_is_stored(monkeypatch):
                                               alpha_kind=law)), y, cfg).states
                 for law in ("exponential", "polynomial") for y in (y0, np.array([y0, 2 * y0]))]
 
-    assert copies() == []
+    assert copies() == [] and copy_ops() == []
     stored = runs()
     monkeypatch.setattr(integrate_module, "_COEFFICIENT", re.compile("(?!)"))
     caches = (integrate_module._taylor_loop_code, integrate_module._taylor_step_code)
@@ -1143,6 +1235,7 @@ def test_attempt_reads_a_copied_coefficient_where_it_is_stored(monkeypatch):
         cache.cache_clear()
     try:
         assert len(copies()) == 2  # the exponential law's, in the loop and in the step
+        assert len(copy_ops()) == 1
         copied = runs()
     finally:
         for cache in caches:
