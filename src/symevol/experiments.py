@@ -375,12 +375,18 @@ def _velocity_edges(v0: np.ndarray, sampler) -> np.ndarray:
 def _histogram_series(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Counts per (sample, bin) of ``values`` of shape (particles, samples),
     as ``np.histogram`` per sample would give them after clipping into the
-    edge bins."""
+    edge bins. ``edges`` are uniform, so each value's bin is computed, then
+    moved by one bin where the computed edges disagree with ``edges``, as
+    ``np.histogram`` does for uniform bins: edges[i] <= value < edges[i + 1]."""
     bins = len(edges) - 1
     samples = values.shape[1]
     lo = edges[0] + 1e-12 * (edges[1] - edges[0])
     hi = edges[-1] - 1e-12 * (edges[1] - edges[0])
-    which = np.searchsorted(edges, np.clip(values, lo, hi), "right") - 1
+    clipped = np.clip(values, lo, hi)
+    which = ((clipped - edges[0]) * (bins / (edges[-1] - edges[0]))).astype(np.intp)
+    np.minimum(which, bins - 1, out=which)
+    which -= clipped < edges[which]
+    which += clipped >= edges[which + 1]
     flat = np.arange(samples) * bins + which
     return np.bincount(flat.ravel(), minlength=samples * bins).reshape(samples, bins)
 

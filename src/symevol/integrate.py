@@ -10,14 +10,17 @@ time, as straight-line statements: locals of floats in the single run's loop
 the same order, so a batch row equals its single run bit for bit. A series
 times itself sums each symmetric pair once (the square rule of Jorba & Zou
 and of TIDES), and the subexpressions of the parameters alone run once per
-run, under names of their own. The batched step (:class:`_BatchStep`) makes
-one numpy call per group of like operations of an order whose operands are
-ready, an op after every op it reads, on views of one buffer of rows that
-it allocates and views once per row count: its Cauchy sums, and the halves
-of its squares, of three terms or more are ``np.add.reduce`` over axis 0 of
-their products, one or several sums of equal length at once, which adds them
-in the single run's order from two columns on, so it never steps fewer than
-two columns (:meth:`_TaylorEmitter.dot`). The order p follows from rtol
+run, under names of their own. No text adds a negation: -a + b is written
+b - a, and -(a s) for a scalar a is (-a) s, with -a once per run, bit for
+bit. The batched step (:class:`_BatchStep`) gives each op of an order a
+dependency level and makes one numpy call per run of like ops of a level
+whose rows are consecutive, on views of one buffer of rows that it
+allocates and views once per row count, laid out for those runs: its
+Cauchy sums, and the halves of its squares, of two terms or more are
+``np.add.reduce`` over axis 0 of their products, one or several sums of
+equal length at once, which adds them in the single run's order from two
+columns on, so it never steps fewer than two columns
+(:meth:`_TaylorEmitter.dot`). The order p follows from rtol
 (:func:`_taylor_order`), and the step size from the last two coefficients,
 capped at a fraction of the series' estimated radius of convergence
 (:func:`_step_rule_lines`); there is no error test. The new state and the
@@ -374,6 +377,7 @@ class _Series:
 
     def __init__(self, degree, expression, name=None, stored=False):
         self.degree, self.expression, self.name, self.stored = degree, expression, name, stored
+        self.factors = None  # a scaled series' scalar and series, in the product's order
         self.reads = 0  # coefficientwise readers: two or more need storage
         self.copies = {}  # k -> the other series' coefficient that coefficient k is
 
@@ -427,7 +431,9 @@ class _TaylorEmitter:
     other than the state take the coefficients up to p - 1, all the rates
     need. The rules:
 
-    - ``+``, ``-`` and unary ``-``: coefficientwise;
+    - ``+``, ``-`` and unary ``-``: coefficientwise, a negation that is
+      added folded into a subtraction, and the negation of a scaled series
+      into its scalar;
     - a scalar times a series, or a series over a scalar: a scaled series;
     - a series times a series: the Cauchy product, and a series times
       itself the square, which sums each symmetric pair once
@@ -510,7 +516,7 @@ class _TaylorEmitter:
 
     def dot(self, x, y, lo, hi, k) -> str:
         """The sum of x_i y_(k-i) over i = lo, ..., hi, left to right; in a
-        batch, of three terms or more, as ``add_reduce`` (``np.add.reduce``)
+        batch, of two terms or more, as ``add_reduce`` (``np.add.reduce``)
         of the products over axis 0, which the batched step runs on the
         (terms, n) products of one sum or the (terms, S, n) products of S
         sums of equal length (:class:`_BatchStep`). With n >= 2 columns
@@ -520,7 +526,7 @@ class _TaylorEmitter:
         (``test_add_reduce_adds_rows_in_order`` pins the order). A series
         with a coefficient in another's storage (``copies``) has no rows to
         slice; its sums are written out, in the same order."""
-        if self.batch and hi - lo >= 2 and not (x.copies or y.copies):
+        if self.batch and hi - lo >= 1 and not (x.copies or y.copies):
             end = k - hi - 1
             return (f"add_reduce(_{x.name}[{lo}:{hi + 1}] * _{y.name}[{k - lo}:"
                     f"{end if end >= 0 else ''}:-1], 0)")
@@ -531,7 +537,7 @@ class _TaylorEmitter:
         """Coefficient k of x times itself, the sum of x_i x_(k-i) over i =
         lo, ..., k - lo, with each symmetric pair summed once (Jorba & Zou;
         TIDES): 2.0 times the half below k/2 (:meth:`dot`, so a batch sums
-        three terms or more with ``add_reduce``), then plus x_(k/2)^2 when k
+        two terms or more with ``add_reduce``), then plus x_(k/2)^2 when k
         is even. A batch row takes the single run's operations in this
         order."""
         terms = []
@@ -585,15 +591,35 @@ class _TaylorEmitter:
             x = self._convert(node.operand)
             if isinstance(node.op, ast.UAdd):
                 return x
+            if x.factors:  # -(a s) is (-a) s bit for bit, and -a runs once per run
+                return self._binary(ast.Mult(), *(self._scalar(ast.UnaryOp(
+                    ast.USub(), ast.parse(f, mode="eval").body)) if isinstance(f, str) else f
+                    for f in x.factors))
             self._read(x)
             return self._op(x.degree, lambda s, k: f"-{self.coef(x, k)}")
         if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult,
                                                                 ast.Div)):
+            # -a + b is b - a, a + -b is a - b and a - -b is a + b, bit for bit
+            # (IEEE addition commutes and negation is exact), with no negation
+            left, right = map(self._negated, (node.left, node.right))
+            if left and isinstance(node.op, ast.Add):
+                a = self._convert(left)
+                return self._binary(ast.Sub(), self._convert(node.right), a)
+            if right and isinstance(node.op, (ast.Add, ast.Sub)):
+                return self._binary(ast.Add() if isinstance(node.op, ast.Sub) else ast.Sub(),
+                                    self._convert(node.left), self._convert(right))
             return self._binary(node.op, self._convert(node.left), self._convert(node.right))
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id == "exp" and len(node.args) == 1 and not node.keywords):
             return self._exp(self._convert(node.args[0]))
         raise ValueError(f"{ast.unparse(node)!r} is not a construct the Taylor method writes")
+
+    def _negated(self, node):
+        """The operand of ``node`` if it is a unary minus of a series."""
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub) \
+                and _reads(node) & self.series.keys():
+            return node.operand
+        return None
 
     def _binary(self, op, a, b) -> _Series:
         da, db = _degree(a), _degree(b)
@@ -609,8 +635,10 @@ class _TaylorEmitter:
             return self._op(max(da, db), term)
         if isinstance(op, ast.Mult) and (isinstance(a, str) or isinstance(b, str)):
             self._read(a), self._read(b)  # a scaled series
-            return self._op(max(da, db), lambda s, k: _times(_scale(a, self.coef(a, k)),
-                                                             _scale(b, self.coef(b, k))))
+            scaled = self._op(max(da, db), lambda s, k: _times(_scale(a, self.coef(a, k)),
+                                                               _scale(b, self.coef(b, k))))
+            scaled.factors = a, b
+            return scaled
         if isinstance(op, ast.Mult) and a is b:  # the square
             self._summed(a)
             return self._op(2 * da, lambda s, k: self.square(a, max(0, k - da), k))
@@ -806,60 +834,75 @@ class _Op:
     ``kind`` (a ufunc's name in the step, ``dot``, ``exp`` or ``copy``) of
     ``args``, each a row, another op or a scalar's text (a dot's are the
     columns of its two series and its first and last term), after the ops
-    it ``reads``. It writes ``row``: a statement's target (``top``), a row
-    laid out beside its like ops' (:meth:`_BatchStep.place`), or one the
-    schedule gives it."""
+    it ``reads``, at its ``level``: one past the highest of theirs, 0 if it
+    reads none. It writes ``row``: a statement's target (``top``), or one
+    the layout gives it (:meth:`_BatchStep.runs`)."""
 
     def __init__(self, kind, args, reads):
         self.kind, self.args, self.reads = kind, args, reads
+        self.level = 1 + max((op.level for op in reads), default=-1)
         self.row, self.top = None, False
 
-    def signature(self):
-        """What ops must share to run as one call: a dot its terms, any
-        other op its kind and which of its arguments are scalars; and
-        whether its row is set before the schedule."""
+    def like(self):
+        """What ops of one level share to run as one call: a dot its terms,
+        any other op its kind and which of its arguments are scalars."""
         if self.kind == "dot":
-            return "dot", *self.args[2:], self.row is not None
-        return self.kind, tuple(isinstance(arg, str) for arg in self.args), self.row is not None
+            return "dot", *self.args[2:]
+        return self.kind, *(isinstance(arg, str) for arg in self.args)
 
 
-def _like(op):
-    """What like ops share: an op's signature, but for whether its row is
-    set, and what each of its arguments is (a row, an op or a scalar)."""
-    return *op.signature()[:-1], *(type(arg).__name__ for arg in op.args)
+def _on_arrays(text) -> str:
+    """The scalar expression ``text``, if more than a name or a constant,
+    with each name and constant a 0-d array: it follows the rows' rules (a
+    division by zero is inf or NaN), where on floats it raises."""
+    node = ast.parse(text, mode="eval").body
+    for n in ast.walk(node):
+        for name, value in ast.iter_fields(n):
+            if isinstance(value, (ast.Name, ast.Constant)) and name != "func":
+                setattr(n, name, ast.Call(ast.Name("_array"), [value, ast.Name("float")], []))
+    return text if isinstance(node, (ast.Name, ast.Constant)) else ast.unparse(node)
 
 
-def _shape(op):
-    """An op's whole tree, as :func:`_like` sees each of its ops."""
-    return _like(op), *(_shape(arg) for arg in op.args if isinstance(arg, _Op))
+def _places(op) -> list:
+    """What a run's members hold side by side, one view each: the op (its
+    row), then each argument that is a row or an op (a dot's columns)."""
+    return [op, *(op.args[:2] if op.kind == "dot" else
+                  (arg for arg in op.args if not isinstance(arg, str)))]
 
 
-def _chains(columns, follows) -> list:
-    """The ``columns`` in an order that puts column b right after column a
-    for as many of the pairs (a, b) that ``follows`` counts as it can, the
-    most frequent first: each column gets at most one next and one previous,
-    and no chain closes on itself; the chains in the order of their first
-    columns."""
-    columns, after, before = set(columns), {}, {}
-    for (a, b), _ in follows.most_common():
-        if a in columns and b in columns and a not in after and b not in before:
-            end = b
-            while end in after:
-                end = after[end]
-            if end != a:
-                after[a], before[b] = b, a
-    order = []
-    for column in sorted(columns - before.keys()):
-        order.append(column)
-        while order[-1] in after:
-            order.append(after[order[-1]])
-    return order
+def _row(place):
+    """The row of a place (:func:`_places`), None for an op with none yet."""
+    return place.row if isinstance(place, _Op) else place
 
 
-def _evenly(values) -> bool:
-    """Whether the ints ``values`` are evenly spaced (all equal included), so
-    that one slice views them."""
-    return all(b - a == values[1] - values[0] for a, b in zip(values, values[1:]))
+def _join(run, op, taken):
+    """The rows that ``op`` gives to ops with none as it joins ``run`` (like
+    ops of one level) as its next member, or None if it cannot: each place
+    in the row past the last member's, where neither has a row an op the run
+    holds nowhere, and where one has none, that op takes the row next to the
+    other's if it is not ``taken``; a dot's columns evenly spaced."""
+    held = [place for member in run for place in _places(member) if isinstance(place, _Op)]
+    last, rows = _places(run[-1]), {}
+    for i, place in enumerate(_places(op)):
+        if op.kind == "dot" and i:
+            step = last[i] - _places(run[-2])[i] if len(run) > 1 else place - last[i]
+            if place - last[i] != step:
+                return None
+            continue
+        a, b = _row(last[i]), _row(place)
+        if a is None and b is None:
+            if place in held:
+                return None
+        elif b is None:
+            rows[place] = a + 1
+        elif a is None:
+            rows.update((_places(member)[i], b - len(run) + j) for j, member in enumerate(run))
+        elif b != a + 1:
+            return None
+    if any(held.count(x) > 1 or taken(row) for x, row in rows.items()) \
+            or len(set(rows.values())) < len(rows):
+        return None
+    return rows
 
 
 class _BatchStep:
@@ -867,100 +910,63 @@ class _BatchStep:
 
     Every row the step writes is a row of one buffer, ``_w``, of shape
     (rows, n): first coefficient k of every stored series, row k R + c for
-    the series of column c (the state's d components, then the emitter's
+    column c (the state's d components, d free columns, then the emitter's
     stored series, R columns), viewed as ``_a`` of shape (p + 1, R, n); then
-    the time; then the intermediate values of an order, which every order
-    reuses. Each statement of an order (:meth:`_TaylorEmitter.order`) is
-    parsed into ops (:meth:`lower`), one per operator, ``exp`` and
-    ``add_reduce``, so each entry takes the statement's operations in its
-    order. The ops are grouped (:meth:`schedule`), each group one numpy call
-    on views of the buffer, bound once, when the step is bound to a row
-    count; a statement that writes a scalar runs once, then. A group's rows
-    must be consecutive, as a strided view costs numpy more than the calls
-    it saves, so the columns and the intermediate rows are laid out for the
-    groups: the columns that like ops read side by side are neighbours
-    (:meth:`neighbours`), and so are the rows of like operands of like ops
-    (:meth:`place`).
+    the time; then the intermediate values of an order. Each statement of an
+    order (:meth:`_TaylorEmitter.order`) is parsed into ops (:meth:`lower`),
+    one per operator, ``exp`` and ``add_reduce``, so each entry takes the
+    statement's operations in its order. Each op has a dependency level,
+    and the like ops of a level run as one numpy call per run of
+    consecutive rows (:meth:`runs`) on views bound once per row count; a
+    statement that writes a scalar runs once, then. A strided view costs
+    numpy more than the calls it saves, so the rows are laid out for the
+    runs, from the last level down, with free columns next to the state's.
     """
 
     def __init__(self, emitter, d, p):
         self.emitter, self.d, self.p = emitter, d, p
-        names = [f"_y{j}" for j in range(d)] + [f"_{name}" for name in emitter.storage]
-        self.width = len(names)
+        state = [f"_y{j}" for j in range(d)]
+        series = [f"_{name}" for name in emitter.storage]
+        # d columns between the state's and the others' are rows for ops
+        self.width = 2 * d + len(series)
         self.time = (p + 1) * self.width
-        # the columns that like ops read side by side (neighbours) are put
-        # next to each other, the state's among the state's and the other
-        # series' among theirs (_chains)
-        self.columns, self.fills = {name: j for j, name in enumerate(names)}, []
-        follows = self.neighbours()
-        order = _chains(range(d), follows) + _chains(range(d, self.width), follows)
-        self.columns = {names[c]: j for j, c in enumerate(order)}
-        self.size = self.time + 1  # the buffer's rows: past the intermediates of every order
-        self.products = 0  # the rows of the largest dot group's products
-        self.views, self.constants, self.fills = {}, {}, []
+        self.columns = {name: j for j, name in enumerate(state + [None] * d + series) if name}
+        self.fills = []
+        # the state's columns by the levels of the last order's targets; the
+        # others' so, or in the emitter's order, whichever makes fewer calls
+        ops, first = self.lower(p - 1), {}
+        for i, op in enumerate(ops):
+            first.setdefault((op.level, op.like()), i)
+        written = [self.names()[op.row % self.width] for op in sorted(
+            (op for op in ops if op.top), key=lambda op: (op.level, first[op.level, op.like()]))]
 
-    def neighbours(self) -> collections.Counter:
-        """How often like targets of one order, in statement order, and the
-        rows that they, and their like operands in turn, read at one place
-        are in column a and then column b (a dot's, its series' columns)."""
-        follows = collections.Counter()
+        def by_level(names):
+            return sorted(names, key=lambda name: (name not in written, written.index(name)
+                                                   if name in written else 0))
+        best = None
+        for others in (series, by_level(series)):
+            self.columns = {name: j for j, name in enumerate(
+                by_level(state) + [None] * d + others) if name}
+            self.size, self.fills = self.time + 1, []  # the buffer's rows, past every order's
+            orders = [self.runs(self.lower(k)) for k in range(p)]
+            calls = sum(2 if run[0].kind in ("dot", "exp") else 1 for runs in orders
+                        for run in runs)
+            if best is None or calls < best[0]:
+                best = calls, self.columns, orders, self.size, self.fills
+        _, self.columns, self.orders, self.size, self.fills = best
+        self.products, self.views, self.constants = 0, {}, {}  # dot products' rows
 
-        def pairs(members):
-            if members[0].top:
-                follows.update(zip((op.row % self.width for op in members[:-1]),
-                                   (op.row % self.width for op in members[1:])))
-            for i in range(2 if members[0].kind == "dot" else len(members[0].args)):
-                args = [op.args[i] for op in members]
-                if members[0].kind == "dot":
-                    follows.update((a, b) for a, b in zip(args, args[1:]) if a != b)
-                elif all(isinstance(arg, int) and arg < self.time for arg in args):
-                    follows.update((a % self.width, b % self.width)
-                                   for a, b in zip(args, args[1:]) if a != b)
-                elif all(isinstance(arg, _Op) for arg in args) and len(set(map(_like, args))) == 1:
-                    pairs(args)
-
-        for k in range(self.p):
-            runs = {}
-            for op in self.lower(k):
-                if op.top:
-                    runs.setdefault((_like(op), op.row % self.width < self.d), []).append(op)
-            for run in runs.values():
-                # targets whose whole statements are alike pair among
-                # themselves, if any are
-                shapes = {}
-                for op in run:
-                    shapes.setdefault(_shape(op), []).append(op)
-                alike = [members for members in shapes.values() if len(members) > 1]
-                for members in alike or [run]:
-                    if len(members) > 1:
-                        pairs(members)
-        return follows
-
-    def operands(self, group) -> list:
-        """The rows of each operand of a group's members, and of the targets
-        it writes, each a list in member order; a dot's series' columns."""
-        first = group[0]
-        if first.kind == "dot":
-            rows = [[op.args[i] for op in group] for i in (0, 1)]
-        else:
-            rows = [[op.args[i] if isinstance(op.args[i], int) else op.args[i].row
-                     for op in group]
-                    for i, arg in enumerate(first.args) if not isinstance(arg, str)]
-        return rows + [[op.row for op in group]] if first.row is not None else rows
+    def names(self) -> dict:
+        """The name of the series of each column."""
+        return {j: name for name, j in self.columns.items()}
 
     def view(self, text) -> str:
         """The name the step reads the view ``text`` of the buffer by."""
         return self.views.setdefault(text, f"_v{len(self.views)}")
 
     def rows(self, rows) -> str:
-        """The view of the evenly spaced ``rows`` of the buffer: one row,
-        read by every member of a group when they are all the same."""
-        step = rows[1] - rows[0] if len(rows) > 1 else 0
-        if step == 0:
-            return self.view(f"_w[{rows[0]}]")
-        stop = rows[0] + step * len(rows)
-        return self.view(f"_w[{rows[0]}:{stop if stop >= 0 else ''}"
-                         f"{f':{step}' if step != 1 else ''}]")
+        """The view of the consecutive ``rows`` of the buffer."""
+        return self.view(f"_w[{rows[0]}]" if len(rows) == 1 else f"_w[{rows[0]}:{rows[-1] + 1}]")
 
     def terms(self, columns, first, last) -> str:
         """The view of coefficients first, ..., last (either way) of the
@@ -978,12 +984,12 @@ class _BatchStep:
         return self.view(f"_a[{span}, {columns[0]}:{stop if stop >= 0 else ''}:{step}]")
 
     def scalar(self, texts) -> str:
-        """The name of the scalars ``texts`` of a group's members, bound
+        """The name of the scalars ``texts`` of a run's members, bound
         once: a 0-d array if they are one, else one row of each."""
         if len(set(texts)) == 1:
-            text = f"_array({texts[0]}, float)"
+            text = f"_array({_on_arrays(texts[0])}, float)"
         else:
-            text = f"_array([{', '.join(texts)}], float)[:, None].repeat(_n, 1)"
+            text = f"_array([{', '.join(map(_on_arrays, texts))}], float)[:, None].repeat(_n, 1)"
         return self.constants.setdefault(text, f"_k{len(self.constants)}")
 
     def lower(self, k) -> list:
@@ -1026,7 +1032,7 @@ class _BatchStep:
             assign = ast.parse(statement).body[0]
             target, result = row(assign.targets[0]), value(assign.value)
             if isinstance(result, str):
-                self.fills.append(f"_w[{target}] = {result}")
+                self.fills.append(f"_w[{target}] = {_on_arrays(result)}")
                 continue
             if isinstance(result, int):
                 result = op("copy", [result])
@@ -1034,98 +1040,90 @@ class _BatchStep:
             writers[target] = result
         return ops
 
-    def place(self, ops) -> int:
-        """Lay out the rows of the ops that like ops read side by side, and
-        return the first row past them. The operands at one place of a run
-        of like ops whose targets are consecutive rows, when they are ops
-        with no row yet, one per member, get consecutive rows, in member
-        order, so that the run reads them through one view; and so, in
-        turn, do the operands of such operands when they are like ops."""
-        free = self.time + 1
+    def runs(self, ops) -> list:
+        """The ops of one order as runs, each one numpy call, level by level.
+        Each op starts at its earliest level and, from the last op back,
+        moves to the level in its readers' reach with the most like ops
+        (:meth:`_Op.like`, targets or not alike). It joins the first run of
+        its level's like ops that it can (:func:`_join`), by its rows. From
+        the last level down, a run's targets and multi-member operands with
+        no row take a block of new rows past the time's, a spare row between
+        blocks; a run that a later row breaks is split."""
+        last = max((op.level for op in ops), default=0)
+        readers = {op: [] for op in ops}
+        for op in ops:
+            for read in op.reads:
+                readers[read].append(op)
+        for op in reversed(ops):
+            reach = range(op.level, min((reader.level for reader in readers[op]),
+                                        default=last + 1))
+            like = collections.Counter(other.level for other in ops if other is not op
+                                       and other.level in reach and other.top == op.top
+                                       and other.like() == op.like())
+            if like:
+                op.level = max(like, key=lambda level: (like[level], level))
+        groups, runs, used = {}, [], {self.time}
 
-        def lay(members):
-            nonlocal free
-            for i in range(len(members[0].args)):
-                args = [op.args[i] for op in members]
-                if all(isinstance(arg, _Op) and arg.row is None for arg in args) \
-                        and len(set(map(id, args))) == len(args):
-                    for arg in args:
-                        arg.row, free = free, free + 1
-                    if len(set(map(_like, args))) == 1:
-                        lay(args)
+        def taken(row):  # a row of a series or the time, or an op's
+            return row <= self.time and not self.d <= row % self.width < 2 * self.d \
+                or row in used
+        for op in ops:
+            groups.setdefault((op.level, op.like()), []).append(op)
 
-        runs = {}
-        for op in sorted((op for op in ops if op.top), key=lambda op: op.row):
-            run = runs.setdefault(_like(op), [[]])
-            if run[-1] and op.row != run[-1][-1].row + 1:
-                run.append([])
-            run[-1].append(op)
-        for members in (run for key in runs for run in runs[key] if len(run) > 1):
-            lay(members)
-        return free
+        def block(places):
+            start = max(used) + 2
+            for row, place in enumerate(places, start):
+                place.row = row
+                used.add(row)
 
-    def schedule(self, ops) -> list:
-        """The ops of one order as groups of like ops (one signature), each
-        one numpy call, in an order that keeps every op after the ops it
-        reads. Of the signatures with members ready, the first one whose
-        members are all ready goes next, else the one with the most ready
-        members; its ready members, by row or else by the rows they read,
-        split into the longest runs whose rows one view each can hold
-        (:meth:`fits`). An op with no row takes the next free one."""
-        pending, done, groups = list(ops), set(), []
-        free = self.place(ops)
-        while pending:
-            buckets = {}
-            for op in pending:
-                if op.reads <= done:
-                    buckets.setdefault(op.signature(), []).append(op)
-            left = collections.Counter(op.signature() for op in pending)
-            complete = [key for key, members in buckets.items() if len(members) == left[key]]
-            members = buckets[complete[0] if complete
-                              else max(buckets, key=lambda key: len(buckets[key]))]
-            members.sort(key=lambda op: [op.row] if op.row is not None
-                         else list(zip(*self.operands([op]))))
-            parts = [[]]
-            for op in members:
-                if parts[-1] and not self.fits(parts[-1] + [op]):
-                    parts.append([])
-                parts[-1].append(op)
+        for key in sorted(groups, key=lambda key: -key[0]):
+            parts = []
+            for op in sorted(groups[key], key=lambda op: [
+                    math.inf if _row(place) is None else _row(place)
+                    for place in _places(op)[1:] + _places(op)[:1]]):
+                for part in parts:
+                    rows = _join(part, op, taken)
+                    if rows is not None:
+                        for place, row in rows.items():
+                            place.row = row
+                            used.add(row)
+                        part.append(op)
+                        break
+                else:
+                    parts.append([op])
             for part in parts:
-                for op in part:
-                    if op.row is None:
-                        op.row, free = free, free + 1
-                groups.append(part)
-            done.update(members)
-            pending = [op for op in pending if op not in done]
-        self.size = max(self.size, free)
-        return groups
+                for i, places in enumerate(zip(*map(_places, part))):
+                    if (i == 0 or len(part) > 1) and all(isinstance(place, _Op)
+                                                         and place.row is None
+                                                         for place in places):
+                        block(places)
+            runs += parts
+        self.size = max(self.size, max(used) + 1)
+        split = []
+        for run in reversed(runs):
+            split.append(run[:1])
+            for op in run[1:]:
+                if _join(split[-1], op, taken) == {}:
+                    split[-1].append(op)
+                else:
+                    split.append([op])
+        return split
 
-    def fits(self, group) -> bool:
-        """Whether one view each can hold the group's rows, each a block of
-        consecutive rows, on which numpy's loop runs as fast as on one row
-        (a dot's series' columns need only be evenly spaced): every
-        operand's, and the targets it writes."""
-        if group[0].kind == "dot":
-            return all(map(_evenly, self.operands(group)))
-        return all(rows == list(range(rows[0], rows[0] + len(rows)))
-                   for rows in self.operands(group))
-
-    def call(self, group, k) -> list:
-        """The statements of one group: its numpy call on views."""
-        first, size = group[0], len(group)
-        out = self.rows([op.row for op in group])
+    def call(self, run, k) -> list:
+        """The statements of one run: its numpy call on views."""
+        first, size = run[0], len(run)
+        out = self.rows([op.row for op in run])
         if first.kind == "dot":
             lo, hi = first.args[2:]
-            x = self.terms([op.args[0] for op in group], lo, hi)
-            y = self.terms([op.args[1] for op in group], k - lo, k - hi)
+            x = self.terms([op.args[0] for op in run], lo, hi)
+            y = self.terms([op.args[1] for op in run], k - lo, k - hi)
             terms = hi - lo + 1
             self.products = max(self.products, terms * size)
             products = self.view(f"_pr[:{terms}]" if size == 1
                                  else f"_pr[:{terms * size}].reshape({terms}, {size}, _n)")
             return [f"_multiply({x}, {y}, {products})", f"_add_reduce({products}, 0, None, {out})"]
-        args = [self.scalar([op.args[i] for op in group]) if isinstance(arg, str)
-                else self.rows([op.args[i] if isinstance(op.args[i], int) else op.args[i].row
-                                for op in group])
+        args = [self.scalar([op.args[i] for op in run]) if isinstance(arg, str)
+                else self.rows([_row(op.args[i]) for op in run])
                 for i, arg in enumerate(first.args)]
         if first.kind == "copy":
             return [f"_copyto({out}, {args[0]})"]
@@ -1134,15 +1132,15 @@ class _BatchStep:
         return [f"{first.kind}({', '.join(args)}, {out})"]
 
     def source(self) -> str:
-        """The step's text: each order's groups, the step rule, the clamp
+        """The step's text: each order's runs, the step rule, the clamp
         and Horner's rule, in ``step``, and the buffers and views they read
         in ``bind``; ``_state_columns`` holds each state component's
         column."""
         d, p, emitter = self.d, self.p, self.emitter
         body = []
-        for k in range(p):
-            for group in self.schedule(self.lower(k)):
-                body += self.call(group, k)
+        for k, runs in enumerate(self.orders):
+            for run in runs:
+                body += self.call(run, k)
         horner = [self.view(f"_a[{k}, :{d}]") for k in range(p + 1)]
         column = [self.columns[f"_y{j}"] for j in range(d)]  # each state component's
         rule_buffers, rule = _batch_rule(d, p, horner, column)
@@ -1172,22 +1170,23 @@ class _BatchStep:
 def _batch_rule(d, p, coefficients, column) -> tuple:
     """The step rule of :func:`_step_rule_lines`, the clamp to t_end and h
     per component, on the batched step's buffers, in fewer calls: the sizes
-    of coefficients 0, p - 1 and p at once, the three norms' running maxima
-    (``_ny``, ``_na``, ``_nb``) at once, one component at a time, and each
-    norm's pair of bounds (tol and the radius) with one ``_power``. The
-    single run's ``where`` that makes the bound of a norm that is not
-    positive inf goes: such a bound is inf (a zero norm, as tol and the
-    radius are positive) or NaN (a NaN norm), and h is the least bound by
-    ``fmin`` from inf, which skips a NaN one, so neither moves h, as the
-    single run's inf does not. The lines that bind the buffers, then the
-    step's; ``coefficients`` names the view of each coefficient's
-    components, and ``column`` holds each component's column: the norms
-    take the components in their order, as the single run's do."""
+    of coefficients 0, p - 1 and p at once, the three norms (``_ny``,
+    ``_na``, ``_nb``) at once, and each norm's pair of bounds (tol and the
+    radius) with one ``_power``. A norm is the largest size by ``fmax``,
+    which skips NaN sizes, then NaN where component 0's size is NaN (by
+    ``maximum``): the single run's running maximum from component 0, which
+    a NaN size later on does not move and a NaN first one holds. The single
+    run's ``where`` that makes the bound of a norm that is not positive inf
+    goes: such a bound is inf (a zero norm, as tol and the radius are
+    positive) or NaN (a NaN norm), and h is the least bound by ``fmin``
+    from inf, which skips a NaN one, so neither moves h, as the single
+    run's inf does not. The lines that bind the buffers, then the step's;
+    ``coefficients`` names the view of each coefficient's components, and
+    ``column`` holds each component's column."""
     bind = [f"_sz = _empty((3, {d}, _n))", "_sz0 = _sz[0]", "_sz12 = _sz[1:]",
-            *(f"_sz_{j} = _sz[:, {column[j]}]" for j in range(d)),
-            f"_cq = _a[{p - 1}:, :{d}]",
+            f"_first = _sz[:, {column[0]}]", f"_cq = _a[{p - 1}:, :{d}]",
             "_nrm = _empty((3, _n))", "_ny = _nrm[0]", "_nab = _nrm[1:, None]",
-            "_gt = _empty((3, _n), bool)", "_pos = _empty(_n, bool)",
+            "_pos = _empty(_n, bool)",
             "_size = _empty((2, _n))", "_tol, _ry = _size",
             "_ratio = _empty((2, 2, _n))", "_ratio0, _ratio1 = _ratio",
             f"_frac = _array({[_TAYLOR_SAFETY, _RADIUS_FRACTION]!r}, float)[:, None].repeat(_n, 1)",
@@ -1195,18 +1194,16 @@ def _batch_rule(d, p, coefficients, column) -> tuple:
             "_h, _dt, _tn = _empty((3, _n))", "_clamped = _empty(_n, bool)",
             f"_hd, _z = _empty((2, {d}, _n))", f"_fz = _empty(({d}, _n), bool)"]
     step = [f"_absolute({coefficients[0]}, _sz0)", "_absolute(_cq, _sz12)",
-            "_copyto(_nrm, _sz_0)"]
-    for j in range(1, d):
-        step += [f"_greater(_sz_{j}, _nrm, _gt)", f"_copyto(_nrm, _sz_{j}, where=_gt)"]
-    step += ["_multiply(rtol, _ny, _tol)", "_add(atol, _tol, _tol)",
-             "_greater(_ny, 0.0, _pos)", "_copyto(_ry, inf)", "_copyto(_ry, _ny, where=_pos)",
-             "_divide(_size, _nab, _ratio)",
-             f"_multiply(_frac, _power(_ratio0, {1.0 / (p - 1)!r}), _bound0)",
-             f"_multiply(_frac, _power(_ratio1, {1.0 / p!r}), _bound1)",
-             "_fmin_reduce(_bound, (0, 1), None, _h, initial=inf)",
-             "_subtract(t_end, _t, _dt)", "_greater_equal(_h, _dt, _clamped)",
-             "_copyto(_h, _dt, where=_clamped)", "_add(_t, _h, _tn)",
-             "_copyto(_tn, t_end, where=_clamped)", "_copyto(_hd, _h)"]
+            "_fmax_reduce(_sz, 1, None, _nrm)", "_maximum(_first, _nrm, out=_nrm)",
+            "_multiply(rtol, _ny, _tol)", "_add(atol, _tol, _tol)",
+            "_greater(_ny, 0.0, _pos)", "_copyto(_ry, inf)", "_copyto(_ry, _ny, where=_pos)",
+            "_divide(_size, _nab, _ratio)",
+            f"_multiply(_frac, _power(_ratio0, {1.0 / (p - 1)!r}), _bound0)",
+            f"_multiply(_frac, _power(_ratio1, {1.0 / p!r}), _bound1)",
+            "_fmin_reduce(_bound, (0, 1), None, _h, initial=inf)",
+            "_subtract(t_end, _t, _dt)", "_greater_equal(_h, _dt, _clamped)",
+            "_copyto(_h, _dt, where=_clamped)", "_add(_t, _h, _tn)",
+            "_copyto(_tn, t_end, where=_clamped)", "_copyto(_hd, _h)"]
     return bind, step
 
 
@@ -1287,8 +1284,9 @@ def _run_rows(rhs, y0, config, ts, out):
         "_empty": np.empty, "_array": np.array, "_copyto": np.copyto, "_add": np.add,
         "_subtract": np.subtract, "_multiply": np.multiply, "_divide": np.divide,
         "_negative": np.negative, "_absolute": np.absolute, "_greater": np.greater,
-        "_greater_equal": np.greater_equal, "_isfinite": np.isfinite,
-        "_add_reduce": np.add.reduce, "_fmin_reduce": np.fmin.reduce}
+        "_greater_equal": np.greater_equal, "_isfinite": np.isfinite, "_maximum": np.maximum,
+        "_add_reduce": np.add.reduce, "_fmin_reduce": np.fmin.reduce,
+        "_fmax_reduce": np.fmax.reduce}
     bind = _taylor_function(_taylor_step_code, "bind", rhs, d, p, config.t0, namespace)
     columns = namespace["_state_columns"]
     t_end, rtol, atol = config.t_end, config.rtol, config.atol

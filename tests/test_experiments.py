@@ -138,14 +138,16 @@ def test_once_per_run_holds_the_parameter_statements_in_body_order():
     assert exponential.body[1] == "al = exp(-tau)"
     assert polynomial == exponential._replace(
         body=(exponential.body[0], "al = 1.0 / (1.0 + tau)", *exponential.body[2:]))
-    for text in (exponential, polynomial):
+    # exp(-tau) negates the scaled series delta * t as (-delta) * t, so
+    # -delta runs once per run too, first
+    for text, negated in ((exponential, ["-delta"]), (polynomial, [])):
         assert not any("alpha(" in statement for statement in text.body)
         assert text.guard == ("check_slow_time(delta * t)",)
+        hoisted = [*negated, "epsilon * a1", "epsilon * a2", "epsilon * 2.0 * a4", "-omega ** 2",
+                   "epsilon * 2.0 * a2", "epsilon * a3", "epsilon * a4"]
         for batch in (False, True):
             assert _TaylorEmitter(text, 13, batch).once_per_run == [
-                *text.guard, "_f0 = epsilon * a1", "_f1 = epsilon * a2",
-                "_f2 = epsilon * 2.0 * a4", "_f3 = -omega ** 2", "_f4 = epsilon * 2.0 * a2",
-                "_f5 = epsilon * a3", "_f6 = epsilon * a4"]
+                *text.guard, *(f"_f{i} = {value}" for i, value in enumerate(hoisted))]
     for batch in (False, True):
         assert _TaylorEmitter(AVG11, 13, batch).once_per_run[:6] == [
             "e2 = epsilon**2", "cross = a1 / 2 * a2 + a2 * a2 / 3",
@@ -181,21 +183,25 @@ def test_parameter_statements_once_per_integrate_call():
 def test_inlined_alpha_once_per_attempt():
     # the decay law, written into the Taylor recurrences as its text, runs
     # once per attempt: the slow time's two coefficients, delta * t and
-    # delta itself (no product by 1.0), then the law's series from one exp
-    # (or one division) of the first. Each run also takes the slow time once
-    # more, for its guard at t0. A delta that counts its products counts one
-    # per attempt, at the attempt's start time, under either law, in a
-    # single run. In a batch an attempt covers every row: its step reads the
-    # times once per attempt, in one numpy product of delta and every row's
-    # time, which does not call delta's __mul__. In a single run under the
-    # polynomial law, the slow time's coefficient 1, delta itself, also
-    # multiplies the law's coefficients 0 to p - 2 in its division recurrence
+    # delta itself (no product by 1.0; the exponential law's exp(-tau) takes
+    # (-delta) * t and -delta, with -delta once per run), then the law's
+    # series from one exp (or one division) of the first. Each run also
+    # takes the slow time once more, for its guard at t0. A delta that
+    # counts its products (and so does its negation) counts p per attempt
+    # in a single run, the first at the attempt's start time, under either
+    # law: coefficient 1 also multiplies the law's coefficients 0 to p - 2
+    # in its recurrence. In a batch an attempt covers every row: its step
+    # reads the times once per attempt, in one numpy product of delta (or
+    # -delta) and every row's time, which does not call its __mul__
     times = []
 
     class CountedDelta(float):
         def __mul__(self, t):
             times.append(t)
             return float(self) * t
+
+        def __neg__(self):  # -delta, which exp(-tau) multiplies by the time
+            return CountedDelta(-float(self))
 
     initial = fig_initial_state()
     y0 = initial.as_array()
@@ -207,7 +213,7 @@ def test_inlined_alpha_once_per_attempt():
         sc = _scenario(p, initial, 20.0)
         runs = [integrate(rhs, y0, sc.integrator) for rhs in (spy, field)]
         assert np.array_equal(runs[0].states, runs[1].states) and runs[0].stats == runs[1].stats
-        per = 1 if kind == "exponential" else runs[0].stats["order"]
+        per = runs[0].stats["order"]
         starts = times[1::per]
         assert times[:2] == [initial.t, initial.t] and starts == sorted(set(starts))
         assert len(times) == 1 + per * runs[0].stats["rhs_evals"]
@@ -219,7 +225,8 @@ def test_inlined_alpha_once_per_attempt():
                              runs[0].stats["order"])
         reads = [(k, op.kind, op.args) for k in range(stepper.p) for op in stepper.lower(k)
                  if stepper.time in op.args]
-        assert reads == [(0, "_multiply", ["delta", stepper.time])]
+        assert reads == [(0, "_multiply", [{"exponential": "_f0", "polynomial": "delta"}[kind],
+                                           stepper.time])]
 
 
 def test_run_scenario_fig1_initial_actions():
@@ -547,22 +554,30 @@ def test_ensemble_records_failures_without_aborting():
 
 
 @pytest.mark.parametrize("values", [
-    # exactly on interior edges (edges are -3, -2.90625, ..., 3)
-    np.array([[-3.0 + 0.09375 * k for k in range(5, 60, 6)]] * 3).T,
+    # exactly on interior edges (of the first edges, -3, -2.90625, ..., 3)
+    lambda edges: np.array([edges[5:60:6]] * 3).T,
     # at and beyond the clip bounds
-    np.array([[-3.0, 3.0, -7.0], [7.0, -3.0, 3.0], [-3.0 + 1e-13, 3.0 - 1e-13, 0.0]]),
+    lambda edges: np.array([[-3.0, 3.0, -7.0], [7.0, -3.0, 3.0],
+                            [edges[0] + 1e-13, edges[-1] - 1e-13, 0.0]]),
     # identical particles
-    np.full((6, 4), 0.123),
-], ids=["interior_edges", "clip_bounds", "identical"])
+    lambda edges: np.full((6, 4), 0.123),
+    # on every edge, and one ulp below and above it
+    lambda edges: np.array([np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)]),
+], ids=["interior_edges", "clip_bounds", "identical", "every_edge"])
 def test_histogram_series_matches_numpy_histogram(values):
-    edges = np.linspace(-3.0, 3.0, 65)
-    counts = _histogram_series(values, edges)
-    lo = edges[0] + 1e-12 * (edges[1] - edges[0])
-    hi = edges[-1] - 1e-12 * (edges[1] - edges[0])
-    expected = [np.histogram(np.clip(values[:, k], lo, hi), bins=edges)[0]
-                for k in range(values.shape[1])]
-    assert np.array_equal(counts, np.array(expected))
-    assert np.all(counts.sum(axis=1) == values.shape[0])
+    # the bins are computed from the uniform edges and moved by one where
+    # the edges say otherwise; on dyadic edges and on edges that linspace
+    # rounds (pi/10 apart from one another), every value lands in the bin
+    # np.histogram gives it
+    for edges in (np.linspace(-3.0, 3.0, 65), np.linspace(-0.3 * math.pi, 0.3 * math.pi, 65)):
+        at = values(edges)
+        counts = _histogram_series(at, edges)
+        lo = edges[0] + 1e-12 * (edges[1] - edges[0])
+        hi = edges[-1] - 1e-12 * (edges[1] - edges[0])
+        expected = [np.histogram(np.clip(at[:, k], lo, hi), bins=edges)[0]
+                    for k in range(at.shape[1])]
+        assert np.array_equal(counts, np.array(expected))
+        assert np.all(counts.sum(axis=1) == at.shape[0])
 
 
 def test_ensemble_symmetric_sampler_keeps_v2_symmetric():

@@ -802,7 +802,7 @@ def test_add_reduce_adds_rows_in_order(n):
     reordered = pairwise = 0
     for size, columns in ((1, [[2], [5]]), (2, [[0, 1], [9, 10]]), (2, [[5, 5], [0, 2]]),
                           (3, [[1, 2, 3], [4, 6, 8]])):
-        for terms in range(3, p + 2):
+        for terms in range(2, p + 2):
             for lo in (0, 1)[:p + 2 - terms]:
                 hi = lo + terms - 1
                 k = lo + hi
@@ -1086,7 +1086,7 @@ def test_square_rule_equals_the_cauchy_product():
     # exact, so coefficient k equals the Cauchy sum exactly, at every order
     # p = 2..16, for a series of degree p (a state's) and of lower degrees,
     # whose sums start past x_0 from k = degree + 1 on, in the single run's
-    # form and the batch's, which sums a half of three terms or more with
+    # form and the batch's, which sums a half of two terms or more with
     # add_reduce. On random floats, where the order of the sums shows, each
     # batch column has the single run's bits
     rng = np.random.default_rng(3)
@@ -1103,7 +1103,7 @@ def test_square_rule_equals_the_cauchy_product():
                 lo = max(0, k - degree)
                 half = (k + 1) // 2 - lo  # the pairs summed once
                 text = squares[1].expression(k)
-                assert ("add_reduce" in text) == (half >= 3) and text.count("2.0 *") == (half > 0)
+                assert ("add_reduce" in text) == (half >= 2) and text.count("2.0 *") == (half > 0)
                 for values in (ints, floats):
                     rows = eval(text, {"_x": values, "add_reduce": np.add.reduce})
                     for j in range(3):
@@ -1158,12 +1158,23 @@ def test_full_equations_attempt_operation_counts():
                       sum(ast.unparse(call.func) == "_add_reduce" for call in calls))
     assert counts == {"exponential": (499, 384), "polynomial": (499, 385)}
     # the batched step's calls, operators, subscripts and add_reduce per
-    # attempt: one numpy call per group of like operations of an order, on
-    # views bound once per row count. The step that wrote each statement on
-    # the rows of arrays took 105 calls, 407 operators (each a numpy call,
-    # with 64 unary ones), 482 subscripts and 49 add_reduce under the
-    # exponential law, and 104, 410 (74), 494 and 49 under the polynomial one
-    assert batch == {"exponential": (345, 0, 7, 30), "polynomial": (357, 0, 7, 30)}
+    # attempt: one numpy call per run of like operations of a level, on
+    # views bound once per row count, with no negation that is only added.
+    # The step that wrote each statement on the rows of arrays took 105
+    # calls, 407 operators (each a numpy call, with 64 unary ones), 482
+    # subscripts and 49 add_reduce under the exponential law, and 104, 410
+    # (74), 494 and 49 under the polynomial one; the greedy schedule of
+    # groups of like operations of an order took 345 calls and 30
+    # add_reduce, and 357 and 30
+    assert batch == {"exponential": (293, 0, 7, 34), "polynomial": (306, 0, 7, 34)}
+    # no text, single or batched, adds a negation: -a + b is written b - a
+    for text in (integrate_module._taylor_loop_source(4, equations, 13),
+                 "\n".join(integrate_module._TaylorEmitter(equations, 13, batch=True).lines())):
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+                operands = (node.left, node.right) if isinstance(node.op, ast.Add) else (node.right,)
+                assert not any(isinstance(x, ast.UnaryOp) and isinstance(x.op, ast.USub)
+                               for x in operands), ast.unparse(node)
 
 
 def test_single_run_attempt_calls_only_exp_and_the_finiteness_fallback():
@@ -1242,6 +1253,23 @@ def test_attempt_reads_a_copied_coefficient_where_it_is_stored(monkeypatch):
             cache.cache_clear()
     for a, b in zip(stored, copied):
         assert np.array_equal(a, b)
+
+
+def test_batch_row_stops_where_a_coefficient_divides_by_zero():
+    # u = t / c at c = 0: u's coefficient 1, 1.0 / c, reads the parameters
+    # only. The single run's attempt raises ZeroDivisionError on it and stops
+    # at t0 on non-finite values; the batch computes it once, when it binds
+    # its step, on 0-d arrays, where it is inf, so each row stops at t0 with
+    # its single run's message
+    rhs = _field(("x",), ("u = t / c", "dx = -x + u"), c=0.0)
+    cfg = IntegratorConfig(t_end=1.0, sample_dt=0.5)
+    with pytest.raises(IntegrationError) as single:
+        integrate(rhs, np.array([1.0]), cfg)
+    assert str(single.value) == "non-finite values in right-hand side (last good time t = 0)"
+    batch = integrate(rhs, np.array([[1.0], [2.0]]), cfg)
+    assert batch.stats["failures"] == [(0, str(single.value)), (1, str(single.value))]
+    assert np.array_equal(batch.stats["row_t_last"], [0.0, 0.0])
+    assert np.array_equal(batch.states[:, 0, 0], [1.0, 2.0]) and np.isnan(batch.states[:, 1:]).all()
 
 
 def test_batch_writes_out_the_sums_of_a_series_with_copied_coefficients():

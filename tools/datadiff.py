@@ -157,6 +157,8 @@ COMMANDS = {
     # the largest seed the generator's uint64 key takes
     "ensemble-seed-max": ["ensemble", "ens.ini", "--seed", "18446744073709551615"],
     "ensemble-polynomial": ["ensemble", "ens-poly.ini", "--seed", "0"],
+    # a second order of the batched step: p = 16, sums of up to 17 terms
+    "ensemble-tight": ["ensemble", "ens.ini", "--seed", "0", "--rtol", "1e-13"],
     "ensemble-failing": ["ensemble", "ens-fail.ini", "--horizon", "30"],
     "resonance-1": ["resonance", "--omega", "1"],
     # the 1:1 classification on each threshold of p = a1/(3*a2) (-1/3 twice,
