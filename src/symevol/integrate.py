@@ -474,6 +474,10 @@ class _TaylorEmitter:
             if rate not in self.series and rate not in scalars:
                 raise ValueError(f"no statement assigns the rate {rate!r}")
             self.rates.append(self._read(self.series.get(rate, rate)))
+        for series in reversed(self.ops):  # a scaled series none reads (one folded into
+            if series.factors and not series.reads:  # a negation's scalar) reads nothing
+                for factor in series.factors:
+                    self._read(factor, -1)
         self.storage = {}  # the name of every stored series but the state -> its degree
         for series in self.ops:
             series.store(self)
@@ -932,33 +936,20 @@ class _BatchStep:
         self.time = (p + 1) * self.width
         self.columns = {name: j for j, name in enumerate(state + [None] * d + series) if name}
         self.fills = []
-        # the state's columns by the levels of the last order's targets; the
-        # others' so, or in the emitter's order, whichever makes fewer calls
+        # the state's columns in the order in which the last order's levels
+        # write them, the others' in the emitter's
         ops, first = self.lower(p - 1), {}
         for i, op in enumerate(ops):
             first.setdefault((op.level, op.like()), i)
-        written = [self.names()[op.row % self.width] for op in sorted(
-            (op for op in ops if op.top), key=lambda op: (op.level, first[op.level, op.like()]))]
-
-        def by_level(names):
-            return sorted(names, key=lambda name: (name not in written, written.index(name)
-                                                   if name in written else 0))
-        best = None
-        for others in (series, by_level(series)):
-            self.columns = {name: j for j, name in enumerate(
-                by_level(state) + [None] * d + others) if name}
-            self.size, self.fills = self.time + 1, []  # the buffer's rows, past every order's
-            orders = [self.runs(self.lower(k)) for k in range(p)]
-            calls = sum(2 if run[0].kind in ("dot", "exp") else 1 for runs in orders
-                        for run in runs)
-            if best is None or calls < best[0]:
-                best = calls, self.columns, orders, self.size, self.fills
-        _, self.columns, self.orders, self.size, self.fills = best
+        written = [state[op.row % self.width] for op in sorted(
+            (op for op in ops if op.top and op.row % self.width < d),
+            key=lambda op: (op.level, first[op.level, op.like()]))]
+        self.columns = {name: j for j, name in enumerate(
+            written + [name for name in state if name not in written] + [None] * d + series)
+            if name}
+        self.size, self.fills = self.time + 1, []  # the buffer's rows, past every order's
+        self.orders = [self.runs(self.lower(k)) for k in range(p)]
         self.products, self.views, self.constants = 0, {}, {}  # dot products' rows
-
-    def names(self) -> dict:
-        """The name of the series of each column."""
-        return {j: name for name, j in self.columns.items()}
 
     def view(self, text) -> str:
         """The name the step reads the view ``text`` of the buffer by."""
@@ -1064,8 +1055,8 @@ class _BatchStep:
                 op.level = max(like, key=lambda level: (like[level], level))
         groups, runs, used = {}, [], {self.time}
 
-        def taken(row):  # a row of a series or the time, or an op's
-            return row <= self.time and not self.d <= row % self.width < 2 * self.d \
+        def taken(row):  # no row, a row of a series or the time, or an op's
+            return row < 0 or row <= self.time and not self.d <= row % self.width < 2 * self.d \
                 or row in used
         for op in ops:
             groups.setdefault((op.level, op.like()), []).append(op)

@@ -1272,6 +1272,45 @@ def test_batch_row_stops_where_a_coefficient_divides_by_zero():
     assert np.array_equal(batch.states[:, 0, 0], [1.0, 2.0]) and np.isnan(batch.states[:, 1:]).all()
 
 
+@pytest.mark.parametrize("body", [
+    ("dx = x + y * c", "dy = y + x"),
+    ("dx = y + y * c", "dy = c * x + x"),
+    ("dx = y + y * c", "dy = x + x * c + x"),
+    ("dx = x + y * c + -y", "dy = y * c + y"),
+    ("dx = y + c * y", "dy = y + c * y + z", "dz = y * c"),
+    ("dx = x + y + x", "dy = y + c * z + -y", "dz = x + z + z * c")])
+def test_linear_batch_rows_equal_single_runs(body):
+    # linear texts store no series but the state, so the batch's layout
+    # places ops in the free columns of the state's rows, next to the rows
+    # of the state it reads: none goes below coefficient 0 (a row -1 would
+    # wrap to the time row). Each row of a batch of two is its single run
+    # byte for byte, at p = 3, 5 and 16
+    state = ("x", "y", "z")[:len(body)]
+    rhs = _field(state, body, c=0.5)
+    for rtol in (0.1, 1e-3, 1e-13):
+        p = integrate_module._taylor_order(rtol)
+        assert "_w[-" not in integrate_module._taylor_step_source(len(state), rhs.equations, p)
+        cfg = IntegratorConfig(t_end=2.0, sample_dt=0.5, rtol=rtol)
+        rows = np.linspace(0.1, 0.4, 2 * len(state)).reshape(2, len(state))
+        batch = integrate(rhs, rows, cfg)
+        for i, row in enumerate(rows):
+            assert np.array_equal(integrate(rhs, row, cfg).states, batch.states[i])
+
+
+def test_negated_scaled_series_reads_its_series_once():
+    # -v for v = c * u is written (-c) u: v is then read by none, and its read
+    # of u goes with it, so u, read once, is written into its one reader and
+    # not stored, as without the fold; rows equal their single runs
+    rhs = _field(("x",), ("u = x * x", "v = c * u", "dx = -v"), c=0.5)
+    for batch in (False, True):
+        assert integrate_module._TaylorEmitter(rhs.equations, 13, batch).storage == {}
+    cfg = IntegratorConfig(t_end=2.0, sample_dt=0.5)
+    rows = np.array([[0.5], [0.25]])
+    states = integrate(rhs, rows, cfg).states
+    for i in range(2):
+        assert np.array_equal(integrate(rhs, rows[i], cfg).states, states[i])
+
+
 def test_batch_writes_out_the_sums_of_a_series_with_copied_coefficients():
     # u = 1.0 + x copies x's coefficients past the first, so u has no rows of
     # its own to slice where u * u sums three terms or more: the batch writes
