@@ -527,10 +527,11 @@ class _TaylorEmitter:
         numpy adds the terms in that order, for every entry, and so it does
         on one column for S >= 2 sums; one sum on one column it adds
         pairwise, so :func:`_run_rows` never binds fewer than two columns
-        (``test_add_reduce_adds_rows_in_order`` pins the order). A series
-        with a coefficient in another's storage (``copies``) has no rows to
-        slice; its sums are written out, in the same order."""
-        if self.batch and hi - lo >= 1 and not (x.copies or y.copies):
+        (``test_add_reduce_adds_rows_in_order`` pins the order). The time,
+        which has no storage, and a series with a coefficient in another's
+        storage (``copies``) have no rows to slice; their sums are written
+        out, in the same order."""
+        if self.batch and hi - lo >= 1 and x.name and y.name and not (x.copies or y.copies):
             end = k - hi - 1
             return (f"add_reduce(_{x.name}[{lo}:{hi + 1}] * _{y.name}[{k - lo}:"
                     f"{end if end >= 0 else ''}:-1], 0)")

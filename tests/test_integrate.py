@@ -1278,13 +1278,15 @@ def test_batch_row_stops_where_a_coefficient_divides_by_zero():
     ("dx = y + y * c", "dy = x + x * c + x"),
     ("dx = x + y * c + -y", "dy = y * c + y"),
     ("dx = y + c * y", "dy = y + c * y + z", "dz = y * c"),
-    ("dx = x + y + x", "dy = y + c * z + -y", "dz = x + z + z * c")])
+    ("dx = x + y + x", "dy = y + c * z + -y", "dz = x + z + z * c"),
+    ("dx = x + t * y", "dy = -x")])
 def test_linear_batch_rows_equal_single_runs(body):
     # linear texts store no series but the state, so the batch's layout
     # places ops in the free columns of the state's rows, next to the rows
     # of the state it reads: none goes below coefficient 0 (a row -1 would
-    # wrap to the time row). Each row of a batch of two is its single run
-    # byte for byte, at p = 3, 5 and 16
+    # wrap to the time row). The time has no rows, so t * y's two-term sums
+    # are written out. Each row of a batch of two is its single run byte
+    # for byte, at p = 3, 5 and 16
     state = ("x", "y", "z")[:len(body)]
     rhs = _field(state, body, c=0.5)
     for rtol in (0.1, 1e-3, 1e-13):
