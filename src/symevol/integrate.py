@@ -1040,7 +1040,10 @@ class _BatchStep:
         its level's like ops that it can (:func:`_join`), by its rows. From
         the last level down, a run's targets and multi-member operands with
         no row take a block of new rows past the time's, a spare row between
-        blocks; a run that a later row breaks is split."""
+        blocks. No run needs splitting later: :func:`_join` keeps each of a
+        run's places either rowless in every member or on consecutive rows,
+        the block then places every rowless one of a run of two members or
+        more, and no row, once placed, moves."""
         last = max((op.level for op in ops), default=0)
         readers = {op: [] for op in ops}
         for op in ops:
@@ -1091,15 +1094,7 @@ class _BatchStep:
                         block(places)
             runs += parts
         self.size = max(self.size, max(used) + 1)
-        split = []
-        for run in reversed(runs):
-            split.append(run[:1])
-            for op in run[1:]:
-                if _join(split[-1], op, taken) == {}:
-                    split[-1].append(op)
-                else:
-                    split.append([op])
-        return split
+        return runs[::-1]
 
     def call(self, run, k) -> list:
         """The statements of one run: its numpy call on views."""
