@@ -87,7 +87,7 @@ def _drift_function(name, args, statements, results):
     on floats, arrays or Fractions alike, compiled on its first call."""
     lines = [f"def {name}({', '.join(args)}):", *(f"    {s}" for s in statements),
              f"    return {', '.join(results)}"]
-    return _compiled_on_first_call(name, lines, {})
+    return _compiled_on_first_call(name, lambda: lines, {})
 
 
 _phase_drifts_12 = _drift_function("_phase_drifts_12", ("u", "w", "al2", "a1", "a2", "a3", "a4"),

@@ -65,7 +65,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import InlineRhs, _exp
+from .model import InlineRhs, _check_names, _exp
 
 
 __all__ = ["IntegratorConfig", "Trajectory", "IntegrationError", "integrate",
@@ -77,7 +77,7 @@ __all__ = ["IntegratorConfig", "Trajectory", "IntegrationError", "integrate",
 # a bool on the single run's floats and one bool per row on the batch's
 # columns. A non-finite attempt stops its run as well.
 _STEP_FLOOR = 1e-14
-_STOP_RULE = f"(t < t_end) & ((h < {_STEP_FLOOR!r}) | (h < {_STEP_FLOOR!r} * abs(t)))"
+_STOP_RULE = f"(t < _t_end) & ((_h < {_STEP_FLOOR!r}) | (_h < {_STEP_FLOOR!r} * _abs(t)))"
 
 # Most intervals a uniform time grid (of output samples or of fixed steps) may
 # have: 320 MB of 4-vectors.
@@ -114,7 +114,7 @@ _STOP = {False: ("step size underflow", "underflow"),
 
 # whether each batch row's step underflows short of t_end; the single run's
 # loop writes the same rule into its source (_TAYLOR_LOOP)
-_stops = eval(f"lambda t, h, t_end: {_STOP_RULE}", {})
+_stops = eval(f"lambda t, _h, _t_end: {_STOP_RULE}", {"_abs": abs})
 
 
 @dataclass(frozen=True)
@@ -452,6 +452,7 @@ class _TaylorEmitter:
     """
 
     def __init__(self, equations, p: int, batch: bool):
+        _check_names(equations)
         self.p, self.batch = p, batch
         self.ops = []  # the series written, in dependency order
         self.hoisted = {}  # the text of each scalar subexpression run once per run -> its name
@@ -697,7 +698,7 @@ def _over(a, b) -> str:
 
 
 def _step_rule_lines(emitter, d: int, p: int) -> list:
-    """The step ``h`` of a single run's Taylor attempt from its coefficients
+    """The step ``_h`` of a single run's Taylor attempt from its coefficients
     c_k: with tol = atol + rtol ||y||, ||.|| the largest component's size,
     the step at which each of the last two terms, ||c_k|| h^k for k = p - 1
     and p, is tol, times _TAYLOR_SAFETY; at most _RADIUS_FRACTION of the
@@ -725,12 +726,13 @@ def _step_rule_lines(emitter, d: int, p: int) -> list:
         for state in emitter.state[1:]:
             lines += [f"_x = {size(emitter.coef(state, k))}",
                       f"{norm} = {pick(f'_x > {norm}', '_x', norm)}"]
-    lines += ["_tol = atol + rtol * _ny", f"_ry = {pick('_ny > 0.0', '_ny', 'inf')}", "h = inf"]
+    lines += ["_tol = _atol + _rtol * _ny", f"_ry = {pick('_ny > 0.0', '_ny', '_inf')}",
+              "_h = _inf"]
     for norm, k in (("_na", p - 1), ("_nb", p)):
         for fraction, size in ((_TAYLOR_SAFETY, "_tol"), (_RADIUS_FRACTION, "_ry")):
             bound = f"{fraction!r} * {power(f'{size} / {norm}', 1.0 / k)}"
-            lines += [f"_x = {pick(f'{norm} > 0.0', bound, 'inf')}",
-                      f"h = {pick('_x < h', '_x', 'h')}"]
+            lines += [f"_x = {pick(f'{norm} > 0.0', bound, '_inf')}",
+                      f"_h = {pick('_x < _h', '_x', '_h')}"]
     return lines
 
 
@@ -748,62 +750,62 @@ def _step_rule_lines(emitter, d: int, p: int) -> list:
 # a step that holds a sample (bisect_right, and fill_steps once the block
 # holds fill_block samples or the grid's last) and at the end.
 _TAYLOR_LOOP = """\
-def run(t, y, t_end, rtol, atol, samples, out, ts):
-    {y} = y
-    last_sample = len(ts)
-    idx = 1
-    t_next = samples[1]
-    accepted = 0
-    h_min = inf
-    h_max = 0.0
-    block = []
-    while t < t_end:
+def _run(t, _y, _t_end, _rtol, _atol, _samples, _out, _ts):
+    {y} = _y
+    _last_sample = _len(_ts)
+    _idx = 1
+    _t_next = _samples[1]
+    _accepted = 0
+    _h_min = _inf
+    _h_max = 0.0
+    _block = []
+    while t < _t_end:
         try:
 {attempt}
-        except (ZeroDivisionError, OverflowError):
-            finite = False
-        if not finite:
+        except (_ZeroDivisionError, _OverflowError):
+            _finite = False
+        if not _finite:
             break
-        if t_next <= t_new:
-            stop = bisect_right(samples, t_new, idx)
-            block += idx, stop, t
-            block += {coefficients}
-            idx = stop
-            t_next = samples[idx]
-            if idx == last_sample or idx - block[0] >= fill_block:
-                fill_steps(out, ts, block, {terms})
-                block = []
-        t = t_new
+        if _t_next <= _t_new:
+            _stop = _bisect_right(_samples, _t_new, _idx)
+            _block += _idx, _stop, t
+            _block += {coefficients}
+            _idx = _stop
+            _t_next = _samples[_idx]
+            if _idx == _last_sample or _idx - _block[0] >= _fill_block:
+                _fill_steps(_out, _ts, _block, {terms})
+                _block = []
+        t = _t_new
 {advance}
-        accepted += 1
-        h_min = h if h < h_min else h_min
-        h_max = h if h > h_max else h_max
+        _accepted += 1
+        _h_min = _h if _h < _h_min else _h_min
+        _h_max = _h if _h > _h_max else _h_max
         if {stop_rule}:
             break
-    if t < t_end:
-        raise failure(t, ({y}), finite)
-    return accepted, h_min, h_max, h
+    if t < _t_end:
+        raise _failure(t, ({y}), _finite)
+    return _accepted, _h_min, _h_max, _h
 """
 
 
 def _taylor_loop_source(d: int, equations, p: int) -> str:
     """A single run's whole Taylor loop of order p on d floats, as source
     text: the emitter's ``once_per_run`` statements, then
-    :data:`_TAYLOR_LOOP`. ``run(t, y, t_end, rtol, atol, samples, out, ts)``
-    integrates from t and the state ``y``, a sequence of d floats, fills
-    ``out`` at the times ``ts`` (``samples`` is ``ts`` and inf past it) and
+    :data:`_TAYLOR_LOOP`. ``_run(t, y, t_end, rtol, atol, samples, out,
+    ts)`` integrates from t and the state ``y``, a sequence of d floats,
+    fills ``out`` at the times ``ts`` (``samples`` is ``ts`` and inf past it) and
     returns the counts of accepted steps and the smallest, largest and last
     accepted step, or raises :class:`IntegrationError`. Its new state is the
     batch's, :func:`_taylor_step_code`, bit for bit."""
     emitter = _TaylorEmitter(equations, p, batch=False)
     values = [f"_z{j}" for j in range(d)]
     attempt = [*emitter.lines(), *_step_rule_lines(emitter, d, p),
-               "if h >= t_end - t:", "    h = t_end - t", "    t_new = t_end",
-               "else:", "    t_new = t + h"]
+               "if _h >= _t_end - t:", "    _h = _t_end - t", "    _t_new = _t_end",
+               "else:", "    _t_new = t + _h"]
     for j in range(d):  # Horner's rule
         value = f"_y{j}_{p}"
         for k in range(p - 1, -1, -1):
-            value = f"({value}) * h + _y{j}_{k}"
+            value = f"({value}) * _h + _y{j}_{k}"
         attempt.append(f"_z{j} = {value}")
     # a finite sum proves every value finite (x - x is 0.0 for a finite x and
     # NaN for inf or NaN), and only a non-finite one is looked into. A
@@ -811,8 +813,8 @@ def _taylor_loop_source(d: int, equations, p: int) -> str:
     # non-finite: Horner's rule takes it times h > 0, or times h = 0, which
     # gives NaN
     attempt += _sum_source("_total", values)
-    attempt.append(f"finite = _total - _total == 0.0 "
-                   f"or all(map(isfinite, ({', '.join(values)},)))")
+    attempt.append(f"_finite = _total - _total == 0.0 "
+                   f"or _all(_map(_isfinite, ({', '.join(values)},)))")
     code = _TAYLOR_LOOP.format(
         y=" ".join(f"_y{j}_0," for j in range(d)), attempt="\n".join(_indented(attempt, 3)),
         coefficients=" ".join(f"_y{j}_{k}," for k in range(p + 1) for j in range(d)),
@@ -864,7 +866,7 @@ def _on_arrays(text) -> str:
     for n in ast.walk(node):
         for name, value in ast.iter_fields(n):
             if isinstance(value, (ast.Name, ast.Constant)) and name != "func":
-                setattr(n, name, ast.Call(ast.Name("_array"), [value, ast.Name("float")], []))
+                setattr(n, name, ast.Call(ast.Name("_array"), [value, ast.Name("_float")], []))
     return text if isinstance(node, (ast.Name, ast.Constant)) else ast.unparse(node)
 
 
@@ -979,9 +981,9 @@ class _BatchStep:
         """The name of the scalars ``texts`` of a run's members, bound
         once: a 0-d array if they are one, else one row of each."""
         if len(set(texts)) == 1:
-            text = f"_array({_on_arrays(texts[0])}, float)"
+            text = f"_array({_on_arrays(texts[0])}, _float)"
         else:
-            text = f"_array([{', '.join(map(_on_arrays, texts))}], float)[:, None].repeat(_n, 1)"
+            text = f"_array([{', '.join(map(_on_arrays, texts))}], _float)[:, None].repeat(_n, 1)"
         return self.constants.setdefault(text, f"_k{len(self.constants)}")
 
     def lower(self, k) -> list:
@@ -1120,8 +1122,8 @@ class _BatchStep:
 
     def source(self) -> str:
         """The step's text: each order's runs, the step rule, the clamp
-        and Horner's rule, in ``step``, and the buffers and views they read
-        in ``bind``; ``_state_columns`` holds each state component's
+        and Horner's rule, in ``_step``, and the buffers and views they read
+        in ``_bind``; ``_state_columns`` holds each state component's
         column."""
         d, p, emitter = self.d, self.p, self.emitter
         body = []
@@ -1131,7 +1133,7 @@ class _BatchStep:
         horner = [self.view(f"_a[{k}, :{d}]") for k in range(p + 1)]
         column = [self.columns[f"_y{j}"] for j in range(d)]  # each state component's
         rule_buffers, rule = _batch_rule(d, p, horner, column)
-        step = ["_t[:_m] = t", f"{horner[0]}[:, :_m] = y", *body, *rule,
+        step = ["_t[:_m] = _time", f"{horner[0]}[:, :_m] = _state", *body, *rule,
                 f"_multiply({horner[p]}, _hd, _z)", f"_add(_z, {horner[p - 1]}, _z)",
                 *(line for k in range(p - 2, -1, -1)
                   for line in ("_multiply(_z, _hd, _z)", f"_add(_z, {horner[k]}, _z)")),
@@ -1146,12 +1148,12 @@ class _BatchStep:
                 *(f"{name} = {text}" for text, name in self.views.items()),
                 *(f"{name} = {text}" for text, name in self.constants.items()),
                 *self.fills, *rule_buffers]
-        return "\n".join([*emitter.once_per_run, f"_state_columns = {column}", "def bind(_n):",
+        return "\n".join([*emitter.once_per_run, f"_state_columns = {column}", "def _bind(_n):",
                           *_indented(bind, 1),
-                          "    def step(t, y, t_end, rtol, atol):",
-                          "        _m = len(t)",
+                          "    def _step(_time, _state, _t_end, _rtol, _atol):",
+                          "        _m = _len(_time)",
                           *_indented(step, 2),
-                          "    return step"])
+                          "    return _step"])
 
 
 def _batch_rule(d, p, coefficients, column) -> tuple:
@@ -1173,32 +1175,32 @@ def _batch_rule(d, p, coefficients, column) -> tuple:
     bind = [f"_sz = _empty((3, {d}, _n))", "_sz0 = _sz[0]", "_sz12 = _sz[1:]",
             f"_first = _sz[:, {column[0]}]", f"_cq = _a[{p - 1}:, :{d}]",
             "_nrm = _empty((3, _n))", "_ny = _nrm[0]", "_nab = _nrm[1:, None]",
-            "_pos = _empty(_n, bool)",
+            "_pos = _empty(_n, _bool)",
             "_size = _empty((2, _n))", "_tol, _ry = _size",
             "_ratio = _empty((2, 2, _n))", "_ratio0, _ratio1 = _ratio",
-            f"_frac = _array({[_TAYLOR_SAFETY, _RADIUS_FRACTION]!r}, float)[:, None].repeat(_n, 1)",
+            f"_frac = _array({[_TAYLOR_SAFETY, _RADIUS_FRACTION]!r}, _float)[:, None].repeat(_n, 1)",
             "_bound = _empty((2, 2, _n))", "_bound0, _bound1 = _bound",
-            "_h, _dt, _tn = _empty((3, _n))", "_clamped = _empty(_n, bool)",
-            f"_hd, _z = _empty((2, {d}, _n))", f"_fz = _empty(({d}, _n), bool)"]
+            "_h, _dt, _tn = _empty((3, _n))", "_clamped = _empty(_n, _bool)",
+            f"_hd, _z = _empty((2, {d}, _n))", f"_fz = _empty(({d}, _n), _bool)"]
     step = [f"_absolute({coefficients[0]}, _sz0)", "_absolute(_cq, _sz12)",
             "_fmax_reduce(_sz, 1, None, _nrm)", "_maximum(_first, _nrm, out=_nrm)",
-            "_multiply(rtol, _ny, _tol)", "_add(atol, _tol, _tol)",
-            "_greater(_ny, 0.0, _pos)", "_copyto(_ry, inf)", "_copyto(_ry, _ny, where=_pos)",
+            "_multiply(_rtol, _ny, _tol)", "_add(_atol, _tol, _tol)",
+            "_greater(_ny, 0.0, _pos)", "_copyto(_ry, _inf)", "_copyto(_ry, _ny, where=_pos)",
             "_divide(_size, _nab, _ratio)",
             f"_multiply(_frac, _power(_ratio0, {1.0 / (p - 1)!r}), _bound0)",
             f"_multiply(_frac, _power(_ratio1, {1.0 / p!r}), _bound1)",
-            "_fmin_reduce(_bound, (0, 1), None, _h, initial=inf)",
-            "_subtract(t_end, _t, _dt)", "_greater_equal(_h, _dt, _clamped)",
+            "_fmin_reduce(_bound, (0, 1), None, _h, initial=_inf)",
+            "_subtract(_t_end, _t, _dt)", "_greater_equal(_h, _dt, _clamped)",
             "_copyto(_h, _dt, where=_clamped)", "_add(_t, _h, _tn)",
-            "_copyto(_tn, t_end, where=_clamped)", "_copyto(_hd, _h)"]
+            "_copyto(_tn, _t_end, where=_clamped)", "_copyto(_hd, _h)"]
     return bind, step
 
 
 def _taylor_step_source(d: int, equations, p: int) -> str:
     """A batched Taylor attempt of order p, as source text: the emitter's
-    ``once_per_run`` statements, then ``bind(n)``, which allocates the
+    ``once_per_run`` statements, then ``_bind(n)``, which allocates the
     step's buffers for n columns (:class:`_BatchStep`) and returns
-    ``step(t, y, t_end, rtol, atol)``. That takes ``y`` as a (d, m) array, a
+    ``_step(t, y, t_end, rtol, atol)``. That takes ``y`` as a (d, m) array, a
     column per row, and ``t`` as an (m,) array, m <= n, and returns the
     coefficients as a (p + 1, d, m) array, the step, its end, the new state
     and whether the attempt is finite, per row; the coefficients and the new
@@ -1226,7 +1228,7 @@ def _taylor_function(generate, name, rhs, d, p, t0, namespace):
     if len(equations.state) != d or len(equations.rates) != d:
         raise ValueError(f"rhs returns {len(equations.rates)} values of {len(equations.state)} "
                          f"components for a state of {d}")
-    namespace.update(rhs.bindings, t=t0, inf=math.inf)
+    namespace.update(rhs.bindings, t=t0, _inf=math.inf)
     exec(generate(d, equations, p), namespace)
     return namespace[name]
 
@@ -1236,11 +1238,14 @@ def _run_single(rhs, y0, config, ts, out):
     ``out``, the samples at ``ts``, and return the run's stats: the loop of
     :func:`_taylor_loop_code`, bound."""
     d, p = len(y0), _taylor_order(config.rtol)
-    run = _taylor_function(_taylor_loop_code, "run", rhs, d, p, config.t0,
-                           {"isfinite": math.isfinite, "exp": math.exp,
-                            "bisect_right": bisect.bisect_right,
-                            "fill_steps": _fill_taylor_steps, "fill_block": _FILL_BLOCK,
-                            "failure": _failure})
+    run = _taylor_function(_taylor_loop_code, "_run", rhs, d, p, config.t0,
+                           {"exp": math.exp, "_isfinite": math.isfinite, "_len": len,
+                            "_all": all, "_map": map, "_abs": abs,
+                            "_ZeroDivisionError": ZeroDivisionError,
+                            "_OverflowError": OverflowError,
+                            "_bisect_right": bisect.bisect_right,
+                            "_fill_steps": _fill_taylor_steps, "_fill_block": _FILL_BLOCK,
+                            "_failure": _failure})
     # the sample times, read as floats, and past the last one a time no step reaches
     samples = memoryview(np.append(ts, math.inf))
     with np.errstate(all="ignore"):  # the fill evaluates steps of any size
@@ -1267,14 +1272,15 @@ def _run_rows(rhs, y0, config, ts, out):
     n_rows, d = y0.shape
     p = _taylor_order(config.rtol)
     namespace = {
-        "exp": _exp, "inf": math.inf, "_power": _power, "_zeros": np.zeros,
+        "exp": _exp, "_len": len, "_float": float, "_bool": bool, "_power": _power,
+        "_zeros": np.zeros,
         "_empty": np.empty, "_array": np.array, "_copyto": np.copyto, "_add": np.add,
         "_subtract": np.subtract, "_multiply": np.multiply, "_divide": np.divide,
         "_negative": np.negative, "_absolute": np.absolute, "_greater": np.greater,
         "_greater_equal": np.greater_equal, "_isfinite": np.isfinite, "_maximum": np.maximum,
         "_add_reduce": np.add.reduce, "_fmin_reduce": np.fmin.reduce,
         "_fmax_reduce": np.fmax.reduce}
-    bind = _taylor_function(_taylor_step_code, "bind", rhs, d, p, config.t0, namespace)
+    bind = _taylor_function(_taylor_step_code, "_bind", rhs, d, p, config.t0, namespace)
     columns = namespace["_state_columns"]
     t_end, rtol, atol = config.t_end, config.rtol, config.atol
     accepted = np.zeros(n_rows, dtype=np.int64)

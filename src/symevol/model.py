@@ -20,6 +20,7 @@ freezes alpha at 1 and makes the system conservative.
 
 from __future__ import annotations
 
+import ast
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -211,12 +212,11 @@ class Equations(NamedTuple):
     ``epsilon * a1 * q1q1``) run once per run too, so a text may write them
     where the physics has them. A choice of model that the code would branch
     on, such as the decay law, is a text of its own (:data:`FULL_EQUATIONS`).
-    The statements' names share the generated code's namespace, so they
-    must differ from its own: every name that starts with an underscore,
-    ``t`` (the time), ``y``, ``h``, ``t_end``, ``t_new``, ``rtol``,
-    ``atol``, ``finite``, ``inf``, ``exp``, ``isfinite``, the batched
-    step's ``bind`` and ``step``, and the names of the single run's loop in
-    ``integrate._TAYLOR_LOOP``.
+    The statements share the generated code's namespace, whose own names
+    all start with an underscore. So a text uses no name that does, and
+    neither assigns nor lists (as a state, rate or parameter) ``t``,
+    ``exp`` or a function of ``_CHECKS``; the code generated from a text
+    that does raises ValueError where it is generated (:func:`_check_names`).
     """
 
     state: tuple
@@ -232,10 +232,11 @@ class Equations(NamedTuple):
 
     def at(self, p: ModelParams) -> InlineRhs:
         """The field at p as :func:`symevol.integrate.integrate` takes it: an
-        :class:`InlineRhs` whose call is the function :func:`_rhs_function`
-        generated from this text, the one constructor of every field the
-        package integrates."""
-        rhs = _FIELDS[self]
+        :class:`InlineRhs` whose call is the function generated from this
+        text (:func:`_field_function`), the one constructor of every field
+        the package integrates. A text of the package calls its function
+        in ``_FIELDS``, any other text a function of its own."""
+        rhs = _FIELDS.get(self) or _field_function(self, "rhs", None)
         return InlineRhs(lambda t, y: rhs(t, y, p), self, self.bindings(p))
 
 
@@ -295,18 +296,18 @@ FULL_EQUATIONS = {kind: Equations(
     guard=("check_slow_time(delta * t)",)) for kind, law in _DECAY_LAWS.items()}
 
 
-def _compiled_on_first_call(name: str, lines, namespace: dict, doc=None):
-    """The function ``name`` that the source ``lines`` define, run in
-    ``namespace``, under a function of that name and docstring ``doc`` that
-    compiles the source on its first call and then calls it: a module that
-    generates functions pays for none at import, and a run that never calls
-    one never compiles it."""
+def _compiled_on_first_call(name: str, source, namespace: dict, doc=None):
+    """The function ``name`` that the lines ``source()`` returns define,
+    run in ``namespace``, under a function of that name and docstring
+    ``doc`` that makes and compiles the source on its first call and then
+    calls it: a module that generates functions pays for none at import,
+    and a run that never calls one never compiles it."""
     compiled = None
 
     def function(*args, **kwargs):
         nonlocal compiled
         if compiled is None:
-            exec("\n".join(lines), namespace)
+            exec("\n".join(source()), namespace)
             compiled = namespace[name]
         return compiled(*args, **kwargs)
 
@@ -315,28 +316,62 @@ def _compiled_on_first_call(name: str, lines, namespace: dict, doc=None):
     return function
 
 
-# the function generated from each Equations text, which Equations.at calls
+# the names a text may read, but neither assign nor list: the time, libm's
+# exp and the guard's checks
+_RESERVED = {"t", "exp", *_CHECKS}
+
+
+def _check_names(equations: Equations):
+    """ValueError unless the text ``equations`` keeps the naming rule of
+    :class:`Equations`: it uses no name that starts with an underscore, and
+    neither assigns nor lists ``t``, ``exp`` or a function of ``_CHECKS``."""
+    listed = {*equations.state, *equations.rates, *equations.params}
+    used, assigned = set(listed), set()
+    for statement in (*equations.guard, *equations.body):
+        for node in ast.walk(ast.parse(statement)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+                if isinstance(node.ctx, ast.Store):
+                    assigned.add(node.id)
+    bad = sorted({name for name in used if name.startswith("_")} | (assigned | listed) & _RESERVED)
+    if bad:
+        raise ValueError(f"the text uses {', '.join(map(repr, bad))}: a text uses no name "
+                         "that starts with an underscore, and neither assigns nor lists t, "
+                         "exp or a guard's check")
+
+
+def _field_function(equations: Equations, name: str, doc):
+    """``name(t, y, p)``: the tuple of the rates of ``equations`` at the
+    state ``y``, a sequence of its components, and the parameters p,
+    compiled on its first call, once the text's names are checked
+    (:func:`_check_names`). The arithmetic is elementwise, so on arrays
+    every entry equals the call on floats bit for bit."""
+    def source():
+        _check_names(equations)
+        return [f"def {name}(t, _y, _p):",
+                f"    {', '.join(equations.state)}, = _y",
+                *(f"    {param} = _p.{param}" for param in equations.params),
+                *(f"    {statement}" for statement in (*equations.guard, *equations.body)),
+                f"    return {', '.join(equations.rates)},"]
+
+    return _compiled_on_first_call(name, source, {"exp": _exp, **_CHECKS, "__name__": __name__},
+                                   doc)
+
+
+# the function generated from each Equations text of the package, which
+# Equations.at calls
 _FIELDS = {}
 
 
 def _rhs_function(equations: Equations, name: str, doc: str):
-    """``name(t, y, p)``: the rates of ``equations`` at the state ``y``, a
-    sequence of its components, and the parameters p, compiled on its first
-    call. The arithmetic is elementwise, so on arrays every entry equals the
-    call on floats bit for bit."""
-    lines = [f"def {name}(t, y, p):",
-             f"    {', '.join(equations.state)} = y",
-             *(f"    {param} = p.{param}" for param in equations.params),
-             *(f"    {statement}" for statement in (*equations.guard, *equations.body)),
-             f"    return {', '.join(equations.rates)}"]
-    function = _compiled_on_first_call(name, lines, {"exp": _exp, **_CHECKS,
-                                                     "__name__": __name__}, doc)
-    _FIELDS[equations] = function
+    """:func:`_field_function` of a text of the package, listed in
+    ``_FIELDS``."""
+    _FIELDS[equations] = function = _field_function(equations, name, doc)
     return function
 
 
 full_rhs = _compiled_on_first_call(
-    "full_rhs", ["def full_rhs(t, y, p):", "    return laws[p.alpha_kind](t, y, p)"],
+    "full_rhs", lambda: ["def full_rhs(t, y, p):", "    return laws[p.alpha_kind](t, y, p)"],
     {"laws": {kind: _rhs_function(equations, "full_rhs", None)
               for kind, equations in FULL_EQUATIONS.items()}}, """\
 Right-hand side of the full equations of motion: the function generated from

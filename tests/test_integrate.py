@@ -28,7 +28,6 @@ def _field(state, body, **params):
     record's call is the function generated from the same text."""
     equations = Equations(state=tuple(state), rates=tuple(f"d{x}" for x in state),
                           params=tuple(params), body=tuple(body), guard=())
-    model_module._rhs_function(equations, "rhs", None)
     return equations.at(types.SimpleNamespace(**params))
 
 
@@ -1146,11 +1145,11 @@ def test_full_equations_attempt_operation_counts():
         counts[law] = count(ast.Mult), count(ast.Add, ast.Sub)
         assert not re.search(r"\* 1\.0\b|\b1\.0 \*|/ 1\.0\b", text)
         assert [ast.unparse(node.test) for statement in attempt for node in ast.walk(statement)
-                if isinstance(node, ast.If)] == ["h >= t_end - t"]
+                if isinstance(node, ast.If)] == ["_h >= _t_end - t"]
         step = ast.parse(integrate_module._taylor_step_source(4, equations, 13))
         assert not any(isinstance(node, ast.If) for node in ast.walk(step))
         step = next(node for node in ast.walk(step)
-                    if isinstance(node, ast.FunctionDef) and node.name == "step")
+                    if isinstance(node, ast.FunctionDef) and node.name == "_step")
         nodes = list(ast.walk(step))
         calls = [node for node in nodes if isinstance(node, ast.Call)]
         batch[law] = (len(calls), sum(isinstance(node, ast.BinOp) for node in nodes),
@@ -1181,7 +1180,7 @@ def test_single_run_attempt_calls_only_exp_and_the_finiteness_fallback():
     # a single run's attempt calls nothing per step but the equations' exp:
     # its norms are conditional expressions, not abs, its powers are **,
     # and its finiteness test is _total - _total == 0.0, with the per-value
-    # test all(map(isfinite, ...)) only for a non-finite sum. So for every
+    # test _all(_map(_isfinite, ...)) only for a non-finite sum. So for every
     # field the package generates, and at the lowest, the default and a
     # high order
     importlib.import_module("symevol.averaged")
@@ -1194,9 +1193,9 @@ def test_single_run_attempt_calls_only_exp_and_the_finiteness_fallback():
             calls = [node for statement in _loop_attempt(equations, len(equations.state), p)
                      for node in ast.walk(statement) if isinstance(node, ast.Call)]
             names = sorted(ast.unparse(call.func) for call in calls)
-            assert names == sorted(["all", "map", *["exp"] * exps]), (equations.rates, p)
-            fallback = next(call for call in calls if ast.unparse(call.func) == "all")
-            assert ast.unparse(fallback).startswith("all(map(isfinite, (_z0,")
+            assert names == sorted(["_all", "_map", *["exp"] * exps]), (equations.rates, p)
+            fallback = next(call for call in calls if ast.unparse(call.func) == "_all")
+            assert ast.unparse(fallback).startswith("_all(_map(_isfinite, (_z0,")
     # a zero norm bounds nothing whatever its sign, so negative zeros step
     # as the batch's abs does: a batch row equals its single run
     p = ModelParams(1.0, 1.0, 0.75, 1.5, omega=2.0, epsilon=0.1, n=2)
@@ -1324,3 +1323,68 @@ def test_batch_writes_out_the_sums_of_a_series_with_copied_coefficients():
     batch = integrate(rhs, y0, cfg)
     for i in range(2):
         assert np.array_equal(integrate(rhs, y0[i], cfg).states, batch.states[i])
+
+
+# every name the generated code used for its own before each took a leading
+# underscore: the single run's loop, its helpers and the builtins it called,
+# the batched step's, and the generated field function's arguments
+_GENERATED_NAMES = (
+    "OverflowError", "ZeroDivisionError", "abs", "accepted", "all", "atol", "bind",
+    "bisect_right", "block", "bool", "failure", "fill_block", "fill_steps", "finite", "float",
+    "h", "h_max", "h_min", "idx", "inf", "isfinite", "last_sample", "len", "map", "out", "p",
+    "rtol", "run", "samples", "step", "stop", "t_end", "t_new", "t_next", "ts", "y")
+
+
+@pytest.mark.parametrize("name", _GENERATED_NAMES)
+def test_a_text_may_name_a_value_as_the_generated_code_once_did(name):
+    # name = -a1 * 0.5 and dx = name * x from x = 1 over [0, 1]: x(1) =
+    # exp(-0.5) by the Taylor method in a single run and in each batch row,
+    # whatever the name, and the field's call is -0.5 x. Sharing the
+    # generated code's namespace, h_max gave 1.0 and t_end 2.718281828459 in
+    # a single run, h, y and finite raised, and inf broke the batch too
+    rhs = _field(("x",), (f"{name} = -a1 * 0.5", f"dx = {name} * x"), a1=1.0)
+    cfg = IntegratorConfig(t_end=1.0, sample_dt=1.0)
+    assert integrate(rhs, np.array([1.0]), cfg).states[-1].tolist() == [0.6065306597126328]
+    batch = integrate(rhs, np.array([[1.0], [1.0]]), cfg)
+    assert batch.states[:, -1].tolist() == [[0.6065306597126328]] * 2
+    assert rhs(0.0, (1.0,)) == (-0.5,)
+
+
+@pytest.mark.parametrize("state, params, body", [
+    (("x",), ("a1",), ("_u = -a1 * x", "dx = _u")),
+    (("x",), ("_a1",), ("dx = -_a1 * x",)),
+    (("x",), ("a1",), ("t = -a1 * 0.5", "dx = t * x")),
+    (("x",), ("a1",), ("exp = -a1 * 0.5", "dx = exp * x")),
+    (("x",), ("a1",), ("check_omega = -a1 * 0.5", "dx = check_omega * x")),
+    (("t",), ("a1",), ("dt = -a1 * t",)),
+    (("x",), ("exp",), ("dx = -exp * x",)),
+], ids=["underscore-statement", "underscore-parameter", "assigns-t", "assigns-exp",
+        "assigns-a-check", "lists-t", "lists-exp"])
+def test_a_text_that_takes_a_generated_name_is_refused(state, params, body):
+    # the generated code's own names start with an underscore, and t, exp and
+    # the guard's checks are the text's to read: a text that uses the one or
+    # assigns or lists the others raises ValueError where code is generated
+    # from it, every time, and Equations.at, which generates none, does not
+    rates = tuple(f"d{x}" for x in state)
+    rhs = Equations(state, rates, params, body, ()).at(types.SimpleNamespace(
+        **dict.fromkeys(params, 1.0)))
+    cfg = IntegratorConfig(t_end=1.0, sample_dt=1.0)
+    for call in (lambda: integrate(rhs, np.array([1.0]), cfg),
+                 lambda: integrate(rhs, np.array([[1.0], [2.0]]), cfg),
+                 lambda: rhs(0.0, (1.0,)), lambda: rhs(0.0, (1.0,))):
+        with pytest.raises(ValueError, match="the text uses"):
+            call()
+
+
+@pytest.mark.parametrize("a1", [1.0, 1])
+def test_one_component_text_made_after_import(a1):
+    # Equations.at makes the field of a text the package does not hold, and
+    # leaves model._FIELDS as it is; a one-component field's call answers a
+    # tuple of one rate, so order_check's fixed RK4 steps run on it
+    equations = Equations(("x",), ("dx",), ("a1",), ("dx = -a1 * x",), ())
+    fields = dict(model_module._FIELDS)
+    rhs = equations.at(types.SimpleNamespace(a1=a1))
+    assert rhs(0.0, (1.0,)) == (-1.0,)
+    estimate = order_check(rhs, np.array([1.0]), 0.0, 5.0, (0.1, 0.05, 0.025))
+    assert estimate.order == pytest.approx(4.045, abs=0.005) and not estimate.saturated
+    assert model_module._FIELDS == fields

@@ -223,7 +223,7 @@ def test_generated_functions_compile_on_first_call():
     # none; the calls after the first reuse the compiled function
     namespace = {}
     double = model_module._compiled_on_first_call(
-        "double", ["def double(x):", "    return 2 * x"], namespace, "Twice x.")
+        "double", lambda: ["def double(x):", "    return 2 * x"], namespace, "Twice x.")
     assert (double.__name__, double.__doc__) == ("double", "Twice x.") and namespace == {}
     assert double(3) == 6 and "double" in namespace
     del namespace["double"]
