@@ -747,8 +747,11 @@ def _step_rule_lines(emitter, d: int, p: int) -> list:
 # inf or NaN: such an attempt is non-finite too, so the run stops at the time
 # its batch row stops, on non-finite values. An attempt calls nothing but
 # exp (the equations' own) and libm's pow (**), and the loop calls out only on
-# a step that holds a sample (bisect_right, and fill_steps once the block
-# holds fill_block samples or the grid's last) and at the end.
+# a step that holds a sample (_bisect_right, and _fill_steps once the block
+# holds _fill_block samples or the grid's last) and at the end. It shares the
+# text's namespace, so each of its own names, the builtins it calls
+# included, starts with an underscore, as the batched step's do
+# (model._check_names keeps a text from those names).
 _TAYLOR_LOOP = """\
 def _run(t, _y, _t_end, _rtol, _atol, _samples, _out, _ts):
     {y} = _y

@@ -316,28 +316,19 @@ def _compiled_on_first_call(name: str, source, namespace: dict, doc=None):
     return function
 
 
-# the names a text may read, but neither assign nor list: the time, libm's
-# exp and the guard's checks
-_RESERVED = {"t", "exp", *_CHECKS}
-
-
 def _check_names(equations: Equations):
     """ValueError unless the text ``equations`` keeps the naming rule of
     :class:`Equations`: it uses no name that starts with an underscore, and
     neither assigns nor lists ``t``, ``exp`` or a function of ``_CHECKS``."""
     listed = {*equations.state, *equations.rates, *equations.params}
-    used, assigned = set(listed), set()
-    for statement in (*equations.guard, *equations.body):
-        for node in ast.walk(ast.parse(statement)):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-                if isinstance(node.ctx, ast.Store):
-                    assigned.add(node.id)
-    bad = sorted({name for name in used if name.startswith("_")} | (assigned | listed) & _RESERVED)
+    names = [node for statement in (*equations.guard, *equations.body)
+             for node in ast.walk(ast.parse(statement)) if isinstance(node, ast.Name)]
+    assigned = listed | {node.id for node in names if isinstance(node.ctx, ast.Store)}
+    bad = sorted({name for name in listed | {node.id for node in names} if name.startswith("_")}
+                 | assigned & {"t", "exp", *_CHECKS})
     if bad:
-        raise ValueError(f"the text uses {', '.join(map(repr, bad))}: a text uses no name "
-                         "that starts with an underscore, and neither assigns nor lists t, "
-                         "exp or a guard's check")
+        raise ValueError(f"the text uses {', '.join(map(repr, bad))}: the generated code's "
+                         "names start with an underscore, and t, exp and the checks are read only")
 
 
 def _field_function(equations: Equations, name: str, doc):

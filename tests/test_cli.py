@@ -93,13 +93,16 @@ def test_simulate_writes_csv_and_manifest(small_config, tmp_path):
 
 
 def test_simulate_rerun_byte_identical(small_config, tmp_path):
-    out1, out2 = tmp_path / "r1", tmp_path / "r2"
-    assert main(["simulate", str(small_config), "--out", str(out1)]) == 0
-    assert main(["simulate", str(small_config), "--out", str(out2)]) == 0
-    assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
-    m1 = json.loads((out1 / "manifest.json").read_text())
-    m2 = json.loads((out2 / "manifest.json").read_text())
-    assert m1["config_digest"] == m2["config_digest"]
+    # also densely sampled: 5,001 samples, filled in blocks and written in chunks
+    for k, flags in enumerate(([], ["--horizon", "5", "--sample-dt", "0.001"])):
+        out1, out2 = tmp_path / f"r{k}a", tmp_path / f"r{k}b"
+        assert main(["simulate", str(small_config), "--out", str(out1), *flags]) == 0
+        assert main(["simulate", str(small_config), "--out", str(out2), *flags]) == 0
+        assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
+        m1 = json.loads((out1 / "manifest.json").read_text())
+        m2 = json.loads((out2 / "manifest.json").read_text())
+        assert m1["config_digest"] == m2["config_digest"]
+    assert m1["samples"] == 5001
 
 
 def test_simulate_numbers_round_trip(small_config, tmp_path):
@@ -160,6 +163,7 @@ def test_simulate_spellings_of_one_run_share_a_digest(tmp_path):
     spellings = {
         "as_is": (preset, []),
         "flag": (preset, ["--horizon", "3"]),
+        "flag_over_file": (preset.replace("horizon = 3", "horizon = 7"), ["--horizon", "3"]),
         "float": (preset.replace("horizon = 3", "horizon = 3.0"), []),
         "rtol": (preset.replace("rtol = 1e-10", "rtol = 1.0e-10"), []),
         "ignored_key": (preset + "workers = 1\n", []),
@@ -481,6 +485,40 @@ def test_compare_runs_through_normal_mode(tmp_path):
     assert not (tmp_path / "mode").exists()
 
 
+def _edited(text, *edits):
+    """``text`` after each (old, new) edit, each old found in it once."""
+    for old, new in edits:
+        assert text.count(old) == 1, old
+        text = text.replace(old, new)
+    return text
+
+
+@pytest.mark.parametrize("resonance, edits", [
+    ("12-first", []), ("12-second", []), ("13", [("omega = 2", "omega = 3")]),
+    # from a generic state, whose polar data the scalar chart gives (math's
+    # hypot and atan2, not numpy's)
+    ("11", [("omega = 2", "omega = 1"), ("q1 = 0\n", "q1 = -0.135\n"),
+            ("v1 = 0.5\n", "v1 = -0.395\n"), ("q2 = 0\n", "q2 = 0.129\n"),
+            ("v2 = 0.5\n", "v2 = 0.427\n")])])
+def test_compare_ladder_reruns_byte_for_byte(tmp_path, resonance, edits):
+    # a ladder run in a fresh interpreter and again in this one writes the
+    # same table, and every rung runs both its full and its averaged field
+    # by the Taylor method
+    cfg = tmp_path / "ladder.ini"
+    cfg.write_text(_edited(SMALL_CONFIG, *edits))
+    argv = ["compare", str(cfg), "--eps-list", "0.1,0.05", "--resonance", resonance]
+    subprocess.run([sys.executable, "-m", "symevol", *argv, "--out", str(tmp_path / "fresh")],
+                   capture_output=True, check=True)
+    assert main([*argv, "--out", str(tmp_path / "again")]) == 0
+    tables = [(tmp_path / run / "compare.csv").read_bytes() for run in ("fresh", "again")]
+    assert tables[0] == tables[1] and len(tables[0].splitlines()) == 3
+    summary = json.loads((tmp_path / "fresh" / "compare_summary.json").read_text())
+    assert summary["resonance"] == resonance
+    rungs = json.loads((tmp_path / "fresh" / "manifest.json").read_text())["integrator_stats"]
+    assert [(rung["full"]["method"], rung["averaged"]["method"]) for rung in rungs] == [
+        ("taylor", "taylor")] * 2
+
+
 def test_resonance_json_omega2(capsys):
     assert main(["resonance", "--omega", "2", "--a1", "1", "--a2", "1"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -504,6 +542,15 @@ def test_resonance_none_and_classification(capsys):
     modes = {entry["mode"]: entry for entry in report["classification"]}
     assert modes["q1-normal-mode"]["stable"] is False
     assert modes["in-phase"]["stable"] is True
+
+    # the 1:1 thresholds of p = a1/(3 a2): out-of-phase solutions end at p =
+    # 2/15 (a1 = 2, a2 = 5), in-phase ones at p = 2/3 (a1 = 2, a2 = 1)
+    for a2, mode in (("5", "out-of-phase"), ("1", "in-phase")):
+        assert main(["resonance", "--omega", "1", "--a1", "2", "--a2", a2]) == 0
+        modes = {entry["mode"]: entry for entry in json.loads(capsys.readouterr().out)
+                 ["classification"]}
+        assert modes[mode]["stable"] == "boundary", (a2, modes)
+    assert main(["resonance", "--omega", "1"]) == 0
 
 
 def test_resonance_invalid_inputs(capsys):
@@ -649,6 +696,43 @@ def test_ensemble_degenerate_sampler_zero_dispersion_column(tmp_path):
     rows = (out / "moments.csv").read_text().splitlines()[1:]
     disp = [float(r.split(",")[2]) for r in rows]
     assert all(v == 0.0 for v in disp)
+
+
+def test_ensemble_of_one_state_writes_simulate_columns(tmp_path):
+    # a batch row is its single run byte for byte: an ensemble of fixed
+    # samplers writes as its mean velocities the velocities simulate writes
+    # for that state, for one particle and for two, whose mean (v + v) / 2
+    # is v exactly. At rtol 1e-13 the Taylor order is 16 and the longest
+    # Cauchy sums reach 17 terms, which numpy adds pairwise on a batch of one
+    # column; 10,001 samples the single run fills in blocks of 4,096 and the
+    # batch in one; the polynomial law and a start at t0 = 2.5, where the
+    # decay factor's series starts away from 1, under both laws
+    base = _edited(_ensemble_config(tmp_path).read_text(), ("rtol = 1e-9\n", ""),
+                   ("v1 = normal 0.5 0.05", "v1 = fixed 0.5"))
+    polynomial = ("n = 2\n", "n = 2\nalpha_kind = polynomial\n")
+    late = ("[initial]\n", "[initial]\nt0 = 2.5\n")
+    cases = {"default": ([], []), "tight": ([], ["--rtol", "1e-13"]),
+             "dense": ([], ["--horizon", "10", "--sample-dt", "0.001"]),
+             "polynomial": ([polynomial], []), "late": ([late], []),
+             "late_polynomial": ([late, polynomial], [])}
+    velocities = {}
+    for name, (edits, flags) in cases.items():
+        cfg = tmp_path / f"{name}.ini"
+        cfg.write_text(_edited(base, *edits))
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / name), *flags]) == 0
+        sim = (tmp_path / name / "trajectory.csv").read_bytes().splitlines()[1:]
+        velocities[name] = [b",".join(row.split(b",")[k] for k in (0, 2, 4)) for row in sim]
+        assert len(sim) > 10 and sim[0].startswith(b"2.5," if late in edits else b"0,")
+        for count in (1, 2):
+            cfg.write_text(_edited(base, *edits, ("count = 6", f"count = {count}")))
+            out = tmp_path / f"{name}_{count}"
+            assert main(["ensemble", str(cfg), "--out", str(out), *flags]) == 0
+            means = [b",".join(row.split(b",")[k] for k in (0, 1, 3))
+                     for row in (out / "moments.csv").read_bytes().splitlines()[1:]]
+            assert means == velocities[name], (name, count)
+    assert len(velocities["dense"]) == 10_001
+    assert velocities["polynomial"] != velocities["default"]
+    assert velocities["late_polynomial"] != velocities["late"]
 
 
 def test_ensemble_workers_byte_identical(tmp_path):
@@ -880,6 +964,9 @@ def test_reproduce_figure_digest_covers_rtol(tmp_path):
 @pytest.mark.parametrize("which, flags", [
     ("fig1", ["--horizon", "20"]),
     ("fig2", ["--horizon", "30", "--sample-dt", "0.1", "--rtol", "1e-9"]),
+    # 1,201 rows at the preset's sample_dt 0.25: the writers' blocks of
+    # 1,024 rows, and a second one
+    ("fig2", ["--horizon", "300"]),
 ])
 def test_reproduce_figure_is_simulate_of_preset(tmp_path, which, flags):
     # reproduce-figure is the simulate run of the bundled preset: its CSV is

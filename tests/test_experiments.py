@@ -463,11 +463,17 @@ def test_ensemble_spec_rejects_bad_sampler_on_construction(spec):
 
 
 def test_ensemble_degenerate_sampler_zero_dispersion():
-    samplers = {"q1": ("fixed", 0.0), "v1": ("fixed", 0.5),
-                "q2": ("fixed", 0.0), "v2": ("fixed", 0.5)}
-    rep = run_ensemble(_small_ensemble(count=5, samplers=samplers))
-    assert np.all(rep.disp_v1 == 0.0)
-    assert np.all(rep.disp_v2 == 0.0)
+    # fixed samplers: every particle one state, of no dispersion, all counted
+    # in every sample. At v1 = 0 the v1 edges cannot take the rms of the
+    # initial v1, which is 0, and span +-3 of the sampler's spread or 1
+    for v1 in (0.5, 0.0):
+        samplers = {"q1": ("fixed", 0.0), "v1": ("fixed", v1),
+                    "q2": ("fixed", 0.0), "v2": ("fixed", 0.5)}
+        rep = run_ensemble(_small_ensemble(count=5, samplers=samplers))
+        assert np.all(rep.disp_v1 == 0.0)
+        assert np.all(rep.disp_v2 == 0.0)
+        assert np.all(rep.hist_v1.sum(axis=1) == 5) and np.all(rep.hist_v2.sum(axis=1) == 5)
+    assert (rep.hist_edges_v1[0], rep.hist_edges_v1[-1]) == (-3.0, 3.0)
 
 
 def test_ensemble_spec_fixes_left_out_coordinates_at_the_initial_state():

@@ -1339,9 +1339,10 @@ _GENERATED_NAMES = (
 def test_a_text_may_name_a_value_as_the_generated_code_once_did(name):
     # name = -a1 * 0.5 and dx = name * x from x = 1 over [0, 1]: x(1) =
     # exp(-0.5) by the Taylor method in a single run and in each batch row,
-    # whatever the name, and the field's call is -0.5 x. Sharing the
-    # generated code's namespace, h_max gave 1.0 and t_end 2.718281828459 in
-    # a single run, h, y and finite raised, and inf broke the batch too
+    # whatever the name, and the field's call is -0.5 x. A text shares the
+    # generated code's namespace: while these were its names, h_max gave
+    # 1.0 and t_end e in a single run, h, y and finite raised, and inf broke
+    # the batch too
     rhs = _field(("x",), (f"{name} = -a1 * 0.5", f"dx = {name} * x"), a1=1.0)
     cfg = IntegratorConfig(t_end=1.0, sample_dt=1.0)
     assert integrate(rhs, np.array([1.0]), cfg).states[-1].tolist() == [0.6065306597126328]

@@ -7,8 +7,9 @@ import pytest
 
 from symevol.averaged import _chi3_paper_coeffs
 from symevol.model import ModelParams
-from symevol.resonance import (RESONANCES, _chi2_coeffs, _to_float, classify_11, locate_12_first,
-                               locate_12_second, locate_13, verify_stability_numerically)
+from symevol.resonance import (RESONANCES, _chi2_coeffs, _growth_verdict, _to_float, classify_11,
+                               locate_12_first, locate_12_second, locate_13,
+                               verify_stability_numerically)
 
 
 def test_resonance_table_consistency():
@@ -163,6 +164,18 @@ def test_verify_q1_mode_unstable_at_zero():
 def test_verify_in_phase_stable_at_zero():
     report = [r for r in classify_11(0.0, 1.0) if r.mode == "in-phase"][0]
     assert verify_stability_numerically(report, E0=1.0, epsilon=0.1) == "consistent"
+
+
+# a perturbation bounded (grown under 10-fold), in between, or grown (over
+# 30-fold) is consistent with a claim of stable, of unstable, or neither; a
+# boundary claim, or none, is indeterminate at any growth
+@pytest.mark.parametrize("growth, claim, verdict", [
+    (5.0, True, "consistent"), (20.0, True, "indeterminate"), (40.0, True, "inconsistent"),
+    (5.0, False, "inconsistent"), (20.0, False, "indeterminate"), (40.0, False, "consistent"),
+    *((growth, claim, "indeterminate") for claim in ("boundary", None)
+      for growth in (5.0, 20.0, 40.0))])
+def test_growth_verdict_by_claim(growth, claim, verdict):
+    assert _growth_verdict(growth, claim) == verdict
 
 
 @pytest.mark.parametrize("E0, epsilon", [(0.0, 0.1), (-1.0, 0.1), (1.0, 0.0)])
